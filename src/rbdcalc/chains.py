@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -23,7 +25,7 @@ from .errors import (
     InvalidConfigurationError,
     LatticeMismatchError,
 )
-from .lattice import AmbientLattice, ClassVector, pairing
+from .lattice import AmbientLattice, ClassVector, pairing, strict_int
 
 
 @dataclass(frozen=True)
@@ -67,49 +69,88 @@ def expected_square(i: int, p: int) -> int:
     return -(p + 2) if i == p - 1 else -2
 
 
-def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainReport:
-    """Check candidate classes against the C_p Gram matrix.
+def _row_pairing(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    return x[0] * y[0] - sum(map(mul, x[1:], y[1:]))
 
-    Scan order is fixed so the reported violation is deterministic: squares
-    in class order, then consecutive pairings, then distant pairs in
-    lexicographic order. Only the first violation is reported.
+
+@lru_cache(maxsize=32)
+def _body_block(body: tuple[tuple[int, ...], ...]):
+    """(Gram block, its diagonal, block ok, sparse functionals) of u_1..u_{p-2}.
+
+    Computed once per distinct body: every search hit at one placement shares
+    its body rows. The functionals are (row i, index k, signed coefficient)
+    for each nonzero coefficient, so pairing them with a tail costs O(nnz).
+    """
+    m = len(body)
+    gram = tuple(tuple(_row_pairing(x, y) for y in body) for x in body)
+    want = tuple(tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(m)) for i in range(m))
+    functionals = tuple(
+        (i, k, c if k == 0 else -c) for i, row in enumerate(body) for k, c in enumerate(row) if c
+    )
+    return gram, tuple(gram[i][i] for i in range(m)), gram == want, functionals
+
+
+def _first_violation(gram: Sequence[Sequence[int]], p: int) -> ChainViolation | None:
+    """First entry of a full Gram matrix off the C_p pattern, in scan order."""
+    for i in range(1, p):
+        want, got = expected_square(i, p), gram[i - 1][i - 1]
+        if got != want:
+            return ChainViolation("square", (i,), want, got)
+    for i in range(1, p - 1):
+        got = gram[i - 1][i]
+        if got != 1:
+            return ChainViolation("consecutive_pairing", (i, i + 1), 1, got)
+    for i in range(1, p):
+        for j in range(i + 2, p):
+            got = gram[i - 1][j - 1]
+            if got != 0:
+                return ChainViolation("distant_pairing", (i, j), 0, got)
+    return None
+
+
+def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainReport:
+    """Check candidate classes against the C_p Gram matrix, on coefficient rows.
+
+    The body block is verified once per distinct body (see _body_block); a
+    call then pairs only the long class, O(n + nnz) work. If any entry is off,
+    the full matrix is scanned in a fixed order so the reported violation is
+    deterministic: squares in class order, then consecutive pairings, then
+    distant pairs in lexicographic order. Only the first one is reported.
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got p = {p}")
     if len(candidate) != p - 1:
         raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(candidate)}")
-    for c in candidate[1:]:
-        if c.lattice != candidate[0].lattice:
-            raise LatticeMismatchError("candidate classes live in different lattices")
+    rows = tuple(c.coeffs for c in candidate)
+    # a lattice is fixed by n and every row has length n + 1
+    if len(set(map(len, rows))) > 1:
+        raise LatticeMismatchError("candidate classes live in different lattices")
 
-    squares = tuple(u.square() for u in candidate)
-    violation = None
-    for i, sq in enumerate(squares, 1):
-        want = expected_square(i, p)
-        if sq != want:
-            violation = ChainViolation("square", (i,), want, sq)
-            break
-    if violation is None:
-        for i in range(1, p - 1):
-            got = pairing(candidate[i - 1], candidate[i])
-            if got != 1:
-                violation = ChainViolation("consecutive_pairing", (i, i + 1), 1, got)
-                break
-    if violation is None:
-        for i in range(1, p):
-            for j in range(i + 2, p):
-                got = pairing(candidate[i - 1], candidate[j - 1])
-                if got != 0:
-                    violation = ChainViolation("distant_pairing", (i, j), 0, got)
-                    break
-            if violation is not None:
-                break
+    tail = rows[-1]
+    gram, body_squares, body_ok, functionals = _body_block(rows[:-1])
+    tail_pairings = [0] * (p - 2)
+    for i, k, c in functionals:
+        tail_pairings[i] += c * tail[k]
+    tail_square = _row_pairing(tail, tail)
+    squares = body_squares + (tail_square,)
+    # u_{p-2}.u_{p-1} = 1 and every other body pairing with the long class 0
+    want_pairings = [0] * (p - 3) + [1] * (p > 2)
+    if body_ok and tail_square == -(p + 2) and tail_pairings == want_pairings:
+        return ChainReport(p=p, ok=True, violation=None, squares=squares)
+    full = [list(row) + [b] for row, b in zip(gram, tail_pairings)]
+    full.append(tail_pairings + [tail_square])
+    violation = _first_violation(full, p)
     return ChainReport(p=p, ok=violation is None, violation=violation, squares=squares)
 
 
 @dataclass(frozen=True)
 class CpConfiguration:
-    """A verified C_p configuration; construction re-checks the Gram matrix."""
+    """A verified C_p configuration.
+
+    Every construction runs verify_cp_configuration and raises
+    InvalidConfigurationError on failure; there is no other way to build one.
+    Search hits cost O(n + nnz) each, as they share a cached body block.
+    """
 
     p: int
     classes: tuple[ClassVector, ...]
@@ -127,6 +168,12 @@ class CpConfiguration:
     def rank(self) -> int:
         return self.p - 1
 
+    def report(self) -> ChainReport:
+        """The verifier's report on these classes: construction passed it, so
+        it is ok and the squares are the expected ones."""
+        squares = tuple(expected_square(i, self.p) for i in range(1, self.p))
+        return ChainReport(p=self.p, ok=True, violation=None, squares=squares)
+
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -136,29 +183,14 @@ class CpConfiguration:
 
     @classmethod
     def from_json(cls, data: dict) -> "CpConfiguration":
-        p = int(data["p"])
-        n = int(data["n"])
-        lat = AmbientLattice(n)
+        lat = AmbientLattice(strict_int(data["n"], "n"))
         classes = tuple(lat.vector(row) for row in data["classes"])
-        return cls(p=p, classes=classes)
+        return cls(p=strict_int(data["p"], "p"), classes=classes)
 
     @classmethod
     def load(cls, path) -> "CpConfiguration":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-
-def _trusted_configuration(p: int, classes: tuple[ClassVector, ...]) -> CpConfiguration:
-    """Construct a CpConfiguration without re-running the Gram check.
-
-    Only for callers that have already established the Gram matrix by other
-    means (the bounded search re-derives every entry from raw coefficients
-    before calling this). Everything else should use the normal constructor.
-    """
-    cfg = object.__new__(CpConfiguration)
-    object.__setattr__(cfg, "p", p)
-    object.__setattr__(cfg, "classes", classes)
-    return cfg
 
 
 def intersection_matrix(classes: Sequence[ClassVector]) -> list[list[int]]:

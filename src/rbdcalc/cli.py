@@ -21,15 +21,15 @@ from pathlib import Path
 
 from . import __version__
 
-from .blowdown import AmbientManifoldData, full_blowdown_report
+from .blowdown import AmbientManifoldData, full_blowdown_report, handle_counts_after_blowdown
 from .chains import CpConfiguration, intersection_matrix, lens_space_cf, verify_cp_configuration
-from .errors import RbdcalcError, SearchCapExceeded
+from .errors import InputTypeError, RbdcalcError, SearchCapExceeded
 from .families import (
     FIXTURE_CASES,
     family_h1_witness,
     expected_negative_rank,
 )
-from .lattice import AmbientLattice
+from .lattice import AmbientLattice, ClassVector, strict_int
 from .search import DEFAULT_CAP, SearchTemplate, search
 from .snf import det, smith_normal_form
 from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
@@ -65,10 +65,12 @@ def _load_json_file(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_config(path: str) -> tuple[dict, CpConfiguration]:
-    """Parse a configuration file; schema errors are usage errors, Gram
-    failures are mathematical ones and bubble up as RbdcalcError. Returns
-    the raw payload too, for echoing into reports."""
+def _parse_config(path: str) -> tuple[dict, int, tuple[ClassVector, ...]]:
+    """Read a configuration file into (raw payload, p, classes).
+
+    Schema and type errors are usage errors. Nothing is verified yet, so a
+    caller can report a failing Gram check instead of raising it.
+    """
     data = _load_json_file(path)
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected an object with p, n, classes")
@@ -76,13 +78,23 @@ def _load_config(path: str) -> tuple[dict, CpConfiguration]:
         if key not in data:
             raise UsageError(f"{path}: missing key {key!r}")
     try:
-        lat = AmbientLattice(int(data["n"]))
+        lat = AmbientLattice(strict_int(data["n"], "n"))
         classes = tuple(lat.vector(row) for row in data["classes"])
+        p = strict_int(data["p"], "p")
     except (TypeError, ValueError) as exc:
         if isinstance(exc, RbdcalcError):
             raise UsageError(f"{path}: {exc}") from exc
         raise UsageError(f"{path}: malformed class data: {exc}") from exc
-    return data, CpConfiguration(p=int(data["p"]), classes=classes)
+    return data, p, classes
+
+
+def _load_config(path: str) -> tuple[dict, CpConfiguration]:
+    """A verified configuration plus the raw payload, for echoing into reports.
+
+    Gram failures are mathematical ones and bubble up as RbdcalcError.
+    """
+    data, p, classes = _parse_config(path)
+    return data, CpConfiguration(p=p, classes=classes)
 
 
 def _parse_vector(text: str, lattice: AmbientLattice, what: str):
@@ -94,27 +106,22 @@ def _parse_vector(text: str, lattice: AmbientLattice, what: str):
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{what}: not a JSON array: {exc}") from exc
-    if not isinstance(raw, list) or not all(isinstance(x, int) for x in raw):
+    if not isinstance(raw, list):
         raise UsageError(f"{what}: expected a JSON array of integers")
     if len(raw) != lattice.rank:
         raise UsageError(
             f"{what}: expected {lattice.rank} coefficients (h first), got {len(raw)}"
         )
-    return lattice.vector(raw)
+    try:
+        return lattice.vector(raw)
+    except InputTypeError as exc:
+        raise UsageError(f"{what}: {exc}") from exc
 
 
 # -- commands ---------------------------------------------------------------
 
 def cmd_verify_config(args) -> int:
-    data = _load_json_file(args.config)
-    if not isinstance(data, dict) or any(k not in data for k in ("p", "n", "classes")):
-        raise UsageError(f"{args.config}: expected an object with p, n, classes")
-    try:
-        lat = AmbientLattice(int(data["n"]))
-        classes = [lat.vector(row) for row in data["classes"]]
-        p = int(data["p"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{args.config}: malformed data: {exc}") from exc
+    data, p, classes = _parse_config(args.config)
     report = verify_cp_configuration(classes, p)
     out = report.to_json()
     if report.ok:
@@ -238,23 +245,19 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         return result
 
     try:
-        data = _load_json_file(str(path))
+        data, p, classes = _parse_config(str(path))
         echo["fixture"] = data
-        lat = AmbientLattice(int(data["n"]))
         stages["load"] = {"status": "pass", "file": str(path)}
-    except (UsageError, KeyError, TypeError, ValueError) as exc:
+    except UsageError as exc:
         return fail("load", exc)
 
     try:
-        classes = tuple(lat.vector(row) for row in data["classes"])
-        cfg = CpConfiguration(p=int(data["p"]), classes=classes)
-        stages["verify"] = {
-            "status": "pass",
-            "report": verify_cp_configuration(classes, cfg.p).to_json(),
-        }
+        cfg = CpConfiguration(p=p, classes=classes)
+        stages["verify"] = {"status": "pass", "report": cfg.report().to_json()}
     except RbdcalcError as exc:
         return fail("verify", exc)
 
+    lat = cfg.lattice
     x = AmbientManifoldData(lat)
     try:
         delta = family_h1_witness(case.a, case.family)
@@ -276,12 +279,12 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
     else:
         try:
             if "counts" in handles:
-                counts = [int(v) for v in handles["counts"]]
+                counts = [strict_int(v, "handle count") for v in handles["counts"]]
             else:
-                from .blowdown import handle_counts_after_blowdown
-
                 counts = list(
-                    handle_counts_after_blowdown(int(handles["h2"]), int(handles["h3"]))
+                    handle_counts_after_blowdown(
+                        strict_int(handles["h2"], "h2"), strict_int(handles["h3"], "h3")
+                    )
                 )
             stages["handles"] = {"status": "pass", "counts": counts}
         except (RbdcalcError, KeyError, TypeError, ValueError) as exc:

@@ -26,6 +26,10 @@ class PreconditionError(RbdcalcError, ValueError):
     """A documented precondition failed; the message names the inequality."""
 
 
+class InputTypeError(RbdcalcError, TypeError):
+    """A value has the wrong type, e.g. a float or a bool where an int belongs."""
+
+
 class ConsistencyError(RbdcalcError, ArithmeticError):
     """An internal exactness check failed (singular matrix, non-integral value)."""
 

@@ -15,8 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, LatticeMismatchError
+from .errors import DomainError, InputTypeError, LatticeMismatchError
 from .snf import kernel_basis
+
+
+def strict_int(value, what: str) -> int:
+    """`value` if it is an int; a bool, float, str or anything else raises.
+    Loaders use this, not int(), which would read 3.7 as 3 and true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputTypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,7 @@ class AmbientLattice:
         return (1, self.n)
 
     def vector(self, coeffs: Iterable[int]) -> "ClassVector":
-        c = tuple(int(x) for x in coeffs)
+        c = tuple(strict_int(x, "coefficient") for x in coeffs)
         if len(c) != self.rank:
             raise DomainError(
                 f"expected {self.rank} coefficients (h first), got {len(c)}"

@@ -7,7 +7,10 @@ body forces most tail coordinates into a single run value t, the top index
 into t + 1, and the h coefficient is solved from the square equation rather
 than enumerated. Only genuinely free coordinates are walked, with a pruning
 step that discards a partial assignment only when no completion can reach a
-feasible h^2, so the enumeration returns exactly the box solutions.
+feasible h^2, so the enumeration returns exactly the box solutions. Each
+solution becomes a CpConfiguration through the normal constructor, so the
+one Gram verifier checks it from raw coefficients; its body block is checked
+once per placement and cached, leaving O(n + p) work per hit.
 
 Everything is deterministic: placements, coordinate order, and value order
 are fixed, and results are sorted by their class coefficient tuples, so a
@@ -16,14 +19,16 @@ parallel run merges to the same output as a sequential one.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from math import isqrt, perm
 from multiprocessing import Pool
 from typing import Iterable, Sequence
 
-from .chains import CpConfiguration, _trusted_configuration, verify_cp_configuration
-from .errors import ConsistencyError, DomainError, SearchCapExceeded, TemplateError
-from .lattice import AmbientLattice, ClassVector
+from .chains import CpConfiguration
+from .errors import ConsistencyError, DomainError, InvalidConfigurationError
+from .errors import SearchCapExceeded, TemplateError
+from .lattice import AmbientLattice, ClassVector, strict_int
 
 DEFAULT_CAP = 10_000_000
 
@@ -88,14 +93,14 @@ class SearchTemplate:
     @classmethod
     def from_json(cls, data: dict) -> "SearchTemplate":
         bounds = data["tail_bounds"]
-        n = int(data["n"])
-        if isinstance(bounds, int):
-            bounds = (bounds,) * (n + 1)
+        n = strict_int(data["n"], "n")
+        if isinstance(bounds, (list, tuple)):
+            bounds = tuple(strict_int(b, "tail bound") for b in bounds)
         else:
-            bounds = tuple(int(b) for b in bounds)
+            bounds = (strict_int(bounds, "tail_bounds"),) * (n + 1)
         return cls(
             n=n,
-            p=int(data["p"]),
+            p=strict_int(data["p"], "p"),
             tail_bounds=bounds,
             body_shape=data.get("body_shape", "consecutive-differences"),
             symmetry_reduction=bool(data.get("symmetry_reduction", True)),
@@ -250,43 +255,6 @@ def estimate_search_space(template: SearchTemplate) -> int:
     return sum(box(pl) for pl in _placements(template))
 
 
-def _raw_gram_ok(p: int, placement: tuple[int, ...], tail: tuple[int, ...]) -> bool:
-    """Re-derive every Gram entry from the raw solution data.
-
-    Deliberately independent of the enumerator's algebra: body entries come
-    from index coincidences of e_{x_i} - e_{x_{i+1}}, tail entries from plain
-    coefficient reads, so a bug in the run/end propagation or the h solver
-    cannot survive this comparison.
-    """
-    if tail[0] * tail[0] - sum(c * c for c in tail[1:]) != -(p + 2):
-        return False
-    m = p - 2
-    for i in range(m):
-        a, b = placement[i], placement[i + 1]
-        if a == b:
-            return False
-        if -tail[a] + tail[b] != (1 if i == m - 1 else 0):
-            return False
-        for j in range(i + 1, m):
-            c, d = placement[j], placement[j + 1]
-            got = -(a == c) + (a == d) + (b == c) - (b == d)
-            if got != (1 if j == i + 1 else 0):
-                return False
-    return True
-
-
-def _body_coeff_rows(
-    rank: int, p: int, placement: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for i in range(p - 2):
-        row = [0] * rank
-        row[placement[i]] = 1
-        row[placement[i + 1]] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _worker(args):
     template_json, placement, first_slice = args
     template = SearchTemplate.from_json(template_json)
@@ -301,11 +269,12 @@ def search(
     """All chain configurations matching the template inside its box.
 
     Raises SearchCapExceeded before enumerating anything when the estimate
-    exceeds the cap. Every hit is re-checked against the full Gram matrix by
-    a second derivation from raw coefficients before being packaged, so an
-    enumerator bug cannot leak an invalid chain into the result. Output is
-    sorted by class coefficients; jobs > 1 splits the first enumerated
-    coordinate over a process pool and merges to the identical list.
+    exceeds the cap. Every hit is built by the CpConfiguration constructor,
+    whose Gram verifier reads the raw coefficient rows and shares nothing
+    with the enumerator's algebra; a hit it rejects is an enumerator bug and
+    raises ConsistencyError. Output is sorted by class coefficients; jobs > 1
+    splits the first enumerated coordinate over a process pool of at most
+    min(jobs, CPU count, tasks) workers and merges to the identical list.
     """
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
@@ -333,29 +302,20 @@ def search(
                     tasks.append((tj, placement, values[off : off + chunk]))
             else:
                 tasks.append((tj, placement, None))
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=min(jobs, os.cpu_count() or 1, len(tasks))) as pool:
             for part in pool.map(_worker, tasks):
                 raw.extend(part)
 
-    for pl, tail in raw:
-        if not _raw_gram_ok(template.p, pl, tail):
-            raise ConsistencyError(
-                f"enumerated solution fails the Gram re-check: "
-                f"placement {pl}, tail {tail}"
-            )
-
     lat = AmbientLattice(template.n)
-    keys = {
-        pl: _body_coeff_rows(lat.rank, template.p, pl) for pl in {pl for pl, _ in raw}
-    }
-    raw.sort(key=lambda item: keys[item[0]] + (item[1],))
+    # body_i = e_{x_i} - e_{x_{i+1}} along the placement
     bodies = {
-        pl: tuple(ClassVector(lat, row) for row in rows) for pl, rows in keys.items()
+        pl: tuple(lat.e(x) - lat.e(y) for x, y in zip(pl, pl[1:])) for pl in {pl for pl, _ in raw}
     }
-    return [
-        _trusted_configuration(template.p, bodies[pl] + (ClassVector(lat, tail),))
-        for pl, tail in raw
-    ]
+    raw.sort(key=lambda item: tuple(u.coeffs for u in bodies[item[0]]) + (item[1],))
+    try:
+        return [CpConfiguration(template.p, bodies[pl] + (ClassVector(lat, t),)) for pl, t in raw]
+    except InvalidConfigurationError as exc:
+        raise ConsistencyError(f"enumerated solution fails the Gram check: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -421,9 +381,8 @@ def search_family_questions(
 ) -> FamilySearchReport:
     """Probe one open-range question with the default shaped box.
 
-    Every hit is passed through the public chain verifier once more before
-    the report is assembled; a failure there is an internal inconsistency,
-    not a user error.
+    The hits come from search, so each one has passed the Gram verifier at
+    construction; nothing is re-checked here.
     """
     if kind not in FAMILY_QUESTION_KINDS:
         raise DomainError(f"kind must be one of {FAMILY_QUESTION_KINDS}, got {kind!r}")
@@ -433,16 +392,9 @@ def search_family_questions(
             f"{kind} questions are posed for a in {r.start}..{r.stop - 1}, got a = {a}"
         )
     template = family_question_template(a, kind)
-    hits = search(template, cap=cap, jobs=jobs)
-    for cfg in hits:
-        check = verify_cp_configuration(cfg.classes, cfg.p)
-        if not check.ok:
-            raise ConsistencyError(
-                f"search hit fails independent re-verification: {check.violation}"
-            )
     return FamilySearchReport(
         kind=kind,
         a=a,
         template=template,
-        configurations=tuple(hits),
+        configurations=tuple(search(template, cap=cap, jobs=jobs)),
     )

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbdcalc.chains import (
+    ChainReport,
     ChainViolation,
     CpConfiguration,
-    _trusted_configuration,
+    _body_block,
     evaluate_neg_cf,
     expected_square,
     intersection_matrix,
@@ -18,6 +21,7 @@ from rbdcalc.chains import (
 from rbdcalc.errors import (
     ArityError,
     DomainError,
+    InputTypeError,
     InvalidConfigurationError,
     LatticeMismatchError,
 )
@@ -73,6 +77,14 @@ def test_distant_pairing_reported_lexicographically():
     report = verify_cp_configuration(classes, 4)
     assert not report.ok
     assert report.violation == ChainViolation("distant_pairing", (1, 3), 0, -1)
+    # body on the index cycle 1, 2, 3, 1: squares and consecutive pairings
+    # hold, u_1 meets both u_3 and the long class, and (1, 3) comes first
+    lat = AmbientLattice(7)
+    classes = [lat.e(1) - lat.e(2), lat.e(2) - lat.e(3), lat.e(3) - lat.e(1)]
+    classes.append(lat.vector([0, 1, 0, 0, 2, 1, 1, 0]))
+    report = verify_cp_configuration(classes, 5)
+    assert intersection_matrix(classes)[0][3] == -1
+    assert report.violation == ChainViolation("distant_pairing", (1, 3), 0, 1)
 
 
 @pytest.mark.parametrize("p", range(3, 10))
@@ -112,11 +124,64 @@ def test_constructor_accepts_good_configuration():
     cfg = CpConfiguration(p=3, classes=tuple(family_classes(3, 1)))
     assert cfg.rank == 2
     assert cfg.lattice == AmbientLattice(11)
+    assert cfg.report() == verify_cp_configuration(cfg.classes, 3)
 
 
-def test_trusted_constructor_matches_checked_one():
-    classes = tuple(family_classes(3, 1))
-    assert _trusted_configuration(3, classes) == CpConfiguration(3, classes)
+def reference_report(classes, p):
+    """Scan intersection_matrix in the documented order: squares, then
+    consecutive pairings, then distant pairs lexicographically."""
+    gram = intersection_matrix(classes)
+    cells = [("square", (i,), expected_square(i, p), gram[i - 1][i - 1]) for i in range(1, p)]
+    cells += [("consecutive_pairing", (i, i + 1), 1, gram[i - 1][i]) for i in range(1, p - 1)]
+    cells += [
+        ("distant_pairing", (i, j), 0, gram[i - 1][j - 1])
+        for i in range(1, p)
+        for j in range(i + 2, p)
+    ]
+    bad = [ChainViolation(*cell) for cell in cells if cell[2] != cell[3]]
+    squares = tuple(gram[i][i] for i in range(p - 1))
+    return ChainReport(p=p, ok=not bad, violation=bad[0] if bad else None, squares=squares)
+
+
+@st.composite
+def bodies_with_tails(draw):
+    """A standard chain, optionally corrupted in the body, plus several tails
+    (each optionally corrupted) that all share that one body."""
+    p = draw(st.integers(2, 6))
+    n = draw(st.integers(p - 1, p + 2))
+    rows = [list(u.coeffs) for u in standard_configuration(p, n).classes]
+    small = st.integers(-2, 2).filter(bool)
+    if p > 2 and draw(st.booleans()):
+        rows[draw(st.integers(0, p - 3))][draw(st.integers(0, n))] += draw(small)
+    tails = []
+    for _ in range(draw(st.integers(1, 4))):
+        tail = list(rows[-1])
+        for _ in range(draw(st.integers(0, 2))):
+            tail[draw(st.integers(0, n))] += draw(small)
+        tails.append(tail)
+    if draw(st.booleans()):  # a random tail, far from any chain
+        tails.append(draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)))
+    return p, n, rows[:-1], tails
+
+
+@settings(max_examples=200)
+@given(bodies_with_tails())
+def test_verifier_matches_reference_scan(case):
+    p, n, body, tails = case
+    lat = AmbientLattice(n)
+    for tail in tails:
+        classes = [lat.vector(row) for row in body + [tail]]
+        assert verify_cp_configuration(classes, p) == reference_report(classes, p)
+
+
+def test_shared_body_is_verified_once():
+    lat = AmbientLattice(11)
+    body = lat.e(10) - lat.e(11)
+    tails = ([6] + [-2] * 10 + [-1], [6] + [-2] * 10 + [1], [0] * 12)
+    _body_block.cache_clear()
+    reports = [verify_cp_configuration([body, lat.vector(t)], 3) for t in tails]
+    assert [r.ok for r in reports] == [True, False, False]
+    assert (_body_block.cache_info().misses, _body_block.cache_info().hits) == (1, 2)
 
 
 def test_json_round_trip(tmp_path):
@@ -125,6 +190,9 @@ def test_json_round_trip(tmp_path):
     assert payload["p"] == 5
     assert payload["n"] == 4
     assert CpConfiguration.from_json(payload) == cfg
+    for key, bad in (("p", 5.0), ("n", True), ("p", "5")):
+        with pytest.raises(InputTypeError):
+            CpConfiguration.from_json({**payload, key: bad})
     path = tmp_path / "cfg.json"
     path.write_text(__import__("json").dumps(payload))
     assert CpConfiguration.load(path) == cfg

@@ -62,6 +62,25 @@ def test_verify_config_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, "verify-config", incomplete)[0] == 2
 
 
+def test_verify_config_refuses_a_fractional_p(capsys, tmp_path):
+    """int() would read 3.7 as 3 and report the a=3 fixture as ok."""
+    payload = json.loads(A3.read_text())
+    payload["p"] = 3.7
+    code, out, err = run_cli(capsys, "verify-config", write_config(tmp_path, payload))
+    assert code == 2
+    assert out == ""
+    assert "p must be an integer, got 3.7" in err
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1"])
+def test_config_loaders_refuse_non_integer_coefficients(capsys, tmp_path, bad):
+    path = write_config(tmp_path, {"p": 2, "n": 1, "classes": [[0, bad]]})
+    for argv in (("verify-config", path), ("blowdown", path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "coefficient must be an integer" in err
+
+
 def test_blowdown_with_explicit_witness(capsys):
     delta = json.dumps([0] * 9 + [1, -1, 0])
     code, out, _ = run_cli(capsys, "blowdown", str(A3), "--delta", delta)
@@ -97,6 +116,8 @@ def test_blowdown_inconclusive_exits_nonzero(capsys, tmp_path):
 def test_blowdown_rejects_bad_delta(capsys):
     assert run_cli(capsys, "blowdown", str(A3), "--delta", "[1, 2]")[0] == 2
     assert run_cli(capsys, "blowdown", str(A3), "--delta", "nonsense")[0] == 2
+    true_delta = json.dumps([0] * 9 + [True, -1, 0])
+    assert run_cli(capsys, "blowdown", str(A3), "--delta", true_delta)[0] == 2
 
 
 def test_sw_certificate(capsys, tmp_path):
@@ -171,6 +192,22 @@ def test_search_cap_exit(capsys, tmp_path):
 def test_search_rejects_malformed_template(capsys, tmp_path):
     template = write_config(tmp_path, {"p": 2})
     assert run_cli(capsys, "search", "--template", template)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        {"n": "x", "p": 2, "tail_bounds": 2},
+        {"n": 5, "p": 2.0, "tail_bounds": 2},
+        {"n": 5, "p": 2, "tail_bounds": True},
+        {"n": 5, "p": 2, "tail_bounds": [2, 2, 2, 2, 2, 2.5]},
+    ],
+)
+def test_search_refuses_non_integer_template_fields(capsys, tmp_path, template):
+    code, out, err = run_cli(capsys, "search", "--template", write_config(tmp_path, template))
+    assert (code, out) == (2, "")
+    assert err.startswith("rbdcalc:") and "must be an integer" in err
+    assert "Traceback" not in err
 
 
 def test_reproduce_all_cases_and_determinism(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbdcalc.errors import DomainError, LatticeMismatchError
+from rbdcalc.errors import DomainError, InputTypeError, LatticeMismatchError
 from rbdcalc.families import family_configuration
 from rbdcalc.lattice import (
     AmbientLattice,
@@ -53,6 +53,13 @@ def test_vector_length_must_match_rank():
     lat = AmbientLattice(2)
     with pytest.raises(DomainError):
         lat.vector([1, 2])
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, True, "1", None])
+def test_vector_coefficients_must_be_integers(bad):
+    """int() would truncate 1.9 and read true as 1; both are refused."""
+    with pytest.raises(InputTypeError):
+        AmbientLattice(2).vector([0, bad, 1])
 
 
 def test_basis_pairings():

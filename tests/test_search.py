@@ -1,24 +1,35 @@
 """Bounded configuration search and the open-range question probes."""
 
+from importlib import import_module
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbdcalc.chains import verify_cp_configuration
-from rbdcalc.errors import DomainError, SearchCapExceeded, TemplateError
+from rbdcalc.chains import ChainViolation, verify_cp_configuration
+from rbdcalc.errors import (
+    ConsistencyError,
+    DomainError,
+    InputTypeError,
+    SearchCapExceeded,
+    TemplateError,
+)
 from rbdcalc.families import family_configuration
+from rbdcalc.lattice import AmbientLattice
 from rbdcalc.search import (
     DEFAULT_CAP,
     SearchTemplate,
-    _raw_gram_ok,
     estimate_search_space,
     family_question_dimensions,
     family_question_template,
     search,
     search_family_questions,
 )
+
+
+# the package re-exports the search function under the module's name
+search_module = import_module("rbdcalc.search")
 
 
 def brute_force_single_class(n, bound):
@@ -54,6 +65,9 @@ def test_uniform_builder_and_json_round_trip():
 def test_from_json_broadcasts_integer_bounds():
     template = SearchTemplate.from_json({"n": 5, "p": 2, "tail_bounds": 2})
     assert template == SearchTemplate.uniform(5, 2, 2)
+    for bad in (2.0, True, "2", [2, 2, 2, 2, 2, 1.5]):
+        with pytest.raises(InputTypeError):
+            SearchTemplate.from_json({"n": 5, "p": 2, "tail_bounds": bad})
 
 
 def test_estimate_for_uniform_box():
@@ -95,13 +109,67 @@ def test_search_is_deterministic_and_parallel_safe():
     assert search(template, jobs=2) == single
 
 
-def test_raw_gram_recheck():
-    placement = (10, 11)
+def test_jobs_bounded_before_any_process_starts(monkeypatch):
+    """The pool size is min(jobs, CPU count, tasks); no process is started."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            seen.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(search_module, "Pool", RecordingPool)
+    template = SearchTemplate.uniform(5, 2, 2)  # 5 values of the first coordinate
+    single = search(template)
+    for cpus, workers in ((2, 2), (None, 1), (64, 5)):
+        monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
+        assert search(template, jobs=10**9) == single
+        assert seen[-1] == workers
+
+
+def test_placement_rows_through_the_verifier():
+    """Body rows e_x - e_y of a placement plus a raw tail, as search builds them."""
+    lat = AmbientLattice(11)
+
+    def classes(placement, tail):
+        x, y = placement
+        return [lat.e(x) - lat.e(y), lat.vector(tail)]
+
     tail = (6,) + (-2,) * 10 + (-1,)
-    assert _raw_gram_ok(3, placement, tail)
-    assert not _raw_gram_ok(3, placement, (6, -3) + (-2,) * 9 + (-1,))
-    assert not _raw_gram_ok(3, (10, 10), tail)
-    assert not _raw_gram_ok(3, (9, 10), tail)
+    assert verify_cp_configuration(classes((10, 11), tail), 3).ok
+    bad_tail = (6, -3) + (-2,) * 9 + (-1,)
+    assert verify_cp_configuration(classes((10, 11), bad_tail), 3).violation == (
+        ChainViolation("square", (2,), -5, -10)
+    )
+    # placement (10, 10) gives a zero body row
+    assert verify_cp_configuration(classes((10, 10), tail), 3).violation == (
+        ChainViolation("square", (1,), -2, 0)
+    )
+    assert verify_cp_configuration(classes((9, 10), tail), 3).violation == (
+        ChainViolation("consecutive_pairing", (1, 2), 1, 0)
+    )
+
+
+def test_corrupted_hit_raises_consistency_error(monkeypatch):
+    """A hit the verifier rejects is an enumerator bug, not a user error."""
+    enumerate_placement = search_module._enumerate_placement
+
+    def corrupted(template, placement, first_slice=None):
+        hits = enumerate_placement(template, placement, first_slice)
+        pl, tail = hits[0]
+        return [(pl, (tail[0] + 1,) + tail[1:])] + hits[1:]
+
+    monkeypatch.setattr(search_module, "_enumerate_placement", corrupted)
+    with pytest.raises(ConsistencyError, match="fails the Gram check"):
+        search(family_question_template(11, "3-chain"))
 
 
 def test_question_dimensions():
