@@ -2,31 +2,33 @@
 
 Cutting out the configuration and gluing in the rational ball preserves b2+
 and removes p-1 negative classes, so on the level of homology the outcome is
-controlled by bookkeeping plus two certificate searches:
+controlled by bookkeeping plus two certificates:
 
-  * an H1 certificate: a class whose pairings against the configuration
-    force the complement's first homology to die after gluing;
-  * a parity certificate: either the signature obstruction (an even closed
-    simply connected 4-manifold has signature divisible by 16) or an explicit
+  * H1, decided exactly by one Smith normal form of the restriction map to
+    the configuration, with a witness class when it vanishes;
+  * parity: either the signature obstruction (an even closed simply
+    connected 4-manifold has signature divisible by 16) or an explicit
     odd-square class orthogonal to the configuration.
 
-Both searches are deterministic, so reports are stable byte for byte.
+Both are deterministic, so reports are stable byte for byte.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from .chains import CpConfiguration
-from .errors import DomainError, LatticeMismatchError
+from .errors import ConsistencyError, DomainError, LatticeMismatchError
 from .lattice import (
     AmbientLattice,
     ClassVector,
+    dual_coefficients,
     orthogonal_complement_basis,
     pairing,
+    strict_int,
 )
+from .snf import smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -73,28 +75,34 @@ class BlowdownInvariants:
 class H1Certificate:
     """Verdict on the first homology of the blowdown.
 
-    verdict is "trivial" (witness found) or "inconclusive" (bounded search
-    exhausted); never a claim of nontriviality. condition 1 means the witness
-    pairs 1 with the first class and 0 with the rest; condition 2 means it
-    pairs 0 with the body and coprime-to-p with the long class.
+    verdict is "trivial" (with a witness), "nontrivial" (H1 = Z/order,
+    certified by restriction_divisors, the Smith normal form diagonal of the
+    restriction map) or "inconclusive" (a delta meeting neither condition,
+    or order > 1 in an ambient not known to be simply connected; order is
+    then None). condition 1 means the witness pairs 1 with the first class
+    and 0 with the rest; condition 2 means it pairs 0 with the body and
+    coprime-to-p with the long class. order and restriction_divisors are
+    None, and left out of the JSON, when only a given delta was tested.
     """
 
     verdict: str
     condition: int | None
     witness: ClassVector | None
     pairings: tuple[int, ...] | None
-    searched_bound: int | None = None
-    searched_support: int | None = None
+    order: int | None = None
+    restriction_divisors: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "verdict": self.verdict,
             "condition": self.condition,
             "witness": None if self.witness is None else self.witness.to_json(),
             "pairings": None if self.pairings is None else list(self.pairings),
-            "searched_bound": self.searched_bound,
-            "searched_support": self.searched_support,
         }
+        if self.restriction_divisors is not None:
+            out["order"] = self.order
+            out["restriction_divisors"] = list(self.restriction_divisors)
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,14 +144,29 @@ def blowdown_invariants(x: AmbientManifoldData, cfg: CpConfiguration) -> Blowdow
     )
 
 
+def _condition(pair: Sequence[int], p: int) -> int | None:
+    """Which triviality condition (1 or 2) a tuple of pairings meets, if any."""
+    if pair[0] == 1 and not any(pair[1:]):
+        return 1
+    if not any(pair[: p - 2]) and gcd(pair[p - 2], p) == 1:
+        return 2
+    return None
+
+
 def _h1_condition(delta: ClassVector, cfg: CpConfiguration) -> tuple[int, tuple[int, ...]] | None:
     """Which triviality condition delta satisfies (1 or 2), with its pairings."""
-    p = cfg.p
     pair = tuple(pairing(delta, u) for u in cfg.classes)
-    if pair[0] == 1 and all(v == 0 for v in pair[1:]):
-        return 1, pair
-    if all(v == 0 for v in pair[: p - 2]) and gcd(pair[p - 2], p) == 1:
-        return 2, pair
+    cond = _condition(pair, cfg.p)
+    return None if cond is None else (cond, pair)
+
+
+def _basis_witness(restriction: list[tuple[int, ...]], p: int) -> list[int] | None:
+    """Coefficients of the first +/-e_j (j ascending, -1 first) meeting a
+    condition; column j of the restriction matrix holds e_j's pairings."""
+    for j, column in enumerate(zip(*restriction)):
+        for sign in (-1, 1):
+            if _condition([sign * v for v in column], p) is not None:
+                return [sign if k == j else 0 for k in range(len(restriction[0]))]
     return None
 
 
@@ -151,83 +174,58 @@ def h1_certificate(
     x: AmbientManifoldData,
     cfg: CpConfiguration,
     delta: ClassVector | None = None,
-    bound: int = 3,
-    max_support: int = 4,
 ) -> H1Certificate:
-    """Certify triviality of the blowdown's first homology, or give up.
+    """Decide the first homology of the blowdown, with a re-checkable certificate.
 
-    With an explicit delta, only that class is tested. Otherwise candidates
-    are scanned in a fixed order (support size, then largest |coefficient|,
-    then support positions, then coefficient tuples, all ascending) and the
-    first class meeting either condition is the witness. Exhausting the scan
-    yields "inconclusive", never a nontriviality claim.
+    With an explicit delta, only that class is tested: "trivial" if it meets
+    a condition, else "inconclusive". Otherwise the answer is exact: the
+    complement of C_p has H1 = coker r for the restriction map
+    r(x) = (x.u_1, ..., x.u_{p-1}), and gluing in the rational ball (H1 = Z/p)
+    leaves H1 = Z/gcd(|coker r|, p) (Fintushel-Stern, JDG 1997), read off one
+    Smith normal form of r. At order 1 the witness is the first +/-e_j
+    meeting a condition, else the solution of r(x) = (0, ..., 0, 1), and is
+    re-checked through the pairing. A larger order is "nontrivial" in a
+    simply connected ambient (the formula needs H1 of the ambient to vanish)
+    and "inconclusive" otherwise.
     """
     if cfg.lattice != x.lattice:
         raise LatticeMismatchError("configuration and ambient lattices differ")
     if delta is not None:
         if delta.lattice != x.lattice:
             raise LatticeMismatchError("delta lives in a different lattice")
-        hit = _h1_condition(delta, cfg)
-        if hit is None:
-            return H1Certificate(
-                verdict="inconclusive",
-                condition=None,
-                witness=delta,
-                pairings=tuple(pairing(delta, u) for u in cfg.classes),
-            )
-        cond, pair = hit
-        return H1Certificate(verdict="trivial", condition=cond, witness=delta, pairings=pair)
+        pair = tuple(pairing(delta, u) for u in cfg.classes)
+        cond = _condition(pair, cfg.p)
+        verdict = "inconclusive" if cond is None else "trivial"
+        return H1Certificate(verdict=verdict, condition=cond, witness=delta, pairings=pair)
 
-    if bound < 1 or max_support < 1:
-        raise DomainError("witness search needs bound >= 1 and max_support >= 1")
-    rank = x.lattice.rank
-    # pairings of each basis vector with each configuration class, so a
-    # candidate's pairings cost O(support) instead of O(rank)
-    basis_rows = [
-        tuple(pairing(x.lattice.basis_vector(j), u) for u in cfg.classes)
-        for j in range(rank)
-    ]
     p = cfg.p
-    for size in range(1, min(max_support, rank) + 1):
-        for mag in range(1, bound + 1):
-            for support in combinations(range(rank), size):
-                rows = [basis_rows[j] for j in support]
-                if all(all(v == 0 for v in row) for row in rows):
-                    continue
-                for coeffs in product(range(-mag, mag + 1), repeat=size):
-                    if any(c == 0 for c in coeffs):
-                        continue
-                    if max(abs(c) for c in coeffs) != mag:
-                        continue
-                    pair = tuple(
-                        sum(c * row[i] for c, row in zip(coeffs, rows))
-                        for i in range(p - 1)
-                    )
-                    ok = None
-                    if pair[0] == 1 and all(v == 0 for v in pair[1:]):
-                        ok = 1
-                    elif all(v == 0 for v in pair[: p - 2]) and gcd(pair[p - 2], p) == 1:
-                        ok = 2
-                    if ok is not None:
-                        c = [0] * rank
-                        for j, cv in zip(support, coeffs):
-                            c[j] = cv
-                        witness = x.lattice.vector(c)
-                        return H1Certificate(
-                            verdict="trivial",
-                            condition=ok,
-                            witness=witness,
-                            pairings=pair,
-                            searched_bound=bound,
-                            searched_support=max_support,
-                        )
+    restriction = [dual_coefficients(u) for u in cfg.classes]
+    snf = smith_normal_form(restriction)
+    order = gcd(prod(snf.diagonal), p)
+    if order > 1:
+        return H1Certificate(
+            verdict="nontrivial" if x.simply_connected else "inconclusive",
+            condition=None,
+            witness=None,
+            pairings=None,
+            order=order if x.simply_connected else None,
+            restriction_divisors=snf.diagonal,
+        )
+    coeffs = _basis_witness(restriction, p) or snf.solve([0] * (p - 2) + [1])
+    witness = None if coeffs is None else x.lattice.vector(coeffs)
+    hit = None if witness is None else _h1_condition(witness, cfg)
+    if hit is None:
+        raise ConsistencyError(
+            f"H1 of the blowdown is trivial (restriction divisors {snf.diagonal}) "
+            f"but the witness {coeffs} fails the re-check"
+        )
     return H1Certificate(
-        verdict="inconclusive",
-        condition=None,
-        witness=None,
-        pairings=None,
-        searched_bound=bound,
-        searched_support=max_support,
+        verdict="trivial",
+        condition=hit[0],
+        witness=witness,
+        pairings=hit[1],
+        order=1,
+        restriction_divisors=snf.diagonal,
     )
 
 
@@ -303,19 +301,20 @@ def full_blowdown_report(
     x: AmbientManifoldData,
     cfg: CpConfiguration,
     delta: ClassVector | None = None,
-    bound: int = 3,
     handle_data: tuple[int, int] | Sequence[int] | None = None,
 ) -> BlowdownReport:
     """Run the whole certificate pipeline for one configuration."""
     inv = blowdown_invariants(x, cfg)
-    h1 = h1_certificate(x, cfg, delta=delta, bound=bound)
+    h1 = h1_certificate(x, cfg, delta=delta)
     parity, homeo = parity_and_homeo_type(x, cfg, h1)
     counts = None
     if handle_data is not None:
         if len(handle_data) == 2:
-            counts = handle_counts_after_blowdown(int(handle_data[0]), int(handle_data[1]))
+            counts = handle_counts_after_blowdown(
+                strict_int(handle_data[0], "h2"), strict_int(handle_data[1], "h3")
+            )
         elif len(handle_data) == 5:
-            counts = tuple(int(v) for v in handle_data)
+            counts = tuple(strict_int(v, "handle count") for v in handle_data)
         else:
             raise DomainError("handle data must be (h2, h3) or a full 5-tuple")
     return BlowdownReport(

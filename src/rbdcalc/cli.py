@@ -2,8 +2,9 @@
 
 Subcommands: verify-config, blowdown, sw, search, reproduce-paper. Exit
 codes: 0 success, 1 mathematical failure (verification fails, precondition
-violated, cap exceeded, a reproduction case fails), 2 usage error (bad
-arguments, unreadable or malformed input files).
+violated, cap exceeded, a blowdown whose type is not pinned down, a
+reproduction case fails), 2 usage error (bad arguments, unreadable or
+malformed input files and templates).
 
 Every report carries the tool name and version plus a full echo of its
 inputs, so a report file alone is enough to re-run and re-check the claim.
@@ -23,7 +24,7 @@ from . import __version__
 
 from .blowdown import AmbientManifoldData, full_blowdown_report, handle_counts_after_blowdown
 from .chains import CpConfiguration, intersection_matrix, lens_space_cf, verify_cp_configuration
-from .errors import InputTypeError, RbdcalcError, SearchCapExceeded
+from .errors import DomainError, InputTypeError, RbdcalcError, SearchCapExceeded
 from .families import (
     FIXTURE_CASES,
     family_h1_witness,
@@ -144,13 +145,12 @@ def cmd_blowdown(args) -> int:
     delta = None
     if args.delta is not None:
         delta = _parse_vector(args.delta, cfg.lattice, "--delta")
-    report = full_blowdown_report(x, cfg, delta=delta, bound=args.witness_bound)
+    report = full_blowdown_report(x, cfg, delta=delta)
     echo = {
         "command": "blowdown",
         "config_path": args.config,
         "config": data,
         "delta": None if delta is None else delta.to_json(),
-        "witness_bound": args.witness_bound,
     }
     _emit(_certificate(echo, report.to_json()))
     return 0 if report.homeo_type is not None else MATH_ERROR
@@ -177,10 +177,13 @@ def cmd_search(args) -> int:
     data = _load_json_file(args.template)
     try:
         template = SearchTemplate.from_json(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, DomainError) as exc:
         raise UsageError(f"{args.template}: malformed template: {exc}") from exc
     started = time.perf_counter()
-    results = search(template, cap=args.cap, jobs=args.jobs)
+    try:
+        results = search(template, cap=args.cap, jobs=args.jobs)
+    except DomainError as exc:  # --cap or --jobs below 1; the template is checked
+        raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
     for cfg in results:
         print(json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")))
@@ -377,12 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_blow.add_argument(
         "--delta",
         help="H1 witness: JSON integer array (h first) or @file",
-    )
-    p_blow.add_argument(
-        "--witness-bound",
-        type=int,
-        default=3,
-        help="coefficient bound for the witness search (default 3)",
     )
     p_blow.set_defaults(func=cmd_blowdown)
 

@@ -137,7 +137,7 @@ def family_h1_witness(a: int, family: int) -> ClassVector:
     It pairs 1 with the first class and 0 with every other exactly when index
     12 - a lands inside the tail's -2 run (family 1: a <= 10, family 2:
     a <= 8). Above that, the tail pairing becomes a - 3 != 0 and this class
-    certifies nothing; the bounded witness search can still find another.
+    certifies nothing; `h1_certificate` without a delta still decides H1 exactly.
     """
     _instantiable(a, family)
     if a >= 12:

@@ -26,8 +26,8 @@ from multiprocessing import Pool
 from typing import Iterable, Sequence
 
 from .chains import CpConfiguration
-from .errors import ConsistencyError, DomainError, InvalidConfigurationError
-from .errors import SearchCapExceeded, TemplateError
+from .errors import ConsistencyError, DomainError, InputTypeError
+from .errors import InvalidConfigurationError, SearchCapExceeded, TemplateError
 from .lattice import AmbientLattice, ClassVector, strict_int
 
 DEFAULT_CAP = 10_000_000
@@ -98,12 +98,18 @@ class SearchTemplate:
             bounds = tuple(strict_int(b, "tail bound") for b in bounds)
         else:
             bounds = (strict_int(bounds, "tail_bounds"),) * (n + 1)
+        body_shape = data.get("body_shape", "consecutive-differences")
+        if not isinstance(body_shape, str):
+            raise InputTypeError(f"body_shape must be a string, got {body_shape!r}")
+        symmetry = data.get("symmetry_reduction", True)
+        if not isinstance(symmetry, bool):
+            raise InputTypeError(f"symmetry_reduction must be true or false, got {symmetry!r}")
         return cls(
             n=n,
             p=strict_int(data["p"], "p"),
             tail_bounds=bounds,
-            body_shape=data.get("body_shape", "consecutive-differences"),
-            symmetry_reduction=bool(data.get("symmetry_reduction", True)),
+            body_shape=body_shape,
+            symmetry_reduction=symmetry,
         )
 
     @classmethod

@@ -59,6 +59,20 @@ class SNFResult:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
+    def solve(self, rhs) -> list[int] | None:
+        """One integer solution x of M x = rhs, or None if none exists."""
+        if len(rhs) != self.rows:
+            raise ConsistencyError("rhs length does not match row count")
+        y = [sum(a * b for a, b in zip(row, rhs)) for row in self.u]
+        x_prime = [0] * self.cols
+        for i in range(self.rows):
+            d = self.diagonal[i] if i < len(self.diagonal) else 0
+            if (y[i] % d if d else y[i]) != 0:
+                return None
+            if d:
+                x_prime[i] = y[i] // d
+        return [sum(a * b for a, b in zip(row, x_prime)) for row in self.v]
+
 
 def smith_normal_form(mat: list[list[int]] | tuple) -> SNFResult:
     """Smith normal form with transforms, deterministic under the fixed pivot rule."""
@@ -202,26 +216,7 @@ def kernel_basis(mat) -> list[list[int]]:
 
 def integer_solve(mat, rhs) -> list[int] | None:
     """One integer solution x of M x = rhs, or None if none exists."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if len(rhs) != rows:
-        raise ConsistencyError("rhs length does not match row count")
-    if rows == 0:
-        return [0] * cols
-    s = smith_normal_form(mat)
-    y = [sum(s.u[i][k] * rhs[k] for k in range(rows)) for i in range(rows)]
-    x_prime = [0] * cols
-    for i in range(rows):
-        d = s.diagonal[i] if i < len(s.diagonal) else 0
-        if d == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % d != 0:
-                return None
-            if i < cols:
-                x_prime[i] = y[i] // d
-    return [sum(s.v[i][k] * x_prime[k] for k in range(cols)) for i in range(cols)]
+    return smith_normal_form(mat).solve(rhs)
 
 
 def solve_rational(mat, rhs) -> list[Fraction]:

@@ -279,3 +279,21 @@ def test_criterion_8_mutation_honesty(tmp_path):
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, elapsed
     print("criterion 8: pass")
+
+
+def test_criterion_9_h1_decided_exactly(tmp_path, capsys):
+    """blowdown without --delta decides H1 of an H1-nontrivial chain: Z/13."""
+    cfg = standard_configuration(13, n=20)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(cfg.to_json()))
+    start = time.perf_counter()
+    code = cli.main(["blowdown", str(path)])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["h1"]["verdict"] == "nontrivial"
+    assert report["h1"]["order"] == 13
+    assert report["h1"]["restriction_divisors"] == [1] * 11 + [13]
+    assert report["homeo_type"] is None
+    assert elapsed < 1.0, elapsed
+    print("criterion 9: pass")

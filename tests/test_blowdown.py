@@ -1,10 +1,16 @@
 """Blowdown bookkeeping: invariants, h1 certificates, parity, handle counts."""
 
+from itertools import combinations, product
+from math import gcd, prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbdcalc.blowdown import (
     AmbientManifoldData,
     H1Certificate,
+    _h1_condition,
     blowdown_invariants,
     full_blowdown_report,
     h1_certificate,
@@ -12,7 +18,12 @@ from rbdcalc.blowdown import (
     parity_and_homeo_type,
 )
 from rbdcalc.chains import CpConfiguration, standard_configuration
-from rbdcalc.errors import DomainError, LatticeMismatchError
+from rbdcalc.errors import (
+    DomainError,
+    InputTypeError,
+    InvalidConfigurationError,
+    LatticeMismatchError,
+)
 from rbdcalc.families import (
     family_classes,
     family_configuration,
@@ -24,6 +35,127 @@ from rbdcalc.lattice import AmbientLattice, pairing
 
 def ambient_for(cfg):
     return AmbientManifoldData(lattice=cfg.lattice)
+
+
+def bounded_witness_scan(x, cfg, bound=3, max_support=4):
+    """Reference oracle for the exact H1 decision: a bounded witness scan.
+
+    Candidates in a fixed order (support size, then largest |coefficient|,
+    then support positions, then coefficient tuples, all ascending); returns
+    (condition, coefficients, pairings) of the first one meeting a
+    triviality condition, or None when the box holds none.
+    """
+    rank = x.lattice.rank
+    basis_rows = [
+        tuple(pairing(x.lattice.basis_vector(j), u) for u in cfg.classes)
+        for j in range(rank)
+    ]
+    p = cfg.p
+    for size in range(1, min(max_support, rank) + 1):
+        for mag in range(1, bound + 1):
+            for support in combinations(range(rank), size):
+                rows = [basis_rows[j] for j in support]
+                if all(all(v == 0 for v in row) for row in rows):
+                    continue
+                for coeffs in product(range(-mag, mag + 1), repeat=size):
+                    if any(c == 0 for c in coeffs):
+                        continue
+                    if max(abs(c) for c in coeffs) != mag:
+                        continue
+                    pair = tuple(
+                        sum(c * row[i] for c, row in zip(coeffs, rows))
+                        for i in range(p - 1)
+                    )
+                    ok = None
+                    if pair[0] == 1 and all(v == 0 for v in pair[1:]):
+                        ok = 1
+                    elif all(v == 0 for v in pair[: p - 2]) and gcd(pair[p - 2], p) == 1:
+                        ok = 2
+                    if ok is not None:
+                        c = [0] * rank
+                        for j, cv in zip(support, coeffs):
+                            c[j] = cv
+                        return ok, tuple(c), pair
+    return None
+
+
+def assert_exact_route_agrees_with_scan(cfg, bound=3, max_support=4):
+    """The exact decision never contradicts the bounded scan, and every
+    witness it reports passes the pairing re-check."""
+    x = ambient_for(cfg)
+    cert = h1_certificate(x, cfg)
+    found = bounded_witness_scan(x, cfg, bound, max_support)
+    assert cert.verdict in ("trivial", "nontrivial")
+    assert cert.restriction_divisors is not None
+    assert cert.order == gcd(prod(cert.restriction_divisors), cfg.p)
+    if found is not None:
+        assert cert.verdict == "trivial"
+        if sum(1 for c in found[1] if c) == 1:
+            # a one-term witness is the first +/-e_j, which the scan meets first
+            assert cert.witness.coeffs == found[1]
+    if cert.verdict == "nontrivial":
+        assert found is None
+        assert cert.order > 1 and cert.witness is None
+    else:
+        assert cert.order == 1
+        assert _h1_condition(cert.witness, cfg) == (cert.condition, cert.pairings)
+    return cert
+
+
+@st.composite
+def permuted_standard_chains(draw):
+    """standard_configuration(p, n) under a signed permutation of e_1..e_n."""
+    p = draw(st.integers(2, 9))
+    n = draw(st.integers(p - 1, 8))
+    target = draw(st.permutations(range(1, n + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    base = standard_configuration(p, n)
+    classes = []
+    for u in base.classes:
+        c = [u.coeffs[0]] + [0] * n
+        for i in range(1, n + 1):
+            c[target[i - 1]] = signs[i - 1] * u.coeffs[i]
+        classes.append(base.lattice.vector(c))
+    return CpConfiguration(p, tuple(classes))
+
+
+@settings(max_examples=60)
+@given(permuted_standard_chains())
+def test_exact_h1_agrees_with_scan_on_standard_chains(cfg):
+    cert = assert_exact_route_agrees_with_scan(cfg, bound=2, max_support=3)
+    assert (cert.verdict, cert.order) == ("nontrivial", cfg.p)
+
+
+def _scan_cases():
+    cases = [pytest.param(2, [[0, 2]], id="p2-even")]
+    cases.append(pytest.param(2, [[1, 1, 1, 1, 1, 1]], id="p2-through-h"))
+    for family in (1, 2):
+        for a in range(3, 12):
+            try:
+                cfg = family_configuration(a, family)
+            except InvalidConfigurationError:
+                continue
+            rows = [u.to_json() for u in cfg.classes]
+            cases.append(pytest.param(cfg.p, rows, id=f"family{family}-a{a}"))
+    return cases
+
+
+@pytest.mark.parametrize("p, rows", _scan_cases())
+def test_exact_h1_agrees_with_scan(p, rows):
+    lat = AmbientLattice(len(rows[0]) - 1)
+    assert_exact_route_agrees_with_scan(CpConfiguration(p, tuple(lat.vector(r) for r in rows)))
+
+
+def test_nontrivial_order_needs_a_simply_connected_ambient():
+    cfg = standard_configuration(5, n=6)
+    x = AmbientManifoldData(lattice=cfg.lattice, simply_connected=False)
+    cert = h1_certificate(x, cfg)
+    assert cert.verdict == "inconclusive"
+    assert cert.order is None
+    assert cert.restriction_divisors == (1, 1, 1, 5)
+    assert cert.to_json()["order"] is None
+    parity, homeo = parity_and_homeo_type(x, cfg, cert)
+    assert (parity.verdict, homeo) == ("inconclusive", None)
 
 
 def test_invariants_for_smallest_family_case():
@@ -63,7 +195,9 @@ def test_h1_first_condition_witness():
     assert cert.verdict == "trivial"
     assert cert.condition == 1
     assert cert.pairings == (1, 0)
-    assert cert.searched_bound is None
+    assert cert.order is None
+    assert cert.restriction_divisors is None
+    assert "order" not in cert.to_json()
 
 
 def test_h1_second_condition_witness():
@@ -82,17 +216,21 @@ def test_h1_explicit_delta_can_be_inconclusive():
     assert cert.condition is None
     assert cert.witness == cfg.lattice.e(1)
     assert cert.pairings == (-2,)
-    assert cert.searched_bound is None
+    assert cert.order is None
+    assert sorted(cert.to_json()) == ["condition", "pairings", "verdict", "witness"]
 
 
 def test_h1_search_never_certifies_even_chain():
-    """Every pairing with 2e_1 is even, so no bounded search can succeed."""
+    """Every pairing with 2e_1 is even: H1 of the blowdown is Z/2."""
     cfg = standard_configuration(2)
     cert = h1_certificate(ambient_for(cfg), cfg)
-    assert cert.verdict == "inconclusive"
+    assert cert.verdict == "nontrivial"
     assert cert.witness is None
-    assert cert.searched_bound == 3
-    assert cert.searched_support == 4
+    assert cert.condition is None
+    assert cert.pairings is None
+    assert cert.order == 2
+    assert cert.restriction_divisors == (2,)
+    assert cert.to_json()["restriction_divisors"] == [2]
 
 
 def test_h1_search_finds_small_witness():
@@ -102,35 +240,38 @@ def test_h1_search_finds_small_witness():
     assert cert.condition == 2
     assert cert.witness == -cfg.lattice.e(1)
     assert cert.pairings == (0, -2)
-    assert cert.searched_bound == 3
+    assert cert.order == 1
+    assert cert.restriction_divisors == (1, 1)
 
 
-def test_h1_boundary_case_needs_the_search():
-    """At a=11 the closed-form witness fails but a two-term class works."""
+def test_h1_boundary_case_witness_from_the_solve():
+    """At a=11 the closed-form witness fails and no +/-e_j meets a condition
+    (two-term classes such as -(h + e_1) do), so the witness is the integer
+    solution of r(x) = (0, ..., 0, 1)."""
     cfg = family_configuration(11, 1)
     x = ambient_for(cfg)
     formula = h1_certificate(x, cfg, delta=family_h1_witness(11, 1))
     assert formula.verdict == "inconclusive"
     assert formula.pairings == (1,) + (0,) * 32 + (8,)
-    searched = h1_certificate(x, cfg)
-    assert searched.verdict == "trivial"
-    assert searched.condition == 2
-    assert searched.witness == -(cfg.lattice.h() + cfg.lattice.e(1))
-    assert searched.pairings[-1] == -24
+    two_term = h1_certificate(x, cfg, delta=-(cfg.lattice.h() + cfg.lattice.e(1)))
+    assert (two_term.verdict, two_term.pairings[-1]) == ("trivial", -24)
+    for j in range(cfg.lattice.rank):
+        for sign in (-1, 1):
+            e = sign * cfg.lattice.basis_vector(j)
+            assert h1_certificate(x, cfg, delta=e).verdict == "inconclusive"
+    exact = h1_certificate(x, cfg)
+    assert exact.verdict == "trivial"
+    assert exact.condition == 2
+    assert exact.order == 1
+    assert exact.restriction_divisors == (1,) * 34
+    assert exact.witness.coeffs == (1, -8) + (1,) * 34
+    assert exact.pairings == (0,) * 33 + (1,)
 
 
 def test_h1_rejects_foreign_delta():
     cfg = family_configuration(3, 1)
     with pytest.raises(LatticeMismatchError):
         h1_certificate(ambient_for(cfg), cfg, delta=AmbientLattice(5).e(1))
-
-
-def test_h1_rejects_empty_search_box():
-    cfg = family_configuration(3, 1)
-    with pytest.raises(DomainError):
-        h1_certificate(ambient_for(cfg), cfg, bound=0)
-    with pytest.raises(DomainError):
-        h1_certificate(ambient_for(cfg), cfg, max_support=0)
 
 
 @pytest.mark.parametrize(
@@ -244,3 +385,13 @@ def test_full_report_rejects_odd_handle_data():
     cfg = family_configuration(3, 1)
     with pytest.raises(DomainError):
         full_blowdown_report(ambient_for(cfg), cfg, handle_data=(1, 2, 3))
+
+
+@pytest.mark.parametrize("handles", [(1.9, 2), (10, True), (1, 0, 11.0, 2, 1)])
+def test_full_report_refuses_non_integer_handle_counts(handles):
+    """int() would truncate (1.9, 2) to (1, 2) and report (1, 0, 2, 2, 1)."""
+    cfg = family_configuration(3, 1)
+    with pytest.raises(InputTypeError):
+        full_blowdown_report(
+            ambient_for(cfg), cfg, delta=family_h1_witness(3, 1), handle_data=handles
+        )

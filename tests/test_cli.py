@@ -91,7 +91,9 @@ def test_blowdown_with_explicit_witness(capsys):
     assert payload["h1"]["pairings"] == [1, 0]
     assert payload["parity"]["route"] == "signature-mod-16"
     assert payload["input"]["delta"] == [0] * 9 + [1, -1, 0]
-    assert payload["input"]["witness_bound"] == 3
+    assert "witness_bound" not in payload["input"]
+    assert "order" not in payload["h1"]
+    assert "restriction_divisors" not in payload["h1"]
 
 
 def test_blowdown_search_route(capsys):
@@ -100,17 +102,32 @@ def test_blowdown_search_route(capsys):
     payload = json.loads(out)
     assert payload["h1"]["condition"] == 2
     assert payload["h1"]["witness"] == [0, -1] + [0] * 10
-    assert payload["h1"]["searched_bound"] == 3
+    assert payload["h1"]["order"] == 1
+    assert payload["h1"]["restriction_divisors"] == [1, 1]
+    assert "searched_bound" not in payload["h1"]
     assert payload["homeo_type"] == "CP^2 # 9 CPbar^2"
 
 
-def test_blowdown_inconclusive_exits_nonzero(capsys, tmp_path):
+def test_blowdown_nontrivial_exits_nonzero(capsys, tmp_path):
     path = write_config(tmp_path, {"p": 2, "n": 1, "classes": [[0, 2]]})
     code, out, _ = run_cli(capsys, "blowdown", path)
     assert code == 1
     payload = json.loads(out)
     assert payload["homeo_type"] is None
-    assert payload["h1"]["verdict"] == "inconclusive"
+    assert payload["h1"]["verdict"] == "nontrivial"
+    assert payload["h1"]["order"] == 2
+    assert payload["h1"]["restriction_divisors"] == [2]
+    assert payload["h1"]["witness"] is None
+    assert payload["parity"]["verdict"] == "inconclusive"
+    code, out, _ = run_cli(capsys, "blowdown", path, "--delta", "[0, 1]")
+    assert code == 1
+    assert json.loads(out)["h1"]["verdict"] == "inconclusive"
+
+
+def test_blowdown_has_no_witness_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["blowdown", str(A3), "--witness-bound", "3"])
+    assert exc.value.code == 2
 
 
 def test_blowdown_rejects_bad_delta(capsys):
@@ -207,6 +224,27 @@ def test_search_refuses_non_integer_template_fields(capsys, tmp_path, template):
     code, out, err = run_cli(capsys, "search", "--template", write_config(tmp_path, template))
     assert (code, out) == (2, "")
     assert err.startswith("rbdcalc:") and "must be an integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "template, argv, message",
+    [
+        ({"n": 5, "p": 1, "tail_bounds": 2}, [], "need p >= 2"),
+        ({"n": 5, "p": 2, "tail_bounds": 2, "body_shape": "zig"}, [], "unknown body shape"),
+        ({"n": 5, "p": 2, "tail_bounds": 2, "body_shape": 3}, [], "body_shape must be a string"),
+        ({"n": 5, "p": 2, "tail_bounds": -1}, [], "bounds must be nonnegative"),
+        ({"n": 5, "p": 2, "tail_bounds": 2, "symmetry_reduction": "false"}, [], "true or false"),
+        ({"n": 5, "p": 2, "tail_bounds": 2, "symmetry_reduction": 0}, [], "true or false"),
+        ({"n": 5, "p": 2, "tail_bounds": 2}, ["--cap", "0"], "cap must be positive"),
+        ({"n": 5, "p": 2, "tail_bounds": 2}, ["--jobs", "0"], "jobs must be positive"),
+    ],
+)
+def test_search_template_and_option_errors_exit_2(capsys, tmp_path, template, argv, message):
+    path = write_config(tmp_path, template)
+    code, out, err = run_cli(capsys, "search", "--template", path, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("rbdcalc:") and message in err
     assert "Traceback" not in err
 
 

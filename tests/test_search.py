@@ -70,6 +70,19 @@ def test_from_json_broadcasts_integer_bounds():
             SearchTemplate.from_json({"n": 5, "p": 2, "tail_bounds": bad})
 
 
+def test_from_json_requires_a_boolean_and_a_string():
+    """bool("false") is True, so a string flag would turn the reduction on."""
+    base = {"n": 5, "p": 2, "tail_bounds": 2}
+    off = SearchTemplate.from_json({**base, "symmetry_reduction": False})
+    assert off.symmetry_reduction is False
+    for bad in ("false", 0, None):
+        with pytest.raises(InputTypeError):
+            SearchTemplate.from_json({**base, "symmetry_reduction": bad})
+    for bad in (3, None, ["free-pairs"]):
+        with pytest.raises(InputTypeError):
+            SearchTemplate.from_json({**base, "body_shape": bad})
+
+
 def test_estimate_for_uniform_box():
     assert estimate_search_space(SearchTemplate.uniform(5, 2, 2)) == 3125
 
