@@ -24,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from rbdcalc.errors import SearchCapExceeded
 from rbdcalc.search import (
     DEFAULT_CAP,
+    FamilySearchReport,
     SearchTemplate,
     family_question_dimensions,
     search,
@@ -36,14 +37,11 @@ def probe(a: int, kind: str, uniform: int | None, cap: int, jobs: int) -> dict:
     try:
         if uniform is None:
             report = search_family_questions(a, kind, cap=cap, jobs=jobs)
-            template = report.template
-            configs = report.configurations
-            label = report.label
         else:
             n, p = family_question_dimensions(a, kind)
             template = SearchTemplate.uniform(n, p, uniform)
-            configs = search(template, cap=cap, jobs=jobs)
-            label = "homological only; existence of an embedded configuration is not certified"
+            configs = tuple(search(template, cap=cap, jobs=jobs))
+            report = FamilySearchReport(kind, a, template, configs)
     except SearchCapExceeded as exc:
         return {
             "kind": kind,
@@ -56,11 +54,11 @@ def probe(a: int, kind: str, uniform: int | None, cap: int, jobs: int) -> dict:
         "kind": kind,
         "a": a,
         "status": "ok",
-        "label": label,
-        "n": template.n,
-        "p": template.p,
-        "count": len(configs),
-        "tails": [c.classes[-1].to_json() for c in configs],
+        "label": report.label,
+        "n": report.template.n,
+        "p": report.template.p,
+        "count": report.count,
+        "tails": [c.classes[-1].to_json() for c in report.configurations],
         "seconds": round(time.perf_counter() - started, 2),
     }
 

@@ -4,7 +4,8 @@ Subcommands: verify-config, blowdown, sw, search, reproduce-paper. Exit
 codes: 0 success, 1 mathematical failure (verification fails, precondition
 violated, cap exceeded, a blowdown whose type is not pinned down, a
 reproduction case fails), 2 usage error (bad arguments, unreadable or
-malformed input files and templates).
+malformed input files and templates, a configuration whose p is below 2 or
+whose class count is not p - 1).
 
 Every report carries the tool name and version plus a full echo of its
 inputs, so a report file alone is enough to re-run and re-check the claim.
@@ -86,6 +87,10 @@ def _parse_config(path: str) -> tuple[dict, int, tuple[ClassVector, ...]]:
         if isinstance(exc, RbdcalcError):
             raise UsageError(f"{path}: {exc}") from exc
         raise UsageError(f"{path}: malformed class data: {exc}") from exc
+    if p < 2:
+        raise UsageError(f"{path}: need p >= 2, got p = {p}")
+    if len(classes) != p - 1:
+        raise UsageError(f"{path}: C_{p} needs exactly {p - 1} classes, got {len(classes)}")
     return data, p, classes
 
 
@@ -174,6 +179,14 @@ def cmd_sw(args) -> int:
 
 
 def cmd_search(args) -> int:
+    """One compact sorted-key JSON line per hit to stdout, then the trailer
+    (count, and the seconds spent in search alone) to stderr.
+
+    Hits come sorted by body, so the line around the long-class row (the
+    frame) is encoded once per run of hits sharing a body, and each line is
+    written as soon as its row is joined in. The bytes equal
+    json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")).
+    """
     data = _load_json_file(args.template)
     try:
         template = SearchTemplate.from_json(data)
@@ -185,8 +198,17 @@ def cmd_search(args) -> int:
     except DomainError as exc:  # --cap or --jobs below 1; the template is checked
         raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
+    write = sys.stdout.write
+    body = prefix = suffix = None
     for cfg in results:
-        print(json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")))
+        if cfg.classes[:-1] != body:
+            # the frame holds only integers and fixed keys, so a string marks
+            # the long-class row unambiguously
+            body, frame = cfg.classes[:-1], cfg.to_json()
+            frame["classes"][-1] = "tail"
+            line = json.dumps(frame, sort_keys=True, separators=(",", ":"))
+            prefix, _, suffix = line.partition('"tail"')
+        write(prefix + "[" + ",".join(map(str, cfg.classes[-1].coeffs)) + "]" + suffix + "\n")
     trailer = _certificate(
         {
             "command": "search",
@@ -404,9 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main(), not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -13,8 +13,11 @@ one Gram verifier checks it from raw coefficients; its body block is checked
 once per placement and cached, leaving O(n + p) work per hit.
 
 Everything is deterministic: placements, coordinate order, and value order
-are fixed, and results are sorted by their class coefficient tuples, so a
-parallel run merges to the same output as a sequential one.
+are fixed, and results are sorted by their class coefficient tuples (body
+first, then the long class), so a parallel run merges to the same output as
+a sequential one and hits that share a body come out next to each other.
+jobs > 1 splits the walk over worker processes; multiprocessing is imported
+only then.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ import json
 import os
 from dataclasses import dataclass
 from math import isqrt, perm
-from multiprocessing import Pool
 from typing import Iterable, Sequence
 
 from .chains import CpConfiguration
@@ -278,9 +280,11 @@ def search(
     exceeds the cap. Every hit is built by the CpConfiguration constructor,
     whose Gram verifier reads the raw coefficient rows and shares nothing
     with the enumerator's algebra; a hit it rejects is an enumerator bug and
-    raises ConsistencyError. Output is sorted by class coefficients; jobs > 1
-    splits the first enumerated coordinate over a process pool of at most
-    min(jobs, CPU count, tasks) workers and merges to the identical list.
+    raises ConsistencyError. Output is sorted by class coefficients, so hits
+    sharing a body are adjacent; jobs > 1 splits the first enumerated
+    coordinate over a process pool of at most min(jobs, CPU count, tasks)
+    workers and merges to the identical list. Only that branch imports
+    multiprocessing.
     """
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
@@ -308,6 +312,8 @@ def search(
                     tasks.append((tj, placement, values[off : off + chunk]))
             else:
                 tasks.append((tj, placement, None))
+        from multiprocessing import Pool
+
         with Pool(processes=min(jobs, os.cpu_count() or 1, len(tasks))) as pool:
             for part in pool.map(_worker, tasks):
                 raw.extend(part)
@@ -317,7 +323,10 @@ def search(
     bodies = {
         pl: tuple(lat.e(x) - lat.e(y) for x, y in zip(pl, pl[1:])) for pl in {pl for pl, _ in raw}
     }
-    raw.sort(key=lambda item: tuple(u.coeffs for u in bodies[item[0]]) + (item[1],))
+    # every body key has length p - 2, so (body key, tail) orders hits exactly
+    # as the flat tuple of all class coefficients does
+    body_keys = {pl: tuple(u.coeffs for u in body) for pl, body in bodies.items()}
+    raw.sort(key=lambda item: (body_keys[item[0]], item[1]))
     try:
         return [CpConfiguration(template.p, bodies[pl] + (ClassVector(lat, t),)) for pl, t in raw]
     except InvalidConfigurationError as exc:

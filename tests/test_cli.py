@@ -10,6 +10,7 @@ import pytest
 
 import rbdcalc
 from rbdcalc import cli
+from rbdcalc.search import SearchTemplate, family_question_dimensions, search
 
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
 A3 = FIXTURES / "family1" / "a3.json"
@@ -79,6 +80,36 @@ def test_config_loaders_refuse_non_integer_coefficients(capsys, tmp_path, bad):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "coefficient must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"p": 3, "n": 2, "classes": [[0, 1, -1]]}, "C_3 needs exactly 2 classes, got 1"),
+        ({"p": 1, "n": 2, "classes": []}, "need p >= 2, got p = 1"),
+    ],
+)
+def test_config_schema_errors_exit_2(capsys, tmp_path, payload, message):
+    path = write_config(tmp_path, payload)
+    vector = json.dumps([1, 0, 0])
+    for argv in (
+        ("verify-config", path),
+        ("blowdown", path),
+        ("sw", "--config", path, "--K", vector, "--H", vector),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("rbdcalc:") and message in err
+    root = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, root)
+    (root / "family1" / "a3.json").write_text(json.dumps(payload))
+    code, out, _ = run_cli(
+        capsys, "reproduce-paper", "--only", "a=3,family=1", "--fixtures", str(root)
+    )
+    assert code == 1
+    stages = json.loads(out)["cases"][0]["stages"]
+    assert list(stages) == ["load"]
+    assert stages["load"]["status"] == "fail" and message in stages["load"]["error"]
 
 
 def test_blowdown_with_explicit_witness(capsys):
@@ -199,6 +230,41 @@ def test_search_streams_hits(capsys, tmp_path):
     assert "seconds" in trailer
 
 
+def question_template(a):
+    n, p = family_question_dimensions(a, "3-chain")
+    return {"n": n, "p": p, "tail_bounds": [a + 3, a - 1] + [2] * (n - 2) + [1]}
+
+
+STREAM_TEMPLATES = {
+    "3-chain a=7": question_template(7),
+    "unreduced consecutive": {"n": 6, "p": 3, "tail_bounds": 2, "symmetry_reduction": False},
+    "unreduced free-pairs": {
+        "n": 5,
+        "p": 3,
+        "tail_bounds": 2,
+        "body_shape": "free-pairs",
+        "symmetry_reduction": False,
+    },
+    "p=2": {"n": 5, "p": 2, "tail_bounds": 2},
+}
+
+
+@pytest.mark.parametrize("name", STREAM_TEMPLATES)
+def test_search_stream_is_byte_identical_to_per_hit_json(capsys, tmp_path, name):
+    """Each line equals json.dumps of its hit, however the frame is reused."""
+    payload = STREAM_TEMPLATES[name]
+    code, out, err = run_cli(capsys, "search", "--template", write_config(tmp_path, payload))
+    assert code == 0
+    lines = out.split("\n")
+    assert lines.pop() == ""
+    hits = search(SearchTemplate.from_json(payload))
+    assert len(lines) == json.loads(err)["count"] == len(hits)
+    for line, cfg in zip(lines, hits):
+        assert line == json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":"))
+    if name.startswith("unreduced"):
+        assert len({cfg.classes[:-1] for cfg in hits}) > 1
+
+
 def test_search_cap_exit(capsys, tmp_path):
     template = write_config(tmp_path, {"n": 5, "p": 2, "tail_bounds": 2})
     code, _, err = run_cli(capsys, "search", "--template", template, "--cap", "10")
@@ -313,6 +379,48 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch, tmp_path):
+    """In-process calls share one parser and answer as a fresh parser would."""
+    template = write_config(tmp_path, {"n": 3, "p": 2, "tail_bounds": 2})
+    fixture = json.loads(A3.read_text())
+    calls = [
+        ["verify-config", str(A3)],
+        ["search", "--template", template],
+        ["blowdown", str(A3)],
+        ["search", "--template", template, "--cap", "x"],
+        ["sw", "--config", str(A3), "--K", json.dumps(fixture["K"]),
+         "--H", json.dumps(fixture["H"])],
+        ["verify-config"],
+        ["search", "--template", template],
+        ["verify-config", str(A3)],
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(outcome(argv))
+    assert [code for code, _ in fresh] == [0, 0, 0, 2, 0, 2, 0, 0]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    assert [outcome(argv) for argv in calls] == fresh
+    assert len(built) == 1
+
+
+def test_import_loads_no_multiprocessing():
+    code = "import sys, rbdcalc.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_module_entry_point(tmp_path):

@@ -1,7 +1,9 @@
 """Bounded configuration search and the open-range question probes."""
 
 from importlib import import_module
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from rbdcalc.families import family_configuration
 from rbdcalc.lattice import AmbientLattice
 from rbdcalc.search import (
     DEFAULT_CAP,
+    FamilySearchReport,
     SearchTemplate,
     estimate_search_space,
     family_question_dimensions,
@@ -139,13 +142,28 @@ def test_jobs_bounded_before_any_process_starts(monkeypatch):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(search_module, "Pool", RecordingPool)
+    monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
     template = SearchTemplate.uniform(5, 2, 2)  # 5 values of the first coordinate
     single = search(template)
     for cpus, workers in ((2, 2), (None, 1), (64, 5)):
         monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
         assert search(template, jobs=10**9) == single
         assert seen[-1] == workers
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        family_question_template(7, "3-chain"),
+        SearchTemplate.uniform(6, 3, 2, symmetry_reduction=False),
+        SearchTemplate.uniform(5, 3, 2, body_shape="free-pairs", symmetry_reduction=False),
+        SearchTemplate.uniform(5, 2, 2),
+    ],
+)
+def test_hits_sorted_by_all_class_coefficients(template):
+    """(body, tail) keys order hits as the flat tuple of every class does."""
+    hits = search(template)
+    assert hits == sorted(hits, key=lambda cfg: tuple(u.coeffs for u in cfg.classes))
 
 
 def test_placement_rows_through_the_verifier():
@@ -222,6 +240,18 @@ def test_four_chain_probe():
     report = search_family_questions(6, "4-chain")
     assert report.count == 56
     assert report.template.p == 25
+
+
+def test_probe_script_labels_shaped_and_uniform_alike():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "probe_open_range.py"
+    spec = spec_from_file_location("probe_open_range", path)
+    script = module_from_spec(spec)
+    spec.loader.exec_module(script)
+    uniform = script.probe(11, "3-chain", 1, DEFAULT_CAP, 1)
+    shaped = script.probe(11, "3-chain", None, DEFAULT_CAP, 1)
+    assert uniform["status"] == shaped["status"] == "ok"
+    assert uniform["label"] == shaped["label"] == FamilySearchReport.label
+    assert "homological only" in shaped["label"]
 
 
 def test_question_probe_validation():
