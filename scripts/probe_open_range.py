@@ -32,15 +32,16 @@ from rbdcalc.search import (
 )
 
 
-def probe(a: int, kind: str, uniform: int | None, cap: int, jobs: int) -> dict:
+def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dict:
+    # the fifth slot is unused; perfbench/run.py still calls probe(a, kind, None, cap, 1)
     started = time.perf_counter()
     try:
         if uniform is None:
-            report = search_family_questions(a, kind, cap=cap, jobs=jobs)
+            report = search_family_questions(a, kind, cap=cap)
         else:
             n, p = family_question_dimensions(a, kind)
             template = SearchTemplate.uniform(n, p, uniform)
-            configs = tuple(search(template, cap=cap, jobs=jobs))
+            configs = tuple(search(template, cap=cap))
             report = FamilySearchReport(kind, a, template, configs)
     except SearchCapExceeded as exc:
         return {
@@ -67,13 +68,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--uniform", type=int, help="use a uniform bound instead of the shaped box")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     for a in range(8, 12):
-        print(json.dumps(probe(a, "3-chain", args.uniform, args.cap, args.jobs), sort_keys=True))
+        print(json.dumps(probe(a, "3-chain", args.uniform, args.cap), sort_keys=True))
     for a in range(3, 7):
-        print(json.dumps(probe(a, "4-chain", args.uniform, args.cap, args.jobs), sort_keys=True))
+        print(json.dumps(probe(a, "4-chain", args.uniform, args.cap), sort_keys=True))
     return 0
 
 

@@ -194,8 +194,8 @@ def cmd_search(args) -> int:
         raise UsageError(f"{args.template}: malformed template: {exc}") from exc
     started = time.perf_counter()
     try:
-        results = search(template, cap=args.cap, jobs=args.jobs)
-    except DomainError as exc:  # --cap or --jobs below 1; the template is checked
+        results = search(template, cap=args.cap)
+    except DomainError as exc:  # --cap below 1; the template is checked
         raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
     write = sys.stdout.write
@@ -215,7 +215,6 @@ def cmd_search(args) -> int:
             "template_path": args.template,
             "template": template.to_json(),
             "cap": args.cap,
-            "jobs": args.jobs,
         },
         {"count": len(results), "seconds": round(elapsed, 3)},
     )
@@ -334,7 +333,7 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         }
         if not ok_neg:
             return result
-    except RbdcalcError as exc:
+    except (RbdcalcError, KeyError, TypeError) as exc:
         return fail("sw", exc)
 
     result["pass"] = all(
@@ -414,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="enumerate configurations in a box")
     p_search.add_argument("--template", required=True, help="JSON template file")
     p_search.add_argument("--cap", type=int, default=DEFAULT_CAP, help="box cap")
-    p_search.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_search.set_defaults(func=cmd_search)
 
     p_rep = sub.add_parser("reproduce-paper", help="run the bundled family cases")

@@ -47,8 +47,11 @@ class SearchCapExceeded(RbdcalcError, RuntimeError):
     def __init__(self, estimate: int, cap: int):
         self.estimate = estimate
         self.cap = cap
+        # str() refuses ints past 4300 digits (CPython's conversion limit)
+        bits = estimate.bit_length()
+        size = estimate if bits <= 10_000 else f"at least 2^{bits - 1}"
         super().__init__(
-            f"estimated search space {estimate} exceeds cap {cap}; "
+            f"estimated search space {size} exceeds cap {cap}; "
             f"raise the cap or shrink the template bounds"
         )
 

@@ -41,10 +41,6 @@ class AmbientLattice:
     def rank(self) -> int:
         return self.n + 1
 
-    @property
-    def signature_pair(self) -> tuple[int, int]:
-        return (1, self.n)
-
     def vector(self, coeffs: Iterable[int]) -> "ClassVector":
         c = tuple(strict_int(x, "coefficient") for x in coeffs)
         if len(c) != self.rank:
@@ -70,9 +66,6 @@ class AmbientLattice:
         c = [0] * self.rank
         c[i] = 1
         return ClassVector(self, tuple(c))
-
-    def basis(self) -> list["ClassVector"]:
-        return [self.basis_vector(i) for i in range(self.rank)]
 
 
 @dataclass(frozen=True)
@@ -121,9 +114,6 @@ class ClassVector:
     def square(self) -> int:
         return pairing(self, self)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
@@ -145,14 +135,6 @@ def square(x: ClassVector) -> int:
 def is_characteristic(k: ClassVector) -> bool:
     """True iff k.x = x.x (mod 2) for all x; here, iff every coefficient is odd."""
     return all(c % 2 != 0 for c in k.coeffs)
-
-
-def form_matrix(lattice: AmbientLattice) -> list[list[int]]:
-    """Gram matrix of the basis: diag(1, -1, ..., -1)."""
-    return [
-        [(1 if i == 0 else -1) if i == j else 0 for j in range(lattice.rank)]
-        for i in range(lattice.rank)
-    ]
 
 
 def dual_coefficients(x: ClassVector) -> tuple[int, ...]:

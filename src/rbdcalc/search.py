@@ -14,18 +14,13 @@ once per placement and cached, leaving O(n + p) work per hit.
 
 Everything is deterministic: placements, coordinate order, and value order
 are fixed, and results are sorted by their class coefficient tuples (body
-first, then the long class), so a parallel run merges to the same output as
-a sequential one and hits that share a body come out next to each other.
-jobs > 1 splits the walk over worker processes; multiprocessing is imported
-only then.
+first, then the long class), so hits that share a body come out next to
+each other.
 """
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from math import isqrt, perm
-from typing import Iterable, Sequence
 
 from .chains import CpConfiguration
 from .errors import ConsistencyError, DomainError, InputTypeError
@@ -114,11 +109,6 @@ class SearchTemplate:
             symmetry_reduction=symmetry,
         )
 
-    @classmethod
-    def load(cls, path) -> "SearchTemplate":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
 
 def _placements(template: SearchTemplate) -> list[tuple[int, ...]]:
     """Body index sequences x_1..x_{p-1}; body_i = e_{x_i} - e_{x_{i+1}}.
@@ -151,14 +141,19 @@ def _placements(template: SearchTemplate) -> list[tuple[int, ...]]:
 
 
 def _placement_geometry(template: SearchTemplate, placement: tuple[int, ...]):
-    """(free_indices, run_indices, end_index, t_range) for one placement."""
+    """(free_indices, run_indices, end_index, t_range) for one placement.
+
+    A coordinate with bound 0 can only be 0, so it is not free: the walk
+    recurses once per free coordinate and never visits it.
+    """
     n, p = template.n, template.p
     bounds = template.tail_bounds
+    taken = set(placement)
+    free = tuple(i for i in range(1, n + 1) if bounds[i] and i not in taken)
     if p == 2:
-        return tuple(range(1, n + 1)), (), None, (None,)
+        return free, (), None, (None,)
     run = placement[: p - 2]
     end = placement[p - 2]
-    free = tuple(i for i in range(1, n + 1) if i not in set(placement))
     run_cap = min(bounds[i] for i in run)
     lo = max(-run_cap, -bounds[end] - 1)
     hi = min(run_cap, bounds[end] - 1)
@@ -183,15 +178,9 @@ def _solve_h(template: SearchTemplate, s: int, tpart: int) -> list[int]:
 
 
 def _enumerate_placement(
-    template: SearchTemplate,
-    placement: tuple[int, ...],
-    first_slice: Sequence[int] | None = None,
+    template: SearchTemplate, placement: tuple[int, ...]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (placement, tail coefficients) solutions for one body placement.
-
-    first_slice restricts the first enumerated coordinate (parallel workers
-    each take a slice); None walks the full range.
-    """
+    """All (placement, tail coefficients) solutions for one body placement."""
     n, p = template.n, template.p
     bounds = template.tail_bounds
     free, run, end, t_range = _placement_geometry(template, placement)
@@ -221,21 +210,13 @@ def _enumerate_placement(
             leaf(s)
             return
         coord = free[idx]
-        lo = -bounds[coord]
-        if idx == 0 and first_slice is not None:
-            values: Iterable[int] = first_slice
-        else:
-            values = range(lo, bounds[coord] + 1)
-        for c in values:
+        b = bounds[coord]
+        for c in range(-b, b + 1):
             coeffs[coord] = c
             walk(idx + 1, s + c * c)
         coeffs[coord] = 0
 
-    if not free:
-        if first_slice is None or 0 in first_slice:
-            leaf(0)
-    else:
-        walk(0, 0)
+    walk(0, 0)
     return out
 
 
@@ -263,17 +244,7 @@ def estimate_search_space(template: SearchTemplate) -> int:
     return sum(box(pl) for pl in _placements(template))
 
 
-def _worker(args):
-    template_json, placement, first_slice = args
-    template = SearchTemplate.from_json(template_json)
-    return _enumerate_placement(template, placement, first_slice)
-
-
-def search(
-    template: SearchTemplate,
-    cap: int = DEFAULT_CAP,
-    jobs: int = 1,
-) -> list[CpConfiguration]:
+def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfiguration]:
     """All chain configurations matching the template inside its box.
 
     Raises SearchCapExceeded before enumerating anything when the estimate
@@ -281,42 +252,15 @@ def search(
     whose Gram verifier reads the raw coefficient rows and shares nothing
     with the enumerator's algebra; a hit it rejects is an enumerator bug and
     raises ConsistencyError. Output is sorted by class coefficients, so hits
-    sharing a body are adjacent; jobs > 1 splits the first enumerated
-    coordinate over a process pool of at most min(jobs, CPU count, tasks)
-    workers and merges to the identical list. Only that branch imports
-    multiprocessing.
+    sharing a body are adjacent.
     """
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
-    if jobs < 1:
-        raise DomainError(f"jobs must be positive, got {jobs}")
     estimate = estimate_search_space(template)
     if estimate > cap:
         raise SearchCapExceeded(estimate, cap)
 
-    raw: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    if jobs == 1:
-        for placement in _placements(template):
-            raw.extend(_enumerate_placement(template, placement))
-    else:
-        tasks = []
-        tj = template.to_json()
-        for placement in _placements(template):
-            free, _run, _end, _tr = _placement_geometry(template, placement)
-            if free:
-                first = free[0]
-                b = template.tail_bounds[first]
-                values = list(range(-b, b + 1))
-                chunk = max(1, (len(values) + jobs - 1) // jobs)
-                for off in range(0, len(values), chunk):
-                    tasks.append((tj, placement, values[off : off + chunk]))
-            else:
-                tasks.append((tj, placement, None))
-        from multiprocessing import Pool
-
-        with Pool(processes=min(jobs, os.cpu_count() or 1, len(tasks))) as pool:
-            for part in pool.map(_worker, tasks):
-                raw.extend(part)
+    raw = [hit for pl in _placements(template) for hit in _enumerate_placement(template, pl)]
 
     lat = AmbientLattice(template.n)
     # body_i = e_{x_i} - e_{x_{i+1}} along the placement
@@ -388,12 +332,7 @@ def family_question_template(a: int, kind: str) -> SearchTemplate:
     return SearchTemplate(n=n, p=p, tail_bounds=tuple(bounds))
 
 
-def search_family_questions(
-    a: int,
-    kind: str,
-    cap: int = DEFAULT_CAP,
-    jobs: int = 1,
-) -> FamilySearchReport:
+def search_family_questions(a: int, kind: str, cap: int = DEFAULT_CAP) -> FamilySearchReport:
     """Probe one open-range question with the default shaped box.
 
     The hits come from search, so each one has passed the Gram verifier at
@@ -411,5 +350,5 @@ def search_family_questions(
         kind=kind,
         a=a,
         template=template,
-        configurations=tuple(search(template, cap=cap, jobs=jobs)),
+        configurations=tuple(search(template, cap=cap)),
     )

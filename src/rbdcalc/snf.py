@@ -214,11 +214,6 @@ def kernel_basis(mat) -> list[list[int]]:
     return [[s.v[i][j] for i in range(cols)] for j in range(s.rank, cols)]
 
 
-def integer_solve(mat, rhs) -> list[int] | None:
-    """One integer solution x of M x = rhs, or None if none exists."""
-    return smith_normal_form(mat).solve(rhs)
-
-
 def solve_rational(mat, rhs) -> list[Fraction]:
     """Solve the square system M x = rhs exactly over the rationals.
 

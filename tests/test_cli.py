@@ -1,16 +1,20 @@
 """End-to-end runs of the command line interface."""
 
+import io
 import json
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rbdcalc
 from rbdcalc import cli
-from rbdcalc.search import SearchTemplate, family_question_dimensions, search
+from rbdcalc.search import BODY_SHAPES, SearchTemplate, family_question_dimensions, search
 
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
 A3 = FIXTURES / "family1" / "a3.json"
@@ -270,6 +274,11 @@ def test_search_cap_exit(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search", "--template", template, "--cap", "10")
     assert code == 1
     assert err.startswith("rbdcalc:")
+    # 3^10000 points: too many digits for str(), so the size is given as a power of 2
+    huge = write_config(tmp_path, {"n": 10_000, "p": 2, "tail_bounds": 1}, "huge.json")
+    code, _, err = run_cli(capsys, "search", "--template", huge)
+    assert code == 1
+    assert err.startswith("rbdcalc: estimated search space at least 2^15849 exceeds cap")
 
 
 def test_search_rejects_malformed_template(capsys, tmp_path):
@@ -303,7 +312,6 @@ def test_search_refuses_non_integer_template_fields(capsys, tmp_path, template):
         ({"n": 5, "p": 2, "tail_bounds": 2, "symmetry_reduction": "false"}, [], "true or false"),
         ({"n": 5, "p": 2, "tail_bounds": 2, "symmetry_reduction": 0}, [], "true or false"),
         ({"n": 5, "p": 2, "tail_bounds": 2}, ["--cap", "0"], "cap must be positive"),
-        ({"n": 5, "p": 2, "tail_bounds": 2}, ["--jobs", "0"], "jobs must be positive"),
     ],
 )
 def test_search_template_and_option_errors_exit_2(capsys, tmp_path, template, argv, message):
@@ -312,6 +320,32 @@ def test_search_template_and_option_errors_exit_2(capsys, tmp_path, template, ar
     assert (code, out) == (2, "")
     assert err.startswith("rbdcalc:") and message in err
     assert "Traceback" not in err
+
+
+def test_search_has_no_jobs_flag(capsys, tmp_path):
+    template = write_config(tmp_path, {"n": 5, "p": 2, "tail_bounds": 2})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--template", template, "--jobs", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --jobs 2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "p, bounds", [(2, [2, 2, 2, 2]), (2, [0, 0, 0, 0]), (3, [2, 2, 2, 2, 2])]
+)
+def test_search_skips_zero_bound_coordinates(capsys, tmp_path, p, bounds):
+    """1500 bound-0 coordinates cost no recursion and change no count."""
+    small = {"n": len(bounds) - 1, "p": p, "tail_bounds": bounds}
+    # zeros go below the top p - 1 indices, where a reduced placement sits
+    zeros = [0] * (1501 - len(bounds))
+    wide = {"n": 1500, "p": p, "tail_bounds": bounds[: 1 - p] + zeros + bounds[1 - p :]}
+    code, out, err = run_cli(capsys, "search", "--template", write_config(tmp_path, wide))
+    assert code == 0 and "Traceback" not in err
+    count = json.loads(err)["count"]
+    assert count == len(search(SearchTemplate.from_json(small))) == len(out.splitlines())
+    assert (count > 0) == any(bounds)
 
 
 def test_reproduce_all_cases_and_determinism(capsys):
@@ -375,6 +409,30 @@ def test_reproduce_detects_corrupted_fixture(capsys, tmp_path):
     assert summary["passed"] == 8
 
 
+@pytest.mark.parametrize(
+    "key, value, error",
+    [("K", None, "KeyError"), ("H", None, "KeyError"), ("K", 5, "TypeError")],
+)
+def test_reproduce_fails_sw_on_a_fixture_without_k_or_h(capsys, tmp_path, key, value, error):
+    root = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, root)
+    target = root / "family1" / "a3.json"
+    data = json.loads(target.read_text())
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    target.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "reproduce-paper", "--only", "a=3,family=1", "--fixtures", str(root)
+    )
+    assert (code, err) == (1, "")
+    stages = json.loads(out)["cases"][0]["stages"]
+    assert sorted(stages) == ["blowdown", "handles", "load", "sw", "verify"]
+    assert stages["sw"]["status"] == "fail"
+    assert stages["sw"]["error"].startswith(error)
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -431,3 +489,120 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+# -- fuzz: generated JSON through cli.main ------------------------------------
+
+SMALL = st.integers(-2, 12)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL | st.floats(-4, 4, width=16) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def near(valid):
+    """Mostly plausible values, sometimes any JSON value."""
+    return st.one_of(valid, valid, JSON_VALUES)
+
+
+@st.composite
+def templates(draw):
+    """Mostly well-formed boxes, one field sometimes replaced or dropped."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    n = draw(st.integers(1, 8))
+    bounds = st.integers(0, 3) | st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1)
+    template = {
+        "n": n,
+        "p": draw(st.integers(2, 7)),
+        "tail_bounds": draw(bounds),
+        "body_shape": draw(st.sampled_from(BODY_SHAPES)),
+        "symmetry_reduction": draw(st.booleans()),
+    }
+    key = draw(st.sampled_from([None] * 5 + sorted(template)))
+    if key is not None:
+        template[key] = draw(JSON_VALUES)
+        if template[key] is None:  # a drawn null drops the field
+            del template[key]
+    return template
+
+
+FIXTURE_PAYLOADS = [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*/*.json"))]
+VECTORS = st.lists(st.integers(-3, 3), min_size=1, max_size=13) | JSON_VALUES
+
+
+@st.composite
+def configs(draw):
+    """A fixture, possibly with one field replaced, or a small random config."""
+    if draw(st.booleans()):
+        data = dict(draw(st.sampled_from(FIXTURE_PAYLOADS)))
+        if draw(st.booleans()):
+            data[draw(st.sampled_from(["p", "n", "classes", "K", "H"]))] = draw(JSON_VALUES)
+        return data
+    rows = st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=5), max_size=4)
+    small = st.fixed_dictionaries(
+        {"p": near(st.integers(1, 4)), "n": near(st.integers(0, 4)), "classes": near(rows)}
+    )
+    return draw(JSON_VALUES | small)
+
+
+def run_in_process(argv):
+    """stdout of cli.main, after checking its exit code (argparse's SystemExit too)."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = 2
+    assert code in (0, 1, 2)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=120)
+@given(templates())
+def test_fuzz_search_templates(fuzz_dir, template):
+    path = fuzz_dir / "template.json"
+    path.write_text(json.dumps(template))
+    out = run_in_process(["search", "--template", str(path), "--cap", "10000"])
+    for line in out.split("\n"):
+        compact = line and json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+        assert compact == line
+
+
+@settings(max_examples=120)
+@given(
+    configs(),
+    st.sampled_from(["verify-config", "blowdown", "delta", "sw", "sw-own"]),
+    VECTORS,
+    VECTORS,
+)
+def test_fuzz_config_commands(fuzz_dir, config, command, first, second):
+    path = str(fuzz_dir / "config.json")
+    Path(path).write_text(json.dumps(config))
+    n = config.get("n") if isinstance(config, dict) else None
+
+    def fit(vector):  # a nonempty list resized to the config's rank, when it has one
+        if isinstance(vector, list) and vector and type(n) is int and 0 <= n <= 40:
+            return (vector * (n + 1))[: n + 1]
+        return vector
+
+    if command == "delta":
+        argv = ["blowdown", path, "--delta", json.dumps(fit(first))]
+    elif command.startswith("sw"):
+        if command == "sw-own" and isinstance(config, dict):
+            first, second = config.get("K"), config.get("H")
+        k, h = json.dumps(fit(first)), json.dumps(fit(second))
+        argv = ["sw", "--config", path, "--K", k, "--H", h]
+    else:
+        argv = [command, path]
+    out = run_in_process(argv)
+    # one indented sorted-key document, or nothing
+    assert out == "" or json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out

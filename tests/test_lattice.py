@@ -9,12 +9,11 @@ from rbdcalc.families import family_configuration
 from rbdcalc.lattice import (
     AmbientLattice,
     dual_coefficients,
-    form_matrix,
     is_characteristic,
     orthogonal_complement_basis,
     pairing,
 )
-from rbdcalc.snf import integer_solve, smith_normal_form
+from rbdcalc.snf import smith_normal_form
 
 
 def coeff_lists(rank, bound=9):
@@ -35,7 +34,6 @@ def vector_pairs(draw, count=2):
 def test_rank_and_signature():
     lat = AmbientLattice(11)
     assert lat.rank == 12
-    assert lat.signature_pair == (1, 11)
 
 
 def test_rank_zero_lattice_is_just_h():
@@ -155,16 +153,6 @@ def test_dual_coefficients_agree_with_pairings(data):
         assert dual[i] == pairing(x, lat.basis_vector(i))
 
 
-def test_form_matrix_is_diagonal():
-    lat = AmbientLattice(3)
-    assert form_matrix(lat) == [
-        [1, 0, 0, 0],
-        [0, -1, 0, 0],
-        [0, 0, -1, 0],
-        [0, 0, 0, -1],
-    ]
-
-
 def test_complement_of_one_exceptional_class():
     lat = AmbientLattice(2)
     basis = orthogonal_complement_basis([lat.e(1)])
@@ -173,8 +161,8 @@ def test_complement_of_one_exceptional_class():
         assert pairing(v, lat.e(1)) == 0
         assert v.coeffs[1] == 0
     cols = [[v.coeffs[i] for v in basis] for i in range(lat.rank)]
-    assert integer_solve(cols, list(lat.h().coeffs)) is not None
-    assert integer_solve(cols, list(lat.e(2).coeffs)) is not None
+    assert smith_normal_form(cols).solve(list(lat.h().coeffs)) is not None
+    assert smith_normal_form(cols).solve(list(lat.e(2).coeffs)) is not None
 
 
 def test_complement_of_family_configuration():
@@ -186,7 +174,7 @@ def test_complement_of_family_configuration():
             assert pairing(v, u) == 0
     target = cfg.lattice.vector([23, -12] + [-6] * 10)
     cols = [[v.coeffs[i] for v in basis] for i in range(cfg.lattice.rank)]
-    assert integer_solve(cols, list(target.coeffs)) is not None
+    assert smith_normal_form(cols).solve(list(target.coeffs)) is not None
 
 
 @given(vector_pairs(count=2))

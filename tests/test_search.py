@@ -98,8 +98,6 @@ def test_cap_refused_before_enumeration():
     assert exc.value.cap == 10
     with pytest.raises(DomainError):
         search(template, cap=0)
-    with pytest.raises(DomainError):
-        search(template, jobs=0)
     assert DEFAULT_CAP >= 3125
 
 
@@ -118,37 +116,10 @@ def test_search_matches_brute_force_on_small_boxes(n, bound):
     assert {cfg.classes[0].coeffs for cfg in hits} == brute_force_single_class(n, bound)
 
 
-def test_search_is_deterministic_and_parallel_safe():
+def test_search_is_deterministic():
     template = SearchTemplate.uniform(5, 2, 2)
     single = search(template)
     assert search(template) == single
-    assert search(template, jobs=2) == single
-
-
-def test_jobs_bounded_before_any_process_starts(monkeypatch):
-    """The pool size is min(jobs, CPU count, tasks); no process is started."""
-    seen = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            seen.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
-    template = SearchTemplate.uniform(5, 2, 2)  # 5 values of the first coordinate
-    single = search(template)
-    for cpus, workers in ((2, 2), (None, 1), (64, 5)):
-        monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
-        assert search(template, jobs=10**9) == single
-        assert seen[-1] == workers
 
 
 @pytest.mark.parametrize(
@@ -193,8 +164,8 @@ def test_corrupted_hit_raises_consistency_error(monkeypatch):
     """A hit the verifier rejects is an enumerator bug, not a user error."""
     enumerate_placement = search_module._enumerate_placement
 
-    def corrupted(template, placement, first_slice=None):
-        hits = enumerate_placement(template, placement, first_slice)
+    def corrupted(template, placement):
+        hits = enumerate_placement(template, placement)
         pl, tail = hits[0]
         return [(pl, (tail[0] + 1,) + tail[1:])] + hits[1:]
 
@@ -247,8 +218,8 @@ def test_probe_script_labels_shaped_and_uniform_alike():
     spec = spec_from_file_location("probe_open_range", path)
     script = module_from_spec(spec)
     spec.loader.exec_module(script)
-    uniform = script.probe(11, "3-chain", 1, DEFAULT_CAP, 1)
-    shaped = script.probe(11, "3-chain", None, DEFAULT_CAP, 1)
+    uniform = script.probe(11, "3-chain", 1, DEFAULT_CAP)
+    shaped = script.probe(11, "3-chain", None, DEFAULT_CAP)
     assert uniform["status"] == shaped["status"] == "ok"
     assert uniform["label"] == shaped["label"] == FamilySearchReport.label
     assert "homological only" in shaped["label"]

@@ -12,7 +12,6 @@ from rbdcalc.chains import intersection_matrix, standard_configuration
 from rbdcalc.errors import ConsistencyError
 from rbdcalc.snf import (
     det,
-    integer_solve,
     kernel_basis,
     matmul,
     smith_normal_form,
@@ -136,14 +135,14 @@ def test_integer_solve_round_trip(mat, data):
         st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
     )
     rhs = [sum(row[j] * x[j] for j in range(cols)) for row in mat]
-    sol = integer_solve(mat, rhs)
+    sol = smith_normal_form(mat).solve(rhs)
     assert sol is not None
     assert [sum(row[j] * sol[j] for j in range(cols)) for row in mat] == rhs
 
 
 def test_integer_solve_detects_unsolvable_systems():
-    assert integer_solve([[2]], [1]) is None
-    assert integer_solve([[1], [1]], [1, 2]) is None
+    assert smith_normal_form([[2]]).solve([1]) is None
+    assert smith_normal_form([[1], [1]]).solve([1, 2]) is None
 
 
 def test_solve_rational_example():
