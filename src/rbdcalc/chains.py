@@ -26,6 +26,7 @@ from .errors import (
     LatticeMismatchError,
 )
 from .lattice import AmbientLattice, ClassVector, pairing, strict_int
+from .snf import SNFResult, det, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -196,6 +197,27 @@ class CpConfiguration:
 def intersection_matrix(classes: Sequence[ClassVector]) -> list[list[int]]:
     """Gram matrix of the given classes under the ambient pairing."""
     return [[pairing(x, y) for y in classes] for x in classes]
+
+
+@lru_cache(maxsize=32)
+def cp_gram(p: int) -> tuple[tuple[int, ...], ...]:
+    """The C_p Gram matrix: every verified configuration's Gram matrix, entry for entry."""
+    return tuple(
+        tuple(expected_square(i + 1, p) if i == j else int(abs(i - j) == 1) for j in range(p - 1))
+        for i in range(p - 1)
+    )
+
+
+@lru_cache(maxsize=32)
+def cp_smith(p: int) -> SNFResult:
+    """Smith normal form of cp_gram(p), with its transforms."""
+    return smith_normal_form(cp_gram(p))
+
+
+@lru_cache(maxsize=32)
+def cp_det(p: int) -> int:
+    """Determinant of cp_gram(p)."""
+    return det(cp_gram(p))
 
 
 def lens_space_cf(p: int) -> list[int]:

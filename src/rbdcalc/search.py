@@ -19,8 +19,9 @@ each other.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import isqrt, perm
+from math import isqrt, perm, prod
 
 from .chains import CpConfiguration
 from .errors import ConsistencyError, DomainError, InputTypeError
@@ -231,10 +232,10 @@ def estimate_search_space(template: SearchTemplate) -> int:
     bounds = template.tail_bounds
 
     def box(placement: tuple[int, ...]) -> int:
+        # one power per distinct bound: a product of one factor per free
+        # coordinate costs time quadratic in their number
         free, _run, _end, t_range = _placement_geometry(template, placement)
-        total = 1
-        for i in free:
-            total *= 2 * bounds[i] + 1
+        total = prod(pow(2 * b + 1, k) for b, k in Counter(bounds[i] for i in free).items())
         return total * len(t_range) if p > 2 else total
 
     if template.body_shape == "free-pairs" and not template.symmetry_reduction and p > 2:

@@ -1,8 +1,8 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra.
 
-Everything here is pure Python over int / fractions.Fraction, so results are
-exact at any size. The Smith normal form keeps both unimodular transforms and
-uses a fixed pivot rule, which makes every output byte-for-byte reproducible:
+Everything here is pure Python over int, so results are exact at any size.
+The Smith normal form keeps both unimodular transforms and uses a fixed
+pivot rule, which makes every output byte-for-byte reproducible:
 
   * pivot = smallest nonzero |entry| in the working submatrix, ties broken
     row-major (first by row, then by column);
@@ -12,7 +12,6 @@ uses a fixed pivot rule, which makes every output byte-for-byte reproducible:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConsistencyError
 
@@ -213,25 +212,3 @@ def kernel_basis(mat) -> list[list[int]]:
     s = smith_normal_form(mat)
     return [[s.v[i][j] for i in range(cols)] for j in range(s.rank, cols)]
 
-
-def solve_rational(mat, rhs) -> list[Fraction]:
-    """Solve the square system M x = rhs exactly over the rationals.
-
-    Raises ConsistencyError if M is singular.
-    """
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
-    if any(len(row) != n + 1 for row in a):
-        raise ConsistencyError("solve_rational needs a square matrix")
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ConsistencyError("singular matrix in exact solve")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blowdown import AmbientManifoldData
-from .chains import CpConfiguration, intersection_matrix
+from .chains import CpConfiguration, cp_smith
 from .errors import ConsistencyError, LatticeMismatchError, PreconditionError
 from .lattice import ClassVector, is_characteristic, pairing
-from .snf import smith_normal_form, solve_rational
 
 
 @dataclass(frozen=True)
@@ -174,24 +173,26 @@ def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> Restr
     k^T Q^{-1} k must equal 1 - p, and the class of k in coker(Q), a cyclic
     group of order p^2, is reported as residue = m p with m's parity compared
     against p - 1 (mod 2) under the fixed normal-form convention.
+    Both come from the cached Smith form D = U Q V of the C_p matrix:
+    x = V D^{-1} U k solves Q x = k, and p^2 x is an integer vector.
     """
     if k.k.lattice != cfg.lattice:
         raise LatticeMismatchError("lift and configuration lattices differ")
-    q = intersection_matrix(cfg.classes)
     kv = [pairing(k.k, u) for u in cfg.classes]
-    y = solve_rational(q, kv)
-    sq = sum(Fraction(a) * b for a, b in zip(kv, y))
     expected = 1 - cfg.p
 
-    s = smith_normal_form(q)
+    s = cp_smith(cfg.p)
     # coker(Q) = sum Z/d_i via x -> (U x)_i mod d_i; chains give (1,...,1,p^2)
-    ux = [sum(s.u[i][j] * kv[j] for j in range(len(kv))) for i in range(len(kv))]
+    ux = [sum(a * b for a, b in zip(row, kv)) for row in s.u]
     p2 = cfg.p * cfg.p
     last = s.diagonal[-1]
     if last != p2:
         raise ConsistencyError(
             f"configuration cokernel is not Z/p^2: divisors {s.diagonal}"
         )
+    xs = [y * (p2 // d) for y, d in zip(ux, s.diagonal)]
+    vx = [sum(a * b for a, b in zip(row, xs)) for row in s.v]  # p^2 Q^{-1} k
+    sq = Fraction(sum(a * b for a, b in zip(kv, vx)), p2)
     residue = ux[-1] % p2
     divisible = residue % cfg.p == 0
     m = residue // cfg.p if divisible else None

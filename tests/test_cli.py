@@ -1,7 +1,9 @@
 """End-to-end runs of the command line interface."""
 
+import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -14,10 +16,14 @@ from hypothesis import strategies as st
 
 import rbdcalc
 from rbdcalc import cli
+from rbdcalc.families import FIXTURE_CASES, family_h1_witness
 from rbdcalc.search import BODY_SHAPES, SearchTemplate, family_question_dimensions, search
 
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
 A3 = FIXTURES / "family1" / "a3.json"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+# relative to the repository root, so the fixture paths echoed in reports are stable
+REL_FIXTURES = "src/rbdcalc/fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +287,14 @@ def test_search_cap_exit(capsys, tmp_path):
     assert err.startswith("rbdcalc: estimated search space at least 2^15849 exceeds cap")
 
 
+def test_search_refuses_a_wide_box(capsys, tmp_path):
+    """3^200000 points: the estimate is one power, so the refusal is quick."""
+    wide = write_config(tmp_path, {"n": 200_000, "p": 2, "tail_bounds": 1})
+    code, out, err = run_cli(capsys, "search", "--template", wide)
+    assert (code, out) == (1, "")
+    assert err.startswith("rbdcalc: estimated search space at least 2^316992 exceeds cap")
+
+
 def test_search_rejects_malformed_template(capsys, tmp_path):
     template = write_config(tmp_path, {"p": 2})
     assert run_cli(capsys, "search", "--template", template)[0] == 2
@@ -393,6 +407,102 @@ def test_reproduce_writes_report_directory(capsys, tmp_path):
     assert summary["all_passed"] is True
 
 
+def golden_runs():
+    """(name, argv) of the runs whose stdout digests are pinned below."""
+    yield "reproduce-paper", ["reproduce-paper", "--fixtures", REL_FIXTURES]
+    for case in FIXTURE_CASES:
+        tag = f"family{case.family}/a{case.a}"
+        path = f"{REL_FIXTURES}/{tag}.json"
+        data = json.loads((REPO_ROOT / path).read_text())
+        k, h = data["K"], json.dumps(data["H"])
+        delta = json.dumps(list(family_h1_witness(case.a, case.family).coeffs))
+        yield f"verify-config {tag}", ["verify-config", path]
+        yield f"sw {tag}", ["sw", "--config", path, "--K", json.dumps(k), "--H", h]
+        yield f"sw -K {tag}", ["sw", "--config", path, "--K", json.dumps([-c for c in k]), "--H", h]
+        yield f"blowdown --delta {tag}", ["blowdown", path, "--delta", delta]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sha256 of stdout, run from the repository root; every run exits 0
+GOLDEN_STDOUT = {
+    "reproduce-paper": "de0099e4ad7a9218ff76f703cc3cb3315e80ca4ac56a2f197c6facaff59f1e76",
+    "verify-config family1/a3": "d1be4a36209536117e02bffea24befac02069d578a10ff486d3e2c9474ae1c0d",
+    "sw family1/a3": "e87d4026b25c7c1018023e2204aba200335c93b79f15a1aab1237c6dd05799ff",
+    "sw -K family1/a3": "4dbc17637f3479922861e9769bb07abdbe85e527f787aff3ac4cde3bc5ee4e08",
+    "blowdown --delta family1/a3": "7e65fb1bb91a7e5c067e5466064e824a3dcc134b3d79916b4ca25393ef095360",
+    "verify-config family1/a4": "36c440d1504f228d001765cb3d93b1c4eea7b79c3f191def6c8a8a9ed8182157",
+    "sw family1/a4": "651b0888b0fc35190dd6a548cac7a08d163084d5a4f7dc164776839f4904af71",
+    "sw -K family1/a4": "a7fd3d07cc916a43b14e7c28abfddf803a3cfa962d7705846dc83df4cdacfc99",
+    "blowdown --delta family1/a4": "df25f69785d94630f3679cf4020258b53faf6106d1814779951462ed43d17a7d",
+    "verify-config family1/a5": "57317ef3f526870e6c3d031af9182e29999966fbe758c0a1cb3dfb7bdd96b464",
+    "sw family1/a5": "26baeb21e14d25b1381b04d2959390079860750622c12ca4dd55c7931afc9f2a",
+    "sw -K family1/a5": "05d078c90f7a3a177abf2052d849b2e5bb5501ae58f76e7bb4ef1f5013a69e7f",
+    "blowdown --delta family1/a5": "6b01b5f538ea80fca48411f248a60b367c2135789960cf469b5ea1f5ccf53a75",
+    "verify-config family1/a6": "4d68be39ca0e1154f9fc95cbbc2b044e24ba2a5ef97903388519abbe0a92c456",
+    "sw family1/a6": "f5c4068aecb8d45c14543c93ed0ba72844735e39eaf9dc8c68df4ec702bca566",
+    "sw -K family1/a6": "0a6dc547abcb0e2a85b1bed1af0d2ece53bd7eb7527319bf0f85fa0c49d707ad",
+    "blowdown --delta family1/a6": "7ed1b22d70bf4c64196eb87f5ef5cf3197ca270bd1da7696a95f778ef6dbb922",
+    "verify-config family1/a7": "6500871c3f1aca3b77ad282e55608dc5f0476664856fb67449abdedcfe47aad6",
+    "sw family1/a7": "7fb81d4f999149f795a2ca44dbf440181e554556d5e26f177888a406b08ef21e",
+    "sw -K family1/a7": "118cf3921c8f479f17ae180903f37b09b65172cb59ac0209a89ea0fb1c4b42e3",
+    "blowdown --delta family1/a7": "6c58f3150ffd629381ed1855f1e12a9f535ab35910c19d0d3fba92d0eb594bce",
+    "verify-config family2/a3": "57e05589bf93e1c88a36d89abdbce1710653e43e899707bf984d4e356f01a8e9",
+    "sw family2/a3": "8e8918d3fd903df16a35ee93924a972a012f37c85051827ebb5a50274de40463",
+    "sw -K family2/a3": "a3c100bca47a0f3698f0b8ffcdf3078bffa8dfdd26daf2c0d350dccf9b7067fa",
+    "blowdown --delta family2/a3": "123e4a9ef6f7f25463672ee7c4f62c267fdfca2cc53c3169ce1dcda600b17b41",
+    "verify-config family2/a4": "822b80ce84cf61a54efa97331ca62c79e2f4781d3237e8d76b3c59dbed22c8ee",
+    "sw family2/a4": "ed2cfc1bdb67739ff9800e1709c65d1bcc3977be0157ccddd079b3c6daf87223",
+    "sw -K family2/a4": "951c84071bcf3f14c52f2e7e5e8e49b9cbc9c744c0a9ccd23a82e1352ab8a95c",
+    "blowdown --delta family2/a4": "dee60b100def32a1b16afa919893cc695fb526a673358c1c730ffeb959dbe9e9",
+    "verify-config family2/a5": "bea3ae4d3bc987351c11d3764f2851680a90f96bfb85cdf62f67c39acfae7143",
+    "sw family2/a5": "e84fa4d3793ee647c90d3123b3429bb355a98fab446487d2401bbb423c74cc40",
+    "sw -K family2/a5": "80cd8ea9e9e99e689ef7715bd46990e10956f89c527807fbaa2065f5555e9e8e",
+    "blowdown --delta family2/a5": "c0110cdcbbf486c0bbe76513f42c1aaf4aea7329cc4fe5bbd63ebc060faf487a",
+    "verify-config family2/a6": "4837eb36189d8bafbeebaeef1d0445ffe96c3eee71b36a1f51868253d275366c",
+    "sw family2/a6": "b184ff29bc017f2e2dd03d78f80a286c4521c7eac30885ba9caa4821a09e0c02",
+    "sw -K family2/a6": "d2e76bb230be982d93a6a3196699c356b0520e32ef41985d34db770285e294f1",
+    "blowdown --delta family2/a6": "42a1ac8a1b73a1d808e15bc26e7c80a05f59ff3e0017ffaf3df0b13fc2e2fb84",
+}
+
+# sha256 of the per-case files written by reproduce-paper --out
+GOLDEN_REPORT_FILES = {
+    "family1_a3.json": "682f3d1220247a073ed2ad2a636373241d20fbc89dffa0101a64a7ed308c5801",
+    "family1_a4.json": "73119827ad67f538c7a43feaf8a1d0010fd2356ff3fdb9e95b14197b8cd68eea",
+    "family1_a5.json": "172796dab17017320100b07b75966939bccade6363f98824195a663ea0498b1b",
+    "family1_a6.json": "d277a3d43686f7dc5785752cdb9ace2a1f960c928af819cfec55dd7b488d5a34",
+    "family1_a7.json": "4b753041858cb7061a80c70f6d6b39f919cb1ec5b32d173a212399e8a5e2918c",
+    "family2_a3.json": "4d0eccaf1d1bce5d7af4301217bdb2443da10e8feb1530e455229d1a7f8d27d4",
+    "family2_a4.json": "93292ce621dad79ffa6924c3b0bc1ac427b40a2ea601c0494a2c55712f5b758c",
+    "family2_a5.json": "32771c74c806b7159c2c4e1ad7a50fbed40a339e86e3415ab95d48f2ee035e54",
+    "family2_a6.json": "28655b7fb87cc7a08b4e5cffb9b2694ea31977eabc6c86550eac706534f212c8",
+}
+
+
+@pytest.mark.parametrize("name, argv", [pytest.param(*run, id=run[0]) for run in golden_runs()])
+def test_stdout_matches_golden_digest(capsys, monkeypatch, name, argv):
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sha256(out) == GOLDEN_STDOUT[name]
+
+
+def test_report_files_match_golden_digests(capsys, monkeypatch, tmp_path):
+    """summary.json is stdout, which differs from the golden run only in the
+    echoed --out; the per-case files carry no output path at all."""
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, _ = run_cli(capsys, "reproduce-paper", "--fixtures", REL_FIXTURES, "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "summary.json").read_text() == out
+    echoed = f'"out": {json.dumps(str(tmp_path))}'
+    assert out.count(echoed) == 1
+    assert sha256(out.replace(echoed, '"out": null')) == GOLDEN_STDOUT["reproduce-paper"]
+    files = {f.name: sha256(f.read_text()) for f in tmp_path.iterdir() if f.name != "summary.json"}
+    assert files == GOLDEN_REPORT_FILES
+
+
 def test_reproduce_detects_corrupted_fixture(capsys, tmp_path):
     root = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, root)
@@ -475,9 +585,16 @@ def test_main_reuses_one_parser(capsys, monkeypatch, tmp_path):
     assert len(built) == 1
 
 
+def child_env() -> dict:
+    """This environment, with the imported rbdcalc first on PYTHONPATH."""
+    src = str(Path(rbdcalc.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+
+
 def test_import_loads_no_multiprocessing():
     code = "import sys, rbdcalc.cli; print('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
@@ -486,6 +603,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "rbdcalc.cli", "verify-config", str(A3)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True

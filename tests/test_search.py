@@ -90,6 +90,16 @@ def test_estimate_for_uniform_box():
     assert estimate_search_space(SearchTemplate.uniform(5, 2, 2)) == 3125
 
 
+def test_estimate_groups_free_coordinates_by_bound():
+    """One power per distinct bound: a wide box is sized without a product of
+    one factor per coordinate, and mixed bounds give the same integer."""
+    wide = SearchTemplate.from_json({"n": 200_000, "p": 2, "tail_bounds": 1})
+    assert estimate_search_space(wide) == 3**200_000
+    bounds = (4, 2, 0, 1, 2, 3, 1, 0, 2)
+    mixed = SearchTemplate(n=8, p=2, tail_bounds=bounds)
+    assert estimate_search_space(mixed) == 5 * 3 * 5 * 7 * 3 * 5
+
+
 def test_cap_refused_before_enumeration():
     template = SearchTemplate.uniform(5, 2, 2)
     with pytest.raises(SearchCapExceeded) as exc:

@@ -1,7 +1,6 @@
 """Smith normal form and the exact linear algebra built on it."""
 
 import math
-from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -9,13 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbdcalc.chains import intersection_matrix, standard_configuration
-from rbdcalc.errors import ConsistencyError
 from rbdcalc.snf import (
     det,
     kernel_basis,
     matmul,
     smith_normal_form,
-    solve_rational,
 )
 
 entries = st.integers(min_value=-30, max_value=30)
@@ -143,18 +140,6 @@ def test_integer_solve_round_trip(mat, data):
 def test_integer_solve_detects_unsolvable_systems():
     assert smith_normal_form([[2]]).solve([1]) is None
     assert smith_normal_form([[1], [1]]).solve([1, 2]) is None
-
-
-def test_solve_rational_example():
-    assert solve_rational([[2, 1], [1, 3]], [1, 0]) == [
-        Fraction(3, 5),
-        Fraction(-1, 5),
-    ]
-
-
-def test_solve_rational_rejects_singular_matrix():
-    with pytest.raises(ConsistencyError):
-        solve_rational([[1, 1], [2, 2]], [1, 0])
 
 
 def test_smith_form_is_deterministic():

@@ -4,9 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbdcalc.blowdown import AmbientManifoldData
-from rbdcalc.chains import CpConfiguration, standard_configuration
+from rbdcalc.chains import (
+    CpConfiguration,
+    cp_smith,
+    intersection_matrix,
+    standard_configuration,
+)
 from rbdcalc.errors import (
     ConsistencyError,
     LatticeMismatchError,
@@ -18,6 +25,7 @@ from rbdcalc.families import (
     family_period_point,
 )
 from rbdcalc.lattice import AmbientLattice, pairing
+from rbdcalc.snf import smith_normal_form
 from rbdcalc.sw import (
     CharacteristicData,
     PeriodPoint,
@@ -170,6 +178,84 @@ def test_restriction_report_for_smallest_family_case():
     assert report.convention_dependent
     payload = report.to_json()
     assert payload["square"] == [-2, 1]
+
+
+def fraction_solve(mat, rhs):
+    """Oracle: Gauss-Jordan elimination over the rationals, for a regular M."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def oracle_restriction(k, cfg):
+    """(square, residue, m, gram_divisors) from the configuration's own Gram
+    matrix: a rational solve of Q x = k and a fresh Smith normal form."""
+    q = intersection_matrix(cfg.classes)
+    kv = [pairing(k.k, u) for u in cfg.classes]
+    square = sum(a * b for a, b in zip(kv, fraction_solve(q, kv)))
+    s = smith_normal_form(q)
+    p2 = cfg.p * cfg.p
+    residue = sum(a * b for a, b in zip(s.u[-1], kv)) % p2
+    m = residue // cfg.p if residue % cfg.p == 0 else None
+    return square, residue, m, s.diagonal
+
+
+def move(coeffs, target, signs):
+    """e_i -> signs[i-1] e_{target[i-1]}: an isometry fixing h."""
+    row = [coeffs[0]] + [0] * (len(coeffs) - 1)
+    for c, t, sign in zip(coeffs[1:], target, signs):
+        row[t] = sign * c
+    return row
+
+
+def signed_permutation(cfg, target, signs):
+    lat = cfg.lattice
+    return CpConfiguration(cfg.p, tuple(lat.vector(move(u.coeffs, target, signs)) for u in cfg.classes))
+
+
+@st.composite
+def chains_and_lifts(draw, p):
+    """A signed permutation of the standard C_p in n >= p - 1, and an odd K on
+    it: any, or h - e_1 - ... - e_{p-1} (admissible) on the chain's indices."""
+    n = draw(st.integers(p - 1, p + 2))
+    odd = st.integers(-7, 6).map(lambda c: 2 * c + 1)
+    coeffs = draw(st.lists(odd, min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        coeffs[:p] = [1] + [-1] * (p - 1)
+    target = draw(st.permutations(range(1, n + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    cfg = signed_permutation(standard_configuration(p, n), target, signs)
+    return cfg, CharacteristicData(cfg.lattice.vector(move(coeffs, target, signs)))
+
+
+@pytest.mark.parametrize("p", range(2, 26))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_restriction_matches_rational_solve_oracle(p, data):
+    """The cached C_p Smith form gives the same square, residue, m and
+    divisors as solving with the configuration's own Gram matrix."""
+    cfg, k = data.draw(chains_and_lifts(p))
+    report = restriction_conditions(k, cfg)
+    square, residue, m, divisors = oracle_restriction(k, cfg)
+    assert report.square == square
+    assert report.square_ok == (square == 1 - p)
+    assert (report.residue, report.m, report.gram_divisors) == (residue, m, divisors)
+
+
+@pytest.mark.parametrize("p", range(2, 26))
+def test_cached_smith_form_is_the_chain_gram_smith_form(p):
+    cfg = standard_configuration(p, p + 1)
+    moved = signed_permutation(cfg, list(range(p + 1, 0, -1)), [(-1) ** i for i in range(p + 1)])
+    for chain in (cfg, moved):
+        assert cp_smith(p) == smith_normal_form(intersection_matrix(chain.classes))
 
 
 @pytest.mark.parametrize("a, family", NINE_CASES)
