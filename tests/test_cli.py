@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import rbdcalc
 from rbdcalc import cli
-from rbdcalc.families import FIXTURE_CASES, family_h1_witness
+from rbdcalc.chains import standard_configuration
+from rbdcalc.families import FIXTURE_CASES, family_configuration, family_h1_witness
 from rbdcalc.search import BODY_SHAPES, SearchTemplate, family_question_dimensions, search
 
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
@@ -407,6 +408,14 @@ def test_reproduce_writes_report_directory(capsys, tmp_path):
     assert summary["all_passed"] is True
 
 
+# configurations the golden runs read from their working directory, written from the library
+GENERATED_CONFIGS = {
+    "family1_a11.json": lambda: family_configuration(11, 1).to_json(),
+    "standard_p5_n6.json": lambda: standard_configuration(5, n=6).to_json(),
+    "violation.json": lambda: {"p": 3, "n": 3, "classes": [[0, 1, -1, 0], [0, 1, 1, 1]]},
+}
+
+
 def golden_runs():
     """(name, argv) of the runs whose stdout digests are pinned below."""
     yield "reproduce-paper", ["reproduce-paper", "--fixtures", REL_FIXTURES]
@@ -420,13 +429,30 @@ def golden_runs():
         yield f"sw {tag}", ["sw", "--config", path, "--K", json.dumps(k), "--H", h]
         yield f"sw -K {tag}", ["sw", "--config", path, "--K", json.dumps([-c for c in k]), "--H", h]
         yield f"blowdown --delta {tag}", ["blowdown", path, "--delta", delta]
+        yield f"blowdown {tag}", ["blowdown", path]
+    a3 = f"{REL_FIXTURES}/family1/a3.json"
+    h = json.dumps(json.loads((REPO_ROOT / a3).read_text())["H"])
+    yield "blowdown --delta h family1/a3", ["blowdown", a3, "--delta", json.dumps([1] + [0] * 11)]
+    negative_k = json.dumps([3, -3, 1] + [-1] * 9)
+    yield "sw negative-dimension family1/a3", ["sw", "--config", a3, "--K", negative_k, "--H", h]
+    for name in GENERATED_CONFIGS:
+        command = "verify-config" if name == "violation.json" else "blowdown"
+        yield f"{command} {name}", [command, name]
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# sha256 of stdout, run from the repository root; every run exits 0
+# exit code of the golden runs that do not exit 0
+GOLDEN_EXIT = {
+    "blowdown --delta h family1/a3": 1,
+    "blowdown standard_p5_n6.json": 1,
+    "verify-config violation.json": 1,
+}
+
+# sha256 of stdout, run from the repository root (from the directory holding
+# GENERATED_CONFIGS for the runs that read one)
 GOLDEN_STDOUT = {
     "reproduce-paper": "de0099e4ad7a9218ff76f703cc3cb3315e80ca4ac56a2f197c6facaff59f1e76",
     "verify-config family1/a3": "d1be4a36209536117e02bffea24befac02069d578a10ff486d3e2c9474ae1c0d",
@@ -465,6 +491,20 @@ GOLDEN_STDOUT = {
     "sw family2/a6": "b184ff29bc017f2e2dd03d78f80a286c4521c7eac30885ba9caa4821a09e0c02",
     "sw -K family2/a6": "d2e76bb230be982d93a6a3196699c356b0520e32ef41985d34db770285e294f1",
     "blowdown --delta family2/a6": "42a1ac8a1b73a1d808e15bc26e7c80a05f59ff3e0017ffaf3df0b13fc2e2fb84",
+    "blowdown family1/a3": "75fc54de2fc13e2ba4813c353c68d616dfaf7595544df25792495d792c4cd9f0",
+    "blowdown family1/a4": "06dfed744702e65175b184ebf667e6565adfe237b0b9990749c50d28f6e293d2",
+    "blowdown family1/a5": "8b83b2472ec5113ef3222abf2a2ee373d889d49a924673795b05a29b64fc70dc",
+    "blowdown family1/a6": "6c75b95e03c0c49551544ad32284384793fe4424add59b504134c96d19606da2",
+    "blowdown family1/a7": "6a8581cbe2ded2245e5884f95db9fdb1185d68e0acd030accd63b81f680cd8e2",
+    "blowdown family2/a3": "fa3d0f89dc6780a82d2e4a128885502fbdab65f65be8866c471f0577f89cd371",
+    "blowdown family2/a4": "0c974ab010f73b69d49c890f2af832894b71f7605d3e23fd23dac5cd6c96da0f",
+    "blowdown family2/a5": "71fd18fccc7c51cb1aa2fe360237b612f11131142df29df43b6a48a48b0fc434",
+    "blowdown family2/a6": "63ae3419a0ef9ac3a879117d0800c381bfacde960cdd7c6a7eed954967130fbf",
+    "blowdown --delta h family1/a3": "bf1fd9dfdf50deef0dea33a762d8a3994a8f604b733875d8a69254e04752cf37",
+    "sw negative-dimension family1/a3": "879b0d8e1244472c39032ed1e00f455de94cf3a11050fbd97cd21b2e3a1b318e",
+    "blowdown family1_a11.json": "be52bc47b082cc4241ee128cc55673611cc2a3ff845c148b0e8de7873f4fdb38",
+    "blowdown standard_p5_n6.json": "8b7361675e705637ce1b70b757365bb31aaa0b62dbb6186938f61f33493600c8",
+    "verify-config violation.json": "e42f9450afaff0e4aa8bc0abc6de149e2e73f024c81039aaa54a13370777b295",
 }
 
 # sha256 of the per-case files written by reproduce-paper --out
@@ -482,10 +522,13 @@ GOLDEN_REPORT_FILES = {
 
 
 @pytest.mark.parametrize("name, argv", [pytest.param(*run, id=run[0]) for run in golden_runs()])
-def test_stdout_matches_golden_digest(capsys, monkeypatch, name, argv):
-    monkeypatch.chdir(REPO_ROOT)
+def test_stdout_matches_golden_digest(capsys, monkeypatch, tmp_path, name, argv):
+    generated = [arg for arg in argv if arg in GENERATED_CONFIGS]
+    monkeypatch.chdir(tmp_path if generated else REPO_ROOT)
+    for arg in generated:
+        (tmp_path / arg).write_text(json.dumps(GENERATED_CONFIGS[arg]()))
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == GOLDEN_EXIT.get(name, 0)
     assert sha256(out) == GOLDEN_STDOUT[name]
 
 
