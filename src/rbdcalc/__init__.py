@@ -4,8 +4,8 @@ The pieces: the ambient lattice Z^{1,n} with its Lorentzian pairing
 (`lattice`), exact integer matrix algebra (`snf`), chain configurations C_p
 and their verification (`chains`), blowdown invariants and certificates
 (`blowdown`), wall-crossing values (`sw`), bounded configuration search
-(`search`), the two bundled families (`families`), and the `rbdcalc` CLI
-(`cli`).
+(`search`), the two bundled families (`families`), the one JSON encoder of
+the report dataclasses (`report`), and the `rbdcalc` CLI (`cli`).
 """
 
 __version__ = "0.1.0"

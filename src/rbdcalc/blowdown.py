@@ -10,7 +10,8 @@ controlled by bookkeeping plus two certificates:
     connected 4-manifold has signature divisible by 16) or an explicit
     odd-square class orthogonal to the configuration.
 
-Both are deterministic, so reports are stable byte for byte.
+Both are deterministic, so reports are stable byte for byte. Each report
+is a `report.Report`: its JSON is its fields under their own names.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .lattice import (
     pairing,
     strict_int,
 )
+from .report import Report
 from .snf import smith_normal_form
 
 
@@ -56,23 +58,15 @@ class AmbientManifoldData:
 
 
 @dataclass(frozen=True)
-class BlowdownInvariants:
+class BlowdownInvariants(Report):
     b2_plus: int
     b2_minus: int
     euler: int
     signature: int
 
-    def to_json(self) -> dict:
-        return {
-            "b2_plus": self.b2_plus,
-            "b2_minus": self.b2_minus,
-            "euler": self.euler,
-            "signature": self.signature,
-        }
-
 
 @dataclass(frozen=True)
-class H1Certificate:
+class H1Certificate(Report):
     """Verdict on the first homology of the blowdown.
 
     verdict is "trivial" (with a witness), "nontrivial" (H1 = Z/order,
@@ -93,20 +87,14 @@ class H1Certificate:
     restriction_divisors: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "verdict": self.verdict,
-            "condition": self.condition,
-            "witness": None if self.witness is None else self.witness.to_json(),
-            "pairings": None if self.pairings is None else list(self.pairings),
-        }
-        if self.restriction_divisors is not None:
-            out["order"] = self.order
-            out["restriction_divisors"] = list(self.restriction_divisors)
+        out = super().to_json()
+        if self.restriction_divisors is None:
+            del out["order"], out["restriction_divisors"]
         return out
 
 
 @dataclass(frozen=True)
-class ParityReport:
+class ParityReport(Report):
     """Oddness certificate for the blowdown's intersection form.
 
     verdict: "odd", "even-possible" (no certificate found; no claim either
@@ -117,14 +105,6 @@ class ParityReport:
     route: str | None            # "signature-mod-16" | "odd-square-orthogonal-vector"
     witness: ClassVector | None
     witness_square: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "route": self.route,
-            "witness": None if self.witness is None else self.witness.to_json(),
-            "witness_square": self.witness_square,
-        }
 
 
 def blowdown_invariants(x: AmbientManifoldData, cfg: CpConfiguration) -> BlowdownInvariants:
@@ -278,7 +258,7 @@ def handle_counts_after_blowdown(h2: int, h3: int) -> tuple[int, int, int, int, 
 
 
 @dataclass(frozen=True)
-class BlowdownReport:
+class BlowdownReport(Report):
     """Full outcome bundle for one blowdown, as emitted by the CLI."""
 
     invariants: BlowdownInvariants
@@ -286,15 +266,6 @@ class BlowdownReport:
     parity: ParityReport
     homeo_type: str | None
     handle_counts: tuple[int, int, int, int, int] | None
-
-    def to_json(self) -> dict:
-        return {
-            "invariants": self.invariants.to_json(),
-            "h1": self.h1.to_json(),
-            "parity": self.parity.to_json(),
-            "homeo_type": self.homeo_type,
-            "handle_counts": None if self.handle_counts is None else list(self.handle_counts),
-        }
 
 
 def full_blowdown_report(

@@ -26,11 +26,12 @@ from .errors import (
     LatticeMismatchError,
 )
 from .lattice import AmbientLattice, ClassVector, pairing, strict_int
+from .report import Report
 from .snf import SNFResult, det, smith_normal_form
 
 
 @dataclass(frozen=True)
-class ChainViolation:
+class ChainViolation(Report):
     """First Gram defect found, indices 1-based in class order."""
 
     kind: str                 # "square" | "consecutive_pairing" | "distant_pairing"
@@ -38,31 +39,15 @@ class ChainViolation:
     expected: int
     actual: int
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "indices": list(self.indices),
-            "expected": self.expected,
-            "actual": self.actual,
-        }
-
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Report):
     """Outcome of verifying candidate classes against the C_p Gram matrix."""
 
     p: int
     ok: bool
     violation: ChainViolation | None
     squares: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "ok": self.ok,
-            "violation": None if self.violation is None else self.violation.to_json(),
-            "squares": list(self.squares),
-        }
 
 
 def expected_square(i: int, p: int) -> int:

@@ -10,6 +10,8 @@ whose class count is not p - 1).
 Every report carries the tool name and version plus a full echo of its
 inputs, so a report file alone is enough to re-run and re-check the claim.
 All JSON emitted on stdout is deterministic: keys sorted, no timestamps.
+A report's payload is its dataclass fields under their own names, encoded
+by rbdcalc.report.
 The search trailer, which includes wall time, goes to stderr.
 """
 from __future__ import annotations

@@ -27,6 +27,7 @@ from .chains import CpConfiguration
 from .errors import ConsistencyError, DomainError, InputTypeError
 from .errors import InvalidConfigurationError, SearchCapExceeded, TemplateError
 from .lattice import AmbientLattice, ClassVector, strict_int
+from .report import Report
 
 DEFAULT_CAP = 10_000_000
 
@@ -34,7 +35,7 @@ BODY_SHAPES = ("consecutive-differences", "free-pairs")
 
 
 @dataclass(frozen=True)
-class SearchTemplate:
+class SearchTemplate(Report):
     """Box description for a bounded configuration search."""
 
     n: int
@@ -78,15 +79,6 @@ class SearchTemplate:
             body_shape=body_shape,
             symmetry_reduction=symmetry_reduction,
         )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "tail_bounds": list(self.tail_bounds),
-            "body_shape": self.body_shape,
-            "symmetry_reduction": self.symmetry_reduction,
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchTemplate":
@@ -291,16 +283,6 @@ class FamilySearchReport:
     @property
     def count(self) -> int:
         return len(self.configurations)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "a": self.a,
-            "label": self.label,
-            "template": self.template.to_json(),
-            "count": self.count,
-            "configurations": [c.to_json() for c in self.configurations],
-        }
 
 
 FAMILY_QUESTION_KINDS = ("3-chain", "4-chain")

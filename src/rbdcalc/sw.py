@@ -25,6 +25,7 @@ from .blowdown import AmbientManifoldData
 from .chains import CpConfiguration, cp_smith
 from .errors import ConsistencyError, LatticeMismatchError, PreconditionError
 from .lattice import ClassVector, is_characteristic, pairing
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -108,15 +109,12 @@ def wall_crossing(
 
 
 @dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Report):
     """Pairings of a lift against the configuration, and whether they descend."""
 
     ok: bool
     pairings: tuple[int, ...]
     p: int
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "pairings": list(self.pairings), "p": self.p}
 
 
 def lift_admissible(k: CharacteristicData, cfg: CpConfiguration) -> AdmissibilityReport:
@@ -129,13 +127,14 @@ def lift_admissible(k: CharacteristicData, cfg: CpConfiguration) -> Admissibilit
 
 
 @dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(Report):
     """Arithmetic certificate for restricting a lift to the configuration.
 
     square_ok is the exact rational identity k^T Q^{-1} k = 1 - p. The coset
     data (residue, m, parity) is computed in the fixed normal-form convention
     and is flagged convention-dependent: the parity comparison is reported,
-    not claimed invariant.
+    not claimed invariant. square is the report's one Fraction; its JSON is
+    [numerator, denominator].
     """
 
     pairings: tuple[int, ...]
@@ -149,21 +148,6 @@ class RestrictionReport:
     m_parity_expected: int
     m_parity_matches: bool | None
     convention_dependent: bool
-
-    def to_json(self) -> dict:
-        return {
-            "pairings": list(self.pairings),
-            "square": [self.square.numerator, self.square.denominator],
-            "square_expected": self.square_expected,
-            "square_ok": self.square_ok,
-            "gram_divisors": list(self.gram_divisors),
-            "residue": self.residue,
-            "residue_divisible_by_p": self.residue_divisible_by_p,
-            "m": self.m,
-            "m_parity_expected": self.m_parity_expected,
-            "m_parity_matches": self.m_parity_matches,
-            "convention_dependent": self.convention_dependent,
-        }
 
 
 def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> RestrictionReport:
@@ -213,7 +197,7 @@ def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> Restr
 
 
 @dataclass(frozen=True)
-class SwOutcome:
+class SwOutcome(Report):
     """Value of the blowdown invariant plus the certificate chain behind it."""
 
     value: int
@@ -226,20 +210,6 @@ class SwOutcome:
     restriction: RestrictionReport
     exotic_certificate: bool
     note: str | None
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "d": self.d,
-            "base_value": self.base_value,
-            "base_sign": self.base_sign,
-            "target_sign": self.target_sign,
-            "branch": self.branch,
-            "admissibility": self.admissibility.to_json(),
-            "restriction": self.restriction.to_json(),
-            "exotic_certificate": self.exotic_certificate,
-            "note": self.note,
-        }
 
 
 def sw_on_blowdown(
