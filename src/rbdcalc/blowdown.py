@@ -257,6 +257,16 @@ def handle_counts_after_blowdown(h2: int, h3: int) -> tuple[int, int, int, int, 
     return (1, 0, h2 + 1, h3, 1)
 
 
+def handle_counts_from_data(data: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """The blowdown's handle tuple from recorded data: the complement's
+    (h2, h3), closed up by handle_counts_after_blowdown, or a full 5-tuple."""
+    if len(data) == 2:
+        return handle_counts_after_blowdown(strict_int(data[0], "h2"), strict_int(data[1], "h3"))
+    if len(data) == 5:
+        return tuple(strict_int(v, "handle count") for v in data)
+    raise DomainError("handle data must be (h2, h3) or a full 5-tuple")
+
+
 @dataclass(frozen=True)
 class BlowdownReport(Report):
     """Full outcome bundle for one blowdown, as emitted by the CLI."""
@@ -278,20 +288,10 @@ def full_blowdown_report(
     inv = blowdown_invariants(x, cfg)
     h1 = h1_certificate(x, cfg, delta=delta)
     parity, homeo = parity_and_homeo_type(x, cfg, h1)
-    counts = None
-    if handle_data is not None:
-        if len(handle_data) == 2:
-            counts = handle_counts_after_blowdown(
-                strict_int(handle_data[0], "h2"), strict_int(handle_data[1], "h3")
-            )
-        elif len(handle_data) == 5:
-            counts = tuple(strict_int(v, "handle count") for v in handle_data)
-        else:
-            raise DomainError("handle data must be (h2, h3) or a full 5-tuple")
     return BlowdownReport(
         invariants=inv,
         h1=h1,
         parity=parity,
         homeo_type=homeo,
-        handle_counts=counts,
+        handle_counts=None if handle_data is None else handle_counts_from_data(handle_data),
     )

@@ -22,6 +22,7 @@ from typing import Sequence
 from .errors import (
     ArityError,
     DomainError,
+    InputTypeError,
     InvalidConfigurationError,
     LatticeMismatchError,
 )
@@ -129,6 +130,31 @@ def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainRe
     return ChainReport(p=p, ok=violation is None, violation=violation, squares=squares)
 
 
+def parse_configuration(data) -> tuple[int, tuple[ClassVector, ...]]:
+    """The unverified (p, classes) of a {p, n, classes} payload.
+
+    Schema and type errors raise InputTypeError, a p below 2 DomainError and
+    a class count other than p - 1 ArityError. The Gram check is left to the
+    caller, which may report a failing one instead of raising it.
+    """
+    if not isinstance(data, dict):
+        raise InputTypeError("expected an object with p, n, classes")
+    for key in ("p", "n", "classes"):
+        if key not in data:
+            raise InputTypeError(f"missing key {key!r}")
+    lat = AmbientLattice(strict_int(data["n"], "n"))
+    rows = data["classes"]
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise InputTypeError("malformed class data: classes must be a list of coefficient lists")
+    classes = tuple(lat.vector(row) for row in rows)
+    p = strict_int(data["p"], "p")
+    if p < 2:
+        raise DomainError(f"need p >= 2, got p = {p}")
+    if len(classes) != p - 1:
+        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(classes)}")
+    return p, classes
+
+
 @dataclass(frozen=True)
 class CpConfiguration:
     """A verified C_p configuration.
@@ -169,9 +195,8 @@ class CpConfiguration:
 
     @classmethod
     def from_json(cls, data: dict) -> "CpConfiguration":
-        lat = AmbientLattice(strict_int(data["n"], "n"))
-        classes = tuple(lat.vector(row) for row in data["classes"])
-        return cls(p=strict_int(data["p"], "p"), classes=classes)
+        p, classes = parse_configuration(data)
+        return cls(p=p, classes=classes)
 
     @classmethod
     def load(cls, path) -> "CpConfiguration":

@@ -24,6 +24,7 @@ from rbdcalc.errors import (
     InputTypeError,
     InvalidConfigurationError,
     LatticeMismatchError,
+    RbdcalcError,
 )
 from rbdcalc.families import family_classes
 from rbdcalc.lattice import AmbientLattice
@@ -196,6 +197,22 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(__import__("json").dumps(payload))
     assert CpConfiguration.load(path) == cfg
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"p": 2, "classes": [[0, 1]]}, "missing key 'n'"),
+        ({"p": 2, "n": 1, "classes": 5}, "malformed class data"),
+        ({"p": 2, "n": 1, "classes": [5]}, "malformed class data"),
+        ([2, 1, [[0, 1]]], "expected an object with p, n, classes"),
+        ({"p": 3, "n": 2, "classes": [[0, 1, -1]]}, "C_3 needs exactly 2 classes, got 1"),
+    ],
+)
+def test_from_json_schema_errors_are_package_errors(payload, message):
+    """One parser behind from_json and the CLI: no bare KeyError or TypeError."""
+    with pytest.raises(RbdcalcError, match=message):
+        CpConfiguration.from_json(payload)
 
 
 def test_intersection_matrices():

@@ -173,7 +173,9 @@ def test_blowdown_has_no_witness_bound(capsys):
 
 
 def test_blowdown_rejects_bad_delta(capsys):
-    assert run_cli(capsys, "blowdown", str(A3), "--delta", "[1, 2]")[0] == 2
+    assert run_cli(capsys, "blowdown", str(A3), "--delta", "[1, 2]") == (
+        2, "", "rbdcalc: --delta: expected 12 coefficients (h first), got 2\n"
+    )
     assert run_cli(capsys, "blowdown", str(A3), "--delta", "nonsense")[0] == 2
     true_delta = json.dumps([0] * 9 + [True, -1, 0])
     assert run_cli(capsys, "blowdown", str(A3), "--delta", true_delta)[0] == 2
@@ -414,6 +416,40 @@ GENERATED_CONFIGS = {
     "standard_p5_n6.json": lambda: standard_configuration(5, n=6).to_json(),
     "violation.json": lambda: {"p": 3, "n": 3, "classes": [[0, 1, -1, 0], [0, 1, 1, 1]]},
 }
+
+
+@pytest.mark.parametrize("target", ["report.json", "report.json/sub"])
+def test_reproduce_out_on_a_file_is_a_usage_error(capsys, tmp_path, target):
+    """An --out that names a file, or a directory under one, exits 2 with a
+    message naming the path, not with a traceback."""
+    (tmp_path / "report.json").write_text("{}")
+    out_dir = str(tmp_path / target)
+    code, out, err = run_cli(capsys, "reproduce-paper", "--only", "a=3,family=1", "--out", out_dir)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"rbdcalc: cannot write reports to {out_dir}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("handles", [{"counts": [1]}, {"counts": []}, {"counts": [1, 0, 9, 2]}])
+def test_reproduce_fails_handles_with_a_short_counts_list(capsys, tmp_path, handles):
+    """Recorded counts go through the library's handle reader, which needs
+    (h2, h3) or a full 5-tuple."""
+    root = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, root)
+    target = root / "family1" / "a3.json"
+    data = json.loads(target.read_text())
+    data["handles"] = handles
+    target.write_text(json.dumps(data))
+    code, out, _ = run_cli(
+        capsys, "reproduce-paper", "--only", "a=3,family=1", "--fixtures", str(root)
+    )
+    assert code == 1
+    stages = json.loads(out)["cases"][0]["stages"]
+    assert sorted(stages) == ["blowdown", "handles", "load", "verify"]
+    assert stages["handles"] == {
+        "status": "fail",
+        "error": "DomainError: handle data must be (h2, h3) or a full 5-tuple",
+    }
 
 
 def golden_runs():
