@@ -17,7 +17,7 @@ def _encode(value):
     kind = type(value)
     if kind in _PLAIN:
         return value
-    if kind is tuple:
+    if kind is tuple:  # tuples of plain values, the common case, copy in one call
         return list(value) if _PLAIN.issuperset(map(type, value)) else list(map(_encode, value))
     if kind is Fraction:
         return [value.numerator, value.denominator]

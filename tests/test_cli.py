@@ -410,14 +410,6 @@ def test_reproduce_writes_report_directory(capsys, tmp_path):
     assert summary["all_passed"] is True
 
 
-# configurations the golden runs read from their working directory, written from the library
-GENERATED_CONFIGS = {
-    "family1_a11.json": lambda: family_configuration(11, 1).to_json(),
-    "standard_p5_n6.json": lambda: standard_configuration(5, n=6).to_json(),
-    "violation.json": lambda: {"p": 3, "n": 3, "classes": [[0, 1, -1, 0], [0, 1, 1, 1]]},
-}
-
-
 @pytest.mark.parametrize("target", ["report.json", "report.json/sub"])
 def test_reproduce_out_on_a_file_is_a_usage_error(capsys, tmp_path, target):
     """An --out that names a file, or a directory under one, exits 2 with a
@@ -450,6 +442,14 @@ def test_reproduce_fails_handles_with_a_short_counts_list(capsys, tmp_path, hand
         "status": "fail",
         "error": "DomainError: handle data must be (h2, h3) or a full 5-tuple",
     }
+
+
+# configurations the golden runs read from their working directory, written from the library
+GENERATED_CONFIGS = {
+    "family1_a11.json": lambda: family_configuration(11, 1).to_json(),
+    "standard_p5_n6.json": lambda: standard_configuration(5, n=6).to_json(),
+    "violation.json": lambda: {"p": 3, "n": 3, "classes": [[0, 1, -1, 0], [0, 1, 1, 1]]},
+}
 
 
 def golden_runs():
