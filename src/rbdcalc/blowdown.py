@@ -263,8 +263,15 @@ def handle_counts_from_data(data: Sequence[int]) -> tuple[int, int, int, int, in
     if len(data) == 2:
         return handle_counts_after_blowdown(strict_int(data[0], "h2"), strict_int(data[1], "h3"))
     if len(data) == 5:
-        return tuple(strict_int(v, "handle count") for v in data)
+        return full_handle_counts(data)
     raise DomainError("handle data must be (h2, h3) or a full 5-tuple")
+
+
+def full_handle_counts(counts: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """A recorded full handle tuple (h0, ..., h4), never read as (h2, h3)."""
+    if len(counts) != 5:
+        raise DomainError(f"recorded handle counts must be a full 5-tuple, got {len(counts)}")
+    return tuple(strict_int(v, "handle count") for v in counts)
 
 
 @dataclass(frozen=True)

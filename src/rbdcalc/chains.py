@@ -25,6 +25,7 @@ from .errors import (
     InputTypeError,
     InvalidConfigurationError,
     LatticeMismatchError,
+    RbdcalcError,
 )
 from .lattice import AmbientLattice, ClassVector, pairing, strict_int
 from .report import Report
@@ -143,10 +144,12 @@ def parse_configuration(data) -> tuple[int, tuple[ClassVector, ...]]:
         if key not in data:
             raise InputTypeError(f"missing key {key!r}")
     lat = AmbientLattice(strict_int(data["n"], "n"))
-    rows = data["classes"]
-    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
-        raise InputTypeError("malformed class data: classes must be a list of coefficient lists")
-    classes = tuple(lat.vector(row) for row in rows)
+    try:
+        classes = tuple(lat.vector(row) for row in data["classes"])
+    except TypeError as exc:
+        if isinstance(exc, RbdcalcError):
+            raise
+        raise InputTypeError(f"malformed class data: {exc}") from exc
     p = strict_int(data["p"], "p")
     if p < 2:
         raise DomainError(f"need p >= 2, got p = {p}")

@@ -25,7 +25,12 @@ from pathlib import Path
 
 from . import __version__
 
-from .blowdown import AmbientManifoldData, full_blowdown_report, handle_counts_from_data
+from .blowdown import (
+    AmbientManifoldData,
+    full_blowdown_report,
+    full_handle_counts,
+    handle_counts_from_data,
+)
 from .chains import (
     CpConfiguration,
     cp_det,
@@ -293,8 +298,11 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         stages["handles"] = {"status": "skipped", "reason": "no handle data recorded"}
     else:
         try:
-            recorded = handles["counts"] if "counts" in handles else (handles["h2"], handles["h3"])
-            stages["handles"] = {"status": "pass", "counts": list(handle_counts_from_data(recorded))}
+            if "counts" in handles:
+                counts = full_handle_counts(handles["counts"])
+            else:
+                counts = handle_counts_from_data((handles["h2"], handles["h3"]))
+            stages["handles"] = {"status": "pass", "counts": list(counts)}
         except (RbdcalcError, KeyError, TypeError, ValueError) as exc:
             return fail("handles", exc)
 

@@ -17,8 +17,8 @@ def _encode(value):
     kind = type(value)
     if kind in _PLAIN:
         return value
-    if kind is tuple:  # tuples of plain values, the common case, copy in one call
-        return list(value) if _PLAIN.issuperset(map(type, value)) else list(map(_encode, value))
+    if kind is tuple:
+        return [_encode(v) for v in value]
     if kind is Fraction:
         return [value.numerator, value.denominator]
     return value.to_json()

@@ -98,6 +98,8 @@ def test_config_loaders_refuse_non_integer_coefficients(capsys, tmp_path, bad):
     [
         ({"p": 3, "n": 2, "classes": [[0, 1, -1]]}, "C_3 needs exactly 2 classes, got 1"),
         ({"p": 1, "n": 2, "classes": []}, "need p >= 2, got p = 1"),
+        ({"p": 2, "n": 1, "classes": 5}, "malformed class data: 'int' object is not iterable"),
+        ({"p": 2, "n": 1, "classes": ["ab"]}, "coefficient must be an integer, got 'a'"),
     ],
 )
 def test_config_schema_errors_exit_2(capsys, tmp_path, payload, message):
@@ -422,15 +424,15 @@ def test_reproduce_out_on_a_file_is_a_usage_error(capsys, tmp_path, target):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("handles", [{"counts": [1]}, {"counts": []}, {"counts": [1, 0, 9, 2]}])
-def test_reproduce_fails_handles_with_a_short_counts_list(capsys, tmp_path, handles):
-    """Recorded counts go through the library's handle reader, which needs
-    (h2, h3) or a full 5-tuple."""
+@pytest.mark.parametrize("counts", [[1], [], [7, 0], [1, 0, 9, 2]])
+def test_reproduce_fails_handles_with_a_short_counts_list(capsys, tmp_path, counts):
+    """A recorded counts list must be the full 5-tuple; two entries are not
+    read as the complement's (h2, h3)."""
     root = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, root)
     target = root / "family1" / "a3.json"
     data = json.loads(target.read_text())
-    data["handles"] = handles
+    data["handles"] = {"counts": counts}
     target.write_text(json.dumps(data))
     code, out, _ = run_cli(
         capsys, "reproduce-paper", "--only", "a=3,family=1", "--fixtures", str(root)
@@ -440,7 +442,7 @@ def test_reproduce_fails_handles_with_a_short_counts_list(capsys, tmp_path, hand
     assert sorted(stages) == ["blowdown", "handles", "load", "verify"]
     assert stages["handles"] == {
         "status": "fail",
-        "error": "DomainError: handle data must be (h2, h3) or a full 5-tuple",
+        "error": f"DomainError: recorded handle counts must be a full 5-tuple, got {len(counts)}",
     }
 
 
