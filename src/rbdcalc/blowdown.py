@@ -26,7 +26,6 @@ from .lattice import (
     ClassVector,
     dual_coefficients,
     orthogonal_complement_basis,
-    pairing,
     strict_int,
 )
 from .report import Report
@@ -133,13 +132,6 @@ def _condition(pair: Sequence[int], p: int) -> int | None:
     return None
 
 
-def _h1_condition(delta: ClassVector, cfg: CpConfiguration) -> tuple[int, tuple[int, ...]] | None:
-    """Which triviality condition delta satisfies (1 or 2), with its pairings."""
-    pair = tuple(pairing(delta, u) for u in cfg.classes)
-    cond = _condition(pair, cfg.p)
-    return None if cond is None else (cond, pair)
-
-
 def _basis_witness(restriction: list[tuple[int, ...]], p: int) -> list[int] | None:
     """Coefficients of the first +/-e_j (j ascending, -1 first) meeting a
     condition; column j of the restriction matrix holds e_j's pairings."""
@@ -163,49 +155,46 @@ def h1_certificate(
     r(x) = (x.u_1, ..., x.u_{p-1}), and gluing in the rational ball (H1 = Z/p)
     leaves H1 = Z/gcd(|coker r|, p) (Fintushel-Stern, JDG 1997), read off one
     Smith normal form of r. At order 1 the witness is the first +/-e_j
-    meeting a condition, else the solution of r(x) = (0, ..., 0, 1), and is
-    re-checked through the pairing. A larger order is "nontrivial" in a
-    simply connected ambient (the formula needs H1 of the ambient to vanish)
-    and "inconclusive" otherwise.
+    meeting a condition, else the solution of r(x) = (0, ..., 0, 1); it gets
+    the same cfg.pairings test as a given delta, and failing it raises
+    ConsistencyError. A larger order is "nontrivial" in a simply connected
+    ambient (the formula needs H1 of the ambient to vanish) and
+    "inconclusive" otherwise.
     """
     if cfg.lattice != x.lattice:
         raise LatticeMismatchError("configuration and ambient lattices differ")
-    if delta is not None:
-        if delta.lattice != x.lattice:
-            raise LatticeMismatchError("delta lives in a different lattice")
-        pair = tuple(pairing(delta, u) for u in cfg.classes)
-        cond = _condition(pair, cfg.p)
-        verdict = "inconclusive" if cond is None else "trivial"
-        return H1Certificate(verdict=verdict, condition=cond, witness=delta, pairings=pair)
-
     p = cfg.p
-    restriction = [dual_coefficients(u) for u in cfg.classes]
-    snf = smith_normal_form(restriction)
-    order = gcd(prod(snf.diagonal), p)
-    if order > 1:
-        return H1Certificate(
-            verdict="nontrivial" if x.simply_connected else "inconclusive",
-            condition=None,
-            witness=None,
-            pairings=None,
-            order=order if x.simply_connected else None,
-            restriction_divisors=snf.diagonal,
-        )
-    coeffs = _basis_witness(restriction, p) or snf.solve([0] * (p - 2) + [1])
-    witness = None if coeffs is None else x.lattice.vector(coeffs)
-    hit = None if witness is None else _h1_condition(witness, cfg)
-    if hit is None:
+    order = divisors = coeffs = None
+    if delta is None:
+        restriction = [dual_coefficients(u) for u in cfg.classes]
+        snf = smith_normal_form(restriction)
+        divisors = snf.diagonal
+        order = gcd(prod(divisors), p)
+        if order > 1:
+            return H1Certificate(
+                verdict="nontrivial" if x.simply_connected else "inconclusive",
+                condition=None,
+                witness=None,
+                pairings=None,
+                order=order if x.simply_connected else None,
+                restriction_divisors=divisors,
+            )
+        coeffs = _basis_witness(restriction, p) or snf.solve([0] * (p - 2) + [1])
+        delta = None if coeffs is None else x.lattice.vector(coeffs)
+    pair = None if delta is None else cfg.pairings(delta)
+    cond = None if pair is None else _condition(pair, p)
+    if cond is None and order == 1:
         raise ConsistencyError(
-            f"H1 of the blowdown is trivial (restriction divisors {snf.diagonal}) "
+            f"H1 of the blowdown is trivial (restriction divisors {divisors}) "
             f"but the witness {coeffs} fails the re-check"
         )
     return H1Certificate(
-        verdict="trivial",
-        condition=hit[0],
-        witness=witness,
-        pairings=hit[1],
-        order=1,
-        restriction_divisors=snf.diagonal,
+        verdict="inconclusive" if cond is None else "trivial",
+        condition=cond,
+        witness=delta,
+        pairings=pair,
+        order=order,
+        restriction_divisors=divisors,
     )
 
 

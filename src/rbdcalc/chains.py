@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     LatticeMismatchError,
     RbdcalcError,
 )
-from .lattice import AmbientLattice, ClassVector, pairing, strict_int
+from .lattice import AmbientLattice, ClassVector, pairing, row_pairing, strict_int
 from .report import Report
 from .snf import SNFResult, det, smith_normal_form
 
@@ -57,10 +56,6 @@ def expected_square(i: int, p: int) -> int:
     return -(p + 2) if i == p - 1 else -2
 
 
-def _row_pairing(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    return x[0] * y[0] - sum(map(mul, x[1:], y[1:]))
-
-
 @lru_cache(maxsize=32)
 def _body_block(body: tuple[tuple[int, ...], ...]):
     """(Gram block, its diagonal, block ok, sparse functionals) of u_1..u_{p-2}.
@@ -70,7 +65,7 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
     for each nonzero coefficient, so pairing them with a tail costs O(nnz).
     """
     m = len(body)
-    gram = tuple(tuple(_row_pairing(x, y) for y in body) for x in body)
+    gram = tuple(tuple(row_pairing(x, y) for y in body) for x in body)
     want = tuple(tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(m)) for i in range(m))
     functionals = tuple(
         (i, k, c if k == 0 else -c) for i, row in enumerate(body) for k, c in enumerate(row) if c
@@ -119,7 +114,7 @@ def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainRe
     tail_pairings = [0] * (p - 2)
     for i, k, c in functionals:
         tail_pairings[i] += c * tail[k]
-    tail_square = _row_pairing(tail, tail)
+    tail_square = row_pairing(tail, tail)
     squares = body_squares + (tail_square,)
     # u_{p-2}.u_{p-1} = 1 and every other body pairing with the long class 0
     want_pairings = [0] * (p - 3) + [1] * (p > 2)
@@ -182,6 +177,14 @@ class CpConfiguration:
     @property
     def rank(self) -> int:
         return self.p - 1
+
+    def pairings(self, x: ClassVector) -> tuple[int, ...]:
+        """The restriction map to the chain: r(x) = (x.u_1, ..., x.u_{p-1})."""
+        if x.lattice != self.lattice:
+            raise LatticeMismatchError(
+                f"class lives in n = {x.lattice.n}, configuration in n = {self.lattice.n}"
+            )
+        return tuple(row_pairing(x.coeffs, u.coeffs) for u in self.classes)
 
     def report(self) -> ChainReport:
         """The verifier's report on these classes: construction passed it, so

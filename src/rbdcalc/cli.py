@@ -40,7 +40,7 @@ from .chains import (
     parse_configuration,
     verify_cp_configuration,
 )
-from .errors import DomainError, InputTypeError, RbdcalcError, SearchCapExceeded
+from .errors import DomainError, InputTypeError, RbdcalcError
 from .families import (
     FIXTURE_CASES,
     family_h1_witness,
@@ -239,6 +239,8 @@ def _parse_only(text: str) -> dict:
         key = key.strip()
         if key not in ("a", "family"):
             raise UsageError(f"--only keys are a and family, got {key!r}")
+        if key in out:
+            raise UsageError(f"--only gives {key} more than once")
         try:
             out[key] = int(val)
         except ValueError as exc:
@@ -431,9 +433,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"rbdcalc: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except SearchCapExceeded as exc:
-        print(f"rbdcalc: {exc}", file=sys.stderr)
-        return MATH_ERROR
     except RbdcalcError as exc:
         print(f"rbdcalc: {exc}", file=sys.stderr)
         return MATH_ERROR

@@ -13,6 +13,7 @@ odd, and both sides of the defining congruence are additive in v mod 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputTypeError, LatticeMismatchError
@@ -121,11 +122,16 @@ class ClassVector:
         return str(list(self.coeffs))
 
 
+def row_pairing(x: Sequence[int], y: Sequence[int]) -> int:
+    """The Lorentzian product on coefficient rows: x_h y_h - sum_i x_i y_i.
+    Rows carry no lattice; callers check that both come from one."""
+    return x[0] * y[0] - sum(map(mul, x[1:], y[1:]))
+
+
 def pairing(x: ClassVector, y: ClassVector) -> int:
-    """The Lorentzian product: x.y = x_h y_h - sum_i x_i y_i."""
+    """The Lorentzian product of two classes of one lattice."""
     x._check(y)
-    xc, yc = x.coeffs, y.coeffs
-    return xc[0] * yc[0] - sum(a * b for a, b in zip(xc[1:], yc[1:]))
+    return row_pairing(x.coeffs, y.coeffs)
 
 
 def square(x: ClassVector) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 from math import isqrt, perm, prod
 
 from .chains import CpConfiguration
@@ -119,18 +120,7 @@ def _placements(template: SearchTemplate) -> list[tuple[int, ...]]:
         return [anchored]
     if template.body_shape == "consecutive-differences":
         return [tuple(range(s, s + p - 1)) for s in range(1, n - p + 3)]
-    out = []
-    def extend(seq):
-        if len(seq) == p - 1:
-            out.append(tuple(seq))
-            return
-        for i in range(1, n + 1):
-            if i not in seq:
-                seq.append(i)
-                extend(seq)
-                seq.pop()
-    extend([])
-    return out
+    return list(permutations(range(1, n + 1), p - 1))
 
 
 def _placement_geometry(template: SearchTemplate, placement: tuple[int, ...]):
@@ -218,23 +208,30 @@ def estimate_search_space(template: SearchTemplate) -> int:
 
     Exact for reduced and consecutive shapes. For unreduced free-pairs the
     per-placement boxes are not all equal, so the result is the upper bound
-    (number of placements) x (largest single-placement box).
+    (number of placements) x (largest free box) x (widest t range). The two
+    maxima come from different placements: the largest free box leaves out
+    the p - 1 smallest bounds, the widest t range uses the p - 1 largest.
     """
     n, p = template.n, template.p
     bounds = template.tail_bounds
 
-    def box(placement: tuple[int, ...]) -> int:
+    def box(placement: tuple[int, ...]) -> tuple[int, int]:
+        """(free box, t range width) of one placement."""
+        free, _run, _end, t_range = _placement_geometry(template, placement)
         # one power per distinct bound: a product of one factor per free
         # coordinate costs time quadratic in their number
-        free, _run, _end, t_range = _placement_geometry(template, placement)
-        total = prod(pow(2 * b + 1, k) for b, k in Counter(bounds[i] for i in free).items())
-        return total * len(t_range) if p > 2 else total
+        free_box = prod(pow(2 * b + 1, k) for b, k in Counter(bounds[i] for i in free).items())
+        return free_box, len(t_range)
 
     if template.body_shape == "free-pairs" and not template.symmetry_reduction and p > 2:
-        count = perm(n, p - 1)
-        widest = sorted(range(1, n + 1), key=lambda i: bounds[i])[: p - 1]
-        return count * box(tuple(widest))
-    return sum(box(pl) for pl in _placements(template))
+        by_bound = sorted(range(1, n + 1), key=lambda i: bounds[i])
+        narrowest, widest = by_bound[: p - 1], by_bound[n - p + 1 :]
+        # t's range grows with the end's bound and with the run's smallest
+        # bound, so it is widest with the end at the largest or at the
+        # smallest of the p - 1 largest bounds
+        t_max = max(box(tuple(widest))[1], box(tuple(widest[1:] + widest[:1]))[1])
+        return perm(n, p - 1) * box(tuple(narrowest))[0] * t_max
+    return sum(free_box * width for free_box, width in map(box, _placements(template)))
 
 
 def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfiguration]:

@@ -119,9 +119,7 @@ class AdmissibilityReport(Report):
 
 def lift_admissible(k: CharacteristicData, cfg: CpConfiguration) -> AdmissibilityReport:
     """A lift descends iff it pairs 0 with the body and +/-p with the long class."""
-    if k.k.lattice != cfg.lattice:
-        raise LatticeMismatchError("lift and configuration lattices differ")
-    pair = tuple(pairing(k.k, u) for u in cfg.classes)
+    pair = cfg.pairings(k.k)
     ok = all(v == 0 for v in pair[: cfg.p - 2]) and abs(pair[cfg.p - 2]) == cfg.p
     return AdmissibilityReport(ok=ok, pairings=pair, p=cfg.p)
 
@@ -160,9 +158,7 @@ def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> Restr
     Both come from the cached Smith form D = U Q V of the C_p matrix:
     x = V D^{-1} U k solves Q x = k, and p^2 x is an integer vector.
     """
-    if k.k.lattice != cfg.lattice:
-        raise LatticeMismatchError("lift and configuration lattices differ")
-    kv = [pairing(k.k, u) for u in cfg.classes]
+    kv = cfg.pairings(k.k)
     expected = 1 - cfg.p
 
     s = cp_smith(cfg.p)
@@ -182,7 +178,7 @@ def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> Restr
     m = residue // cfg.p if divisible else None
     parity_expected = (cfg.p - 1) % 2
     return RestrictionReport(
-        pairings=tuple(kv),
+        pairings=kv,
         square=sq,
         square_expected=expected,
         square_ok=sq == expected,
@@ -237,8 +233,7 @@ def sw_on_blowdown(
             f"b2- after blowdown is {b2_minus_after} > 9: the downstairs "
             f"invariant is chamber-dependent and no single value exists"
         )
-    for i, u in enumerate(cfg.classes, 1):
-        pv = pairing(h.vector, u)
+    for i, pv in enumerate(cfg.pairings(h.vector), 1):
         if pv != 0:
             raise PreconditionError(
                 f"period point is not orthogonal to the configuration: H.u_{i} = {pv}"
@@ -255,27 +250,17 @@ def sw_on_blowdown(
     s_base = _sign(pairing(k.k, base))
     s_target = _sign(pairing(k.k, h.vector))
     if d < 0:
-        return SwOutcome(
-            value=0,
-            d=d,
-            base_value=0,
-            base_sign=s_base,
-            target_sign=s_target,
-            branch="negative-dimension",
-            admissibility=adm,
-            restriction=restr,
-            exotic_certificate=False,
-            note="expected dimension is negative; the invariant vanishes in every chamber",
-        )
-    if s_base == 0:
-        raise PreconditionError("class pairs zero with h; the base chamber is on a wall")
-    if s_target == 0:
-        raise PreconditionError("period point lies on a wall of the class: K.H = 0")
-    inc, branch = _increment(s_base, s_target, d)
-    value = 0 + inc
-    note = None
-    if d > 0 and value != 0:
-        note = "d > 0: nonvanishing does not by itself certify an exotic pair"
+        value, branch = 0, "negative-dimension"
+        note = "expected dimension is negative; the invariant vanishes in every chamber"
+    else:
+        if s_base == 0:
+            raise PreconditionError("class pairs zero with h; the base chamber is on a wall")
+        if s_target == 0:
+            raise PreconditionError("period point lies on a wall of the class: K.H = 0")
+        value, branch = _increment(s_base, s_target, d)
+        note = None
+        if d > 0 and value != 0:
+            note = "d > 0: nonvanishing does not by itself certify an exotic pair"
     return SwOutcome(
         value=value,
         d=d,

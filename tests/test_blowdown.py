@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rbdcalc.blowdown as blowdown_module
 from rbdcalc.blowdown import (
     AmbientManifoldData,
     H1Certificate,
-    _h1_condition,
+    _condition,
     blowdown_invariants,
     full_blowdown_report,
     h1_certificate,
@@ -19,6 +20,7 @@ from rbdcalc.blowdown import (
 )
 from rbdcalc.chains import CpConfiguration, standard_configuration
 from rbdcalc.errors import (
+    ConsistencyError,
     DomainError,
     InputTypeError,
     InvalidConfigurationError,
@@ -98,7 +100,13 @@ def assert_exact_route_agrees_with_scan(cfg, bound=3, max_support=4):
         assert cert.order > 1 and cert.witness is None
     else:
         assert cert.order == 1
-        assert _h1_condition(cert.witness, cfg) == (cert.condition, cert.pairings)
+        pair = cfg.pairings(cert.witness)
+        assert cert.condition in (1, 2)
+        assert (_condition(pair, cfg.p), pair) == (cert.condition, cert.pairings)
+        # the computed witness and a given delta end in the same re-check
+        given = h1_certificate(x, cfg, delta=cert.witness)
+        assert given.verdict == "trivial"
+        assert (given.condition, given.pairings) == (cert.condition, cert.pairings)
     return cert
 
 
@@ -266,6 +274,14 @@ def test_h1_boundary_case_witness_from_the_solve():
     assert exact.restriction_divisors == (1,) * 34
     assert exact.witness.coeffs == (1, -8) + (1,) * 34
     assert exact.pairings == (0,) * 33 + (1,)
+
+
+def test_h1_computed_witness_failing_the_recheck_raises(monkeypatch):
+    """A witness the exact route computes is re-checked, not trusted."""
+    cfg = family_configuration(3, 1)
+    monkeypatch.setattr(blowdown_module, "_basis_witness", lambda rows, p: [0] * len(rows[0]))
+    with pytest.raises(ConsistencyError, match="fails the re-check"):
+        h1_certificate(ambient_for(cfg), cfg)
 
 
 def test_h1_rejects_foreign_delta():

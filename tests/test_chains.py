@@ -26,8 +26,8 @@ from rbdcalc.errors import (
     LatticeMismatchError,
     RbdcalcError,
 )
-from rbdcalc.families import family_classes
-from rbdcalc.lattice import AmbientLattice
+from rbdcalc.families import family_classes, family_configuration
+from rbdcalc.lattice import AmbientLattice, pairing
 from rbdcalc.snf import det as int_det
 from rbdcalc.snf import smith_normal_form
 
@@ -183,6 +183,48 @@ def test_shared_body_is_verified_once():
     reports = [verify_cp_configuration([body, lat.vector(t)], 3) for t in tails]
     assert [r.ok for r in reports] == [True, False, False]
     assert (_body_block.cache_info().misses, _body_block.cache_info().hits) == (1, 2)
+
+
+def assert_pairings_are_the_pairing_loop(cfg, x):
+    assert cfg.pairings(x) == tuple(pairing(x, u) for u in cfg.classes)
+
+
+@pytest.mark.parametrize("a, family", [(a, f) for a in (3, 4, 5, 6) for f in (1, 2)])
+def test_pairings_on_family_chains(a, family):
+    cfg = family_configuration(a, family)
+    for i in range(cfg.lattice.rank):
+        assert_pairings_are_the_pairing_loop(cfg, cfg.lattice.basis_vector(i))
+    for u in cfg.classes:
+        assert_pairings_are_the_pairing_loop(cfg, u)
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 7), st.integers(0, 3), st.data())
+def test_pairings_on_standard_chains(p, extra, data):
+    n = p - 1 + extra
+    cfg = standard_configuration(p, n)
+    x = cfg.lattice.vector(data.draw(st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)))
+    assert_pairings_are_the_pairing_loop(cfg, x)
+    assert cfg.pairings(cfg.classes[-1])[-2:] == ((1, -(p + 2)) if p > 2 else (-4,))
+
+
+@settings(max_examples=100)
+@given(bodies_with_tails(), st.data())
+def test_pairings_on_generated_chains(case, data):
+    """Generated chains that verify, paired with random classes of their lattice."""
+    p, n, body, tails = case
+    lat = AmbientLattice(n)
+    x = lat.vector(data.draw(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1)))
+    for tail in tails:
+        classes = tuple(lat.vector(row) for row in body + [tail])
+        if verify_cp_configuration(classes, p).ok:
+            assert_pairings_are_the_pairing_loop(CpConfiguration(p=p, classes=classes), x)
+
+
+def test_pairings_refuse_a_class_of_another_lattice():
+    cfg = standard_configuration(4)
+    with pytest.raises(LatticeMismatchError, match="class lives in n = 5, configuration in n = 3"):
+        cfg.pairings(AmbientLattice(5).h())
 
 
 def test_json_round_trip(tmp_path):

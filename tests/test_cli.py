@@ -290,6 +290,12 @@ def test_search_cap_exit(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search", "--template", huge)
     assert code == 1
     assert err.startswith("rbdcalc: estimated search space at least 2^15849 exceeds cap")
+    # the smallest-bound placement of this box has an empty t range
+    payload = {"n": 4, "p": 3, "tail_bounds": [5, 0, 0, 5, 5], "body_shape": "free-pairs"}
+    unreduced = write_config(tmp_path, {**payload, "symmetry_reduction": False}, "unreduced.json")
+    code, out, err = run_cli(capsys, "search", "--template", unreduced, "--cap", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("rbdcalc: estimated search space 14520 exceeds cap 1")
 
 
 def test_search_refuses_a_wide_box(capsys, tmp_path):
@@ -395,6 +401,9 @@ def test_reproduce_filter_errors(capsys):
     assert run_cli(capsys, "reproduce-paper", "--only", "a=99")[0] == 2
     assert run_cli(capsys, "reproduce-paper", "--only", "b=3")[0] == 2
     assert run_cli(capsys, "reproduce-paper", "--only", "a=x")[0] == 2
+    code, out, err = run_cli(capsys, "reproduce-paper", "--only", "a=3,a=4")
+    assert (code, out) == (2, "")
+    assert err == "rbdcalc: --only gives a more than once\n"
 
 
 def test_reproduce_writes_report_directory(capsys, tmp_path):

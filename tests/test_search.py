@@ -3,6 +3,7 @@
 from importlib import import_module
 from importlib.util import module_from_spec, spec_from_file_location
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,8 @@ from rbdcalc.search import (
     DEFAULT_CAP,
     FamilySearchReport,
     SearchTemplate,
+    _placement_geometry,
+    _placements,
     estimate_search_space,
     family_question_dimensions,
     family_question_template,
@@ -100,6 +103,69 @@ def test_estimate_groups_free_coordinates_by_bound():
     assert estimate_search_space(mixed) == 5 * 3 * 5 * 7 * 3 * 5
 
 
+def placement_boxes(template):
+    """(free-coordinate box, t range width) of every placement walked."""
+    out = []
+    for placement in _placements(template):
+        free, _run, _end, t_range = _placement_geometry(template, placement)
+        out.append((prod(2 * template.tail_bounds[i] + 1 for i in free), len(t_range)))
+    return out
+
+
+def placement_box_sum(template):
+    return sum(free * width for free, width in placement_boxes(template))
+
+
+def unreduced_free_pairs(bounds, p=3):
+    return SearchTemplate(
+        n=len(bounds) - 1,
+        p=p,
+        tail_bounds=tuple(bounds),
+        body_shape="free-pairs",
+        symmetry_reduction=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "bounds, p, true_sum",
+    [
+        ((5, 0, 0, 5, 5), 3, 108),
+        ((3, 0, 0, 2, 2, 2, 2, 2, 2), 3, 150_000),
+        ((2, 1, 0, 3, 0, 2), 4, None),
+        ((1, 0, 4, 0, 1, 2), 3, None),
+    ],
+)
+def test_unreduced_free_pairs_estimate_bounds_every_placement(bounds, p, true_sum):
+    """The smallest-bound placement can have an empty t range; the estimate
+    must still bound the sum of the boxes actually walked."""
+    template = unreduced_free_pairs(bounds, p)
+    walked = placement_box_sum(template)
+    assert true_sum is None or walked == true_sum
+    assert estimate_search_space(template) >= walked > 0
+
+
+@st.composite
+def small_free_pairs_boxes(draw):
+    n = draw(st.integers(2, 5))
+    p = draw(st.integers(3, n + 1))
+    return n, p, draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
+
+
+@settings(max_examples=40)
+@given(small_free_pairs_boxes())
+def test_estimate_is_an_upper_bound_on_small_templates(case):
+    """Placements x largest free box x widest t range, each maximum taken
+    over every placement; exact on uniform bounds, where all boxes agree."""
+    n, p, bounds = case
+    template = unreduced_free_pairs(bounds, p)
+    boxes = placement_boxes(template)
+    estimate = estimate_search_space(template)
+    assert estimate == len(boxes) * max(f for f, _ in boxes) * max(w for _, w in boxes)
+    assert estimate >= placement_box_sum(template)
+    uniform = SearchTemplate.uniform(n, p, bounds[0], "free-pairs", symmetry_reduction=False)
+    assert estimate_search_space(uniform) == placement_box_sum(uniform)
+
+
 def test_cap_refused_before_enumeration():
     template = SearchTemplate.uniform(5, 2, 2)
     with pytest.raises(SearchCapExceeded) as exc:
@@ -109,6 +175,8 @@ def test_cap_refused_before_enumeration():
     with pytest.raises(DomainError):
         search(template, cap=0)
     assert DEFAULT_CAP >= 3125
+    with pytest.raises(SearchCapExceeded):
+        search(unreduced_free_pairs((5, 0, 0, 5, 5)), cap=1)
 
 
 def test_search_matches_brute_force():
