@@ -9,6 +9,13 @@ long class last. Its boundary is the lens space L(p^2, p-1), whose surgery
 weights are the negative continued fraction of p^2/(p-1): [p+2, 2, ..., 2]
 (p-2 twos). The weight list reads from the long class inward, i.e. it is the
 reversal of the class order used here.
+
+One Gram check on coefficient rows runs behind both the CpConfiguration
+constructor and verify_cp_configuration. The body u_1, ..., u_{p-2} is
+verified once per distinct body and reused through a last-body memo, so a
+check pairs only the long class: O(n + nnz) work for nnz nonzero body
+coefficients. A ChainReport, with its first-violation scan, is built only
+when the check fails or when verify_cp_configuration is called.
 """
 from __future__ import annotations
 
@@ -16,6 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import (
@@ -58,19 +66,53 @@ def expected_square(i: int, p: int) -> int:
 
 @lru_cache(maxsize=32)
 def _body_block(body: tuple[tuple[int, ...], ...]):
-    """(Gram block, its diagonal, block ok, sparse functionals) of u_1..u_{p-2}.
+    """(Gram block, its diagonal, block ok, sparse functionals, want) of u_1..u_{p-2}.
 
-    Computed once per distinct body: every search hit at one placement shares
-    its body rows. The functionals are (row i, index k, signed coefficient)
-    for each nonzero coefficient, so pairing them with a tail costs O(nnz).
+    The functionals are (row i, index k, signed coefficient) for each nonzero
+    coefficient, so pairing them with a tail costs O(nnz); want is the list
+    of body pairings a long class must have. Rows of different lengths come
+    from different lattices and raise LatticeMismatchError.
     """
     m = len(body)
+    if len(set(map(len, body))) > 1:
+        raise LatticeMismatchError("candidate classes live in different lattices")
     gram = tuple(tuple(row_pairing(x, y) for y in body) for x in body)
     want = tuple(tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(m)) for i in range(m))
     functionals = tuple(
         (i, k, c if k == 0 else -c) for i, row in enumerate(body) for k, c in enumerate(row) if c
     )
-    return gram, tuple(gram[i][i] for i in range(m)), gram == want, functionals
+    # u_{p-2}.u_{p-1} = 1 and every other body pairing with the long class 0
+    want_pairings = [0] * (m - 1) + [1] * (m > 0)
+    return gram, tuple(gram[i][i] for i in range(m)), gram == want, functionals, want_pairings
+
+
+class _LastBody:
+    """The last body's block, an exact-equality memo in front of _body_block.
+
+    Search hits of one placement share their body row tuples object for
+    object, and tuple equality tries identity before value, so testing a hit
+    against the last body costs p - 2 identity checks where the cache's key
+    would hash all (p - 2)(n + 1) coefficients; an equal but distinct body
+    still matches. `hits` counts the lookups the memo answered. The (body,
+    block) pair is replaced as one tuple, so no reader pairs a body with
+    another body's block.
+    """
+
+    def __init__(self):
+        self.last = (None, None)
+        self.hits = 0
+
+    def __call__(self, body: tuple[tuple[int, ...], ...]):
+        last_body, block = self.last
+        if body == last_body:
+            self.hits += 1
+            return block
+        block = _body_block(body)
+        self.last = (body, block)
+        return block
+
+
+_last_body = _LastBody()
 
 
 def _first_violation(gram: Sequence[Sequence[int]], p: int) -> ChainViolation | None:
@@ -91,34 +133,46 @@ def _first_violation(gram: Sequence[Sequence[int]], p: int) -> ChainViolation | 
     return None
 
 
-def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainReport:
-    """Check candidate classes against the C_p Gram matrix, on coefficient rows.
+_coeffs = attrgetter("coeffs")
 
-    The body block is verified once per distinct body (see _body_block); a
-    call then pairs only the long class, O(n + nnz) work. If any entry is off,
-    the full matrix is scanned in a fixed order so the reported violation is
-    deterministic: squares in class order, then consecutive pairings, then
-    distant pairs in lexicographic order. Only the first one is reported.
+
+def _check_rows(candidate: Sequence[ClassVector], p: int):
+    """The one Gram check: (ok, body block, tail pairings, tail square).
+
+    The body block comes from the last-body memo or the per-body cache, so
+    a call pairs only the long class: O(n + nnz) work, and no report.
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got p = {p}")
     if len(candidate) != p - 1:
         raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(candidate)}")
-    rows = tuple(c.coeffs for c in candidate)
-    # a lattice is fixed by n and every row has length n + 1
-    if len(set(map(len, rows))) > 1:
+    block = _last_body(tuple(map(_coeffs, candidate[:-1])))
+    _gram, _squares, body_ok, functionals, want_pairings = block
+    tail = candidate[-1].coeffs
+    # a lattice is fixed by n and every row has length n + 1; the block
+    # checked the body rows against each other
+    if p > 2 and len(tail) != len(candidate[0].coeffs):
         raise LatticeMismatchError("candidate classes live in different lattices")
-
-    tail = rows[-1]
-    gram, body_squares, body_ok, functionals = _body_block(rows[:-1])
     tail_pairings = [0] * (p - 2)
     for i, k, c in functionals:
         tail_pairings[i] += c * tail[k]
     tail_square = row_pairing(tail, tail)
+    ok = body_ok and tail_square == -(p + 2) and tail_pairings == want_pairings
+    return ok, block, tail_pairings, tail_square
+
+
+def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainReport:
+    """Check candidate classes against the C_p Gram matrix, on coefficient rows.
+
+    Runs the same row check as the CpConfiguration constructor, then builds
+    the report. If any entry is off, the full matrix is scanned in a fixed
+    order so the reported violation is deterministic: squares in class
+    order, then consecutive pairings, then distant pairs in lexicographic
+    order. Only the first one is reported.
+    """
+    ok, (gram, body_squares, *_), tail_pairings, tail_square = _check_rows(candidate, p)
     squares = body_squares + (tail_square,)
-    # u_{p-2}.u_{p-1} = 1 and every other body pairing with the long class 0
-    want_pairings = [0] * (p - 3) + [1] * (p > 2)
-    if body_ok and tail_square == -(p + 2) and tail_pairings == want_pairings:
+    if ok:
         return ChainReport(p=p, ok=True, violation=None, squares=squares)
     full = [list(row) + [b] for row, b in zip(gram, tail_pairings)]
     full.append(tail_pairings + [tail_square])
@@ -157,18 +211,19 @@ def parse_configuration(data) -> tuple[int, tuple[ClassVector, ...]]:
 class CpConfiguration:
     """A verified C_p configuration.
 
-    Every construction runs verify_cp_configuration and raises
-    InvalidConfigurationError on failure; there is no other way to build one.
-    Search hits cost O(n + nnz) each, as they share a cached body block.
+    Every construction runs the Gram check that verify_cp_configuration
+    runs, and raises InvalidConfigurationError with that function's report
+    on failure; there is no other way to build one. A passing check builds
+    no report. Search hits cost O(n + nnz) each: hits of one placement
+    share their body, whose block the check verifies once and memoizes.
     """
 
     p: int
     classes: tuple[ClassVector, ...]
 
     def __post_init__(self):
-        report = verify_cp_configuration(self.classes, self.p)
-        if not report.ok:
-            raise InvalidConfigurationError(report)
+        if not _check_rows(self.classes, self.p)[0]:
+            raise InvalidConfigurationError(verify_cp_configuration(self.classes, self.p))
 
     @property
     def lattice(self) -> AmbientLattice:

@@ -179,8 +179,9 @@ def cmd_search(args) -> int:
     (count, and the seconds spent in search alone) to stderr.
 
     Hits come sorted by body, so the line around the long-class row (the
-    frame) is encoded once per run of hits sharing a body, and each line is
-    written as soon as its row is joined in. The bytes equal
+    frame) is encoded once per run of hits sharing a body, as a %-format
+    with one %d per coefficient; each line is then one format call, written
+    as soon as it is made. The bytes equal
     json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")).
     """
     data = _load_json_file(args.template)
@@ -195,16 +196,18 @@ def cmd_search(args) -> int:
         raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
     write = sys.stdout.write
-    body = prefix = suffix = None
+    body = line_format = None
     for cfg in results:
+        tail = cfg.classes[-1].coeffs
         if cfg.classes[:-1] != body:
             # the frame holds only integers and fixed keys, so a string marks
             # the long-class row unambiguously
             body, frame = cfg.classes[:-1], cfg.to_json()
             frame["classes"][-1] = "tail"
             line = json.dumps(frame, sort_keys=True, separators=(",", ":"))
-            prefix, _, suffix = line.partition('"tail"')
-        write(prefix + "[" + ",".join(map(str, cfg.classes[-1].coeffs)) + "]" + suffix + "\n")
+            prefix, _, suffix = line.replace("%", "%%").partition('"tail"')
+            line_format = prefix + "[" + ",".join(["%d"] * len(tail)) + "]" + suffix + "\n"
+        write(line_format % tail)
     trailer = _certificate(
         {
             "command": "search",
@@ -241,10 +244,11 @@ def _parse_only(text: str) -> dict:
             raise UsageError(f"--only keys are a and family, got {key!r}")
         if key in out:
             raise UsageError(f"--only gives {key} more than once")
-        try:
-            out[key] = int(val)
-        except ValueError as exc:
-            raise UsageError(f"--only {key} must be an integer, got {val!r}") from exc
+        val = val.strip()
+        # int() would also take "0_3" and non-ASCII digits such as "٣"
+        if not (val.isascii() and val.isdigit()):
+            raise UsageError(f"--only {key} must be written in the digits 0-9, got {val!r}")
+        out[key] = int(val)
     return out
 
 
@@ -337,6 +341,13 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
 
 
 def cmd_reproduce_paper(args) -> int:
+    """Run the selected cases; print the summary, and with --out write it
+    and one file per case.
+
+    Each case is encoded once: its text goes to its own file and, indented
+    to its nesting depth, into the summary, giving the bytes of one
+    json.dumps of the whole summary.
+    """
     filters = _parse_only(args.only) if args.only else {}
     cases = [
         c
@@ -348,6 +359,7 @@ def cmd_reproduce_paper(args) -> int:
         raise UsageError(f"--only {args.only!r} selects no cases")
     root = _fixtures_root(args.fixtures)
     results = [_reproduce_case(c, root) for c in cases]
+    texts = [json.dumps(r, indent=2, sort_keys=True) for r in results]
     summary = _certificate(
         {
             "command": "reproduce-paper",
@@ -356,22 +368,25 @@ def cmd_reproduce_paper(args) -> int:
             "fixtures": args.fixtures,
         },
         {
-            "cases": results,
+            "cases": None,
             "selected": len(results),
             "passed": sum(1 for r in results if r["pass"]),
             "all_passed": all(r["pass"] for r in results),
         },
     )
-    text = json.dumps(summary, indent=2, sort_keys=True)
+    # string values are encoded with their quotes escaped, so the key with
+    # its null can only be the top-level placeholder; a case sits at depth
+    # 2, four spaces in, and JSON text holds no raw newline
+    head, _, rest = json.dumps(summary, indent=2, sort_keys=True).partition('"cases": null')
+    cases_text = ",\n".join("    " + t.replace("\n", "\n    ") for t in texts)
+    text = head + '"cases": [\n' + cases_text + "\n  ]" + rest
     if args.out is not None:
         out_dir = Path(args.out)
         try:  # e.g. --out names a file, or a directory under one
             out_dir.mkdir(parents=True, exist_ok=True)
-            for r in results:
+            for r, case_text in zip(results, texts):
                 name = r["case"].replace("/", "_") + ".json"
-                (out_dir / name).write_text(
-                    json.dumps(r, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-                )
+                (out_dir / name).write_text(case_text + "\n", encoding="utf-8")
             (out_dir / "summary.json").write_text(text + "\n", encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot write reports to {args.out}: {exc}") from exc

@@ -124,8 +124,9 @@ class ClassVector:
 
 def row_pairing(x: Sequence[int], y: Sequence[int]) -> int:
     """The Lorentzian product on coefficient rows: x_h y_h - sum_i x_i y_i.
-    Rows carry no lattice; callers check that both come from one."""
-    return x[0] * y[0] - sum(map(mul, x[1:], y[1:]))
+    Rows carry no lattice; callers check that both come from one. The sum
+    runs over whole rows, h included, so no slice is copied."""
+    return 2 * x[0] * y[0] - sum(map(mul, x, y))
 
 
 def pairing(x: ClassVector, y: ClassVector) -> int:

@@ -7,10 +7,13 @@ body forces most tail coordinates into a single run value t, the top index
 into t + 1, and the h coefficient is solved from the square equation rather
 than enumerated. Only genuinely free coordinates are walked, with a pruning
 step that discards a partial assignment only when no completion can reach a
-feasible h^2, so the enumeration returns exactly the box solutions. Each
-solution becomes a CpConfiguration through the normal constructor, so the
-one Gram verifier checks it from raw coefficients; its body block is checked
-once per placement and cached, leaving O(n + p) work per hit.
+feasible h^2, so the enumeration returns exactly the box solutions. A full
+assignment looks its sum of squares up in a per-placement table of (t, h)
+solutions, and each tail is the assignment plus a precomputed base row.
+Each solution becomes a CpConfiguration through the normal constructor, so
+the one Gram verifier checks it from raw coefficients; its body block is
+verified once per placement and memoized, leaving O(n + nnz) work per hit
+(nnz: the body's nonzero coefficients).
 
 Everything is deterministic: placements, coordinate order, and value order
 are fixed, and results are sorted by their class coefficient tuples (body
@@ -22,7 +25,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from math import isqrt, perm, prod
+from math import comb, factorial, prod
+from operator import add, itemgetter
 
 from .chains import CpConfiguration
 from .errors import ConsistencyError, DomainError, InputTypeError
@@ -143,54 +147,56 @@ def _placement_geometry(template: SearchTemplate, placement: tuple[int, ...]):
     return free, run, end, tuple(range(lo, hi + 1))
 
 
-def _t_part(p: int, t: int | None) -> int:
-    if t is None:
-        return 0
-    return (p - 2) * t * t + (t + 1) * (t + 1)
+def _solution_table(
+    template: SearchTemplate, run, end, t_range
+) -> dict[int, list[tuple[int, ...]]]:
+    """Free sum s -> base rows of its solutions, once per placement.
 
-
-def _solve_h(template: SearchTemplate, s: int, tpart: int) -> list[int]:
-    """Values of the h coefficient with c0^2 = s + tpart - (p + 2), in the box."""
-    rhs = s + tpart - (template.p + 2)
-    if rhs < 0:
-        return []
-    r = isqrt(rhs)
-    if r * r != rhs or r > template.tail_bounds[0]:
-        return []
-    return [r] if r == 0 else [r, -r]
+    A base row holds c0 at h, the run value t on the run and t + 1 at the
+    end, zeros elsewhere: a hit's tail is its free coordinates plus a base
+    row. For each t, c0^2 = s + tpart - (p + 2) with |c0| within its bound,
+    so each (t, c0) solves exactly one s. Rows of one s come in t order,
+    then c0 before -c0.
+    """
+    p = template.p
+    table: dict[int, list[tuple[int, ...]]] = {}
+    for t in t_range:
+        row = [0] * (template.n + 1)
+        tpart = 0
+        if t is not None:
+            for i in run:
+                row[i] = t
+            row[end] = t + 1
+            tpart = (p - 2) * t * t + (t + 1) * (t + 1)
+        for c0 in range(template.tail_bounds[0] + 1):
+            s = c0 * c0 + (p + 2) - tpart
+            if s >= 0:
+                rows = table.setdefault(s, [])
+                for value in (c0, -c0) if c0 else (0,):
+                    row[0] = value
+                    rows.append(tuple(row))
+    return table
 
 
 def _enumerate_placement(
     template: SearchTemplate, placement: tuple[int, ...]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (placement, tail coefficients) solutions for one body placement."""
-    n, p = template.n, template.p
     bounds = template.tail_bounds
     free, run, end, t_range = _placement_geometry(template, placement)
-    if not t_range:
+    table = _solution_table(template, run, end, t_range)
+    if not table:
         return []
-    tmin = min(_t_part(p, t) for t in t_range)
-    budget = bounds[0] ** 2 + (p + 2)   # s + tpart may not exceed this
+    s_max = max(table)
     out = []
-    coeffs = [0] * (n + 1)
-
-    def leaf(s: int) -> None:
-        for t in t_range:
-            tpart = _t_part(p, t)
-            for c0 in _solve_h(template, s, tpart):
-                tail = list(coeffs)
-                tail[0] = c0
-                if t is not None:
-                    for i in run:
-                        tail[i] = t
-                    tail[end] = t + 1
-                out.append((placement, tuple(tail)))
+    coeffs = [0] * (template.n + 1)
 
     def walk(idx: int, s: int) -> None:
-        if s + tmin > budget:
+        if s > s_max:
             return
         if idx == len(free):
-            leaf(s)
+            for base in table.get(s, ()):
+                out.append((placement, tuple(map(add, coeffs, base))))
             return
         coord = free[idx]
         b = bounds[coord]
@@ -203,35 +209,69 @@ def _enumerate_placement(
     return out
 
 
+def _times_binomial_power(series: list[int], w: int, c: int) -> list[int]:
+    """series(x) * (w + x)^c, truncated to the degree of series."""
+    top = min(c, len(series) - 1)
+    factor, power = [0] * (top + 1), pow(w, c - top)
+    for j in range(top, -1, -1):
+        factor[j] = comb(c, j) * power
+        power *= w
+    return [
+        sum(factor[j] * series[d - j] for j in range(min(d, top) + 1)) for d in range(len(series))
+    ]
+
+
+def _free_pairs_box_sum(template: SearchTemplate) -> int:
+    """Sum of free box x t range width over every unreduced free-pairs placement.
+
+    With w = 2b + 1 per index, a placement's free box is the product of w
+    over the indices off it, and its t range width is min(w_m, w_e) - [m = b_e]
+    for the run's smallest bound m and the end's bound b_e. Group placements
+    by their set T of p - 1 indices: the run orders give (p - 2)!, and the
+    p - 1 choices of end give widths summing to (p - 1) w - (r - 1) - [r >= 2],
+    where w is that of T's smallest bound b and r counts T's indices at b.
+    Such a set leaves every index below b free. The rest of T comes from
+    the bounds above b, counted with their free products by the x^(p-1-r)
+    coefficient of the product of (w + x)^c over those bounds, c indices
+    each. Bounds are taken from the top, so the free product below b is
+    accumulated Horner style, one power per distinct bound.
+    """
+    k = template.p - 2
+    series = [1] + [0] * (k + 1)  # the product over the bounds above b
+    total = 0
+    for b, c in sorted(Counter(template.tail_bounds[1:]).items(), reverse=True):
+        w = 2 * b + 1
+        top = min(c, k + 1)
+        power, at_b = pow(w, c - top), 0
+        for r in range(top, 0, -1):
+            widths = (k + 1) * w - (r - 1) - (r >= 2)
+            at_b += comb(c, r) * power * series[k + 1 - r] * widths
+            power *= w
+        # Horner from the top: every bound above b gains b's w^c as free
+        total = at_b + power * total
+        series = _times_binomial_power(series, w, c)
+    return factorial(k) * total
+
+
 def estimate_search_space(template: SearchTemplate) -> int:
     """Assignments the enumerator will examine (h is solved, not counted).
 
-    Exact for reduced and consecutive shapes. For unreduced free-pairs the
-    per-placement boxes are not all equal, so the result is the upper bound
-    (number of placements) x (largest free box) x (widest t range). The two
-    maxima come from different placements: the largest free box leaves out
-    the p - 1 smallest bounds, the widest t range uses the p - 1 largest.
+    Exact: the sum over placements of the free box times the width of the t
+    range. Unreduced free-pairs templates have too many placements to list,
+    so their sum is taken in closed form (see _free_pairs_box_sum).
     """
-    n, p = template.n, template.p
+    if template.body_shape == "free-pairs" and not template.symmetry_reduction and template.p > 2:
+        return _free_pairs_box_sum(template)
     bounds = template.tail_bounds
 
-    def box(placement: tuple[int, ...]) -> tuple[int, int]:
-        """(free box, t range width) of one placement."""
+    def box(placement: tuple[int, ...]) -> int:
         free, _run, _end, t_range = _placement_geometry(template, placement)
         # one power per distinct bound: a product of one factor per free
         # coordinate costs time quadratic in their number
         free_box = prod(pow(2 * b + 1, k) for b, k in Counter(bounds[i] for i in free).items())
-        return free_box, len(t_range)
+        return free_box * len(t_range)
 
-    if template.body_shape == "free-pairs" and not template.symmetry_reduction and p > 2:
-        by_bound = sorted(range(1, n + 1), key=lambda i: bounds[i])
-        narrowest, widest = by_bound[: p - 1], by_bound[n - p + 1 :]
-        # t's range grows with the end's bound and with the run's smallest
-        # bound, so it is widest with the end at the largest or at the
-        # smallest of the p - 1 largest bounds
-        t_max = max(box(tuple(widest))[1], box(tuple(widest[1:] + widest[:1]))[1])
-        return perm(n, p - 1) * box(tuple(narrowest))[0] * t_max
-    return sum(free_box * width for free_box, width in map(box, _placements(template)))
+    return sum(map(box, _placements(template)))
 
 
 def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfiguration]:
@@ -241,8 +281,10 @@ def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfigura
     exceeds the cap. Every hit is built by the CpConfiguration constructor,
     whose Gram verifier reads the raw coefficient rows and shares nothing
     with the enumerator's algebra; a hit it rejects is an enumerator bug and
-    raises ConsistencyError. Output is sorted by class coefficients, so hits
-    sharing a body are adjacent.
+    raises ConsistencyError. Hits of one placement share their body
+    classes, so the constructor pairs only each long class, O(n + nnz).
+    Output is sorted by class coefficients, so hits sharing a body are
+    adjacent.
     """
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
@@ -250,19 +292,24 @@ def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfigura
     if estimate > cap:
         raise SearchCapExceeded(estimate, cap)
 
-    raw = [hit for pl in _placements(template) for hit in _enumerate_placement(template, pl)]
-
     lat = AmbientLattice(template.n)
-    # body_i = e_{x_i} - e_{x_{i+1}} along the placement
-    bodies = {
-        pl: tuple(lat.e(x) - lat.e(y) for x, y in zip(pl, pl[1:])) for pl in {pl for pl, _ in raw}
-    }
-    # every body key has length p - 2, so (body key, tail) orders hits exactly
-    # as the flat tuple of all class coefficients does
-    body_keys = {pl: tuple(u.coeffs for u in body) for pl, body in bodies.items()}
-    raw.sort(key=lambda item: (body_keys[item[0]], item[1]))
+    found = []
+    for pl in _placements(template):
+        hits = _enumerate_placement(template, pl)
+        if hits:
+            # body_i = e_{x_i} - e_{x_{i+1}} along the placement
+            body = tuple(lat.e(x) - lat.e(y) for x, y in zip(pl, pl[1:]))
+            found.append((tuple(u.coeffs for u in body), body, sorted(t for _, t in hits)))
+    # distinct placements have distinct bodies, all of length p - 2, so
+    # sorting by body and then by tail orders hits exactly as the flat
+    # tuple of all class coefficients does
+    found.sort(key=itemgetter(0))
     try:
-        return [CpConfiguration(template.p, bodies[pl] + (ClassVector(lat, t),)) for pl, t in raw]
+        return [
+            CpConfiguration(template.p, body + (ClassVector(lat, tail),))
+            for _, body, tails in found
+            for tail in tails
+        ]
     except InvalidConfigurationError as exc:
         raise ConsistencyError(f"enumerated solution fails the Gram check: {exc}") from exc
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rbdcalc.chains as chains_module
 from rbdcalc.chains import (
     ChainReport,
     ChainViolation,
     CpConfiguration,
     _body_block,
+    _LastBody,
     evaluate_neg_cf,
     expected_square,
     intersection_matrix,
@@ -175,14 +177,65 @@ def test_verifier_matches_reference_scan(case):
         assert verify_cp_configuration(classes, p) == reference_report(classes, p)
 
 
-def test_shared_body_is_verified_once():
+@pytest.fixture
+def body_cache(monkeypatch):
+    """An empty per-body cache behind a fresh last-body memo."""
+    _body_block.cache_clear()
+    memo = _LastBody()
+    monkeypatch.setattr(chains_module, "_last_body", memo)
+    return memo
+
+
+def builds_and_reuses(memo):
+    info = _body_block.cache_info()
+    return info.misses, info.hits + memo.hits
+
+
+def test_shared_body_is_verified_once(body_cache):
     lat = AmbientLattice(11)
     body = lat.e(10) - lat.e(11)
     tails = ([6] + [-2] * 10 + [-1], [6] + [-2] * 10 + [1], [0] * 12)
-    _body_block.cache_clear()
     reports = [verify_cp_configuration([body, lat.vector(t)], 3) for t in tails]
     assert [r.ok for r in reports] == [True, False, False]
-    assert (_body_block.cache_info().misses, _body_block.cache_info().hits) == (1, 2)
+    assert builds_and_reuses(body_cache) == (1, 2)
+    assert body_cache.hits == 2
+
+
+def test_body_memo_matches_by_equality(body_cache):
+    lat = AmbientLattice(11)
+    tail = lat.vector([6] + [-2] * 10 + [-1])
+    body = lat.e(10) - lat.e(11)
+    twin = lat.vector(list(body.coeffs))
+    assert twin.coeffs == body.coeffs and twin.coeffs is not body.coeffs
+    CpConfiguration(p=3, classes=(body, tail))
+    CpConfiguration(p=3, classes=(twin, tail))
+    assert builds_and_reuses(body_cache) == (1, 1)
+    # a different body is built, and the first one is still cached behind it
+    other = lat.e(9) - lat.e(10)
+    assert not verify_cp_configuration([other, tail], 3).ok
+    assert builds_and_reuses(body_cache) == (2, 1)
+    CpConfiguration(p=3, classes=(body, tail))
+    assert builds_and_reuses(body_cache) == (2, 2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_failing_tail_after_a_cached_body(body_cache, p):
+    """A tail that fails against a memoized body gets the reference scan's
+    violation, from the verifier and from the constructor alike."""
+    cfg = standard_configuration(p, p + 1)
+    body, tail = cfg.classes[:-1], cfg.classes[-1]
+    lat = cfg.lattice
+    for k in range(lat.rank):
+        bad = list(tail.coeffs)
+        bad[k] += 1
+        classes = body + (lat.vector(bad),)
+        want = reference_report(classes, p)
+        assert not want.ok
+        assert verify_cp_configuration(classes, p) == want
+        with pytest.raises(InvalidConfigurationError) as exc:
+            CpConfiguration(p=p, classes=classes)
+        assert exc.value.report == want
+    assert builds_and_reuses(body_cache)[0] == 1
 
 
 def assert_pairings_are_the_pairing_loop(cfg, x):

@@ -280,6 +280,15 @@ def test_search_stream_is_byte_identical_to_per_hit_json(capsys, tmp_path, name)
         assert len({cfg.classes[:-1] for cfg in hits}) > 1
 
 
+def test_search_stream_matches_golden_digest(capsys, tmp_path):
+    """The whole stdout of the 3-chain a=7 question, pinned byte for byte."""
+    template = write_config(tmp_path, STREAM_TEMPLATES["3-chain a=7"])
+    code, out, _ = run_cli(capsys, "search", "--template", template)
+    assert code == 0
+    assert out.count("\n") == 3894
+    assert sha256(out) == "a8cd743e4bef138e5eb2537dabde8d1bcd519a8981bd7b89e31f4bed61eced29"
+
+
 def test_search_cap_exit(capsys, tmp_path):
     template = write_config(tmp_path, {"n": 5, "p": 2, "tail_bounds": 2})
     code, _, err = run_cli(capsys, "search", "--template", template, "--cap", "10")
@@ -295,7 +304,7 @@ def test_search_cap_exit(capsys, tmp_path):
     unreduced = write_config(tmp_path, {**payload, "symmetry_reduction": False}, "unreduced.json")
     code, out, err = run_cli(capsys, "search", "--template", unreduced, "--cap", "1")
     assert (code, out) == (1, "")
-    assert err.startswith("rbdcalc: estimated search space 14520 exceeds cap 1")
+    assert err.startswith("rbdcalc: estimated search space 108 exceeds cap 1")
 
 
 def test_search_refuses_a_wide_box(capsys, tmp_path):
@@ -401,6 +410,10 @@ def test_reproduce_filter_errors(capsys):
     assert run_cli(capsys, "reproduce-paper", "--only", "a=99")[0] == 2
     assert run_cli(capsys, "reproduce-paper", "--only", "b=3")[0] == 2
     assert run_cli(capsys, "reproduce-paper", "--only", "a=x")[0] == 2
+    for only, val in (("a=0_3,family=1", "0_3"), ("a= \u0663", "\u0663"), ("a=-3", "-3")):
+        code, out, err = run_cli(capsys, "reproduce-paper", "--only", only)
+        assert (code, out) == (2, "")
+        assert err == f"rbdcalc: --only a must be written in the digits 0-9, got {val!r}\n"
     code, out, err = run_cli(capsys, "reproduce-paper", "--only", "a=3,a=4")
     assert (code, out) == (2, "")
     assert err == "rbdcalc: --only gives a more than once\n"
@@ -419,6 +432,19 @@ def test_reproduce_writes_report_directory(capsys, tmp_path):
     assert names == expected
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["all_passed"] is True
+
+
+def test_reproduce_summary_is_one_encoding_of_the_whole(capsys, tmp_path):
+    """The cases are spliced into the summary text; an echoed --out that
+    spells the splice point must not move them."""
+    out_dir = tmp_path / '"cases": null'
+    code, out, _ = run_cli(capsys, "reproduce-paper", "--only", "family=2", "--out", str(out_dir))
+    assert code == 0
+    summary = json.loads(out)
+    assert out == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert (out_dir / "summary.json").read_text() == out
+    assert [case["case"] for case in summary["cases"]] == [f"family2/a{a}" for a in range(3, 7)]
+    assert summary["input"]["out"] == str(out_dir)
 
 
 @pytest.mark.parametrize("target", ["report.json", "report.json/sub"])

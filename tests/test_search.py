@@ -1,5 +1,7 @@
 """Bounded configuration search and the open-range question probes."""
 
+import hashlib
+import json
 from importlib import import_module
 from importlib.util import module_from_spec, spec_from_file_location
 from itertools import product
@@ -103,17 +105,13 @@ def test_estimate_groups_free_coordinates_by_bound():
     assert estimate_search_space(mixed) == 5 * 3 * 5 * 7 * 3 * 5
 
 
-def placement_boxes(template):
-    """(free-coordinate box, t range width) of every placement walked."""
-    out = []
+def placement_box_sum(template):
+    """Free-coordinate box times t range width, summed over every placement walked."""
+    total = 0
     for placement in _placements(template):
         free, _run, _end, t_range = _placement_geometry(template, placement)
-        out.append((prod(2 * template.tail_bounds[i] + 1 for i in free), len(t_range)))
-    return out
-
-
-def placement_box_sum(template):
-    return sum(free * width for free, width in placement_boxes(template))
+        total += prod(2 * template.tail_bounds[i] + 1 for i in free) * len(t_range)
+    return total
 
 
 def unreduced_free_pairs(bounds, p=3):
@@ -137,11 +135,11 @@ def unreduced_free_pairs(bounds, p=3):
 )
 def test_unreduced_free_pairs_estimate_bounds_every_placement(bounds, p, true_sum):
     """The smallest-bound placement can have an empty t range; the estimate
-    must still bound the sum of the boxes actually walked."""
+    is still the sum of the boxes actually walked."""
     template = unreduced_free_pairs(bounds, p)
     walked = placement_box_sum(template)
     assert true_sum is None or walked == true_sum
-    assert estimate_search_space(template) >= walked > 0
+    assert estimate_search_space(template) == walked > 0
 
 
 @st.composite
@@ -154,14 +152,11 @@ def small_free_pairs_boxes(draw):
 @settings(max_examples=40)
 @given(small_free_pairs_boxes())
 def test_estimate_is_an_upper_bound_on_small_templates(case):
-    """Placements x largest free box x widest t range, each maximum taken
-    over every placement; exact on uniform bounds, where all boxes agree."""
+    """The closed form equals the sum over every placement walked, on mixed
+    and on uniform bounds."""
     n, p, bounds = case
     template = unreduced_free_pairs(bounds, p)
-    boxes = placement_boxes(template)
-    estimate = estimate_search_space(template)
-    assert estimate == len(boxes) * max(f for f, _ in boxes) * max(w for _, w in boxes)
-    assert estimate >= placement_box_sum(template)
+    assert estimate_search_space(template) == placement_box_sum(template)
     uniform = SearchTemplate.uniform(n, p, bounds[0], "free-pairs", symmetry_reduction=False)
     assert estimate_search_space(uniform) == placement_box_sum(uniform)
 
@@ -291,16 +286,33 @@ def test_four_chain_probe():
     assert report.template.p == 25
 
 
-def test_probe_script_labels_shaped_and_uniform_alike():
+def load_probe_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "probe_open_range.py"
     spec = spec_from_file_location("probe_open_range", path)
     script = module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_probe_script_labels_shaped_and_uniform_alike():
+    script = load_probe_script()
     uniform = script.probe(11, "3-chain", 1, DEFAULT_CAP)
     shaped = script.probe(11, "3-chain", None, DEFAULT_CAP)
     assert uniform["status"] == shaped["status"] == "ok"
     assert uniform["label"] == shaped["label"] == FamilySearchReport.label
     assert "homological only" in shaped["label"]
+
+
+def test_probe_script_rows_match_golden_digest():
+    """The probe rows, wall time aside, of the six questions the bench runs."""
+    script = load_probe_script()
+    lines = []
+    for kind, a in [("3-chain", a) for a in range(8, 12)] + [("4-chain", 5), ("4-chain", 6)]:
+        row = script.probe(a, kind, None, DEFAULT_CAP)
+        del row["seconds"]
+        lines.append(json.dumps(row, sort_keys=True) + "\n")
+    digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "36716a71dc2f77d25fca947faecfa5a04198d8aad673b78f0ffb5f7cdb052104"
 
 
 def test_question_probe_validation():
