@@ -140,7 +140,8 @@ def _check_rows(candidate: Sequence[ClassVector], p: int):
     """The one Gram check: (ok, body block, tail pairings, tail square).
 
     The body block comes from the last-body memo or the per-body cache, so
-    a call pairs only the long class: O(n + nnz) work, and no report.
+    a call pairs only the long class: O(n + nnz) work, and no report. The
+    result holds all that _report needs, so no caller checks twice.
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got p = {p}")
@@ -161,16 +162,15 @@ def _check_rows(candidate: Sequence[ClassVector], p: int):
     return ok, block, tail_pairings, tail_square
 
 
-def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainReport:
-    """Check candidate classes against the C_p Gram matrix, on coefficient rows.
+def _report(p: int, check) -> ChainReport:
+    """The ChainReport of one _check_rows result.
 
-    Runs the same row check as the CpConfiguration constructor, then builds
-    the report. If any entry is off, the full matrix is scanned in a fixed
-    order so the reported violation is deterministic: squares in class
-    order, then consecutive pairings, then distant pairs in lexicographic
-    order. Only the first one is reported.
+    If any entry is off, the full matrix is scanned in a fixed order so the
+    reported violation is deterministic: squares in class order, then
+    consecutive pairings, then distant pairs in lexicographic order. Only
+    the first one is reported.
     """
-    ok, (gram, body_squares, *_), tail_pairings, tail_square = _check_rows(candidate, p)
+    ok, (gram, body_squares, *_), tail_pairings, tail_square = check
     squares = body_squares + (tail_square,)
     if ok:
         return ChainReport(p=p, ok=True, violation=None, squares=squares)
@@ -178,6 +178,15 @@ def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainRe
     full.append(tail_pairings + [tail_square])
     violation = _first_violation(full, p)
     return ChainReport(p=p, ok=violation is None, violation=violation, squares=squares)
+
+
+def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainReport:
+    """Check candidate classes against the C_p Gram matrix, on coefficient rows.
+
+    Runs the same row check as the CpConfiguration constructor and reports
+    its result, with the first violation in scan order (see _report).
+    """
+    return _report(p, _check_rows(candidate, p))
 
 
 def parse_configuration(data) -> tuple[int, tuple[ClassVector, ...]]:
@@ -212,8 +221,8 @@ class CpConfiguration:
     """A verified C_p configuration.
 
     Every construction runs the Gram check that verify_cp_configuration
-    runs, and raises InvalidConfigurationError with that function's report
-    on failure; there is no other way to build one. A passing check builds
+    runs, and raises InvalidConfigurationError with the same report on
+    failure; there is no other way to build one. A passing check builds
     no report. Search hits cost O(n + nnz) each: hits of one placement
     share their body, whose block the check verifies once and memoizes.
     """
@@ -222,8 +231,9 @@ class CpConfiguration:
     classes: tuple[ClassVector, ...]
 
     def __post_init__(self):
-        if not _check_rows(self.classes, self.p)[0]:
-            raise InvalidConfigurationError(verify_cp_configuration(self.classes, self.p))
+        check = _check_rows(self.classes, self.p)
+        if not check[0]:
+            raise InvalidConfigurationError(_report(self.p, check))
 
     @property
     def lattice(self) -> AmbientLattice:

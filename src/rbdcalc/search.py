@@ -9,7 +9,8 @@ than enumerated. Only genuinely free coordinates are walked, with a pruning
 step that discards a partial assignment only when no completion can reach a
 feasible h^2, so the enumeration returns exactly the box solutions. A full
 assignment looks its sum of squares up in a per-placement table of (t, h)
-solutions, and each tail is the assignment plus a precomputed base row.
+solutions, kept to the sums the walk can reach, and each tail is the
+assignment plus h plus a precomputed base row per t.
 Each solution becomes a CpConfiguration through the normal constructor, so
 the one Gram verifier checks it from raw coefficients; its body block is
 verified once per placement and memoized, leaving O(n + nnz) work per hit
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 from operator import add, itemgetter
 
 from .chains import CpConfiguration
@@ -148,33 +149,43 @@ def _placement_geometry(template: SearchTemplate, placement: tuple[int, ...]):
 
 
 def _solution_table(
-    template: SearchTemplate, run, end, t_range
-) -> dict[int, list[tuple[int, ...]]]:
-    """Free sum s -> base rows of its solutions, once per placement.
+    template: SearchTemplate, free, run, end, t_range
+) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
+    """Free sum s -> (c0, base row) of its solutions, once per placement.
 
-    A base row holds c0 at h, the run value t on the run and t + 1 at the
-    end, zeros elsewhere: a hit's tail is its free coordinates plus a base
-    row. For each t, c0^2 = s + tpart - (p + 2) with |c0| within its bound,
-    so each (t, c0) solves exactly one s. Rows of one s come in t order,
-    then c0 before -c0.
+    A base row holds the run value t on the run and t + 1 at the end, zeros
+    elsewhere: a hit's tail is its free coordinates and c0 at h plus the
+    base row of its t. For each t, c0^2 = s + need with need =
+    (p - 2) t^2 + (t + 1)^2 - (p + 2), or -(p + 2) when p = 2, so each
+    (t, c0) solves exactly one s. Only the s the walk can reach,
+    0 <= s <= reach (the free bounds squared, summed), are kept:
+    need <= c0^2 <= need + reach, and a t with no such c0 builds no row. Those c0 >= 0 span at most
+    isqrt(reach) + 1 values, however large h's bound, so a t holds at most
+    twice as many entries as the free box the estimate counts. Entries of
+    one s come in t order, then c0 before -c0.
     """
-    p = template.p
-    table: dict[int, list[tuple[int, ...]]] = {}
+    p, bounds = template.p, template.tail_bounds
+    reach = sum(bounds[i] ** 2 for i in free)
+    table: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for t in t_range:
+        need = -(p + 2) if t is None else (p - 2) * t * t + (t + 1) * (t + 1) - (p + 2)
+        if need + reach < 0:
+            continue
+        lo = isqrt(need - 1) + 1 if need > 0 else 0
+        hi = min(bounds[0], isqrt(need + reach))
+        if lo > hi:
+            continue
         row = [0] * (template.n + 1)
-        tpart = 0
         if t is not None:
             for i in run:
                 row[i] = t
             row[end] = t + 1
-            tpart = (p - 2) * t * t + (t + 1) * (t + 1)
-        for c0 in range(template.tail_bounds[0] + 1):
-            s = c0 * c0 + (p + 2) - tpart
-            if s >= 0:
-                rows = table.setdefault(s, [])
-                for value in (c0, -c0) if c0 else (0,):
-                    row[0] = value
-                    rows.append(tuple(row))
+        base = tuple(row)
+        for c0 in range(lo, hi + 1):
+            entries = table.setdefault(c0 * c0 - need, [])
+            entries.append((c0, base))
+            if c0:
+                entries.append((-c0, base))
     return table
 
 
@@ -184,7 +195,7 @@ def _enumerate_placement(
     """All (placement, tail coefficients) solutions for one body placement."""
     bounds = template.tail_bounds
     free, run, end, t_range = _placement_geometry(template, placement)
-    table = _solution_table(template, run, end, t_range)
+    table = _solution_table(template, free, run, end, t_range)
     if not table:
         return []
     s_max = max(table)
@@ -195,7 +206,8 @@ def _enumerate_placement(
         if s > s_max:
             return
         if idx == len(free):
-            for base in table.get(s, ()):
+            for c0, base in table.get(s, ()):
+                coeffs[0] = c0
                 out.append((placement, tuple(map(add, coeffs, base))))
             return
         coord = free[idx]

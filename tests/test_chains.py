@@ -221,7 +221,8 @@ def test_body_memo_matches_by_equality(body_cache):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_failing_tail_after_a_cached_body(body_cache, p):
     """A tail that fails against a memoized body gets the reference scan's
-    violation, from the verifier and from the constructor alike."""
+    violation, from the verifier and from the constructor alike, and each
+    call runs the row check once: one memo lookup per call."""
     cfg = standard_configuration(p, p + 1)
     body, tail = cfg.classes[:-1], cfg.classes[-1]
     lat = cfg.lattice
@@ -235,7 +236,7 @@ def test_failing_tail_after_a_cached_body(body_cache, p):
         with pytest.raises(InvalidConfigurationError) as exc:
             CpConfiguration(p=p, classes=classes)
         assert exc.value.report == want
-    assert builds_and_reuses(body_cache)[0] == 1
+    assert builds_and_reuses(body_cache) == (1, 2 * lat.rank)
 
 
 def assert_pairings_are_the_pairing_loop(cfg, x):

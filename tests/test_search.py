@@ -28,6 +28,7 @@ from rbdcalc.search import (
     SearchTemplate,
     _placement_geometry,
     _placements,
+    _solution_table,
     estimate_search_space,
     family_question_dimensions,
     family_question_template,
@@ -172,6 +173,23 @@ def test_cap_refused_before_enumeration():
     assert DEFAULT_CAP >= 3125
     with pytest.raises(SearchCapExceeded):
         search(unreduced_free_pairs((5, 0, 0, 5, 5)), cap=1)
+
+
+@pytest.mark.parametrize("h_bound", [10**5, 10**9])
+@pytest.mark.parametrize("n, p, bounds", [(1, 2, (0,)), (3, 3, (2, 2, 2)), (4, 3, (2, 1, 2, 1))])
+def test_huge_h_bound_costs_only_reachable_sums(n, p, bounds, h_bound):
+    """h is solved, not counted in the estimate, so its bound must not size
+    the work: the solution table keeps only the free sums the walk can
+    reach, at most twice the placement's box, and the hits are those of a
+    small h bound."""
+    template = SearchTemplate(n=n, p=p, tail_bounds=(h_bound,) + bounds)
+    (placement,) = _placements(template)
+    geometry = _placement_geometry(template, placement)
+    free, _run, _end, t_range = geometry
+    entries = sum(map(len, _solution_table(template, *geometry).values()))
+    assert entries <= 2 * prod(2 * template.tail_bounds[i] + 1 for i in free) * len(t_range)
+    small = SearchTemplate(n=n, p=p, tail_bounds=(10,) + bounds)
+    assert search(template, cap=estimate_search_space(template)) == search(small)
 
 
 def test_search_matches_brute_force():
