@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import attrgetter
 from typing import Sequence
 
@@ -249,7 +250,7 @@ class CpConfiguration:
             raise LatticeMismatchError(
                 f"class lives in n = {x.lattice.n}, configuration in n = {self.lattice.n}"
             )
-        return tuple(row_pairing(x.coeffs, u.coeffs) for u in self.classes)
+        return tuple(map(row_pairing, repeat(x.coeffs), map(_coeffs, self.classes)))
 
     def report(self) -> ChainReport:
         """The verifier's report on these classes: construction passed it, so

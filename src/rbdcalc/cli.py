@@ -11,7 +11,7 @@ Every report carries the tool name and version plus a full echo of its
 inputs, so a report file alone is enough to re-run and re-check the claim.
 All JSON emitted on stdout is deterministic: keys sorted, no timestamps.
 A report's payload is its dataclass fields under their own names, encoded
-by rbdcalc.report.
+by rbdcalc.report, whose dumps writes every indented report.
 The search trailer, which includes wall time, goes to stderr.
 """
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .families import (
     expected_negative_rank,
 )
 from .lattice import AmbientLattice, ClassVector
+from .report import dumps
 from .search import DEFAULT_CAP, SearchTemplate, search
 from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
 
@@ -59,7 +60,7 @@ class UsageError(Exception):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(dumps(obj))
 
 
 def _certificate(input_echo: dict, payload: dict) -> dict:
@@ -346,7 +347,7 @@ def cmd_reproduce_paper(args) -> int:
 
     Each case is encoded once: its text goes to its own file and, indented
     to its nesting depth, into the summary, giving the bytes of one
-    json.dumps of the whole summary.
+    report.dumps of the whole summary.
     """
     filters = _parse_only(args.only) if args.only else {}
     cases = [
@@ -359,7 +360,7 @@ def cmd_reproduce_paper(args) -> int:
         raise UsageError(f"--only {args.only!r} selects no cases")
     root = _fixtures_root(args.fixtures)
     results = [_reproduce_case(c, root) for c in cases]
-    texts = [json.dumps(r, indent=2, sort_keys=True) for r in results]
+    texts = [dumps(r) for r in results]
     summary = _certificate(
         {
             "command": "reproduce-paper",
@@ -377,7 +378,7 @@ def cmd_reproduce_paper(args) -> int:
     # string values are encoded with their quotes escaped, so the key with
     # its null can only be the top-level placeholder; a case sits at depth
     # 2, four spaces in, and JSON text holds no raw newline
-    head, _, rest = json.dumps(summary, indent=2, sort_keys=True).partition('"cases": null')
+    head, _, rest = dumps(summary).partition('"cases": null')
     cases_text = ",\n".join("    " + t.replace("\n", "\n    ") for t in texts)
     text = head + '"cases": [\n' + cases_text + "\n  ]" + rest
     if args.out is not None:

@@ -14,12 +14,12 @@ configuration can exist at all.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .chains import CpConfiguration
 from .errors import DomainError, TemplateError
 from .lattice import AmbientLattice, ClassVector
+from .report import dumps
 
 FAMILY_NUMBERS = (1, 2)
 
@@ -206,4 +206,4 @@ def fixture_payload(a: int, family: int) -> dict:
 
 def dump_fixture(a: int, family: int) -> str:
     """Canonical serialized fixture, byte-stable across runs."""
-    return json.dumps(fixture_payload(a, family), indent=2, sort_keys=True) + "\n"
+    return dumps(fixture_payload(a, family)) + "\n"

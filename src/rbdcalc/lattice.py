@@ -20,6 +20,9 @@ from .errors import DomainError, InputTypeError, LatticeMismatchError
 from .snf import kernel_basis
 
 
+_INTS = {int}
+
+
 def strict_int(value, what: str) -> int:
     """`value` if it is an int; a bool, float, str or anything else raises.
     Loaders use this, not int(), which would read 3.7 as 3 and true as 1."""
@@ -43,7 +46,11 @@ class AmbientLattice:
         return self.n + 1
 
     def vector(self, coeffs: Iterable[int]) -> "ClassVector":
-        c = tuple(strict_int(x, "coefficient") for x in coeffs)
+        c = tuple(coeffs)
+        # one C-level type pass; the strict loop runs only to keep an int
+        # subclass or to name the first value that is not an int
+        if not set(map(type, c)) <= _INTS:
+            c = tuple(strict_int(x, "coefficient") for x in c)
         if len(c) != self.rank:
             raise DomainError(
                 f"expected {self.rank} coefficients (h first), got {len(c)}"

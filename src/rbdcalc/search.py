@@ -113,9 +113,13 @@ def _placements(template: SearchTemplate) -> list[tuple[int, ...]]:
     """Body index sequences x_1..x_{p-1}; body_i = e_{x_i} - e_{x_{i+1}}.
 
     With symmetry reduction, one canonical ascending run anchored at the top
-    index. Without it: all ascending runs for the consecutive shape, all
-    injective sequences for free-pairs (use the estimate before walking
-    these). p = 2 has an empty body and a single empty placement.
+    index. Without it: all ascending runs for the consecutive shape, and for
+    free-pairs the injective sequences whose t range is not empty (use the
+    estimate before walking these). A t range is empty exactly when the end
+    index and some run index both have bound 0, so the end is picked first
+    and a zero-bound end draws its run from the positive-bound indices only;
+    every listed placement then counts at least 1 in the estimate, and the
+    cap bounds the list. p = 2 has an empty body and a single empty placement.
     """
     n, p = template.n, template.p
     if p == 2:
@@ -125,7 +129,13 @@ def _placements(template: SearchTemplate) -> list[tuple[int, ...]]:
         return [anchored]
     if template.body_shape == "consecutive-differences":
         return [tuple(range(s, s + p - 1)) for s in range(1, n - p + 3)]
-    return list(permutations(range(1, n + 1), p - 1))
+    bounds, indices = template.tail_bounds, range(1, n + 1)
+    positive = [i for i in indices if bounds[i]]
+    placements = []
+    for end in indices:
+        pool = [i for i in indices if i != end] if bounds[end] else positive
+        placements.extend(run + (end,) for run in permutations(pool, p - 2))
+    return placements
 
 
 def _placement_geometry(template: SearchTemplate, placement: tuple[int, ...]):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .blowdown import AmbientManifoldData
 from .chains import CpConfiguration, cp_smith
@@ -163,7 +164,7 @@ def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> Restr
 
     s = cp_smith(cfg.p)
     # coker(Q) = sum Z/d_i via x -> (U x)_i mod d_i; chains give (1,...,1,p^2)
-    ux = [sum(a * b for a, b in zip(row, kv)) for row in s.u]
+    ux = [sum(map(mul, row, kv)) for row in s.u]
     p2 = cfg.p * cfg.p
     last = s.diagonal[-1]
     if last != p2:
@@ -171,8 +172,8 @@ def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> Restr
             f"configuration cokernel is not Z/p^2: divisors {s.diagonal}"
         )
     xs = [y * (p2 // d) for y, d in zip(ux, s.diagonal)]
-    vx = [sum(a * b for a, b in zip(row, xs)) for row in s.v]  # p^2 Q^{-1} k
-    sq = Fraction(sum(a * b for a, b in zip(kv, vx)), p2)
+    vx = [sum(map(mul, row, xs)) for row in s.v]  # p^2 Q^{-1} k
+    sq = Fraction(sum(map(mul, kv, vx)), p2)
     residue = ux[-1] % p2
     divisible = residue % cfg.p == 0
     m = residue // cfg.p if divisible else None

@@ -607,16 +607,26 @@ def test_stdout_matches_golden_digest(capsys, monkeypatch, tmp_path, name, argv)
 
 def test_report_files_match_golden_digests(capsys, monkeypatch, tmp_path):
     """summary.json is stdout, which differs from the golden run only in the
-    echoed --out; the per-case files carry no output path at all."""
+    echoed --out; the per-case files carry no output path at all. The
+    bundled fixtures, written by the same writer, regenerate unchanged."""
     monkeypatch.chdir(REPO_ROOT)
     code, out, _ = run_cli(capsys, "reproduce-paper", "--fixtures", REL_FIXTURES, "--out", str(tmp_path))
     assert code == 0
-    assert (tmp_path / "summary.json").read_text() == out
+    summary = (tmp_path / "summary.json").read_text()
+    # print() ends the printed text with one newline; the file ends the same
+    assert summary == out and out.endswith("}\n")
+    assert summary == json.dumps(json.loads(summary), indent=2, sort_keys=True) + "\n"
     echoed = f'"out": {json.dumps(str(tmp_path))}'
-    assert out.count(echoed) == 1
-    assert sha256(out.replace(echoed, '"out": null')) == GOLDEN_STDOUT["reproduce-paper"]
+    assert summary.count(echoed) == 1
+    assert sha256(summary.replace(echoed, '"out": null')) == GOLDEN_STDOUT["reproduce-paper"]
     files = {f.name: sha256(f.read_text()) for f in tmp_path.iterdir() if f.name != "summary.json"}
     assert files == GOLDEN_REPORT_FILES
+    check = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "gen_fixtures.py"), "--check"],
+        capture_output=True,
+        text=True,
+    )
+    assert (check.returncode, check.stdout) == (0, "fixtures are up to date\n")
 
 
 def test_reproduce_detects_corrupted_fixture(capsys, tmp_path):

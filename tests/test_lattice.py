@@ -55,9 +55,15 @@ def test_vector_length_must_match_rank():
 
 @pytest.mark.parametrize("bad", [1.9, 2.0, True, "1", None])
 def test_vector_coefficients_must_be_integers(bad):
-    """int() would truncate 1.9 and read true as 1; both are refused."""
-    with pytest.raises(InputTypeError):
+    """int() would truncate 1.9 and read true as 1; both are refused, and the
+    message names the first bad value, also after a valid big int."""
+    message = f"coefficient must be an integer, got {bad!r}"
+    with pytest.raises(InputTypeError) as caught:
         AmbientLattice(2).vector([0, bad, 1])
+    assert str(caught.value) == message
+    with pytest.raises(InputTypeError) as caught:
+        AmbientLattice(3).vector([10**40, bad, 2.5, 1])
+    assert str(caught.value) == message
 
 
 def test_basis_pairings():

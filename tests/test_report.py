@@ -1,15 +1,23 @@
-"""The report encoder: every dataclass field under its own name."""
+"""The report encoder, every dataclass field under its own name, and the
+indented writer, byte for byte json.dumps(value, indent=2, sort_keys=True)."""
 
+import ast
 import json
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rbdcalc
 
 from rbdcalc.blowdown import BlowdownInvariants, BlowdownReport, H1Certificate, ParityReport
 from rbdcalc.chains import ChainReport, ChainViolation
 from rbdcalc.lattice import AmbientLattice
-from rbdcalc.report import Report
+from rbdcalc.report import Report, dumps
 from rbdcalc.search import SearchTemplate
 from rbdcalc.sw import AdmissibilityReport, RestrictionReport, SwOutcome
 
@@ -80,3 +88,115 @@ def test_reports_use_the_one_encoder(report):
 
 def test_library_reports_cover_every_report_class():
     assert sorted(type(r).__name__ for r in library_reports()) == sorted(c.__name__ for c in REPORTS)
+
+
+# -- the indented writer ----------------------------------------------------
+
+
+class Int(int):
+    def __repr__(self):
+        return "Int()"
+
+
+class Dict(dict):
+    pass
+
+
+def reference(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def outcome(write, value):
+    """The text written, or the type of the exception raised."""
+    try:
+        return write(value)
+    except Exception as exc:  # the writer must raise what json raises
+        return type(exc)
+
+
+TEXT = st.text(st.sampled_from('az"\\[],:{}\n\t\u00e9\u2603\U0001f600 ') | st.characters(), max_size=6)
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()  # nan and both infinities included
+    | TEXT
+    | st.builds(Int, st.integers(-5, 5))
+    | st.builds(object)  # json rejects it
+)
+KEYS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers() | st.booleans(), max_size=5)  # bools among ints
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=3).map(Dict)
+    | st.dictionaries(KEYS, inner, max_size=3)  # keys json converts, or cannot sort
+    | st.dictionaries(TEXT | KEYS, inner, max_size=3),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES)
+def test_writer_matches_json_dumps(value):
+    assert outcome(dumps, value) == outcome(reference, value)
+
+
+def circular_list():
+    value = [1]
+    value.append(value)
+    return value
+
+
+def circular_dict():
+    value = {"a": [1, 2]}
+    value["b"] = {"c": value}
+    return value
+
+
+def deep_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value, 1]
+    return value
+
+
+EDGE_CASES = {
+    "empty": [{}, [], (), ""],
+    "leaves": [0, -0.0, True, None, math.nan, -math.inf, "\u00e9\n\"\\"],
+    "bools among ints": [[True, 1, 2], [1, 2, False]],
+    "int subclass": [1, Int(2)],
+    "big ints": [10**300, -(10**300), list(range(1000))],
+    "nesting": {"b": [], "a": {}, "c": [[1], [2, 3]], "d": ({"e": None},)},
+    "escaped keys": {"\u00e9": 1, "e": 2, "\n": "\"\\", "[": ",", ":": "]"},
+    "colliding keys": {1: "x", "1": "y"},
+    "unsortable keys": {"a": 1, 2: "b"},
+    "dict subclass": [Dict(a=1), {"a": Dict(b=[1, 2])}],
+    "floats among ints": [1.5, 1, "1"],
+    "unserialisable": {"x": {1.5, 2}},
+    "int too long to print": [1, 10**5000],
+    "circular list": circular_list(),
+    "circular dict": circular_dict(),
+    "too deep": deep_list(2000),
+}
+
+
+@pytest.mark.parametrize("value", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_writer_matches_json_dumps_on_edge_cases(value):
+    assert outcome(dumps, value) == outcome(reference, value)
+
+
+def test_indented_json_has_one_writer():
+    """No json.dump(s) call with an indent outside rbdcalc.report."""
+    src = Path(rbdcalc.__file__).parent
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

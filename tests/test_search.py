@@ -2,9 +2,10 @@
 
 import hashlib
 import json
+import time
 from importlib import import_module
 from importlib.util import module_from_spec, spec_from_file_location
-from itertools import product
+from itertools import permutations, product
 from math import prod
 from pathlib import Path
 
@@ -160,6 +161,31 @@ def test_estimate_is_an_upper_bound_on_small_templates(case):
     assert estimate_search_space(template) == placement_box_sum(template)
     uniform = SearchTemplate.uniform(n, p, bounds[0], "free-pairs", symmetry_reduction=False)
     assert estimate_search_space(uniform) == placement_box_sum(uniform)
+
+
+@settings(max_examples=40)
+@given(small_free_pairs_boxes())
+def test_unreduced_free_pairs_lists_exactly_the_walkable_placements(case):
+    """Every injective sequence with a nonempty t range, and no other, so
+    each listed placement counts at least 1 in the estimate."""
+    n, p, bounds = case
+    template = unreduced_free_pairs(bounds, p)
+    walkable = {
+        pl for pl in permutations(range(1, n + 1), p - 1) if _placement_geometry(template, pl)[3]
+    }
+    listed = _placements(template)
+    assert len(listed) == len(set(listed)) and set(listed) == walkable
+
+
+def test_unreduced_free_pairs_zero_estimate_lists_nothing():
+    """With every e bound 0 each t range is empty, the estimate is 0, and
+    the n(n - 1) empty placements are not built one by one."""
+    n = 400
+    template = unreduced_free_pairs((1,) + (0,) * n)
+    assert estimate_search_space(template) == 0
+    started = time.perf_counter()
+    assert search(template, cap=1) == []
+    assert time.perf_counter() - started < 0.5
 
 
 def test_cap_refused_before_enumeration():
