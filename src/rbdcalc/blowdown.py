@@ -4,8 +4,10 @@ Cutting out the configuration and gluing in the rational ball preserves b2+
 and removes p-1 negative classes, so on the level of homology the outcome is
 controlled by bookkeeping plus two certificates:
 
-  * H1, decided exactly by one Smith normal form of the restriction map to
-    the configuration, with a witness class when it vanishes;
+  * H1, decided exactly from the cokernel of the restriction map to the
+    configuration, with a witness class when it vanishes: one gcd when the
+    body is a signed path of e-differences (every search hit and bundled
+    family), else one Smith normal form;
   * parity: either the signature obstruction (an even closed simply
     connected 4-manifold has signature divisible by 16) or an explicit
     odd-square class orthogonal to the configuration.
@@ -16,6 +18,7 @@ is a `report.Report`: its JSON is its fields under their own names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, prod
 from typing import Sequence
 
@@ -142,6 +145,52 @@ def _basis_witness(restriction: list[tuple[int, ...]], p: int) -> list[int] | No
     return None
 
 
+def _path_divisors(restriction: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The Smith diagonal (1, ..., 1, g) of r when the body is a signed path, else None.
+
+    A signed path: every body row has h-coefficient 0 and two nonzero
+    e-coefficients, each +/-1, row i on the indices {x_i, x_{i+1}} with
+    x_1, ..., x_{p-1} distinct; p = 2 has an empty body. The body map is then
+    onto Z^{p-2} (triangular with unit diagonal on x_2, ..., x_{p-1}), and its
+    kernel is spanned by h, each e_k off the path and sum_j sigma_j e_{x_j},
+    with sigma_1 = 1 and sigma_{j+1} = -u_j[x_j] u_j[x_{j+1}] sigma_j. So
+    coker r = Z/g, g the gcd of the long class's functional on that kernel.
+    """
+    *body, long_row = restriction
+    indices = range(len(long_row))
+    supports = []
+    for row in body:
+        support = list(compress(indices, row))
+        if len(support) != 2 or support[0] == 0:
+            return None
+        a, b = support
+        if abs(row[a]) != 1 or abs(row[b]) != 1:
+            return None
+        supports.append(support)
+    rest = list(long_row)
+    total = 0
+    if body:
+        # x_1 is the index of row 1 that row 2 does not share
+        x, y = supports[0]
+        if len(body) > 1 and x in supports[1]:
+            x = y
+        path = {x}
+        total, sign = long_row[x], 1
+        for row, (a, b) in zip(body, supports):
+            if x not in (a, b):
+                return None
+            y = a + b - x
+            if y in path:
+                return None
+            path.add(y)
+            sign = -row[x] * row[y] * sign
+            total += sign * long_row[y]
+            x = y
+        for x in path:
+            rest[x] = 0
+    return (1,) * len(body) + (gcd(total, *rest),)
+
+
 def h1_certificate(
     x: AmbientManifoldData,
     cfg: CpConfiguration,
@@ -153,10 +202,13 @@ def h1_certificate(
     a condition, else "inconclusive". Otherwise the answer is exact: the
     complement of C_p has H1 = coker r for the restriction map
     r(x) = (x.u_1, ..., x.u_{p-1}), and gluing in the rational ball (H1 = Z/p)
-    leaves H1 = Z/gcd(|coker r|, p) (Fintushel-Stern, JDG 1997), read off one
-    Smith normal form of r. At order 1 the witness is the first +/-e_j
-    meeting a condition, else the solution of r(x) = (0, ..., 0, 1); it gets
-    the same cfg.pairings test as a given delta, and failing it raises
+    leaves H1 = Z/gcd(|coker r|, p) (Fintushel-Stern, JDG 1997). When the
+    body is a signed path (see _path_divisors) the cokernel is Z/g for one
+    gcd g and the divisors are (1, ..., 1, g); otherwise they are the
+    diagonal of one Smith normal form of r. At order 1 the witness is the
+    first +/-e_j meeting a condition, else the solution of
+    r(x) = (0, ..., 0, 1) from the Smith normal form; it gets the same
+    cfg.pairings test as a given delta, and failing it raises
     ConsistencyError. A larger order is "nontrivial" in a simply connected
     ambient (the formula needs H1 of the ambient to vanish) and
     "inconclusive" otherwise.
@@ -167,8 +219,11 @@ def h1_certificate(
     order = divisors = coeffs = None
     if delta is None:
         restriction = [dual_coefficients(u) for u in cfg.classes]
-        snf = smith_normal_form(restriction)
-        divisors = snf.diagonal
+        divisors = _path_divisors(restriction)
+        snf = None
+        if divisors is None:
+            snf = smith_normal_form(restriction)
+            divisors = snf.diagonal
         order = gcd(prod(divisors), p)
         if order > 1:
             return H1Certificate(
@@ -179,7 +234,9 @@ def h1_certificate(
                 order=order if x.simply_connected else None,
                 restriction_divisors=divisors,
             )
-        coeffs = _basis_witness(restriction, p) or snf.solve([0] * (p - 2) + [1])
+        coeffs = _basis_witness(restriction, p)
+        if coeffs is None:
+            coeffs = (snf or smith_normal_form(restriction)).solve([0] * (p - 2) + [1])
         delta = None if coeffs is None else x.lattice.vector(coeffs)
     pair = None if delta is None else cfg.pairings(delta)
     cond = None if pair is None else _condition(pair, p)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
@@ -317,18 +316,6 @@ def lens_space_cf(p: int) -> list[int]:
         out.append(q)
         num, den = den, q * den - num
     return out
-
-
-def evaluate_neg_cf(terms: Sequence[int]) -> Fraction:
-    """Value of [a_1, a_2, ...] = a_1 - 1/(a_2 - 1/(...)). Inverse of lens_space_cf."""
-    if not terms:
-        raise DomainError("empty continued fraction")
-    val = Fraction(terms[-1])
-    for t in reversed(terms[:-1]):
-        if val == 0:
-            raise DomainError("continued fraction hits a zero tail")
-        val = t - 1 / val
-    return val
 
 
 def standard_configuration(p: int, n: int | None = None) -> CpConfiguration:

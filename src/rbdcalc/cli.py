@@ -5,7 +5,8 @@ codes: 0 success, 1 mathematical failure (verification fails, precondition
 violated, cap exceeded, a blowdown whose type is not pinned down, a
 reproduction case fails), 2 usage error (bad arguments, unreadable or
 malformed input files and templates, a configuration whose p is below 2 or
-whose class count is not p - 1).
+whose class count is not p - 1), 141 stdout closed by its reader before the
+output was written (e.g. piped into head), with no traceback.
 
 Every report carries the tool name and version plus a full echo of its
 inputs, so a report file alone is enough to re-run and re-check the claim.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -53,6 +55,7 @@ from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
+BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell shows for a writer whose reader left
 
 
 class UsageError(Exception):
@@ -256,13 +259,16 @@ def _parse_only(text: str) -> dict:
 def _reproduce_case(case, fixtures_root: Path) -> dict:
     """Run the whole pipeline for one fixture; record per-stage outcomes."""
     stages: dict[str, dict] = {}
-    path = fixtures_root / f"family{case.family}" / f"a{case.a}.json"
+    # echoed relative to the fixtures root, so the bytes do not depend on
+    # where the package or the fixtures live
+    rel = f"family{case.family}/a{case.a}.json"
+    path = fixtures_root / rel
     echo = {
         "command": "reproduce-paper",
         "case": case.name,
         "family": case.family,
         "a": case.a,
-        "fixture_path": str(path),
+        "fixture_path": rel,
         "fixture": None,
     }
     result = _certificate(echo, {"case": case.name, "stages": stages, "pass": False})
@@ -274,7 +280,7 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
     try:
         data, p, classes = _parse_config(str(path))
         echo["fixture"] = data
-        stages["load"] = {"status": "pass", "file": str(path)}
+        stages["load"] = {"status": "pass", "file": rel}
     except UsageError as exc:
         return fail("load", exc)
 
@@ -445,7 +451,16 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the interpreter's
+        # final flush of what is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except UsageError as exc:
         print(f"rbdcalc: {exc}", file=sys.stderr)
         return USAGE_ERROR

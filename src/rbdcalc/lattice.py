@@ -13,7 +13,7 @@ odd, and both sides of the defining congruence are additive in v mod 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputTypeError, LatticeMismatchError
@@ -116,9 +116,6 @@ class ClassVector:
 
     # -- form ---------------------------------------------------------------
 
-    def dot(self, other: "ClassVector") -> int:
-        return pairing(self, other)
-
     def square(self) -> int:
         return pairing(self, self)
 
@@ -158,7 +155,7 @@ def dual_coefficients(x: ClassVector) -> tuple[int, ...]:
     the e-part; as a map on classes it is the identity (each basis vector is
     +/-1-dual to itself). Used when a functional, not a class, is needed.
     """
-    return (x.coeffs[0],) + tuple(-c for c in x.coeffs[1:])
+    return (x.coeffs[0], *map(neg, x.coeffs[1:]))
 
 
 def orthogonal_complement_basis(

@@ -167,13 +167,6 @@ def smith_normal_form(mat: list[list[int]] | tuple) -> SNFResult:
     )
 
 
-def matmul(a, b) -> Matrix:
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-        for row in a
-    ]
-
-
 def det(mat) -> int:
     """Exact integer determinant (Bareiss fraction-free elimination)."""
     a = [list(map(int, row)) for row in mat]

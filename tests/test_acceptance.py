@@ -14,7 +14,6 @@ from rbdcalc.blowdown import (
 )
 from rbdcalc.chains import (
     ChainViolation,
-    evaluate_neg_cf,
     intersection_matrix,
     lens_space_cf,
     standard_configuration,
@@ -40,8 +39,10 @@ from rbdcalc.search import (
     search,
     search_family_questions,
 )
-from rbdcalc.snf import det, matmul, smith_normal_form
+from rbdcalc.snf import det, smith_normal_form
 from rbdcalc.sw import CharacteristicData, PeriodPoint, sw_on_blowdown, wall_crossing
+
+from oracles import evaluate_neg_cf, matmul
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 

@@ -4,7 +4,7 @@ from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rbdcalc.blowdown as blowdown_module
@@ -12,6 +12,7 @@ from rbdcalc.blowdown import (
     AmbientManifoldData,
     H1Certificate,
     _condition,
+    _path_divisors,
     blowdown_invariants,
     full_blowdown_report,
     h1_certificate,
@@ -33,6 +34,10 @@ from rbdcalc.families import (
     family_period_point,
 )
 from rbdcalc.lattice import AmbientLattice, pairing
+from rbdcalc.search import family_question_template, search
+from rbdcalc.snf import smith_normal_form
+
+from oracles import h1_by_smith_normal_form, signed_permutation
 
 
 def ambient_for(cfg):
@@ -118,13 +123,8 @@ def permuted_standard_chains(draw):
     target = draw(st.permutations(range(1, n + 1)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     base = standard_configuration(p, n)
-    classes = []
-    for u in base.classes:
-        c = [u.coeffs[0]] + [0] * n
-        for i in range(1, n + 1):
-            c[target[i - 1]] = signs[i - 1] * u.coeffs[i]
-        classes.append(base.lattice.vector(c))
-    return CpConfiguration(p, tuple(classes))
+    rows = signed_permutation([u.coeffs for u in base.classes], target, signs)
+    return CpConfiguration(p, tuple(map(base.lattice.vector, rows)))
 
 
 @settings(max_examples=60)
@@ -152,6 +152,114 @@ def _scan_cases():
 def test_exact_h1_agrees_with_scan(p, rows):
     lat = AmbientLattice(len(rows[0]) - 1)
     assert_exact_route_agrees_with_scan(CpConfiguration(p, tuple(lat.vector(r) for r in rows)))
+
+
+@st.composite
+def signed_path_rows(draw, min_p=2):
+    """(p, rows): the body of standard_configuration(p, n) under a signed
+    permutation, each row with a random sign and the rows possibly in
+    reverse order, then a random long row. Every body is a signed path."""
+    p = draw(st.integers(min_p, 9))
+    n = draw(st.integers(p - 1, 9))
+    target = draw(st.permutations(range(1, n + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    body = [u.coeffs for u in standard_configuration(p, n).classes[:-1]]
+    body = signed_permutation(body, target, signs)
+    body = [[draw(st.sampled_from((1, -1))) * c for c in row] for row in body]
+    if draw(st.booleans()):
+        body.reverse()
+    long_row = draw(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1))
+    return p, [tuple(row) for row in body + [long_row]]
+
+
+@settings(max_examples=150)
+@given(signed_path_rows())
+def test_path_divisors_equal_the_smith_diagonal(case):
+    _, rows = case
+    assert _path_divisors(rows) == smith_normal_form(rows).diagonal
+
+
+@settings(max_examples=100)
+@given(signed_path_rows(min_p=3), st.sampled_from(["h", "double", "third"]), st.data())
+def test_path_divisors_refuse_a_body_row_off_the_shape(case, defect, data):
+    """A body row with an h coefficient (here moved off an e-coordinate, so
+    the row still has two nonzero entries), a coefficient other than +/-1
+    or a third nonzero coefficient is not a path: the helper leaves it to
+    the SNF."""
+    p, rows = case
+    i = data.draw(st.integers(0, p - 3))
+    row = list(rows[i])
+    support = [k for k, c in enumerate(row) if c]
+    if defect == "h":
+        k = data.draw(st.sampled_from(support))
+        row[0], row[k] = row[k], 0
+    elif defect == "double":
+        row[data.draw(st.sampled_from(support))] *= 2
+    else:
+        free = [k for k in range(1, len(row)) if not row[k]]
+        assume(free)
+        row[data.draw(st.sampled_from(free))] = data.draw(st.sampled_from((1, -1)))
+    rows[i] = tuple(row)
+    assert _path_divisors(rows) is None
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param([[0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [0, 0, 1, 0, -1]], id="branch"),
+        pytest.param([[0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [0, -1, 0, 1, 0]], id="cycle"),
+        pytest.param([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]], id="disjoint"),
+        pytest.param([[0, 1, -1, 0, 0], [0, 1, 1, 0, 0]], id="same-pair"),
+    ],
+)
+def test_path_divisors_refuse_a_body_that_is_not_one_path(body):
+    rows = [tuple(row) for row in body] + [(1, 2, 3, 4, 5)]
+    assert _path_divisors(rows) is None
+
+
+@pytest.mark.parametrize(
+    "tail, expected",
+    [
+        pytest.param(
+            [-2, -2, -2, 1, 0],
+            {"verdict": "nontrivial", "condition": None, "witness": None, "pairings": None,
+             "order": 3, "restriction_divisors": [1, 3]},
+            id="order-3",
+        ),
+        pytest.param(
+            [3, -2, 1, 3, 0],
+            {"verdict": "trivial", "condition": 2, "witness": [-1, 1, -2, 0, 0],
+             "pairings": [0, 1], "order": 1, "restriction_divisors": [1, 1]},
+            id="solve-witness",
+        ),
+    ],
+)
+def test_body_off_the_path_shape_goes_through_the_smith_normal_form(monkeypatch, tail, expected):
+    """The body class h + e_1 + e_2 + e_3 has an h coefficient, so the
+    certificate comes from the SNF: the same bytes as the SNF-only route."""
+    lat = AmbientLattice(4)
+    cfg = CpConfiguration(3, (lat.vector([1, 1, 1, 1, 0]), lat.vector(tail)))
+    calls = []
+    monkeypatch.setattr(
+        blowdown_module, "smith_normal_form", lambda rows: calls.append(1) or smith_normal_form(rows)
+    )
+    cert = h1_certificate(ambient_for(cfg), cfg)
+    assert calls
+    assert cert.to_json() == expected == h1_by_smith_normal_form(ambient_for(cfg), cfg).to_json()
+
+
+def test_closed_form_matches_the_smith_route_on_probe_hits():
+    """Every hit of 3-chain a=9..11 and 4-chain a=6 gets the SNF route's
+    certificate byte for byte, the four H1 = Z/3 hits at a=9 included."""
+    orders = []
+    for kind, a in (("3-chain", 9), ("3-chain", 10), ("3-chain", 11), ("4-chain", 6)):
+        for cfg in search(family_question_template(a, kind)):
+            x = ambient_for(cfg)
+            cert = h1_certificate(x, cfg)
+            assert cert.to_json() == h1_by_smith_normal_form(x, cfg).to_json()
+            orders.append((a, cert.order))
+    assert len(orders) == 510
+    assert [o for o in orders if o[1] != 1] == [(9, 3)] * 4
 
 
 def test_nontrivial_order_needs_a_simply_connected_ambient():

@@ -13,7 +13,6 @@ from rbdcalc.chains import (
     CpConfiguration,
     _body_block,
     _LastBody,
-    evaluate_neg_cf,
     expected_square,
     intersection_matrix,
     lens_space_cf,
@@ -32,6 +31,8 @@ from rbdcalc.families import family_classes, family_configuration
 from rbdcalc.lattice import AmbientLattice, pairing
 from rbdcalc.snf import det as int_det
 from rbdcalc.snf import smith_normal_form
+
+from oracles import evaluate_neg_cf
 
 
 def test_expected_squares():

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -15,15 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbdcalc
+import rbdcalc.blowdown as blowdown_module
+import rbdcalc.chains as chains_module
+import rbdcalc.snf as snf_module
 from rbdcalc import cli
 from rbdcalc.chains import standard_configuration
 from rbdcalc.families import FIXTURE_CASES, family_configuration, family_h1_witness
 from rbdcalc.search import BODY_SHAPES, SearchTemplate, family_question_dimensions, search
 
+from oracles import signed_permutation
+
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
 A3 = FIXTURES / "family1" / "a3.json"
 REPO_ROOT = Path(__file__).resolve().parents[1]
-# relative to the repository root, so the fixture paths echoed in reports are stable
+# relative to the repository root, so the --fixtures value echoed in the summary is stable
 REL_FIXTURES = "src/rbdcalc/fixtures"
 
 
@@ -394,6 +400,33 @@ def test_reproduce_all_cases_and_determinism(capsys):
     assert out2 == out
 
 
+def test_reproduce_paper_bytes_do_not_depend_on_where_the_package_lives(capsys, tmp_path):
+    """Two copies of the package, each with its bundled fixtures, run from
+    two working directories, print the bytes of the in-process run: every
+    fixture path is echoed relative to the fixtures root."""
+    package = Path(rbdcalc.__file__).parent
+    outputs = []
+    for copy, cwd in (("one", "one"), ("two/deeper", "elsewhere")):
+        shutil.copytree(package, tmp_path / copy / "rbdcalc", ignore=shutil.ignore_patterns("__pycache__"))
+        (tmp_path / cwd).mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbdcalc.cli", "reproduce-paper"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path / cwd,
+            env={**os.environ, "PYTHONPATH": str(tmp_path / copy)},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    code, out, _ = run_cli(capsys, "reproduce-paper")
+    assert code == 0
+    assert outputs == [out, out]
+    for case in json.loads(out)["cases"]:
+        rel = f"family{case['input']['family']}/a{case['input']['a']}.json"
+        assert case["input"]["fixture_path"] == rel
+        assert case["stages"]["load"]["file"] == rel
+
+
 def test_reproduce_single_case(capsys):
     code, out, _ = run_cli(capsys, "reproduce-paper", "--only", "a=5,family=2")
     assert code == 0
@@ -527,7 +560,7 @@ GOLDEN_EXIT = {
 # sha256 of stdout, run from the repository root (from the directory holding
 # GENERATED_CONFIGS for the runs that read one)
 GOLDEN_STDOUT = {
-    "reproduce-paper": "de0099e4ad7a9218ff76f703cc3cb3315e80ca4ac56a2f197c6facaff59f1e76",
+    "reproduce-paper": "6f19bb8f2b5c5e3943990c68d4b9557642983f2b5c14d2a6f3da417b23be6b56",
     "verify-config family1/a3": "d1be4a36209536117e02bffea24befac02069d578a10ff486d3e2c9474ae1c0d",
     "sw family1/a3": "e87d4026b25c7c1018023e2204aba200335c93b79f15a1aab1237c6dd05799ff",
     "sw -K family1/a3": "4dbc17637f3479922861e9769bb07abdbe85e527f787aff3ac4cde3bc5ee4e08",
@@ -582,15 +615,15 @@ GOLDEN_STDOUT = {
 
 # sha256 of the per-case files written by reproduce-paper --out
 GOLDEN_REPORT_FILES = {
-    "family1_a3.json": "682f3d1220247a073ed2ad2a636373241d20fbc89dffa0101a64a7ed308c5801",
-    "family1_a4.json": "73119827ad67f538c7a43feaf8a1d0010fd2356ff3fdb9e95b14197b8cd68eea",
-    "family1_a5.json": "172796dab17017320100b07b75966939bccade6363f98824195a663ea0498b1b",
-    "family1_a6.json": "d277a3d43686f7dc5785752cdb9ace2a1f960c928af819cfec55dd7b488d5a34",
-    "family1_a7.json": "4b753041858cb7061a80c70f6d6b39f919cb1ec5b32d173a212399e8a5e2918c",
-    "family2_a3.json": "4d0eccaf1d1bce5d7af4301217bdb2443da10e8feb1530e455229d1a7f8d27d4",
-    "family2_a4.json": "93292ce621dad79ffa6924c3b0bc1ac427b40a2ea601c0494a2c55712f5b758c",
-    "family2_a5.json": "32771c74c806b7159c2c4e1ad7a50fbed40a339e86e3415ab95d48f2ee035e54",
-    "family2_a6.json": "28655b7fb87cc7a08b4e5cffb9b2694ea31977eabc6c86550eac706534f212c8",
+    "family1_a3.json": "64c18ce40867763f2331cd6292d294051568737238fd39e76468f0f8f9429bc8",
+    "family1_a4.json": "34fb51db5e27da402cc4b21270a8c6ee79ab8787e76c474856dab4e44b056bb4",
+    "family1_a5.json": "c7a5ae2f0ac53fef0d845c5b3f9600e7d51db18d6e77ef86ea13f70657e283b3",
+    "family1_a6.json": "8d06fa94bc82966bb742b68ee14ee0e3ea45f0366131524ce1848e307c104302",
+    "family1_a7.json": "b98e3971e15631925d7ccc66a7d636cf562a645a83b662943ec393393b5b0ee4",
+    "family2_a3.json": "78727e78ce92e55f853a03e9005fee01428ea46a15c96e5b4abefe0af03bb542",
+    "family2_a4.json": "47a35b551a512cbb534d39dc4df62235ecb499ebd7f7e2bbf9b0a8213920cb65",
+    "family2_a5.json": "8d4ca3588c3992e5654d4c02d19405734ee9013d81b04b5417375a6d6b89b62c",
+    "family2_a6.json": "598c4f53d7dce46a2d2b973a2d3f3bbadf3c43227bd85fe2b7a58dd88bf2a553",
 }
 
 
@@ -603,6 +636,49 @@ def test_stdout_matches_golden_digest(capsys, monkeypatch, tmp_path, name, argv)
     code, out, _ = run_cli(capsys, *argv)
     assert code == GOLDEN_EXIT.get(name, 0)
     assert sha256(out) == GOLDEN_STDOUT[name]
+
+
+def test_blowdown_without_delta_runs_no_smith_normal_form(capsys, monkeypatch, tmp_path):
+    """The bodies blowdown meets on the fixtures and standard chains are
+    signed paths, so H1 takes the closed form: with every binding of
+    smith_normal_form raising, the nine fixtures and standard_p5_n6.json
+    keep their golden bytes, and signed permutations of
+    standard_configuration(5, 6) and (7, 6) get the SNF's divisors."""
+    rng = random.Random(11)
+    chains = {}
+    for p in (5, 7):
+        target = rng.sample(range(1, 7), 6)
+        signs = [rng.choice((1, -1)) for _ in range(6)]
+        rows = signed_permutation([u.coeffs for u in standard_configuration(p, 6).classes], target, signs)
+        divisors = snf_module.smith_normal_form([[r[0]] + [-c for c in r[1:]] for r in rows]).diagonal
+        chains[p] = (write_config(tmp_path, {"p": p, "n": 6, "classes": rows}, f"p{p}.json"), divisors)
+    (tmp_path / "standard_p5_n6.json").write_text(json.dumps(GENERATED_CONFIGS["standard_p5_n6.json"]()))
+
+    def refuse(rows):
+        raise AssertionError("smith_normal_form called")
+
+    for module in (blowdown_module, chains_module, snf_module):
+        monkeypatch.setattr(module, "smith_normal_form", refuse)
+    monkeypatch.chdir(REPO_ROOT)
+    for case in FIXTURE_CASES:
+        tag = f"family{case.family}/a{case.a}"
+        code, out, _ = run_cli(capsys, "blowdown", f"{REL_FIXTURES}/{tag}.json")
+        assert (code, sha256(out)) == (0, GOLDEN_STDOUT[f"blowdown {tag}"])
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "blowdown", "standard_p5_n6.json")
+    assert (code, sha256(out)) == (1, GOLDEN_STDOUT["blowdown standard_p5_n6.json"])
+    for p, (path, divisors) in chains.items():
+        code, out, _ = run_cli(capsys, "blowdown", path)
+        assert code == 1
+        assert divisors == (1,) * (p - 2) + (p,)
+        assert json.loads(out)["h1"] == {
+            "verdict": "nontrivial",
+            "condition": None,
+            "witness": None,
+            "pairings": None,
+            "order": p,
+            "restriction_divisors": list(divisors),
+        }
 
 
 def test_report_files_match_golden_digests(capsys, monkeypatch, tmp_path):
@@ -733,6 +809,31 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("command", ["reproduce-paper", "search"])
+def test_closed_stdout_exits_without_a_traceback(tmp_path, command):
+    """A reader that is gone before the output is written, as `| head -1`
+    leaves one, ends the run with exit code 141 and nothing on stderr. The
+    read end is closed before the child starts, so every write fails."""
+    argv = [command]
+    if command == "search":
+        argv += ["--template", write_config(tmp_path, {"n": 3, "p": 2, "tail_bounds": 2})]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbdcalc.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (cli.BROKEN_PIPE, "")
+    assert cli.BROKEN_PIPE == 141
 
 
 # -- fuzz: generated JSON through cli.main ------------------------------------

@@ -115,7 +115,7 @@ def test_vector_algebra():
     assert (-x).coeffs == (-1, -2, -3)
     assert (2 * x).coeffs == (2, 4, 6)
     assert (x * 2).coeffs == (2, 4, 6)
-    assert x.dot(y) == 1 * 4 - 2 * 0 - 3 * (-1)
+    assert pairing(x, y) == 1 * 4 - 2 * 0 - 3 * (-1)
 
 
 @given(vector_pairs())
