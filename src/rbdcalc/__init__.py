@@ -6,84 +6,62 @@ and their verification (`chains`), blowdown invariants and certificates
 (`blowdown`), wall-crossing values (`sw`), bounded configuration search
 (`search`), the two bundled families (`families`), the one JSON encoder of
 the report dataclasses (`report`), and the `rbdcalc` CLI (`cli`).
+
+`import rbdcalc` loads none of them: each exported name imports its
+submodule on first use (PEP 562).
 """
+
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .lattice import (
-    AmbientLattice,
-    ClassVector,
-    is_characteristic,
-    orthogonal_complement_basis,
-    pairing,
-    square,
-)
-from .chains import (
-    ChainReport,
-    CpConfiguration,
-    intersection_matrix,
-    lens_space_cf,
-    standard_configuration,
-    verify_cp_configuration,
-)
-from .blowdown import (
-    AmbientManifoldData,
-    BlowdownReport,
-    blowdown_invariants,
-    full_blowdown_report,
-    h1_certificate,
-    handle_counts_after_blowdown,
-    parity_and_homeo_type,
-)
-from .sw import (
-    CharacteristicData,
-    PeriodPoint,
-    d_invariant,
-    lift_admissible,
-    restriction_conditions,
-    sw_on_blowdown,
-    wall_crossing,
-)
-from .search import (
-    SearchTemplate,
-    estimate_search_space,
-    family_question_template,
-    search,
-    search_family_questions,
-)
-from .snf import smith_normal_form
+# exported name -> the submodule that defines it
+_HOME = {
+    name: module
+    for module, names in (
+        ("lattice", ("AmbientLattice", "ClassVector", "is_characteristic",
+                     "orthogonal_complement_basis", "pairing", "square")),
+        ("chains", ("ChainReport", "CpConfiguration", "lens_space_cf",
+                    "standard_configuration", "verify_cp_configuration")),
+        ("blowdown", ("AmbientManifoldData", "BlowdownReport", "blowdown_invariants",
+                      "full_blowdown_report", "h1_certificate",
+                      "handle_counts_after_blowdown", "parity_and_homeo_type")),
+        ("sw", ("CharacteristicData", "PeriodPoint", "d_invariant", "lift_admissible",
+                "restriction_conditions", "sw_on_blowdown", "wall_crossing")),
+        ("search", ("SearchTemplate", "estimate_search_space", "family_question_template",
+                    "search", "search_family_questions")),
+        ("snf", ("smith_normal_form",)),
+    )
+    for name in names
+}
 
-__all__ = [
-    "AmbientLattice",
-    "AmbientManifoldData",
-    "BlowdownReport",
-    "ChainReport",
-    "CharacteristicData",
-    "ClassVector",
-    "CpConfiguration",
-    "PeriodPoint",
-    "SearchTemplate",
-    "blowdown_invariants",
-    "d_invariant",
-    "estimate_search_space",
-    "family_question_template",
-    "full_blowdown_report",
-    "h1_certificate",
-    "handle_counts_after_blowdown",
-    "intersection_matrix",
-    "is_characteristic",
-    "lens_space_cf",
-    "lift_admissible",
-    "orthogonal_complement_basis",
-    "pairing",
-    "parity_and_homeo_type",
-    "restriction_conditions",
-    "search",
-    "search_family_questions",
-    "smith_normal_form",
-    "square",
-    "standard_configuration",
-    "sw_on_blowdown",
-    "verify_cp_configuration",
-    "wall_crossing",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(type(sys)):
+    """The package's module type. Loading a submodule binds it on the package
+    under its own name; the export `search` shares its name with the
+    submodule `search`, so that binding takes the export instead."""
+
+    def __setattr__(self, name, value):
+        if isinstance(value, type(sys)) and _HOME.get(name) == name:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -34,7 +34,7 @@ from .errors import (
     LatticeMismatchError,
     RbdcalcError,
 )
-from .lattice import AmbientLattice, ClassVector, pairing, row_pairing, strict_int
+from .lattice import AmbientLattice, ClassVector, row_pairing, strict_int
 from .report import Report
 from .snf import SNFResult, det, smith_normal_form
 
@@ -273,11 +273,6 @@ class CpConfiguration:
     def load(cls, path) -> "CpConfiguration":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-
-def intersection_matrix(classes: Sequence[ClassVector]) -> list[list[int]]:
-    """Gram matrix of the given classes under the ambient pairing."""
-    return [[pairing(x, y) for y in classes] for x in classes]
 
 
 @lru_cache(maxsize=32)

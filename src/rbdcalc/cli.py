@@ -14,6 +14,10 @@ All JSON emitted on stdout is deterministic: keys sorted, no timestamps.
 A report's payload is its dataclass fields under their own names, encoded
 by rbdcalc.report, whose dumps writes every indented report.
 The search trailer, which includes wall time, goes to stderr.
+
+Each command imports the modules it runs when it runs: at load this module
+imports only the standard library, rbdcalc.errors and rbdcalc.report, so a
+cold `rbdcalc search` never compiles blowdown, sw or families.
 """
 from __future__ import annotations
 
@@ -22,36 +26,10 @@ import json
 import os
 import sys
 import time
-from importlib import resources
-from pathlib import Path
 
 from . import __version__
-
-from .blowdown import (
-    AmbientManifoldData,
-    full_blowdown_report,
-    full_handle_counts,
-    handle_counts_from_data,
-)
-from .chains import (
-    CpConfiguration,
-    cp_det,
-    cp_gram,
-    cp_smith,
-    lens_space_cf,
-    parse_configuration,
-    verify_cp_configuration,
-)
 from .errors import DomainError, InputTypeError, RbdcalcError
-from .families import (
-    FIXTURE_CASES,
-    family_h1_witness,
-    expected_negative_rank,
-)
-from .lattice import AmbientLattice, ClassVector
 from .report import dumps
-from .search import DEFAULT_CAP, SearchTemplate, search
-from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
@@ -91,6 +69,8 @@ def _parse_config(path: str) -> tuple[dict, int, tuple[ClassVector, ...]]:
     Schema and type errors are usage errors. Nothing is verified yet, so a
     caller can report a failing Gram check instead of raising it.
     """
+    from .chains import parse_configuration
+
     data = _load_json_file(path)
     try:
         return (data, *parse_configuration(data))
@@ -103,6 +83,8 @@ def _load_config(path: str) -> tuple[dict, CpConfiguration]:
 
     Gram failures are mathematical ones and bubble up as RbdcalcError.
     """
+    from .chains import CpConfiguration
+
     data, p, classes = _parse_config(path)
     return data, CpConfiguration(p=p, classes=classes)
 
@@ -127,6 +109,8 @@ def _parse_vector(text: str, lattice: AmbientLattice, what: str):
 # -- commands ---------------------------------------------------------------
 
 def cmd_verify_config(args) -> int:
+    from .chains import cp_det, cp_gram, cp_smith, lens_space_cf, verify_cp_configuration
+
     data, p, classes = _parse_config(args.config)
     report = verify_cp_configuration(classes, p)
     out = report.to_json()
@@ -145,6 +129,8 @@ def cmd_verify_config(args) -> int:
 
 
 def cmd_blowdown(args) -> int:
+    from .blowdown import AmbientManifoldData, full_blowdown_report
+
     data, cfg = _load_config(args.config)
     x = AmbientManifoldData(cfg.lattice)
     delta = None
@@ -162,6 +148,9 @@ def cmd_blowdown(args) -> int:
 
 
 def cmd_sw(args) -> int:
+    from .blowdown import AmbientManifoldData
+    from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
+
     data, cfg = _load_config(args.config)
     x = AmbientManifoldData(cfg.lattice)
     k = CharacteristicData(_parse_vector(args.K, cfg.lattice, "--K"))
@@ -188,6 +177,9 @@ def cmd_search(args) -> int:
     as soon as it is made. The bytes equal
     json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")).
     """
+    from .search import DEFAULT_CAP, SearchTemplate, search
+
+    cap = DEFAULT_CAP if args.cap is None else args.cap
     data = _load_json_file(args.template)
     try:
         template = SearchTemplate.from_json(data)
@@ -195,7 +187,7 @@ def cmd_search(args) -> int:
         raise UsageError(f"{args.template}: malformed template: {exc}") from exc
     started = time.perf_counter()
     try:
-        results = search(template, cap=args.cap)
+        results = search(template, cap=cap)
     except DomainError as exc:  # --cap below 1; the template is checked
         raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
@@ -217,7 +209,7 @@ def cmd_search(args) -> int:
             "command": "search",
             "template_path": args.template,
             "template": template.to_json(),
-            "cap": args.cap,
+            "cap": cap,
         },
         {"count": len(results), "seconds": round(elapsed, 3)},
     )
@@ -226,11 +218,15 @@ def cmd_search(args) -> int:
 
 
 def _fixtures_root(override: str | None) -> Path:
+    from pathlib import Path
+
     if override is not None:
         root = Path(override)
         if not root.is_dir():
             raise UsageError(f"fixtures directory {override} does not exist")
         return root
+    from importlib import resources
+
     return Path(str(resources.files("rbdcalc") / "fixtures"))
 
 
@@ -258,6 +254,16 @@ def _parse_only(text: str) -> dict:
 
 def _reproduce_case(case, fixtures_root: Path) -> dict:
     """Run the whole pipeline for one fixture; record per-stage outcomes."""
+    from .blowdown import (
+        AmbientManifoldData,
+        full_blowdown_report,
+        full_handle_counts,
+        handle_counts_from_data,
+    )
+    from .chains import CpConfiguration
+    from .families import expected_negative_rank, family_h1_witness
+    from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
+
     stages: dict[str, dict] = {}
     # echoed relative to the fixtures root, so the bytes do not depend on
     # where the package or the fixtures live
@@ -282,7 +288,8 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         echo["fixture"] = data
         stages["load"] = {"status": "pass", "file": rel}
     except UsageError as exc:
-        return fail("load", exc)
+        # named by rel, as the echo does, wherever the fixtures root lives
+        return fail("load", UsageError(str(exc).replace(str(path), rel)))
 
     try:
         cfg = CpConfiguration(p=p, classes=classes)
@@ -355,6 +362,10 @@ def cmd_reproduce_paper(args) -> int:
     to its nesting depth, into the summary, giving the bytes of one
     report.dumps of the whole summary.
     """
+    from pathlib import Path
+
+    from .families import FIXTURE_CASES
+
     filters = _parse_only(args.only) if args.only else {}
     cases = [
         c
@@ -430,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="enumerate configurations in a box")
     p_search.add_argument("--template", required=True, help="JSON template file")
-    p_search.add_argument("--cap", type=int, default=DEFAULT_CAP, help="box cap")
+    # None stands for search.DEFAULT_CAP, so the parser needs no search import
+    p_search.add_argument("--cap", type=int, help="box cap")
     p_search.set_defaults(func=cmd_search)
 
     p_rep = sub.add_parser("reproduce-paper", help="run the bundled family cases")

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from rbdcalc.blowdown import H1Certificate, _basis_witness, _condition
 from rbdcalc.errors import DomainError
-from rbdcalc.lattice import dual_coefficients
+from rbdcalc.lattice import dual_coefficients, pairing
 from rbdcalc.snf import smith_normal_form
 
 
@@ -33,6 +33,11 @@ def evaluate_neg_cf(terms: Sequence[int]) -> Fraction:
             raise DomainError("continued fraction hits a zero tail")
         val = t - 1 / val
     return val
+
+
+def intersection_matrix(classes) -> list[list[int]]:
+    """Gram matrix of the given classes under the ambient pairing."""
+    return [[pairing(x, y) for y in classes] for x in classes]
 
 
 def signed_permutation(rows, target: Sequence[int], signs: Sequence[int]) -> list[list[int]]:

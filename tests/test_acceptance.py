@@ -14,7 +14,6 @@ from rbdcalc.blowdown import (
 )
 from rbdcalc.chains import (
     ChainViolation,
-    intersection_matrix,
     lens_space_cf,
     standard_configuration,
     verify_cp_configuration,
@@ -42,7 +41,7 @@ from rbdcalc.search import (
 from rbdcalc.snf import det, smith_normal_form
 from rbdcalc.sw import CharacteristicData, PeriodPoint, sw_on_blowdown, wall_crossing
 
-from oracles import evaluate_neg_cf, matmul
+from oracles import evaluate_neg_cf, intersection_matrix, matmul
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 

@@ -14,7 +14,6 @@ from rbdcalc.chains import (
     _body_block,
     _LastBody,
     expected_square,
-    intersection_matrix,
     lens_space_cf,
     standard_configuration,
     verify_cp_configuration,
@@ -32,7 +31,7 @@ from rbdcalc.lattice import AmbientLattice, pairing
 from rbdcalc.snf import det as int_det
 from rbdcalc.snf import smith_normal_form
 
-from oracles import evaluate_neg_cf
+from oracles import evaluate_neg_cf, intersection_matrix
 
 
 def test_expected_squares():

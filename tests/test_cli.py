@@ -251,6 +251,26 @@ def test_search_streams_hits(capsys, tmp_path):
     assert "seconds" in trailer
 
 
+def test_search_cap_defaults_and_bounds(capsys, tmp_path):
+    """Without --cap the trailer echoes the default cap; --cap 0 is a usage
+    error with its message."""
+    template = write_config(tmp_path, {"n": 3, "p": 2, "tail_bounds": 2})
+    code, _, err = run_cli(capsys, "search", "--template", template)
+    assert (code, json.loads(err)["input"]["cap"]) == (0, 10000000)
+    code, out, err = run_cli(capsys, "search", "--template", template, "--cap", "0")
+    assert (code, out, err) == (2, "", "rbdcalc: cap must be positive, got 0\n")
+
+
+def test_search_help_bytes(capsys, monkeypatch):
+    """The search help text at 80 columns, pinned by its sha256."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["search", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert sha256(out) == "e31ad39bd391a366dce0bda4d5dc64e9238e72d794f9ee577f4f25ec5a5b3dee"
+
+
 def question_template(a):
     n, p = family_question_dimensions(a, "3-chain")
     return {"n": n, "p": p, "tail_bounds": [a + 3, a - 1] + [2] * (n - 2) + [1]}
@@ -719,6 +739,31 @@ def test_reproduce_detects_corrupted_fixture(capsys, tmp_path):
     broken = [c for c in summary["cases"] if c["case"] == "family1/a3"]
     assert broken[0]["stages"]["verify"]["status"] == "fail"
     assert summary["passed"] == 8
+
+
+def test_reproduce_missing_fixture_error_names_the_relative_path(capsys, tmp_path):
+    """A failed load names the fixture as the echo does, so the case report
+    of a missing fixture is the same bytes under any fixtures root."""
+    cases = []
+    for copy in ("one", "two"):
+        root = tmp_path / copy / "fixtures"
+        shutil.copytree(FIXTURES, root)
+        (root / "family1" / "a3.json").unlink()
+        out_dir = tmp_path / copy / "out"
+        code, _, _ = run_cli(
+            capsys, "reproduce-paper", "--only", "a=3,family=1", "--fixtures", str(root),
+            "--out", str(out_dir),
+        )
+        assert code == 1
+        cases.append((out_dir / "family1_a3.json").read_text())
+    assert cases[0] == cases[1]
+    assert json.loads(cases[0])["stages"] == {
+        "load": {
+            "status": "fail",
+            "error": "UsageError: cannot read family1/a3.json: [Errno 2] "
+            "No such file or directory: 'family1/a3.json'",
+        }
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,129 @@
+"""The package namespace, resolved on first use, and the modules each cold
+command loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rbdcalc
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+A3 = REPO_ROOT / "src" / "rbdcalc" / "fixtures" / "family1" / "a3.json"
+
+EXPORTS = [
+    "AmbientLattice", "AmbientManifoldData", "BlowdownReport", "ChainReport",
+    "CharacteristicData", "ClassVector", "CpConfiguration", "PeriodPoint",
+    "SearchTemplate", "blowdown_invariants", "d_invariant", "estimate_search_space",
+    "family_question_template", "full_blowdown_report", "h1_certificate",
+    "handle_counts_after_blowdown", "is_characteristic", "lens_space_cf",
+    "lift_admissible", "orthogonal_complement_basis", "pairing",
+    "parity_and_homeo_type", "restriction_conditions", "search",
+    "search_family_questions", "smith_normal_form", "square",
+    "standard_configuration", "sw_on_blowdown", "verify_cp_configuration",
+    "wall_crossing",
+]
+
+# a fresh interpreter runs `rbdcalc` with argv, its stdout discarded, then
+# prints the exit code and the rbdcalc modules it loaded
+RUN_AND_LIST = """
+import contextlib, io, sys
+from rbdcalc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "rbdcalc"))
+"""
+
+
+def fresh(code: str, *argv: str) -> list[str]:
+    """The stdout words of `python -c code argv...` with src/ on the path."""
+    rest = os.environ.get("PYTHONPATH")
+    src = str(REPO_ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=REPO_ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_all_is_the_export_list():
+    assert rbdcalc.__all__ == EXPORTS
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_each_export_is_the_object_in_its_home_module(name):
+    value = getattr(rbdcalc, name)
+    home = value.__module__
+    assert home.startswith("rbdcalc.")
+    assert getattr(sys.modules[home], name) is value
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(EXPORTS) <= set(dir(rbdcalc))
+    namespace = {}
+    exec("from rbdcalc import *", namespace)
+    assert {name: namespace[name] for name in EXPORTS} == {
+        name: getattr(rbdcalc, name) for name in EXPORTS
+    }
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "intersection_matrix"])
+def test_unknown_attribute_raises_the_standard_error(name):
+    with pytest.raises(AttributeError) as info:
+        getattr(rbdcalc, name)
+    assert str(info.value) == f"module 'rbdcalc' has no attribute {name!r}"
+
+
+def test_loading_the_search_submodule_first_keeps_the_search_export():
+    """The submodule rbdcalc.search, loaded before the name is looked up,
+    does not shadow the function of the same name."""
+    code = (
+        "import rbdcalc, rbdcalc.search; from rbdcalc.search import search, SearchTemplate; "
+        "print(rbdcalc.search is search, rbdcalc.SearchTemplate is SearchTemplate)"
+    )
+    assert fresh(code) == ["True", "True"]
+
+
+def test_import_rbdcalc_loads_no_submodule():
+    code = "import sys, rbdcalc; print(*sorted(m for m in sys.modules if 'rbdcalc' in m))"
+    assert fresh(code) == ["rbdcalc"]
+
+
+def test_import_cli_loads_only_errors_and_report():
+    code = "import sys, rbdcalc.cli; print(*sorted(m for m in sys.modules if 'rbdcalc' in m))"
+    assert fresh(code) == ["rbdcalc", "rbdcalc.cli", "rbdcalc.errors", "rbdcalc.report"]
+
+
+def test_cold_search_loads_no_blowdown_sw_or_families(tmp_path):
+    template = tmp_path / "template.json"
+    template.write_text('{"n": 3, "p": 2, "tail_bounds": 2}')
+    code, *loaded = fresh(RUN_AND_LIST, "search", "--template", str(template))
+    assert code == "0"
+    assert "rbdcalc.search" in loaded
+    assert not {"rbdcalc.blowdown", "rbdcalc.sw", "rbdcalc.families"} & set(loaded)
+
+
+def test_cold_verify_config_loads_no_blowdown_sw_search_or_families():
+    code, *loaded = fresh(RUN_AND_LIST, "verify-config", str(A3))
+    assert code == "0"
+    assert "rbdcalc.chains" in loaded
+    assert not {
+        "rbdcalc.blowdown", "rbdcalc.sw", "rbdcalc.search", "rbdcalc.families"
+    } & set(loaded)
+
+
+def test_probe_script_runs_cold():
+    """The open-range probe script imports rbdcalc.search directly; its
+    eight questions in uniform boxes of bound 1 each print an ok row."""
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "probe_open_range.py"), "--uniform", "1"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [json.loads(row)["status"] for row in proc.stdout.splitlines()] == ["ok"] * 8

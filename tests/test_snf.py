@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbdcalc.chains import intersection_matrix, standard_configuration
+from rbdcalc.chains import standard_configuration
 from rbdcalc.snf import (
     det,
     kernel_basis,
     smith_normal_form,
 )
 
-from oracles import matmul
+from oracles import intersection_matrix, matmul
 
 entries = st.integers(min_value=-30, max_value=30)
 

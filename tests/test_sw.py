@@ -11,7 +11,6 @@ from rbdcalc.blowdown import AmbientManifoldData
 from rbdcalc.chains import (
     CpConfiguration,
     cp_smith,
-    intersection_matrix,
     standard_configuration,
 )
 from rbdcalc.errors import (
@@ -35,6 +34,8 @@ from rbdcalc.sw import (
     sw_on_blowdown,
     wall_crossing,
 )
+
+from oracles import intersection_matrix
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 
