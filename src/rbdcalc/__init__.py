@@ -4,8 +4,9 @@ The pieces: the ambient lattice Z^{1,n} with its Lorentzian pairing
 (`lattice`), exact integer matrix algebra (`snf`), chain configurations C_p
 and their verification (`chains`), blowdown invariants and certificates
 (`blowdown`), wall-crossing values (`sw`), bounded configuration search
-(`search`), the two bundled families (`families`), the one JSON encoder of
-the report dataclasses (`report`), and the `rbdcalc` CLI (`cli`).
+(`search`), the two bundled families (`families`), the frozen `Record` base
+with the one JSON encoder of its reports (`report`), and the `rbdcalc` CLI
+(`cli`).
 
 `import rbdcalc` loads none of them: each exported name imports its
 submodule on first use (PEP 562).

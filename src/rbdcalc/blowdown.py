@@ -17,7 +17,6 @@ is a `report.Report`: its JSON is its fields under their own names.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, prod
 from typing import Sequence
@@ -31,12 +30,11 @@ from .lattice import (
     orthogonal_complement_basis,
     strict_int,
 )
-from .report import Report
+from .report import Record, Report
 from .snf import smith_normal_form
 
 
-@dataclass(frozen=True)
-class AmbientManifoldData:
+class AmbientManifoldData(Record):
     """The blown-up rational surface whose intersection lattice is Z^{1,n}."""
 
     lattice: AmbientLattice
@@ -59,7 +57,6 @@ class AmbientManifoldData:
         return 1 - self.lattice.n
 
 
-@dataclass(frozen=True)
 class BlowdownInvariants(Report):
     b2_plus: int
     b2_minus: int
@@ -67,7 +64,6 @@ class BlowdownInvariants(Report):
     signature: int
 
 
-@dataclass(frozen=True)
 class H1Certificate(Report):
     """Verdict on the first homology of the blowdown.
 
@@ -95,7 +91,6 @@ class H1Certificate(Report):
         return out
 
 
-@dataclass(frozen=True)
 class ParityReport(Report):
     """Oddness certificate for the blowdown's intersection form.
 
@@ -320,7 +315,6 @@ def full_handle_counts(counts: Sequence[int]) -> tuple[int, int, int, int, int]:
     return tuple(strict_int(v, "handle count") for v in counts)
 
 
-@dataclass(frozen=True)
 class BlowdownReport(Report):
     """Full outcome bundle for one blowdown, as emitted by the CLI."""
 

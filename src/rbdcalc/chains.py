@@ -20,7 +20,6 @@ when the check fails or when verify_cp_configuration is called.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
@@ -35,11 +34,10 @@ from .errors import (
     RbdcalcError,
 )
 from .lattice import AmbientLattice, ClassVector, row_pairing, strict_int
-from .report import Report
+from .report import Record, Report
 from .snf import SNFResult, det, smith_normal_form
 
 
-@dataclass(frozen=True)
 class ChainViolation(Report):
     """First Gram defect found, indices 1-based in class order."""
 
@@ -49,7 +47,6 @@ class ChainViolation(Report):
     actual: int
 
 
-@dataclass(frozen=True)
 class ChainReport(Report):
     """Outcome of verifying candidate classes against the C_p Gram matrix."""
 
@@ -86,28 +83,35 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
     return gram, tuple(gram[i][i] for i in range(m)), gram == want, functionals, want_pairings
 
 
+_coeffs = attrgetter("coeffs")
+
+
 class _LastBody:
     """The last body's block, an exact-equality memo in front of _body_block.
 
-    Search hits of one placement share their body row tuples object for
-    object, and tuple equality tries identity before value, so testing a hit
-    against the last body costs p - 2 identity checks where the cache's key
-    would hash all (p - 2)(n + 1) coefficients; an equal but distinct body
-    still matches. `hits` counts the lookups the memo answered. The (body,
-    block) pair is replaced as one tuple, so no reader pairs a body with
-    another body's block.
+    The key is the body's tuple of ClassVectors. Search hits of one
+    placement share their body classes object for object, and tuple
+    equality tries identity before value, so testing a hit against the last
+    body costs p - 2 identity checks and builds no coefficient rows; an
+    equal but distinct body still matches, by value. On a miss the block
+    comes from the per-body cache, keyed on the coefficient rows. Every
+    call stores the body it was given, so after an equal but distinct body
+    the next hits sharing its objects match by identity again. `hits`
+    counts the lookups the memo answered. The (body, block) pair is
+    replaced as one tuple, so no reader pairs a body with another body's
+    block.
     """
 
     def __init__(self):
         self.last = (None, None)
         self.hits = 0
 
-    def __call__(self, body: tuple[tuple[int, ...], ...]):
+    def __call__(self, body: tuple[ClassVector, ...]):
         last_body, block = self.last
         if body == last_body:
             self.hits += 1
-            return block
-        block = _body_block(body)
+        else:
+            block = _body_block(tuple(map(_coeffs, body)))
         self.last = (body, block)
         return block
 
@@ -133,9 +137,6 @@ def _first_violation(gram: Sequence[Sequence[int]], p: int) -> ChainViolation | 
     return None
 
 
-_coeffs = attrgetter("coeffs")
-
-
 def _check_rows(candidate: Sequence[ClassVector], p: int):
     """The one Gram check: (ok, body block, tail pairings, tail square).
 
@@ -147,7 +148,7 @@ def _check_rows(candidate: Sequence[ClassVector], p: int):
         raise DomainError(f"need p >= 2, got p = {p}")
     if len(candidate) != p - 1:
         raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(candidate)}")
-    block = _last_body(tuple(map(_coeffs, candidate[:-1])))
+    block = _last_body(tuple(candidate[:-1]))
     _gram, _squares, body_ok, functionals, want_pairings = block
     tail = candidate[-1].coeffs
     # a lattice is fixed by n and every row has length n + 1; the block
@@ -216,8 +217,7 @@ def parse_configuration(data) -> tuple[int, tuple[ClassVector, ...]]:
     return p, classes
 
 
-@dataclass(frozen=True)
-class CpConfiguration:
+class CpConfiguration(Record):
     """A verified C_p configuration.
 
     Every construction runs the Gram check that verify_cp_configuration

@@ -11,7 +11,7 @@ output was written (e.g. piped into head), with no traceback.
 Every report carries the tool name and version plus a full echo of its
 inputs, so a report file alone is enough to re-run and re-check the claim.
 All JSON emitted on stdout is deterministic: keys sorted, no timestamps.
-A report's payload is its dataclass fields under their own names, encoded
+A report's payload is its record fields under their own names, encoded
 by rbdcalc.report, whose dumps writes every indented report.
 The search trailer, which includes wall time, goes to stderr.
 

@@ -14,12 +14,11 @@ configuration can exist at all.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .chains import CpConfiguration
 from .errors import DomainError, TemplateError
 from .lattice import AmbientLattice, ClassVector
-from .report import dumps
+from .report import Record, dumps
 
 FAMILY_NUMBERS = (1, 2)
 
@@ -174,8 +173,7 @@ def expected_negative_rank(a: int, family: int) -> int:
     return exceptional_count(a, family) - (chain_index(a, family) - 1)
 
 
-@dataclass(frozen=True)
-class FixtureCase:
+class FixtureCase(Record):
     family: int
     a: int
 

@@ -12,11 +12,11 @@ odd, and both sides of the defining congruence are additive in v mod 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul, neg
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputTypeError, LatticeMismatchError
+from .report import Record
 from .snf import kernel_basis
 
 
@@ -31,8 +31,7 @@ def strict_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class AmbientLattice:
+class AmbientLattice(Record):
     """Z^{1,n}: intersection lattice of a rational surface with b2+ = 1."""
 
     n: int
@@ -76,8 +75,7 @@ class AmbientLattice:
         return ClassVector(self, tuple(c))
 
 
-@dataclass(frozen=True)
-class ClassVector:
+class ClassVector(Record):
     """An integral class in the ambient lattice, coefficients h-first."""
 
     lattice: AmbientLattice

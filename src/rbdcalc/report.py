@@ -1,10 +1,12 @@
-"""The one JSON encoder of the report dataclasses, and the one writer of
-indented reports.
+"""The frozen record base of the package's value classes, the one JSON
+encoder of its reports, and the one writer of indented reports.
 
-A report's JSON is its dataclass fields under their own names. Values map
-through `_encode`: None, ints, bools and strings pass through, a tuple
-becomes a list, a Fraction becomes [numerator, denominator], and anything
-else (a nested report, a ClassVector) encodes through its own to_json.
+A Record's fields are its annotated names, in order; each instance stores
+exactly them in its instance dict. A report's JSON is its fields under
+their own names. Values map through `_encode`: None, ints, bools and
+strings pass through, a tuple becomes a list, a Fraction becomes
+[numerator, denominator], and anything else (a nested report, a
+ClassVector) encodes through its own to_json.
 
 `dumps` writes the text of json.dumps(value, indent=2, sort_keys=True),
 byte for byte, without the pure-Python encoder that json uses whenever an
@@ -13,7 +15,7 @@ indent is set.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 
@@ -26,14 +28,75 @@ def _encode(value):
         return value
     if kind is tuple:
         return [_encode(v) for v in value]
-    if kind is Fraction:
+    # only sw builds a Fraction, so a process that never loaded fractions
+    # holds none and does not import the module for this test
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and kind is fractions.Fraction:
         return [value.numerator, value.denominator]
     return value.to_json()
 
 
-class Report:
-    """Base of the frozen report dataclasses. Their instance dict holds
-    exactly their fields, so vars() reads them without dataclasses.fields."""
+class Record:
+    """Base of the frozen value classes: fields from the annotations.
+
+    A subclass's fields are the names it annotates, after those of a
+    Record base, and a class attribute of a field's name is its default.
+    Each subclass gets a compiled __init__ taking the fields positionally
+    or by keyword, storing them in that order and then calling
+    __post_init__ when the class has one. Assignment and deletion raise
+    AttributeError. Equality holds between instances of one exact class
+    with equal fields; the hash is that of the tuple of field values, and
+    the repr names the class and each field.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        names = list(cls._fields)
+        names += [name for name in cls.__dict__.get("__annotations__", ()) if name not in names]
+        defaults = ()
+        for name in names:
+            if hasattr(cls, name):
+                defaults += (getattr(cls, name),)
+            elif defaults:
+                raise TypeError(f"non-default argument {name!r} follows default argument")
+        # compiled per class, as dataclasses does: each search hit constructs
+        # two records, and a generic __init__ would bind every argument by
+        # name at run time
+        body = [f" _set(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            body.append(" self.__post_init__()")
+        namespace = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body or [" pass"]), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = defaults or None
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._fields = tuple(names)
+        cls.__init__ = init
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Report(Record):
+    """Base of the report records. Their instance dict holds exactly their
+    fields, so to_json reads them through vars()."""
 
     def to_json(self) -> dict:
         return {name: _encode(value) for name, value in vars(self).items()}

@@ -24,7 +24,6 @@ each other.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations
 from math import comb, factorial, isqrt, prod
 from operator import add, itemgetter
@@ -33,14 +32,13 @@ from .chains import CpConfiguration
 from .errors import ConsistencyError, DomainError, InputTypeError
 from .errors import InvalidConfigurationError, SearchCapExceeded, TemplateError
 from .lattice import AmbientLattice, ClassVector, strict_int
-from .report import Report
+from .report import Record, Report
 
 DEFAULT_CAP = 10_000_000
 
 BODY_SHAPES = ("consecutive-differences", "free-pairs")
 
 
-@dataclass(frozen=True)
 class SearchTemplate(Report):
     """Box description for a bounded configuration search."""
 
@@ -336,8 +334,7 @@ def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfigura
         raise ConsistencyError(f"enumerated solution fails the Gram check: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class FamilySearchReport:
+class FamilySearchReport(Record):
     """Outcome of one open-range probe, labeled as homology-only evidence."""
 
     kind: str

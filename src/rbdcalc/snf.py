@@ -11,9 +11,9 @@ pivot rule, which makes every output byte-for-byte reproducible:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import ConsistencyError
+from .report import Record
 
 Matrix = list[list[int]]
 
@@ -40,8 +40,7 @@ def _add_col(m: Matrix, dst: int, src: int, k: int) -> None:
         row[dst] += k * row[src]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """D = U * M * V with U, V unimodular and D the invariant diagonal.
 
     `diagonal` lists min(rows, cols) entries (trailing zeros kept), each

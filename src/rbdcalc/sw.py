@@ -18,7 +18,6 @@ below certify the arithmetic of that descent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -26,11 +25,10 @@ from .blowdown import AmbientManifoldData
 from .chains import CpConfiguration, cp_smith
 from .errors import ConsistencyError, LatticeMismatchError, PreconditionError
 from .lattice import ClassVector, is_characteristic, pairing
-from .report import Report
+from .report import Record, Report
 
 
-@dataclass(frozen=True)
-class CharacteristicData:
+class CharacteristicData(Record):
     """A characteristic class on the ambient manifold."""
 
     k: ClassVector
@@ -47,8 +45,7 @@ class CharacteristicData:
         return AmbientManifoldData(self.k.lattice)
 
 
-@dataclass(frozen=True)
-class PeriodPoint:
+class PeriodPoint(Record):
     """A positive-square class in the forward cone, defining a chamber."""
 
     vector: ClassVector
@@ -109,7 +106,6 @@ def wall_crossing(
     return base_value + inc
 
 
-@dataclass(frozen=True)
 class AdmissibilityReport(Report):
     """Pairings of a lift against the configuration, and whether they descend."""
 
@@ -125,7 +121,6 @@ def lift_admissible(k: CharacteristicData, cfg: CpConfiguration) -> Admissibilit
     return AdmissibilityReport(ok=ok, pairings=pair, p=cfg.p)
 
 
-@dataclass(frozen=True)
 class RestrictionReport(Report):
     """Arithmetic certificate for restricting a lift to the configuration.
 
@@ -193,7 +188,6 @@ def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> Restr
     )
 
 
-@dataclass(frozen=True)
 class SwOutcome(Report):
     """Value of the blowdown invariant plus the certificate chain behind it."""
 

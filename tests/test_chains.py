@@ -27,7 +27,8 @@ from rbdcalc.errors import (
     RbdcalcError,
 )
 from rbdcalc.families import family_classes, family_configuration
-from rbdcalc.lattice import AmbientLattice, pairing
+from rbdcalc.lattice import AmbientLattice, ClassVector, pairing
+from rbdcalc.search import _placements, family_question_template, search
 from rbdcalc.snf import det as int_det
 from rbdcalc.snf import smith_normal_form
 
@@ -216,6 +217,56 @@ def test_body_memo_matches_by_equality(body_cache):
     assert builds_and_reuses(body_cache) == (2, 1)
     CpConfiguration(p=3, classes=(body, tail))
     assert builds_and_reuses(body_cache) == (2, 2)
+
+
+def spy_on_class_vector_eq(monkeypatch) -> list:
+    """The list that records every ClassVector.__eq__ call from now on."""
+    calls = []
+    original = ClassVector.__eq__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(ClassVector, "__eq__", spy)
+    return calls
+
+
+def test_equal_distinct_body_is_built_once_and_then_held(body_cache, monkeypatch):
+    """An equal body of distinct objects matches by value once; the memo
+    then holds the new objects, so their next hits compare by identity."""
+    lat = AmbientLattice(11)
+    tail = lat.vector([6] + [-2] * 10 + [-1])
+    body = lat.e(10) - lat.e(11)
+    twin = lat.vector(list(body.coeffs))
+    assert twin == body and twin is not body
+    CpConfiguration(p=3, classes=(body, tail))
+    CpConfiguration(p=3, classes=(twin, tail))
+    assert builds_and_reuses(body_cache) == (1, 1)
+    assert body_cache.last[0][0] is twin
+    compared = spy_on_class_vector_eq(monkeypatch)
+    CpConfiguration(p=3, classes=(twin, tail))
+    assert compared == [] and builds_and_reuses(body_cache) == (1, 2)
+
+
+def test_search_compares_classes_at_most_once_per_placement(body_cache, monkeypatch):
+    """Hits of one placement share their body objects, so the memo matches
+    them by identity and calls ClassVector.__eq__ only where the body
+    changes. A second search builds equal but new bodies: each is compared
+    by value once, its p - 2 classes, and then held."""
+    template = family_question_template(7, "3-chain")
+    placements = len(_placements(template))
+    compared = spy_on_class_vector_eq(monkeypatch)
+    hits = search(template)
+    assert len(hits) == 3894
+    assert len(compared) <= placements
+    builds, _ = builds_and_reuses(body_cache)
+    assert builds <= placements and body_cache.hits == len(hits) - builds
+    compared.clear()
+    again = search(template)
+    assert len(compared) <= (template.p - 2) * placements
+    assert builds_and_reuses(body_cache)[0] == builds
+    assert again == hits and again[0].classes[0] is not hits[0].classes[0]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

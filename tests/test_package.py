@@ -1,6 +1,7 @@
 """The package namespace, resolved on first use, and the modules each cold
 command loads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -114,6 +115,48 @@ def test_cold_verify_config_loads_no_blowdown_sw_search_or_families():
     assert not {
         "rbdcalc.blowdown", "rbdcalc.sw", "rbdcalc.search", "rbdcalc.families"
     } & set(loaded)
+
+
+# standard-library modules no cold command needs: dataclasses pulls in
+# inspect, and fractions is built only by sw
+NOT_LOADED = ("dataclasses", "inspect", "fractions")
+
+RUN_AND_LIST_STDLIB = f"""
+import contextlib, io, sys
+from rbdcalc import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted(m for m in {NOT_LOADED!r} if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("search", "--template", "TEMPLATE"), ("verify-config", str(A3))],
+    ids=["import", "search", "verify-config"],
+)
+def test_cold_commands_load_no_dataclasses_inspect_or_fractions(tmp_path, argv):
+    template = tmp_path / "template.json"
+    template.write_text('{"n": 3, "p": 2, "tail_bounds": 2}')
+    argv = [str(template) if a == "TEMPLATE" else a for a in argv]
+    assert fresh(RUN_AND_LIST_STDLIB, *argv) == ["0"]
+
+
+def test_no_module_imports_dataclasses():
+    """Value classes derive from rbdcalc.report.Record instead."""
+    src = Path(rbdcalc.__file__).parent
+    imports = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert imports == []
 
 
 def test_probe_script_runs_cold():

@@ -1,10 +1,11 @@
-"""The report encoder, every dataclass field under its own name, and the
-indented writer, byte for byte json.dumps(value, indent=2, sort_keys=True)."""
+"""The frozen record base, the report encoder (every field under its own
+name), and the indented writer, byte for byte json.dumps(value, indent=2,
+sort_keys=True)."""
 
 import ast
 import json
 import math
-from dataclasses import dataclass, fields
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,16 @@ from hypothesis import strategies as st
 import rbdcalc
 
 from rbdcalc.blowdown import BlowdownInvariants, BlowdownReport, H1Certificate, ParityReport
-from rbdcalc.chains import ChainReport, ChainViolation
-from rbdcalc.lattice import AmbientLattice
-from rbdcalc.report import Report, dumps
+from rbdcalc.chains import (
+    ChainReport,
+    ChainViolation,
+    CpConfiguration,
+    standard_configuration,
+    verify_cp_configuration,
+)
+from rbdcalc.errors import DomainError, InvalidConfigurationError
+from rbdcalc.lattice import AmbientLattice, ClassVector
+from rbdcalc.report import Record, Report, dumps
 from rbdcalc.search import SearchTemplate
 from rbdcalc.sw import AdmissibilityReport, RestrictionReport, SwOutcome
 
@@ -27,7 +35,6 @@ REPORTS = (
 )
 
 
-@dataclass(frozen=True)
 class Sample(Report):
     count: int
     flag: bool
@@ -83,11 +90,102 @@ def test_reports_use_the_one_encoder(report):
     cls = type(report)
     assert cls in REPORTS and isinstance(report, Report)
     assert ("to_json" in vars(cls)) == (cls is H1Certificate)
-    assert sorted(report.to_json()) == sorted(f.name for f in fields(report))
+    assert sorted(report.to_json()) == sorted(report._fields)
 
 
 def test_library_reports_cover_every_report_class():
     assert sorted(type(r).__name__ for r in library_reports()) == sorted(c.__name__ for c in REPORTS)
+
+
+# -- the record base ---------------------------------------------------------
+
+
+class Pair(Record):
+    left: int
+    right: tuple[int, ...] = ()
+
+
+class Twin(Record):
+    left: int
+    right: tuple[int, ...] = ()
+
+
+def test_record_fields_come_from_the_annotations_in_order():
+    assert Pair._fields == ("left", "right")
+    assert Sample._fields == ("count", "flag", "name", "missing", "ratio", "values", "nested")
+    assert Record._fields == Report._fields == ()
+    assert list(vars(Pair(1, (2,)))) == ["left", "right"]
+
+
+def test_record_defaults_and_keyword_arguments():
+    assert vars(Pair(1)) == {"left": 1, "right": ()}
+    assert Pair(right=(3,), left=2) == Pair(2, (3,))
+    template = SearchTemplate(n=3, p=2, tail_bounds=(1,) * 4)
+    assert (template.body_shape, template.symmetry_reduction) == ("consecutive-differences", True)
+    assert template == SearchTemplate(3, 2, (1,) * 4, "consecutive-differences", True)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((), {}), ((1, (), 3), {}), ((1,), {"left": 1}), ((1,), {"other": 2})],
+    ids=["missing", "extra", "twice", "unknown"],
+)
+def test_record_refuses_wrong_arguments(args, kwargs):
+    with pytest.raises(TypeError, match=r"Pair\.__init__\(\)"):
+        Pair(*args, **kwargs)
+
+
+def test_record_refuses_a_field_without_default_after_one_with():
+    with pytest.raises(TypeError, match="non-default argument 'late' follows default argument"):
+
+        class Late(Record):
+            early: int = 0
+            late: int
+
+
+def test_record_is_frozen():
+    pair = Pair(1, (2,))
+    for name in ("left", "other"):
+        with pytest.raises(AttributeError):
+            setattr(pair, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(pair, name)
+    assert vars(pair) == {"left": 1, "right": (2,)}
+
+
+def test_record_equality_hash_and_repr():
+    pair, same = Pair(1, (2,)), Pair(1, (2,))
+    assert pair == same and hash(pair) == hash(same)
+    assert hash(pair) == hash((1, (2,)))  # the hash of the field tuple
+    assert pair != Pair(1, (3,)) and pair != Pair(2, (2,))
+    assert pair != Twin(1, (2,)) and Twin(1, (2,)) != pair
+    assert pair != (1, (2,))
+    assert repr(pair) == "Pair(left=1, right=(2,))"
+    assert repr(ChainViolation("square", (1,), -4, -1)) == (
+        "ChainViolation(kind='square', indices=(1,), expected=-4, actual=-1)"
+    )
+    assert len({pair, same, Pair(1, (3,))}) == 2
+
+
+def test_record_survives_pickling():
+    cfg = standard_configuration(4, 5)
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and copy is not cfg and vars(copy) == vars(cfg)
+
+
+def test_post_init_still_validates():
+    with pytest.raises(DomainError, match="coefficient count 2 != rank 3"):
+        ClassVector(AmbientLattice(2), (1, 2))
+    with pytest.raises(DomainError):
+        AmbientLattice(-1)
+    lat = AmbientLattice(1)
+    classes = (lat.vector([0, 1]),)
+    with pytest.raises(InvalidConfigurationError) as exc:
+        CpConfiguration(p=2, classes=classes)
+    assert exc.value.report == verify_cp_configuration(classes, 2)
+    assert exc.value.report == ChainReport(
+        p=2, ok=False, violation=ChainViolation("square", (1,), -4, -1), squares=(-1,)
+    )
 
 
 # -- the indented writer ----------------------------------------------------
