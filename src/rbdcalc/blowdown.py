@@ -17,9 +17,9 @@ is a `report.Report`: its JSON is its fields under their own names.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import compress
 from math import gcd, prod
-from typing import Sequence
 
 from .chains import CpConfiguration
 from .errors import ConsistencyError, DomainError, LatticeMismatchError

@@ -13,17 +13,22 @@ reversal of the class order used here.
 One Gram check on coefficient rows runs behind both the CpConfiguration
 constructor and verify_cp_configuration. The body u_1, ..., u_{p-2} is
 verified once per distinct body and reused through a last-body memo, so a
-check pairs only the long class: O(n + nnz) work for nnz nonzero body
-coefficients. A ChainReport, with its first-violation scan, is built only
-when the check fails or when verify_cp_configuration is called.
+check pairs only the long class. Its body pairings depend only on its
+values at the body's support (the columns where some body row is nonzero),
+so each body keeps a bounded memo from those values to the pairings: a
+check costs one gather and one lookup, the O(nnz) pairing loop runs once
+per distinct support value (nnz nonzero body coefficients), and the long
+class's square reads its whole row, O(n). A ChainReport, with its
+first-violation scan, is built only when the check fails or when
+verify_cp_configuration is called.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import repeat
-from operator import attrgetter
-from typing import Sequence
+from operator import attrgetter, itemgetter
 
 from .errors import (
     ArityError,
@@ -35,7 +40,6 @@ from .errors import (
 )
 from .lattice import AmbientLattice, ClassVector, row_pairing, strict_int
 from .report import Record, Report
-from .snf import SNFResult, det, smith_normal_form
 
 
 class ChainViolation(Report):
@@ -61,26 +65,53 @@ def expected_square(i: int, p: int) -> int:
     return -(p + 2) if i == p - 1 else -2
 
 
+# distinct support values one body's pairing memo holds; a search placement
+# meets one per run value t
+_PAIRINGS_CACHE_SIZE = 64
+
+
+def _gather(support: tuple[int, ...]):
+    """The row's values at the support, as a tuple even for 0 or 1 columns."""
+    if len(support) > 1:
+        return itemgetter(*support)
+    return lambda row: tuple(row[k] for k in support)
+
+
 @lru_cache(maxsize=32)
 def _body_block(body: tuple[tuple[int, ...], ...]):
-    """(Gram block, its diagonal, block ok, sparse functionals, want) of u_1..u_{p-2}.
+    """(Gram block, its diagonal, block ok, want, gather, pairings) of u_1..u_{p-2}.
 
-    The functionals are (row i, index k, signed coefficient) for each nonzero
-    coefficient, so pairing them with a tail costs O(nnz); want is the list
-    of body pairings a long class must have. Rows of different lengths come
-    from different lattices and raise LatticeMismatchError.
+    want is the tuple of body pairings a long class must have. gather reads
+    a row's values at the body's support, the sorted columns where some body
+    row is nonzero; pairings maps those values to the row's pairings with
+    the body, from sparse functionals (row i, support position j, signed
+    coefficient: the h column keeps its sign, the e columns flip it) at
+    O(nnz) per distinct value, through a bounded memo. Rows of different
+    lengths come from different lattices and raise LatticeMismatchError.
     """
     m = len(body)
     if len(set(map(len, body))) > 1:
         raise LatticeMismatchError("candidate classes live in different lattices")
     gram = tuple(tuple(row_pairing(x, y) for y in body) for x in body)
-    want = tuple(tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(m)) for i in range(m))
+    chain = tuple(tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(m)) for i in range(m))
+    support = tuple(sorted({k for row in body for k, c in enumerate(row) if c}))
+    position = {k: j for j, k in enumerate(support)}
     functionals = tuple(
-        (i, k, c if k == 0 else -c) for i, row in enumerate(body) for k, c in enumerate(row) if c
+        (i, position[k], c if k == 0 else -c)
+        for i, row in enumerate(body) for k, c in enumerate(row) if c
     )
+
+    @lru_cache(maxsize=_PAIRINGS_CACHE_SIZE)
+    def pairings(values: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * m
+        for i, j, c in functionals:
+            out[i] += c * values[j]
+        return tuple(out)
+
     # u_{p-2}.u_{p-1} = 1 and every other body pairing with the long class 0
-    want_pairings = [0] * (m - 1) + [1] * (m > 0)
-    return gram, tuple(gram[i][i] for i in range(m)), gram == want, functionals, want_pairings
+    want = (0,) * (m - 1) + (1,) * (m > 0)
+    squares = tuple(gram[i][i] for i in range(m))
+    return gram, squares, gram == chain, want, _gather(support), pairings
 
 
 _coeffs = attrgetter("coeffs")
@@ -141,25 +172,25 @@ def _check_rows(candidate: Sequence[ClassVector], p: int):
     """The one Gram check: (ok, body block, tail pairings, tail square).
 
     The body block comes from the last-body memo or the per-body cache, so
-    a call pairs only the long class: O(n + nnz) work, and no report. The
-    result holds all that _report needs, so no caller checks twice.
+    a call pairs only the long class: one gather of its support values and
+    one lookup in the body's pairing memo, plus its square over the whole
+    row, and no report. The result holds all that _report needs, so no
+    caller checks twice.
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got p = {p}")
     if len(candidate) != p - 1:
         raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(candidate)}")
     block = _last_body(tuple(candidate[:-1]))
-    _gram, _squares, body_ok, functionals, want_pairings = block
+    _gram, _squares, body_ok, want, gather, pairings = block
     tail = candidate[-1].coeffs
     # a lattice is fixed by n and every row has length n + 1; the block
     # checked the body rows against each other
     if p > 2 and len(tail) != len(candidate[0].coeffs):
         raise LatticeMismatchError("candidate classes live in different lattices")
-    tail_pairings = [0] * (p - 2)
-    for i, k, c in functionals:
-        tail_pairings[i] += c * tail[k]
+    tail_pairings = pairings(gather(tail))
     tail_square = row_pairing(tail, tail)
-    ok = body_ok and tail_square == -(p + 2) and tail_pairings == want_pairings
+    ok = body_ok and tail_square == -(p + 2) and tail_pairings == want
     return ok, block, tail_pairings, tail_square
 
 
@@ -176,7 +207,7 @@ def _report(p: int, check) -> ChainReport:
     if ok:
         return ChainReport(p=p, ok=True, violation=None, squares=squares)
     full = [list(row) + [b] for row, b in zip(gram, tail_pairings)]
-    full.append(tail_pairings + [tail_square])
+    full.append([*tail_pairings, tail_square])
     violation = _first_violation(full, p)
     return ChainReport(p=p, ok=violation is None, violation=violation, squares=squares)
 
@@ -223,8 +254,9 @@ class CpConfiguration(Record):
     Every construction runs the Gram check that verify_cp_configuration
     runs, and raises InvalidConfigurationError with the same report on
     failure; there is no other way to build one. A passing check builds
-    no report. Search hits cost O(n + nnz) each: hits of one placement
-    share their body, whose block the check verifies once and memoizes.
+    no report. Hits of one search placement share their body, whose block
+    the check verifies once and memoizes, and a run value's pairings with
+    it, so a hit costs one gather and lookup and the O(n) square.
     """
 
     p: int
@@ -285,14 +317,18 @@ def cp_gram(p: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=32)
-def cp_smith(p: int) -> SNFResult:
+def cp_smith(p: int) -> "SNFResult":
     """Smith normal form of cp_gram(p), with its transforms."""
+    from .snf import smith_normal_form
+
     return smith_normal_form(cp_gram(p))
 
 
 @lru_cache(maxsize=32)
 def cp_det(p: int) -> int:
     """Determinant of cp_gram(p)."""
+    from .snf import det
+
     return det(cp_gram(p))
 
 

@@ -17,7 +17,8 @@ The search trailer, which includes wall time, goes to stderr.
 
 Each command imports the modules it runs when it runs: at load this module
 imports only the standard library, rbdcalc.errors and rbdcalc.report, so a
-cold `rbdcalc search` never compiles blowdown, sw or families.
+cold `rbdcalc search` never compiles blowdown, sw or families; it adds only
+search, chains and lattice, which import snf where they use it.
 """
 from __future__ import annotations
 

@@ -12,12 +12,11 @@ odd, and both sides of the defining congruence are additive in v mod 2.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import mul, neg
-from typing import Iterable, Sequence
 
 from .errors import DomainError, InputTypeError, LatticeMismatchError
 from .report import Record
-from .snf import kernel_basis
 
 
 _INTS = {int}
@@ -180,5 +179,7 @@ def orthogonal_complement_basis(
         raise LatticeMismatchError("classes do not live in the given lattice")
     for c in classes[1:]:
         classes[0]._check(c)
+    from .snf import kernel_basis
+
     rows = [list(dual_coefficients(c)) for c in classes]
     return [lat.vector(col) for col in kernel_basis(rows)]

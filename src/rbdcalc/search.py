@@ -13,8 +13,10 @@ solutions, kept to the sums the walk can reach, and each tail is the
 assignment plus h plus a precomputed base row per t.
 Each solution becomes a CpConfiguration through the normal constructor, so
 the one Gram verifier checks it from raw coefficients; its body block is
-verified once per placement and memoized, leaving O(n + nnz) work per hit
-(nnz: the body's nonzero coefficients).
+verified once per placement and memoized, and so are its pairings with each
+run value's support values. A hit then costs one gather and one lookup plus
+the O(n) square of its long class; the O(nnz) pairing loop (nnz: the body's
+nonzero coefficients) runs once per distinct run value t.
 
 Everything is deterministic: placements, coordinate order, and value order
 are fixed, and results are sorted by their class coefficient tuples (body
@@ -199,8 +201,8 @@ def _solution_table(
 
 def _enumerate_placement(
     template: SearchTemplate, placement: tuple[int, ...]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (placement, tail coefficients) solutions for one body placement."""
+) -> list[tuple[int, ...]]:
+    """The tail coefficients of every solution for one body placement."""
     bounds = template.tail_bounds
     free, run, end, t_range = _placement_geometry(template, placement)
     table = _solution_table(template, free, run, end, t_range)
@@ -216,7 +218,7 @@ def _enumerate_placement(
         if idx == len(free):
             for c0, base in table.get(s, ()):
                 coeffs[0] = c0
-                out.append((placement, tuple(map(add, coeffs, base))))
+                out.append(tuple(map(add, coeffs, base)))
             return
         coord = free[idx]
         b = bounds[coord]
@@ -302,7 +304,9 @@ def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfigura
     whose Gram verifier reads the raw coefficient rows and shares nothing
     with the enumerator's algebra; a hit it rejects is an enumerator bug and
     raises ConsistencyError. Hits of one placement share their body
-    classes, so the constructor pairs only each long class, O(n + nnz).
+    classes, and hits of one run value their values on the body's support,
+    so the constructor gathers and looks up each long class's body pairings
+    and computes only its square, O(n).
     Output is sorted by class coefficients, so hits sharing a body are
     adjacent.
     """
@@ -315,11 +319,11 @@ def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfigura
     lat = AmbientLattice(template.n)
     found = []
     for pl in _placements(template):
-        hits = _enumerate_placement(template, pl)
-        if hits:
+        tails = _enumerate_placement(template, pl)
+        if tails:
             # body_i = e_{x_i} - e_{x_{i+1}} along the placement
             body = tuple(lat.e(x) - lat.e(y) for x, y in zip(pl, pl[1:]))
-            found.append((tuple(u.coeffs for u in body), body, sorted(t for _, t in hits)))
+            found.append((tuple(u.coeffs for u in body), body, sorted(tails)))
     # distinct placements have distinct bodies, all of length p - 2, so
     # sorting by body and then by tail orders hits exactly as the flat
     # tuple of all class coefficients does

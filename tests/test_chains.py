@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 import rbdcalc.chains as chains_module
 from rbdcalc.chains import (
+    _PAIRINGS_CACHE_SIZE,
     ChainReport,
     ChainViolation,
     CpConfiguration,
     _body_block,
+    _check_rows,
     _LastBody,
+    cp_gram,
     expected_square,
     lens_space_cf,
     standard_configuration,
@@ -267,6 +270,78 @@ def test_search_compares_classes_at_most_once_per_placement(body_cache, monkeypa
     assert len(compared) <= (template.p - 2) * placements
     assert builds_and_reuses(body_cache)[0] == builds
     assert again == hits and again[0].classes[0] is not hits[0].classes[0]
+
+
+@st.composite
+def sparse_bodies_with_tails(draw):
+    """Any body on a random support (h column, one column or none included),
+    or a standard chain's body, plus tails that often repeat their values
+    on the support."""
+    p = draw(st.integers(2, 5))
+    n = draw(st.integers(p - 1, p + 2))
+    coeff = st.integers(-3, 3)
+    if draw(st.booleans()):
+        body = [list(u.coeffs) for u in standard_configuration(p, n).classes[:-1]]
+    else:
+        support = draw(st.lists(st.integers(0, n), max_size=n + 1, unique=True))
+        body = []
+        for _ in range(p - 2):
+            row = [0] * (n + 1)
+            for k in support:
+                row[k] = draw(coeff)
+            body.append(row)
+    standard_tail = list(standard_configuration(p, n).classes[-1].coeffs)
+    row = st.lists(coeff, min_size=n + 1, max_size=n + 1)
+    tails = draw(st.lists(st.one_of(st.just(standard_tail), row), min_size=1, max_size=6))
+    return p, n, body, tails
+
+
+def dense_check(classes, p):
+    """(ok, tail pairings, tail square) read off the whole Gram matrix."""
+    gram = intersection_matrix(classes)
+    ok = gram == [list(row) for row in cp_gram(p)]
+    return ok, tuple(row[-1] for row in gram[:-1]), gram[-1][-1]
+
+
+@settings(max_examples=300)
+@given(sparse_bodies_with_tails())
+def test_check_rows_matches_the_dense_gram_matrix(case):
+    p, n, body, tails = case
+    lat = AmbientLattice(n)
+    for tail in tails:
+        classes = [lat.vector(row) for row in body + [tail]]
+        ok, _block, pairings, square = _check_rows(classes, p)
+        assert (ok, pairings, square) == dense_check(classes, p)
+
+
+def test_more_support_values_than_the_memo_holds_stay_exact(body_cache):
+    """A body with an h coefficient, met by more distinct support values
+    than its pairing memo keeps, twice over: evicted values are paired again
+    from the functionals, exactly."""
+    lat = AmbientLattice(4)
+    body = [lat.vector([1, 1, -1, 0, 0]), lat.vector([0, 0, 1, -1, 0])]
+    tails = [lat.vector([x, y, x - y, 2 * y, 1]) for x in range(-9, 9) for y in range(-5, 5)]
+    assert len(tails) > 2 * _PAIRINGS_CACHE_SIZE
+    for _ in range(2):
+        for tail in tails:
+            ok, _block, pairings, square = _check_rows(body + [tail], 4)
+            assert (ok, pairings, square) == dense_check(body + [tail], 4)
+    pairings_memo = body_cache.last[1][-1]
+    info = pairings_memo.cache_info()
+    assert info.maxsize == _PAIRINGS_CACHE_SIZE
+    assert info.currsize == _PAIRINGS_CACHE_SIZE
+    assert info.misses == 2 * len(tails)
+
+
+def test_search_pairs_the_body_once_per_run_value(body_cache):
+    """The 3-chain a=7 template has one placement, whose 3,894 hits take
+    three run values t: the body's pairing loop runs three times."""
+    hits = search(family_question_template(7, "3-chain"))
+    assert len(hits) == 3894
+    *_, gather, pairings_memo = body_cache.last[1]
+    assert len({gather(cfg.classes[-1].coeffs) for cfg in hits}) == 3
+    info = pairings_memo.cache_info()
+    assert (info.misses, info.hits) == (3, len(hits) - 3)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

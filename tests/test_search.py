@@ -282,9 +282,9 @@ def test_corrupted_hit_raises_consistency_error(monkeypatch):
     enumerate_placement = search_module._enumerate_placement
 
     def corrupted(template, placement):
-        hits = enumerate_placement(template, placement)
-        pl, tail = hits[0]
-        return [(pl, (tail[0] + 1,) + tail[1:])] + hits[1:]
+        tails = enumerate_placement(template, placement)
+        tail = tails[0]
+        return [(tail[0] + 1,) + tail[1:]] + tails[1:]
 
     monkeypatch.setattr(search_module, "_enumerate_placement", corrupted)
     with pytest.raises(ConsistencyError, match="fails the Gram check"):
