@@ -59,7 +59,7 @@ def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dic
         "n": report.template.n,
         "p": report.template.p,
         "count": report.count,
-        "tails": [c.classes[-1].to_json() for c in report.configurations],
+        "tails": [c.classes[-1].coeffs for c in report.configurations],
         "seconds": round(time.perf_counter() - started, 2),
     }
 

@@ -118,15 +118,15 @@ _coeffs = attrgetter("coeffs")
 
 
 class _LastBody:
-    """The last body's block, an exact-equality memo in front of _body_block.
+    """The last body and its block: an exact-equality memo in front of _body_block.
 
-    The key is the body's tuple of ClassVectors. Search hits of one
-    placement share their body classes object for object, and tuple
+    _check_rows keys it on the body's tuple of ClassVectors. Search hits of
+    one placement share their body classes object for object, and tuple
     equality tries identity before value, so testing a hit against the last
     body costs p - 2 identity checks and builds no coefficient rows; an
     equal but distinct body still matches, by value. On a miss the block
     comes from the per-body cache, keyed on the coefficient rows. Every
-    call stores the body it was given, so after an equal but distinct body
+    check stores the body it was given, so after an equal but distinct body
     the next hits sharing its objects match by identity again. `hits`
     counts the lookups the memo answered. The (body, block) pair is
     replaced as one tuple, so no reader pairs a body with another body's
@@ -136,15 +136,6 @@ class _LastBody:
     def __init__(self):
         self.last = (None, None)
         self.hits = 0
-
-    def __call__(self, body: tuple[ClassVector, ...]):
-        last_body, block = self.last
-        if body == last_body:
-            self.hits += 1
-        else:
-            block = _body_block(tuple(map(_coeffs, body)))
-        self.last = (body, block)
-        return block
 
 
 _last_body = _LastBody()
@@ -181,7 +172,14 @@ def _check_rows(candidate: Sequence[ClassVector], p: int):
         raise DomainError(f"need p >= 2, got p = {p}")
     if len(candidate) != p - 1:
         raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(candidate)}")
-    block = _last_body(tuple(candidate[:-1]))
+    # the last-body memo, inline: one frame fewer per search hit
+    memo, body = _last_body, tuple(candidate[:-1])
+    last_body, block = memo.last
+    if body == last_body:
+        memo.hits += 1
+    else:
+        block = _body_block(tuple(map(_coeffs, body)))
+    memo.last = (body, block)
     _gram, _squares, body_ok, want, gather, pairings = block
     tail = candidate[-1].coeffs
     # a lattice is fixed by n and every row has length n + 1; the block

@@ -226,9 +226,7 @@ def _fixtures_root(override: str | None) -> Path:
         if not root.is_dir():
             raise UsageError(f"fixtures directory {override} does not exist")
         return root
-    from importlib import resources
-
-    return Path(str(resources.files("rbdcalc") / "fixtures"))
+    return Path(__file__).parent / "fixtures"
 
 
 def _parse_only(text: str) -> dict:

@@ -81,7 +81,8 @@ class ClassVector(Record):
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.lattice.rank:
+        # n + 1 is the rank; read without the property's frame, once per hit
+        if len(self.coeffs) != self.lattice.n + 1:
             raise DomainError(
                 f"coefficient count {len(self.coeffs)} != rank {self.lattice.rank}"
             )

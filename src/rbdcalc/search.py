@@ -5,12 +5,15 @@ per-coordinate absolute bounds for the long class (h first). Bodies are
 difference classes e_x - e_y on distinct indices; orthogonality against the
 body forces most tail coordinates into a single run value t, the top index
 into t + 1, and the h coefficient is solved from the square equation rather
-than enumerated. Only genuinely free coordinates are walked, with a pruning
-step that discards a partial assignment only when no completion can reach a
-feasible h^2, so the enumeration returns exactly the box solutions. A full
-assignment looks its sum of squares up in a per-placement table of (t, h)
-solutions, kept to the sums the walk can reach, and each tail is the
-assignment plus h plus a precomputed base row per t.
+than enumerated. Only genuinely free coordinates are walked, and only their
+magnitudes: they enter a solution only through their squares, so each takes
+m = 0..b, and a loop stops once the sum of squares passes every sum that
+some (t, h) solves. A full magnitude assignment looks its sum up in a
+per-placement table of solution rows (h and the run values set), kept to
+the sums the walk can reach. Every sign pattern of a tabled leaf is a
+solution; the signs are expanded in C, each signed tail exactly once, so
+the enumeration returns exactly the box solutions while visiting at most
+prod(b + 1) leaves where the box has prod(2b + 1) points.
 Each solution becomes a CpConfiguration through the normal constructor, so
 the one Gram verifier checks it from raw coefficients; its body block is
 verified once per placement and memoized, and so are its pairings with each
@@ -26,7 +29,7 @@ each other.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product, repeat
 from math import comb, factorial, isqrt, prod
 from operator import add, itemgetter
 
@@ -160,23 +163,23 @@ def _placement_geometry(template: SearchTemplate, placement: tuple[int, ...]):
 
 def _solution_table(
     template: SearchTemplate, free, run, end, t_range
-) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
-    """Free sum s -> (c0, base row) of its solutions, once per placement.
+) -> dict[int, list[tuple[int, ...]]]:
+    """Free sum s -> the rows of its solutions, once per placement.
 
-    A base row holds the run value t on the run and t + 1 at the end, zeros
-    elsewhere: a hit's tail is its free coordinates and c0 at h plus the
-    base row of its t. For each t, c0^2 = s + need with need =
+    A row holds c0 at h, the run value t on the run and t + 1 at the end,
+    and zeros elsewhere: a hit's tail is its row with the free coordinates
+    filled in. For each t, c0^2 = s + need with need =
     (p - 2) t^2 + (t + 1)^2 - (p + 2), or -(p + 2) when p = 2, so each
     (t, c0) solves exactly one s. Only the s the walk can reach,
     0 <= s <= reach (the free bounds squared, summed), are kept:
-    need <= c0^2 <= need + reach, and a t with no such c0 builds no row. Those c0 >= 0 span at most
-    isqrt(reach) + 1 values, however large h's bound, so a t holds at most
-    twice as many entries as the free box the estimate counts. Entries of
-    one s come in t order, then c0 before -c0.
+    need <= c0^2 <= need + reach, and a t with no such c0 builds no row.
+    Those c0 >= 0 span at most isqrt(reach) + 1 values, however large h's
+    bound, so a t holds at most twice as many entries as the free box the
+    estimate counts. Rows of one s come in t order, then c0 before -c0.
     """
     p, bounds = template.p, template.tail_bounds
     reach = sum(bounds[i] ** 2 for i in free)
-    table: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    table: dict[int, list[tuple[int, ...]]] = {}
     for t in t_range:
         need = -(p + 2) if t is None else (p - 2) * t * t + (t + 1) * (t + 1) - (p + 2)
         if need + reach < 0:
@@ -190,42 +193,55 @@ def _solution_table(
             for i in run:
                 row[i] = t
             row[end] = t + 1
-        base = tuple(row)
         for c0 in range(lo, hi + 1):
             entries = table.setdefault(c0 * c0 - need, [])
-            entries.append((c0, base))
+            row[0] = c0
+            entries.append(tuple(row))
             if c0:
-                entries.append((-c0, base))
+                row[0] = -c0
+                entries.append(tuple(row))
     return table
 
 
 def _enumerate_placement(
     template: SearchTemplate, placement: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    """The tail coefficients of every solution for one body placement."""
+    """The tail coefficients of every solution for one body placement.
+
+    The walk visits magnitudes: each free coordinate takes m = 0..b in
+    ascending order, and the loop stops once the sum passes the largest
+    tabled sum. At a leaf whose sum is tabled, itertools.product over (0,)
+    for m = 0 and (-m, m) otherwise expands the signs in C, each signed tail
+    exactly once, and one itemgetter per placement reads each tail off its
+    row + signs. So the walk visits at most prod(b + 1) leaves, against the
+    prod(2b + 1) box points the estimate counts per run value.
+    """
     bounds = template.tail_bounds
     free, run, end, t_range = _placement_geometry(template, placement)
     table = _solution_table(template, free, run, end, t_range)
     if not table:
         return []
     s_max = max(table)
+    n, depth = template.n, len(free)
+    # free coordinate k is read from row + signs at n + 1 + k
+    at = dict(zip(free, range(n + 1, n + 1 + depth)))
+    place = itemgetter(*(at.get(i, i) for i in range(n + 1)))
+    top = max((bounds[i] for i in free), default=0)
+    signed = [(0,)] + [(-m, m) for m in range(1, top + 1)]
+    signs = [()] * depth
     out = []
-    coeffs = [0] * (template.n + 1)
 
     def walk(idx: int, s: int) -> None:
-        if s > s_max:
+        if idx == depth:
+            for row in table.get(s, ()):
+                out.extend(map(place, map(add, repeat(row), product(*signs))))
             return
-        if idx == len(free):
-            for c0, base in table.get(s, ()):
-                coeffs[0] = c0
-                out.append(tuple(map(add, coeffs, base)))
-            return
-        coord = free[idx]
-        b = bounds[coord]
-        for c in range(-b, b + 1):
-            coeffs[coord] = c
-            walk(idx + 1, s + c * c)
-        coeffs[coord] = 0
+        for m in range(bounds[free[idx]] + 1):
+            s_next = s + m * m
+            if s_next > s_max:
+                break
+            signs[idx] = signed[m]
+            walk(idx + 1, s_next)
 
     walk(0, 0)
     return out
@@ -276,11 +292,15 @@ def _free_pairs_box_sum(template: SearchTemplate) -> int:
 
 
 def estimate_search_space(template: SearchTemplate) -> int:
-    """Assignments the enumerator will examine (h is solved, not counted).
+    """Box points of the search: signed free assignments times run values.
 
-    Exact: the sum over placements of the free box times the width of the t
-    range. Unreduced free-pairs templates have too many placements to list,
-    so their sum is taken in closed form (see _free_pairs_box_sum).
+    h is solved, not counted. Exact: the sum over placements of the free
+    box, prod(2b + 1) signed points, times the width of the t range. The
+    walk visits fewer: at most prod(b + 1) magnitude leaves per placement,
+    one lookup covering every t. The cap and its refusal message count box
+    points all the same. Unreduced free-pairs templates have too many
+    placements to list, so their sum is taken in closed form (see
+    _free_pairs_box_sum).
     """
     if template.body_shape == "free-pairs" and not template.symmetry_reduction and template.p > 2:
         return _free_pairs_box_sum(template)
@@ -294,6 +314,13 @@ def estimate_search_space(template: SearchTemplate) -> int:
         return free_box * len(t_range)
 
     return sum(map(box, _placements(template)))
+
+
+def _difference_row(rank: int, x: int, y: int) -> tuple[int, ...]:
+    """The coefficient row of e_x - e_y, for distinct x and y."""
+    row = [0] * rank
+    row[x], row[y] = 1, -1
+    return tuple(row)
 
 
 def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfiguration]:
@@ -321,8 +348,10 @@ def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfigura
     for pl in _placements(template):
         tails = _enumerate_placement(template, pl)
         if tails:
-            # body_i = e_{x_i} - e_{x_{i+1}} along the placement
-            body = tuple(lat.e(x) - lat.e(y) for x, y in zip(pl, pl[1:]))
+            # body_i = e_{x_i} - e_{x_{i+1}} along the placement, as one row
+            body = tuple(
+                ClassVector(lat, _difference_row(lat.rank, x, y)) for x, y in zip(pl, pl[1:])
+            )
             found.append((tuple(u.coeffs for u in body), body, sorted(tails)))
     # distinct placements have distinct bodies, all of length p - 2, so
     # sorting by body and then by tail orders hits exactly as the flat
@@ -345,7 +374,10 @@ class FamilySearchReport(Record):
     a: int
     template: SearchTemplate
     configurations: tuple[CpConfiguration, ...]
-    label: str = "homological only; existence of an embedded configuration is not certified"
+    label: str = (
+        "homological only, inside the searched box; "
+        "existence of an embedded configuration is not certified"
+    )
 
     @property
     def count(self) -> int:

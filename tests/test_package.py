@@ -39,13 +39,17 @@ print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "rbdcalc"))
 """
 
 
-def fresh(code: str, *argv: str) -> list[str]:
-    """The stdout words of `python -c code argv...` with src/ on the path."""
+def fresh(code: str, *argv: str, flags: tuple[str, ...] = ()) -> list[str]:
+    """The stdout words of `python flags... -c code argv...` with src/ on the path."""
     rest = os.environ.get("PYTHONPATH")
     src = str(REPO_ROOT / "src")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=REPO_ROOT
+        [sys.executable, *flags, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
@@ -125,12 +129,17 @@ def test_cold_verify_config_loads_no_blowdown_sw_search_or_families():
 # inspect, and fractions is built only by sw
 NOT_LOADED = ("dataclasses", "inspect", "fractions")
 
-RUN_AND_LIST_STDLIB = f"""
+
+def run_and_list_stdlib(modules: tuple[str, ...]) -> str:
+    """Code for a fresh interpreter: run `rbdcalc` with argv (import only
+    when there is none), its output discarded, then print the exit code and
+    which of `modules` are loaded."""
+    return f"""
 import contextlib, io, sys
 from rbdcalc import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, *sorted(m for m in {NOT_LOADED!r} if m in sys.modules))
+print(code, *sorted(m for m in {modules!r} if m in sys.modules))
 """
 
 
@@ -143,7 +152,16 @@ def test_cold_commands_load_no_dataclasses_inspect_or_fractions(tmp_path, argv):
     template = tmp_path / "template.json"
     template.write_text('{"n": 3, "p": 2, "tail_bounds": 2}')
     argv = [str(template) if a == "TEMPLATE" else a for a in argv]
-    assert fresh(RUN_AND_LIST_STDLIB, *argv) == ["0"]
+    assert fresh(run_and_list_stdlib(NOT_LOADED), *argv) == ["0"]
+
+
+def test_cold_reproduce_paper_loads_no_resources_typing_or_tempfile():
+    """The fixtures directory is named from the package's own path, so
+    importlib.resources, and the typing and tempfile it imports, stay
+    unloaded. -S skips site-packages, whose .pth hooks can load them
+    before rbdcalc runs and so hide an import of them."""
+    modules = ("importlib.resources", "typing", "tempfile")
+    assert fresh(run_and_list_stdlib(modules), "reproduce-paper", flags=("-S",)) == ["0"]
 
 
 def imports_of(top: str) -> list[str]:

@@ -10,7 +10,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rbdcalc.chains import ChainViolation, verify_cp_configuration
@@ -27,6 +27,7 @@ from rbdcalc.search import (
     DEFAULT_CAP,
     FamilySearchReport,
     SearchTemplate,
+    _enumerate_placement,
     _placement_geometry,
     _placements,
     _solution_table,
@@ -37,6 +38,7 @@ from rbdcalc.search import (
     search_family_questions,
 )
 
+from oracles import point_walk, theta_count
 
 # the package re-exports the search function under the module's name
 search_module = import_module("rbdcalc.search")
@@ -218,6 +220,68 @@ def test_huge_h_bound_costs_only_reachable_sums(n, p, bounds, h_bound):
     assert search(template, cap=estimate_search_space(template)) == search(small)
 
 
+@st.composite
+def walkable_templates(draw):
+    """p = 2..5, e bounds 0..2 (zero bounds included), an h bound below or
+    far above the reach of the free box, and either body shape with or
+    without the symmetry reduction; boxes small enough for the point walk."""
+    p = draw(st.integers(2, 5))
+    n = draw(st.integers(max(p - 1, 1), p + 2))
+    bounds = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    h_bound = draw(st.one_of(st.integers(0, 3), st.just(10**6)))
+    template = SearchTemplate(
+        n=n,
+        p=p,
+        tail_bounds=(h_bound, *bounds),
+        body_shape=draw(st.sampled_from(("consecutive-differences", "free-pairs"))),
+        symmetry_reduction=draw(st.booleans()),
+    )
+    assume(estimate_search_space(template) <= 20_000)
+    return template
+
+
+@settings(max_examples=60, deadline=None)
+@given(walkable_templates())
+def test_magnitude_walk_matches_the_point_walk(template):
+    """Walking magnitudes and expanding signs gives the tails of the walk
+    over every signed point, each exactly once."""
+    for placement in _placements(template):
+        tails = _enumerate_placement(template, placement)
+        assert len(set(tails)) == len(tails)
+        assert sorted(tails) == sorted(point_walk(template, placement))
+
+
+@pytest.mark.parametrize(
+    "kind, a, count",
+    [
+        ("3-chain", 7, 3894),
+        ("3-chain", 8, 912),
+        ("3-chain", 9, 314),
+        ("3-chain", 10, 120),
+        ("3-chain", 11, 20),
+        ("4-chain", 3, 315_488),
+        ("4-chain", 4, 19_820),
+        ("4-chain", 5, 584),
+        ("4-chain", 6, 56),
+    ],
+)
+def test_theta_count_gives_the_probe_counts(kind, a, count, monkeypatch):
+    """The question counts from a DP over sums of squares; the walk is
+    disabled, so no search runs."""
+    monkeypatch.setattr(search_module, "_enumerate_placement", None)
+    template = family_question_template(a, kind)
+    assert theta_count(template.n, template.p, template.tail_bounds) == count
+
+
+@settings(max_examples=40, deadline=None)
+@given(walkable_templates())
+def test_theta_count_matches_search_on_reduced_boxes(template):
+    """One anchored placement per reduced template, whatever its body shape."""
+    assume(template.symmetry_reduction)
+    count = theta_count(template.n, template.p, template.tail_bounds)
+    assert count == len(search(template))
+
+
 def test_search_matches_brute_force():
     hits = search(SearchTemplate.uniform(5, 2, 2))
     assert len(hits) == 714
@@ -344,7 +408,7 @@ def test_probe_script_labels_shaped_and_uniform_alike():
     shaped = script.probe(11, "3-chain", None, DEFAULT_CAP)
     assert uniform["status"] == shaped["status"] == "ok"
     assert uniform["label"] == shaped["label"] == FamilySearchReport.label
-    assert "homological only" in shaped["label"]
+    assert "homological only, inside the searched box" in shaped["label"]
 
 
 def test_probe_script_rows_match_golden_digest():
@@ -356,7 +420,7 @@ def test_probe_script_rows_match_golden_digest():
         del row["seconds"]
         lines.append(json.dumps(row, sort_keys=True) + "\n")
     digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
-    assert digest == "36716a71dc2f77d25fca947faecfa5a04198d8aad673b78f0ffb5f7cdb052104"
+    assert digest == "2daeda0a31afe909dec0e24f56de4cdda9da791c1089c976b9381852d2a6775e"
 
 
 def test_question_probe_validation():
