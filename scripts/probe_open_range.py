@@ -27,8 +27,8 @@ from rbdcalc.search import (
     FamilySearchReport,
     SearchTemplate,
     family_question_dimensions,
-    search,
     search_family_questions,
+    search_hits,
 )
 
 
@@ -41,8 +41,7 @@ def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dic
         else:
             n, p = family_question_dimensions(a, kind)
             template = SearchTemplate.uniform(n, p, uniform)
-            configs = tuple(search(template, cap=cap))
-            report = FamilySearchReport(kind, a, template, configs)
+            report = FamilySearchReport(kind, a, template, search_hits(template, cap=cap))
     except SearchCapExceeded as exc:
         return {
             "kind": kind,
@@ -59,7 +58,7 @@ def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dic
         "n": report.template.n,
         "p": report.template.p,
         "count": report.count,
-        "tails": [c.classes[-1].coeffs for c in report.configurations],
+        "tails": report.hits.tails(),
         "seconds": round(time.perf_counter() - started, 2),
     }
 

@@ -10,8 +10,12 @@ weights are the negative continued fraction of p^2/(p-1): [p+2, 2, ..., 2]
 (p-2 twos). The weight list reads from the long class inward, i.e. it is the
 reversal of the class order used here.
 
-One Gram check on coefficient rows runs behind both the CpConfiguration
-constructor and verify_cp_configuration. The body u_1, ..., u_{p-2} is
+One Gram check on coefficient rows runs behind the CpConfiguration
+constructor, verify_cp_configuration and check_tails, the batch entry that
+search uses: it checks the raw long-class rows of its hits against one body,
+and CpConfigurations are built only where a caller asks for them. The
+per-tail part of the check is one function, _check_tail, for all three
+callers. The body u_1, ..., u_{p-2} is
 verified once per distinct body and reused through a last-body memo, so a
 check pairs only the long class. Its body pairings depend only on its
 values at the body's support (the columns where some body row is nonzero),
@@ -120,8 +124,8 @@ _coeffs = attrgetter("coeffs")
 class _LastBody:
     """The last body and its block: an exact-equality memo in front of _body_block.
 
-    _check_rows keys it on the body's tuple of ClassVectors. Search hits of
-    one placement share their body classes object for object, and tuple
+    _block_of keys it on the body's tuple of ClassVectors. Hits of one
+    search placement share their body classes object for object, and tuple
     equality tries identity before value, so testing a hit against the last
     body costs p - 2 identity checks and builds no coefficient rows; an
     equal but distinct body still matches, by value. On a miss the block
@@ -159,41 +163,87 @@ def _first_violation(gram: Sequence[Sequence[int]], p: int) -> ChainViolation | 
     return None
 
 
-def _check_rows(candidate: Sequence[ClassVector], p: int):
-    """The one Gram check: (ok, body block, tail pairings, tail square).
+def _block_of(body: tuple[ClassVector, ...]):
+    """The body block of u_1..u_{p-2}, through the last-body memo.
 
-    The body block comes from the last-body memo or the per-body cache, so
-    a call pairs only the long class: one gather of its support values and
-    one lookup in the body's pairing memo, plus its square over the whole
-    row, and no report. The result holds all that _report needs, so no
-    caller checks twice.
+    The memo is inline here: the key is the body's tuple of ClassVectors,
+    equality tries identity before value, and every call stores the body it
+    was given. On a miss the block comes from the per-body cache, keyed on
+    the coefficient rows.
     """
-    if p < 2:
-        raise DomainError(f"need p >= 2, got p = {p}")
-    if len(candidate) != p - 1:
-        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(candidate)}")
-    # the last-body memo, inline: one frame fewer per search hit
-    memo, body = _last_body, tuple(candidate[:-1])
+    memo = _last_body
     last_body, block = memo.last
     if body == last_body:
         memo.hits += 1
     else:
         block = _body_block(tuple(map(_coeffs, body)))
     memo.last = (body, block)
+    return block
+
+
+def _check_tail(block, p: int, rank: int, tail: tuple[int, ...]):
+    """The one per-tail Gram check: (ok, body block, tail pairings, tail square).
+
+    Checks a raw long-class row against a body block: its length against
+    the lattice rank (the body is empty at p = 2, so this is the only rank
+    check of a raw row there), its body pairings by one gather of its
+    support values and one lookup in the body's pairing memo, and its
+    square over the whole row. No report is built; the result holds all
+    that _report needs, so no caller checks twice.
+    """
+    if len(tail) != rank:
+        raise DomainError(f"coefficient count {len(tail)} != rank {rank}")
     _gram, _squares, body_ok, want, gather, pairings = block
-    tail = candidate[-1].coeffs
-    # a lattice is fixed by n and every row has length n + 1; the block
-    # checked the body rows against each other
-    if p > 2 and len(tail) != len(candidate[0].coeffs):
-        raise LatticeMismatchError("candidate classes live in different lattices")
     tail_pairings = pairings(gather(tail))
     tail_square = row_pairing(tail, tail)
     ok = body_ok and tail_square == -(p + 2) and tail_pairings == want
     return ok, block, tail_pairings, tail_square
 
 
+def _check_rows(candidate: Sequence[ClassVector], p: int):
+    """The Gram check of p - 1 classes: _check_tail on the last one.
+
+    The body block comes from the last-body memo or the per-body cache, so
+    a call pairs only the long class.
+    """
+    if p < 2:
+        raise DomainError(f"need p >= 2, got p = {p}")
+    if len(candidate) != p - 1:
+        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(candidate)}")
+    block = _block_of(tuple(candidate[:-1]))
+    tail = candidate[-1].coeffs
+    # a lattice is fixed by n and every row has length n + 1; the block
+    # checked the body rows against each other
+    rank = len(candidate[0].coeffs)
+    if len(tail) != rank:
+        raise LatticeMismatchError("candidate classes live in different lattices")
+    return _check_tail(block, p, rank, tail)
+
+
+def check_tails(p: int, lattice: AmbientLattice, body: tuple[ClassVector, ...], tails) -> None:
+    """Run the Gram check of _check_rows on one body and each raw tail row.
+
+    The body block is looked up once; each tail then costs what a
+    constructor's check costs for it, through the same _check_tail. The
+    first tail that fails raises InvalidConfigurationError with the report
+    CpConfiguration(p, body + (ClassVector(lattice, tail),)) would raise; a
+    tail of the wrong length raises DomainError, as that ClassVector would.
+    """
+    if p < 2:
+        raise DomainError(f"need p >= 2, got p = {p}")
+    if len(body) != p - 2:
+        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(body) + 1}")
+    if any(u.lattice != lattice for u in body):
+        raise LatticeMismatchError("candidate classes live in different lattices")
+    block, rank = _block_of(body), lattice.rank
+    for tail in tails:
+        check = _check_tail(block, p, rank, tail)
+        if not check[0]:
+            raise InvalidConfigurationError(_report(p, check))
+
+
 def _report(p: int, check) -> ChainReport:
-    """The ChainReport of one _check_rows result.
+    """The ChainReport of one _check_tail result.
 
     If any entry is off, the full matrix is scanned in a fixed order so the
     reported violation is deterministic: squares in class order, then

@@ -172,13 +172,13 @@ def cmd_search(args) -> int:
     """One compact sorted-key JSON line per hit to stdout, then the trailer
     (count, and the seconds spent in search alone) to stderr.
 
-    Hits come sorted by body, so the line around the long-class row (the
-    frame) is encoded once per run of hits sharing a body, as a %-format
-    with one %d per coefficient; each line is then one format call, written
-    as soon as it is made. The bytes equal
+    Hits come as Gram-checked rows grouped by body (search_hits), so the
+    line around the long-class row (the frame) is encoded once per group,
+    as a %-format with one %d per coefficient; each line is then one format
+    call and one write. The bytes equal
     json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")).
     """
-    from .search import DEFAULT_CAP, SearchTemplate, search
+    from .search import DEFAULT_CAP, SearchTemplate, search_hits
 
     cap = DEFAULT_CAP if args.cap is None else args.cap
     data = _load_json_file(args.template)
@@ -188,23 +188,22 @@ def cmd_search(args) -> int:
         raise UsageError(f"{args.template}: malformed template: {exc}") from exc
     started = time.perf_counter()
     try:
-        results = search(template, cap=cap)
+        hits = search_hits(template, cap=cap)
     except DomainError as exc:  # --cap below 1; the template is checked
         raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
-    write = sys.stdout.write
-    body = line_format = None
-    for cfg in results:
-        tail = cfg.classes[-1].coeffs
-        if cfg.classes[:-1] != body:
-            # the frame holds only integers and fixed keys, so a string marks
-            # the long-class row unambiguously
-            body, frame = cfg.classes[:-1], cfg.to_json()
-            frame["classes"][-1] = "tail"
-            line = json.dumps(frame, sort_keys=True, separators=(",", ":"))
-            prefix, _, suffix = line.replace("%", "%%").partition('"tail"')
-            line_format = prefix + "[" + ",".join(["%d"] * len(tail)) + "]" + suffix + "\n"
-        write(line_format % tail)
+    # one write per line: a write per group would hold a whole group's
+    # lines as one string
+    writelines = sys.stdout.writelines
+    coefficients = "[" + ",".join(["%d"] * hits.lattice.rank) + "]"
+    for body, tails in hits.groups:
+        # the frame holds only integers and fixed keys, so a string marks
+        # the long-class row unambiguously; these are cfg.to_json()'s keys
+        classes = [u.to_json() for u in body] + ["tail"]
+        frame = {"p": hits.p, "n": hits.lattice.n, "classes": classes}
+        line = json.dumps(frame, sort_keys=True, separators=(",", ":"))
+        prefix, _, suffix = line.replace("%", "%%").partition('"tail"')
+        writelines(map((prefix + coefficients + suffix + "\n").__mod__, tails))
     trailer = _certificate(
         {
             "command": "search",
@@ -212,7 +211,7 @@ def cmd_search(args) -> int:
             "template": template.to_json(),
             "cap": cap,
         },
-        {"count": len(results), "seconds": round(elapsed, 3)},
+        {"count": hits.count, "seconds": round(elapsed, 3)},
     )
     print(json.dumps(trailer, sort_keys=True), file=sys.stderr)
     return 0

@@ -14,12 +14,16 @@ the sums the walk can reach. Every sign pattern of a tabled leaf is a
 solution; the signs are expanded in C, each signed tail exactly once, so
 the enumeration returns exactly the box solutions while visiting at most
 prod(b + 1) leaves where the box has prod(2b + 1) points.
-Each solution becomes a CpConfiguration through the normal constructor, so
-the one Gram verifier checks it from raw coefficients; its body block is
-verified once per placement and memoized, and so are its pairings with each
-run value's support values. A hit then costs one gather and one lookup plus
-the O(n) square of its long class; the O(nnz) pairing loop (nnz: the body's
-nonzero coefficients) runs once per distinct run value t.
+search_hits returns the hits as rows, one group per placement: the body
+classes and the sorted tail rows. Every tail is checked as a raw row by the
+one Gram check that the CpConfiguration constructor runs (chains.check_tails);
+its body block is verified once per placement and memoized, and so are its
+pairings with each run value's support values. A hit then costs one gather
+and one lookup plus the O(n) square of its long class; the O(nnz) pairing
+loop (nnz: the body's nonzero coefficients) runs once per distinct run
+value t. CpConfigurations are built only on request: search() builds every
+hit through the constructor (which runs that check once per hit), and
+SearchHits.configurations does the same.
 
 Everything is deterministic: placements, coordinate order, and value order
 are fixed, and results are sorted by their class coefficient tuples (body
@@ -33,7 +37,7 @@ from itertools import permutations, product, repeat
 from math import comb, factorial, isqrt, prod
 from operator import add, itemgetter
 
-from .chains import CpConfiguration
+from .chains import CpConfiguration, check_tails
 from .errors import ConsistencyError, DomainError, InputTypeError
 from .errors import InvalidConfigurationError, SearchCapExceeded, TemplateError
 from .lattice import AmbientLattice, ClassVector, strict_int
@@ -244,6 +248,10 @@ def _enumerate_placement(
             walk(idx + 1, s_next)
 
     walk(0, 0)
+    # walk refers to itself through its closure cell; clearing the cell
+    # breaks that cycle, so out, table and signs are freed on return rather
+    # than by the cyclic collector
+    del walk
     return out
 
 
@@ -323,19 +331,11 @@ def _difference_row(rank: int, x: int, y: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfiguration]:
-    """All chain configurations matching the template inside its box.
+def _enumerate(template: SearchTemplate, cap: int):
+    """(lattice, groups): each placement's body classes and sorted tail rows.
 
     Raises SearchCapExceeded before enumerating anything when the estimate
-    exceeds the cap. Every hit is built by the CpConfiguration constructor,
-    whose Gram verifier reads the raw coefficient rows and shares nothing
-    with the enumerator's algebra; a hit it rejects is an enumerator bug and
-    raises ConsistencyError. Hits of one placement share their body
-    classes, and hits of one run value their values on the body's support,
-    so the constructor gathers and looks up each long class's body pairings
-    and computes only its square, O(n).
-    Output is sorted by class coefficients, so hits sharing a body are
-    adjacent.
+    exceeds the cap. Nothing is checked here: both callers check every tail.
     """
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
@@ -352,19 +352,90 @@ def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfigura
             body = tuple(
                 ClassVector(lat, _difference_row(lat.rank, x, y)) for x, y in zip(pl, pl[1:])
             )
-            found.append((tuple(u.coeffs for u in body), body, sorted(tails)))
+            found.append((tuple(u.coeffs for u in body), body, tuple(sorted(tails))))
     # distinct placements have distinct bodies, all of length p - 2, so
     # sorting by body and then by tail orders hits exactly as the flat
     # tuple of all class coefficients does
     found.sort(key=itemgetter(0))
+    return lat, tuple((body, tails) for _, body, tails in found)
+
+
+def _inconsistent(exc: InvalidConfigurationError) -> ConsistencyError:
+    """A hit the Gram check rejects is an enumerator bug, not a user error."""
+    return ConsistencyError(f"enumerated solution fails the Gram check: {exc}")
+
+
+def _configurations(p: int, lat: AmbientLattice, groups) -> list[CpConfiguration]:
+    """Each hit built by the CpConfiguration constructor, in group order."""
     try:
         return [
-            CpConfiguration(template.p, body + (ClassVector(lat, tail),))
-            for _, body, tails in found
+            CpConfiguration(p, body + (ClassVector(lat, tail),))
+            for body, tails in groups
             for tail in tails
         ]
     except InvalidConfigurationError as exc:
-        raise ConsistencyError(f"enumerated solution fails the Gram check: {exc}") from exc
+        raise _inconsistent(exc) from exc
+
+
+class SearchHits(Record):
+    """Every hit of one search as rows: one (body, tails) group per placement.
+
+    A group's body is its p - 2 classes, shared by its hits, and its tails
+    are the sorted long-class coefficient rows; groups come sorted by body,
+    so the hits read in the order search returns them. Every tail has
+    passed the one Gram check (chains.check_tails) against its body.
+    """
+
+    p: int
+    lattice: AmbientLattice
+    groups: tuple[tuple[tuple[ClassVector, ...], tuple[tuple[int, ...], ...]], ...]
+
+    @property
+    def count(self) -> int:
+        return sum(len(tails) for _, tails in self.groups)
+
+    def tails(self) -> list[tuple[int, ...]]:
+        """Every hit's long-class row, in hit order."""
+        return [tail for _, tails in self.groups for tail in tails]
+
+    def configurations(self) -> list[CpConfiguration]:
+        """Every hit as a CpConfiguration, each built (and so checked again)
+        by the constructor."""
+        return _configurations(self.p, self.lattice, self.groups)
+
+
+def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
+    """All chain configurations matching the template, as checked rows.
+
+    Raises SearchCapExceeded before enumerating anything when the estimate
+    exceeds the cap. Every tail row goes through chains.check_tails, the
+    Gram check the CpConfiguration constructor runs, on its raw coefficients;
+    that check shares nothing with the enumerator's algebra, so a tail it
+    rejects is an enumerator bug and raises ConsistencyError. The body block
+    is looked up once per placement, and a tail costs one gather and one
+    lookup of its body pairings plus its O(n) square. No CpConfiguration is
+    built; SearchHits.configurations builds them on request.
+    """
+    lat, groups = _enumerate(template, cap)
+    p = template.p
+    try:
+        for body, tails in groups:
+            check_tails(p, lat, body, tails)
+    except InvalidConfigurationError as exc:
+        raise _inconsistent(exc) from exc
+    return SearchHits(p=p, lattice=lat, groups=groups)
+
+
+def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfiguration]:
+    """All chain configurations matching the template inside its box.
+
+    The hits of search_hits, each built by the CpConfiguration constructor
+    (which runs the same Gram check, once per hit) instead of checked as a
+    row; a hit it rejects raises ConsistencyError. Output is sorted by class
+    coefficients, so hits sharing a body are adjacent.
+    """
+    lat, groups = _enumerate(template, cap)
+    return _configurations(template.p, lat, groups)
 
 
 class FamilySearchReport(Record):
@@ -373,7 +444,7 @@ class FamilySearchReport(Record):
     kind: str
     a: int
     template: SearchTemplate
-    configurations: tuple[CpConfiguration, ...]
+    hits: SearchHits
     label: str = (
         "homological only, inside the searched box; "
         "existence of an embedded configuration is not certified"
@@ -381,7 +452,12 @@ class FamilySearchReport(Record):
 
     @property
     def count(self) -> int:
-        return len(self.configurations)
+        return self.hits.count
+
+    @property
+    def configurations(self) -> tuple[CpConfiguration, ...]:
+        """Every hit, built through the constructor on each access."""
+        return tuple(self.hits.configurations())
 
 
 FAMILY_QUESTION_KINDS = ("3-chain", "4-chain")
@@ -417,8 +493,8 @@ def family_question_template(a: int, kind: str) -> SearchTemplate:
 def search_family_questions(a: int, kind: str, cap: int = DEFAULT_CAP) -> FamilySearchReport:
     """Probe one open-range question with the default shaped box.
 
-    The hits come from search, so each one has passed the Gram verifier at
-    construction; nothing is re-checked here.
+    The hits come from search_hits, so each one has passed the Gram check
+    as a row; nothing is re-checked here.
     """
     if kind not in FAMILY_QUESTION_KINDS:
         raise DomainError(f"kind must be one of {FAMILY_QUESTION_KINDS}, got {kind!r}")
@@ -432,5 +508,5 @@ def search_family_questions(a: int, kind: str, cap: int = DEFAULT_CAP) -> Family
         kind=kind,
         a=a,
         template=template,
-        configurations=tuple(search(template, cap=cap)),
+        hits=search_hits(template, cap=cap),
     )

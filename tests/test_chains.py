@@ -15,6 +15,7 @@ from rbdcalc.chains import (
     _body_block,
     _check_rows,
     _LastBody,
+    check_tails,
     cp_gram,
     expected_square,
     lens_space_cf,
@@ -363,6 +364,67 @@ def test_failing_tail_after_a_cached_body(body_cache, p):
             CpConfiguration(p=p, classes=classes)
         assert exc.value.report == want
     assert builds_and_reuses(body_cache) == (1, 2 * lat.rank)
+
+
+@settings(max_examples=200)
+@given(bodies_with_tails())
+def test_check_tails_raises_the_constructor_report(case):
+    """One body, many raw tails: check_tails passes exactly when the
+    constructor accepts every tail, and otherwise raises the report the
+    constructor raises for the first tail it rejects."""
+    p, n, body, tails = case
+    lat = AmbientLattice(n)
+    body = tuple(lat.vector(row) for row in body)
+    rows = [tuple(tail) for tail in tails]
+    want = None
+    for row in rows:
+        try:
+            CpConfiguration(p, body + (lat.vector(row),))
+        except InvalidConfigurationError as exc:
+            want = exc.report
+            break
+    if want is None:
+        check_tails(p, lat, body, rows)
+    else:
+        with pytest.raises(InvalidConfigurationError) as exc:
+            check_tails(p, lat, body, rows)
+        assert exc.value.report == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_check_tails_refuses_a_row_of_the_wrong_length(p):
+    """The rank is checked on every raw row, also at p = 2 where the body is
+    empty and a short row can have the right square, with the message a
+    ClassVector of that row gives."""
+    cfg = standard_configuration(p, p + 1)
+    body, tail = cfg.classes[:-1], cfg.classes[-1].coeffs
+    for row in (tail[:-1], tail + (0,)):
+        with pytest.raises(DomainError) as want:
+            ClassVector(cfg.lattice, row)
+        with pytest.raises(DomainError) as exc:
+            check_tails(p, cfg.lattice, body, [tail, row])
+        assert str(exc.value) == str(want.value)
+
+
+def test_check_tails_looks_the_body_up_once(body_cache):
+    """Once per batch, however many tails: the constructor built the block,
+    and each batch is one memo hit."""
+    cfg = standard_configuration(5, 6)
+    assert builds_and_reuses(body_cache) == (1, 0)
+    for batches in (1, 2):
+        check_tails(5, cfg.lattice, cfg.classes[:-1], [cfg.classes[-1].coeffs] * 10)
+        assert builds_and_reuses(body_cache) == (1, batches)
+
+
+def test_check_tails_refuses_a_body_of_another_lattice_or_length():
+    cfg = standard_configuration(4, 5)
+    body, tail = cfg.classes[:-1], cfg.classes[-1].coeffs
+    with pytest.raises(LatticeMismatchError):
+        check_tails(4, AmbientLattice(6), body, [tail + (0,)])
+    with pytest.raises(ArityError, match="C_5 needs exactly 4 classes, got 3"):
+        check_tails(5, cfg.lattice, body, [tail])
+    with pytest.raises(DomainError):
+        check_tails(1, cfg.lattice, (), [tail])
 
 
 def assert_pairings_are_the_pairing_loop(cfg, x):

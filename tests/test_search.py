@@ -1,5 +1,6 @@
 """Bounded configuration search and the open-range question probes."""
 
+import gc
 import hashlib
 import json
 import time
@@ -13,16 +14,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rbdcalc.chains import ChainViolation, verify_cp_configuration
+from rbdcalc.chains import ChainViolation, CpConfiguration, verify_cp_configuration
 from rbdcalc.errors import (
     ConsistencyError,
     DomainError,
     InputTypeError,
+    InvalidConfigurationError,
     SearchCapExceeded,
     TemplateError,
 )
 from rbdcalc.families import family_configuration
-from rbdcalc.lattice import AmbientLattice
+from rbdcalc.lattice import AmbientLattice, ClassVector
 from rbdcalc.search import (
     DEFAULT_CAP,
     FamilySearchReport,
@@ -36,6 +38,7 @@ from rbdcalc.search import (
     family_question_template,
     search,
     search_family_questions,
+    search_hits,
 )
 
 from oracles import point_walk, theta_count
@@ -353,6 +356,153 @@ def test_corrupted_hit_raises_consistency_error(monkeypatch):
     monkeypatch.setattr(search_module, "_enumerate_placement", corrupted)
     with pytest.raises(ConsistencyError, match="fails the Gram check"):
         search(family_question_template(11, "3-chain"))
+
+
+def test_enumerate_placement_leaves_no_reference_cycle():
+    """The walk refers to itself through its closure cell; the cell is
+    cleared after the walk, so a call leaves nothing for the cyclic
+    collector and its tails, table and signs go on return."""
+    template = family_question_template(8, "3-chain")
+    (placement,) = _placements(template)
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(_enumerate_placement(template, placement)) == 912
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def corrupt_first_tail(monkeypatch, template, corrupt):
+    """Make the enumerator return its first tail changed by `corrupt`; the
+    (body, bad tail) pair the searches will meet."""
+    (body, _), *_ = search_hits(template).groups
+    enumerate_placement = search_module._enumerate_placement
+    (placement,) = _placements(template)
+    tails = enumerate_placement(template, placement)
+    bad = corrupt(tails[0], _placement_geometry(template, placement)[0])
+
+    def corrupted(template, placement):
+        return [bad] + enumerate_placement(template, placement)[1:]
+
+    monkeypatch.setattr(search_module, "_enumerate_placement", corrupted)
+    return body, bad
+
+
+def bump_c0(tail, free):
+    return (tail[0] + 1,) + tail[1:]
+
+
+def bump_free(tail, free):
+    k = free[0]
+    return tail[:k] + (tail[k] + 1,) + tail[k + 1 :]
+
+
+@pytest.mark.parametrize("corrupt", [bump_c0, bump_free])
+def test_search_hits_keep_the_gram_check(monkeypatch, corrupt):
+    """A tail the row check rejects is an enumerator bug: search_hits raises
+    ConsistencyError around the report the constructor gives that row, and
+    search, through the constructor, raises the same."""
+    template = family_question_template(11, "3-chain")
+    body, bad = corrupt_first_tail(monkeypatch, template, corrupt)
+    with pytest.raises(InvalidConfigurationError) as want:
+        CpConfiguration(template.p, body + (ClassVector(AmbientLattice(template.n), bad),))
+    with pytest.raises(ConsistencyError, match="fails the Gram check") as rows:
+        search_hits(template)
+    assert rows.value.__cause__.report == want.value.report
+    assert str(want.value) in str(rows.value)
+    with pytest.raises(ConsistencyError) as configurations:
+        search(template)
+    assert str(configurations.value) == str(rows.value)
+
+
+@pytest.mark.parametrize(
+    "template", [family_question_template(11, "3-chain"), SearchTemplate.uniform(3, 2, 2)]
+)
+@pytest.mark.parametrize("cut", [lambda tail: tail[:-1], lambda tail: tail + (0,)])
+def test_search_hits_refuse_a_tail_of_the_wrong_length(monkeypatch, template, cut):
+    """The row check reads the lattice rank, also at p = 2 where the body is
+    empty, and raises what search raises when it builds that row's class."""
+    if template.p == 2:
+        tails = search_module._enumerate_placement(template, ())
+        monkeypatch.setattr(search_module, "_enumerate_placement", lambda t, pl: [cut(tails[0])])
+    else:
+        corrupt_first_tail(monkeypatch, template, lambda tail, free: cut(tail))
+    with pytest.raises(DomainError) as configurations:
+        search(template)
+    with pytest.raises(DomainError) as rows:
+        search_hits(template)
+    assert type(rows.value) is type(configurations.value)
+    assert str(rows.value) == str(configurations.value)
+
+
+def assert_rows_agree_with_search(template):
+    hits = search_hits(template)
+    configurations = search(template)
+    assert hits.configurations() == configurations
+    assert hits.tails() == [cfg.classes[-1].coeffs for cfg in configurations]
+    assert hits.count == len(configurations)
+    bodies = [body for body, _ in hits.groups]
+    assert len(set(bodies)) == len(bodies)
+    assert all(len(body) == template.p - 2 and tails for body, tails in hits.groups)
+    return hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(walkable_templates())
+def test_search_hits_agree_with_search_on_small_templates(template):
+    """Hit for hit and in order, on p = 2..5, either body shape, with and
+    without the symmetry reduction."""
+    assert_rows_agree_with_search(template)
+
+
+@pytest.mark.parametrize(
+    "template, groups",
+    [
+        (SearchTemplate.uniform(5, 2, 2), 1),
+        (SearchTemplate.uniform(6, 3, 2, symmetry_reduction=False), 5),
+        (SearchTemplate.uniform(5, 4, 2, symmetry_reduction=False), 3),
+        (SearchTemplate.uniform(5, 3, 2, body_shape="free-pairs", symmetry_reduction=False), 20),
+        (family_question_template(7, "3-chain"), 1),
+    ],
+)
+def test_search_hits_agree_with_search_hit_for_hit(template, groups):
+    """p = 2 has one group with an empty body; unreduced templates have one
+    group per placement."""
+    hits = assert_rows_agree_with_search(template)
+    assert len(hits.groups) == groups
+
+
+def test_search_hits_build_no_configuration(monkeypatch):
+    """Rows are checked, not built: no CpConfiguration is made until asked."""
+    template = family_question_template(8, "3-chain")
+
+    def refuse(self):
+        raise AssertionError("a CpConfiguration was built")
+
+    monkeypatch.setattr(CpConfiguration, "__post_init__", refuse)
+    assert search_hits(template).count == 912
+    assert search_family_questions(8, "3-chain").count == 912
+    with pytest.raises(AssertionError):
+        search_hits(template).configurations()
+
+
+@pytest.mark.parametrize(
+    "kind, a, count",
+    [
+        ("3-chain", 8, 912),
+        ("3-chain", 9, 314),
+        ("3-chain", 10, 120),
+        ("3-chain", 11, 20),
+        ("4-chain", 3, 315_488),
+        ("4-chain", 4, 19_820),
+        ("4-chain", 5, 584),
+        ("4-chain", 6, 56),
+    ],
+)
+def test_search_hits_give_the_probe_counts(kind, a, count):
+    report = search_family_questions(a, kind)
+    assert report.count == len(report.hits.tails()) == count
 
 
 def test_question_dimensions():
