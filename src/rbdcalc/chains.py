@@ -22,9 +22,12 @@ values at the body's support (the columns where some body row is nonzero),
 so each body keeps a bounded memo from those values to the pairings: a
 check costs one gather and one lookup, the O(nnz) pairing loop runs once
 per distinct support value (nnz nonzero body coefficients), and the long
-class's square reads its whole row, O(n). A ChainReport, with its
-first-violation scan, is built only when the check fails or when
-verify_cp_configuration is called.
+class's square reads its whole row, O(n). check_tails runs the same
+checks over a whole group of rows in passes at C level (lengths, then the
+pairings of each distinct support value, then the squares), and runs
+_check_tail row by row only when the group fails, to raise what the
+constructor raises. A ChainReport, with its first-violation scan, is built
+only when the check fails or when verify_cp_configuration is called.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import json
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mul
 
 from .errors import (
     ArityError,
@@ -75,10 +78,13 @@ _PAIRINGS_CACHE_SIZE = 64
 
 
 def _gather(support: tuple[int, ...]):
-    """The row's values at the support, as a tuple even for 0 or 1 columns."""
-    if len(support) > 1:
-        return itemgetter(*support)
-    return lambda row: tuple(row[k] for k in support)
+    """A tuple row's values at the sorted support, as a tuple: one slice when
+    the support is contiguous (as every difference body's is, and an empty
+    one), else one item per column."""
+    lo = support[0] if support else 0
+    if support == tuple(range(lo, lo + len(support))):
+        return itemgetter(slice(lo, lo + len(support)))
+    return itemgetter(*support)
 
 
 @lru_cache(maxsize=32)
@@ -223,11 +229,18 @@ def _check_rows(candidate: Sequence[ClassVector], p: int):
 def check_tails(p: int, lattice: AmbientLattice, body: tuple[ClassVector, ...], tails) -> None:
     """Run the Gram check of _check_rows on one body and each raw tail row.
 
-    The body block is looked up once; each tail then costs what a
-    constructor's check costs for it, through the same _check_tail. The
-    first tail that fails raises InvalidConfigurationError with the report
-    CpConfiguration(p, body + (ClassVector(lattice, tail),)) would raise; a
-    tail of the wrong length raises DomainError, as that ClassVector would.
+    The body block is looked up once and the tails are checked as one batch,
+    in passes at C level over them: every row's length against the rank,
+    then the body pairings once per distinct support value, then every
+    row's square, sum x_i^2 == 2 x_0^2 + p + 2 over the whole row (that is,
+    row_pairing(x, x) == -(p + 2)), summed by lazy iterators. Tails given
+    as a tuple of tuples, as search gives them, are read in place, so no
+    list as long as the batch is built; any other rows are copied into one
+    first. Only a failing batch runs _check_tail, the constructor's check,
+    tail by tail: the first tail that fails raises InvalidConfigurationError
+    with the report CpConfiguration(p, body + (ClassVector(lattice, tail),))
+    would raise; a tail of the wrong length raises DomainError, as that
+    ClassVector would.
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got p = {p}")
@@ -236,6 +249,19 @@ def check_tails(p: int, lattice: AmbientLattice, body: tuple[ClassVector, ...], 
     if any(u.lattice != lattice for u in body):
         raise LatticeMismatchError("candidate classes live in different lattices")
     block, rank = _block_of(body), lattice.rank
+    if type(tails) is not tuple or not set(map(type, tails)) <= {tuple}:
+        # the batch passes over the rows several times, and the support
+        # gather slices, whose result is hashable only for a tuple row
+        tails = tuple(map(tuple, tails))
+    _gram, _squares, body_ok, want, gather, pairings = block
+    square = p + 2  # sum x_i^2 - 2 x_0^2 over a passing row
+    if (
+        body_ok
+        and set(map(len, tails)) <= {rank}
+        and all(pairings(values) == want for values in set(map(gather, tails)))
+        and all(sum(map(mul, x, x)) == 2 * x[0] * x[0] + square for x in tails)
+    ):
+        return
     for tail in tails:
         check = _check_tail(block, p, rank, tail)
         if not check[0]:

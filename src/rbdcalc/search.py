@@ -18,10 +18,12 @@ search_hits returns the hits as rows, one group per placement: the body
 classes and the sorted tail rows. Every tail is checked as a raw row by the
 one Gram check that the CpConfiguration constructor runs (chains.check_tails);
 its body block is verified once per placement and memoized, and so are its
-pairings with each run value's support values. A hit then costs one gather
-and one lookup plus the O(n) square of its long class; the O(nnz) pairing
-loop (nnz: the body's nonzero coefficients) runs once per distinct run
-value t. CpConfigurations are built only on request: search() builds every
+pairings with each run value's support values. A placement's tails are
+checked as one batch, in passes at C level over the group: the O(nnz)
+pairing loop (nnz: the body's nonzero coefficients) runs once per distinct
+run value t, and a hit costs a slice of its support values and the O(n)
+square of its long class, with no Python function called per hit.
+CpConfigurations are built only on request: search() builds every
 hit through the constructor (which runs that check once per hit), and
 SearchHits.configurations does the same.
 
@@ -33,9 +35,9 @@ each other.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations, product, repeat
+from itertools import chain, permutations, product
 from math import comb, factorial, isqrt, prod
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .chains import CpConfiguration, check_tails
 from .errors import ConsistencyError, DomainError, InputTypeError
@@ -214,11 +216,12 @@ def _enumerate_placement(
 
     The walk visits magnitudes: each free coordinate takes m = 0..b in
     ascending order, and the loop stops once the sum passes the largest
-    tabled sum. At a leaf whose sum is tabled, itertools.product over (0,)
-    for m = 0 and (-m, m) otherwise expands the signs in C, each signed tail
-    exactly once, and one itemgetter per placement reads each tail off its
-    row + signs. So the walk visits at most prod(b + 1) leaves, against the
-    prod(2b + 1) box points the estimate counts per run value.
+    tabled sum. At a leaf whose sum is tabled, each of its rows becomes one
+    pool per coordinate, (v,) for a fixed one and (0,) for m = 0 or (-m, m)
+    for a free one, and itertools.product over the pools reads off every
+    signed tail exactly once, one tuple per hit, in C. So the walk visits
+    at most prod(b + 1) leaves, against the prod(2b + 1) box points the
+    estimate counts per run value.
     """
     bounds = template.tail_bounds
     free, run, end, t_range = _placement_geometry(template, placement)
@@ -226,10 +229,9 @@ def _enumerate_placement(
     if not table:
         return []
     s_max = max(table)
-    n, depth = template.n, len(free)
-    # free coordinate k is read from row + signs at n + 1 + k
-    at = dict(zip(free, range(n + 1, n + 1 + depth)))
-    place = itemgetter(*(at.get(i, i) for i in range(n + 1)))
+    depth = len(free)
+    # each row's pools, its free ones rewritten at every leaf that reads it
+    pooled = {s: [[(v,) for v in row] for row in rows] for s, rows in table.items()}
     top = max((bounds[i] for i in free), default=0)
     signed = [(0,)] + [(-m, m) for m in range(1, top + 1)]
     signs = [()] * depth
@@ -237,8 +239,10 @@ def _enumerate_placement(
 
     def walk(idx: int, s: int) -> None:
         if idx == depth:
-            for row in table.get(s, ()):
-                out.extend(map(place, map(add, repeat(row), product(*signs))))
+            for pools in pooled.get(s, ()):
+                for i, pool in zip(free, signs):
+                    pools[i] = pool
+                out.extend(product(*pools))
             return
         for m in range(bounds[free[idx]] + 1):
             s_next = s + m * m
@@ -249,22 +253,19 @@ def _enumerate_placement(
 
     walk(0, 0)
     # walk refers to itself through its closure cell; clearing the cell
-    # breaks that cycle, so out, table and signs are freed on return rather
-    # than by the cyclic collector
+    # breaks that cycle, so out, the pools and signs are freed on return
+    # rather than by the cyclic collector
     del walk
     return out
 
 
-def _times_binomial_power(series: list[int], w: int, c: int) -> list[int]:
-    """series(x) * (w + x)^c, truncated to the degree of series."""
-    top = min(c, len(series) - 1)
-    factor, power = [0] * (top + 1), pow(w, c - top)
-    for j in range(top, -1, -1):
-        factor[j] = comb(c, j) * power
-        power *= w
-    return [
-        sum(factor[j] * series[d - j] for j in range(min(d, top) + 1)) for d in range(len(series))
-    ]
+def _times(a: list[int], b: list[int], size: int) -> list[int]:
+    """The coefficients of a(x) b(x) below degree size."""
+    out = [0] * min(len(a) + len(b) - 1, size)
+    for i, x in enumerate(a[:size]):
+        for j, y in enumerate(b[: size - i]):
+            out[i + j] += x * y
+    return out
 
 
 def _free_pairs_box_sum(template: SearchTemplate) -> int:
@@ -273,30 +274,57 @@ def _free_pairs_box_sum(template: SearchTemplate) -> int:
     With w = 2b + 1 per index, a placement's free box is the product of w
     over the indices off it, and its t range width is min(w_m, w_e) - [m = b_e]
     for the run's smallest bound m and the end's bound b_e. Group placements
-    by their set T of p - 1 indices: the run orders give (p - 2)!, and the
-    p - 1 choices of end give widths summing to (p - 1) w - (r - 1) - [r >= 2],
+    by their set T of p - 1 = k + 1 indices: the run orders give k!, and the
+    k + 1 choices of end give widths summing to (k + 1) w - (r - 1) - [r >= 2],
     where w is that of T's smallest bound b and r counts T's indices at b.
-    Such a set leaves every index below b free. The rest of T comes from
-    the bounds above b, counted with their free products by the x^(p-1-r)
-    coefficient of the product of (w + x)^c over those bounds, c indices
-    each. Bounds are taken from the top, so the free product below b is
-    accumulated Horner style, one power per distinct bound.
+    Such a set leaves every index below b free, and takes the rest of T
+    from the bounds above b, counted with their free products by the
+    x^(k+1-r) coefficient of the product of (w + x)^c over those bounds, c
+    indices each.
+
+    The distinct bounds, in descending order, are combined as a balanced
+    tree of segments, so the big integers multiplied stay balanced and the
+    cost is quasi-linear in their number. A segment carries S, the product
+    of its (w + x)^c below degree k + 2, whose constant term is the product
+    W of its w^c, and v, whose x^r coefficient counts its sets T that take
+    k + 1 - r indices from above the segment, each with its widths and the
+    free product below T. A segment above another combines with it to
+    S_high S_low and v_high W_low + S_high v_low (see _combine), and the
+    sum is k! times the x^(k+1) coefficient of the whole v. Each distinct
+    bound costs one power.
     """
     k = template.p - 2
-    series = [1] + [0] * (k + 1)  # the product over the bounds above b
-    total = 0
+    segments = []
     for b, c in sorted(Counter(template.tail_bounds[1:]).items(), reverse=True):
         w = 2 * b + 1
         top = min(c, k + 1)
-        power, at_b = pow(w, c - top), 0
+        S, v, power = [0] * (top + 1), [0] * (top + 1), pow(w, c - top)
         for r in range(top, 0, -1):
-            widths = (k + 1) * w - (r - 1) - (r >= 2)
-            at_b += comb(c, r) * power * series[k + 1 - r] * widths
+            S[r] = comb(c, r) * power  # power = w^(c - r)
+            v[r] = S[r] * ((k + 1) * w - (r - 1) - (r >= 2))
             power *= w
-        # Horner from the top: every bound above b gains b's w^c as free
-        total = at_b + power * total
-        series = _times_binomial_power(series, w, c)
-    return factorial(k) * total
+        S[0] = power
+        segments.append((S, v))
+    while len(segments) > 1:
+        unpaired = segments[-1:] if len(segments) % 2 else []
+        pairs = zip(segments[::2], segments[1::2])
+        segments = [_combine(high, low, k + 2) for high, low in pairs] + unpaired
+    v = segments[0][1]
+    return factorial(k) * v[k + 1] if len(v) > k + 1 else 0
+
+
+def _combine(high, low, size: int):
+    """The (S, v) of two adjacent segments of bounds, high above low.
+
+    Every index of low is free below a set T of high, so high's counts
+    gain low's free product W_low = S_low[0]; a set of low takes its
+    indices above low from high, so low's counts are multiplied by S_high.
+    """
+    (S_high, v_high), (S_low, v_low) = high, low
+    v = _times(S_high, v_low, size)
+    for r, x in enumerate(v_high):
+        v[r] += x * S_low[0]
+    return _times(S_high, S_low, size), v
 
 
 def estimate_search_space(template: SearchTemplate) -> int:
@@ -396,7 +424,7 @@ class SearchHits(Record):
 
     def tails(self) -> list[tuple[int, ...]]:
         """Every hit's long-class row, in hit order."""
-        return [tail for _, tails in self.groups for tail in tails]
+        return list(chain.from_iterable(map(itemgetter(1), self.groups)))
 
     def configurations(self) -> list[CpConfiguration]:
         """Every hit as a CpConfiguration, each built (and so checked again)
@@ -411,10 +439,10 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
     exceeds the cap. Every tail row goes through chains.check_tails, the
     Gram check the CpConfiguration constructor runs, on its raw coefficients;
     that check shares nothing with the enumerator's algebra, so a tail it
-    rejects is an enumerator bug and raises ConsistencyError. The body block
-    is looked up once per placement, and a tail costs one gather and one
-    lookup of its body pairings plus its O(n) square. No CpConfiguration is
-    built; SearchHits.configurations builds them on request.
+    rejects is an enumerator bug and raises ConsistencyError. Each
+    placement's tails are checked as one batch against a body block looked
+    up once (see chains.check_tails). No CpConfiguration is built;
+    SearchHits.configurations builds them on request.
     """
     lat, groups = _enumerate(template, cap)
     p = template.p

@@ -1,6 +1,8 @@
 """Chain configurations, their verification report, and lens space data."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from rbdcalc.chains import (
     CpConfiguration,
     _body_block,
     _check_rows,
+    _gather,
     _LastBody,
     check_tails,
     cp_gram,
@@ -32,7 +35,13 @@ from rbdcalc.errors import (
 )
 from rbdcalc.families import family_classes, family_configuration
 from rbdcalc.lattice import AmbientLattice, ClassVector, pairing
-from rbdcalc.search import _placements, family_question_template, search
+from rbdcalc.search import (
+    SearchTemplate,
+    _placements,
+    family_question_template,
+    search,
+    search_hits,
+)
 from rbdcalc.snf import det as int_det
 from rbdcalc.snf import smith_normal_form
 
@@ -425,6 +434,125 @@ def test_check_tails_refuses_a_body_of_another_lattice_or_length():
         check_tails(5, cfg.lattice, body, [tail])
     with pytest.raises(DomainError):
         check_tails(1, cfg.lattice, (), [tail])
+
+
+def contiguous(columns: set) -> bool:
+    return not columns or max(columns) - min(columns) + 1 == len(columns)
+
+
+def body_support(body) -> set:
+    return {k for u in body for k, c in enumerate(u.coeffs) if c}
+
+
+@lru_cache(maxsize=None)
+def passing_batch(kind):
+    """(p, lattice, body, passing tail rows) for one kind of body support."""
+    if kind == "h-body":
+        # u_1 = h - e_1 - e_2 - e_4: the support {0, 1, 2, 4} holds the h
+        # column and is not contiguous; tails by brute force over a box
+        lat = AmbientLattice(4)
+        body = (lat.vector([1, -1, -1, 0, -1]),)
+        rows = [
+            x for x in product(range(-3, 4), repeat=5)
+            if x[0] ** 2 - sum(c * c for c in x[1:]) == -5 and x[0] + x[1] + x[2] + x[4] == 1
+        ]
+        return 3, lat, body, tuple(rows)
+    template = {
+        "empty": SearchTemplate.uniform(3, 2, 2),
+        "contiguous": SearchTemplate.uniform(6, 5, 2),
+        "free-pairs": SearchTemplate.uniform(5, 4, 2, "free-pairs", symmetry_reduction=False),
+    }[kind]
+    hits = search_hits(template)
+    for body, tails in hits.groups:
+        if kind != "free-pairs" or not contiguous(body_support(body)):
+            return template.p, hits.lattice, body, tails
+    raise AssertionError(f"no {kind} body")
+
+
+def flip_a_support_sign(row, body):
+    """The row with one nonzero support coefficient negated: the same
+    square, and another pairing with the body row that meets that column."""
+    k = next(k for k in sorted(body_support(body)) if row[k])
+    return row[:k] + (-row[k],) + row[k + 1:]
+
+
+CORRUPTIONS = {
+    "bump": lambda row, body, k: row[:k] + (row[k] + 1,) + row[k + 1:],
+    "short": lambda row, body, k: row[:-1],
+    "long": lambda row, body, k: row + (0,),
+    "pairings": lambda row, body, k: flip_a_support_sign(row, body),
+}
+
+
+def constructor_loop(p, lat, body, rows):
+    """The exception the constructor raises for the first row it rejects, or None."""
+    for row in rows:
+        try:
+            CpConfiguration(p, body + (ClassVector(lat, tuple(row)),))
+        except (InvalidConfigurationError, DomainError) as exc:
+            return exc
+    return None
+
+
+@st.composite
+def batches_with_one_bad_row(draw):
+    """Passing rows of one body, one of them corrupted, at the start, in the
+    middle or at the end; rows as tuples or as lists, in a list."""
+    kind = draw(st.sampled_from(("empty", "contiguous", "free-pairs", "h-body")))
+    p, lat, body, passing = passing_batch(kind)
+    corruption = draw(st.sampled_from(sorted(CORRUPTIONS)))
+    if p == 2 and corruption == "pairings":
+        corruption = "bump"  # an empty body has no pairings to break
+    rows = draw(st.lists(st.sampled_from(passing), min_size=1, max_size=12))
+    where = draw(st.sampled_from(("first", "middle", "last")))
+    at = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
+    k = draw(st.integers(0, lat.n))
+    rows[at] = CORRUPTIONS[corruption](rows[at], body, k)
+    if draw(st.booleans()):
+        rows = [list(row) for row in rows]
+    return p, lat, body, rows
+
+
+@settings(max_examples=300)
+@given(batches_with_one_bad_row())
+def test_a_failing_batch_raises_what_the_constructor_raises(case):
+    """The batch finds the bad row wherever it sits, and raises the
+    exception type, message and report of the constructor's check on the
+    first row that fails."""
+    p, lat, body, rows = case
+    want = constructor_loop(p, lat, body, rows)
+    assert want is not None
+    for given_rows in (rows, iter(rows)):
+        with pytest.raises((InvalidConfigurationError, DomainError)) as got:
+            check_tails(p, lat, body, given_rows)
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
+        assert getattr(got.value, "report", None) == getattr(want, "report", None)
+
+
+@pytest.mark.parametrize("kind", ["empty", "contiguous", "free-pairs", "h-body"])
+def test_passing_batches_pass_as_tuples_and_as_lists(kind):
+    """Every kind of support: empty (p = 2), one contiguous run, separate
+    columns, and the h column. A list row is checked as its tuple is, and
+    an iterator of rows as their sequence is."""
+    p, lat, body, rows = passing_batch(kind)
+    assert len(rows) > 1 and constructor_loop(p, lat, body, rows) is None
+    contiguous_support = contiguous(body_support(body))
+    assert contiguous_support == (kind in ("empty", "contiguous"))
+    assert (0 in body_support(body)) == (kind == "h-body")
+    for given_rows in (rows, [list(row) for row in rows], iter(rows)):
+        check_tails(p, lat, body, given_rows)
+
+
+@pytest.mark.parametrize(
+    "support, sliced",
+    [((), True), ((0,), True), ((3,), True), ((2, 3, 4), True), ((0, 2), False), ((1, 2, 4), False)],
+)
+def test_gather_reads_a_contiguous_support_as_one_slice(support, sliced):
+    row = tuple(range(10, 16))
+    gather = _gather(support)
+    assert gather(row) == tuple(row[k] for k in support)
+    assert ("slice" in repr(gather)) == sliced
 
 
 def assert_pairings_are_the_pairing_loop(cfg, x):

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rbdcalc.chains import ChainViolation, CpConfiguration, verify_cp_configuration
+import rbdcalc.chains as chains_module
+from rbdcalc.chains import (
+    ChainViolation,
+    CpConfiguration,
+    _body_block,
+    _LastBody,
+    verify_cp_configuration,
+)
 from rbdcalc.errors import (
     ConsistencyError,
     DomainError,
@@ -30,6 +37,7 @@ from rbdcalc.search import (
     FamilySearchReport,
     SearchTemplate,
     _enumerate_placement,
+    _free_pairs_box_sum,
     _placement_geometry,
     _placements,
     _solution_table,
@@ -41,7 +49,7 @@ from rbdcalc.search import (
     search_hits,
 )
 
-from oracles import point_walk, theta_count
+from oracles import free_pairs_box_sum_horner, point_walk, theta_count
 
 # the package re-exports the search function under the module's name
 search_module = import_module("rbdcalc.search")
@@ -166,6 +174,29 @@ def test_estimate_is_an_upper_bound_on_small_templates(case):
     assert estimate_search_space(template) == placement_box_sum(template)
     uniform = SearchTemplate.uniform(n, p, bounds[0], "free-pairs", symmetry_reduction=False)
     assert estimate_search_space(uniform) == placement_box_sum(uniform)
+
+
+@st.composite
+def wide_free_pairs_boxes(draw):
+    """Up to 80 bounds, drawn from a few values (long runs of one bound) or
+    from many (mostly distinct bounds), and any p that fits."""
+    n = draw(st.integers(2, 80))
+    p = draw(st.integers(3, n + 1))
+    values = st.integers(0, draw(st.sampled_from((2, 40, 10**6))))
+    return n, p, draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+
+
+@settings(max_examples=200)
+@given(st.one_of(small_free_pairs_boxes(), wide_free_pairs_boxes()))
+def test_free_pairs_box_sum_matches_the_horner_reference(case):
+    """The segment tree gives the integer the one-bound-at-a-time
+    accumulation gives, and on small boxes the sum over every placement."""
+    n, p, bounds = case
+    template = unreduced_free_pairs(bounds, p)
+    total = _free_pairs_box_sum(template)
+    assert total == free_pairs_box_sum_horner(template)
+    if n <= 5:
+        assert total == placement_box_sum(template)
 
 
 @settings(max_examples=40)
@@ -485,6 +516,27 @@ def test_search_hits_build_no_configuration(monkeypatch):
     assert search_family_questions(8, "3-chain").count == 912
     with pytest.raises(AssertionError):
         search_hits(template).configurations()
+
+
+def test_search_hits_check_a_passing_placement_as_one_batch(monkeypatch):
+    """The 3-chain a=7 template has one placement: its 3,894 tails pass the
+    batch, so the per-tail check never runs, and the body's pairing memo is
+    consulted once per distinct support value, its three run values."""
+    _body_block.cache_clear()
+    memo = _LastBody()
+    monkeypatch.setattr(chains_module, "_last_body", memo)
+    calls = []
+    check_tail = chains_module._check_tail
+
+    def counted(*args):
+        calls.append(args)
+        return check_tail(*args)
+
+    monkeypatch.setattr(chains_module, "_check_tail", counted)
+    hits = search_hits(family_question_template(7, "3-chain"))
+    assert hits.count == 3894 and calls == []
+    info = memo.last[1][-1].cache_info()
+    assert (info.misses, info.hits) == (3, 0)
 
 
 @pytest.mark.parametrize(
