@@ -31,6 +31,8 @@ from rbdcalc.search import (
     search_hits,
 )
 
+TAILS_CHUNK = 4096  # tails per write of a probe line
+
 
 def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dict:
     # the fifth slot is unused; perfbench/run.py still calls probe(a, kind, None, cap, 1)
@@ -63,6 +65,25 @@ def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dic
     }
 
 
+def write_row(row: dict) -> None:
+    """Write json.dumps(row, sort_keys=True) and a newline to stdout.
+
+    "tails" sorts after every other key, so the rest of the row is written
+    first and the tails follow in chunks: no string holds the whole line,
+    which is about 16 MB for the 4-chain a=3 probe.
+    """
+    text = json.dumps({k: v for k, v in row.items() if k != "tails"}, sort_keys=True)
+    if "tails" not in row:
+        print(text)
+        return
+    tails = row["tails"]
+    write = sys.stdout.write
+    write(text[:-1] + ', "tails": [')
+    for start in range(0, len(tails), TAILS_CHUNK):
+        write((", " if start else "") + json.dumps(tails[start : start + TAILS_CHUNK])[1:-1])
+    write("]}\n")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--uniform", type=int, help="use a uniform bound instead of the shaped box")
@@ -70,9 +91,9 @@ def main() -> int:
     args = parser.parse_args()
 
     for a in range(8, 12):
-        print(json.dumps(probe(a, "3-chain", args.uniform, args.cap), sort_keys=True))
+        write_row(probe(a, "3-chain", args.uniform, args.cap))
     for a in range(3, 7):
-        print(json.dumps(probe(a, "4-chain", args.uniform, args.cap), sort_keys=True))
+        write_row(probe(a, "4-chain", args.uniform, args.cap))
     return 0
 
 

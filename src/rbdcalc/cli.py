@@ -6,7 +6,7 @@ violated, cap exceeded, a blowdown whose type is not pinned down, a
 reproduction case fails), 2 usage error (bad arguments, unreadable or
 malformed input files and templates, a configuration whose p is below 2 or
 whose class count is not p - 1), 141 stdout closed by its reader before the
-output was written (e.g. piped into head), with no traceback.
+output was all written (e.g. piped into head), with no traceback.
 
 Every report carries the tool name and version plus a full echo of its
 inputs, so a report file alone is enough to re-run and re-check the claim.
@@ -35,6 +35,7 @@ from .report import dumps
 USAGE_ERROR = 2
 MATH_ERROR = 1
 BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell shows for a writer whose reader left
+STREAM_CHUNK = 64  # lines per search write, at most
 
 
 class UsageError(Exception):
@@ -172,10 +173,11 @@ def cmd_search(args) -> int:
     """One compact sorted-key JSON line per hit to stdout, then the trailer
     (count, and the seconds spent in search alone) to stderr.
 
-    Hits come as Gram-checked rows grouped by body (search_hits), so the
-    line around the long-class row (the frame) is encoded once per group,
-    as a %-format with one %d per coefficient; each line is then one format
-    call and one write. The bytes equal
+    Hits come as Gram-checked rows grouped by body (search_hits): the line
+    around the long-class row is encoded once per group, a hit formats only
+    its row, and a write joins at most STREAM_CHUNK lines, which bounds the
+    write count (whatever stdout's buffering) and the string held. The
+    bytes equal
     json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")).
     """
     from .search import DEFAULT_CAP, SearchTemplate, search_hits
@@ -192,18 +194,19 @@ def cmd_search(args) -> int:
     except DomainError as exc:  # --cap below 1; the template is checked
         raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
-    # one write per line: a write per group would hold a whole group's
-    # lines as one string
-    writelines = sys.stdout.writelines
-    coefficients = "[" + ",".join(["%d"] * hits.lattice.rank) + "]"
+    write = sys.stdout.write
+    row = "[" + ",".join(["%d"] * hits.lattice.rank) + "]"
     for body, tails in hits.groups:
         # the frame holds only integers and fixed keys, so a string marks
         # the long-class row unambiguously; these are cfg.to_json()'s keys
         classes = [u.to_json() for u in body] + ["tail"]
         frame = {"p": hits.p, "n": hits.lattice.n, "classes": classes}
         line = json.dumps(frame, sort_keys=True, separators=(",", ":"))
-        prefix, _, suffix = line.replace("%", "%%").partition('"tail"')
-        writelines(map((prefix + coefficients + suffix + "\n").__mod__, tails))
+        prefix, _, suffix = line.partition('"tail"')
+        glue = suffix + "\n" + prefix
+        for start in range(0, len(tails), STREAM_CHUNK):
+            chunk = map(row.__mod__, tails[start : start + STREAM_CHUNK])
+            write(prefix + glue.join(chunk) + suffix + "\n")
     trailer = _certificate(
         {
             "command": "search",
@@ -425,10 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_blow = sub.add_parser("blowdown", help="invariants and certificates of a blowdown")
     p_blow.add_argument("config", help="JSON file with p, n, classes")
-    p_blow.add_argument(
-        "--delta",
-        help="H1 witness: JSON integer array (h first) or @file",
-    )
+    p_blow.add_argument("--delta", help="H1 witness: JSON integer array (h first) or @file")
     p_blow.set_defaults(func=cmd_blowdown)
 
     p_sw = sub.add_parser("sw", help="blowdown invariant via wall crossing")

@@ -47,6 +47,11 @@ from .report import Record, Report
 
 DEFAULT_CAP = 10_000_000
 
+# the walk recurses once per free coordinate; with 4 or more of them, a
+# placement with any solution tables a sum of at least 4, so its walk visits
+# at least C(free, 4) leaves: more than 10^8 past this many
+MAX_FREE_COORDINATES = 256
+
 BODY_SHAPES = ("consecutive-differences", "free-pairs")
 
 
@@ -221,7 +226,9 @@ def _enumerate_placement(
     for a free one, and itertools.product over the pools reads off every
     signed tail exactly once, one tuple per hit, in C. So the walk visits
     at most prod(b + 1) leaves, against the prod(2b + 1) box points the
-    estimate counts per run value.
+    estimate counts per run value. A placement with solutions and more than
+    MAX_FREE_COORDINATES free coordinates is refused (TemplateError) before
+    its walk.
     """
     bounds = template.tail_bounds
     free, run, end, t_range = _placement_geometry(template, placement)
@@ -230,6 +237,11 @@ def _enumerate_placement(
         return []
     s_max = max(table)
     depth = len(free)
+    if depth > MAX_FREE_COORDINATES:
+        raise TemplateError(
+            f"{depth} free coordinates (nonzero bounds off the body) exceed the "
+            f"{MAX_FREE_COORDINATES} the walk takes; shrink the template bounds"
+        )
     # each row's pools, its free ones rewritten at every leaf that reads it
     pooled = {s: [[(v,) for v in row] for row in rows] for s, rows in table.items()}
     top = max((bounds[i] for i in free), default=0)

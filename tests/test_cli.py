@@ -21,7 +21,13 @@ import rbdcalc.snf as snf_module
 from rbdcalc import cli
 from rbdcalc.chains import standard_configuration
 from rbdcalc.families import FIXTURE_CASES, family_configuration, family_h1_witness
-from rbdcalc.search import BODY_SHAPES, SearchTemplate, family_question_dimensions, search
+from rbdcalc.search import (
+    BODY_SHAPES,
+    SearchTemplate,
+    family_question_dimensions,
+    search,
+    search_hits,
+)
 
 from oracles import signed_permutation
 
@@ -305,13 +311,69 @@ def test_search_stream_is_byte_identical_to_per_hit_json(capsys, tmp_path, name)
         assert len({cfg.classes[:-1] for cfg in hits}) > 1
 
 
+A7_STREAM_DIGEST = "a8cd743e4bef138e5eb2537dabde8d1bcd519a8981bd7b89e31f4bed61eced29"
+
+
 def test_search_stream_matches_golden_digest(capsys, tmp_path):
     """The whole stdout of the 3-chain a=7 question, pinned byte for byte."""
     template = write_config(tmp_path, STREAM_TEMPLATES["3-chain a=7"])
     code, out, _ = run_cli(capsys, "search", "--template", template)
     assert code == 0
     assert out.count("\n") == 3894
-    assert sha256(out) == "a8cd743e4bef138e5eb2537dabde8d1bcd519a8981bd7b89e31f4bed61eced29"
+    assert sha256(out) == A7_STREAM_DIGEST
+
+
+class RecordingStdout(io.StringIO):
+    """A text stdout that keeps each write call's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+# template -> its groups' sizes where they sit at the chunk boundary
+BOUNDED_WRITE_TEMPLATES = {
+    "3-chain a=7": (STREAM_TEMPLATES["3-chain a=7"], None),
+    "p=2": (STREAM_TEMPLATES["p=2"], None),
+    "unreduced consecutive": (STREAM_TEMPLATES["unreduced consecutive"], None),
+    "groups of 65": (
+        {"n": 5, "p": 4, "tail_bounds": [2, 2, 2, 2, 2, 3], "symmetry_reduction": False},
+        [61, 65, 65],
+    ),
+    "a group of 64": (
+        {"n": 6, "p": 4, "tail_bounds": [2, 0, 0, 1, 1, 2, 2], "symmetry_reduction": False},
+        [5, 11, 8, 64],
+    ),
+    "no hits": ({"n": 3, "p": 2, "tail_bounds": 0}, []),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDED_WRITE_TEMPLATES)
+def test_search_writes_whole_lines_in_bounded_chunks(monkeypatch, tmp_path, name):
+    """Every write holds whole lines, at most 64 of them; there are at most
+    one write per group plus one per 64 hits; and the writes join to the
+    per-hit json.dumps lines."""
+    payload, sizes = BOUNDED_WRITE_TEMPLATES[name]
+    template = SearchTemplate.from_json(payload)
+    groups = search_hits(template).groups
+    if sizes is not None:
+        assert [len(tails) for _, tails in groups] == sizes
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["search", "--template", write_config(tmp_path, payload)]) == 0
+    hits = search(template)
+    lines = [json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")) + "\n" for cfg in hits]
+    assert "".join(stdout.writes) == "".join(lines)
+    assert cli.STREAM_CHUNK == 64
+    for text in stdout.writes:
+        assert text.endswith("\n") and text.count("\n") <= 64
+    assert len(stdout.writes) <= len(groups) + -(-len(hits) // 64)
+    if not hits:
+        assert stdout.writes == []
 
 
 def test_search_cap_exit(capsys, tmp_path):
@@ -338,6 +400,18 @@ def test_search_refuses_a_wide_box(capsys, tmp_path):
     code, out, err = run_cli(capsys, "search", "--template", wide)
     assert (code, out) == (1, "")
     assert err.startswith("rbdcalc: estimated search space at least 2^316992 exceeds cap")
+
+
+def test_search_refuses_too_many_free_coordinates(capsys, tmp_path):
+    """Under a cap of 10^600 this box passes the estimate, but its walk would
+    recurse once per free coordinate, 1098 deep: it is refused first."""
+    wide = write_config(tmp_path, {"n": 1100, "p": 3, "tail_bounds": 1})
+    code, out, err = run_cli(capsys, "search", "--template", wide, "--cap", "1" + "0" * 600)
+    assert (code, out) == (1, "")
+    assert err == (
+        "rbdcalc: 1098 free coordinates (nonzero bounds off the body) exceed the "
+        "256 the walk takes; shrink the template bounds\n"
+    )
 
 
 def test_search_rejects_malformed_template(capsys, tmp_path):
@@ -880,6 +954,41 @@ def test_closed_stdout_exits_without_a_traceback(tmp_path, command):
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stderr) == (cli.BROKEN_PIPE, "")
     assert cli.BROKEN_PIPE == 141
+
+
+def test_search_reader_leaving_mid_stream_exits_without_a_traceback(tmp_path):
+    """A reader that takes one line and closes, as `| head -1` does, makes a
+    later chunk's write fail: a cold 3-chain a=7 search then exits 141 with
+    nothing on stderr."""
+    template = write_config(tmp_path, STREAM_TEMPLATES["3-chain a=7"])
+    with open(tmp_path / "stderr.txt", "w+", encoding="utf-8") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rbdcalc.cli", "search", "--template", template],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=child_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err.seek(0)
+        stderr = err.read()
+    assert json.loads(first)["p"] == 19
+    assert "Traceback" not in stderr
+    assert (code, stderr) == (cli.BROKEN_PIPE, "")
+
+
+def test_search_unbuffered_stdout_gives_the_golden_digest(tmp_path):
+    """With PYTHONUNBUFFERED=1 each write reaches the file as it is made;
+    a cold run's bytes are the same."""
+    template = write_config(tmp_path, STREAM_TEMPLATES["3-chain a=7"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbdcalc.cli", "search", "--template", template],
+        capture_output=True,
+        env={**child_env(), "PYTHONUNBUFFERED": "1"},
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == A7_STREAM_DIGEST
 
 
 # -- fuzz: generated JSON through cli.main ------------------------------------

@@ -625,6 +625,25 @@ def test_probe_script_rows_match_golden_digest():
     assert digest == "2daeda0a31afe909dec0e24f56de4cdda9da791c1089c976b9381852d2a6775e"
 
 
+def test_probe_script_writes_each_row_as_its_json_dumps(capsys, monkeypatch):
+    """write_row writes the tails in chunks after the rest of the row; the
+    bytes are json.dumps(row, sort_keys=True) and a newline, with a partial
+    last chunk, whole chunks only, no tails, and a row without tails."""
+    script = load_probe_script()
+    monkeypatch.setattr(script, "TAILS_CHUNK", 8)
+    rows = [
+        script.probe(10, "3-chain", None, DEFAULT_CAP),  # 120 tails: 15 chunks
+        script.probe(11, "3-chain", None, DEFAULT_CAP),  # 20 tails: 2 chunks and 4
+        {"a": 1, "count": 0, "status": "ok", "tails": []},
+        script.probe(10, "3-chain", None, 1),  # cap-exceeded: no tails
+    ]
+    assert [len(row.get("tails", ())) for row in rows] == [120, 20, 0, 0]
+    expected = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    for row in rows:
+        script.write_row(row)
+    assert capsys.readouterr().out == expected
+
+
 def test_question_probe_validation():
     with pytest.raises(DomainError):
         search_family_questions(3, "5-chain")
