@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import attrgetter, itemgetter, mul
 
 from .errors import (
@@ -390,20 +390,28 @@ def cp_gram(p: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=32)
-def cp_smith(p: int) -> "SNFResult":
-    """Smith normal form of cp_gram(p), with its transforms."""
-    from .snf import smith_normal_form
-
-    return smith_normal_form(cp_gram(p))
-
-
-@lru_cache(maxsize=32)
 def cp_det(p: int) -> int:
-    """Determinant of cp_gram(p)."""
-    from .snf import det
+    """Determinant of cp_gram(p): (-1)^(p-1) p^2."""
+    return (-1) ** (p - 1) * p * p
 
-    return det(cp_gram(p))
+
+def cp_divisors(p: int) -> tuple[int, ...]:
+    """Smith diagonal of cp_gram(p), (1, ..., 1, p^2): its cokernel is Z/p^2."""
+    return (1,) * (p - 2) + (p * p,)
+
+
+def cp_scaled_inverse(p: int, k: Sequence[int]) -> list[int]:
+    """p^2 Q^{-1} k for Q = cp_gram(p): the integer x with Q x = p^2 k.
+
+    With 1-based indices, (p^2 Q^{-1})_ij = -min(i, j) w(max(i, j)) where
+    w(j) = 1 + (p + 1)(p - 1 - j), so
+    x_i = -(w(i) sum_{j <= i} j k_j + i sum_{j > i} w(j) k_j):
+    two running sums, O(p).
+    """
+    ws = range(1 + (p + 1) * (p - 2), 0, -(p + 1))  # w(1), ..., w(p - 1)
+    head = accumulate(map(mul, range(1, p), k))  # sum_{j <= i} j k_j
+    wk = list(accumulate(map(mul, ws, k)))  # sum_{j <= i} w(j) k_j
+    return [-(w * a + i * (wk[-1] - b)) for i, w, a, b in zip(range(1, p), ws, head, wk)]
 
 
 def lens_space_cf(p: int) -> list[int]:

@@ -3,10 +3,11 @@
 Subcommands: verify-config, blowdown, sw, search, reproduce-paper. Exit
 codes: 0 success, 1 mathematical failure (verification fails, precondition
 violated, cap exceeded, a blowdown whose type is not pinned down, a
-reproduction case fails), 2 usage error (bad arguments, unreadable or
-malformed input files and templates, a configuration whose p is below 2 or
-whose class count is not p - 1), 141 stdout closed by its reader before the
-output was all written (e.g. piped into head), with no traceback.
+reproduction case fails), 2 usage error (bad arguments; unreadable,
+undecodable or malformed input files, templates and vectors; a
+configuration whose p is below 2 or whose class count is not p - 1), 141
+stdout closed by its reader before the output was all written (e.g. piped
+into head), with no traceback.
 
 Every report carries the tool name and version plus a full echo of its
 inputs, so a report file alone is enough to re-run and re-check the claim.
@@ -18,7 +19,7 @@ The search trailer, which includes wall time, goes to stderr.
 Each command imports the modules it runs when it runs: at load this module
 imports only the standard library, rbdcalc.errors and rbdcalc.report, so a
 cold `rbdcalc search` never compiles blowdown, sw or families; it adds only
-search, chains and lattice, which import snf where they use it.
+search, chains and lattice, which imports snf where it uses it.
 """
 from __future__ import annotations
 
@@ -61,7 +62,8 @@ def _load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, not UTF-8 or an int past the digit limit; too deep
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -98,7 +100,7 @@ def _parse_vector(text: str, lattice: AmbientLattice, what: str):
     else:
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise UsageError(f"{what}: not a JSON array: {exc}") from exc
     if not isinstance(raw, list):
         raise UsageError(f"{what}: expected a JSON array of integers")
@@ -111,7 +113,7 @@ def _parse_vector(text: str, lattice: AmbientLattice, what: str):
 # -- commands ---------------------------------------------------------------
 
 def cmd_verify_config(args) -> int:
-    from .chains import cp_det, cp_gram, cp_smith, lens_space_cf, verify_cp_configuration
+    from .chains import cp_det, cp_divisors, cp_gram, lens_space_cf, verify_cp_configuration
 
     data, p, classes = _parse_config(args.config)
     report = verify_cp_configuration(classes, p)
@@ -120,7 +122,7 @@ def cmd_verify_config(args) -> int:
         # the verifier matched every entry, so the Gram matrix is the C_p one
         out["gram"] = [list(row) for row in cp_gram(p)]
         out["gram_det"] = cp_det(p)
-        out["cokernel_divisors"] = list(cp_smith(p).diagonal)
+        out["cokernel_divisors"] = list(cp_divisors(p))
         out["lens_space_weights"] = lens_space_cf(p)
         out["lens_space_weights_order"] = (
             "long class first; the reversal of the class order in this report"

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 from .blowdown import AmbientManifoldData
-from .chains import CpConfiguration, cp_smith
+from .chains import CpConfiguration, cp_divisors, cp_scaled_inverse
 from .errors import ConsistencyError, LatticeMismatchError, PreconditionError
 from .lattice import ClassVector, is_characteristic, pairing
 from .report import Record, Report
@@ -74,7 +74,13 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _increment(sign_from: int, sign_to: int, d: int) -> tuple[int, str]:
+def _crossing(sign_from: int, sign_to: int, d: int) -> tuple[int, str]:
+    """(increment, branch) of the crossing rule from the sign of K.H to that
+    of K.H'; a zero sign puts that end on a wall, where no value exists."""
+    if sign_from == 0:
+        raise PreconditionError("start period point lies on the wall: K.H = 0")
+    if sign_to == 0:
+        raise PreconditionError("end period point lies on the wall: K.H' = 0")
     if sign_from == sign_to:
         return 0, "no-crossing"
     if sign_from > 0 > sign_to:
@@ -96,13 +102,7 @@ def wall_crossing(
         raise PreconditionError(f"crossing formula needs d >= 0, got d = {d}")
     if d % 2 != 0:
         raise ConsistencyError(f"crossing sign needs even d, got d = {d}")
-    s_from = _sign(pairing(k.k, start.vector))
-    s_to = _sign(pairing(k.k, end.vector))
-    if s_from == 0:
-        raise PreconditionError("start period point lies on the wall: K.H = 0")
-    if s_to == 0:
-        raise PreconditionError("end period point lies on the wall: K.H' = 0")
-    inc, _ = _increment(s_from, s_to, d)
+    inc, _ = _crossing(_sign(pairing(k.k, start.vector)), _sign(pairing(k.k, end.vector)), d)
     return base_value + inc
 
 
@@ -151,25 +151,17 @@ def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> Restr
     k^T Q^{-1} k must equal 1 - p, and the class of k in coker(Q), a cyclic
     group of order p^2, is reported as residue = m p with m's parity compared
     against p - 1 (mod 2) under the fixed normal-form convention.
-    Both come from the cached Smith form D = U Q V of the C_p matrix:
-    x = V D^{-1} U k solves Q x = k, and p^2 x is an integer vector.
+    Q is the C_p matrix (the configuration is verified), so with the integer
+    vector x = p^2 Q^{-1} k of cp_scaled_inverse the square is k.x / p^2 and
+    the residue x_1 mod p^2: row 1 of p^2 Q^{-1} is, mod p^2, the last row
+    of U in the fixed-pivot Smith form D = U Q V.
     """
     kv = cfg.pairings(k.k)
     expected = 1 - cfg.p
-
-    s = cp_smith(cfg.p)
-    # coker(Q) = sum Z/d_i via x -> (U x)_i mod d_i; chains give (1,...,1,p^2)
-    ux = [sum(map(mul, row, kv)) for row in s.u]
     p2 = cfg.p * cfg.p
-    last = s.diagonal[-1]
-    if last != p2:
-        raise ConsistencyError(
-            f"configuration cokernel is not Z/p^2: divisors {s.diagonal}"
-        )
-    xs = [y * (p2 // d) for y, d in zip(ux, s.diagonal)]
-    vx = [sum(map(mul, row, xs)) for row in s.v]  # p^2 Q^{-1} k
-    sq = Fraction(sum(map(mul, kv, vx)), p2)
-    residue = ux[-1] % p2
+    x = cp_scaled_inverse(cfg.p, kv)
+    sq = Fraction(sum(map(mul, kv, x)), p2)
+    residue = x[0] % p2
     divisible = residue % cfg.p == 0
     m = residue // cfg.p if divisible else None
     parity_expected = (cfg.p - 1) % 2
@@ -178,7 +170,7 @@ def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> Restr
         square=sq,
         square_expected=expected,
         square_ok=sq == expected,
-        gram_divisors=s.diagonal,
+        gram_divisors=cp_divisors(cfg.p),
         residue=residue,
         residue_divisible_by_p=divisible,
         m=m,
@@ -241,18 +233,13 @@ def sw_on_blowdown(
         )
     restr = restriction_conditions(k, cfg)
     d = d_invariant(k)
-    base = x.lattice.h()
-    s_base = _sign(pairing(k.k, base))
+    s_base = _sign(pairing(k.k, x.lattice.h()))
     s_target = _sign(pairing(k.k, h.vector))
     if d < 0:
         value, branch = 0, "negative-dimension"
         note = "expected dimension is negative; the invariant vanishes in every chamber"
     else:
-        if s_base == 0:
-            raise PreconditionError("class pairs zero with h; the base chamber is on a wall")
-        if s_target == 0:
-            raise PreconditionError("period point lies on a wall of the class: K.H = 0")
-        value, branch = _increment(s_base, s_target, d)
+        value, branch = _crossing(s_base, s_target, d)
         note = None
         if d > 0 and value != 0:
             note = "d > 0: nonvanishing does not by itself certify an exotic pair"

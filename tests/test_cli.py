@@ -750,8 +750,8 @@ def test_blowdown_without_delta_runs_no_smith_normal_form(capsys, monkeypatch, t
     def refuse(rows):
         raise AssertionError("smith_normal_form called")
 
-    # chains imports smith_normal_form from snf when cp_smith runs, so the
-    # snf binding covers it
+    # the parity route's complement basis reaches smith_normal_form through
+    # snf.kernel_basis, so the snf binding covers it
     for module in (blowdown_module, snf_module):
         monkeypatch.setattr(module, "smith_normal_form", refuse)
     monkeypatch.chdir(REPO_ROOT)
@@ -989,6 +989,84 @@ def test_search_unbuffered_stdout_gives_the_golden_digest(tmp_path):
     )
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == A7_STREAM_DIGEST
+
+
+# -- malformed input files and arguments, cold ---------------------------------
+
+# file contents no JSON reader accepts, by what goes wrong: bytes that are not
+# UTF-8, nesting past the recursion limit, an integer past the interpreter's
+# 4,300-digit limit, a byte-order mark; None stands for a directory or no file
+BAD_FILES = {
+    "non-utf8": b"\xff",
+    "too-deep": b"[" * 200_000,
+    "huge-integer": b"[" + b"9" * 5000 + b"]",
+    "bom": b"\xef\xbb\xbf[]",
+    "directory": None,
+    "missing": None,
+}
+# the same faults as one inline argument, which a single argv entry must hold
+BAD_INLINE = {
+    "non-utf8": b"\xff",
+    "too-deep": b"[" * 100_000,
+    "huge-integer": b"[" + b"9" * 5000 + b"]",
+    "bom": "\ufeff[]".encode(),
+}
+# argv with BAD for the input under test; every other input is valid
+BAD_INPUT_COMMANDS = {
+    "verify-config": ["verify-config", "BAD"],
+    "blowdown": ["blowdown", "BAD"],
+    "blowdown --delta": ["blowdown", str(A3), "--delta", "@BAD"],
+    "sw --config": ["sw", "--config", "BAD", "--K", "[1]", "--H", "[1]"],
+    "sw --K @file": ["sw", "--config", str(A3), "--K", "@BAD", "--H", "[1]"],
+    "search --template": ["search", "--template", "BAD"],
+}
+
+
+def run_cold(argv) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "rbdcalc.cli", *argv], capture_output=True, env=child_env()
+    )
+
+
+@pytest.mark.parametrize(
+    "command, fault",
+    [(c, f) for c in BAD_INPUT_COMMANDS for f in BAD_FILES]
+    + [("sw --K inline", f) for f in BAD_INLINE],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, command, fault):
+    """Every undecodable, unreadable or absent input, file or inline, ends a
+    cold run with exit 2 and one `rbdcalc:` line on stderr."""
+    if command == "sw --K inline":
+        argv = ["sw", "--config", str(A3), "--K", BAD_INLINE[fault], "--H", "[1]"]
+    else:
+        bad = tmp_path / "bad.json"
+        if fault == "directory":
+            bad.mkdir()
+        elif BAD_FILES[fault] is not None:
+            bad.write_bytes(BAD_FILES[fault])
+        argv = [arg.replace("BAD", str(bad)) for arg in BAD_INPUT_COMMANDS[command]]
+    proc = run_cold(argv)
+    stderr = proc.stderr.decode("utf-8", "backslashreplace")
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("rbdcalc: ")
+
+
+def test_undecodable_fixture_fails_its_load_stage(tmp_path):
+    root = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, root)
+    (root / "family1" / "a3.json").write_bytes(b"\xff")
+    proc = run_cold(["reproduce-paper", "--only", "a=3,family=1", "--fixtures", str(root)])
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    (case,) = json.loads(proc.stdout)["cases"]
+    assert case["stages"] == {
+        "load": {
+            "status": "fail",
+            "error": "UsageError: family1/a3.json is not valid JSON: 'utf-8' codec "
+            "can't decode byte 0xff in position 0: invalid start byte",
+        }
+    }
 
 
 # -- fuzz: generated JSON through cli.main ------------------------------------

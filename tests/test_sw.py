@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from rbdcalc.blowdown import AmbientManifoldData
 from rbdcalc.chains import (
     CpConfiguration,
-    cp_smith,
+    cp_det,
+    cp_divisors,
+    cp_scaled_inverse,
     standard_configuration,
 )
 from rbdcalc.errors import (
@@ -24,7 +27,7 @@ from rbdcalc.families import (
     family_period_point,
 )
 from rbdcalc.lattice import AmbientLattice, pairing
-from rbdcalc.snf import smith_normal_form
+from rbdcalc.snf import det, smith_normal_form
 from rbdcalc.sw import (
     CharacteristicData,
     PeriodPoint,
@@ -182,18 +185,22 @@ def test_restriction_report_for_smallest_family_case():
 
 
 def fraction_solve(mat, rhs):
-    """Oracle: Gauss-Jordan elimination over the rationals, for a regular M."""
+    """Oracle: Gaussian elimination and back substitution over the
+    rationals, for a regular M. Rows already zero in the pivot column are
+    left alone, so a tridiagonal M costs O(n^2), not O(n^3)."""
     n = len(mat)
     a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
     for col in range(n):
         piv = next(r for r in range(col, n) if a[r][col] != 0)
         a[col], a[piv] = a[piv], a[col]
-        a[col] = [x / a[col][col] for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] / a[col][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    x = [Fraction(0)] * n
+    for r in reversed(range(n)):
+        x[r] = (a[r][n] - sum(a[r][c] * x[c] for c in range(r + 1, n) if a[r][c])) / a[r][r]
+    return x
 
 
 def oracle_restriction(k, cfg):
@@ -237,12 +244,13 @@ def chains_and_lifts(draw, p):
     return cfg, CharacteristicData(cfg.lattice.vector(move(coeffs, target, signs)))
 
 
-@pytest.mark.parametrize("p", range(2, 26))
+@pytest.mark.parametrize("p", range(2, 36))
 @settings(max_examples=8)
 @given(data=st.data())
 def test_restriction_matches_rational_solve_oracle(p, data):
-    """The cached C_p Smith form gives the same square, residue, m and
-    divisors as solving with the configuration's own Gram matrix."""
+    """The closed C_p forms give the same square, residue, m and divisors
+    as solving with the configuration's own Gram matrix; p = 35 is the
+    3-chain a = 11 probe question."""
     cfg, k = data.draw(chains_and_lifts(p))
     report = restriction_conditions(k, cfg)
     square, residue, m, divisors = oracle_restriction(k, cfg)
@@ -251,12 +259,25 @@ def test_restriction_matches_rational_solve_oracle(p, data):
     assert (report.residue, report.m, report.gram_divisors) == (residue, m, divisors)
 
 
-@pytest.mark.parametrize("p", range(2, 26))
-def test_cached_smith_form_is_the_chain_gram_smith_form(p):
+@pytest.mark.parametrize("p", range(2, 41))
+def test_closed_forms_match_the_chain_gram_smith_form_and_det(p):
+    """cp_divisors, cp_det and cp_scaled_inverse against a fresh Smith form
+    and Bareiss determinant of the configuration's own Gram matrix Q: the
+    last row of U is row 1 of p^2 Q^{-1} mod p^2 (the residue's route), and
+    Q (p^2 Q^{-1} e_j) = p^2 e_j for every j."""
     cfg = standard_configuration(p, p + 1)
     moved = signed_permutation(cfg, list(range(p + 1, 0, -1)), [(-1) ** i for i in range(p + 1)])
+    p2 = p * p
+    unit = [[int(i == j) for j in range(p - 1)] for i in range(p - 1)]
+    columns = [cp_scaled_inverse(p, e) for e in unit]
     for chain in (cfg, moved):
-        assert cp_smith(p) == smith_normal_form(intersection_matrix(chain.classes))
+        q = intersection_matrix(chain.classes)
+        s = smith_normal_form(q)
+        assert cp_divisors(p) == s.diagonal
+        assert cp_det(p) == det(q)
+        assert [u % p2 for u in s.u[-1]] == [x % p2 for x in columns[0]]
+        for e, x in zip(unit, columns):
+            assert [sum(map(mul, row, x)) for row in q] == [p2 * c for c in e]
 
 
 @pytest.mark.parametrize("a, family", NINE_CASES)
