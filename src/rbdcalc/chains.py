@@ -12,8 +12,9 @@ reversal of the class order used here.
 
 One Gram check on coefficient rows runs behind the CpConfiguration
 constructor, verify_cp_configuration and check_tails, the batch entry that
-search uses: it checks the raw long-class rows of its hits against one body,
-and CpConfigurations are built only where a caller asks for them. The
+search uses: it checks the raw long-class rows of its sign-orbit
+representatives against one body, and CpConfigurations are built only where
+a caller asks for them. The
 per-tail part of the check is one function, _check_tail, for all three
 callers. The body u_1, ..., u_{p-2} is
 verified once per distinct body and reused through a last-body memo, so a
@@ -31,7 +32,6 @@ only when the check fails or when verify_cp_configuration is called.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -374,11 +374,6 @@ class CpConfiguration(Record):
     def from_json(cls, data: dict) -> "CpConfiguration":
         p, classes = parse_configuration(data)
         return cls(p=p, classes=classes)
-
-    @classmethod
-    def load(cls, path) -> "CpConfiguration":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 @lru_cache(maxsize=32)

@@ -9,23 +9,24 @@ than enumerated. Only genuinely free coordinates are walked, and only their
 magnitudes: they enter a solution only through their squares, so each takes
 m = 0..b, and a loop stops once the sum of squares passes every sum that
 some (t, h) solves. A full magnitude assignment looks its sum up in a
-per-placement table of solution rows (h and the run values set), kept to
-the sums the walk can reach. Every sign pattern of a tabled leaf is a
-solution; the signs are expanded in C, each signed tail exactly once, so
-the enumeration returns exactly the box solutions while visiting at most
+per-placement table of solution rows (c0 >= 0 at h and the run values
+set), kept to the sums the walk can reach, and each tabled row with the
+magnitudes filled in is one representative. The flip columns, h and the
+free coordinates, lie off the support of every body row, so a sign flip
+there fixes each body pairing and the square of the long class: the sign
+orbit of a representative, expanded in C with each signed tail exactly
+once, is a set of hits that share one Gram matrix. The walk visits at most
 prod(b + 1) leaves where the box has prod(2b + 1) points.
 search_hits returns the hits as rows, one group per placement: the body
-classes and the sorted tail rows. Every tail is checked as a raw row by the
-one Gram check that the CpConfiguration constructor runs (chains.check_tails);
-its body block is verified once per placement and memoized, and so are its
-pairings with each run value's support values. A placement's tails are
-checked as one batch, in passes at C level over the group: the O(nnz)
-pairing loop (nnz: the body's nonzero coefficients) runs once per distinct
-run value t, and a hit costs a slice of its support values and the O(n)
-square of its long class, with no Python function called per hit.
-CpConfigurations are built only on request: search() builds every
-hit through the constructor (which runs that check once per hit), and
-SearchHits.configurations does the same.
+classes and the sorted tail rows. The sign orbit is the unit of the Gram
+check: per placement, the flip columns are checked once against the body
+support, and each representative, not each hit, goes through the one Gram
+check that the CpConfiguration constructor runs (chains.check_tails), as
+one batch with the body block verified once and memoized; then each
+representative is expanded into its orbit. CpConfigurations are built only
+on request: search() builds every expanded hit through the constructor
+(which runs that check once per hit, and so takes no orbit premise on
+trust), and SearchHits.configurations does the same.
 
 Everything is deterministic: placements, coordinate order, and value order
 are fixed, and results are sorted by their class coefficient tuples (body
@@ -37,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, permutations, product
 from math import comb, factorial, isqrt, prod
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .chains import CpConfiguration, check_tails
 from .errors import ConsistencyError, DomainError, InputTypeError
@@ -175,18 +176,19 @@ def _placement_geometry(template: SearchTemplate, placement: tuple[int, ...]):
 def _solution_table(
     template: SearchTemplate, free, run, end, t_range
 ) -> dict[int, list[tuple[int, ...]]]:
-    """Free sum s -> the rows of its solutions, once per placement.
+    """Free sum s -> the rows of its solutions with c0 >= 0, once per placement.
 
     A row holds c0 at h, the run value t on the run and t + 1 at the end,
-    and zeros elsewhere: a hit's tail is its row with the free coordinates
-    filled in. For each t, c0^2 = s + need with need =
+    and zeros elsewhere: a representative is its row with the free
+    magnitudes filled in. For each t, c0^2 = s + need with need =
     (p - 2) t^2 + (t + 1)^2 - (p + 2), or -(p + 2) when p = 2, so each
     (t, c0) solves exactly one s. Only the s the walk can reach,
     0 <= s <= reach (the free bounds squared, summed), are kept:
     need <= c0^2 <= need + reach, and a t with no such c0 builds no row.
     Those c0 >= 0 span at most isqrt(reach) + 1 values, however large h's
-    bound, so a t holds at most twice as many entries as the free box the
-    estimate counts. Rows of one s come in t order, then c0 before -c0.
+    bound, so a t holds at most as many entries as the free box the
+    estimate counts. -c0 is not tabled: it is a sign flip at h, which
+    _expand reads off. Rows of one s come in t order.
     """
     p, bounds = template.p, template.tail_bounds
     reach = sum(bounds[i] ** 2 for i in free)
@@ -205,30 +207,26 @@ def _solution_table(
                 row[i] = t
             row[end] = t + 1
         for c0 in range(lo, hi + 1):
-            entries = table.setdefault(c0 * c0 - need, [])
             row[0] = c0
-            entries.append(tuple(row))
-            if c0:
-                row[0] = -c0
-                entries.append(tuple(row))
+            table.setdefault(c0 * c0 - need, []).append(tuple(row))
     return table
 
 
 def _enumerate_placement(
     template: SearchTemplate, placement: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    """The tail coefficients of every solution for one body placement.
+    """One representative row per solving leaf and table row of one placement.
 
     The walk visits magnitudes: each free coordinate takes m = 0..b in
     ascending order, and the loop stops once the sum passes the largest
-    tabled sum. At a leaf whose sum is tabled, each of its rows becomes one
-    pool per coordinate, (v,) for a fixed one and (0,) for m = 0 or (-m, m)
-    for a free one, and itertools.product over the pools reads off every
-    signed tail exactly once, one tuple per hit, in C. So the walk visits
-    at most prod(b + 1) leaves, against the prod(2b + 1) box points the
-    estimate counts per run value. A placement with solutions and more than
-    MAX_FREE_COORDINATES free coordinates is refused (TemplateError) before
-    its walk.
+    tabled sum. At a leaf whose sum is tabled, each of its rows (c0 >= 0)
+    with the leaf's magnitudes in the free columns is one representative.
+    Its sign orbit, every sign of c0 and of each nonzero free magnitude,
+    is the set of hits it stands for (see _expand), and each hit lies in
+    exactly one orbit. So the walk visits at most prod(b + 1) leaves,
+    against the prod(2b + 1) box points the estimate counts per run value.
+    A placement with solutions and more than MAX_FREE_COORDINATES free
+    coordinates is refused (TemplateError) before its walk.
     """
     bounds = template.tail_bounds
     free, run, end, t_range = _placement_geometry(template, placement)
@@ -242,33 +240,54 @@ def _enumerate_placement(
             f"{depth} free coordinates (nonzero bounds off the body) exceed the "
             f"{MAX_FREE_COORDINATES} the walk takes; shrink the template bounds"
         )
-    # each row's pools, its free ones rewritten at every leaf that reads it
-    pooled = {s: [[(v,) for v in row] for row in rows] for s, rows in table.items()}
-    top = max((bounds[i] for i in free), default=0)
-    signed = [(0,)] + [(-m, m) for m in range(1, top + 1)]
-    signs = [()] * depth
+    # the leaf's magnitudes in the free columns, zeros elsewhere; every
+    # path to a leaf sets each free column, so none is reset
+    point = [0] * (template.n + 1)
     out = []
 
     def walk(idx: int, s: int) -> None:
         if idx == depth:
-            for pools in pooled.get(s, ()):
-                for i, pool in zip(free, signs):
-                    pools[i] = pool
-                out.extend(product(*pools))
+            for row in table.get(s, ()):
+                out.append(tuple(map(add, point, row)))
             return
-        for m in range(bounds[free[idx]] + 1):
+        coord = free[idx]
+        for m in range(bounds[coord] + 1):
             s_next = s + m * m
             if s_next > s_max:
                 break
-            signs[idx] = signed[m]
+            point[coord] = m
             walk(idx + 1, s_next)
 
     walk(0, 0)
     # walk refers to itself through its closure cell; clearing the cell
-    # breaks that cycle, so out, the pools and signs are freed on return
+    # breaks that cycle, so out, the table and point are freed on return
     # rather than by the cyclic collector
     del walk
     return out
+
+
+def _expand(flips: tuple[int, ...], reps) -> tuple[tuple[int, ...], ...]:
+    """Every member of each representative's sign orbit, sorted.
+
+    The orbit of a row is every row that differs from it only in the signs
+    of its flip columns (h and the free coordinates, ascending): one pool
+    per column, (-v, v) at a nonzero flip column and (v,) elsewhere, and
+    itertools.product over the pools reads off each member exactly once,
+    in C. A row too short to hold the last flip column is passed on as it
+    is, for the check that refuses its length.
+    """
+    last = flips[-1]
+    tails = []
+    for rep in reps:
+        pools = list(zip(rep))
+        if len(pools) > last:
+            for i in flips:
+                v = rep[i]
+                if v:
+                    pools[i] = (-v, v)
+        tails.extend(product(*pools))
+    tails.sort()
+    return tuple(tails)
 
 
 def _times(a: list[int], b: list[int], size: int) -> list[int]:
@@ -372,10 +391,11 @@ def _difference_row(rank: int, x: int, y: int) -> tuple[int, ...]:
 
 
 def _enumerate(template: SearchTemplate, cap: int):
-    """(lattice, groups): each placement's body classes and sorted tail rows.
+    """(lattice, orbits): each placement's body classes, flip columns (h
+    and the free coordinates, see _expand) and representative rows.
 
     Raises SearchCapExceeded before enumerating anything when the estimate
-    exceeds the cap. Nothing is checked here: both callers check every tail.
+    exceeds the cap. Nothing is checked here: both callers check every hit.
     """
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
@@ -386,18 +406,19 @@ def _enumerate(template: SearchTemplate, cap: int):
     lat = AmbientLattice(template.n)
     found = []
     for pl in _placements(template):
-        tails = _enumerate_placement(template, pl)
-        if tails:
+        reps = _enumerate_placement(template, pl)
+        if reps:
             # body_i = e_{x_i} - e_{x_{i+1}} along the placement, as one row
             body = tuple(
                 ClassVector(lat, _difference_row(lat.rank, x, y)) for x, y in zip(pl, pl[1:])
             )
-            found.append((tuple(u.coeffs for u in body), body, tuple(sorted(tails))))
+            flips = (0,) + _placement_geometry(template, pl)[0]
+            found.append((tuple(u.coeffs for u in body), body, flips, tuple(reps)))
     # distinct placements have distinct bodies, all of length p - 2, so
     # sorting by body and then by tail orders hits exactly as the flat
     # tuple of all class coefficients does
     found.sort(key=itemgetter(0))
-    return lat, tuple((body, tails) for _, body, tails in found)
+    return lat, tuple(orbit for _, *orbit in found)
 
 
 def _inconsistent(exc: InvalidConfigurationError) -> ConsistencyError:
@@ -422,8 +443,9 @@ class SearchHits(Record):
 
     A group's body is its p - 2 classes, shared by its hits, and its tails
     are the sorted long-class coefficient rows; groups come sorted by body,
-    so the hits read in the order search returns them. Every tail has
-    passed the one Gram check (chains.check_tails) against its body.
+    so the hits read in the order search returns them. Every tail is a sign
+    orbit member of a representative row that passed the one Gram check
+    (chains.check_tails) against its body, and so has its Gram matrix.
     """
 
     p: int
@@ -448,33 +470,43 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
     """All chain configurations matching the template, as checked rows.
 
     Raises SearchCapExceeded before enumerating anything when the estimate
-    exceeds the cap. Every tail row goes through chains.check_tails, the
-    Gram check the CpConfiguration constructor runs, on its raw coefficients;
-    that check shares nothing with the enumerator's algebra, so a tail it
-    rejects is an enumerator bug and raises ConsistencyError. Each
-    placement's tails are checked as one batch against a body block looked
-    up once (see chains.check_tails). No CpConfiguration is built;
-    SearchHits.configurations builds them on request.
+    exceeds the cap. The Gram check runs once per sign orbit: per
+    placement, the flip columns are checked once to miss the body support,
+    the representatives go through chains.check_tails, the Gram check the
+    CpConfiguration constructor runs, as one batch on their raw
+    coefficients, and then each is expanded into its orbit (_expand). A
+    flip off the body support fixes every body pairing and the square, so
+    each hit is certified exactly. The check shares nothing with the
+    enumerator's algebra, so a flip column on the body or a row it rejects
+    is an enumerator bug and raises ConsistencyError. No CpConfiguration
+    is built; SearchHits.configurations builds them on request.
     """
-    lat, groups = _enumerate(template, cap)
+    lat, orbits = _enumerate(template, cap)
     p = template.p
+    groups = []
     try:
-        for body, tails in groups:
-            check_tails(p, lat, body, tails)
+        for body, flips, reps in orbits:
+            met = sorted({i for u in body for i in flips if u.coeffs[i]})
+            if met:
+                raise ConsistencyError(f"sign-flip columns {met} meet the body support")
+            check_tails(p, lat, body, reps)
+            groups.append((body, _expand(flips, reps)))
     except InvalidConfigurationError as exc:
         raise _inconsistent(exc) from exc
-    return SearchHits(p=p, lattice=lat, groups=groups)
+    return SearchHits(p=p, lattice=lat, groups=tuple(groups))
 
 
 def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfiguration]:
     """All chain configurations matching the template inside its box.
 
     The hits of search_hits, each built by the CpConfiguration constructor
-    (which runs the same Gram check, once per hit) instead of checked as a
-    row; a hit it rejects raises ConsistencyError. Output is sorted by class
-    coefficients, so hits sharing a body are adjacent.
+    (which runs the same Gram check, once per hit, so no orbit is taken on
+    trust) instead of checked as a row; a hit it rejects raises
+    ConsistencyError. Output is sorted by class coefficients, so hits
+    sharing a body are adjacent.
     """
-    lat, groups = _enumerate(template, cap)
+    lat, orbits = _enumerate(template, cap)
+    groups = [(body, _expand(flips, reps)) for body, flips, reps in orbits]
     return _configurations(template.p, lat, groups)
 
 
@@ -533,8 +565,8 @@ def family_question_template(a: int, kind: str) -> SearchTemplate:
 def search_family_questions(a: int, kind: str, cap: int = DEFAULT_CAP) -> FamilySearchReport:
     """Probe one open-range question with the default shaped box.
 
-    The hits come from search_hits, so each one has passed the Gram check
-    as a row; nothing is re-checked here.
+    The hits come from search_hits, so each one's sign-orbit representative
+    has passed the Gram check as a row; nothing is re-checked here.
     """
     if kind not in FAMILY_QUESTION_KINDS:
         raise DomainError(f"kind must be one of {FAMILY_QUESTION_KINDS}, got {kind!r}")

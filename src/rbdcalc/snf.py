@@ -166,31 +166,6 @@ def smith_normal_form(mat: list[list[int]] | tuple) -> SNFResult:
     )
 
 
-def det(mat) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise ConsistencyError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def kernel_basis(mat) -> list[list[int]]:
     """Basis of the integer kernel {x : M x = 0}, from the SNF column transform.
 

@@ -8,13 +8,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, prod
-from operator import add
 from typing import Sequence
 
 from rbdcalc.blowdown import H1Certificate, _basis_witness, _condition
-from rbdcalc.errors import DomainError
+from rbdcalc.errors import ConsistencyError, DomainError
 from rbdcalc.lattice import dual_coefficients, pairing
-from rbdcalc.search import _placement_geometry, _solution_table
+from rbdcalc.search import _placement_geometry
 from rbdcalc.snf import smith_normal_form
 
 
@@ -24,6 +23,31 @@ def matmul(a, b) -> list[list[int]]:
         [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
         for row in a
     ]
+
+
+def det(mat) -> int:
+    """Exact integer determinant (Bareiss fraction-free elimination)."""
+    a = [list(map(int, row)) for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in a):
+        raise ConsistencyError("determinant needs a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def evaluate_neg_cf(terms: Sequence[int]) -> Fraction:
@@ -87,32 +111,44 @@ def h1_by_smith_normal_form(x, cfg) -> H1Certificate:
 
 def point_walk(template, placement) -> list[tuple[int, ...]]:
     """The tails of one placement, by visiting every signed point of the free
-    box and looking its sum of squares up in the solution table: the walk
-    search made before it walked magnitudes and expanded signs."""
-    bounds = template.tail_bounds
+    box and every run value t, and solving c0 from the long class's square:
+    c0^2 = (sum of the e coefficients squared) - (p + 2), taken by isqrt
+    with both signs, within h's bound. It shares only the placement
+    geometry with search: no solution table, no magnitudes, no orbits."""
+    bounds, p = template.tail_bounds, template.p
     free, run, end, t_range = _placement_geometry(template, placement)
-    table = _solution_table(template, free, run, end, t_range)
-    if not table:
-        return []
-    s_max = max(table)
     out = []
     coeffs = [0] * (template.n + 1)
 
-    def walk(idx: int, s: int) -> None:
-        if s > s_max:
-            return
+    def leaf() -> None:
+        for t in t_range:
+            row = coeffs[:]
+            if t is not None:
+                for i in run:
+                    row[i] = t
+                row[end] = t + 1
+            square = sum(x * x for x in row[1:]) - (p + 2)
+            if square < 0:
+                continue
+            c0 = isqrt(square)
+            if c0 * c0 != square or c0 > bounds[0]:
+                continue
+            for sign in (c0, -c0) if c0 else (0,):
+                row[0] = sign
+                out.append(tuple(row))
+
+    def walk(idx: int) -> None:
         if idx == len(free):
-            for row in table.get(s, ()):
-                out.append(tuple(map(add, coeffs, row)))
+            leaf()
             return
         coord = free[idx]
         b = bounds[coord]
         for c in range(-b, b + 1):
             coeffs[coord] = c
-            walk(idx + 1, s + c * c)
+            walk(idx + 1)
         coeffs[coord] = 0
 
-    walk(0, 0)
+    walk(0)
     return out
 
 

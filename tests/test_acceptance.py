@@ -38,10 +38,10 @@ from rbdcalc.search import (
     search,
     search_family_questions,
 )
-from rbdcalc.snf import det, smith_normal_form
+from rbdcalc.snf import smith_normal_form
 from rbdcalc.sw import CharacteristicData, PeriodPoint, sw_on_blowdown, wall_crossing
 
-from oracles import evaluate_neg_cf, intersection_matrix, matmul
+from oracles import det, evaluate_neg_cf, intersection_matrix, matmul
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 

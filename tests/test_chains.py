@@ -1,5 +1,6 @@
 """Chain configurations, their verification report, and lens space data."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -42,9 +43,9 @@ from rbdcalc.search import (
     search,
     search_hits,
 )
-from rbdcalc.snf import det as int_det
 from rbdcalc.snf import smith_normal_form
 
+from oracles import det as int_det
 from oracles import evaluate_neg_cf, intersection_matrix
 
 
@@ -607,8 +608,8 @@ def test_json_round_trip(tmp_path):
         with pytest.raises(InputTypeError):
             CpConfiguration.from_json({**payload, key: bad})
     path = tmp_path / "cfg.json"
-    path.write_text(__import__("json").dumps(payload))
-    assert CpConfiguration.load(path) == cfg
+    path.write_text(json.dumps(payload))
+    assert CpConfiguration.from_json(json.loads(path.read_text())) == cfg
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from rbdcalc.search import (
     FamilySearchReport,
     SearchTemplate,
     _enumerate_placement,
+    _expand,
     _free_pairs_box_sum,
     _placement_geometry,
     _placements,
@@ -277,10 +278,16 @@ def walkable_templates(draw):
 @settings(max_examples=60, deadline=None)
 @given(walkable_templates())
 def test_magnitude_walk_matches_the_point_walk(template):
-    """Walking magnitudes and expanding signs gives the tails of the walk
-    over every signed point, each exactly once."""
+    """Walking magnitudes gives one representative per sign orbit, with c0
+    and the free magnitudes nonnegative, and expanding the signs at h and
+    the free columns gives the tails of the walk over every signed point,
+    each exactly once."""
     for placement in _placements(template):
-        tails = _enumerate_placement(template, placement)
+        reps = _enumerate_placement(template, placement)
+        flips = (0,) + _placement_geometry(template, placement)[0]
+        assert len(set(reps)) == len(reps)
+        assert all(rep[i] >= 0 for rep in reps for i in flips)
+        tails = _expand(flips, reps)
         assert len(set(tails)) == len(tails)
         assert sorted(tails) == sorted(point_walk(template, placement))
 
@@ -376,13 +383,14 @@ def test_placement_rows_through_the_verifier():
 
 
 def test_corrupted_hit_raises_consistency_error(monkeypatch):
-    """A hit the verifier rejects is an enumerator bug, not a user error."""
+    """A hit the verifier rejects is an enumerator bug, not a user error: a
+    corrupted representative expands into an orbit of rejected hits."""
     enumerate_placement = search_module._enumerate_placement
 
     def corrupted(template, placement):
-        tails = enumerate_placement(template, placement)
-        tail = tails[0]
-        return [(tail[0] + 1,) + tail[1:]] + tails[1:]
+        reps = enumerate_placement(template, placement)
+        rep = reps[0]
+        return [(rep[0] + 1,) + rep[1:]] + reps[1:]
 
     monkeypatch.setattr(search_module, "_enumerate_placement", corrupted)
     with pytest.raises(ConsistencyError, match="fails the Gram check"):
@@ -392,26 +400,26 @@ def test_corrupted_hit_raises_consistency_error(monkeypatch):
 def test_enumerate_placement_leaves_no_reference_cycle():
     """The walk refers to itself through its closure cell; the cell is
     cleared after the walk, so a call leaves nothing for the cyclic
-    collector and its tails, table and signs go on return."""
+    collector and its representatives, table and point go on return."""
     template = family_question_template(8, "3-chain")
     (placement,) = _placements(template)
     gc.disable()
     try:
         gc.collect()
-        assert len(_enumerate_placement(template, placement)) == 912
+        assert len(_enumerate_placement(template, placement)) == 74
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def corrupt_first_tail(monkeypatch, template, corrupt):
-    """Make the enumerator return its first tail changed by `corrupt`; the
-    (body, bad tail) pair the searches will meet."""
+    """Make the enumerator return its first representative changed by
+    `corrupt`; the (body, bad representative) pair the searches will meet."""
     (body, _), *_ = search_hits(template).groups
     enumerate_placement = search_module._enumerate_placement
     (placement,) = _placements(template)
-    tails = enumerate_placement(template, placement)
-    bad = corrupt(tails[0], _placement_geometry(template, placement)[0])
+    reps = enumerate_placement(template, placement)
+    bad = corrupt(reps[0], _placement_geometry(template, placement)[0])
 
     def corrupted(template, placement):
         return [bad] + enumerate_placement(template, placement)[1:]
@@ -431,9 +439,11 @@ def bump_free(tail, free):
 
 @pytest.mark.parametrize("corrupt", [bump_c0, bump_free])
 def test_search_hits_keep_the_gram_check(monkeypatch, corrupt):
-    """A tail the row check rejects is an enumerator bug: search_hits raises
-    ConsistencyError around the report the constructor gives that row, and
-    search, through the constructor, raises the same."""
+    """A representative the row check rejects is an enumerator bug:
+    search_hits raises ConsistencyError around the report the constructor
+    gives that row, and search, through the constructor on each expanded
+    hit, raises the same, since the members of an orbit share their Gram
+    matrix."""
     template = family_question_template(11, "3-chain")
     body, bad = corrupt_first_tail(monkeypatch, template, corrupt)
     with pytest.raises(InvalidConfigurationError) as want:
@@ -453,10 +463,11 @@ def test_search_hits_keep_the_gram_check(monkeypatch, corrupt):
 @pytest.mark.parametrize("cut", [lambda tail: tail[:-1], lambda tail: tail + (0,)])
 def test_search_hits_refuse_a_tail_of_the_wrong_length(monkeypatch, template, cut):
     """The row check reads the lattice rank, also at p = 2 where the body is
-    empty, and raises what search raises when it builds that row's class."""
+    empty, and raises what search raises when it builds a class of that
+    representative's orbit: the expansion keeps a row's length."""
     if template.p == 2:
-        tails = search_module._enumerate_placement(template, ())
-        monkeypatch.setattr(search_module, "_enumerate_placement", lambda t, pl: [cut(tails[0])])
+        reps = search_module._enumerate_placement(template, ())
+        monkeypatch.setattr(search_module, "_enumerate_placement", lambda t, pl: [cut(reps[0])])
     else:
         corrupt_first_tail(monkeypatch, template, lambda tail, free: cut(tail))
     with pytest.raises(DomainError) as configurations:
@@ -465,6 +476,40 @@ def test_search_hits_refuse_a_tail_of_the_wrong_length(monkeypatch, template, cu
         search_hits(template)
     assert type(rows.value) is type(configurations.value)
     assert str(rows.value) == str(configurations.value)
+
+
+def test_search_hits_refuse_a_flip_column_on_the_body(monkeypatch):
+    """A sign flip is taken on trust only where every body row is 0: a flip
+    column on the body support raises ConsistencyError before any row is
+    checked, and search, building each hit, rejects the flipped hits."""
+    template = family_question_template(8, "3-chain")
+    (placement,) = _placements(template)
+    reps = _enumerate_placement(template, placement)
+    free, run, end, t_range = _placement_geometry(template, placement)
+    monkeypatch.setattr(search_module, "_enumerate_placement", lambda t, pl: reps)
+    monkeypatch.setattr(
+        search_module, "_placement_geometry", lambda t, pl: (free + (end,), run, end, t_range)
+    )
+    with pytest.raises(ConsistencyError, match=rf"sign-flip columns \[{end}\] meet the body"):
+        search_hits(template)
+    with pytest.raises(ConsistencyError, match="fails the Gram check"):
+        search(template)
+
+
+@pytest.mark.parametrize("a, rows, count", [(7, 163, 3894), (8, 74, 912)])
+def test_search_hits_check_one_row_per_sign_orbit(monkeypatch, a, rows, count):
+    """check_tails receives one representative per sign orbit, and the
+    orbits expand to every hit."""
+    checked = []
+    check_tails = search_module.check_tails
+
+    def counted(p, lattice, body, tails):
+        checked.extend(tails)
+        return check_tails(p, lattice, body, tails)
+
+    monkeypatch.setattr(search_module, "check_tails", counted)
+    hits = search_hits(family_question_template(a, "3-chain"))
+    assert (len(checked), hits.count) == (rows, count)
 
 
 def assert_rows_agree_with_search(template):
@@ -519,9 +564,10 @@ def test_search_hits_build_no_configuration(monkeypatch):
 
 
 def test_search_hits_check_a_passing_placement_as_one_batch(monkeypatch):
-    """The 3-chain a=7 template has one placement: its 3,894 tails pass the
-    batch, so the per-tail check never runs, and the body's pairing memo is
-    consulted once per distinct support value, its three run values."""
+    """The 3-chain a=7 template has one placement: the representatives of
+    its 3,894 hits pass the batch, so the per-tail check never runs, and
+    the body's pairing memo is consulted once per distinct support value,
+    its three run values."""
     _body_block.cache_clear()
     memo = _LastBody()
     monkeypatch.setattr(chains_module, "_last_body", memo)

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from rbdcalc.chains import standard_configuration
 from rbdcalc.snf import (
-    det,
     kernel_basis,
     smith_normal_form,
 )
 
-from oracles import intersection_matrix, matmul
+from oracles import det, intersection_matrix, matmul
 
 entries = st.integers(min_value=-30, max_value=30)
 

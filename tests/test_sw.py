@@ -27,7 +27,7 @@ from rbdcalc.families import (
     family_period_point,
 )
 from rbdcalc.lattice import AmbientLattice, pairing
-from rbdcalc.snf import det, smith_normal_form
+from rbdcalc.snf import smith_normal_form
 from rbdcalc.sw import (
     CharacteristicData,
     PeriodPoint,
@@ -38,7 +38,7 @@ from rbdcalc.sw import (
     wall_crossing,
 )
 
-from oracles import intersection_matrix
+from oracles import det, intersection_matrix
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 
