@@ -10,25 +10,19 @@ weights are the negative continued fraction of p^2/(p-1): [p+2, 2, ..., 2]
 (p-2 twos). The weight list reads from the long class inward, i.e. it is the
 reversal of the class order used here.
 
-One Gram check on coefficient rows runs behind the CpConfiguration
-constructor, verify_cp_configuration and check_tails, the batch entry that
-search uses: it checks the raw long-class rows of its sign-orbit
-representatives against one body, and CpConfigurations are built only where
-a caller asks for them. The
-per-tail part of the check is one function, _check_tail, for all three
-callers. The body u_1, ..., u_{p-2} is
-verified once per distinct body and reused through a last-body memo, so a
-check pairs only the long class. Its body pairings depend only on its
-values at the body's support (the columns where some body row is nonzero),
-so each body keeps a bounded memo from those values to the pairings: a
-check costs one gather and one lookup, the O(nnz) pairing loop runs once
-per distinct support value (nnz nonzero body coefficients), and the long
-class's square reads its whole row, O(n). check_tails runs the same
-checks over a whole group of rows in passes at C level (lengths, then the
-pairings of each distinct support value, then the squares), and runs
-_check_tail row by row only when the group fails, to raise what the
-constructor raises. A ChainReport, with its first-violation scan, is built
-only when the check fails or when verify_cp_configuration is called.
+One Gram check on coefficient rows, _check, runs behind the CpConfiguration
+constructor and verify_cp_configuration, each with one long-class row, and
+behind check_tails, the batch entry that search uses on the raw long-class
+rows of its sign-orbit representatives. The body u_1, ..., u_{p-2} is
+verified once per distinct body, in a small per-process cache keyed on its
+coefficient rows, so a check pairs only the long class. Its body pairings
+depend only on its values at the body's support (the columns where some
+body row is nonzero), so a batch gathers those values, pairs each distinct
+one with the body at O(nnz) (nnz nonzero body coefficients), and reads each
+row's square over its whole row, O(n), all in passes at C level. Only a
+failing batch is scanned row by row, and a ChainReport, with its
+first-violation scan, is built only for the first row that fails or when
+verify_cp_configuration is called.
 """
 from __future__ import annotations
 
@@ -45,7 +39,7 @@ from .errors import (
     LatticeMismatchError,
     RbdcalcError,
 )
-from .lattice import AmbientLattice, ClassVector, row_pairing, strict_int
+from .lattice import AmbientLattice, ClassVector, row_pairing, strict_int, strict_object
 from .report import Record, Report
 
 
@@ -72,11 +66,6 @@ def expected_square(i: int, p: int) -> int:
     return -(p + 2) if i == p - 1 else -2
 
 
-# distinct support values one body's pairing memo holds; a search placement
-# meets one per run value t
-_PAIRINGS_CACHE_SIZE = 64
-
-
 def _gather(support: tuple[int, ...]):
     """A tuple row's values at the sorted support, as a tuple: one slice when
     the support is contiguous (as every difference body's is, and an empty
@@ -87,6 +76,12 @@ def _gather(support: tuple[int, ...]):
     return itemgetter(*support)
 
 
+# A block pairs every body row with every other, O(m^2 n): the six bodies of
+# the probe script's 3-chain a=8..11 and 4-chain a=5, 6 questions take about
+# 8.5 ms to build and 0.07 ms to look up, where a pass of those questions
+# takes 3-5 ms once they are built (CPython 3.11, 2 cores). The cache hits
+# only on bodies met before in one process: repeated probe passes, the hits
+# of search(), the fixtures of one replay, the tests.
 @lru_cache(maxsize=32)
 def _body_block(body: tuple[tuple[int, ...], ...]):
     """(Gram block, its diagonal, block ok, want, gather, pairings) of u_1..u_{p-2}.
@@ -96,8 +91,8 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
     row is nonzero; pairings maps those values to the row's pairings with
     the body, from sparse functionals (row i, support position j, signed
     coefficient: the h column keeps its sign, the e columns flip it) at
-    O(nnz) per distinct value, through a bounded memo. Rows of different
-    lengths come from different lattices and raise LatticeMismatchError.
+    O(nnz). Rows of different lengths come from different lattices and
+    raise LatticeMismatchError.
     """
     m = len(body)
     if len(set(map(len, body))) > 1:
@@ -111,7 +106,6 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
         for i, row in enumerate(body) for k, c in enumerate(row) if c
     )
 
-    @lru_cache(maxsize=_PAIRINGS_CACHE_SIZE)
     def pairings(values: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * m
         for i, j, c in functionals:
@@ -125,30 +119,6 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
 
 
 _coeffs = attrgetter("coeffs")
-
-
-class _LastBody:
-    """The last body and its block: an exact-equality memo in front of _body_block.
-
-    _block_of keys it on the body's tuple of ClassVectors. Hits of one
-    search placement share their body classes object for object, and tuple
-    equality tries identity before value, so testing a hit against the last
-    body costs p - 2 identity checks and builds no coefficient rows; an
-    equal but distinct body still matches, by value. On a miss the block
-    comes from the per-body cache, keyed on the coefficient rows. Every
-    check stores the body it was given, so after an equal but distinct body
-    the next hits sharing its objects match by identity again. `hits`
-    counts the lookups the memo answered. The (body, block) pair is
-    replaced as one tuple, so no reader pairs a body with another body's
-    block.
-    """
-
-    def __init__(self):
-        self.last = (None, None)
-        self.hits = 0
-
-
-_last_body = _LastBody()
 
 
 def _first_violation(gram: Sequence[Sequence[int]], p: int) -> ChainViolation | None:
@@ -169,91 +139,27 @@ def _first_violation(gram: Sequence[Sequence[int]], p: int) -> ChainViolation | 
     return None
 
 
-def _block_of(body: tuple[ClassVector, ...]):
-    """The body block of u_1..u_{p-2}, through the last-body memo.
+def _check(p: int, body: tuple[tuple[int, ...], ...], tails, rank: int) -> ChainReport | None:
+    """The one Gram check: None when every tail row completes the body rows
+    u_1..u_{p-2} to a C_p, else the report of the first row that fails.
 
-    The memo is inline here: the key is the body's tuple of ClassVectors,
-    equality tries identity before value, and every call stores the body it
-    was given. On a miss the block comes from the per-body cache, keyed on
-    the coefficient rows.
+    The rows are checked as one batch, in passes at C level over them:
+    every row's length against the rank, then the body pairings once per
+    distinct support value, then every row's square, sum x_i^2 ==
+    2 x_0^2 + p + 2 over the whole row (that is, row_pairing(x, x) ==
+    -(p + 2)), summed by lazy iterators. Tails given as a tuple of tuples
+    are read in place; any other rows are copied into one first. Only a
+    failing batch is scanned row by row: a row of the wrong length raises
+    DomainError, as a ClassVector of it would, and the first row that
+    fails gets its report. The report scans the full matrix in a fixed
+    order, so its violation is deterministic: squares in class order, then
+    consecutive pairings, then distant pairs in lexicographic order.
     """
-    memo = _last_body
-    last_body, block = memo.last
-    if body == last_body:
-        memo.hits += 1
-    else:
-        block = _body_block(tuple(map(_coeffs, body)))
-    memo.last = (body, block)
-    return block
-
-
-def _check_tail(block, p: int, rank: int, tail: tuple[int, ...]):
-    """The one per-tail Gram check: (ok, body block, tail pairings, tail square).
-
-    Checks a raw long-class row against a body block: its length against
-    the lattice rank (the body is empty at p = 2, so this is the only rank
-    check of a raw row there), its body pairings by one gather of its
-    support values and one lookup in the body's pairing memo, and its
-    square over the whole row. No report is built; the result holds all
-    that _report needs, so no caller checks twice.
-    """
-    if len(tail) != rank:
-        raise DomainError(f"coefficient count {len(tail)} != rank {rank}")
-    _gram, _squares, body_ok, want, gather, pairings = block
-    tail_pairings = pairings(gather(tail))
-    tail_square = row_pairing(tail, tail)
-    ok = body_ok and tail_square == -(p + 2) and tail_pairings == want
-    return ok, block, tail_pairings, tail_square
-
-
-def _check_rows(candidate: Sequence[ClassVector], p: int):
-    """The Gram check of p - 1 classes: _check_tail on the last one.
-
-    The body block comes from the last-body memo or the per-body cache, so
-    a call pairs only the long class.
-    """
-    if p < 2:
-        raise DomainError(f"need p >= 2, got p = {p}")
-    if len(candidate) != p - 1:
-        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(candidate)}")
-    block = _block_of(tuple(candidate[:-1]))
-    tail = candidate[-1].coeffs
-    # a lattice is fixed by n and every row has length n + 1; the block
-    # checked the body rows against each other
-    rank = len(candidate[0].coeffs)
-    if len(tail) != rank:
-        raise LatticeMismatchError("candidate classes live in different lattices")
-    return _check_tail(block, p, rank, tail)
-
-
-def check_tails(p: int, lattice: AmbientLattice, body: tuple[ClassVector, ...], tails) -> None:
-    """Run the Gram check of _check_rows on one body and each raw tail row.
-
-    The body block is looked up once and the tails are checked as one batch,
-    in passes at C level over them: every row's length against the rank,
-    then the body pairings once per distinct support value, then every
-    row's square, sum x_i^2 == 2 x_0^2 + p + 2 over the whole row (that is,
-    row_pairing(x, x) == -(p + 2)), summed by lazy iterators. Tails given
-    as a tuple of tuples, as search gives them, are read in place, so no
-    list as long as the batch is built; any other rows are copied into one
-    first. Only a failing batch runs _check_tail, the constructor's check,
-    tail by tail: the first tail that fails raises InvalidConfigurationError
-    with the report CpConfiguration(p, body + (ClassVector(lattice, tail),))
-    would raise; a tail of the wrong length raises DomainError, as that
-    ClassVector would.
-    """
-    if p < 2:
-        raise DomainError(f"need p >= 2, got p = {p}")
-    if len(body) != p - 2:
-        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(body) + 1}")
-    if any(u.lattice != lattice for u in body):
-        raise LatticeMismatchError("candidate classes live in different lattices")
-    block, rank = _block_of(body), lattice.rank
+    gram, body_squares, body_ok, want, gather, pairings = _body_block(body)
     if type(tails) is not tuple or not set(map(type, tails)) <= {tuple}:
         # the batch passes over the rows several times, and the support
         # gather slices, whose result is hashable only for a tuple row
         tails = tuple(map(tuple, tails))
-    _gram, _squares, body_ok, want, gather, pairings = block
     square = p + 2  # sum x_i^2 - 2 x_0^2 over a passing row
     if (
         body_ok
@@ -261,38 +167,69 @@ def check_tails(p: int, lattice: AmbientLattice, body: tuple[ClassVector, ...], 
         and all(pairings(values) == want for values in set(map(gather, tails)))
         and all(sum(map(mul, x, x)) == 2 * x[0] * x[0] + square for x in tails)
     ):
-        return
+        return None
     for tail in tails:
-        check = _check_tail(block, p, rank, tail)
-        if not check[0]:
-            raise InvalidConfigurationError(_report(p, check))
+        if len(tail) != rank:
+            raise DomainError(f"coefficient count {len(tail)} != rank {rank}")
+        tail_pairings = pairings(gather(tail))
+        tail_square = row_pairing(tail, tail)
+        if body_ok and tail_square == -square and tail_pairings == want:
+            continue
+        full = [list(row) + [b] for row, b in zip(gram, tail_pairings)]
+        full.append([*tail_pairings, tail_square])
+        violation = _first_violation(full, p)
+        squares = body_squares + (tail_square,)
+        return ChainReport(p=p, ok=violation is None, violation=violation, squares=squares)
 
 
-def _report(p: int, check) -> ChainReport:
-    """The ChainReport of one _check_tail result.
+def _check_classes(classes: Sequence[ClassVector], p: int) -> ChainReport | None:
+    """_check on p - 1 classes, the last one the tail, in the first one's lattice."""
+    if p < 2:
+        raise DomainError(f"need p >= 2, got p = {p}")
+    if len(classes) != p - 1:
+        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(classes)}")
+    rows = tuple(map(_coeffs, classes))
+    # a lattice is fixed by n and every row has length n + 1; the body
+    # block checks the body rows against each other
+    rank = len(rows[0])
+    if len(rows[-1]) != rank:
+        raise LatticeMismatchError("candidate classes live in different lattices")
+    return _check(p, rows[:-1], rows[-1:], rank)
 
-    If any entry is off, the full matrix is scanned in a fixed order so the
-    reported violation is deterministic: squares in class order, then
-    consecutive pairings, then distant pairs in lexicographic order. Only
-    the first one is reported.
+
+def _passing_report(p: int) -> ChainReport:
+    """The report of classes that passed the check: ok, with the expected squares."""
+    squares = tuple(expected_square(i, p) for i in range(1, p))
+    return ChainReport(p=p, ok=True, violation=None, squares=squares)
+
+
+def check_tails(p: int, lattice: AmbientLattice, body: tuple[ClassVector, ...], tails) -> None:
+    """The Gram check of one body against a batch of raw tail rows, as search runs it.
+
+    Passes when every tail completes the body to a C_p; otherwise the first
+    tail that fails raises InvalidConfigurationError with the report
+    CpConfiguration(p, body + (ClassVector(lattice, tail),)) would raise,
+    and a tail of the wrong length raises DomainError, as that ClassVector
+    would.
     """
-    ok, (gram, body_squares, *_), tail_pairings, tail_square = check
-    squares = body_squares + (tail_square,)
-    if ok:
-        return ChainReport(p=p, ok=True, violation=None, squares=squares)
-    full = [list(row) + [b] for row, b in zip(gram, tail_pairings)]
-    full.append([*tail_pairings, tail_square])
-    violation = _first_violation(full, p)
-    return ChainReport(p=p, ok=violation is None, violation=violation, squares=squares)
+    if p < 2:
+        raise DomainError(f"need p >= 2, got p = {p}")
+    if len(body) != p - 2:
+        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(body) + 1}")
+    if any(u.lattice != lattice for u in body):
+        raise LatticeMismatchError("candidate classes live in different lattices")
+    report = _check(p, tuple(map(_coeffs, body)), tails, lattice.rank)
+    if report is not None:
+        raise InvalidConfigurationError(report)
 
 
 def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainReport:
     """Check candidate classes against the C_p Gram matrix, on coefficient rows.
 
-    Runs the same row check as the CpConfiguration constructor and reports
-    its result, with the first violation in scan order (see _report).
+    Runs the check the CpConfiguration constructor runs and reports its
+    result, with the first violation in scan order (see _check).
     """
-    return _report(p, _check_rows(candidate, p))
+    return _check_classes(candidate, p) or _passing_report(p)
 
 
 def parse_configuration(data) -> tuple[int, tuple[ClassVector, ...]]:
@@ -302,11 +239,7 @@ def parse_configuration(data) -> tuple[int, tuple[ClassVector, ...]]:
     a class count other than p - 1 ArityError. The Gram check is left to the
     caller, which may report a failing one instead of raising it.
     """
-    if not isinstance(data, dict):
-        raise InputTypeError("expected an object with p, n, classes")
-    for key in ("p", "n", "classes"):
-        if key not in data:
-            raise InputTypeError(f"missing key {key!r}")
+    strict_object(data, ("p", "n", "classes"))
     lat = AmbientLattice(strict_int(data["n"], "n"))
     try:
         classes = tuple(lat.vector(row) for row in data["classes"])
@@ -328,18 +261,16 @@ class CpConfiguration(Record):
     Every construction runs the Gram check that verify_cp_configuration
     runs, and raises InvalidConfigurationError with the same report on
     failure; there is no other way to build one. A passing check builds
-    no report. Hits of one search placement share their body, whose block
-    the check verifies once and memoizes, and a run value's pairings with
-    it, so a hit costs one gather and lookup and the O(n) square.
+    no report.
     """
 
     p: int
     classes: tuple[ClassVector, ...]
 
     def __post_init__(self):
-        check = _check_rows(self.classes, self.p)
-        if not check[0]:
-            raise InvalidConfigurationError(_report(self.p, check))
+        report = _check_classes(self.classes, self.p)
+        if report is not None:
+            raise InvalidConfigurationError(report)
 
     @property
     def lattice(self) -> AmbientLattice:
@@ -358,10 +289,8 @@ class CpConfiguration(Record):
         return tuple(map(row_pairing, repeat(x.coeffs), map(_coeffs, self.classes)))
 
     def report(self) -> ChainReport:
-        """The verifier's report on these classes: construction passed it, so
-        it is ok and the squares are the expected ones."""
-        squares = tuple(expected_square(i, self.p) for i in range(1, self.p))
-        return ChainReport(p=self.p, ok=True, violation=None, squares=squares)
+        """The verifier's report on these classes: construction passed it."""
+        return _passing_report(self.p)
 
     def to_json(self) -> dict:
         return {

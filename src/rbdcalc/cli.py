@@ -188,7 +188,7 @@ def cmd_search(args) -> int:
     data = _load_json_file(args.template)
     try:
         template = SearchTemplate.from_json(data)
-    except (KeyError, TypeError, DomainError) as exc:
+    except (InputTypeError, DomainError) as exc:
         raise UsageError(f"{args.template}: malformed template: {exc}") from exc
     started = time.perf_counter()
     try:
@@ -255,13 +255,28 @@ def _parse_only(text: str) -> dict:
     return out
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def _recorded(data: dict, key: str, kind: type):
+    """The value a fixture records under key, of one JSON kind: an object,
+    an array or an integer. A missing key or a value of another kind raises
+    InputTypeError naming the key, which fails the stage reading it."""
+    if key not in data:
+        raise InputTypeError(f"missing key {key!r}")
+    value = data[key]
+    if type(value) is not kind:
+        raise InputTypeError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _reproduce_case(case, fixtures_root: Path) -> dict:
     """Run the whole pipeline for one fixture; record per-stage outcomes."""
     from .blowdown import (
         AmbientManifoldData,
         full_blowdown_report,
         full_handle_counts,
-        handle_counts_from_data,
+        handle_counts_after_blowdown,
     )
     from .chains import CpConfiguration
     from .families import expected_negative_rank, family_h1_witness
@@ -321,17 +336,19 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         stages["handles"] = {"status": "skipped", "reason": "no handle data recorded"}
     else:
         try:
+            handles = _recorded(data, "handles", dict)
             if "counts" in handles:
-                counts = full_handle_counts(handles["counts"])
+                counts = full_handle_counts(_recorded(handles, "counts", list))
             else:
-                counts = handle_counts_from_data((handles["h2"], handles["h3"]))
+                h2, h3 = (_recorded(handles, key, int) for key in ("h2", "h3"))
+                counts = handle_counts_after_blowdown(h2, h3)
             stages["handles"] = {"status": "pass", "counts": list(counts)}
-        except (RbdcalcError, KeyError, TypeError, ValueError) as exc:
+        except RbdcalcError as exc:
             return fail("handles", exc)
 
     try:
-        k = CharacteristicData(lat.vector(data["K"]))
-        h = PeriodPoint(lat.vector(data["H"]))
+        k = CharacteristicData(lat.vector(_recorded(data, "K", list)))
+        h = PeriodPoint(lat.vector(_recorded(data, "H", list)))
         outcome = sw_on_blowdown(x, cfg, k, h)
         ok = outcome.value in (1, -1) and outcome.d == 0
         stages["sw"] = {
@@ -348,7 +365,7 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         }
         if not ok_neg:
             return result
-    except (RbdcalcError, KeyError, TypeError) as exc:
+    except RbdcalcError as exc:
         return fail("sw", exc)
 
     result["pass"] = all(

@@ -30,6 +30,17 @@ def strict_int(value, what: str) -> int:
     return value
 
 
+def strict_object(value, keys: tuple[str, ...]) -> dict:
+    """`value` if it is a dict holding every one of `keys`; anything else,
+    or a missing key, raises InputTypeError naming what is missing."""
+    if not isinstance(value, dict):
+        raise InputTypeError(f"expected an object with {', '.join(keys)}")
+    for key in keys:
+        if key not in value:
+            raise InputTypeError(f"missing key {key!r}")
+    return value
+
+
 class AmbientLattice(Record):
     """Z^{1,n}: intersection lattice of a rational surface with b2+ = 1."""
 

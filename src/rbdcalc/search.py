@@ -21,8 +21,8 @@ search_hits returns the hits as rows, one group per placement: the body
 classes and the sorted tail rows. The sign orbit is the unit of the Gram
 check: per placement, the flip columns are checked once against the body
 support, and each representative, not each hit, goes through the one Gram
-check that the CpConfiguration constructor runs (chains.check_tails), as
-one batch with the body block verified once and memoized; then each
+check that the CpConfiguration constructor runs (chains.check_tails), all
+of a placement's representatives as one batch against its body; then each
 representative is expanded into its orbit. CpConfigurations are built only
 on request: search() builds every expanded hit through the constructor
 (which runs that check once per hit, and so takes no orbit premise on
@@ -43,7 +43,7 @@ from operator import add, itemgetter
 from .chains import CpConfiguration, check_tails
 from .errors import ConsistencyError, DomainError, InputTypeError
 from .errors import InvalidConfigurationError, SearchCapExceeded, TemplateError
-from .lattice import AmbientLattice, ClassVector, strict_int
+from .lattice import AmbientLattice, ClassVector, strict_int, strict_object
 from .report import Record, Report
 
 DEFAULT_CAP = 10_000_000
@@ -103,6 +103,14 @@ class SearchTemplate(Report):
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchTemplate":
+        """The template of an object with n, p and tail_bounds (one bound
+        for every coordinate, or a list, h first), and optionally
+        body_shape and symmetry_reduction. Another root, a missing or
+        unknown key, or a value of another type raises InputTypeError."""
+        strict_object(data, ("n", "p", "tail_bounds"))
+        unknown = [key for key in data if key not in cls._fields]
+        if unknown:
+            raise InputTypeError(f"unknown key {unknown[0]!r}")
         bounds = data["tail_bounds"]
         n = strict_int(data["n"], "n")
         if isinstance(bounds, (list, tuple)):

@@ -2,23 +2,20 @@
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rbdcalc.chains as chains_module
 from rbdcalc.chains import (
-    _PAIRINGS_CACHE_SIZE,
     ChainReport,
     ChainViolation,
     CpConfiguration,
     _body_block,
-    _check_rows,
+    _check,
     _gather,
-    _LastBody,
     check_tails,
     cp_gram,
     expected_square,
@@ -193,17 +190,14 @@ def test_verifier_matches_reference_scan(case):
 
 
 @pytest.fixture
-def body_cache(monkeypatch):
-    """An empty per-body cache behind a fresh last-body memo."""
+def body_cache():
+    """An empty per-body cache."""
     _body_block.cache_clear()
-    memo = _LastBody()
-    monkeypatch.setattr(chains_module, "_last_body", memo)
-    return memo
 
 
-def builds_and_reuses(memo):
+def builds_and_reuses():
     info = _body_block.cache_info()
-    return info.misses, info.hits + memo.hits
+    return info.misses, info.hits
 
 
 def test_shared_body_is_verified_once(body_cache):
@@ -212,8 +206,7 @@ def test_shared_body_is_verified_once(body_cache):
     tails = ([6] + [-2] * 10 + [-1], [6] + [-2] * 10 + [1], [0] * 12)
     reports = [verify_cp_configuration([body, lat.vector(t)], 3) for t in tails]
     assert [r.ok for r in reports] == [True, False, False]
-    assert builds_and_reuses(body_cache) == (1, 2)
-    assert body_cache.hits == 2
+    assert builds_and_reuses() == (1, 2)
 
 
 def test_body_memo_matches_by_equality(body_cache):
@@ -224,13 +217,13 @@ def test_body_memo_matches_by_equality(body_cache):
     assert twin.coeffs == body.coeffs and twin.coeffs is not body.coeffs
     CpConfiguration(p=3, classes=(body, tail))
     CpConfiguration(p=3, classes=(twin, tail))
-    assert builds_and_reuses(body_cache) == (1, 1)
+    assert builds_and_reuses() == (1, 1)
     # a different body is built, and the first one is still cached behind it
     other = lat.e(9) - lat.e(10)
     assert not verify_cp_configuration([other, tail], 3).ok
-    assert builds_and_reuses(body_cache) == (2, 1)
+    assert builds_and_reuses() == (2, 1)
     CpConfiguration(p=3, classes=(body, tail))
-    assert builds_and_reuses(body_cache) == (2, 2)
+    assert builds_and_reuses() == (2, 2)
 
 
 def spy_on_class_vector_eq(monkeypatch) -> list:
@@ -247,8 +240,8 @@ def spy_on_class_vector_eq(monkeypatch) -> list:
 
 
 def test_equal_distinct_body_is_built_once_and_then_held(body_cache, monkeypatch):
-    """An equal body of distinct objects matches by value once; the memo
-    then holds the new objects, so their next hits compare by identity."""
+    """An equal body of distinct objects matches the cached block by its
+    coefficient rows; the check compares no classes."""
     lat = AmbientLattice(11)
     tail = lat.vector([6] + [-2] * 10 + [-1])
     body = lat.e(10) - lat.e(11)
@@ -256,30 +249,30 @@ def test_equal_distinct_body_is_built_once_and_then_held(body_cache, monkeypatch
     assert twin == body and twin is not body
     CpConfiguration(p=3, classes=(body, tail))
     CpConfiguration(p=3, classes=(twin, tail))
-    assert builds_and_reuses(body_cache) == (1, 1)
-    assert body_cache.last[0][0] is twin
+    assert builds_and_reuses() == (1, 1)
     compared = spy_on_class_vector_eq(monkeypatch)
     CpConfiguration(p=3, classes=(twin, tail))
-    assert compared == [] and builds_and_reuses(body_cache) == (1, 2)
+    assert compared == [] and builds_and_reuses() == (1, 2)
 
 
 def test_search_compares_classes_at_most_once_per_placement(body_cache, monkeypatch):
-    """Hits of one placement share their body objects, so the memo matches
-    them by identity and calls ClassVector.__eq__ only where the body
-    changes. A second search builds equal but new bodies: each is compared
-    by value once, its p - 2 classes, and then held."""
+    """search() builds every hit through the constructor: its check reads
+    coefficient rows and calls no ClassVector.__eq__, each placement's body
+    is built once and found in the cache for the placement's other hits,
+    and a second search, of equal but new bodies, builds none and gives the
+    same hits."""
     template = family_question_template(7, "3-chain")
     placements = len(_placements(template))
     compared = spy_on_class_vector_eq(monkeypatch)
     hits = search(template)
     assert len(hits) == 3894
     assert len(compared) <= placements
-    builds, _ = builds_and_reuses(body_cache)
-    assert builds <= placements and body_cache.hits == len(hits) - builds
+    builds, reuses = builds_and_reuses()
+    assert builds <= placements and reuses == len(hits) - builds
     compared.clear()
     again = search(template)
     assert len(compared) <= (template.p - 2) * placements
-    assert builds_and_reuses(body_cache)[0] == builds
+    assert builds_and_reuses()[0] == builds
     assert again == hits and again[0].classes[0] is not hits[0].classes[0]
 
 
@@ -308,58 +301,59 @@ def sparse_bodies_with_tails(draw):
 
 
 def dense_check(classes, p):
-    """(ok, tail pairings, tail square) read off the whole Gram matrix."""
-    gram = intersection_matrix(classes)
-    ok = gram == [list(row) for row in cp_gram(p)]
-    return ok, tuple(row[-1] for row in gram[:-1]), gram[-1][-1]
+    """_check's result read off the whole Gram matrix: None when it is the
+    C_p one, else the reference scan's report."""
+    if intersection_matrix(classes) == [list(row) for row in cp_gram(p)]:
+        return None
+    return reference_report(classes, p)
+
+
+def rows_of(classes):
+    return tuple(u.coeffs for u in classes)
 
 
 @settings(max_examples=300)
 @given(sparse_bodies_with_tails())
 def test_check_rows_matches_the_dense_gram_matrix(case):
+    """Row by row and as one batch, whose report is the first failing row's."""
     p, n, body, tails = case
     lat = AmbientLattice(n)
+    body = tuple(lat.vector(row) for row in body)
+    wants = []
     for tail in tails:
-        classes = [lat.vector(row) for row in body + [tail]]
-        ok, _block, pairings, square = _check_rows(classes, p)
-        assert (ok, pairings, square) == dense_check(classes, p)
+        classes = body + (lat.vector(tail),)
+        wants.append(dense_check(classes, p))
+        assert _check(p, rows_of(body), (tuple(tail),), n + 1) == wants[-1]
+    first = next((want for want in wants if want is not None), None)
+    assert _check(p, rows_of(body), tails, n + 1) == first
 
 
-def test_more_support_values_than_the_memo_holds_stay_exact(body_cache):
-    """A body with an h coefficient, met by more distinct support values
-    than its pairing memo keeps, twice over: evicted values are paired again
-    from the functionals, exactly."""
-    lat = AmbientLattice(4)
-    body = [lat.vector([1, 1, -1, 0, 0]), lat.vector([0, 0, 1, -1, 0])]
-    tails = [lat.vector([x, y, x - y, 2 * y, 1]) for x in range(-9, 9) for y in range(-5, 5)]
-    assert len(tails) > 2 * _PAIRINGS_CACHE_SIZE
-    for _ in range(2):
-        for tail in tails:
-            ok, _block, pairings, square = _check_rows(body + [tail], 4)
-            assert (ok, pairings, square) == dense_check(body + [tail], 4)
-    pairings_memo = body_cache.last[1][-1]
-    info = pairings_memo.cache_info()
-    assert info.maxsize == _PAIRINGS_CACHE_SIZE
-    assert info.currsize == _PAIRINGS_CACHE_SIZE
-    assert info.misses == 2 * len(tails)
-
-
-def test_search_pairs_the_body_once_per_run_value(body_cache):
-    """The 3-chain a=7 template has one placement, whose 3,894 hits take
-    three run values t: the body's pairing loop runs three times."""
-    hits = search(family_question_template(7, "3-chain"))
-    assert len(hits) == 3894
-    *_, gather, pairings_memo = body_cache.last[1]
-    assert len({gather(cfg.classes[-1].coeffs) for cfg in hits}) == 3
-    info = pairings_memo.cache_info()
-    assert (info.misses, info.hits) == (3, len(hits) - 3)
+def test_many_support_values_of_an_h_body_stay_exact():
+    """A chain body with an h coefficient on a support with a gap, met by
+    every row of the right square in a box: hundreds of distinct support
+    values, each paired from the functionals, row by row and as one batch."""
+    lat = AmbientLattice(5)
+    body = (lat.vector([1, -1, -1, 0, -1, 0]), lat.vector([0, 0, 0, 0, 1, -1]))
+    rows = rows_of(body)
+    tails = [
+        x for x in product(range(-2, 3), repeat=6)
+        if x[0] ** 2 - sum(c * c for c in x[1:]) == -6
+    ]
+    wants = [dense_check(body + (lat.vector(tail),), 4) for tail in tails]
+    assert 0 < wants.count(None) < len(wants)
+    assert len({(x[:3] + x[4:]) for x in tails}) > 200
+    for tail, want in zip(tails, wants):
+        assert _check(4, rows, (tail,), 6) == want
+    passing = tuple(t for t, want in zip(tails, wants) if want is None)
+    assert _check(4, rows, passing, 6) is None
+    assert _check(4, rows, tuple(tails), 6) == next(w for w in wants if w is not None)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_failing_tail_after_a_cached_body(body_cache, p):
-    """A tail that fails against a memoized body gets the reference scan's
+    """A tail that fails against a cached body gets the reference scan's
     violation, from the verifier and from the constructor alike, and each
-    call runs the row check once: one memo lookup per call."""
+    call runs the row check once: one cache lookup per call."""
     cfg = standard_configuration(p, p + 1)
     body, tail = cfg.classes[:-1], cfg.classes[-1]
     lat = cfg.lattice
@@ -373,7 +367,7 @@ def test_failing_tail_after_a_cached_body(body_cache, p):
         with pytest.raises(InvalidConfigurationError) as exc:
             CpConfiguration(p=p, classes=classes)
         assert exc.value.report == want
-    assert builds_and_reuses(body_cache) == (1, 2 * lat.rank)
+    assert builds_and_reuses() == (1, 2 * lat.rank)
 
 
 @settings(max_examples=200)
@@ -418,12 +412,12 @@ def test_check_tails_refuses_a_row_of_the_wrong_length(p):
 
 def test_check_tails_looks_the_body_up_once(body_cache):
     """Once per batch, however many tails: the constructor built the block,
-    and each batch is one memo hit."""
+    and each batch is one cache hit."""
     cfg = standard_configuration(5, 6)
-    assert builds_and_reuses(body_cache) == (1, 0)
+    assert builds_and_reuses() == (1, 0)
     for batches in (1, 2):
         check_tails(5, cfg.lattice, cfg.classes[:-1], [cfg.classes[-1].coeffs] * 10)
-        assert builds_and_reuses(body_cache) == (1, batches)
+        assert builds_and_reuses() == (1, batches)
 
 
 def test_check_tails_refuses_a_body_of_another_lattice_or_length():
@@ -435,6 +429,41 @@ def test_check_tails_refuses_a_body_of_another_lattice_or_length():
         check_tails(5, cfg.lattice, body, [tail])
     with pytest.raises(DomainError):
         check_tails(1, cfg.lattice, (), [tail])
+
+
+def outcome(call):
+    """What a call returns, or the type, message and report of what it raises."""
+    try:
+        return call()
+    except RbdcalcError as exc:
+        return type(exc), str(exc), getattr(exc, "report", None)
+
+
+@settings(max_examples=100)
+@given(st.lists(sparse_bodies_with_tails(), min_size=1, max_size=4), st.randoms())
+def test_results_do_not_depend_on_call_history(cases, rng):
+    """Verifier, constructor and batch calls on several bodies, interleaved,
+    each body also with its last row bumped: each call gives the same result
+    on a cold body cache, warm, and after the cache is cleared before every
+    call."""
+    calls = []
+    for p, n, rows, tails in cases:
+        lat = AmbientLattice(n)
+        bumped = rows[:-1] + [rows[-1][:-1] + [rows[-1][-1] + 1]] if rows else rows
+        for body in {tuple(lat.vector(row) for row in body) for body in (rows, bumped)}:
+            for tail in tails:
+                classes = body + (lat.vector(tail),)
+                calls += [partial(verify_cp_configuration, classes, p), partial(CpConfiguration, p, classes)]
+            calls += [partial(check_tails, p, lat, body, tails + extra) for extra in ([], [tails[0][:-1]])]
+    rng.shuffle(calls)
+    _body_block.cache_clear()
+    first = [outcome(call) for call in calls]
+    warm = [outcome(call) for call in calls]
+    cold = []
+    for call in calls:
+        _body_block.cache_clear()
+        cold.append(outcome(call))
+    assert first == warm == cold
 
 
 def contiguous(columns: set) -> bool:

@@ -841,30 +841,6 @@ def test_reproduce_missing_fixture_error_names_the_relative_path(capsys, tmp_pat
     }
 
 
-@pytest.mark.parametrize(
-    "key, value, error",
-    [("K", None, "KeyError"), ("H", None, "KeyError"), ("K", 5, "TypeError")],
-)
-def test_reproduce_fails_sw_on_a_fixture_without_k_or_h(capsys, tmp_path, key, value, error):
-    root = tmp_path / "fixtures"
-    shutil.copytree(FIXTURES, root)
-    target = root / "family1" / "a3.json"
-    data = json.loads(target.read_text())
-    if value is None:
-        del data[key]
-    else:
-        data[key] = value
-    target.write_text(json.dumps(data))
-    code, out, err = run_cli(
-        capsys, "reproduce-paper", "--only", "a=3,family=1", "--fixtures", str(root)
-    )
-    assert (code, err) == (1, "")
-    stages = json.loads(out)["cases"][0]["stages"]
-    assert sorted(stages) == ["blowdown", "handles", "load", "sw", "verify"]
-    assert stages["sw"]["status"] == "fail"
-    assert stages["sw"]["error"].startswith(error)
-
-
 def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -1051,6 +1027,59 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, command, fault):
     assert proc.returncode == 2
     assert len(stderr.splitlines()) == 1
     assert stderr.startswith("rbdcalc: ")
+
+
+# well-formed JSON that is no template: a misspelt key, which would otherwise
+# leave the symmetry reduction on unseen, a root that is not an object, and a
+# template without n
+BAD_TEMPLATES = {
+    "unknown key": (
+        {"n": 4, "p": 3, "tail_bounds": 2, "symetry_reduction": False},
+        "unknown key 'symetry_reduction'",
+    ),
+    "array root": ([1, 2], "expected an object with n, p, tail_bounds"),
+    "missing key": ({"p": 3, "tail_bounds": 2}, "missing key 'n'"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_TEMPLATES)
+def test_malformed_template_exits_2_with_one_line(tmp_path, fault):
+    template, message = BAD_TEMPLATES[fault]
+    path = write_config(tmp_path, template, "template.json")
+    proc = run_cold(["search", "--template", path])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"rbdcalc: {path}: malformed template: {message}\n"
+
+
+# edits of the recorded data of family1/a3 (None deletes the key): the stage
+# that reads the key and the error it fails with
+BAD_RECORDED = {
+    "handles without h3": ("handles", {"handles": {"h2": 10}}, "missing key 'h3'"),
+    "handles as an array": ("handles", {"handles": [1, 2]}, "handles must be an object, got [1, 2]"),
+    "counts as an integer": ("handles", {"handles": {"counts": 5}}, "counts must be an array, got 5"),
+    "h2 as a float": ("handles", {"handles": {"h2": 10.0, "h3": 2}}, "h2 must be an integer, got 10.0"),
+    "no K": ("sw", {"K": None}, "missing key 'K'"),
+    "no H": ("sw", {"H": None}, "missing key 'H'"),
+    "K as an integer": ("sw", {"K": 5}, "K must be an array, got 5"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_RECORDED)
+def test_malformed_recorded_data_fails_its_stage_naming_the_key(tmp_path, fault):
+    """The stage reading a missing or malformed recorded value fails with a
+    message naming its key, the run exits 1 and stderr stays empty."""
+    stage, edit, message = BAD_RECORDED[fault]
+    root = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, root)
+    target = root / "family1" / "a3.json"
+    data = {**json.loads(target.read_text()), **edit}
+    target.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+    proc = run_cold(["reproduce-paper", "--only", "a=3,family=1", "--fixtures", str(root)])
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    (case,) = json.loads(proc.stdout)["cases"]
+    order = ["load", "verify", "blowdown", "handles", "sw"]
+    assert sorted(case["stages"]) == sorted(order[: order.index(stage) + 1])
+    assert case["stages"][stage] == {"status": "fail", "error": f"InputTypeError: {message}"}
 
 
 def test_undecodable_fixture_fails_its_load_stage(tmp_path):

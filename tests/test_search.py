@@ -18,8 +18,6 @@ import rbdcalc.chains as chains_module
 from rbdcalc.chains import (
     ChainViolation,
     CpConfiguration,
-    _body_block,
-    _LastBody,
     verify_cp_configuration,
 )
 from rbdcalc.errors import (
@@ -565,24 +563,24 @@ def test_search_hits_build_no_configuration(monkeypatch):
 
 def test_search_hits_check_a_passing_placement_as_one_batch(monkeypatch):
     """The 3-chain a=7 template has one placement: the representatives of
-    its 3,894 hits pass the batch, so the per-tail check never runs, and
-    the body's pairing memo is consulted once per distinct support value,
-    its three run values."""
-    _body_block.cache_clear()
-    memo = _LastBody()
-    monkeypatch.setattr(chains_module, "_last_body", memo)
-    calls = []
-    check_tail = chains_module._check_tail
+    its 3,894 hits pass the batch, so no row is checked on its own, and the
+    body is paired once per distinct support value, its three run values."""
+    body_block = chains_module._body_block
+    paired = []
 
-    def counted(*args):
-        calls.append(args)
-        return check_tail(*args)
+    def counted_block(body):
+        *block, pairings = body_block(body)
 
-    monkeypatch.setattr(chains_module, "_check_tail", counted)
+        def counted(values):
+            paired.append(values)
+            return pairings(values)
+
+        return (*block, counted)
+
+    monkeypatch.setattr(chains_module, "_body_block", counted_block)
     hits = search_hits(family_question_template(7, "3-chain"))
-    assert hits.count == 3894 and calls == []
-    info = memo.last[1][-1].cache_info()
-    assert (info.misses, info.hits) == (3, 0)
+    assert hits.count == 3894
+    assert len(paired) == len(set(paired)) == 3
 
 
 @pytest.mark.parametrize(
