@@ -29,6 +29,7 @@ from .lattice import (
     dual_coefficients,
     orthogonal_complement_basis,
     strict_int,
+    strict_object,
 )
 from .report import Record, Report
 from .snf import smith_normal_form
@@ -298,21 +299,18 @@ def handle_counts_after_blowdown(h2: int, h3: int) -> tuple[int, int, int, int, 
     return (1, 0, h2 + 1, h3, 1)
 
 
-def handle_counts_from_data(data: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """The blowdown's handle tuple from recorded data: the complement's
-    (h2, h3), closed up by handle_counts_after_blowdown, or a full 5-tuple."""
-    if len(data) == 2:
-        return handle_counts_after_blowdown(strict_int(data[0], "h2"), strict_int(data[1], "h3"))
-    if len(data) == 5:
-        return full_handle_counts(data)
-    raise DomainError("handle data must be (h2, h3) or a full 5-tuple")
-
-
-def full_handle_counts(counts: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """A recorded full handle tuple (h0, ..., h4), never read as (h2, h3)."""
-    if len(counts) != 5:
-        raise DomainError(f"recorded handle counts must be a full 5-tuple, got {len(counts)}")
-    return tuple(strict_int(v, "handle count") for v in counts)
+def handle_counts(data: dict) -> tuple[int, int, int, int, int]:
+    """The blowdown's handle tuple from a recorded handles object: exactly
+    {counts: [h0, ..., h4]}, a full tuple never read as (h2, h3), or
+    exactly {h2, h3}, the complement's counts, closed up by
+    handle_counts_after_blowdown. Any other key raises InputTypeError."""
+    if isinstance(data, dict) and "counts" in data:
+        counts = strict_object(data, {"counts": list})["counts"]
+        if len(counts) != 5:
+            raise DomainError(f"recorded handle counts must be a full 5-tuple, got {len(counts)}")
+        return tuple(strict_int(v, "handle count") for v in counts)
+    strict_object(data, {"h2": int, "h3": int})
+    return handle_counts_after_blowdown(data["h2"], data["h3"])
 
 
 class BlowdownReport(Report):
@@ -322,23 +320,17 @@ class BlowdownReport(Report):
     h1: H1Certificate
     parity: ParityReport
     homeo_type: str | None
-    handle_counts: tuple[int, int, int, int, int] | None
+    # kept in the JSON as null: recorded counts are read by handle_counts
+    handle_counts: tuple[int, int, int, int, int] | None = None
 
 
 def full_blowdown_report(
     x: AmbientManifoldData,
     cfg: CpConfiguration,
     delta: ClassVector | None = None,
-    handle_data: tuple[int, int] | Sequence[int] | None = None,
 ) -> BlowdownReport:
     """Run the whole certificate pipeline for one configuration."""
     inv = blowdown_invariants(x, cfg)
     h1 = h1_certificate(x, cfg, delta=delta)
     parity, homeo = parity_and_homeo_type(x, cfg, h1)
-    return BlowdownReport(
-        invariants=inv,
-        h1=h1,
-        parity=parity,
-        homeo_type=homeo,
-        handle_counts=None if handle_data is None else handle_counts_from_data(handle_data),
-    )
+    return BlowdownReport(invariants=inv, h1=h1, parity=parity, homeo_type=homeo)

@@ -39,7 +39,7 @@ from .errors import (
     LatticeMismatchError,
     RbdcalcError,
 )
-from .lattice import AmbientLattice, ClassVector, row_pairing, strict_int, strict_object
+from .lattice import AmbientLattice, ClassVector, row_pairing, strict_object
 from .report import Record, Report
 
 
@@ -232,22 +232,28 @@ def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainRe
     return _check_classes(candidate, p) or _passing_report(p)
 
 
+# the keys a fixture records beside its configuration; each stage that reads
+# one checks its kind, so a malformed K fails the stage computing with it
+_FIXTURE_KEYS = dict.fromkeys(("a", "family", "K", "H", "handles"))
+
+
 def parse_configuration(data) -> tuple[int, tuple[ClassVector, ...]]:
-    """The unverified (p, classes) of a {p, n, classes} payload.
+    """The unverified (p, classes) of a {p, n, classes} payload, which may
+    also hold the fixture keys and nothing else.
 
     Schema and type errors raise InputTypeError, a p below 2 DomainError and
     a class count other than p - 1 ArityError. The Gram check is left to the
     caller, which may report a failing one instead of raising it.
     """
-    strict_object(data, ("p", "n", "classes"))
-    lat = AmbientLattice(strict_int(data["n"], "n"))
+    strict_object(data, {"p": int, "n": int, "classes": list}, _FIXTURE_KEYS)
+    lat = AmbientLattice(data["n"])
     try:
         classes = tuple(lat.vector(row) for row in data["classes"])
-    except TypeError as exc:
+    except TypeError as exc:  # a class that is no sequence, such as 5
         if isinstance(exc, RbdcalcError):
             raise
         raise InputTypeError(f"malformed class data: {exc}") from exc
-    p = strict_int(data["p"], "p")
+    p = data["p"]
     if p < 2:
         raise DomainError(f"need p >= 2, got p = {p}")
     if len(classes) != p - 1:
@@ -298,11 +304,6 @@ class CpConfiguration(Record):
             "n": self.lattice.n,
             "classes": [u.to_json() for u in self.classes],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CpConfiguration":
-        p, classes = parse_configuration(data)
-        return cls(p=p, classes=classes)
 
 
 @lru_cache(maxsize=32)

@@ -5,7 +5,9 @@ codes: 0 success, 1 mathematical failure (verification fails, precondition
 violated, cap exceeded, a blowdown whose type is not pinned down, a
 reproduction case fails), 2 usage error (bad arguments; unreadable,
 undecodable or malformed input files, templates and vectors; a
-configuration whose p is below 2 or whose class count is not p - 1), 141
+configuration whose p is below 2, whose class count is not p - 1 or
+with a key other than p, n, classes and the fixture keys a, family, K, H
+and handles; a template whose chain does not fit), 141
 stdout closed by its reader before the output was all written (e.g. piped
 into head), with no traceback.
 
@@ -188,7 +190,7 @@ def cmd_search(args) -> int:
     data = _load_json_file(args.template)
     try:
         template = SearchTemplate.from_json(data)
-    except (InputTypeError, DomainError) as exc:
+    except RbdcalcError as exc:  # a chain that does not fit as well
         raise UsageError(f"{args.template}: malformed template: {exc}") from exc
     started = time.perf_counter()
     try:
@@ -255,31 +257,12 @@ def _parse_only(text: str) -> dict:
     return out
 
 
-_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer"}
-
-
-def _recorded(data: dict, key: str, kind: type):
-    """The value a fixture records under key, of one JSON kind: an object,
-    an array or an integer. A missing key or a value of another kind raises
-    InputTypeError naming the key, which fails the stage reading it."""
-    if key not in data:
-        raise InputTypeError(f"missing key {key!r}")
-    value = data[key]
-    if type(value) is not kind:
-        raise InputTypeError(f"{key} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
-
-
 def _reproduce_case(case, fixtures_root: Path) -> dict:
     """Run the whole pipeline for one fixture; record per-stage outcomes."""
-    from .blowdown import (
-        AmbientManifoldData,
-        full_blowdown_report,
-        full_handle_counts,
-        handle_counts_after_blowdown,
-    )
+    from .blowdown import AmbientManifoldData, full_blowdown_report, handle_counts
     from .chains import CpConfiguration
     from .families import expected_negative_rank, family_h1_witness
+    from .lattice import field
     from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
 
     stages: dict[str, dict] = {}
@@ -319,7 +302,7 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
     x = AmbientManifoldData(lat)
     try:
         delta = family_h1_witness(case.a, case.family)
-        report = full_blowdown_report(x, cfg, delta=delta, handle_data=None)
+        report = full_blowdown_report(x, cfg, delta=delta)
         expected = f"CP^2 # {expected_negative_rank(case.a, case.family)} CPbar^2"
         stages["blowdown"] = {
             "status": "pass" if report.homeo_type == expected else "fail",
@@ -331,24 +314,18 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
     except RbdcalcError as exc:
         return fail("blowdown", exc)
 
-    handles = data.get("handles")
-    if handles is None:
+    if data.get("handles") is None:
         stages["handles"] = {"status": "skipped", "reason": "no handle data recorded"}
     else:
         try:
-            handles = _recorded(data, "handles", dict)
-            if "counts" in handles:
-                counts = full_handle_counts(_recorded(handles, "counts", list))
-            else:
-                h2, h3 = (_recorded(handles, key, int) for key in ("h2", "h3"))
-                counts = handle_counts_after_blowdown(h2, h3)
+            counts = handle_counts(field(data, "handles", dict))
             stages["handles"] = {"status": "pass", "counts": list(counts)}
         except RbdcalcError as exc:
             return fail("handles", exc)
 
     try:
-        k = CharacteristicData(lat.vector(_recorded(data, "K", list)))
-        h = PeriodPoint(lat.vector(_recorded(data, "H", list)))
+        k = CharacteristicData(lat.vector(field(data, "K", list)))
+        h = PeriodPoint(lat.vector(field(data, "H", list)))
         outcome = sw_on_blowdown(x, cfg, k, h)
         ok = outcome.value in (1, -1) and outcome.d == 0
         stages["sw"] = {

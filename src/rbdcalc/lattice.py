@@ -30,14 +30,44 @@ def strict_int(value, what: str) -> int:
     return value
 
 
-def strict_object(value, keys: tuple[str, ...]) -> dict:
-    """`value` if it is a dict holding every one of `keys`; anything else,
-    or a missing key, raises InputTypeError naming what is missing."""
+# what a JSON value of each kind is called in an error
+_KIND_NAMES = {
+    dict: "an object", list: "an array", int: "an integer", str: "a string", bool: "true or false"
+}
+
+
+def field(data: dict, key: str, kind):
+    """The value of an object under key, of a JSON kind: a type, a tuple of
+    types, or None for any value. The type must match exactly, so a bool is
+    never an integer. A missing key or a value of another kind raises
+    InputTypeError naming the key."""
+    if key not in data:
+        raise InputTypeError(f"missing key {key!r}")
+    value = data[key]
+    kinds = kind if type(kind) is tuple else (kind,)
+    if kind is not None and type(value) not in kinds:
+        names = " or ".join(map(_KIND_NAMES.get, kinds))
+        raise InputTypeError(f"{key} must be {names}, got {value!r}")
+    return value
+
+
+def strict_object(value, required: dict, optional: dict = {}) -> dict:
+    """`value` if it is an object whose keys are every key of `required` and
+    some of `optional`, each holding its kind (see field). Checked in this
+    order, the first fault raising InputTypeError: the root is an object,
+    no required key is missing, no key is outside the two, each value has
+    its kind, in schema order."""
     if not isinstance(value, dict):
-        raise InputTypeError(f"expected an object with {', '.join(keys)}")
-    for key in keys:
+        raise InputTypeError(f"expected an object with {', '.join(required)}")
+    for key in required:
         if key not in value:
             raise InputTypeError(f"missing key {key!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise InputTypeError(f"unknown key {key!r}")
+    for key, kind in (*required.items(), *optional.items()):
+        if key in value:
+            field(value, key, kind)
     return value
 
 

@@ -41,7 +41,7 @@ from math import comb, factorial, isqrt, prod
 from operator import add, itemgetter
 
 from .chains import CpConfiguration, check_tails
-from .errors import ConsistencyError, DomainError, InputTypeError
+from .errors import ConsistencyError, DomainError
 from .errors import InvalidConfigurationError, SearchCapExceeded, TemplateError
 from .lattice import AmbientLattice, ClassVector, strict_int, strict_object
 from .report import Record, Report
@@ -102,34 +102,22 @@ class SearchTemplate(Report):
         )
 
     @classmethod
-    def from_json(cls, data: dict) -> "SearchTemplate":
+    def from_json(cls, data) -> "SearchTemplate":
         """The template of an object with n, p and tail_bounds (one bound
         for every coordinate, or a list, h first), and optionally
         body_shape and symmetry_reduction. Another root, a missing or
-        unknown key, or a value of another type raises InputTypeError."""
-        strict_object(data, ("n", "p", "tail_bounds"))
-        unknown = [key for key in data if key not in cls._fields]
-        if unknown:
-            raise InputTypeError(f"unknown key {unknown[0]!r}")
-        bounds = data["tail_bounds"]
-        n = strict_int(data["n"], "n")
-        if isinstance(bounds, (list, tuple)):
-            bounds = tuple(strict_int(b, "tail bound") for b in bounds)
-        else:
-            bounds = (strict_int(bounds, "tail_bounds"),) * (n + 1)
-        body_shape = data.get("body_shape", "consecutive-differences")
-        if not isinstance(body_shape, str):
-            raise InputTypeError(f"body_shape must be a string, got {body_shape!r}")
-        symmetry = data.get("symmetry_reduction", True)
-        if not isinstance(symmetry, bool):
-            raise InputTypeError(f"symmetry_reduction must be true or false, got {symmetry!r}")
-        return cls(
-            n=n,
-            p=strict_int(data["p"], "p"),
-            tail_bounds=bounds,
-            body_shape=body_shape,
-            symmetry_reduction=symmetry,
+        unknown key, or a value of another kind raises InputTypeError."""
+        strict_object(
+            data,
+            {"n": int, "p": int, "tail_bounds": (int, list)},
+            {"body_shape": str, "symmetry_reduction": bool},
         )
+        bounds = data["tail_bounds"]
+        if type(bounds) is list:
+            bounds = tuple(strict_int(b, "tail_bounds entry") for b in bounds)
+        else:
+            bounds = (bounds,) * (data["n"] + 1)
+        return cls(**{**data, "tail_bounds": bounds})
 
 
 def _placements(template: SearchTemplate) -> list[tuple[int, ...]]:

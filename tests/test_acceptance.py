@@ -7,11 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 from rbdcalc import cli
-from rbdcalc.blowdown import (
-    AmbientManifoldData,
-    full_blowdown_report,
-    handle_counts_after_blowdown,
-)
+from rbdcalc.blowdown import AmbientManifoldData, full_blowdown_report, handle_counts
 from rbdcalc.chains import (
     ChainViolation,
     lens_space_cf,
@@ -132,11 +128,8 @@ def test_criterion_4_homeomorphism_types():
         handles = family_handle_data(a, family)
         if expected_counts[(a, family)] is None:
             assert handles is None
-        elif "counts" in handles:
-            assert tuple(handles["counts"]) == expected_counts[(a, family)]
         else:
-            counts = handle_counts_after_blowdown(handles["h2"], handles["h3"])
-            assert counts == expected_counts[(a, family)]
+            assert handle_counts(handles) == expected_counts[(a, family)]
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, elapsed
     print("criterion 4: pass")

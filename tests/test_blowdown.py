@@ -16,6 +16,7 @@ from rbdcalc.blowdown import (
     blowdown_invariants,
     full_blowdown_report,
     h1_certificate,
+    handle_counts,
     handle_counts_after_blowdown,
     parity_and_homeo_type,
 )
@@ -480,42 +481,48 @@ def test_handle_counts():
 def test_full_report_wiring():
     cfg = family_configuration(3, 1)
     x = ambient_for(cfg)
-    report = full_blowdown_report(
-        x, cfg, delta=family_h1_witness(3, 1), handle_data=(10, 2)
-    )
+    report = full_blowdown_report(x, cfg, delta=family_h1_witness(3, 1))
     assert report.invariants.b2_minus == 9
     assert report.h1.condition == 1
     assert report.parity.verdict == "odd"
     assert report.homeo_type == "CP^2 # 9 CPbar^2"
-    assert report.handle_counts == (1, 0, 11, 2, 1)
+    assert report.handle_counts is None
     payload = report.to_json()
     assert payload["homeo_type"] == "CP^2 # 9 CPbar^2"
-    assert payload["handle_counts"] == [1, 0, 11, 2, 1]
+    assert payload["handle_counts"] is None
 
 
-def test_full_report_accepts_explicit_five_tuple():
-    cfg = family_configuration(6, 2)
-    report = full_blowdown_report(
-        ambient_for(cfg),
-        cfg,
-        delta=family_h1_witness(6, 2),
-        handle_data=(1, 1, 7, 0, 1),
-    )
-    assert report.handle_counts == (1, 1, 7, 0, 1)
-    assert report.homeo_type == "CP^2 # 6 CPbar^2"
+def test_handle_counts_reads_either_recorded_form():
+    assert handle_counts({"h2": 10, "h3": 2}) == (1, 0, 11, 2, 1)
+    assert handle_counts({"counts": [1, 1, 7, 0, 1]}) == (1, 1, 7, 0, 1)
 
 
-def test_full_report_rejects_odd_handle_data():
-    cfg = family_configuration(3, 1)
-    with pytest.raises(DomainError):
-        full_blowdown_report(ambient_for(cfg), cfg, handle_data=(1, 2, 3))
+def test_handle_counts_refuses_a_counts_list_of_another_length():
+    """Three entries are neither a full tuple nor the complement's (h2, h3)."""
+    with pytest.raises(DomainError, match="must be a full 5-tuple, got 3"):
+        handle_counts({"counts": [1, 2, 3]})
 
 
-@pytest.mark.parametrize("handles", [(1.9, 2), (10, True), (1, 0, 11.0, 2, 1)])
-def test_full_report_refuses_non_integer_handle_counts(handles):
+@pytest.mark.parametrize(
+    "handles",
+    [{"h2": 1.9, "h3": 2}, {"h2": 10, "h3": True}, {"counts": [1, 0, 11.0, 2, 1]}],
+)
+def test_handle_counts_refuses_non_integers(handles):
     """int() would truncate (1.9, 2) to (1, 2) and report (1, 0, 2, 2, 1)."""
-    cfg = family_configuration(3, 1)
-    with pytest.raises(InputTypeError):
-        full_blowdown_report(
-            ambient_for(cfg), cfg, delta=family_h1_witness(3, 1), handle_data=handles
-        )
+    with pytest.raises(InputTypeError, match="must be an integer"):
+        handle_counts(handles)
+
+
+@pytest.mark.parametrize(
+    "handles, message",
+    [
+        ({"counts": [1, 0, 11, 2, 1], "h2": 99, "hx": 1}, "unknown key 'h2'"),
+        ({"h2": 10, "h3": 2, "hx": 1}, "unknown key 'hx'"),
+        ({"h2": 10}, "missing key 'h3'"),
+        ([10, 2], "expected an object with h2, h3"),
+    ],
+)
+def test_handle_counts_reads_exactly_one_form(handles, message):
+    """A counts list beside a contradicting h2 is refused, not silently read."""
+    with pytest.raises(InputTypeError, match=message):
+        handle_counts(handles)

@@ -20,6 +20,7 @@ from rbdcalc.chains import (
     cp_gram,
     expected_square,
     lens_space_cf,
+    parse_configuration,
     standard_configuration,
     verify_cp_configuration,
 )
@@ -627,34 +628,41 @@ def test_pairings_refuse_a_class_of_another_lattice():
         cfg.pairings(AmbientLattice(5).h())
 
 
+def configuration_of(payload) -> CpConfiguration:
+    """A payload through the one reader, then the constructor, as the CLI builds one."""
+    p, classes = parse_configuration(payload)
+    return CpConfiguration(p=p, classes=classes)
+
+
 def test_json_round_trip(tmp_path):
     cfg = standard_configuration(5)
     payload = cfg.to_json()
     assert payload["p"] == 5
     assert payload["n"] == 4
-    assert CpConfiguration.from_json(payload) == cfg
+    assert configuration_of(payload) == cfg
     for key, bad in (("p", 5.0), ("n", True), ("p", "5")):
-        with pytest.raises(InputTypeError):
-            CpConfiguration.from_json({**payload, key: bad})
+        with pytest.raises(InputTypeError, match=f"{key} must be an integer"):
+            parse_configuration({**payload, key: bad})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
-    assert CpConfiguration.from_json(json.loads(path.read_text())) == cfg
+    assert configuration_of(json.loads(path.read_text())) == cfg
 
 
 @pytest.mark.parametrize(
     "payload, message",
     [
         ({"p": 2, "classes": [[0, 1]]}, "missing key 'n'"),
-        ({"p": 2, "n": 1, "classes": 5}, "malformed class data"),
+        ({"p": 2, "n": 1, "classes": 5}, "classes must be an array, got 5"),
         ({"p": 2, "n": 1, "classes": [5]}, "malformed class data"),
         ([2, 1, [[0, 1]]], "expected an object with p, n, classes"),
         ({"p": 3, "n": 2, "classes": [[0, 1, -1]]}, "C_3 needs exactly 2 classes, got 1"),
     ],
 )
 def test_from_json_schema_errors_are_package_errors(payload, message):
-    """One parser behind from_json and the CLI: no bare KeyError or TypeError."""
+    """One reader of configuration payloads, behind the CLI and the library:
+    no bare KeyError or TypeError."""
     with pytest.raises(RbdcalcError, match=message):
-        CpConfiguration.from_json(payload)
+        configuration_of(payload)
 
 
 def test_intersection_matrices():

@@ -109,8 +109,10 @@ def test_config_loaders_refuse_non_integer_coefficients(capsys, tmp_path, bad):
     [
         ({"p": 3, "n": 2, "classes": [[0, 1, -1]]}, "C_3 needs exactly 2 classes, got 1"),
         ({"p": 1, "n": 2, "classes": []}, "need p >= 2, got p = 1"),
-        ({"p": 2, "n": 1, "classes": 5}, "malformed class data: 'int' object is not iterable"),
+        ({"p": 2, "n": 1, "classes": [5]}, "malformed class data: 'int' object is not iterable"),
         ({"p": 2, "n": 1, "classes": ["ab"]}, "coefficient must be an integer, got 'a'"),
+        ({"p": 2, "n": 1, "classes": 5}, "classes must be an array, got 5"),
+        ({**json.loads(A3.read_text()), "note": "x"}, "unknown key 'note'"),
     ],
 )
 def test_config_schema_errors_exit_2(capsys, tmp_path, payload, message):
@@ -134,6 +136,42 @@ def test_config_schema_errors_exit_2(capsys, tmp_path, payload, message):
     stages = json.loads(out)["cases"][0]["stages"]
     assert list(stages) == ["load"]
     assert stages["load"]["status"] == "fail" and message in stages["load"]["error"]
+
+
+@pytest.mark.parametrize("case", FIXTURE_CASES, ids=lambda case: case.name)
+def test_every_fixture_passes_the_config_commands(capsys, case):
+    """The recorded fixture keys are read, not refused, by every config command."""
+    path = str(FIXTURES / f"{case.name}.json")
+    data = json.loads(Path(path).read_text())
+    k, h = json.dumps(data["K"]), json.dumps(data["H"])
+    sw = ["sw", "--config", path, "--K", k, "--H", h]
+    for argv in (["verify-config", path], ["blowdown", path], sw):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["input"]["config"] == data
+
+
+def test_benchmark_input_shapes_are_accepted(capsys, tmp_path):
+    """A {p, n, classes} chain file as the h1 workload writes it, and the
+    five-key template the stream workload searches."""
+    for p, n in ((5, 6), (7, 6)):
+        rows = standard_configuration(p, n).to_json()["classes"]
+        classes = signed_permutation(rows, [3, 1, 6, 2, 5, 4], [1, -1, -1, 1, 1, -1])
+        path = write_config(tmp_path, {"p": p, "n": n, "classes": classes})
+        code, out, err = run_cli(capsys, "verify-config", path)
+        assert (code, err, json.loads(out)["ok"]) == (0, "", True)
+        code, out, err = run_cli(capsys, "blowdown", path)
+        assert (code, err, json.loads(out)["h1"]["verdict"]) == (1, "", "nontrivial")
+    template = {
+        **question_template(7),
+        "body_shape": "consecutive-differences",
+        "symmetry_reduction": True,
+    }
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps(template, sort_keys=True))
+    code, out, err = run_cli(capsys, "search", "--template", str(path))
+    assert code == 0
+    assert len(out.splitlines()) == json.loads(err)["count"] == 3894
 
 
 def test_blowdown_with_explicit_witness(capsys):
@@ -1030,8 +1068,8 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, command, fault):
 
 
 # well-formed JSON that is no template: a misspelt key, which would otherwise
-# leave the symmetry reduction on unseen, a root that is not an object, and a
-# template without n
+# leave the symmetry reduction on unseen, a root that is not an object, a
+# template without n, values of another kind, and a chain that does not fit
 BAD_TEMPLATES = {
     "unknown key": (
         {"n": 4, "p": 3, "tail_bounds": 2, "symetry_reduction": False},
@@ -1039,6 +1077,27 @@ BAD_TEMPLATES = {
     ),
     "array root": ([1, 2], "expected an object with n, p, tail_bounds"),
     "missing key": ({"p": 3, "tail_bounds": 2}, "missing key 'n'"),
+    "body_shape as an integer": (
+        {"n": 4, "p": 3, "tail_bounds": 2, "body_shape": 3},
+        "body_shape must be a string, got 3",
+    ),
+    "symmetry_reduction as an integer": (
+        {"n": 4, "p": 3, "tail_bounds": 2, "symmetry_reduction": 1},
+        "symmetry_reduction must be true or false, got 1",
+    ),
+    "n as a boolean": ({"n": True, "p": 3, "tail_bounds": 2}, "n must be an integer, got True"),
+    "tail_bounds as a string": (
+        {"n": 4, "p": 3, "tail_bounds": "2"},
+        "tail_bounds must be an integer or an array, got '2'",
+    ),
+    "tail_bounds with a string entry": (
+        {"n": 4, "p": 3, "tail_bounds": [2, 2, "2", 2, 2]},
+        "tail_bounds entry must be an integer, got '2'",
+    ),
+    "chain does not fit": (
+        {"n": 2, "p": 5, "tail_bounds": 1},
+        "chain does not fit: rank p - 1 = 4 exceeds the negative rank n = 2",
+    ),
 }
 
 
@@ -1061,6 +1120,12 @@ BAD_RECORDED = {
     "no K": ("sw", {"K": None}, "missing key 'K'"),
     "no H": ("sw", {"H": None}, "missing key 'H'"),
     "K as an integer": ("sw", {"K": 5}, "K must be an array, got 5"),
+    "counts beside h2 and hx": (
+        "handles",
+        {"handles": {"counts": [1, 0, 11, 2, 1], "h2": 99, "hx": 1}},
+        "unknown key 'h2'",
+    ),
+    "h2 and h3 beside hx": ("handles", {"handles": {"h2": 10, "h3": 2, "hx": 1}}, "unknown key 'hx'"),
 }
 
 
@@ -1080,6 +1145,20 @@ def test_malformed_recorded_data_fails_its_stage_naming_the_key(tmp_path, fault)
     order = ["load", "verify", "blowdown", "handles", "sw"]
     assert sorted(case["stages"]) == sorted(order[: order.index(stage) + 1])
     assert case["stages"][stage] == {"status": "fail", "error": f"InputTypeError: {message}"}
+
+
+@pytest.mark.parametrize("command", ["verify-config", "blowdown", "sw"])
+def test_config_with_an_unknown_key_exits_2_with_one_line(tmp_path, command):
+    """Beside p, n and classes a configuration holds only the fixture keys."""
+    path = write_config(tmp_path, {**json.loads(A3.read_text()), "note": "x"})
+    argv = {
+        "verify-config": ["verify-config", path],
+        "blowdown": ["blowdown", path],
+        "sw": ["sw", "--config", path, "--K", "[1]", "--H", "[1]"],
+    }[command]
+    proc = run_cold(argv)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"rbdcalc: {path}: unknown key 'note'\n"
 
 
 def test_undecodable_fixture_fails_its_load_stage(tmp_path):
