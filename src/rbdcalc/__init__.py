@@ -25,9 +25,9 @@ _HOME = {
                      "orthogonal_complement_basis", "pairing", "square")),
         ("chains", ("ChainReport", "CpConfiguration", "lens_space_cf",
                     "standard_configuration", "verify_cp_configuration")),
-        ("blowdown", ("AmbientManifoldData", "BlowdownReport", "blowdown_invariants",
-                      "full_blowdown_report", "h1_certificate",
-                      "handle_counts_after_blowdown", "parity_and_homeo_type")),
+        ("blowdown", ("BlowdownReport", "blowdown_invariants", "full_blowdown_report",
+                      "h1_certificate", "handle_counts_after_blowdown",
+                      "parity_and_homeo_type")),
         ("sw", ("CharacteristicData", "PeriodPoint", "d_invariant", "lift_admissible",
                 "restriction_conditions", "sw_on_blowdown", "wall_crossing")),
         ("search", ("SearchTemplate", "estimate_search_space", "family_question_template",

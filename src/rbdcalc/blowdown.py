@@ -1,7 +1,10 @@
 """Invariants and certificates for the rational blowdown of a chain.
 
-Cutting out the configuration and gluing in the rational ball preserves b2+
-and removes p-1 negative classes, so on the level of homology the outcome is
+The ambient is CP^2 # n CPbar^2, a simply connected rational surface with
+b2+ = 1 whose lattice Z^{1,n} is the configuration's own: every stage takes
+the configuration alone and reads n and p from it. Cutting out the
+configuration and gluing in the rational ball preserves b2+ and removes
+p-1 negative classes, so on the level of homology the outcome is
 controlled by bookkeeping plus two certificates:
 
   * H1, decided exactly from the cokernel of the restriction map to the
@@ -22,40 +25,16 @@ from itertools import compress
 from math import gcd, prod
 
 from .chains import CpConfiguration
-from .errors import ConsistencyError, DomainError, LatticeMismatchError
+from .errors import ConsistencyError, DomainError
 from .lattice import (
-    AmbientLattice,
     ClassVector,
     dual_coefficients,
     orthogonal_complement_basis,
     strict_int,
     strict_object,
 )
-from .report import Record, Report
+from .report import Report
 from .snf import smith_normal_form
-
-
-class AmbientManifoldData(Record):
-    """The blown-up rational surface whose intersection lattice is Z^{1,n}."""
-
-    lattice: AmbientLattice
-    simply_connected: bool = True
-
-    @property
-    def b2_plus(self) -> int:
-        return 1
-
-    @property
-    def b2_minus(self) -> int:
-        return self.lattice.n
-
-    @property
-    def euler(self) -> int:
-        return self.lattice.n + 3
-
-    @property
-    def signature(self) -> int:
-        return 1 - self.lattice.n
 
 
 class BlowdownInvariants(Report):
@@ -70,9 +49,8 @@ class H1Certificate(Report):
 
     verdict is "trivial" (with a witness), "nontrivial" (H1 = Z/order,
     certified by restriction_divisors, the Smith normal form diagonal of the
-    restriction map) or "inconclusive" (a delta meeting neither condition,
-    or order > 1 in an ambient not known to be simply connected; order is
-    then None). condition 1 means the witness pairs 1 with the first class
+    restriction map) or "inconclusive" (a given delta meeting neither
+    condition). condition 1 means the witness pairs 1 with the first class
     and 0 with the rest; condition 2 means it pairs 0 with the body and
     coprime-to-p with the long class. order and restriction_divisors are
     None, and left out of the JSON, when only a given delta was tested.
@@ -105,20 +83,16 @@ class ParityReport(Report):
     witness_square: int | None
 
 
-def blowdown_invariants(x: AmbientManifoldData, cfg: CpConfiguration) -> BlowdownInvariants:
-    """Betti/Euler/signature bookkeeping for the blowdown of cfg inside x."""
-    if cfg.lattice != x.lattice:
-        raise LatticeMismatchError(
-            f"configuration lives in n = {cfg.lattice.n}, ambient has n = {x.lattice.n}"
-        )
-    b2_minus = x.b2_minus - (cfg.p - 1)
-    if b2_minus < 0:
-        raise DomainError("configuration rank exceeds the ambient negative part")
+def blowdown_invariants(cfg: CpConfiguration) -> BlowdownInvariants:
+    """Betti/Euler/signature bookkeeping for the blowdown of cfg: b2+ = 1
+    stays and b2- = n drops by the rank p - 1. A verified C_p spans a
+    negative-definite sublattice of Z^{1,n}, so p - 1 <= n."""
+    b2_minus = cfg.lattice.n - (cfg.p - 1)
     return BlowdownInvariants(
-        b2_plus=x.b2_plus,
+        b2_plus=1,
         b2_minus=b2_minus,
-        euler=2 + x.b2_plus + b2_minus,
-        signature=x.b2_plus - b2_minus,
+        euler=3 + b2_minus,
+        signature=1 - b2_minus,
     )
 
 
@@ -187,11 +161,7 @@ def _path_divisors(restriction: list[tuple[int, ...]]) -> tuple[int, ...] | None
     return (1,) * len(body) + (gcd(total, *rest),)
 
 
-def h1_certificate(
-    x: AmbientManifoldData,
-    cfg: CpConfiguration,
-    delta: ClassVector | None = None,
-) -> H1Certificate:
+def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1Certificate:
     """Decide the first homology of the blowdown, with a re-checkable certificate.
 
     With an explicit delta, only that class is tested: "trivial" if it meets
@@ -205,12 +175,9 @@ def h1_certificate(
     first +/-e_j meeting a condition, else the solution of
     r(x) = (0, ..., 0, 1) from the Smith normal form; it gets the same
     cfg.pairings test as a given delta, and failing it raises
-    ConsistencyError. A larger order is "nontrivial" in a simply connected
-    ambient (the formula needs H1 of the ambient to vanish) and
-    "inconclusive" otherwise.
+    ConsistencyError. A larger order is "nontrivial": the formula needs H1
+    of the ambient to vanish, and the rational surface is simply connected.
     """
-    if cfg.lattice != x.lattice:
-        raise LatticeMismatchError("configuration and ambient lattices differ")
     p = cfg.p
     order = divisors = coeffs = None
     if delta is None:
@@ -223,17 +190,17 @@ def h1_certificate(
         order = gcd(prod(divisors), p)
         if order > 1:
             return H1Certificate(
-                verdict="nontrivial" if x.simply_connected else "inconclusive",
+                verdict="nontrivial",
                 condition=None,
                 witness=None,
                 pairings=None,
-                order=order if x.simply_connected else None,
+                order=order,
                 restriction_divisors=divisors,
             )
         coeffs = _basis_witness(restriction, p)
         if coeffs is None:
             coeffs = (snf or smith_normal_form(restriction)).solve([0] * (p - 2) + [1])
-        delta = None if coeffs is None else x.lattice.vector(coeffs)
+        delta = None if coeffs is None else cfg.lattice.vector(coeffs)
     pair = None if delta is None else cfg.pairings(delta)
     cond = None if pair is None else _condition(pair, p)
     if cond is None and order == 1:
@@ -252,9 +219,7 @@ def h1_certificate(
 
 
 def parity_and_homeo_type(
-    x: AmbientManifoldData,
-    cfg: CpConfiguration,
-    h1: H1Certificate,
+    cfg: CpConfiguration, h1: H1Certificate
 ) -> tuple[ParityReport, str | None]:
     """Decide oddness of the blowdown's form and, if possible, its homeo type.
 
@@ -264,12 +229,12 @@ def parity_and_homeo_type(
     (sum x_i w_i)^2 = sum x_i w_i^2 (mod 2), so the complement is even
     exactly when every basis square is even, and the scan is complete.
 
-    The type is pinned down only from: ambient simply connected, h1 certified
-    trivial, b2+ = 1, odd form. Then the blowdown is homeomorphic to
-    CP^2 # k CPbar^2 with k the remaining negative rank.
+    The type is pinned down only from: h1 certified trivial (the ambient is
+    simply connected), b2+ = 1, odd form. Then the blowdown is homeomorphic
+    to CP^2 # k CPbar^2 with k the remaining negative rank.
     """
-    inv = blowdown_invariants(x, cfg)
-    if not x.simply_connected or h1.verdict != "trivial":
+    inv = blowdown_invariants(cfg)
+    if h1.verdict != "trivial":
         return ParityReport("inconclusive", None, None, None), None
     if inv.signature % 16 != 0:
         report = ParityReport("odd", "signature-mod-16", None, None)
@@ -308,7 +273,10 @@ def handle_counts(data: dict) -> tuple[int, int, int, int, int]:
         counts = strict_object(data, {"counts": list})["counts"]
         if len(counts) != 5:
             raise DomainError(f"recorded handle counts must be a full 5-tuple, got {len(counts)}")
-        return tuple(strict_int(v, "handle count") for v in counts)
+        counts = tuple(strict_int(v, "handle count") for v in counts)
+        if min(counts) < 0:
+            raise DomainError(f"handle counts must be nonnegative, got {list(counts)}")
+        return counts
     strict_object(data, {"h2": int, "h3": int})
     return handle_counts_after_blowdown(data["h2"], data["h3"])
 
@@ -324,13 +292,9 @@ class BlowdownReport(Report):
     handle_counts: tuple[int, int, int, int, int] | None = None
 
 
-def full_blowdown_report(
-    x: AmbientManifoldData,
-    cfg: CpConfiguration,
-    delta: ClassVector | None = None,
-) -> BlowdownReport:
+def full_blowdown_report(cfg: CpConfiguration, delta: ClassVector | None = None) -> BlowdownReport:
     """Run the whole certificate pipeline for one configuration."""
-    inv = blowdown_invariants(x, cfg)
-    h1 = h1_certificate(x, cfg, delta=delta)
-    parity, homeo = parity_and_homeo_type(x, cfg, h1)
+    inv = blowdown_invariants(cfg)
+    h1 = h1_certificate(cfg, delta=delta)
+    parity, homeo = parity_and_homeo_type(cfg, h1)
     return BlowdownReport(invariants=inv, h1=h1, parity=parity, homeo_type=homeo)

@@ -37,7 +37,6 @@ from .errors import (
     InputTypeError,
     InvalidConfigurationError,
     LatticeMismatchError,
-    RbdcalcError,
 )
 from .lattice import AmbientLattice, ClassVector, row_pairing, strict_object
 from .report import Record, Report
@@ -247,12 +246,10 @@ def parse_configuration(data) -> tuple[int, tuple[ClassVector, ...]]:
     """
     strict_object(data, {"p": int, "n": int, "classes": list}, _FIXTURE_KEYS)
     lat = AmbientLattice(data["n"])
-    try:
-        classes = tuple(lat.vector(row) for row in data["classes"])
-    except TypeError as exc:  # a class that is no sequence, such as 5
-        if isinstance(exc, RbdcalcError):
-            raise
-        raise InputTypeError(f"malformed class data: {exc}") from exc
+    for row in data["classes"]:
+        if type(row) is not list:
+            raise InputTypeError(f"classes entry must be an array, got {row!r}")
+    classes = tuple(map(lat.vector, data["classes"]))
     p = data["p"]
     if p < 2:
         raise DomainError(f"need p >= 2, got p = {p}")

@@ -135,14 +135,13 @@ def cmd_verify_config(args) -> int:
 
 
 def cmd_blowdown(args) -> int:
-    from .blowdown import AmbientManifoldData, full_blowdown_report
+    from .blowdown import full_blowdown_report
 
     data, cfg = _load_config(args.config)
-    x = AmbientManifoldData(cfg.lattice)
     delta = None
     if args.delta is not None:
         delta = _parse_vector(args.delta, cfg.lattice, "--delta")
-    report = full_blowdown_report(x, cfg, delta=delta)
+    report = full_blowdown_report(cfg, delta=delta)
     echo = {
         "command": "blowdown",
         "config_path": args.config,
@@ -154,14 +153,12 @@ def cmd_blowdown(args) -> int:
 
 
 def cmd_sw(args) -> int:
-    from .blowdown import AmbientManifoldData
     from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
 
     data, cfg = _load_config(args.config)
-    x = AmbientManifoldData(cfg.lattice)
     k = CharacteristicData(_parse_vector(args.K, cfg.lattice, "--K"))
     h = PeriodPoint(_parse_vector(args.H, cfg.lattice, "--H"))
-    outcome = sw_on_blowdown(x, cfg, k, h)
+    outcome = sw_on_blowdown(cfg, k, h)
     echo = {
         "command": "sw",
         "config_path": args.config,
@@ -259,7 +256,7 @@ def _parse_only(text: str) -> dict:
 
 def _reproduce_case(case, fixtures_root: Path) -> dict:
     """Run the whole pipeline for one fixture; record per-stage outcomes."""
-    from .blowdown import AmbientManifoldData, full_blowdown_report, handle_counts
+    from .blowdown import full_blowdown_report, handle_counts
     from .chains import CpConfiguration
     from .families import expected_negative_rank, family_h1_witness
     from .lattice import field
@@ -299,10 +296,9 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         return fail("verify", exc)
 
     lat = cfg.lattice
-    x = AmbientManifoldData(lat)
     try:
         delta = family_h1_witness(case.a, case.family)
-        report = full_blowdown_report(x, cfg, delta=delta)
+        report = full_blowdown_report(cfg, delta=delta)
         expected = f"CP^2 # {expected_negative_rank(case.a, case.family)} CPbar^2"
         stages["blowdown"] = {
             "status": "pass" if report.homeo_type == expected else "fail",
@@ -326,7 +322,7 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
     try:
         k = CharacteristicData(lat.vector(field(data, "K", list)))
         h = PeriodPoint(lat.vector(field(data, "H", list)))
-        outcome = sw_on_blowdown(x, cfg, k, h)
+        outcome = sw_on_blowdown(cfg, k, h)
         ok = outcome.value in (1, -1) and outcome.d == 0
         stages["sw"] = {
             "status": "pass" if ok else "fail",
@@ -334,7 +330,7 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         }
         if not ok:
             return result
-        negated = sw_on_blowdown(x, cfg, CharacteristicData(-k.k), h)
+        negated = sw_on_blowdown(cfg, CharacteristicData(-k.k), h)
         ok_neg = negated.value == -outcome.value
         stages["sw_negated"] = {
             "status": "pass" if ok_neg else "fail",

@@ -197,28 +197,17 @@ def dual_coefficients(x: ClassVector) -> tuple[int, ...]:
     return (x.coeffs[0], *map(neg, x.coeffs[1:]))
 
 
-def orthogonal_complement_basis(
-    classes: Sequence[ClassVector], lattice: AmbientLattice | None = None
-) -> list[ClassVector]:
+def orthogonal_complement_basis(classes: Sequence[ClassVector]) -> list[ClassVector]:
     """Basis of the sublattice orthogonal to every given class.
 
     The complement is the integer kernel of the pairing-functional matrix, so
     the result is a basis of a direct summand of rank (n+1) - rank(span).
-    Deterministic: inherits the fixed pivot rule of the normal form.
-
-    With no classes the complement is everything and the full standard basis
-    of `lattice` is returned; since an empty list names no ambient lattice,
-    omitting `lattice` then is an error.
+    Deterministic: inherits the fixed pivot rule of the normal form. The
+    classes name the lattice, so an empty list raises DomainError.
     """
     if not classes:
-        if lattice is None:
-            raise DomainError(
-                "need a lattice (or at least one class) to take a complement in"
-            )
-        return [lattice.basis_vector(i) for i in range(lattice.rank)]
+        raise DomainError("need at least one class to take a complement in")
     lat = classes[0].lattice
-    if lattice is not None and lattice != lat:
-        raise LatticeMismatchError("classes do not live in the given lattice")
     for c in classes[1:]:
         classes[0]._check(c)
     from .snf import kernel_basis

@@ -26,7 +26,7 @@ of a placement's representatives as one batch against its body; then each
 representative is expanded into its orbit. CpConfigurations are built only
 on request: search() builds every expanded hit through the constructor
 (which runs that check once per hit, and so takes no orbit premise on
-trust), and SearchHits.configurations does the same.
+trust).
 
 Everything is deterministic: placements, coordinate order, and value order
 are fixed, and results are sorted by their class coefficient tuples (body
@@ -422,18 +422,6 @@ def _inconsistent(exc: InvalidConfigurationError) -> ConsistencyError:
     return ConsistencyError(f"enumerated solution fails the Gram check: {exc}")
 
 
-def _configurations(p: int, lat: AmbientLattice, groups) -> list[CpConfiguration]:
-    """Each hit built by the CpConfiguration constructor, in group order."""
-    try:
-        return [
-            CpConfiguration(p, body + (ClassVector(lat, tail),))
-            for body, tails in groups
-            for tail in tails
-        ]
-    except InvalidConfigurationError as exc:
-        raise _inconsistent(exc) from exc
-
-
 class SearchHits(Record):
     """Every hit of one search as rows: one (body, tails) group per placement.
 
@@ -456,11 +444,6 @@ class SearchHits(Record):
         """Every hit's long-class row, in hit order."""
         return list(chain.from_iterable(map(itemgetter(1), self.groups)))
 
-    def configurations(self) -> list[CpConfiguration]:
-        """Every hit as a CpConfiguration, each built (and so checked again)
-        by the constructor."""
-        return _configurations(self.p, self.lattice, self.groups)
-
 
 def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
     """All chain configurations matching the template, as checked rows.
@@ -475,7 +458,7 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
     each hit is certified exactly. The check shares nothing with the
     enumerator's algebra, so a flip column on the body or a row it rejects
     is an enumerator bug and raises ConsistencyError. No CpConfiguration
-    is built; SearchHits.configurations builds them on request.
+    is built; search() builds them.
     """
     lat, orbits = _enumerate(template, cap)
     p = template.p
@@ -502,8 +485,14 @@ def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfigura
     sharing a body are adjacent.
     """
     lat, orbits = _enumerate(template, cap)
-    groups = [(body, _expand(flips, reps)) for body, flips, reps in orbits]
-    return _configurations(template.p, lat, groups)
+    try:
+        return [
+            CpConfiguration(template.p, body + (ClassVector(lat, tail),))
+            for body, flips, reps in orbits
+            for tail in _expand(flips, reps)
+        ]
+    except InvalidConfigurationError as exc:
+        raise _inconsistent(exc) from exc
 
 
 class FamilySearchReport(Record):
@@ -521,11 +510,6 @@ class FamilySearchReport(Record):
     @property
     def count(self) -> int:
         return self.hits.count
-
-    @property
-    def configurations(self) -> tuple[CpConfiguration, ...]:
-        """Every hit, built through the constructor on each access."""
-        return tuple(self.hits.configurations())
 
 
 FAMILY_QUESTION_KINDS = ("3-chain", "4-chain")

@@ -21,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .blowdown import AmbientManifoldData
 from .chains import CpConfiguration, cp_divisors, cp_scaled_inverse
 from .errors import ConsistencyError, LatticeMismatchError, PreconditionError
 from .lattice import ClassVector, is_characteristic, pairing
@@ -29,7 +28,7 @@ from .report import Record, Report
 
 
 class CharacteristicData(Record):
-    """A characteristic class on the ambient manifold."""
+    """A characteristic class on the ambient CP^2 # n CPbar^2."""
 
     k: ClassVector
 
@@ -39,10 +38,6 @@ class CharacteristicData(Record):
             raise PreconditionError(
                 f"class is not characteristic: coefficients at positions {even} are even"
             )
-
-    @property
-    def manifold(self) -> AmbientManifoldData:
-        return AmbientManifoldData(self.k.lattice)
 
 
 class PeriodPoint(Record):
@@ -62,9 +57,9 @@ class PeriodPoint(Record):
 
 
 def d_invariant(k: CharacteristicData) -> int:
-    """Expected dimension d = (K^2 - 2e - 3sigma)/4 of the ambient manifold."""
-    man = k.manifold
-    num = k.k.square() - 2 * man.euler - 3 * man.signature
+    """Expected dimension d = (K^2 - 2e - 3sigma)/4 on CP^2 # n CPbar^2,
+    n read from k's lattice: e = n + 3 and sigma = 1 - n give 2e + 3sigma = 9 - n."""
+    num = k.k.square() - (9 - k.k.lattice.n)
     if num % 4 != 0:
         raise ConsistencyError(f"dimension formula gives non-integer: {num}/4")
     return num // 4
@@ -195,26 +190,20 @@ class SwOutcome(Report):
     note: str | None
 
 
-def sw_on_blowdown(
-    x: AmbientManifoldData,
-    cfg: CpConfiguration,
-    k: CharacteristicData,
-    h: PeriodPoint,
-) -> SwOutcome:
+def sw_on_blowdown(cfg: CpConfiguration, k: CharacteristicData, h: PeriodPoint) -> SwOutcome:
     """Blowdown invariant of the descended class, evaluated in the H chamber.
 
-    Preconditions: everything shares one lattice, H is orthogonal to the
-    configuration (so its chamber survives the surgery), the lift is
-    admissible, and the blowdown's negative rank is at most 9 (which makes
-    the downstairs invariant a single well-defined number rather than a
-    chamber function). A nonzero value certifies nonvanishing downstairs;
-    with d = 0 that separates the blowdown from manifolds with vanishing
-    invariants, while for d > 0 the note records that nonvanishing alone is
-    not such a certificate.
+    Preconditions: the lift and H live in the configuration's lattice
+    (cfg.pairings raises LatticeMismatchError otherwise), H is orthogonal
+    to the configuration (so its chamber survives the surgery), the lift
+    is admissible, and the blowdown's negative rank is at most 9 (which
+    makes the downstairs invariant a single well-defined number rather
+    than a chamber function). A nonzero value certifies nonvanishing
+    downstairs; with d = 0 that separates the blowdown from manifolds with
+    vanishing invariants, while for d > 0 the note records that
+    nonvanishing alone is not such a certificate.
     """
-    if cfg.lattice != x.lattice or k.k.lattice != x.lattice or h.vector.lattice != x.lattice:
-        raise LatticeMismatchError("ambient, configuration, lift and period point must share a lattice")
-    b2_minus_after = x.b2_minus - (cfg.p - 1)
+    b2_minus_after = cfg.lattice.n - (cfg.p - 1)
     if b2_minus_after > 9:
         raise PreconditionError(
             f"b2- after blowdown is {b2_minus_after} > 9: the downstairs "
@@ -233,7 +222,7 @@ def sw_on_blowdown(
         )
     restr = restriction_conditions(k, cfg)
     d = d_invariant(k)
-    s_base = _sign(pairing(k.k, x.lattice.h()))
+    s_base = _sign(pairing(k.k, cfg.lattice.h()))
     s_target = _sign(pairing(k.k, h.vector))
     if d < 0:
         value, branch = 0, "negative-dimension"

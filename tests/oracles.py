@@ -79,7 +79,7 @@ def signed_permutation(rows, target: Sequence[int], signs: Sequence[int]) -> lis
     return out
 
 
-def h1_by_smith_normal_form(x, cfg) -> H1Certificate:
+def h1_by_smith_normal_form(cfg) -> H1Certificate:
     """The H1 certificate without a delta, read off one Smith normal form of
     the restriction map for every body: the route the closed form replaces."""
     p = cfg.p
@@ -89,15 +89,15 @@ def h1_by_smith_normal_form(x, cfg) -> H1Certificate:
     order = gcd(prod(divisors), p)
     if order > 1:
         return H1Certificate(
-            verdict="nontrivial" if x.simply_connected else "inconclusive",
+            verdict="nontrivial",
             condition=None,
             witness=None,
             pairings=None,
-            order=order if x.simply_connected else None,
+            order=order,
             restriction_divisors=divisors,
         )
     coeffs = _basis_witness(restriction, p) or snf.solve([0] * (p - 2) + [1])
-    witness = x.lattice.vector(coeffs)
+    witness = cfg.lattice.vector(coeffs)
     pairings = cfg.pairings(witness)
     return H1Certificate(
         verdict="trivial",

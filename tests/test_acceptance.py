@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 from rbdcalc import cli
-from rbdcalc.blowdown import AmbientManifoldData, full_blowdown_report, handle_counts
+from rbdcalc.blowdown import full_blowdown_report, handle_counts
 from rbdcalc.chains import (
     ChainViolation,
     lens_space_cf,
@@ -83,7 +83,6 @@ def test_criterion_3_invariant_values():
     start = time.perf_counter()
     for a, family in NINE_CASES:
         cfg = family_configuration(a, family)
-        x = AmbientManifoldData(lattice=cfg.lattice)
         k = CharacteristicData(family_lift(a, family))
         hv = family_period_point(a, family)
         assert hv.square() > 0
@@ -92,11 +91,11 @@ def test_criterion_3_invariant_values():
         if (a, family) == (3, 1):
             assert hv.square() == 25
         h = PeriodPoint(hv)
-        outcome = sw_on_blowdown(x, cfg, k, h)
+        outcome = sw_on_blowdown(cfg, k, h)
         assert outcome.value == 1
         assert outcome.d == 0
         assert outcome.base_value == 0
-        negated = sw_on_blowdown(x, cfg, CharacteristicData(-k.k), h)
+        negated = sw_on_blowdown(cfg, CharacteristicData(-k.k), h)
         assert negated.value == -1
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, elapsed
@@ -119,8 +118,7 @@ def test_criterion_4_homeomorphism_types():
     start = time.perf_counter()
     for a, family in NINE_CASES:
         cfg = family_configuration(a, family)
-        x = AmbientManifoldData(lattice=cfg.lattice)
-        report = full_blowdown_report(x, cfg, delta=family_h1_witness(a, family))
+        report = full_blowdown_report(cfg, delta=family_h1_witness(a, family))
         assert report.h1.verdict == "trivial"
         assert report.parity.verdict == "odd"
         assert report.parity.route == "signature-mod-16"
@@ -165,7 +163,7 @@ def test_criterion_6_open_range_probes():
         report = search_family_questions(a, "3-chain")
         assert report.count == count, (a, report.count)
         assert "homological only" in report.label
-        for cfg in report.configurations:
+        for cfg in search(report.template):
             assert verify_cp_configuration(cfg.classes, cfg.p).ok
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, (a, elapsed)

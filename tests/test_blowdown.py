@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import rbdcalc.blowdown as blowdown_module
 from rbdcalc.blowdown import (
-    AmbientManifoldData,
     H1Certificate,
     _condition,
     _path_divisors,
@@ -41,11 +40,7 @@ from rbdcalc.snf import smith_normal_form
 from oracles import h1_by_smith_normal_form, signed_permutation
 
 
-def ambient_for(cfg):
-    return AmbientManifoldData(lattice=cfg.lattice)
-
-
-def bounded_witness_scan(x, cfg, bound=3, max_support=4):
+def bounded_witness_scan(cfg, bound=3, max_support=4):
     """Reference oracle for the exact H1 decision: a bounded witness scan.
 
     Candidates in a fixed order (support size, then largest |coefficient|,
@@ -53,9 +48,9 @@ def bounded_witness_scan(x, cfg, bound=3, max_support=4):
     (condition, coefficients, pairings) of the first one meeting a
     triviality condition, or None when the box holds none.
     """
-    rank = x.lattice.rank
+    rank = cfg.lattice.rank
     basis_rows = [
-        tuple(pairing(x.lattice.basis_vector(j), u) for u in cfg.classes)
+        tuple(pairing(cfg.lattice.basis_vector(j), u) for u in cfg.classes)
         for j in range(rank)
     ]
     p = cfg.p
@@ -90,9 +85,8 @@ def bounded_witness_scan(x, cfg, bound=3, max_support=4):
 def assert_exact_route_agrees_with_scan(cfg, bound=3, max_support=4):
     """The exact decision never contradicts the bounded scan, and every
     witness it reports passes the pairing re-check."""
-    x = ambient_for(cfg)
-    cert = h1_certificate(x, cfg)
-    found = bounded_witness_scan(x, cfg, bound, max_support)
+    cert = h1_certificate(cfg)
+    found = bounded_witness_scan(cfg, bound, max_support)
     assert cert.verdict in ("trivial", "nontrivial")
     assert cert.restriction_divisors is not None
     assert cert.order == gcd(prod(cert.restriction_divisors), cfg.p)
@@ -110,7 +104,7 @@ def assert_exact_route_agrees_with_scan(cfg, bound=3, max_support=4):
         assert cert.condition in (1, 2)
         assert (_condition(pair, cfg.p), pair) == (cert.condition, cert.pairings)
         # the computed witness and a given delta end in the same re-check
-        given = h1_certificate(x, cfg, delta=cert.witness)
+        given = h1_certificate(cfg, delta=cert.witness)
         assert given.verdict == "trivial"
         assert (given.condition, given.pairings) == (cert.condition, cert.pairings)
     return cert
@@ -244,9 +238,9 @@ def test_body_off_the_path_shape_goes_through_the_smith_normal_form(monkeypatch,
     monkeypatch.setattr(
         blowdown_module, "smith_normal_form", lambda rows: calls.append(1) or smith_normal_form(rows)
     )
-    cert = h1_certificate(ambient_for(cfg), cfg)
+    cert = h1_certificate(cfg)
     assert calls
-    assert cert.to_json() == expected == h1_by_smith_normal_form(ambient_for(cfg), cfg).to_json()
+    assert cert.to_json() == expected == h1_by_smith_normal_form(cfg).to_json()
 
 
 def test_closed_form_matches_the_smith_route_on_probe_hits():
@@ -255,37 +249,25 @@ def test_closed_form_matches_the_smith_route_on_probe_hits():
     orders = []
     for kind, a in (("3-chain", 9), ("3-chain", 10), ("3-chain", 11), ("4-chain", 6)):
         for cfg in search(family_question_template(a, kind)):
-            x = ambient_for(cfg)
-            cert = h1_certificate(x, cfg)
-            assert cert.to_json() == h1_by_smith_normal_form(x, cfg).to_json()
+            cert = h1_certificate(cfg)
+            assert cert.to_json() == h1_by_smith_normal_form(cfg).to_json()
             orders.append((a, cert.order))
     assert len(orders) == 510
     assert [o for o in orders if o[1] != 1] == [(9, 3)] * 4
 
 
-def test_nontrivial_order_needs_a_simply_connected_ambient():
-    cfg = standard_configuration(5, n=6)
-    x = AmbientManifoldData(lattice=cfg.lattice, simply_connected=False)
-    cert = h1_certificate(x, cfg)
-    assert cert.verdict == "inconclusive"
-    assert cert.order is None
-    assert cert.restriction_divisors == (1, 1, 1, 5)
-    assert cert.to_json()["order"] is None
-    parity, homeo = parity_and_homeo_type(x, cfg, cert)
-    assert (parity.verdict, homeo) == ("inconclusive", None)
-
-
 def test_invariants_for_smallest_family_case():
+    """The ambient CP^2 # 11 CPbar^2 (b2- = 11, e = 14, sigma = -10) loses
+    the rank 2 of C_3."""
     cfg = family_configuration(3, 1)
-    x = ambient_for(cfg)
-    assert (x.b2_plus, x.b2_minus, x.euler, x.signature) == (1, 11, 14, -10)
-    inv = blowdown_invariants(x, cfg)
+    assert (cfg.lattice.n, cfg.p) == (11, 3)
+    inv = blowdown_invariants(cfg)
     assert (inv.b2_plus, inv.b2_minus, inv.euler, inv.signature) == (1, 9, 12, -8)
 
 
 def test_invariants_for_minimal_chain():
     cfg = standard_configuration(2, n=5)
-    inv = blowdown_invariants(ambient_for(cfg), cfg)
+    inv = blowdown_invariants(cfg)
     assert (inv.b2_plus, inv.b2_minus, inv.euler, inv.signature) == (1, 4, 7, -3)
 
 
@@ -294,21 +276,22 @@ def test_invariants_for_minimal_chain():
 )
 def test_invariant_identities(a, family):
     cfg = family_configuration(a, family)
-    inv = blowdown_invariants(ambient_for(cfg), cfg)
+    inv = blowdown_invariants(cfg)
     assert inv.euler == 2 + inv.b2_plus + inv.b2_minus
     assert inv.signature == inv.b2_plus - inv.b2_minus
     assert inv.b2_plus == 1
 
 
-def test_invariants_reject_foreign_configuration():
-    cfg = family_configuration(3, 1)
-    with pytest.raises(LatticeMismatchError):
-        blowdown_invariants(AmbientManifoldData(lattice=AmbientLattice(5)), cfg)
+@pytest.mark.parametrize("p", range(2, 13))
+def test_invariants_when_the_chain_fills_the_negative_part(p):
+    """At n = p - 1 only b2+ is left: the invariants of CP^2."""
+    inv = blowdown_invariants(standard_configuration(p))
+    assert (inv.b2_plus, inv.b2_minus, inv.euler, inv.signature) == (1, 0, 3, 1)
 
 
 def test_h1_first_condition_witness():
     cfg = family_configuration(3, 1)
-    cert = h1_certificate(ambient_for(cfg), cfg, delta=family_h1_witness(3, 1))
+    cert = h1_certificate(cfg, delta=family_h1_witness(3, 1))
     assert cert.verdict == "trivial"
     assert cert.condition == 1
     assert cert.pairings == (1, 0)
@@ -320,7 +303,7 @@ def test_h1_first_condition_witness():
 def test_h1_second_condition_witness():
     lat = AmbientLattice(4)
     cfg = CpConfiguration(2, (lat.vector([0, 1, 1, 1, 1]),))
-    cert = h1_certificate(AmbientManifoldData(lattice=lat), cfg, delta=lat.e(1))
+    cert = h1_certificate(cfg, delta=lat.e(1))
     assert cert.verdict == "trivial"
     assert cert.condition == 2
     assert cert.pairings == (-1,)
@@ -328,7 +311,7 @@ def test_h1_second_condition_witness():
 
 def test_h1_explicit_delta_can_be_inconclusive():
     cfg = standard_configuration(2)
-    cert = h1_certificate(ambient_for(cfg), cfg, delta=cfg.lattice.e(1))
+    cert = h1_certificate(cfg, delta=cfg.lattice.e(1))
     assert cert.verdict == "inconclusive"
     assert cert.condition is None
     assert cert.witness == cfg.lattice.e(1)
@@ -338,9 +321,10 @@ def test_h1_explicit_delta_can_be_inconclusive():
 
 
 def test_h1_search_never_certifies_even_chain():
-    """Every pairing with 2e_1 is even: H1 of the blowdown is Z/2."""
+    """Every pairing with 2e_1 is even: H1 of the blowdown is Z/2. The
+    standard C_5 in n = 6 gives Z/5 the same way."""
     cfg = standard_configuration(2)
-    cert = h1_certificate(ambient_for(cfg), cfg)
+    cert = h1_certificate(cfg)
     assert cert.verdict == "nontrivial"
     assert cert.witness is None
     assert cert.condition is None
@@ -348,11 +332,14 @@ def test_h1_search_never_certifies_even_chain():
     assert cert.order == 2
     assert cert.restriction_divisors == (2,)
     assert cert.to_json()["restriction_divisors"] == [2]
+    wider = h1_certificate(standard_configuration(5, n=6))
+    assert (wider.verdict, wider.order) == ("nontrivial", 5)
+    assert wider.restriction_divisors == (1, 1, 1, 5)
 
 
 def test_h1_search_finds_small_witness():
     cfg = family_configuration(3, 1)
-    cert = h1_certificate(ambient_for(cfg), cfg)
+    cert = h1_certificate(cfg)
     assert cert.verdict == "trivial"
     assert cert.condition == 2
     assert cert.witness == -cfg.lattice.e(1)
@@ -366,17 +353,16 @@ def test_h1_boundary_case_witness_from_the_solve():
     (two-term classes such as -(h + e_1) do), so the witness is the integer
     solution of r(x) = (0, ..., 0, 1)."""
     cfg = family_configuration(11, 1)
-    x = ambient_for(cfg)
-    formula = h1_certificate(x, cfg, delta=family_h1_witness(11, 1))
+    formula = h1_certificate(cfg, delta=family_h1_witness(11, 1))
     assert formula.verdict == "inconclusive"
     assert formula.pairings == (1,) + (0,) * 32 + (8,)
-    two_term = h1_certificate(x, cfg, delta=-(cfg.lattice.h() + cfg.lattice.e(1)))
+    two_term = h1_certificate(cfg, delta=-(cfg.lattice.h() + cfg.lattice.e(1)))
     assert (two_term.verdict, two_term.pairings[-1]) == ("trivial", -24)
     for j in range(cfg.lattice.rank):
         for sign in (-1, 1):
             e = sign * cfg.lattice.basis_vector(j)
-            assert h1_certificate(x, cfg, delta=e).verdict == "inconclusive"
-    exact = h1_certificate(x, cfg)
+            assert h1_certificate(cfg, delta=e).verdict == "inconclusive"
+    exact = h1_certificate(cfg)
     assert exact.verdict == "trivial"
     assert exact.condition == 2
     assert exact.order == 1
@@ -390,13 +376,13 @@ def test_h1_computed_witness_failing_the_recheck_raises(monkeypatch):
     cfg = family_configuration(3, 1)
     monkeypatch.setattr(blowdown_module, "_basis_witness", lambda rows, p: [0] * len(rows[0]))
     with pytest.raises(ConsistencyError, match="fails the re-check"):
-        h1_certificate(ambient_for(cfg), cfg)
+        h1_certificate(cfg)
 
 
 def test_h1_rejects_foreign_delta():
     cfg = family_configuration(3, 1)
     with pytest.raises(LatticeMismatchError):
-        h1_certificate(ambient_for(cfg), cfg, delta=AmbientLattice(5).e(1))
+        h1_certificate(cfg, delta=AmbientLattice(5).e(1))
 
 
 @pytest.mark.parametrize(
@@ -404,9 +390,8 @@ def test_h1_rejects_foreign_delta():
 )
 def test_parity_by_signature_and_homeo_type(a, family):
     cfg = family_configuration(a, family)
-    x = ambient_for(cfg)
-    h1 = h1_certificate(x, cfg, delta=family_h1_witness(a, family))
-    parity, homeo = parity_and_homeo_type(x, cfg, h1)
+    h1 = h1_certificate(cfg, delta=family_h1_witness(a, family))
+    parity, homeo = parity_and_homeo_type(cfg, h1)
     assert parity.verdict == "odd"
     assert parity.route == "signature-mod-16"
     assert homeo == f"CP^2 # {12 - a} CPbar^2"
@@ -415,8 +400,7 @@ def test_parity_by_signature_and_homeo_type(a, family):
 def test_parity_by_orthogonal_vector_at_boundary_case():
     """a=11 has signature 0 mod 16, so oddness needs an explicit class."""
     cfg = family_configuration(11, 1)
-    x = ambient_for(cfg)
-    parity, homeo = parity_and_homeo_type(x, cfg, h1_certificate(x, cfg))
+    parity, homeo = parity_and_homeo_type(cfg, h1_certificate(cfg))
     assert parity.verdict == "odd"
     assert parity.route == "odd-square-orthogonal-vector"
     assert parity.witness_square == -481
@@ -433,19 +417,9 @@ def test_parity_by_orthogonal_vector_at_boundary_case():
 
 def test_parity_inconclusive_without_h1():
     cfg = family_configuration(3, 1)
-    x = ambient_for(cfg)
-    h1 = h1_certificate(x, cfg, delta=x.lattice.h())
+    h1 = h1_certificate(cfg, delta=cfg.lattice.h())
     assert h1.verdict == "inconclusive"
-    parity, homeo = parity_and_homeo_type(x, cfg, h1)
-    assert parity.verdict == "inconclusive"
-    assert homeo is None
-
-
-def test_parity_inconclusive_without_simple_connectivity():
-    cfg = family_configuration(3, 1)
-    x = AmbientManifoldData(lattice=cfg.lattice, simply_connected=False)
-    h1 = H1Certificate("trivial", 1, None, None)
-    parity, homeo = parity_and_homeo_type(x, cfg, h1)
+    parity, homeo = parity_and_homeo_type(cfg, h1)
     assert parity.verdict == "inconclusive"
     assert homeo is None
 
@@ -454,8 +428,7 @@ def test_parity_can_stay_open():
     """A complement with only even squares yields no oddness certificate."""
     lat = AmbientLattice(2)
     cfg = CpConfiguration(2, (lat.vector([2, -2, -2]),))
-    x = AmbientManifoldData(lattice=lat)
-    parity, homeo = parity_and_homeo_type(x, cfg, H1Certificate("trivial", 2, None, None))
+    parity, homeo = parity_and_homeo_type(cfg, H1Certificate("trivial", 2, None, None))
     assert parity.verdict == "even-possible"
     assert parity.route is None
     assert homeo is None
@@ -464,8 +437,7 @@ def test_parity_can_stay_open():
 def test_homeo_type_without_remaining_negative_part():
     lat = AmbientLattice(1)
     cfg = CpConfiguration(2, (lat.vector([0, 2]),))
-    x = AmbientManifoldData(lattice=lat)
-    parity, homeo = parity_and_homeo_type(x, cfg, H1Certificate("trivial", 2, None, None))
+    parity, homeo = parity_and_homeo_type(cfg, H1Certificate("trivial", 2, None, None))
     assert parity.verdict == "odd"
     assert homeo == "CP^2"
 
@@ -480,8 +452,7 @@ def test_handle_counts():
 
 def test_full_report_wiring():
     cfg = family_configuration(3, 1)
-    x = ambient_for(cfg)
-    report = full_blowdown_report(x, cfg, delta=family_h1_witness(3, 1))
+    report = full_blowdown_report(cfg, delta=family_h1_witness(3, 1))
     assert report.invariants.b2_minus == 9
     assert report.h1.condition == 1
     assert report.parity.verdict == "odd"

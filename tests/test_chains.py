@@ -653,9 +653,11 @@ def test_json_round_trip(tmp_path):
     [
         ({"p": 2, "classes": [[0, 1]]}, "missing key 'n'"),
         ({"p": 2, "n": 1, "classes": 5}, "classes must be an array, got 5"),
-        ({"p": 2, "n": 1, "classes": [5]}, "malformed class data"),
+        ({"p": 2, "n": 1, "classes": [5]}, "classes entry must be an array, got 5"),
         ([2, 1, [[0, 1]]], "expected an object with p, n, classes"),
         ({"p": 3, "n": 2, "classes": [[0, 1, -1]]}, "C_3 needs exactly 2 classes, got 1"),
+        ({"p": 2, "n": 1, "classes": ["ab"]}, "classes entry must be an array, got 'ab'"),
+        ({"p": 2, "n": 1, "classes": [{"a": 1}]}, "classes entry must be an array, got {'a': 1}"),
     ],
 )
 def test_from_json_schema_errors_are_package_errors(payload, message):

@@ -109,10 +109,11 @@ def test_config_loaders_refuse_non_integer_coefficients(capsys, tmp_path, bad):
     [
         ({"p": 3, "n": 2, "classes": [[0, 1, -1]]}, "C_3 needs exactly 2 classes, got 1"),
         ({"p": 1, "n": 2, "classes": []}, "need p >= 2, got p = 1"),
-        ({"p": 2, "n": 1, "classes": [5]}, "malformed class data: 'int' object is not iterable"),
-        ({"p": 2, "n": 1, "classes": ["ab"]}, "coefficient must be an integer, got 'a'"),
+        ({"p": 2, "n": 1, "classes": [5]}, "classes entry must be an array, got 5"),
+        ({"p": 2, "n": 1, "classes": ["ab"]}, "classes entry must be an array, got 'ab'"),
         ({"p": 2, "n": 1, "classes": 5}, "classes must be an array, got 5"),
         ({**json.loads(A3.read_text()), "note": "x"}, "unknown key 'note'"),
+        ({"p": 2, "n": 1, "classes": [{"a": 1}]}, "classes entry must be an array, got {'a': 1}"),
     ],
 )
 def test_config_schema_errors_exit_2(capsys, tmp_path, payload, message):
@@ -1113,19 +1114,32 @@ def test_malformed_template_exits_2_with_one_line(tmp_path, fault):
 # edits of the recorded data of family1/a3 (None deletes the key): the stage
 # that reads the key and the error it fails with
 BAD_RECORDED = {
-    "handles without h3": ("handles", {"handles": {"h2": 10}}, "missing key 'h3'"),
-    "handles as an array": ("handles", {"handles": [1, 2]}, "handles must be an object, got [1, 2]"),
-    "counts as an integer": ("handles", {"handles": {"counts": 5}}, "counts must be an array, got 5"),
-    "h2 as a float": ("handles", {"handles": {"h2": 10.0, "h3": 2}}, "h2 must be an integer, got 10.0"),
-    "no K": ("sw", {"K": None}, "missing key 'K'"),
-    "no H": ("sw", {"H": None}, "missing key 'H'"),
-    "K as an integer": ("sw", {"K": 5}, "K must be an array, got 5"),
+    "handles without h3": ("handles", {"handles": {"h2": 10}}, "InputTypeError: missing key 'h3'"),
+    "handles as an array": (
+        "handles", {"handles": [1, 2]}, "InputTypeError: handles must be an object, got [1, 2]"
+    ),
+    "counts as an integer": (
+        "handles", {"handles": {"counts": 5}}, "InputTypeError: counts must be an array, got 5"
+    ),
+    "h2 as a float": (
+        "handles", {"handles": {"h2": 10.0, "h3": 2}}, "InputTypeError: h2 must be an integer, got 10.0"
+    ),
+    "no K": ("sw", {"K": None}, "InputTypeError: missing key 'K'"),
+    "no H": ("sw", {"H": None}, "InputTypeError: missing key 'H'"),
+    "K as an integer": ("sw", {"K": 5}, "InputTypeError: K must be an array, got 5"),
     "counts beside h2 and hx": (
         "handles",
         {"handles": {"counts": [1, 0, 11, 2, 1], "h2": 99, "hx": 1}},
-        "unknown key 'h2'",
+        "InputTypeError: unknown key 'h2'",
     ),
-    "h2 and h3 beside hx": ("handles", {"handles": {"h2": 10, "h3": 2, "hx": 1}}, "unknown key 'hx'"),
+    "h2 and h3 beside hx": (
+        "handles", {"handles": {"h2": 10, "h3": 2, "hx": 1}}, "InputTypeError: unknown key 'hx'"
+    ),
+    "negative counts": (
+        "handles",
+        {"handles": {"counts": [1, 0, -5, 2, 1]}},
+        "DomainError: handle counts must be nonnegative, got [1, 0, -5, 2, 1]",
+    ),
 }
 
 
@@ -1144,7 +1158,7 @@ def test_malformed_recorded_data_fails_its_stage_naming_the_key(tmp_path, fault)
     (case,) = json.loads(proc.stdout)["cases"]
     order = ["load", "verify", "blowdown", "handles", "sw"]
     assert sorted(case["stages"]) == sorted(order[: order.index(stage) + 1])
-    assert case["stages"][stage] == {"status": "fail", "error": f"InputTypeError: {message}"}
+    assert case["stages"][stage] == {"status": "fail", "error": message}
 
 
 @pytest.mark.parametrize("command", ["verify-config", "blowdown", "sw"])

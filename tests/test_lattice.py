@@ -202,18 +202,6 @@ def test_empty_complement_needs_a_lattice():
         orthogonal_complement_basis([])
 
 
-def test_empty_complement_in_named_lattice_is_full_basis():
-    lat = AmbientLattice(2)
-    basis = orthogonal_complement_basis([], lattice=lat)
-    assert [v.coeffs for v in basis] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-
-def test_complement_rejects_foreign_lattice():
-    lat = AmbientLattice(2)
-    with pytest.raises(LatticeMismatchError):
-        orthogonal_complement_basis([lat.e(1)], lattice=AmbientLattice(3))
-
-
 def test_json_round_trip():
     lat = AmbientLattice(2)
     x = lat.vector([5, -1, 2])

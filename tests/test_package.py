@@ -16,7 +16,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 A3 = REPO_ROOT / "src" / "rbdcalc" / "fixtures" / "family1" / "a3.json"
 
 EXPORTS = [
-    "AmbientLattice", "AmbientManifoldData", "BlowdownReport", "ChainReport",
+    "AmbientLattice", "BlowdownReport", "ChainReport",
     "CharacteristicData", "ClassVector", "CpConfiguration", "PeriodPoint",
     "SearchTemplate", "blowdown_invariants", "d_invariant", "estimate_search_space",
     "family_question_template", "full_blowdown_report", "h1_certificate",
@@ -126,6 +126,18 @@ def test_cold_verify_config_loads_no_blowdown_sw_search_or_families():
     } & set(loaded)
 
 
+def test_cold_sw_loads_no_blowdown_search_families_or_snf():
+    data = json.loads(A3.read_text())
+    argv = ["sw", "--config", str(A3), "--K", json.dumps(data["K"]), "--H", json.dumps(data["H"])]
+    code, *loaded = fresh(RUN_AND_LIST, *argv)
+    assert code == "0"
+    assert "rbdcalc.sw" in loaded
+    # the crossing needs only n and p of the configuration
+    assert not {
+        "rbdcalc.blowdown", "rbdcalc.search", "rbdcalc.families", "rbdcalc.snf"
+    } & set(loaded)
+
+
 # standard-library modules no cold command needs: dataclasses pulls in
 # inspect, and fractions is built only by sw
 NOT_LOADED = ("dataclasses", "inspect", "fractions")
@@ -180,6 +192,38 @@ def imports_of(top: str) -> list[str]:
             if any(name.split(".")[0] == top for name in names):
                 imports.append(f"{path.name}:{node.lineno}")
     return imports
+
+
+def unused_top_level_imports(source: str) -> list[str]:
+    """Names a module's top-level imports bind that no ast.Name in the
+    module reads; __future__ imports bind nothing to read."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds a
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_unused_import_finder_flags_only_unread_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nfrom x import a, b\n"
+        "def f():\n    import sys\n    return os.sep, a\n"
+    )
+    assert unused_top_level_imports(source) == ["j (line 3)", "b (line 4)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(rbdcalc.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_unused_top_level_imports(path):
+    assert unused_top_level_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_no_module_imports_dataclasses():

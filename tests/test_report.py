@@ -66,16 +66,15 @@ def test_every_field_is_encoded_under_its_own_name():
 
 def library_reports():
     """One instance of each report class, built by the library."""
-    from rbdcalc.blowdown import AmbientManifoldData, full_blowdown_report
+    from rbdcalc.blowdown import full_blowdown_report
     from rbdcalc.chains import verify_cp_configuration
     from rbdcalc.families import family_configuration, family_lift, family_period_point
     from rbdcalc.sw import CharacteristicData, PeriodPoint, sw_on_blowdown
 
     cfg = family_configuration(3, 1)
-    x = AmbientManifoldData(cfg.lattice)
-    blowdown = full_blowdown_report(x, cfg)
+    blowdown = full_blowdown_report(cfg)
     k, h = CharacteristicData(family_lift(3, 1)), PeriodPoint(family_period_point(3, 1))
-    outcome = sw_on_blowdown(x, cfg, k, h)
+    outcome = sw_on_blowdown(cfg, k, h)
     bad = verify_cp_configuration(cfg.classes[::-1], cfg.p)
     return (
         bad.violation, bad, blowdown.invariants, blowdown.h1, blowdown.parity, blowdown,

@@ -513,7 +513,12 @@ def test_search_hits_check_one_row_per_sign_orbit(monkeypatch, a, rows, count):
 def assert_rows_agree_with_search(template):
     hits = search_hits(template)
     configurations = search(template)
-    assert hits.configurations() == configurations
+    built = [
+        CpConfiguration(hits.p, body + (hits.lattice.vector(tail),))
+        for body, tails in hits.groups
+        for tail in tails
+    ]
+    assert built == configurations
     assert hits.tails() == [cfg.classes[-1].coeffs for cfg in configurations]
     assert hits.count == len(configurations)
     bodies = [body for body, _ in hits.groups]
@@ -558,7 +563,7 @@ def test_search_hits_build_no_configuration(monkeypatch):
     assert search_hits(template).count == 912
     assert search_family_questions(8, "3-chain").count == 912
     with pytest.raises(AssertionError):
-        search_hits(template).configurations()
+        search(template)
 
 
 def test_search_hits_check_a_passing_placement_as_one_batch(monkeypatch):
@@ -623,8 +628,9 @@ def test_question_probe_rediscovers_the_family():
     assert report.count == 20
     assert "homological only" in report.label
     model = family_configuration(11, 1)
-    assert model in report.configurations
-    for cfg in report.configurations:
+    configurations = search(report.template)
+    assert model in configurations
+    for cfg in configurations:
         assert verify_cp_configuration(cfg.classes, cfg.p).ok
 
 

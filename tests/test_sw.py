@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbdcalc.blowdown import AmbientManifoldData
 from rbdcalc.chains import (
     CpConfiguration,
     cp_det,
@@ -45,10 +44,9 @@ NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 
 def family_inputs(a, family):
     cfg = family_configuration(a, family)
-    x = AmbientManifoldData(lattice=cfg.lattice)
     k = CharacteristicData(family_lift(a, family))
     h = PeriodPoint(family_period_point(a, family))
-    return x, cfg, k, h
+    return cfg, k, h
 
 
 def test_dimension_examples():
@@ -282,8 +280,8 @@ def test_closed_forms_match_the_chain_gram_smith_form_and_det(p):
 
 @pytest.mark.parametrize("a, family", NINE_CASES)
 def test_pipeline_certifies_all_nine_cases(a, family):
-    x, cfg, k, h = family_inputs(a, family)
-    outcome = sw_on_blowdown(x, cfg, k, h)
+    cfg, k, h = family_inputs(a, family)
+    outcome = sw_on_blowdown(cfg, k, h)
     assert outcome.value == 1
     assert outcome.d == 0
     assert outcome.base_value == 0
@@ -295,15 +293,15 @@ def test_pipeline_certifies_all_nine_cases(a, family):
 
 @pytest.mark.parametrize("a, family", NINE_CASES)
 def test_pipeline_is_antisymmetric_in_the_class(a, family):
-    x, cfg, k, h = family_inputs(a, family)
-    negated = sw_on_blowdown(x, cfg, CharacteristicData(-k.k), h)
+    cfg, k, h = family_inputs(a, family)
+    negated = sw_on_blowdown(cfg, CharacteristicData(-k.k), h)
     assert negated.value == -1
     assert negated.branch == "negative-to-positive"
     assert negated.exotic_certificate
 
 
 def test_pipeline_value_is_chamber_independent():
-    x, cfg, k, h = family_inputs(3, 1)
+    cfg, k, h = family_inputs(3, 1)
     lat = cfg.lattice
     others = [
         PeriodPoint(5 * h.vector),
@@ -312,37 +310,49 @@ def test_pipeline_value_is_chamber_independent():
     for other in others:
         for u in cfg.classes:
             assert pairing(other.vector, u) == 0
-        assert sw_on_blowdown(x, cfg, k, other).value == 1
+        assert sw_on_blowdown(cfg, k, other).value == 1
 
 
 def test_pipeline_rejects_nonorthogonal_period_point():
-    x, cfg, k, _ = family_inputs(3, 1)
+    cfg, k, _ = family_inputs(3, 1)
     with pytest.raises(PreconditionError, match="not orthogonal"):
-        sw_on_blowdown(x, cfg, k, PeriodPoint(cfg.lattice.h()))
+        sw_on_blowdown(cfg, k, PeriodPoint(cfg.lattice.h()))
 
 
 def test_pipeline_rejects_inadmissible_lift():
-    x, cfg, _, h = family_inputs(3, 1)
+    cfg, _, h = family_inputs(3, 1)
     bad = CharacteristicData(cfg.lattice.vector([1] + [1] * 11))
     with pytest.raises(PreconditionError, match="does not descend"):
-        sw_on_blowdown(x, cfg, bad, h)
+        sw_on_blowdown(cfg, bad, h)
+
+
+def test_pipeline_rejects_a_lift_or_period_point_of_another_lattice():
+    """The lift and H are paired with the configuration, which refuses a
+    class of another lattice."""
+    cfg, k, h = family_inputs(3, 1)
+    other = AmbientLattice(cfg.lattice.n + 1)
+    foreign_k = CharacteristicData(other.vector(k.k.coeffs + (1,)))
+    foreign_h = PeriodPoint(other.vector(h.vector.coeffs + (0,)))
+    with pytest.raises(LatticeMismatchError, match="configuration in n = 11"):
+        sw_on_blowdown(cfg, foreign_k, h)
+    with pytest.raises(LatticeMismatchError, match="configuration in n = 11"):
+        sw_on_blowdown(cfg, k, foreign_h)
 
 
 def test_pipeline_rejects_large_remaining_negative_part():
     cfg = standard_configuration(2, n=11)
-    x = AmbientManifoldData(lattice=cfg.lattice)
     k = CharacteristicData(cfg.lattice.vector([1] + [1] * 11))
     with pytest.raises(PreconditionError, match="b2-"):
-        sw_on_blowdown(x, cfg, k, PeriodPoint(cfg.lattice.h()))
+        sw_on_blowdown(cfg, k, PeriodPoint(cfg.lattice.h()))
 
 
 def test_pipeline_negative_dimension_branch():
-    x, cfg, _, h = family_inputs(3, 1)
+    cfg, _, h = family_inputs(3, 1)
     lat = cfg.lattice
     k = CharacteristicData(lat.vector([3, -3, 1] + [-1] * 9))
     assert lift_admissible(k, cfg).ok
     assert d_invariant(k) == -2
-    outcome = sw_on_blowdown(x, cfg, k, h)
+    outcome = sw_on_blowdown(cfg, k, h)
     assert outcome.value == 0
     assert outcome.branch == "negative-dimension"
     assert not outcome.exotic_certificate
@@ -350,10 +360,10 @@ def test_pipeline_negative_dimension_branch():
 
 
 def test_pipeline_positive_dimension_without_crossing():
-    x, cfg, k, h = family_inputs(3, 1)
+    cfg, k, h = family_inputs(3, 1)
     shifted = CharacteristicData(k.k + 2 * h.vector)
     assert d_invariant(shifted) == 22
-    outcome = sw_on_blowdown(x, cfg, shifted, h)
+    outcome = sw_on_blowdown(cfg, shifted, h)
     assert outcome.value == 0
     assert outcome.branch == "no-crossing"
     assert outcome.note is None
