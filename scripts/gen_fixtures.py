@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rbdcalc.families import FAMILY_A_RANGE, FAMILY_NUMBERS, dump_fixture
+from rbdcalc.families import FIXTURE_CASES, dump_fixture
 
 
 def main() -> int:
@@ -27,17 +27,16 @@ def main() -> int:
 
     root = Path(__file__).resolve().parent.parent / "src" / "rbdcalc" / "fixtures"
     stale = []
-    for family in FAMILY_NUMBERS:
-        for a in FAMILY_A_RANGE[family]:
-            path = root / f"family{family}" / f"a{a}.json"
-            content = dump_fixture(a, family)
-            if args.check:
-                if not path.exists() or path.read_text(encoding="utf-8") != content:
-                    stale.append(path)
-                continue
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(content, encoding="utf-8")
-            print(f"wrote {path}")
+    for case in FIXTURE_CASES:
+        path = root / (case.name + ".json")
+        content = dump_fixture(case.a, case.family)
+        if args.check:
+            if not path.exists() or path.read_text(encoding="utf-8") != content:
+                stale.append(path)
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content, encoding="utf-8")
+        print(f"wrote {path}")
     if args.check:
         if stale:
             for path in stale:

@@ -5,7 +5,9 @@ Covers the 3-chain questions at a = 8..11 (the range where the published
 construction stops but nothing rules a configuration out) and the 4-chain
 questions at a = 3..6. Each line reports the parameters, the hit count, and
 the tail coefficients of every configuration found; the label field records
-that a hit is homological evidence only.
+that a hit is homological evidence only. The time each probe took goes to
+stderr, one JSON line {"a", "kind", "seconds"} per probe, so stdout is
+deterministic.
 
 The default boxes are the documented shaped bounds; pass --uniform B to use
 a uniform bound instead (slower, and at the top of the range possibly over
@@ -36,7 +38,6 @@ TAILS_CHUNK = 4096  # tails per write of a probe line
 
 def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dict:
     # the fifth slot is unused; perfbench/run.py still calls probe(a, kind, None, cap, 1)
-    started = time.perf_counter()
     try:
         if uniform is None:
             report = search_family_questions(a, kind, cap=cap)
@@ -61,7 +62,6 @@ def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dic
         "p": report.template.p,
         "count": report.count,
         "tails": report.hits.tails(),
-        "seconds": round(time.perf_counter() - started, 2),
     }
 
 
@@ -90,10 +90,13 @@ def main() -> int:
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
     args = parser.parse_args()
 
-    for a in range(8, 12):
-        write_row(probe(a, "3-chain", args.uniform, args.cap))
-    for a in range(3, 7):
-        write_row(probe(a, "4-chain", args.uniform, args.cap))
+    questions = [("3-chain", a) for a in range(8, 12)] + [("4-chain", a) for a in range(3, 7)]
+    for kind, a in questions:
+        started = time.perf_counter()
+        row = probe(a, kind, args.uniform, args.cap)
+        timing = {"kind": kind, "a": a, "seconds": round(time.perf_counter() - started, 2)}
+        write_row(row)
+        print(json.dumps(timing, sort_keys=True), file=sys.stderr)
     return 0
 
 

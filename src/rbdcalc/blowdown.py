@@ -247,9 +247,12 @@ def parity_and_homeo_type(
                 break
         if report is None:
             return ParityReport("even-possible", None, None, None), None
-    if inv.b2_minus == 0:
-        return report, "CP^2"
-    return report, f"CP^2 # {inv.b2_minus} CPbar^2"
+    return report, homeo_type(inv.b2_minus)
+
+
+def homeo_type(b2_minus: int) -> str:
+    """The name of CP^2 # k CPbar^2 for k = b2_minus; k = 0 is CP^2."""
+    return f"CP^2 # {b2_minus} CPbar^2" if b2_minus else "CP^2"
 
 
 def handle_counts_after_blowdown(h2: int, h3: int) -> tuple[int, int, int, int, int]:

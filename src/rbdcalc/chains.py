@@ -279,10 +279,6 @@ class CpConfiguration(Record):
     def lattice(self) -> AmbientLattice:
         return self.classes[0].lattice
 
-    @property
-    def rank(self) -> int:
-        return self.p - 1
-
     def pairings(self, x: ClassVector) -> tuple[int, ...]:
         """The restriction map to the chain: r(x) = (x.u_1, ..., x.u_{p-1})."""
         if x.lattice != self.lattice:
@@ -339,18 +335,12 @@ def cp_scaled_inverse(p: int, k: Sequence[int]) -> list[int]:
 def lens_space_cf(p: int) -> list[int]:
     """Negative continued fraction of p^2/(p-1): the surgery weights of the boundary.
 
-    Computed by the standard recursion (x, y) -> (y, ceil(x/y)*y - x); for
-    this family the result is [p+2, 2, ..., 2] with p-2 twos.
+    p^2/(p-1) = (p+2) - (p-2)/(p-1), and [2, ..., 2] with k twos is
+    (k+1)/k, so the weights are [p+2, 2, ..., 2] with p-2 twos.
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got p = {p}")
-    num, den = p * p, p - 1
-    out = []
-    while den:
-        q = -(-num // den)
-        out.append(q)
-        num, den = den, q * den - num
-    return out
+    return [p + 2] + [2] * (p - 2)
 
 
 def standard_configuration(p: int, n: int | None = None) -> CpConfiguration:

@@ -255,8 +255,14 @@ def _parse_only(text: str) -> dict:
 
 
 def _reproduce_case(case, fixtures_root: Path) -> dict:
-    """Run the whole pipeline for one fixture; record per-stage outcomes."""
-    from .blowdown import full_blowdown_report, handle_counts
+    """Run one fixture through load, verify, blowdown, handles and sw.
+
+    The stages run in order and record their outcomes; the first that fails
+    or raises ends the case, and the case passes when the negated lift's
+    value is the negative of the sw value. A stage that raises is recorded
+    as {"status": "fail", "error": "<Type>: <message>"}.
+    """
+    from .blowdown import full_blowdown_report, handle_counts, homeo_type
     from .chains import CpConfiguration
     from .families import expected_negative_rank, family_h1_witness
     from .lattice import field
@@ -265,7 +271,7 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
     stages: dict[str, dict] = {}
     # echoed relative to the fixtures root, so the bytes do not depend on
     # where the package or the fixtures live
-    rel = f"family{case.family}/a{case.a}.json"
+    rel = case.name + ".json"
     path = fixtures_root / rel
     echo = {
         "command": "reproduce-paper",
@@ -276,30 +282,19 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         "fixture": None,
     }
     result = _certificate(echo, {"case": case.name, "stages": stages, "pass": False})
-
-    def fail(stage: str, exc: Exception) -> dict:
-        stages[stage] = {"status": "fail", "error": f"{type(exc).__name__}: {exc}"}
-        return result
-
+    stage = "load"
     try:
         data, p, classes = _parse_config(str(path))
         echo["fixture"] = data
         stages["load"] = {"status": "pass", "file": rel}
-    except UsageError as exc:
-        # named by rel, as the echo does, wherever the fixtures root lives
-        return fail("load", UsageError(str(exc).replace(str(path), rel)))
 
-    try:
+        stage = "verify"
         cfg = CpConfiguration(p=p, classes=classes)
         stages["verify"] = {"status": "pass", "report": cfg.report().to_json()}
-    except RbdcalcError as exc:
-        return fail("verify", exc)
 
-    lat = cfg.lattice
-    try:
-        delta = family_h1_witness(case.a, case.family)
-        report = full_blowdown_report(cfg, delta=delta)
-        expected = f"CP^2 # {expected_negative_rank(case.a, case.family)} CPbar^2"
+        stage = "blowdown"
+        report = full_blowdown_report(cfg, delta=family_h1_witness(case.a, case.family))
+        expected = homeo_type(expected_negative_rank(case.a, case.family))
         stages["blowdown"] = {
             "status": "pass" if report.homeo_type == expected else "fail",
             "expected_type": expected,
@@ -307,43 +302,34 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         }
         if report.homeo_type != expected:
             return result
-    except RbdcalcError as exc:
-        return fail("blowdown", exc)
 
-    if data.get("handles") is None:
-        stages["handles"] = {"status": "skipped", "reason": "no handle data recorded"}
-    else:
-        try:
+        stage = "handles"
+        if data.get("handles") is None:
+            stages["handles"] = {"status": "skipped", "reason": "no handle data recorded"}
+        else:
             counts = handle_counts(field(data, "handles", dict))
             stages["handles"] = {"status": "pass", "counts": list(counts)}
-        except RbdcalcError as exc:
-            return fail("handles", exc)
 
-    try:
-        k = CharacteristicData(lat.vector(field(data, "K", list)))
-        h = PeriodPoint(lat.vector(field(data, "H", list)))
+        stage = "sw"  # the negated lift's errors are recorded here too
+        k = CharacteristicData(cfg.lattice.vector(field(data, "K", list)))
+        h = PeriodPoint(cfg.lattice.vector(field(data, "H", list)))
         outcome = sw_on_blowdown(cfg, k, h)
-        ok = outcome.value in (1, -1) and outcome.d == 0
         stages["sw"] = {
-            "status": "pass" if ok else "fail",
+            "status": "pass" if outcome.exotic_certificate else "fail",
             "outcome": outcome.to_json(),
         }
-        if not ok:
+        if not outcome.exotic_certificate:
             return result
         negated = sw_on_blowdown(cfg, CharacteristicData(-k.k), h)
-        ok_neg = negated.value == -outcome.value
+        result["pass"] = negated.value == -outcome.value
         stages["sw_negated"] = {
-            "status": "pass" if ok_neg else "fail",
+            "status": "pass" if result["pass"] else "fail",
             "value": negated.value,
         }
-        if not ok_neg:
-            return result
-    except RbdcalcError as exc:
-        return fail("sw", exc)
-
-    result["pass"] = all(
-        s.get("status") in ("pass", "skipped") for s in stages.values()
-    )
+    except (UsageError, RbdcalcError) as exc:
+        # a load error names the fixture as the echo does, wherever the root lives
+        error = f"{type(exc).__name__}: {exc}".replace(str(path), rel)
+        stages[stage] = {"status": "fail", "error": error}
     return result
 
 

@@ -179,6 +179,8 @@ class FixtureCase(Record):
 
     @property
     def name(self) -> str:
+        """The case's name, and its fixture's path under the fixtures root
+        without the .json suffix."""
         return f"family{self.family}/a{self.a}"
 
 

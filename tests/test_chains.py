@@ -138,7 +138,6 @@ def test_constructor_rejects_bad_configuration():
 
 def test_constructor_accepts_good_configuration():
     cfg = CpConfiguration(p=3, classes=tuple(family_classes(3, 1)))
-    assert cfg.rank == 2
     assert cfg.lattice == AmbientLattice(11)
     assert cfg.report() == verify_cp_configuration(cfg.classes, 3)
 

@@ -646,6 +646,58 @@ def test_reproduce_fails_handles_with_a_short_counts_list(capsys, tmp_path, coun
     }
 
 
+def reproduce_edited_a3(capsys, tmp_path, edit):
+    """reproduce-paper on family1/a3 after edit(data) in a copy of the fixtures."""
+    root = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, root)
+    target = root / "family1" / "a3.json"
+    data = json.loads(target.read_text())
+    edit(data)
+    target.write_text(json.dumps(data))
+    code, out, _ = run_cli(
+        capsys, "reproduce-paper", "--only", "a=3,family=1", "--fixtures", str(root)
+    )
+    (case,) = json.loads(out)["cases"]
+    return code, case
+
+
+def test_reproduce_fails_blowdown_when_the_type_is_not_pinned_down(capsys, tmp_path):
+    """With e_1 and e_10 swapped the chain still verifies, but the family
+    witness certifies nothing, so no type is pinned down and the case ends
+    at blowdown."""
+
+    def swap(data):
+        for row in [*data["classes"], data["K"], data["H"]]:
+            row[1], row[10] = row[10], row[1]
+
+    code, case = reproduce_edited_a3(capsys, tmp_path, swap)
+    assert (code, case["pass"]) == (1, False)
+    stages = case["stages"]
+    assert sorted(stages) == ["blowdown", "load", "verify"]
+    assert stages["verify"]["status"] == "pass"
+    blowdown = stages["blowdown"]
+    assert (blowdown["status"], blowdown["expected_type"]) == ("fail", "CP^2 # 9 CPbar^2")
+    assert blowdown["report"]["h1"]["verdict"] == "inconclusive"
+    assert blowdown["report"]["homeo_type"] is None
+
+
+def test_reproduce_fails_sw_on_a_lift_of_negative_dimension(capsys, tmp_path):
+    """A lift with d = -2 descends but its invariant vanishes: sw fails and
+    the negated lift is not run."""
+
+    def lift(data):
+        data["K"] = [3, -3, 1] + [-1] * 9
+
+    code, case = reproduce_edited_a3(capsys, tmp_path, lift)
+    assert (code, case["pass"]) == (1, False)
+    stages = case["stages"]
+    assert sorted(stages) == ["blowdown", "handles", "load", "sw", "verify"]
+    assert [stages[s]["status"] for s in ("load", "verify", "blowdown", "handles")] == ["pass"] * 4
+    outcome = stages["sw"]["outcome"]
+    assert stages["sw"]["status"] == "fail"
+    assert (outcome["d"], outcome["value"], outcome["exotic_certificate"]) == (-2, 0, False)
+
+
 # configurations the golden runs read from their working directory, written from the library
 GENERATED_CONFIGS = {
     "family1_a11.json": lambda: family_configuration(11, 1).to_json(),

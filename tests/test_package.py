@@ -242,12 +242,19 @@ def test_no_module_imports_typing():
 
 def test_probe_script_runs_cold():
     """The open-range probe script imports rbdcalc.search directly; its
-    eight questions in uniform boxes of bound 1 each print an ok row."""
+    eight questions in uniform boxes of bound 1 each print an ok row with
+    no wall time, and stderr holds one timing line per question."""
     proc = subprocess.run(
         [sys.executable, str(REPO_ROOT / "scripts" / "probe_open_range.py"), "--uniform", "1"],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
     )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert [json.loads(row)["status"] for row in proc.stdout.splitlines()] == ["ok"] * 8
+    assert proc.returncode == 0
+    rows = [json.loads(row) for row in proc.stdout.splitlines()]
+    assert [(row["status"], "seconds" in row) for row in rows] == [("ok", False)] * 8
+    timings = [json.loads(line) for line in proc.stderr.splitlines()]
+    questions = [("3-chain", a) for a in range(8, 12)] + [("4-chain", a) for a in range(3, 7)]
+    assert [(t.pop("kind"), t.pop("a"), list(t)) for t in timings] == [
+        (kind, a, ["seconds"]) for kind, a in questions
+    ]
