@@ -8,9 +8,9 @@ p-1 negative classes, so on the level of homology the outcome is
 controlled by bookkeeping plus two certificates:
 
   * H1, decided exactly from the cokernel of the restriction map to the
-    configuration, with a witness class when it vanishes: one gcd when the
-    body is a signed path of e-differences (every search hit and bundled
-    family), else one Smith normal form;
+    configuration: its order is one gcd, gcd(p, content(sum_i i u_i)), for
+    every body, and when it vanishes a witness class comes from a basis
+    vector or, failing that, one Smith normal form;
   * parity: either the signature obstruction (an even closed simply
     connected 4-manifold has signature divisible by 16) or an explicit
     odd-square class orthogonal to the configuration.
@@ -21,8 +21,7 @@ is a `report.Report`: its JSON is its fields under their own names.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import compress
-from math import gcd, prod
+from math import gcd
 
 from .chains import CpConfiguration
 from .errors import ConsistencyError, DomainError
@@ -34,7 +33,6 @@ from .lattice import (
     strict_object,
 )
 from .report import Report
-from .snf import smith_normal_form
 
 
 class BlowdownInvariants(Report):
@@ -48,8 +46,9 @@ class H1Certificate(Report):
     """Verdict on the first homology of the blowdown.
 
     verdict is "trivial" (with a witness), "nontrivial" (H1 = Z/order,
-    certified by restriction_divisors, the Smith normal form diagonal of the
-    restriction map) or "inconclusive" (a given delta meeting neither
+    certified by restriction_divisors = (1, ..., 1, order), the invariant
+    factors of the restriction map's cokernel, in closed form: see
+    h1_certificate) or "inconclusive" (a given delta meeting neither
     condition). condition 1 means the witness pairs 1 with the first class
     and 0 with the rest; condition 2 means it pairs 0 with the body and
     coprime-to-p with the long class. order and restriction_divisors are
@@ -115,52 +114,6 @@ def _basis_witness(restriction: list[tuple[int, ...]], p: int) -> list[int] | No
     return None
 
 
-def _path_divisors(restriction: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """The Smith diagonal (1, ..., 1, g) of r when the body is a signed path, else None.
-
-    A signed path: every body row has h-coefficient 0 and two nonzero
-    e-coefficients, each +/-1, row i on the indices {x_i, x_{i+1}} with
-    x_1, ..., x_{p-1} distinct; p = 2 has an empty body. The body map is then
-    onto Z^{p-2} (triangular with unit diagonal on x_2, ..., x_{p-1}), and its
-    kernel is spanned by h, each e_k off the path and sum_j sigma_j e_{x_j},
-    with sigma_1 = 1 and sigma_{j+1} = -u_j[x_j] u_j[x_{j+1}] sigma_j. So
-    coker r = Z/g, g the gcd of the long class's functional on that kernel.
-    """
-    *body, long_row = restriction
-    indices = range(len(long_row))
-    supports = []
-    for row in body:
-        support = list(compress(indices, row))
-        if len(support) != 2 or support[0] == 0:
-            return None
-        a, b = support
-        if abs(row[a]) != 1 or abs(row[b]) != 1:
-            return None
-        supports.append(support)
-    rest = list(long_row)
-    total = 0
-    if body:
-        # x_1 is the index of row 1 that row 2 does not share
-        x, y = supports[0]
-        if len(body) > 1 and x in supports[1]:
-            x = y
-        path = {x}
-        total, sign = long_row[x], 1
-        for row, (a, b) in zip(body, supports):
-            if x not in (a, b):
-                return None
-            y = a + b - x
-            if y in path:
-                return None
-            path.add(y)
-            sign = -row[x] * row[y] * sign
-            total += sign * long_row[y]
-            x = y
-        for x in path:
-            rest[x] = 0
-    return (1,) * len(body) + (gcd(total, *rest),)
-
-
 def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1Certificate:
     """Decide the first homology of the blowdown, with a re-checkable certificate.
 
@@ -168,26 +121,32 @@ def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1
     a condition, else "inconclusive". Otherwise the answer is exact: the
     complement of C_p has H1 = coker r for the restriction map
     r(x) = (x.u_1, ..., x.u_{p-1}), and gluing in the rational ball (H1 = Z/p)
-    leaves H1 = Z/gcd(|coker r|, p) (Fintushel-Stern, JDG 1997). When the
-    body is a signed path (see _path_divisors) the cokernel is Z/g for one
-    gcd g and the divisors are (1, ..., 1, g); otherwise they are the
-    diagonal of one Smith normal form of r. At order 1 the witness is the
-    first +/-e_j meeting a condition, else the solution of
-    r(x) = (0, ..., 0, 1) from the Smith normal form; it gets the same
-    cfg.pairings test as a given delta, and failing it raises
+    leaves H1 = Z/gcd(|coker r|, p) (Fintushel-Stern, JDG 1997).
+
+    The cokernel has a closed form. Let S be the span of the classes in the
+    unimodular Z^{1,n} and S_sat its saturation. Every functional on the
+    primitive S_sat extends, so coker r = S_sat/S, a subgroup of the
+    discriminant group S*/S = Z/p^2: cyclic, of an order m with
+    m^2 |disc S_sat| = |disc S| = p^2, so m | p and the divisors are
+    (1, ..., 1, m). A glue vector (sum c_i u_i)/m pairs integrally with S,
+    so Qc = 0 (mod m) for the chain's Gram matrix Q: the body rows, with
+    c_0 = 0, give c = c_1 (1, 2, ..., p-1) (mod m), and the long row then
+    reads -c_1 p^2 = 0. So m is the largest divisor of p dividing every
+    coordinate of v = sum_i i u_i, that is gcd(p, content(v)), and H1 has
+    that order.
+
+    At order 1 the witness is the first +/-e_j meeting a condition, else the
+    solution of r(x) = (0, ..., 0, 1) from one Smith normal form of r; it
+    gets the same cfg.pairings test as a given delta, and failing it raises
     ConsistencyError. A larger order is "nontrivial": the formula needs H1
     of the ambient to vanish, and the rational surface is simply connected.
     """
     p = cfg.p
     order = divisors = coeffs = None
     if delta is None:
-        restriction = [dual_coefficients(u) for u in cfg.classes]
-        divisors = _path_divisors(restriction)
-        snf = None
-        if divisors is None:
-            snf = smith_normal_form(restriction)
-            divisors = snf.diagonal
-        order = gcd(prod(divisors), p)
+        columns = zip(*(u.coeffs for u in cfg.classes))
+        order = gcd(p, *(sum(i * c for i, c in enumerate(col, 1)) for col in columns))
+        divisors = (1,) * (p - 2) + (order,)
         if order > 1:
             return H1Certificate(
                 verdict="nontrivial",
@@ -197,9 +156,12 @@ def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1
                 order=order,
                 restriction_divisors=divisors,
             )
+        restriction = [dual_coefficients(u) for u in cfg.classes]
         coeffs = _basis_witness(restriction, p)
         if coeffs is None:
-            coeffs = (snf or smith_normal_form(restriction)).solve([0] * (p - 2) + [1])
+            from .snf import smith_normal_form
+
+            coeffs = smith_normal_form(restriction).solve([0] * (p - 2) + [1])
         delta = None if coeffs is None else cfg.lattice.vector(coeffs)
     pair = None if delta is None else cfg.pairings(delta)
     cond = None if pair is None else _condition(pair, p)

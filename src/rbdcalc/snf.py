@@ -11,8 +11,8 @@ pivot rule, which makes every output byte-for-byte reproducible:
 """
 from __future__ import annotations
 
-
 from .errors import ConsistencyError
+from .lattice import strict_int
 from .report import Record
 
 Matrix = list[list[int]]
@@ -73,8 +73,11 @@ class SNFResult(Record):
 
 
 def smith_normal_form(mat: list[list[int]] | tuple) -> SNFResult:
-    """Smith normal form with transforms, deterministic under the fixed pivot rule."""
-    a = [list(map(int, row)) for row in mat]
+    """Smith normal form with transforms, deterministic under the fixed pivot rule.
+
+    Every entry must be an int: a bool, float, str or anything else raises
+    InputTypeError rather than being read through int()."""
+    a = [[strict_int(x, "matrix entry") for x in row] for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):

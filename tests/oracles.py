@@ -79,6 +79,20 @@ def signed_permutation(rows, target: Sequence[int], signs: Sequence[int]) -> lis
     return out
 
 
+def cremona(rows, i: int, j: int, k: int) -> list[list[int]]:
+    """Rows reflected in c = h - e_i - e_j - e_k, of square -2: the isometry
+    x -> x + (x.c) c, with x.c = x_0 + x_i + x_j + x_k."""
+    out = []
+    for row in rows:
+        t = row[0] + row[i] + row[j] + row[k]
+        new = list(row)
+        new[0] += t
+        for idx in (i, j, k):
+            new[idx] -= t
+        out.append(new)
+    return out
+
+
 def h1_by_smith_normal_form(cfg) -> H1Certificate:
     """The H1 certificate without a delta, read off one Smith normal form of
     the restriction map for every body: the route the closed form replaces."""

@@ -4,14 +4,14 @@ from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbdcalc.blowdown as blowdown_module
+import rbdcalc.snf as snf_module
 from rbdcalc.blowdown import (
     H1Certificate,
     _condition,
-    _path_divisors,
     blowdown_invariants,
     full_blowdown_report,
     h1_certificate,
@@ -37,7 +37,7 @@ from rbdcalc.lattice import AmbientLattice, pairing
 from rbdcalc.search import family_question_template, search
 from rbdcalc.snf import smith_normal_form
 
-from oracles import h1_by_smith_normal_form, signed_permutation
+from oracles import cremona, h1_by_smith_normal_form, signed_permutation
 
 
 def bounded_witness_scan(cfg, bound=3, max_support=4):
@@ -129,17 +129,27 @@ def test_exact_h1_agrees_with_scan_on_standard_chains(cfg):
     assert (cert.verdict, cert.order) == ("nontrivial", cfg.p)
 
 
-def _scan_cases():
-    cases = [pytest.param(2, [[0, 2]], id="p2-even")]
-    cases.append(pytest.param(2, [[1, 1, 1, 1, 1, 1]], id="p2-through-h"))
+def _valid_family_cases():
+    """(family, a, configuration) for every family parameter whose classes verify."""
+    cases = []
     for family in (1, 2):
         for a in range(3, 12):
             try:
-                cfg = family_configuration(a, family)
+                cases.append((family, a, family_configuration(a, family)))
             except InvalidConfigurationError:
                 continue
-            rows = [u.to_json() for u in cfg.classes]
-            cases.append(pytest.param(cfg.p, rows, id=f"family{family}-a{a}"))
+    return cases
+
+
+VALID_FAMILY_CASES = _valid_family_cases()
+
+
+def _scan_cases():
+    cases = [pytest.param(2, [[0, 2]], id="p2-even")]
+    cases.append(pytest.param(2, [[1, 1, 1, 1, 1, 1]], id="p2-through-h"))
+    for family, a, cfg in VALID_FAMILY_CASES:
+        rows = [u.to_json() for u in cfg.classes]
+        cases.append(pytest.param(cfg.p, rows, id=f"family{family}-a{a}"))
     return cases
 
 
@@ -150,96 +160,71 @@ def test_exact_h1_agrees_with_scan(p, rows):
 
 
 @st.composite
-def signed_path_rows(draw, min_p=2):
-    """(p, rows): the body of standard_configuration(p, n) under a signed
-    permutation, each row with a random sign and the rows possibly in
-    reverse order, then a random long row. Every body is a signed path."""
-    p = draw(st.integers(min_p, 9))
-    n = draw(st.integers(p - 1, 9))
-    target = draw(st.permutations(range(1, n + 1)))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-    body = [u.coeffs for u in standard_configuration(p, n).classes[:-1]]
-    body = signed_permutation(body, target, signs)
-    body = [[draw(st.sampled_from((1, -1))) * c for c in row] for row in body]
+def isometry_images(draw):
+    """standard_configuration(p, n) (p = 2..9) or a valid family
+    configuration under one to three isometries of Z^{1,n}: signed
+    permutations of e_1..e_n and, when n >= 3, Cremona reflections in
+    h - e_i - e_j - e_k, which put h on body classes."""
     if draw(st.booleans()):
-        body.reverse()
-    long_row = draw(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1))
-    return p, [tuple(row) for row in body + [long_row]]
+        p = draw(st.integers(2, 9))
+        base = standard_configuration(p, draw(st.integers(p - 1, 9)))
+    else:
+        base = draw(st.sampled_from(VALID_FAMILY_CASES))[2]
+    n = base.lattice.n
+    rows = [u.coeffs for u in base.classes]
+    for _ in range(draw(st.integers(1, 3))):
+        if n >= 3 and draw(st.booleans()):
+            triple = draw(st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True))
+            rows = cremona(rows, *triple)
+        else:
+            target = draw(st.permutations(range(1, n + 1)))
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+            rows = signed_permutation(rows, target, signs)
+    return CpConfiguration(base.p, tuple(map(base.lattice.vector, rows)))
 
 
 @settings(max_examples=150)
-@given(signed_path_rows())
-def test_path_divisors_equal_the_smith_diagonal(case):
-    _, rows = case
-    assert _path_divisors(rows) == smith_normal_form(rows).diagonal
-
-
-@settings(max_examples=100)
-@given(signed_path_rows(min_p=3), st.sampled_from(["h", "double", "third"]), st.data())
-def test_path_divisors_refuse_a_body_row_off_the_shape(case, defect, data):
-    """A body row with an h coefficient (here moved off an e-coordinate, so
-    the row still has two nonzero entries), a coefficient other than +/-1
-    or a third nonzero coefficient is not a path: the helper leaves it to
-    the SNF."""
-    p, rows = case
-    i = data.draw(st.integers(0, p - 3))
-    row = list(rows[i])
-    support = [k for k, c in enumerate(row) if c]
-    if defect == "h":
-        k = data.draw(st.sampled_from(support))
-        row[0], row[k] = row[k], 0
-    elif defect == "double":
-        row[data.draw(st.sampled_from(support))] *= 2
-    else:
-        free = [k for k in range(1, len(row)) if not row[k]]
-        assume(free)
-        row[data.draw(st.sampled_from(free))] = data.draw(st.sampled_from((1, -1)))
-    rows[i] = tuple(row)
-    assert _path_divisors(rows) is None
+@given(isometry_images())
+def test_closed_form_matches_the_smith_route_on_isometry_images(cfg):
+    """gcd(p, content(sum_i i u_i)) gives the SNF route's certificate byte
+    for byte, bodies through h included."""
+    assert h1_certificate(cfg).to_json() == h1_by_smith_normal_form(cfg).to_json()
 
 
 @pytest.mark.parametrize(
-    "body",
-    [
-        pytest.param([[0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [0, 0, 1, 0, -1]], id="branch"),
-        pytest.param([[0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [0, -1, 0, 1, 0]], id="cycle"),
-        pytest.param([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]], id="disjoint"),
-        pytest.param([[0, 1, -1, 0, 0], [0, 1, 1, 0, 0]], id="same-pair"),
-    ],
-)
-def test_path_divisors_refuse_a_body_that_is_not_one_path(body):
-    rows = [tuple(row) for row in body] + [(1, 2, 3, 4, 5)]
-    assert _path_divisors(rows) is None
-
-
-@pytest.mark.parametrize(
-    "tail, expected",
+    "tail, expected, snf_calls",
     [
         pytest.param(
             [-2, -2, -2, 1, 0],
             {"verdict": "nontrivial", "condition": None, "witness": None, "pairings": None,
              "order": 3, "restriction_divisors": [1, 3]},
+            0,
             id="order-3",
         ),
         pytest.param(
             [3, -2, 1, 3, 0],
             {"verdict": "trivial", "condition": 2, "witness": [-1, 1, -2, 0, 0],
              "pairings": [0, 1], "order": 1, "restriction_divisors": [1, 1]},
+            1,
             id="solve-witness",
         ),
     ],
 )
-def test_body_off_the_path_shape_goes_through_the_smith_normal_form(monkeypatch, tail, expected):
-    """The body class h + e_1 + e_2 + e_3 has an h coefficient, so the
-    certificate comes from the SNF: the same bytes as the SNF-only route."""
+def test_body_through_h_runs_the_smith_normal_form_only_for_the_solve_witness(
+    monkeypatch, tail, expected, snf_calls
+):
+    """The body class h + e_1 + e_2 + e_3 has an h coefficient. Its order
+    is the closed form's, with no SNF; the one SNF solves for a witness
+    when order 1 has no +/-e_j meeting a condition. Either way the bytes
+    are the SNF-only route's."""
     lat = AmbientLattice(4)
     cfg = CpConfiguration(3, (lat.vector([1, 1, 1, 1, 0]), lat.vector(tail)))
     calls = []
     monkeypatch.setattr(
-        blowdown_module, "smith_normal_form", lambda rows: calls.append(1) or smith_normal_form(rows)
+        snf_module, "smith_normal_form", lambda rows: calls.append(1) or smith_normal_form(rows)
     )
     cert = h1_certificate(cfg)
-    assert calls
+    assert len(calls) == snf_calls
     assert cert.to_json() == expected == h1_by_smith_normal_form(cfg).to_json()
 
 

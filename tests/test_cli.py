@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbdcalc
-import rbdcalc.blowdown as blowdown_module
 import rbdcalc.snf as snf_module
 from rbdcalc import cli
 from rbdcalc.chains import standard_configuration
@@ -823,10 +822,9 @@ def test_stdout_matches_golden_digest(capsys, monkeypatch, tmp_path, name, argv)
 
 
 def test_blowdown_without_delta_runs_no_smith_normal_form(capsys, monkeypatch, tmp_path):
-    """The bodies blowdown meets on the fixtures and standard chains are
-    signed paths, so H1 takes the closed form: with every binding of
-    smith_normal_form raising, the nine fixtures and standard_p5_n6.json
-    keep their golden bytes, and signed permutations of
+    """H1 takes the closed form, and the fixtures' witnesses are basis
+    vectors: with smith_normal_form raising, the nine fixtures and
+    standard_p5_n6.json keep their golden bytes, and signed permutations of
     standard_configuration(5, 6) and (7, 6) get the SNF's divisors."""
     rng = random.Random(11)
     chains = {}
@@ -841,10 +839,9 @@ def test_blowdown_without_delta_runs_no_smith_normal_form(capsys, monkeypatch, t
     def refuse(rows):
         raise AssertionError("smith_normal_form called")
 
-    # the parity route's complement basis reaches smith_normal_form through
-    # snf.kernel_basis, so the snf binding covers it
-    for module in (blowdown_module, snf_module):
-        monkeypatch.setattr(module, "smith_normal_form", refuse)
+    # blowdown and the parity route's complement basis (snf.kernel_basis)
+    # both reach smith_normal_form through the snf module
+    monkeypatch.setattr(snf_module, "smith_normal_form", refuse)
     monkeypatch.chdir(REPO_ROOT)
     for case in FIXTURE_CASES:
         tag = f"family{case.family}/a{case.a}"

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rbdcalc
+from rbdcalc.families import family_h1_witness
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 A3 = REPO_ROOT / "src" / "rbdcalc" / "fixtures" / "family1" / "a3.json"
@@ -135,6 +136,21 @@ def test_cold_sw_loads_no_blowdown_search_families_or_snf():
     # the crossing needs only n and p of the configuration
     assert not {
         "rbdcalc.blowdown", "rbdcalc.search", "rbdcalc.families", "rbdcalc.snf"
+    } & set(loaded)
+
+
+@pytest.mark.parametrize("delta", [False, True], ids=["exact", "delta"])
+def test_cold_blowdown_loads_no_snf_search_sw_or_families(delta):
+    argv = ["blowdown", str(A3)]
+    if delta:
+        argv += ["--delta", json.dumps(family_h1_witness(3, 1).to_json())]
+    code, *loaded = fresh(RUN_AND_LIST, *argv)
+    assert code == "0"
+    assert "rbdcalc.blowdown" in loaded
+    # the H1 order is one gcd and the witness a basis vector, and the
+    # signature decides parity, so no Smith normal form runs
+    assert not {
+        "rbdcalc.snf", "rbdcalc.search", "rbdcalc.sw", "rbdcalc.families"
     } & set(loaded)
 
 

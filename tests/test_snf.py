@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbdcalc.chains import standard_configuration
+from rbdcalc.errors import InputTypeError
 from rbdcalc.snf import (
     kernel_basis,
     smith_normal_form,
@@ -63,6 +64,22 @@ def test_diagonal_examples():
     assert smith_normal_form([[-2, 1], [1, -5]]).diagonal == (1, 9)
     assert smith_normal_form([[1, 0], [0, 1]]).diagonal == (1, 1)
     assert smith_normal_form([[2, 0], [0, 4]]).diagonal == (2, 4)
+
+
+@pytest.mark.parametrize(
+    "call, mat",
+    [
+        pytest.param(smith_normal_form, [[2.7]], id="float"),
+        pytest.param(smith_normal_form, [["3"]], id="str"),
+        pytest.param(smith_normal_form, [[True, 0]], id="bool"),
+        pytest.param(kernel_basis, [[1.5, 1]], id="kernel-float"),
+    ],
+)
+def test_entries_that_are_not_ints_are_refused(call, mat):
+    """No entry is read through int(): 2.7 is not 2, "3" is not 3, true is
+    not 1, and [[1.5, 1]] has no kernel vector [-1, 1]."""
+    with pytest.raises(InputTypeError, match="matrix entry must be an integer"):
+        call(mat)
 
 
 def test_rank_counts_nonzero_entries():
