@@ -4,9 +4,8 @@ encoder of its reports, and the one writer of indented reports.
 A Record's fields are its annotated names, in order; each instance stores
 exactly them in its instance dict. A report's JSON is its fields under
 their own names. Values map through `_encode`: None, ints, bools and
-strings pass through, a tuple becomes a list, a Fraction becomes
-[numerator, denominator], and anything else (a nested report, a
-ClassVector) encodes through its own to_json.
+strings pass through, a tuple becomes a list, and anything else (a nested
+report, a ClassVector) encodes through its own to_json.
 
 `dumps` writes the text of json.dumps(value, indent=2, sort_keys=True),
 byte for byte, without the pure-Python encoder that json uses whenever an
@@ -15,7 +14,6 @@ indent is set.
 from __future__ import annotations
 
 import json
-import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 
@@ -28,11 +26,6 @@ def _encode(value):
         return value
     if kind is tuple:
         return [_encode(v) for v in value]
-    # only sw builds a Fraction, so a process that never loaded fractions
-    # holds none and does not import the module for this test
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and kind is fractions.Fraction:
-        return [value.numerator, value.denominator]
     return value.to_json()
 
 

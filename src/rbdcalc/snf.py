@@ -58,7 +58,10 @@ class SNFResult(Record):
         return sum(1 for d in self.diagonal if d != 0)
 
     def solve(self, rhs) -> list[int] | None:
-        """One integer solution x of M x = rhs, or None if none exists."""
+        """One integer solution x of M x = rhs, or None if none exists.
+
+        Every entry of rhs must be an int, as every entry of M is."""
+        rhs = [strict_int(b, "right-hand side entry") for b in rhs]
         if len(rhs) != self.rows:
             raise ConsistencyError("rhs length does not match row count")
         y = [sum(a * b for a, b in zip(row, rhs)) for row in self.u]

@@ -13,15 +13,12 @@ only on the endpoints' signs, so values are path-independent.
 
 The blowdown pipeline evaluates the ambient value in the chamber of a period
 point orthogonal to the configuration; a lift whose pairings against the
-configuration are (0, ..., 0, +/-p) descends, and the restriction checks
-below certify the arithmetic of that descent.
+configuration are (0, ..., 0, +/-p) descends, and the arithmetic of that
+descent is a closed form in p (RestrictionReport).
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import mul
-
-from .chains import CpConfiguration, cp_divisors, cp_scaled_inverse
+from .chains import CpConfiguration, cp_divisors
 from .errors import ConsistencyError, LatticeMismatchError, PreconditionError
 from .lattice import ClassVector, is_characteristic, pairing
 from .report import Record, Report
@@ -117,61 +114,38 @@ def lift_admissible(k: CharacteristicData, cfg: CpConfiguration) -> Admissibilit
 
 
 class RestrictionReport(Report):
-    """Arithmetic certificate for restricting a lift to the configuration.
+    """Arithmetic certificate for restricting an admissible lift to the
+    configuration, in closed form in p.
 
-    square_ok is the exact rational identity k^T Q^{-1} k = 1 - p. The coset
-    data (residue, m, parity) is computed in the fixed normal-form convention
-    and is flagged convention-dependent: the parity comparison is reported,
-    not claimed invariant. square is the report's one Fraction; its JSON is
-    [numerator, denominator].
+    The lift pairs k = (0, ..., 0, sp), s = +/-1, with the chain. With Q the
+    C_p Gram matrix, the last column of p^2 Q^{-1} is -(1, 2, ..., p - 1)
+    (w(p - 1) = 1 in cp_scaled_inverse), so x = p^2 Q^{-1} k is
+    -sp (1, 2, ..., p - 1) and the rational square k^T Q^{-1} k = k.x / p^2
+    is 1 - p for every admissible lift. square is it as [numerator,
+    denominator]; gram_divisors is the Smith diagonal (1, ..., 1, p^2) of Q.
     """
 
     pairings: tuple[int, ...]
-    square: Fraction
+    square: tuple[int, int]
     square_expected: int
     square_ok: bool
     gram_divisors: tuple[int, ...]
-    residue: int
-    residue_divisible_by_p: bool
-    m: int | None
-    m_parity_expected: int
-    m_parity_matches: bool | None
-    convention_dependent: bool
 
 
-def restriction_conditions(k: CharacteristicData, cfg: CpConfiguration) -> RestrictionReport:
-    """Check the exact arithmetic of restricting the lift to the chain span.
-
-    With Q the configuration Gram matrix and k_i = K.u_i: the rational square
-    k^T Q^{-1} k must equal 1 - p, and the class of k in coker(Q), a cyclic
-    group of order p^2, is reported as residue = m p with m's parity compared
-    against p - 1 (mod 2) under the fixed normal-form convention.
-    Q is the C_p matrix (the configuration is verified), so with the integer
-    vector x = p^2 Q^{-1} k of cp_scaled_inverse the square is k.x / p^2 and
-    the residue x_1 mod p^2: row 1 of p^2 Q^{-1} is, mod p^2, the last row
-    of U in the fixed-pivot Smith form D = U Q V.
-    """
-    kv = cfg.pairings(k.k)
-    expected = 1 - cfg.p
-    p2 = cfg.p * cfg.p
-    x = cp_scaled_inverse(cfg.p, kv)
-    sq = Fraction(sum(map(mul, kv, x)), p2)
-    residue = x[0] % p2
-    divisible = residue % cfg.p == 0
-    m = residue // cfg.p if divisible else None
-    parity_expected = (cfg.p - 1) % 2
+def restriction_conditions(adm: AdmissibilityReport) -> RestrictionReport:
+    """The restriction certificate of a lift from its admissibility report;
+    a lift that does not descend raises PreconditionError."""
+    if not adm.ok:
+        raise PreconditionError(
+            f"lift does not descend: pairings {list(adm.pairings)} are not "
+            f"(0, ..., 0, +/-{adm.p})"
+        )
     return RestrictionReport(
-        pairings=kv,
-        square=sq,
-        square_expected=expected,
-        square_ok=sq == expected,
-        gram_divisors=cp_divisors(cfg.p),
-        residue=residue,
-        residue_divisible_by_p=divisible,
-        m=m,
-        m_parity_expected=parity_expected,
-        m_parity_matches=None if m is None else (m % 2 == parity_expected),
-        convention_dependent=True,
+        pairings=adm.pairings,
+        square=(1 - adm.p, 1),
+        square_expected=1 - adm.p,
+        square_ok=True,
+        gram_divisors=cp_divisors(adm.p),
     )
 
 
@@ -215,12 +189,7 @@ def sw_on_blowdown(cfg: CpConfiguration, k: CharacteristicData, h: PeriodPoint) 
                 f"period point is not orthogonal to the configuration: H.u_{i} = {pv}"
             )
     adm = lift_admissible(k, cfg)
-    if not adm.ok:
-        raise PreconditionError(
-            f"lift does not descend: pairings {list(adm.pairings)} are not "
-            f"(0, ..., 0, +/-{cfg.p})"
-        )
-    restr = restriction_conditions(k, cfg)
+    restr = restriction_conditions(adm)  # refuses a lift that does not descend
     d = d_invariant(k)
     s_base = _sign(pairing(k.k, cfg.lattice.h()))
     s_target = _sign(pairing(k.k, h.vector))

@@ -567,7 +567,8 @@ def test_reproduce_single_case(capsys):
     assert case["case"] == "family2/a5"
     assert case["stages"]["handles"]["counts"] == [1, 0, 7, 0, 1]
     assert case["stages"]["sw"]["outcome"]["value"] == 1
-    assert case["stages"]["sw_negated"]["value"] == -1
+    assert "sw_negated" not in case["stages"]
+    assert case["pass"] is True
 
 
 def test_reproduce_filter_errors(capsys):
@@ -743,42 +744,42 @@ GOLDEN_EXIT = {
 # sha256 of stdout, run from the repository root (from the directory holding
 # GENERATED_CONFIGS for the runs that read one)
 GOLDEN_STDOUT = {
-    "reproduce-paper": "6f19bb8f2b5c5e3943990c68d4b9557642983f2b5c14d2a6f3da417b23be6b56",
+    "reproduce-paper": "fd8e25fcd24be548e44956ed043fbf8fc50fab2c645e75b54847fdbd7a304b00",
     "verify-config family1/a3": "d1be4a36209536117e02bffea24befac02069d578a10ff486d3e2c9474ae1c0d",
-    "sw family1/a3": "e87d4026b25c7c1018023e2204aba200335c93b79f15a1aab1237c6dd05799ff",
-    "sw -K family1/a3": "4dbc17637f3479922861e9769bb07abdbe85e527f787aff3ac4cde3bc5ee4e08",
+    "sw family1/a3": "71410f63dc1d93a166e3017b1205f1f7ad9923f49fb48409177585cdf029490a",
+    "sw -K family1/a3": "edada8d35c540f776630de92e11b85f2f070f343feff54c57bf86c507e762d06",
     "blowdown --delta family1/a3": "7e65fb1bb91a7e5c067e5466064e824a3dcc134b3d79916b4ca25393ef095360",
     "verify-config family1/a4": "36c440d1504f228d001765cb3d93b1c4eea7b79c3f191def6c8a8a9ed8182157",
-    "sw family1/a4": "651b0888b0fc35190dd6a548cac7a08d163084d5a4f7dc164776839f4904af71",
-    "sw -K family1/a4": "a7fd3d07cc916a43b14e7c28abfddf803a3cfa962d7705846dc83df4cdacfc99",
+    "sw family1/a4": "382e8a26cecf0c7eb2af2c635f3c135d559b7e19aafb1ce108c47a6de5faafcb",
+    "sw -K family1/a4": "8418af32dcdff37bb4ef9e7f4f18dcea4e693347a6c1601bf5824411581a0cd0",
     "blowdown --delta family1/a4": "df25f69785d94630f3679cf4020258b53faf6106d1814779951462ed43d17a7d",
     "verify-config family1/a5": "57317ef3f526870e6c3d031af9182e29999966fbe758c0a1cb3dfb7bdd96b464",
-    "sw family1/a5": "26baeb21e14d25b1381b04d2959390079860750622c12ca4dd55c7931afc9f2a",
-    "sw -K family1/a5": "05d078c90f7a3a177abf2052d849b2e5bb5501ae58f76e7bb4ef1f5013a69e7f",
+    "sw family1/a5": "37075c62621dd84aea9b29cd86972a831e51615d95506f404bd00d814018a280",
+    "sw -K family1/a5": "3d00123eb8f11849f83c16cc65a9e95f42738c329a4b638c33ce6c4e11babae9",
     "blowdown --delta family1/a5": "6b01b5f538ea80fca48411f248a60b367c2135789960cf469b5ea1f5ccf53a75",
     "verify-config family1/a6": "4d68be39ca0e1154f9fc95cbbc2b044e24ba2a5ef97903388519abbe0a92c456",
-    "sw family1/a6": "f5c4068aecb8d45c14543c93ed0ba72844735e39eaf9dc8c68df4ec702bca566",
-    "sw -K family1/a6": "0a6dc547abcb0e2a85b1bed1af0d2ece53bd7eb7527319bf0f85fa0c49d707ad",
+    "sw family1/a6": "3fdb80454463175989b2aad38aee6cfeb7a03f8924f93654a99d42d54adaefba",
+    "sw -K family1/a6": "fd3196526fa3a2ba00b20cc8b5c3bbe186ea5b0bd956db3fdbbe6b5e603b0453",
     "blowdown --delta family1/a6": "7ed1b22d70bf4c64196eb87f5ef5cf3197ca270bd1da7696a95f778ef6dbb922",
     "verify-config family1/a7": "6500871c3f1aca3b77ad282e55608dc5f0476664856fb67449abdedcfe47aad6",
-    "sw family1/a7": "7fb81d4f999149f795a2ca44dbf440181e554556d5e26f177888a406b08ef21e",
-    "sw -K family1/a7": "118cf3921c8f479f17ae180903f37b09b65172cb59ac0209a89ea0fb1c4b42e3",
+    "sw family1/a7": "5541c407f1bea05fc88389e273175ce9a2684c13d9e33175c5c1d764430471c7",
+    "sw -K family1/a7": "9a1e4f06cf5f7ee72faa32fa9b26feccca8c04d0f8f79f48b9a224df4a89eae4",
     "blowdown --delta family1/a7": "6c58f3150ffd629381ed1855f1e12a9f535ab35910c19d0d3fba92d0eb594bce",
     "verify-config family2/a3": "57e05589bf93e1c88a36d89abdbce1710653e43e899707bf984d4e356f01a8e9",
-    "sw family2/a3": "8e8918d3fd903df16a35ee93924a972a012f37c85051827ebb5a50274de40463",
-    "sw -K family2/a3": "a3c100bca47a0f3698f0b8ffcdf3078bffa8dfdd26daf2c0d350dccf9b7067fa",
+    "sw family2/a3": "a0be9b057bbf6a6427f3a061272130aaa0088e5d467b98fe43a4a081a39db9d7",
+    "sw -K family2/a3": "590c705dd5cf06ac66118d734e3c837521fa5cf8c08c166e66a0883a593c4abc",
     "blowdown --delta family2/a3": "123e4a9ef6f7f25463672ee7c4f62c267fdfca2cc53c3169ce1dcda600b17b41",
     "verify-config family2/a4": "822b80ce84cf61a54efa97331ca62c79e2f4781d3237e8d76b3c59dbed22c8ee",
-    "sw family2/a4": "ed2cfc1bdb67739ff9800e1709c65d1bcc3977be0157ccddd079b3c6daf87223",
-    "sw -K family2/a4": "951c84071bcf3f14c52f2e7e5e8e49b9cbc9c744c0a9ccd23a82e1352ab8a95c",
+    "sw family2/a4": "b58cd2e6aeead3c3892edd9bd55d91aab371eede54bdec2fd5feb12afbe6f950",
+    "sw -K family2/a4": "047e84a90efc72e4cde93e344360a7f4fe0b98aaa14c6bc0888342f0672ea131",
     "blowdown --delta family2/a4": "dee60b100def32a1b16afa919893cc695fb526a673358c1c730ffeb959dbe9e9",
     "verify-config family2/a5": "bea3ae4d3bc987351c11d3764f2851680a90f96bfb85cdf62f67c39acfae7143",
-    "sw family2/a5": "e84fa4d3793ee647c90d3123b3429bb355a98fab446487d2401bbb423c74cc40",
-    "sw -K family2/a5": "80cd8ea9e9e99e689ef7715bd46990e10956f89c527807fbaa2065f5555e9e8e",
+    "sw family2/a5": "91afaea77f3cbcabbc8c1eecf8c810a8ac28891919523a1dd163313cb3562d53",
+    "sw -K family2/a5": "3059c74c5545dcf97bc6d54c456a1947a2e19dfc7bae1d9c340078e7d6f45455",
     "blowdown --delta family2/a5": "c0110cdcbbf486c0bbe76513f42c1aaf4aea7329cc4fe5bbd63ebc060faf487a",
     "verify-config family2/a6": "4837eb36189d8bafbeebaeef1d0445ffe96c3eee71b36a1f51868253d275366c",
-    "sw family2/a6": "b184ff29bc017f2e2dd03d78f80a286c4521c7eac30885ba9caa4821a09e0c02",
-    "sw -K family2/a6": "d2e76bb230be982d93a6a3196699c356b0520e32ef41985d34db770285e294f1",
+    "sw family2/a6": "6d824b525caca17ef5c42d8241631554c0c0c760c6f595b151a30cc5c074dc44",
+    "sw -K family2/a6": "442a49143173491d86cd21bd4b5302336aef6b066e459fe54b4240083e355e96",
     "blowdown --delta family2/a6": "42a1ac8a1b73a1d808e15bc26e7c80a05f59ff3e0017ffaf3df0b13fc2e2fb84",
     "blowdown family1/a3": "75fc54de2fc13e2ba4813c353c68d616dfaf7595544df25792495d792c4cd9f0",
     "blowdown family1/a4": "06dfed744702e65175b184ebf667e6565adfe237b0b9990749c50d28f6e293d2",
@@ -790,7 +791,7 @@ GOLDEN_STDOUT = {
     "blowdown family2/a5": "71fd18fccc7c51cb1aa2fe360237b612f11131142df29df43b6a48a48b0fc434",
     "blowdown family2/a6": "63ae3419a0ef9ac3a879117d0800c381bfacde960cdd7c6a7eed954967130fbf",
     "blowdown --delta h family1/a3": "bf1fd9dfdf50deef0dea33a762d8a3994a8f604b733875d8a69254e04752cf37",
-    "sw negative-dimension family1/a3": "879b0d8e1244472c39032ed1e00f455de94cf3a11050fbd97cd21b2e3a1b318e",
+    "sw negative-dimension family1/a3": "5b77a14f306dfcb02faed8f96d468b8cade6fbb70f20c3732f41c28120c2e082",
     "blowdown family1_a11.json": "be52bc47b082cc4241ee128cc55673611cc2a3ff845c148b0e8de7873f4fdb38",
     "blowdown standard_p5_n6.json": "8b7361675e705637ce1b70b757365bb31aaa0b62dbb6186938f61f33493600c8",
     "verify-config violation.json": "e42f9450afaff0e4aa8bc0abc6de149e2e73f024c81039aaa54a13370777b295",
@@ -798,15 +799,15 @@ GOLDEN_STDOUT = {
 
 # sha256 of the per-case files written by reproduce-paper --out
 GOLDEN_REPORT_FILES = {
-    "family1_a3.json": "64c18ce40867763f2331cd6292d294051568737238fd39e76468f0f8f9429bc8",
-    "family1_a4.json": "34fb51db5e27da402cc4b21270a8c6ee79ab8787e76c474856dab4e44b056bb4",
-    "family1_a5.json": "c7a5ae2f0ac53fef0d845c5b3f9600e7d51db18d6e77ef86ea13f70657e283b3",
-    "family1_a6.json": "8d06fa94bc82966bb742b68ee14ee0e3ea45f0366131524ce1848e307c104302",
-    "family1_a7.json": "b98e3971e15631925d7ccc66a7d636cf562a645a83b662943ec393393b5b0ee4",
-    "family2_a3.json": "78727e78ce92e55f853a03e9005fee01428ea46a15c96e5b4abefe0af03bb542",
-    "family2_a4.json": "47a35b551a512cbb534d39dc4df62235ecb499ebd7f7e2bbf9b0a8213920cb65",
-    "family2_a5.json": "8d4ca3588c3992e5654d4c02d19405734ee9013d81b04b5417375a6d6b89b62c",
-    "family2_a6.json": "598c4f53d7dce46a2d2b973a2d3f3bbadf3c43227bd85fe2b7a58dd88bf2a553",
+    "family1_a3.json": "6372d809470a188754111b3c4fcccbef7cad22cd4689bb5d3e2f81fa551b25ae",
+    "family1_a4.json": "322bb4e8a4a4bb171107170a708da76513993ac6281f9f5733c21ff0702bd2e2",
+    "family1_a5.json": "17165eb4dafea75b7a1b22a5d0eff712443f449ee99924879536e11f120deb5c",
+    "family1_a6.json": "cae9dd3285772a95fe2c295fd73dbd755b0db4078706e6b0feb0ef0a46c4684b",
+    "family1_a7.json": "f2ba996efabc6a20e6b56bd9507ef662f2e0294f166152b96b5cd82fcf62f035",
+    "family2_a3.json": "7effe3e3deb6019947d62e02b1194edc970493747fee164651fe1caa0ade139c",
+    "family2_a4.json": "63174a5312ac186b5ba821efc740c086122cf912baab8600be0b9c882b49728b",
+    "family2_a5.json": "cc25f15c64183b9fbc446f3529abc90f5be2bb551529a55e3aa6f91c89745445",
+    "family2_a6.json": "2731376d05091b03c3b04475877a874a5d1264319f49e0f5442729283ebc3359",
 }
 
 

@@ -15,6 +15,7 @@ from rbdcalc.families import family_h1_witness
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 A3 = REPO_ROOT / "src" / "rbdcalc" / "fixtures" / "family1" / "a3.json"
+A3_DATA = json.loads(A3.read_text())
 
 EXPORTS = [
     "AmbientLattice", "BlowdownReport", "ChainReport",
@@ -155,8 +156,8 @@ def test_cold_blowdown_loads_no_snf_search_sw_or_families(delta):
 
 
 # standard-library modules no cold command needs: dataclasses pulls in
-# inspect, and fractions is built only by sw
-NOT_LOADED = ("dataclasses", "inspect", "fractions")
+# inspect, and fractions, which pulls in decimal, no module uses
+NOT_LOADED = ("dataclasses", "inspect", "fractions", "decimal")
 
 
 def run_and_list_stdlib(modules: tuple[str, ...]) -> str:
@@ -174,8 +175,14 @@ print(code, *sorted(m for m in {modules!r} if m in sys.modules))
 
 @pytest.mark.parametrize(
     "argv",
-    [(), ("search", "--template", "TEMPLATE"), ("verify-config", str(A3))],
-    ids=["import", "search", "verify-config"],
+    [
+        (),
+        ("search", "--template", "TEMPLATE"),
+        ("verify-config", str(A3)),
+        ("sw", "--config", str(A3), "--K", json.dumps(A3_DATA["K"]), "--H", json.dumps(A3_DATA["H"])),
+        ("reproduce-paper",),
+    ],
+    ids=["import", "search", "verify-config", "sw", "reproduce-paper"],
 )
 def test_cold_commands_load_no_dataclasses_inspect_or_fractions(tmp_path, argv):
     template = tmp_path / "template.json"

@@ -154,6 +154,16 @@ def test_integer_solve_round_trip(mat, data):
     assert [sum(row[j] * sol[j] for j in range(cols)) for row in mat] == rhs
 
 
+@pytest.mark.parametrize(
+    "rhs", [[2.0, 3.0], [True, 0], ["2", 3]], ids=["float", "bool", "str"]
+)
+def test_solve_refuses_a_right_hand_side_that_is_not_ints(rhs):
+    """2.0 is not 2 (no float solution [1.0, 1.0]), true is not 1, and "2"
+    raises InputTypeError, not a bare TypeError."""
+    with pytest.raises(InputTypeError, match="right-hand side entry must be an integer"):
+        smith_normal_form([[2, 0], [0, 3]]).solve(rhs)
+
+
 def test_integer_solve_detects_unsolvable_systems():
     assert smith_normal_form([[2]]).solve([1]) is None
     assert smith_normal_form([[1], [1]]).solve([1, 2]) is None

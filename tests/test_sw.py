@@ -37,7 +37,7 @@ from rbdcalc.sw import (
     wall_crossing,
 )
 
-from oracles import det, intersection_matrix
+from oracles import cremona, det, intersection_matrix
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 
@@ -148,36 +148,33 @@ def test_restriction_square_for_minimal_lifts(p):
     """K = h - e_1 - ... - e_{p-1} restricts with square exactly 1 - p."""
     cfg = standard_configuration(p)
     k = CharacteristicData(cfg.lattice.vector([1] + [-1] * (p - 1)))
-    assert lift_admissible(k, cfg).ok
-    report = restriction_conditions(k, cfg)
-    assert report.square == Fraction(1 - p)
+    adm = lift_admissible(k, cfg)
+    assert adm.ok
+    report = restriction_conditions(adm)
+    assert report.square == (1 - p, 1)
     assert report.square_expected == 1 - p
     assert report.square_ok
     assert report.gram_divisors == (1,) * (p - 2) + (p * p,)
 
 
-def test_restriction_square_failure_detected():
+def test_restriction_refuses_a_lift_that_does_not_descend():
+    """A lift pairing 0, not +/-2, with the C_2 class (rational square 0)
+    has no restriction certificate."""
     lat = AmbientLattice(4)
     cfg = CpConfiguration(2, (lat.vector([0, 1, 1, 1, 1]),))
     k = CharacteristicData(lat.vector([1, 1, 1, -1, -1]))
-    report = restriction_conditions(k, cfg)
-    assert report.pairings == (0,)
-    assert report.square == 0
-    assert not report.square_ok
+    adm = lift_admissible(k, cfg)
+    assert (adm.ok, adm.pairings) == (False, (0,))
+    with pytest.raises(PreconditionError, match=r"does not descend: pairings \[0\] are not"):
+        restriction_conditions(adm)
 
 
 def test_restriction_report_for_smallest_family_case():
     cfg = family_configuration(3, 1)
-    report = restriction_conditions(CharacteristicData(family_lift(3, 1)), cfg)
-    assert report.square == Fraction(-2)
+    report = restriction_conditions(lift_admissible(CharacteristicData(family_lift(3, 1)), cfg))
+    assert report.square == (-2, 1)
     assert report.square_ok
     assert report.gram_divisors == (1, 9)
-    assert report.residue == 3
-    assert report.residue_divisible_by_p
-    assert report.m == 1
-    assert report.m_parity_expected == 0
-    assert report.m_parity_matches is False
-    assert report.convention_dependent
     payload = report.to_json()
     assert payload["square"] == [-2, 1]
 
@@ -202,16 +199,12 @@ def fraction_solve(mat, rhs):
 
 
 def oracle_restriction(k, cfg):
-    """(square, residue, m, gram_divisors) from the configuration's own Gram
-    matrix: a rational solve of Q x = k and a fresh Smith normal form."""
+    """(square, gram_divisors) from the configuration's own Gram matrix: a
+    rational solve of Q x = k and a fresh Smith normal form."""
     q = intersection_matrix(cfg.classes)
     kv = [pairing(k.k, u) for u in cfg.classes]
     square = sum(a * b for a, b in zip(kv, fraction_solve(q, kv)))
-    s = smith_normal_form(q)
-    p2 = cfg.p * cfg.p
-    residue = sum(a * b for a, b in zip(s.u[-1], kv)) % p2
-    m = residue // cfg.p if residue % cfg.p == 0 else None
-    return square, residue, m, s.diagonal
+    return square, smith_normal_form(q).diagonal
 
 
 def move(coeffs, target, signs):
@@ -228,14 +221,15 @@ def signed_permutation(cfg, target, signs):
 
 
 @st.composite
-def chains_and_lifts(draw, p):
-    """A signed permutation of the standard C_p in n >= p - 1, and an odd K on
-    it: any, or h - e_1 - ... - e_{p-1} (admissible) on the chain's indices."""
+def chains_and_admissible_lifts(draw, p):
+    """A signed permutation of the standard C_p in n >= p - 1, and an
+    admissible lift on it: an odd K whose coefficients on the chain's
+    indices e_1..e_{p-1} are all s = +/-1, so that it pairs (0, ..., 0, -sp)
+    with the chain; every admissible lift has this form."""
     n = draw(st.integers(p - 1, p + 2))
     odd = st.integers(-7, 6).map(lambda c: 2 * c + 1)
     coeffs = draw(st.lists(odd, min_size=n + 1, max_size=n + 1))
-    if draw(st.booleans()):
-        coeffs[:p] = [1] + [-1] * (p - 1)
+    coeffs[1:p] = [draw(st.sampled_from((1, -1)))] * (p - 1)
     target = draw(st.permutations(range(1, n + 1)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     cfg = signed_permutation(standard_configuration(p, n), target, signs)
@@ -246,23 +240,25 @@ def chains_and_lifts(draw, p):
 @settings(max_examples=8)
 @given(data=st.data())
 def test_restriction_matches_rational_solve_oracle(p, data):
-    """The closed C_p forms give the same square, residue, m and divisors
-    as solving with the configuration's own Gram matrix; p = 35 is the
+    """On every admissible lift, solving with the configuration's own Gram
+    matrix gives the closed form's square 1 - p and divisors; p = 35 is the
     3-chain a = 11 probe question."""
-    cfg, k = data.draw(chains_and_lifts(p))
-    report = restriction_conditions(k, cfg)
-    square, residue, m, divisors = oracle_restriction(k, cfg)
-    assert report.square == square
-    assert report.square_ok == (square == 1 - p)
-    assert (report.residue, report.m, report.gram_divisors) == (residue, m, divisors)
+    cfg, k = data.draw(chains_and_admissible_lifts(p))
+    adm = lift_admissible(k, cfg)
+    assert adm.ok
+    report = restriction_conditions(adm)
+    square, divisors = oracle_restriction(k, cfg)
+    assert square == 1 - p
+    assert report.square == (square.numerator, square.denominator)
+    assert report.gram_divisors == divisors
 
 
 @pytest.mark.parametrize("p", range(2, 41))
 def test_closed_forms_match_the_chain_gram_smith_form_and_det(p):
     """cp_divisors, cp_det and cp_scaled_inverse against a fresh Smith form
     and Bareiss determinant of the configuration's own Gram matrix Q: the
-    last row of U is row 1 of p^2 Q^{-1} mod p^2 (the residue's route), and
-    Q (p^2 Q^{-1} e_j) = p^2 e_j for every j."""
+    last row of U is row 1 of p^2 Q^{-1} mod p^2, and Q (p^2 Q^{-1} e_j) =
+    p^2 e_j for every j."""
     cfg = standard_configuration(p, p + 1)
     moved = signed_permutation(cfg, list(range(p + 1, 0, -1)), [(-1) ** i for i in range(p + 1)])
     p2 = p * p
@@ -298,6 +294,39 @@ def test_pipeline_is_antisymmetric_in_the_class(a, family):
     assert negated.value == -1
     assert negated.branch == "negative-to-positive"
     assert negated.exotic_certificate
+
+
+@st.composite
+def fixture_images(draw):
+    """One of the nine fixtures' (cfg, K, H) under one to three isometries of
+    Z^{1,n}: signed permutations of e_1..e_n, and Cremona reflections in
+    h - e_i - e_j - e_k, which move h; K and H move with the classes."""
+    cfg, k, h = family_inputs(*draw(st.sampled_from(NINE_CASES)))
+    n = cfg.lattice.n
+    rows = [u.coeffs for u in cfg.classes] + [k.k.coeffs, h.vector.coeffs]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            rows = cremona(rows, *draw(st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True)))
+        else:
+            target = draw(st.permutations(range(1, n + 1)))
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+            rows = [move(row, target, signs) for row in rows]
+    *classes, k_row, h_row = map(cfg.lattice.vector, rows)
+    return CpConfiguration(cfg.p, tuple(classes)), CharacteristicData(k_row), PeriodPoint(h_row)
+
+
+@settings(max_examples=80)
+@given(fixture_images())
+def test_negating_the_lift_negates_the_value(inputs):
+    """-K keeps d and admissibility and flips the signs of K.h and K.H, so
+    its value is -value on either crossing branch."""
+    cfg, k, h = inputs
+    outcome = sw_on_blowdown(cfg, k, h)
+    negated = sw_on_blowdown(cfg, CharacteristicData(-k.k), h)
+    assert negated.value == -outcome.value
+    assert negated.d == outcome.d == 0
+    assert negated.admissibility.ok and outcome.admissibility.ok
+    assert negated.admissibility.pairings == tuple(-v for v in outcome.admissibility.pairings)
 
 
 def test_pipeline_value_is_chamber_independent():
