@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import gcd
+from operator import mul
 
 from .chains import CpConfiguration
 from .errors import ConsistencyError, DomainError
@@ -104,13 +105,19 @@ def _condition(pair: Sequence[int], p: int) -> int | None:
     return None
 
 
-def _basis_witness(restriction: list[tuple[int, ...]], p: int) -> list[int] | None:
+def _basis_witness(columns: list[tuple[int, ...]], p: int) -> list[int] | None:
     """Coefficients of the first +/-e_j (j ascending, -1 first) meeting a
-    condition; column j of the restriction matrix holds e_j's pairings."""
-    for j, column in enumerate(zip(*restriction)):
+    condition. columns[j] holds the j-th coordinates of the classes, so e_j
+    pairs s_j columns[j] with them (s_0 = +1 at h, s_j = -1 on e_j). Both
+    conditions need zero pairings with u_2..u_{p-2}, so a column with a
+    nonzero entry there is skipped without building its pairings."""
+    for j, column in enumerate(columns):
+        if any(column[1 : p - 2]):
+            continue
+        s = 1 if j == 0 else -1
         for sign in (-1, 1):
-            if _condition([sign * v for v in column], p) is not None:
-                return [sign if k == j else 0 for k in range(len(restriction[0]))]
+            if _condition([sign * s * v for v in column], p) is not None:
+                return [sign if k == j else 0 for k in range(len(columns))]
     return None
 
 
@@ -135,17 +142,29 @@ def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1
     coordinate of v = sum_i i u_i, that is gcd(p, content(v)), and H1 has
     that order.
 
-    At order 1 the witness is the first +/-e_j meeting a condition, else the
-    solution of r(x) = (0, ..., 0, 1) from one Smith normal form of r; it
-    gets the same cfg.pairings test as a given delta, and failing it raises
-    ConsistencyError. A larger order is "nontrivial": the formula needs H1
-    of the ambient to vanish, and the rational surface is simply connected.
+    Both answers come from one pass over the class columns, the tuples of
+    the classes' j-th coordinates. Column j adds its share of v, the sum of
+    i times its i-th entry, to a gcd that starts at p; the fold stops once
+    the gcd is 1, and at a larger order every column is folded, so the
+    order is exactly gcd(p, content(v)). At order 1 the witness is the first
+    +/-e_j meeting a condition (_basis_witness: e_j pairs s_j column_j with
+    the classes, s_0 = +1 and s_j = -1 for j >= 1, and a column nonzero on
+    u_2..u_{p-2} is skipped), else the solution of r(x) = (0, ..., 0, 1)
+    from one Smith normal form of r, whose dual rows are built only for
+    that solve. The witness gets the same cfg.pairings test as a given
+    delta, and failing it raises ConsistencyError. A larger order is
+    "nontrivial": the formula needs H1 of the ambient to vanish, and the
+    rational surface is simply connected.
     """
     p = cfg.p
     order = divisors = coeffs = None
     if delta is None:
-        columns = zip(*(u.coeffs for u in cfg.classes))
-        order = gcd(p, *(sum(i * c for i, c in enumerate(col, 1)) for col in columns))
+        columns = list(zip(*(u.coeffs for u in cfg.classes)))
+        order = p
+        for column in columns:
+            order = gcd(order, sum(map(mul, column, range(1, p))))
+            if order == 1:
+                break
         divisors = (1,) * (p - 2) + (order,)
         if order > 1:
             return H1Certificate(
@@ -156,11 +175,11 @@ def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1
                 order=order,
                 restriction_divisors=divisors,
             )
-        restriction = [dual_coefficients(u) for u in cfg.classes]
-        coeffs = _basis_witness(restriction, p)
+        coeffs = _basis_witness(columns, p)
         if coeffs is None:
             from .snf import smith_normal_form
 
+            restriction = [dual_coefficients(u) for u in cfg.classes]
             coeffs = smith_normal_form(restriction).solve([0] * (p - 2) + [1])
         delta = None if coeffs is None else cfg.lattice.vector(coeffs)
     pair = None if delta is None else cfg.pairings(delta)

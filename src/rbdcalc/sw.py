@@ -19,7 +19,7 @@ descent is a closed form in p (RestrictionReport).
 from __future__ import annotations
 
 from .chains import CpConfiguration, cp_divisors
-from .errors import ConsistencyError, LatticeMismatchError, PreconditionError
+from .errors import LatticeMismatchError, PreconditionError
 from .lattice import ClassVector, is_characteristic, pairing
 from .report import Record, Report
 
@@ -55,11 +55,10 @@ class PeriodPoint(Record):
 
 def d_invariant(k: CharacteristicData) -> int:
     """Expected dimension d = (K^2 - 2e - 3sigma)/4 on CP^2 # n CPbar^2,
-    n read from k's lattice: e = n + 3 and sigma = 1 - n give 2e + 3sigma = 9 - n."""
-    num = k.k.square() - (9 - k.k.lattice.n)
-    if num % 4 != 0:
-        raise ConsistencyError(f"dimension formula gives non-integer: {num}/4")
-    return num // 4
+    n read from k's lattice: e = n + 3 and sigma = 1 - n give 2e + 3sigma = 9 - n.
+    Every coefficient of K is odd and odd squares are 1 mod 8, so
+    K^2 = 1 - n = sigma (mod 8) (van der Blij) and d is an even integer."""
+    return (k.k.square() - (9 - k.k.lattice.n)) // 4
 
 
 def _sign(v: int) -> int:
@@ -92,8 +91,6 @@ def wall_crossing(
     d = d_invariant(k)
     if d < 0:
         raise PreconditionError(f"crossing formula needs d >= 0, got d = {d}")
-    if d % 2 != 0:
-        raise ConsistencyError(f"crossing sign needs even d, got d = {d}")
     inc, _ = _crossing(_sign(pairing(k.k, start.vector)), _sign(pairing(k.k, end.vector)), d)
     return base_value + inc
 
@@ -127,8 +124,6 @@ class RestrictionReport(Report):
 
     pairings: tuple[int, ...]
     square: tuple[int, int]
-    square_expected: int
-    square_ok: bool
     gram_divisors: tuple[int, ...]
 
 
@@ -143,8 +138,6 @@ def restriction_conditions(adm: AdmissibilityReport) -> RestrictionReport:
     return RestrictionReport(
         pairings=adm.pairings,
         square=(1 - adm.p, 1),
-        square_expected=1 - adm.p,
-        square_ok=True,
         gram_divisors=cp_divisors(adm.p),
     )
 

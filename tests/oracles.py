@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, prod
 from typing import Sequence
 
-from rbdcalc.blowdown import H1Certificate, _basis_witness, _condition
+from rbdcalc.blowdown import H1Certificate
 from rbdcalc.errors import ConsistencyError, DomainError
 from rbdcalc.lattice import dual_coefficients, pairing
 from rbdcalc.search import _placement_geometry
@@ -93,9 +93,34 @@ def cremona(rows, i: int, j: int, k: int) -> list[list[int]]:
     return out
 
 
+def h1_condition(pairings, p) -> int | None:
+    """The triviality condition (1 or 2) a witness's pairings meet, if any:
+    1 is (1, 0, ..., 0), 2 is zero on the body and coprime to p on the
+    long class."""
+    if list(pairings) == [1] + [0] * (p - 2):
+        return 1
+    if all(v == 0 for v in pairings[: p - 2]) and gcd(pairings[p - 2], p) == 1:
+        return 2
+    return None
+
+
+def dual_matrix_witness(restriction, p) -> list[int] | None:
+    """The first +/-e_j (j ascending, -1 first) meeting a condition, read
+    from the full dual restriction matrix: column j holds e_j's pairings
+    with the classes."""
+    rank = len(restriction[0])
+    for j in range(rank):
+        column = [row[j] for row in restriction]
+        for sign in (-1, 1):
+            if h1_condition([sign * v for v in column], p) is not None:
+                return [sign if k == j else 0 for k in range(rank)]
+    return None
+
+
 def h1_by_smith_normal_form(cfg) -> H1Certificate:
     """The H1 certificate without a delta, read off one Smith normal form of
-    the restriction map for every body: the route the closed form replaces."""
+    the restriction map for every body, with its own witness scan and
+    condition test: the route the closed form replaces."""
     p = cfg.p
     restriction = [dual_coefficients(u) for u in cfg.classes]
     snf = smith_normal_form(restriction)
@@ -110,12 +135,12 @@ def h1_by_smith_normal_form(cfg) -> H1Certificate:
             order=order,
             restriction_divisors=divisors,
         )
-    coeffs = _basis_witness(restriction, p) or snf.solve([0] * (p - 2) + [1])
+    coeffs = dual_matrix_witness(restriction, p) or snf.solve([0] * (p - 2) + [1])
     witness = cfg.lattice.vector(coeffs)
     pairings = cfg.pairings(witness)
     return H1Certificate(
         verdict="trivial",
-        condition=_condition(pairings, p),
+        condition=h1_condition(pairings, p),
         witness=witness,
         pairings=pairings,
         order=order,

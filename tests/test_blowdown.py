@@ -159,17 +159,30 @@ def test_exact_h1_agrees_with_scan(p, rows):
     assert_exact_route_agrees_with_scan(CpConfiguration(p, tuple(lat.vector(r) for r in rows)))
 
 
+# two C_3 in Z^{1,4} whose first witness meets condition 1: -e_1 for body
+# e_1 - e_2 and long class e_2 + 2 e_3, h for body h - e_1 - e_2 - e_3 and
+# long class e_3 + 2 e_4
+CONDITION_ONE_CHAINS = [
+    CpConfiguration(3, tuple(map(AmbientLattice(4).vector, rows)))
+    for rows in (([0, 1, -1, 0, 0], [0, 0, 1, 2, 0]), ([1, -1, -1, -1, 0], [0, 0, 0, 1, 2]))
+]
+
+
 @st.composite
 def isometry_images(draw):
-    """standard_configuration(p, n) (p = 2..9) or a valid family
-    configuration under one to three isometries of Z^{1,n}: signed
-    permutations of e_1..e_n and, when n >= 3, Cremona reflections in
-    h - e_i - e_j - e_k, which put h on body classes."""
-    if draw(st.booleans()):
+    """standard_configuration(p, n) (p = 2..9), a valid family
+    configuration or one of CONDITION_ONE_CHAINS under one to three
+    isometries of Z^{1,n}: signed permutations of e_1..e_n and, when n >= 3,
+    Cremona reflections in h - e_i - e_j - e_k, which put h on body
+    classes."""
+    source = draw(st.integers(0, 2))
+    if source == 0:
         p = draw(st.integers(2, 9))
         base = standard_configuration(p, draw(st.integers(p - 1, 9)))
-    else:
+    elif source == 1:
         base = draw(st.sampled_from(VALID_FAMILY_CASES))[2]
+    else:
+        base = draw(st.sampled_from(CONDITION_ONE_CHAINS))
     n = base.lattice.n
     rows = [u.coeffs for u in base.classes]
     for _ in range(draw(st.integers(1, 3))):
@@ -359,7 +372,7 @@ def test_h1_boundary_case_witness_from_the_solve():
 def test_h1_computed_witness_failing_the_recheck_raises(monkeypatch):
     """A witness the exact route computes is re-checked, not trusted."""
     cfg = family_configuration(3, 1)
-    monkeypatch.setattr(blowdown_module, "_basis_witness", lambda rows, p: [0] * len(rows[0]))
+    monkeypatch.setattr(blowdown_module, "_basis_witness", lambda columns, p: [0] * len(columns))
     with pytest.raises(ConsistencyError, match="fails the re-check"):
         h1_certificate(cfg)
 

@@ -744,42 +744,42 @@ GOLDEN_EXIT = {
 # sha256 of stdout, run from the repository root (from the directory holding
 # GENERATED_CONFIGS for the runs that read one)
 GOLDEN_STDOUT = {
-    "reproduce-paper": "fd8e25fcd24be548e44956ed043fbf8fc50fab2c645e75b54847fdbd7a304b00",
+    "reproduce-paper": "9bbf616bd8b25a248d0c71de10934ca382a30b7583f4f3b6a5e75735d54aa88b",
     "verify-config family1/a3": "d1be4a36209536117e02bffea24befac02069d578a10ff486d3e2c9474ae1c0d",
-    "sw family1/a3": "71410f63dc1d93a166e3017b1205f1f7ad9923f49fb48409177585cdf029490a",
-    "sw -K family1/a3": "edada8d35c540f776630de92e11b85f2f070f343feff54c57bf86c507e762d06",
+    "sw family1/a3": "fe6e8917b1f60d7ad493f61dadbcb566c689109a5e874d0d358d69aebb2a0201",
+    "sw -K family1/a3": "9d19a9cb896071c0964ca990355d12525035ec132ea7b922d109deff7f2f9d06",
     "blowdown --delta family1/a3": "7e65fb1bb91a7e5c067e5466064e824a3dcc134b3d79916b4ca25393ef095360",
     "verify-config family1/a4": "36c440d1504f228d001765cb3d93b1c4eea7b79c3f191def6c8a8a9ed8182157",
-    "sw family1/a4": "382e8a26cecf0c7eb2af2c635f3c135d559b7e19aafb1ce108c47a6de5faafcb",
-    "sw -K family1/a4": "8418af32dcdff37bb4ef9e7f4f18dcea4e693347a6c1601bf5824411581a0cd0",
+    "sw family1/a4": "3c7eb99ba3d9c36ce3c6759396f5c87ce1324acc347d80261bf9430027f7919b",
+    "sw -K family1/a4": "e2f8b601faa3d29698cd8adec84371d118640108f1d89eadc39d93abd0346de3",
     "blowdown --delta family1/a4": "df25f69785d94630f3679cf4020258b53faf6106d1814779951462ed43d17a7d",
     "verify-config family1/a5": "57317ef3f526870e6c3d031af9182e29999966fbe758c0a1cb3dfb7bdd96b464",
-    "sw family1/a5": "37075c62621dd84aea9b29cd86972a831e51615d95506f404bd00d814018a280",
-    "sw -K family1/a5": "3d00123eb8f11849f83c16cc65a9e95f42738c329a4b638c33ce6c4e11babae9",
+    "sw family1/a5": "b1d3e6829731b49439c045e4e88390de07eb2e710ab70154919a61f457d24817",
+    "sw -K family1/a5": "3d92427d331784face606d073d9b91683a921af7ba25da6982a2cd1e67e1ac45",
     "blowdown --delta family1/a5": "6b01b5f538ea80fca48411f248a60b367c2135789960cf469b5ea1f5ccf53a75",
     "verify-config family1/a6": "4d68be39ca0e1154f9fc95cbbc2b044e24ba2a5ef97903388519abbe0a92c456",
-    "sw family1/a6": "3fdb80454463175989b2aad38aee6cfeb7a03f8924f93654a99d42d54adaefba",
-    "sw -K family1/a6": "fd3196526fa3a2ba00b20cc8b5c3bbe186ea5b0bd956db3fdbbe6b5e603b0453",
+    "sw family1/a6": "17eaa41da179f0d2bf0d627f5a0c3703fbba6fa6961f07bf153fdfa4e2c49404",
+    "sw -K family1/a6": "65fef1b185988728277a7dcf26c151055c3628f63a4c9a8af7d2e0748ad1cb44",
     "blowdown --delta family1/a6": "7ed1b22d70bf4c64196eb87f5ef5cf3197ca270bd1da7696a95f778ef6dbb922",
     "verify-config family1/a7": "6500871c3f1aca3b77ad282e55608dc5f0476664856fb67449abdedcfe47aad6",
-    "sw family1/a7": "5541c407f1bea05fc88389e273175ce9a2684c13d9e33175c5c1d764430471c7",
-    "sw -K family1/a7": "9a1e4f06cf5f7ee72faa32fa9b26feccca8c04d0f8f79f48b9a224df4a89eae4",
+    "sw family1/a7": "3ff25a235143e16a9e41beb8de3735111bff4b0a378a732e702ae738a2daba68",
+    "sw -K family1/a7": "05eff726cb848756e54c4251718d16d1fb95368176a69dc34cc4983b56ca4c4d",
     "blowdown --delta family1/a7": "6c58f3150ffd629381ed1855f1e12a9f535ab35910c19d0d3fba92d0eb594bce",
     "verify-config family2/a3": "57e05589bf93e1c88a36d89abdbce1710653e43e899707bf984d4e356f01a8e9",
-    "sw family2/a3": "a0be9b057bbf6a6427f3a061272130aaa0088e5d467b98fe43a4a081a39db9d7",
-    "sw -K family2/a3": "590c705dd5cf06ac66118d734e3c837521fa5cf8c08c166e66a0883a593c4abc",
+    "sw family2/a3": "90914a163faaf2cdefeec985138ff04b959ccb0397e1a57dcb6310a5044ab8f3",
+    "sw -K family2/a3": "170c78cf3d898fb89c94ee2bf3f65c792d8d70056e3783593fac63a4d35f528a",
     "blowdown --delta family2/a3": "123e4a9ef6f7f25463672ee7c4f62c267fdfca2cc53c3169ce1dcda600b17b41",
     "verify-config family2/a4": "822b80ce84cf61a54efa97331ca62c79e2f4781d3237e8d76b3c59dbed22c8ee",
-    "sw family2/a4": "b58cd2e6aeead3c3892edd9bd55d91aab371eede54bdec2fd5feb12afbe6f950",
-    "sw -K family2/a4": "047e84a90efc72e4cde93e344360a7f4fe0b98aaa14c6bc0888342f0672ea131",
+    "sw family2/a4": "a45bceafeb5e95126d158ef5c75382bcd3b5e084d5926b2e5f9c17b2eeac6b2e",
+    "sw -K family2/a4": "1c9ef7a9d7a571011a48c106b85d2f23f4c9fef727a6c4bcf5848b87e9201a0a",
     "blowdown --delta family2/a4": "dee60b100def32a1b16afa919893cc695fb526a673358c1c730ffeb959dbe9e9",
     "verify-config family2/a5": "bea3ae4d3bc987351c11d3764f2851680a90f96bfb85cdf62f67c39acfae7143",
-    "sw family2/a5": "91afaea77f3cbcabbc8c1eecf8c810a8ac28891919523a1dd163313cb3562d53",
-    "sw -K family2/a5": "3059c74c5545dcf97bc6d54c456a1947a2e19dfc7bae1d9c340078e7d6f45455",
+    "sw family2/a5": "4d0abaf6b20db03afc172d9fa385b63066ea94fd33de374fb8afbacd3b5d4e4b",
+    "sw -K family2/a5": "ef2a0c611e8b606a02b0598c51ed287e6a14cea461d4cb9fac9eb362b07a86f4",
     "blowdown --delta family2/a5": "c0110cdcbbf486c0bbe76513f42c1aaf4aea7329cc4fe5bbd63ebc060faf487a",
     "verify-config family2/a6": "4837eb36189d8bafbeebaeef1d0445ffe96c3eee71b36a1f51868253d275366c",
-    "sw family2/a6": "6d824b525caca17ef5c42d8241631554c0c0c760c6f595b151a30cc5c074dc44",
-    "sw -K family2/a6": "442a49143173491d86cd21bd4b5302336aef6b066e459fe54b4240083e355e96",
+    "sw family2/a6": "42950bba64ebc197ea8d484c3fec34bb4241d94f228fe83d1e49478da929a963",
+    "sw -K family2/a6": "60693cf10932bcff3db89ff07691a8d529278fe39a67e2d76d9f967a41bd08f5",
     "blowdown --delta family2/a6": "42a1ac8a1b73a1d808e15bc26e7c80a05f59ff3e0017ffaf3df0b13fc2e2fb84",
     "blowdown family1/a3": "75fc54de2fc13e2ba4813c353c68d616dfaf7595544df25792495d792c4cd9f0",
     "blowdown family1/a4": "06dfed744702e65175b184ebf667e6565adfe237b0b9990749c50d28f6e293d2",
@@ -791,7 +791,7 @@ GOLDEN_STDOUT = {
     "blowdown family2/a5": "71fd18fccc7c51cb1aa2fe360237b612f11131142df29df43b6a48a48b0fc434",
     "blowdown family2/a6": "63ae3419a0ef9ac3a879117d0800c381bfacde960cdd7c6a7eed954967130fbf",
     "blowdown --delta h family1/a3": "bf1fd9dfdf50deef0dea33a762d8a3994a8f604b733875d8a69254e04752cf37",
-    "sw negative-dimension family1/a3": "5b77a14f306dfcb02faed8f96d468b8cade6fbb70f20c3732f41c28120c2e082",
+    "sw negative-dimension family1/a3": "b23a5a4d01d1beba0de47b804307b2f4aa803dce04e603f2f84d4228204c848d",
     "blowdown family1_a11.json": "be52bc47b082cc4241ee128cc55673611cc2a3ff845c148b0e8de7873f4fdb38",
     "blowdown standard_p5_n6.json": "8b7361675e705637ce1b70b757365bb31aaa0b62dbb6186938f61f33493600c8",
     "verify-config violation.json": "e42f9450afaff0e4aa8bc0abc6de149e2e73f024c81039aaa54a13370777b295",
@@ -799,15 +799,15 @@ GOLDEN_STDOUT = {
 
 # sha256 of the per-case files written by reproduce-paper --out
 GOLDEN_REPORT_FILES = {
-    "family1_a3.json": "6372d809470a188754111b3c4fcccbef7cad22cd4689bb5d3e2f81fa551b25ae",
-    "family1_a4.json": "322bb4e8a4a4bb171107170a708da76513993ac6281f9f5733c21ff0702bd2e2",
-    "family1_a5.json": "17165eb4dafea75b7a1b22a5d0eff712443f449ee99924879536e11f120deb5c",
-    "family1_a6.json": "cae9dd3285772a95fe2c295fd73dbd755b0db4078706e6b0feb0ef0a46c4684b",
-    "family1_a7.json": "f2ba996efabc6a20e6b56bd9507ef662f2e0294f166152b96b5cd82fcf62f035",
-    "family2_a3.json": "7effe3e3deb6019947d62e02b1194edc970493747fee164651fe1caa0ade139c",
-    "family2_a4.json": "63174a5312ac186b5ba821efc740c086122cf912baab8600be0b9c882b49728b",
-    "family2_a5.json": "cc25f15c64183b9fbc446f3529abc90f5be2bb551529a55e3aa6f91c89745445",
-    "family2_a6.json": "2731376d05091b03c3b04475877a874a5d1264319f49e0f5442729283ebc3359",
+    "family1_a3.json": "51a11046b8fd6bdbed1b88307b1fd758c856e365580a9d7d7990a67f521cf1ec",
+    "family1_a4.json": "1e430956e5ca90770931ceabca5247b374890c73b00952747b0f3d3407d2234f",
+    "family1_a5.json": "17e79f2b4987d1ea0ff0103193587af2338108847c19575e3b4403a61312cdb2",
+    "family1_a6.json": "1124d2f2c25494aa7de531facd2e22f5adf4e103040fdf2fbd03979007099d01",
+    "family1_a7.json": "5d05e1a0e157c762e5e844d2e093dfcd9e174aa9fe85df0a65ba719a81aeda99",
+    "family2_a3.json": "6e762e4cdb5771cfd857277e66fe570918a33f239157c0dbbf4a03f7156be51b",
+    "family2_a4.json": "8092eaadc608a083a3bc1ea1aea5e06a5856f137fb459d347558ae0beabd7c60",
+    "family2_a5.json": "06d885941a7c78da8aacca6478c9b334c2a407c7d8e5610e9c931b186b7cd89d",
+    "family2_a6.json": "8acaad1c180433264eee2edb57d4137fffc1999d103f7a1b8b6712b428bcb73a",
 }
 
 

@@ -56,6 +56,19 @@ def test_dimension_examples():
     assert d_invariant(CharacteristicData(lat10.vector([1] + [1] * 10))) == -2
 
 
+@settings(max_examples=150)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.integers(-20, 19).map(lambda c: 2 * c + 1), min_size=n + 1, max_size=n + 1)
+))
+def test_dimension_is_an_even_integer_for_every_characteristic_class(coeffs):
+    """Odd squares are 1 mod 8, so K^2 = 1 - n (mod 8) and d = (K^2 - 9 + n)/4
+    is even for every characteristic K (van der Blij: K^2 = sigma mod 8)."""
+    k = CharacteristicData(AmbientLattice(len(coeffs) - 1).vector(coeffs))
+    d = d_invariant(k)
+    assert 4 * d == k.k.square() - 9 + k.k.lattice.n
+    assert d % 2 == 0
+
+
 def test_characteristic_data_rejects_even_coefficients():
     lat = AmbientLattice(2)
     with pytest.raises(PreconditionError):
@@ -152,8 +165,6 @@ def test_restriction_square_for_minimal_lifts(p):
     assert adm.ok
     report = restriction_conditions(adm)
     assert report.square == (1 - p, 1)
-    assert report.square_expected == 1 - p
-    assert report.square_ok
     assert report.gram_divisors == (1,) * (p - 2) + (p * p,)
 
 
@@ -173,7 +184,6 @@ def test_restriction_report_for_smallest_family_case():
     cfg = family_configuration(3, 1)
     report = restriction_conditions(lift_admissible(CharacteristicData(family_lift(3, 1)), cfg))
     assert report.square == (-2, 1)
-    assert report.square_ok
     assert report.gram_divisors == (1, 9)
     payload = report.to_json()
     assert payload["square"] == [-2, 1]
@@ -284,7 +294,7 @@ def test_pipeline_certifies_all_nine_cases(a, family):
     assert outcome.branch == "positive-to-negative"
     assert outcome.exotic_certificate
     assert outcome.note is None
-    assert outcome.restriction.square_ok
+    assert outcome.restriction.square == (1 - cfg.p, 1)
 
 
 @pytest.mark.parametrize("a, family", NINE_CASES)
@@ -296,12 +306,23 @@ def test_pipeline_is_antisymmetric_in_the_class(a, family):
     assert negated.exotic_certificate
 
 
+def shifted_lift_inputs():
+    """The (cfg, K, H) of test_pipeline_positive_dimension_without_crossing:
+    family 1 at a = 3 with K + 2H, d = 22, on the no-crossing branch."""
+    cfg, k, h = family_inputs(3, 1)
+    return cfg, CharacteristicData(k.k + 2 * h.vector), h
+
+
 @st.composite
 def fixture_images(draw):
-    """One of the nine fixtures' (cfg, K, H) under one to three isometries of
-    Z^{1,n}: signed permutations of e_1..e_n, and Cremona reflections in
-    h - e_i - e_j - e_k, which move h; K and H move with the classes."""
-    cfg, k, h = family_inputs(*draw(st.sampled_from(NINE_CASES)))
+    """One of the nine fixtures' (cfg, K, H), or shifted_lift_inputs(), under
+    one to three isometries of Z^{1,n}: signed permutations of e_1..e_n, and
+    Cremona reflections in h - e_i - e_j - e_k, which move h; K and H move
+    with the classes."""
+    cfg, k, h = draw(st.one_of(
+        st.sampled_from(NINE_CASES).map(lambda case: family_inputs(*case)),
+        st.builds(shifted_lift_inputs),
+    ))
     n = cfg.lattice.n
     rows = [u.coeffs for u in cfg.classes] + [k.k.coeffs, h.vector.coeffs]
     for _ in range(draw(st.integers(1, 3))):
@@ -315,18 +336,26 @@ def fixture_images(draw):
     return CpConfiguration(cfg.p, tuple(classes)), CharacteristicData(k_row), PeriodPoint(h_row)
 
 
-@settings(max_examples=80)
-@given(fixture_images())
-def test_negating_the_lift_negates_the_value(inputs):
+def test_negating_the_lift_negates_the_value():
     """-K keeps d and admissibility and flips the signs of K.h and K.H, so
-    its value is -value on either crossing branch."""
-    cfg, k, h = inputs
-    outcome = sw_on_blowdown(cfg, k, h)
-    negated = sw_on_blowdown(cfg, CharacteristicData(-k.k), h)
-    assert negated.value == -outcome.value
-    assert negated.d == outcome.d == 0
-    assert negated.admissibility.ok and outcome.admissibility.ok
-    assert negated.admissibility.pairings == tuple(-v for v in outcome.admissibility.pairings)
+    its value is -value on every branch of the crossing rule; each branch
+    is drawn."""
+    branches = set()
+
+    @settings(max_examples=80)
+    @given(fixture_images())
+    def check(inputs):
+        cfg, k, h = inputs
+        outcome = sw_on_blowdown(cfg, k, h)
+        negated = sw_on_blowdown(cfg, CharacteristicData(-k.k), h)
+        assert negated.value == -outcome.value
+        assert negated.d == outcome.d in (0, 22)
+        assert negated.admissibility.ok and outcome.admissibility.ok
+        assert negated.admissibility.pairings == tuple(-v for v in outcome.admissibility.pairings)
+        branches.update((outcome.branch, negated.branch))
+
+    check()
+    assert branches == {"no-crossing", "positive-to-negative", "negative-to-positive"}
 
 
 def test_pipeline_value_is_chamber_independent():
