@@ -4,15 +4,14 @@ The pieces: the ambient lattice Z^{1,n} with its Lorentzian pairing
 (`lattice`), exact integer matrix algebra (`snf`), chain configurations C_p
 and their verification (`chains`), blowdown invariants and certificates
 (`blowdown`), wall-crossing values (`sw`), bounded configuration search
-(`search`), the two bundled families (`families`), the frozen `Record` base
-with the one JSON encoder of its reports (`report`), and the `rbdcalc` CLI
-(`cli`).
+(`search`, whose one search is `search_hits`), the two bundled families
+(`families`), the frozen `Record` base with the one JSON encoder of its
+reports (`report`), and the `rbdcalc` CLI (`cli`).
 
 `import rbdcalc` loads none of them: each exported name imports its
 submodule on first use (PEP 562).
 """
 
-import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -22,7 +21,7 @@ _HOME = {
     name: module
     for module, names in (
         ("lattice", ("AmbientLattice", "ClassVector", "is_characteristic",
-                     "orthogonal_complement_basis", "pairing", "square")),
+                     "orthogonal_complement_basis", "pairing")),
         ("chains", ("ChainReport", "CpConfiguration", "lens_space_cf",
                     "standard_configuration", "verify_cp_configuration")),
         ("blowdown", ("BlowdownReport", "blowdown_invariants", "full_blowdown_report",
@@ -31,7 +30,7 @@ _HOME = {
         ("sw", ("CharacteristicData", "PeriodPoint", "d_invariant", "lift_admissible",
                 "restriction_conditions", "sw_on_blowdown", "wall_crossing")),
         ("search", ("SearchTemplate", "estimate_search_space", "family_question_template",
-                    "search", "search_family_questions")),
+                    "search_family_questions")),
         ("snf", ("smith_normal_form",)),
     )
     for name in names
@@ -53,16 +52,3 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *__all__})
 
-
-class _Package(type(sys)):
-    """The package's module type. Loading a submodule binds it on the package
-    under its own name; the export `search` shares its name with the
-    submodule `search`, so that binding takes the export instead."""
-
-    def __setattr__(self, name, value):
-        if isinstance(value, type(sys)) and _HOME.get(name) == name:
-            value = getattr(value, name)
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

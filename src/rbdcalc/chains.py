@@ -79,8 +79,8 @@ def _gather(support: tuple[int, ...]):
 # the probe script's 3-chain a=8..11 and 4-chain a=5, 6 questions take about
 # 8.5 ms to build and 0.07 ms to look up, where a pass of those questions
 # takes 3-5 ms once they are built (CPython 3.11, 2 cores). The cache hits
-# only on bodies met before in one process: repeated probe passes, the hits
-# of search(), the fixtures of one replay, the tests.
+# only on bodies met before in one process: repeated probe passes, the
+# fixtures of one replay, the tests.
 @lru_cache(maxsize=32)
 def _body_block(body: tuple[tuple[int, ...], ...]):
     """(Gram block, its diagonal, block ok, want, gather, pairings) of u_1..u_{p-2}.

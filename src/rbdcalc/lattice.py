@@ -122,7 +122,7 @@ class ClassVector(Record):
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        # n + 1 is the rank; read without the property's frame, once per hit
+        # n + 1 is the rank, read without the property's frame
         if len(self.coeffs) != self.lattice.n + 1:
             raise DomainError(
                 f"coefficient count {len(self.coeffs)} != rank {self.lattice.rank}"
@@ -176,10 +176,6 @@ def pairing(x: ClassVector, y: ClassVector) -> int:
     """The Lorentzian product of two classes of one lattice."""
     x._check(y)
     return row_pairing(x.coeffs, y.coeffs)
-
-
-def square(x: ClassVector) -> int:
-    return pairing(x, x)
 
 
 def is_characteristic(k: ClassVector) -> bool:

@@ -54,9 +54,8 @@ class Record:
                 defaults += (getattr(cls, name),)
             elif defaults:
                 raise TypeError(f"non-default argument {name!r} follows default argument")
-        # compiled per class, as dataclasses does: each hit search() builds
-        # constructs two records, and a generic __init__ would bind every
-        # argument by name at run time
+        # compiled per class, as dataclasses does: a generic __init__ would
+        # bind every argument by name at run time, on every record built
         body = [f" _set(self, {name!r}, {name})" for name in names]
         if hasattr(cls, "__post_init__"):
             body.append(" self.__post_init__()")

@@ -23,10 +23,7 @@ check: per placement, the flip columns are checked once against the body
 support, and each representative, not each hit, goes through the one Gram
 check that the CpConfiguration constructor runs (chains.check_tails), all
 of a placement's representatives as one batch against its body; then each
-representative is expanded into its orbit. CpConfigurations are built only
-on request: search() builds every expanded hit through the constructor
-(which runs that check once per hit, and so takes no orbit premise on
-trust).
+representative is expanded into its orbit.
 
 Everything is deterministic: placements, coordinate order, and value order
 are fixed, and results are sorted by their class coefficient tuples (body
@@ -40,7 +37,7 @@ from itertools import chain, permutations, product
 from math import comb, factorial, isqrt, prod
 from operator import add, itemgetter
 
-from .chains import CpConfiguration, check_tails
+from .chains import check_tails
 from .errors import ConsistencyError, DomainError
 from .errors import InvalidConfigurationError, SearchCapExceeded, TemplateError
 from .lattice import AmbientLattice, ClassVector, strict_int, strict_object
@@ -386,48 +383,12 @@ def _difference_row(rank: int, x: int, y: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _enumerate(template: SearchTemplate, cap: int):
-    """(lattice, orbits): each placement's body classes, flip columns (h
-    and the free coordinates, see _expand) and representative rows.
-
-    Raises SearchCapExceeded before enumerating anything when the estimate
-    exceeds the cap. Nothing is checked here: both callers check every hit.
-    """
-    if cap < 1:
-        raise DomainError(f"cap must be positive, got {cap}")
-    estimate = estimate_search_space(template)
-    if estimate > cap:
-        raise SearchCapExceeded(estimate, cap)
-
-    lat = AmbientLattice(template.n)
-    found = []
-    for pl in _placements(template):
-        reps = _enumerate_placement(template, pl)
-        if reps:
-            # body_i = e_{x_i} - e_{x_{i+1}} along the placement, as one row
-            body = tuple(
-                ClassVector(lat, _difference_row(lat.rank, x, y)) for x, y in zip(pl, pl[1:])
-            )
-            flips = (0,) + _placement_geometry(template, pl)[0]
-            found.append((tuple(u.coeffs for u in body), body, flips, tuple(reps)))
-    # distinct placements have distinct bodies, all of length p - 2, so
-    # sorting by body and then by tail orders hits exactly as the flat
-    # tuple of all class coefficients does
-    found.sort(key=itemgetter(0))
-    return lat, tuple(orbit for _, *orbit in found)
-
-
-def _inconsistent(exc: InvalidConfigurationError) -> ConsistencyError:
-    """A hit the Gram check rejects is an enumerator bug, not a user error."""
-    return ConsistencyError(f"enumerated solution fails the Gram check: {exc}")
-
-
 class SearchHits(Record):
     """Every hit of one search as rows: one (body, tails) group per placement.
 
     A group's body is its p - 2 classes, shared by its hits, and its tails
     are the sorted long-class coefficient rows; groups come sorted by body,
-    so the hits read in the order search returns them. Every tail is a sign
+    so the hits read sorted by their class coefficients. Every tail is a sign
     orbit member of a representative row that passed the one Gram check
     (chains.check_tails) against its body, and so has its Gram matrix.
     """
@@ -458,41 +419,38 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
     each hit is certified exactly. The check shares nothing with the
     enumerator's algebra, so a flip column on the body or a row it rejects
     is an enumerator bug and raises ConsistencyError. No CpConfiguration
-    is built; search() builds them.
+    is built.
     """
-    lat, orbits = _enumerate(template, cap)
-    p = template.p
+    if cap < 1:
+        raise DomainError(f"cap must be positive, got {cap}")
+    estimate = estimate_search_space(template)
+    if estimate > cap:
+        raise SearchCapExceeded(estimate, cap)
+
+    p, lat = template.p, AmbientLattice(template.n)
     groups = []
-    try:
-        for body, flips, reps in orbits:
-            met = sorted({i for u in body for i in flips if u.coeffs[i]})
-            if met:
-                raise ConsistencyError(f"sign-flip columns {met} meet the body support")
+    for pl in _placements(template):
+        reps = _enumerate_placement(template, pl)
+        if not reps:
+            continue
+        # body_i = e_{x_i} - e_{x_{i+1}} along the placement, as one row
+        body = tuple(
+            ClassVector(lat, _difference_row(lat.rank, x, y)) for x, y in zip(pl, pl[1:])
+        )
+        flips = (0,) + _placement_geometry(template, pl)[0]
+        met = sorted({i for u in body for i in flips if u.coeffs[i]})
+        if met:
+            raise ConsistencyError(f"sign-flip columns {met} meet the body support")
+        try:
             check_tails(p, lat, body, reps)
-            groups.append((body, _expand(flips, reps)))
-    except InvalidConfigurationError as exc:
-        raise _inconsistent(exc) from exc
+        except InvalidConfigurationError as exc:
+            raise ConsistencyError(f"enumerated solution fails the Gram check: {exc}") from exc
+        groups.append((body, _expand(flips, reps)))
+    # distinct placements have distinct bodies, all of length p - 2, so
+    # sorting by body and then by tail orders hits exactly as the flat
+    # tuple of all class coefficients does
+    groups.sort(key=lambda group: tuple(u.coeffs for u in group[0]))
     return SearchHits(p=p, lattice=lat, groups=tuple(groups))
-
-
-def search(template: SearchTemplate, cap: int = DEFAULT_CAP) -> list[CpConfiguration]:
-    """All chain configurations matching the template inside its box.
-
-    The hits of search_hits, each built by the CpConfiguration constructor
-    (which runs the same Gram check, once per hit, so no orbit is taken on
-    trust) instead of checked as a row; a hit it rejects raises
-    ConsistencyError. Output is sorted by class coefficients, so hits
-    sharing a body are adjacent.
-    """
-    lat, orbits = _enumerate(template, cap)
-    try:
-        return [
-            CpConfiguration(template.p, body + (ClassVector(lat, tail),))
-            for body, flips, reps in orbits
-            for tail in _expand(flips, reps)
-        ]
-    except InvalidConfigurationError as exc:
-        raise _inconsistent(exc) from exc
 
 
 class FamilySearchReport(Record):

@@ -178,10 +178,6 @@ def kernel_basis(mat) -> list[list[int]]:
     The columns of V indexed past the rank span the kernel saturatedly, so the
     result is a genuine basis of the kernel as a direct summand.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
     s = smith_normal_form(mat)
-    return [[s.v[i][j] for i in range(cols)] for j in range(s.rank, cols)]
+    return [[s.v[i][j] for i in range(s.cols)] for j in range(s.rank, s.cols)]
 

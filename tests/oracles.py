@@ -11,8 +11,9 @@ from math import comb, factorial, gcd, isqrt, prod
 from typing import Sequence
 
 from rbdcalc.blowdown import H1Certificate
+from rbdcalc.chains import CpConfiguration
 from rbdcalc.errors import ConsistencyError, DomainError
-from rbdcalc.lattice import dual_coefficients, pairing
+from rbdcalc.lattice import ClassVector, dual_coefficients, pairing
 from rbdcalc.search import _placement_geometry
 from rbdcalc.snf import smith_normal_form
 
@@ -189,6 +190,18 @@ def point_walk(template, placement) -> list[tuple[int, ...]]:
 
     walk(0)
     return out
+
+
+def configurations(hits) -> list[CpConfiguration]:
+    """Every hit of a search_hits result built by the CpConfiguration
+    constructor, in hit order. The constructor runs the Gram check on each
+    hit, where search_hits checks one representative per sign orbit, so no
+    orbit is taken on trust."""
+    return [
+        CpConfiguration(hits.p, body + (ClassVector(hits.lattice, tail),))
+        for body, tails in hits.groups
+        for tail in tails
+    ]
 
 
 def theta_count(n: int, p: int, bounds: Sequence[int]) -> int:

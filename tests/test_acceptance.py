@@ -31,13 +31,13 @@ from rbdcalc.search import (
     SearchTemplate,
     estimate_search_space,
     family_question_template,
-    search,
     search_family_questions,
+    search_hits,
 )
 from rbdcalc.snf import smith_normal_form
 from rbdcalc.sw import CharacteristicData, PeriodPoint, sw_on_blowdown, wall_crossing
 
-from oracles import det, evaluate_neg_cf, intersection_matrix, matmul
+from oracles import configurations, det, evaluate_neg_cf, intersection_matrix, matmul
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 
@@ -149,7 +149,7 @@ def test_criterion_5_template_breakdown():
             raise AssertionError(f"template unexpectedly instantiated at a = {a}")
     template = family_question_template(12, "3-chain")
     assert estimate_search_space(template) == 3
-    assert search(template) == []
+    assert configurations(search_hits(template)) == []
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed
     print("criterion 5: pass")
@@ -163,7 +163,7 @@ def test_criterion_6_open_range_probes():
         report = search_family_questions(a, "3-chain")
         assert report.count == count, (a, report.count)
         assert "homological only" in report.label
-        for cfg in search(report.template):
+        for cfg in configurations(search_hits(report.template)):
             assert verify_cp_configuration(cfg.classes, cfg.p).ok
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, (a, elapsed)
@@ -232,7 +232,7 @@ def test_criterion_7_property_suites():
 
     template = SearchTemplate.uniform(5, 2, 2)
     assert estimate_search_space(template) == 3125
-    hits = {cfg.classes[0].coeffs for cfg in search(template)}
+    hits = {cfg.classes[0].coeffs for cfg in configurations(search_hits(template))}
     brute = {
         coeffs
         for coeffs in product(range(-2, 3), repeat=6)

@@ -34,10 +34,10 @@ from rbdcalc.families import (
     family_period_point,
 )
 from rbdcalc.lattice import AmbientLattice, pairing
-from rbdcalc.search import family_question_template, search
+from rbdcalc.search import family_question_template, search_hits
 from rbdcalc.snf import smith_normal_form
 
-from oracles import cremona, h1_by_smith_normal_form, signed_permutation
+from oracles import configurations, cremona, h1_by_smith_normal_form, signed_permutation
 
 
 def bounded_witness_scan(cfg, bound=3, max_support=4):
@@ -246,7 +246,7 @@ def test_closed_form_matches_the_smith_route_on_probe_hits():
     certificate byte for byte, the four H1 = Z/3 hits at a=9 included."""
     orders = []
     for kind, a in (("3-chain", 9), ("3-chain", 10), ("3-chain", 11), ("4-chain", 6)):
-        for cfg in search(family_question_template(a, kind)):
+        for cfg in configurations(search_hits(family_question_template(a, kind))):
             cert = h1_certificate(cfg)
             assert cert.to_json() == h1_by_smith_normal_form(cfg).to_json()
             orders.append((a, cert.order))

@@ -38,13 +38,12 @@ from rbdcalc.search import (
     SearchTemplate,
     _placements,
     family_question_template,
-    search,
     search_hits,
 )
 from rbdcalc.snf import smith_normal_form
 
 from oracles import det as int_det
-from oracles import evaluate_neg_cf, intersection_matrix
+from oracles import configurations, evaluate_neg_cf, intersection_matrix
 
 
 def test_expected_squares():
@@ -256,21 +255,24 @@ def test_equal_distinct_body_is_built_once_and_then_held(body_cache, monkeypatch
 
 
 def test_search_compares_classes_at_most_once_per_placement(body_cache, monkeypatch):
-    """search() builds every hit through the constructor: its check reads
+    """Every hit of a search built through the constructor: its check reads
     coefficient rows and calls no ClassVector.__eq__, each placement's body
     is built once and found in the cache for the placement's other hits,
     and a second search, of equal but new bodies, builds none and gives the
-    same hits."""
+    same hits. The cache is cleared after the rows are checked, so the
+    constructors alone are counted."""
     template = family_question_template(7, "3-chain")
     placements = len(_placements(template))
     compared = spy_on_class_vector_eq(monkeypatch)
-    hits = search(template)
+    rows = search_hits(template)
+    _body_block.cache_clear()
+    hits = configurations(rows)
     assert len(hits) == 3894
     assert len(compared) <= placements
     builds, reuses = builds_and_reuses()
     assert builds <= placements and reuses == len(hits) - builds
     compared.clear()
-    again = search(template)
+    again = configurations(search_hits(template))
     assert len(compared) <= (template.p - 2) * placements
     assert builds_and_reuses()[0] == builds
     assert again == hits and again[0].classes[0] is not hits[0].classes[0]

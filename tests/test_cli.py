@@ -24,11 +24,10 @@ from rbdcalc.search import (
     BODY_SHAPES,
     SearchTemplate,
     family_question_dimensions,
-    search,
     search_hits,
 )
 
-from oracles import signed_permutation
+from oracles import configurations, signed_permutation
 
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
 A3 = FIXTURES / "family1" / "a3.json"
@@ -341,7 +340,7 @@ def test_search_stream_is_byte_identical_to_per_hit_json(capsys, tmp_path, name)
     assert code == 0
     lines = out.split("\n")
     assert lines.pop() == ""
-    hits = search(SearchTemplate.from_json(payload))
+    hits = configurations(search_hits(SearchTemplate.from_json(payload)))
     assert len(lines) == json.loads(err)["count"] == len(hits)
     for line, cfg in zip(lines, hits):
         assert line == json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":"))
@@ -403,7 +402,7 @@ def test_search_writes_whole_lines_in_bounded_chunks(monkeypatch, tmp_path, name
     stdout = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert cli.main(["search", "--template", write_config(tmp_path, payload)]) == 0
-    hits = search(template)
+    hits = configurations(search_hits(template))
     lines = [json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")) + "\n" for cfg in hits]
     assert "".join(stdout.writes) == "".join(lines)
     assert cli.STREAM_CHUNK == 64
@@ -515,7 +514,8 @@ def test_search_skips_zero_bound_coordinates(capsys, tmp_path, p, bounds):
     code, out, err = run_cli(capsys, "search", "--template", write_config(tmp_path, wide))
     assert code == 0 and "Traceback" not in err
     count = json.loads(err)["count"]
-    assert count == len(search(SearchTemplate.from_json(small))) == len(out.splitlines())
+    hits = configurations(search_hits(SearchTemplate.from_json(small)))
+    assert count == len(hits) == len(out.splitlines())
     assert (count > 0) == any(bounds)
 
 

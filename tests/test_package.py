@@ -24,8 +24,8 @@ EXPORTS = [
     "family_question_template", "full_blowdown_report", "h1_certificate",
     "handle_counts_after_blowdown", "is_characteristic", "lens_space_cf",
     "lift_admissible", "orthogonal_complement_basis", "pairing",
-    "parity_and_homeo_type", "restriction_conditions", "search",
-    "search_family_questions", "smith_normal_form", "square",
+    "parity_and_homeo_type", "restriction_conditions",
+    "search_family_questions", "smith_normal_form",
     "standard_configuration", "sw_on_blowdown", "verify_cp_configuration",
     "wall_crossing",
 ]
@@ -83,16 +83,6 @@ def test_unknown_attribute_raises_the_standard_error(name):
     with pytest.raises(AttributeError) as info:
         getattr(rbdcalc, name)
     assert str(info.value) == f"module 'rbdcalc' has no attribute {name!r}"
-
-
-def test_loading_the_search_submodule_first_keeps_the_search_export():
-    """The submodule rbdcalc.search, loaded before the name is looked up,
-    does not shadow the function of the same name."""
-    code = (
-        "import rbdcalc, rbdcalc.search; from rbdcalc.search import search, SearchTemplate; "
-        "print(rbdcalc.search is search, rbdcalc.SearchTemplate is SearchTemplate)"
-    )
-    assert fresh(code) == ["True", "True"]
 
 
 def test_import_rbdcalc_loads_no_submodule():

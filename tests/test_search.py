@@ -4,7 +4,6 @@ import gc
 import hashlib
 import json
 import time
-from importlib import import_module
 from importlib.util import module_from_spec, spec_from_file_location
 from itertools import permutations, product
 from math import prod
@@ -15,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rbdcalc.chains as chains_module
+import rbdcalc.search as search_module
 from rbdcalc.chains import (
     ChainViolation,
     CpConfiguration,
@@ -43,15 +43,11 @@ from rbdcalc.search import (
     estimate_search_space,
     family_question_dimensions,
     family_question_template,
-    search,
     search_family_questions,
     search_hits,
 )
 
-from oracles import free_pairs_box_sum_horner, point_walk, theta_count
-
-# the package re-exports the search function under the module's name
-search_module = import_module("rbdcalc.search")
+from oracles import configurations, free_pairs_box_sum_horner, point_walk, theta_count
 
 
 def brute_force_single_class(n, bound):
@@ -219,21 +215,21 @@ def test_unreduced_free_pairs_zero_estimate_lists_nothing():
     template = unreduced_free_pairs((1,) + (0,) * n)
     assert estimate_search_space(template) == 0
     started = time.perf_counter()
-    assert search(template, cap=1) == []
+    assert configurations(search_hits(template, cap=1)) == []
     assert time.perf_counter() - started < 0.5
 
 
 def test_cap_refused_before_enumeration():
     template = SearchTemplate.uniform(5, 2, 2)
     with pytest.raises(SearchCapExceeded) as exc:
-        search(template, cap=10)
+        configurations(search_hits(template, cap=10))
     assert exc.value.estimate == 3125
     assert exc.value.cap == 10
     with pytest.raises(DomainError):
-        search(template, cap=0)
+        configurations(search_hits(template, cap=0))
     assert DEFAULT_CAP >= 3125
     with pytest.raises(SearchCapExceeded):
-        search(unreduced_free_pairs((5, 0, 0, 5, 5)), cap=1)
+        configurations(search_hits(unreduced_free_pairs((5, 0, 0, 5, 5)), cap=1))
 
 
 @pytest.mark.parametrize("h_bound", [10**5, 10**9])
@@ -250,7 +246,8 @@ def test_huge_h_bound_costs_only_reachable_sums(n, p, bounds, h_bound):
     entries = sum(map(len, _solution_table(template, *geometry).values()))
     assert entries <= 2 * prod(2 * template.tail_bounds[i] + 1 for i in free) * len(t_range)
     small = SearchTemplate(n=n, p=p, tail_bounds=(10,) + bounds)
-    assert search(template, cap=estimate_search_space(template)) == search(small)
+    huge = search_hits(template, cap=estimate_search_space(template))
+    assert configurations(huge) == configurations(search_hits(small))
 
 
 @st.composite
@@ -318,11 +315,11 @@ def test_theta_count_matches_search_on_reduced_boxes(template):
     """One anchored placement per reduced template, whatever its body shape."""
     assume(template.symmetry_reduction)
     count = theta_count(template.n, template.p, template.tail_bounds)
-    assert count == len(search(template))
+    assert count == len(configurations(search_hits(template)))
 
 
 def test_search_matches_brute_force():
-    hits = search(SearchTemplate.uniform(5, 2, 2))
+    hits = configurations(search_hits(SearchTemplate.uniform(5, 2, 2)))
     assert len(hits) == 714
     assert {cfg.classes[0].coeffs for cfg in hits} == brute_force_single_class(5, 2)
     for cfg in hits[:20]:
@@ -332,14 +329,14 @@ def test_search_matches_brute_force():
 @settings(max_examples=20)
 @given(st.integers(1, 4), st.integers(0, 2))
 def test_search_matches_brute_force_on_small_boxes(n, bound):
-    hits = search(SearchTemplate.uniform(n, 2, bound))
+    hits = configurations(search_hits(SearchTemplate.uniform(n, 2, bound)))
     assert {cfg.classes[0].coeffs for cfg in hits} == brute_force_single_class(n, bound)
 
 
 def test_search_is_deterministic():
     template = SearchTemplate.uniform(5, 2, 2)
-    single = search(template)
-    assert search(template) == single
+    single = configurations(search_hits(template))
+    assert configurations(search_hits(template)) == single
 
 
 @pytest.mark.parametrize(
@@ -353,7 +350,7 @@ def test_search_is_deterministic():
 )
 def test_hits_sorted_by_all_class_coefficients(template):
     """(body, tail) keys order hits as the flat tuple of every class does."""
-    hits = search(template)
+    hits = configurations(search_hits(template))
     assert hits == sorted(hits, key=lambda cfg: tuple(u.coeffs for u in cfg.classes))
 
 
@@ -382,7 +379,7 @@ def test_placement_rows_through_the_verifier():
 
 def test_corrupted_hit_raises_consistency_error(monkeypatch):
     """A hit the verifier rejects is an enumerator bug, not a user error: a
-    corrupted representative expands into an orbit of rejected hits."""
+    corrupted representative is refused before any hit is built."""
     enumerate_placement = search_module._enumerate_placement
 
     def corrupted(template, placement):
@@ -392,7 +389,7 @@ def test_corrupted_hit_raises_consistency_error(monkeypatch):
 
     monkeypatch.setattr(search_module, "_enumerate_placement", corrupted)
     with pytest.raises(ConsistencyError, match="fails the Gram check"):
-        search(family_question_template(11, "3-chain"))
+        configurations(search_hits(family_question_template(11, "3-chain")))
 
 
 def test_enumerate_placement_leaves_no_reference_cycle():
@@ -435,24 +432,34 @@ def bump_free(tail, free):
     return tail[:k] + (tail[k] + 1,) + tail[k + 1 :]
 
 
+def orbit_of(template, row):
+    """The sign orbit of one row of the template's one placement."""
+    (placement,) = _placements(template)
+    return _expand((0,) + _placement_geometry(template, placement)[0], [row])
+
+
 @pytest.mark.parametrize("corrupt", [bump_c0, bump_free])
 def test_search_hits_keep_the_gram_check(monkeypatch, corrupt):
     """A representative the row check rejects is an enumerator bug:
     search_hits raises ConsistencyError around the report the constructor
-    gives that row, and search, through the constructor on each expanded
-    hit, raises the same, since the members of an orbit share their Gram
-    matrix."""
+    gives that row, and the constructor gives every member of the row's
+    sign orbit the same report, since the members of an orbit share their
+    Gram matrix."""
     template = family_question_template(11, "3-chain")
     body, bad = corrupt_first_tail(monkeypatch, template, corrupt)
+    lat = AmbientLattice(template.n)
     with pytest.raises(InvalidConfigurationError) as want:
-        CpConfiguration(template.p, body + (ClassVector(AmbientLattice(template.n), bad),))
+        CpConfiguration(template.p, body + (ClassVector(lat, bad),))
     with pytest.raises(ConsistencyError, match="fails the Gram check") as rows:
-        search_hits(template)
+        configurations(search_hits(template))
     assert rows.value.__cause__.report == want.value.report
     assert str(want.value) in str(rows.value)
-    with pytest.raises(ConsistencyError) as configurations:
-        search(template)
-    assert str(configurations.value) == str(rows.value)
+    orbit = orbit_of(template, bad)
+    assert len(orbit) > 1
+    for tail in orbit:
+        with pytest.raises(InvalidConfigurationError) as member:
+            CpConfiguration(template.p, body + (ClassVector(lat, tail),))
+        assert member.value.report == want.value.report
 
 
 @pytest.mark.parametrize(
@@ -461,26 +468,28 @@ def test_search_hits_keep_the_gram_check(monkeypatch, corrupt):
 @pytest.mark.parametrize("cut", [lambda tail: tail[:-1], lambda tail: tail + (0,)])
 def test_search_hits_refuse_a_tail_of_the_wrong_length(monkeypatch, template, cut):
     """The row check reads the lattice rank, also at p = 2 where the body is
-    empty, and raises what search raises when it builds a class of that
+    empty, and raises what ClassVector raises on each member of that
     representative's orbit: the expansion keeps a row's length."""
     if template.p == 2:
-        reps = search_module._enumerate_placement(template, ())
-        monkeypatch.setattr(search_module, "_enumerate_placement", lambda t, pl: [cut(reps[0])])
+        bad = cut(search_module._enumerate_placement(template, ())[0])
+        monkeypatch.setattr(search_module, "_enumerate_placement", lambda t, pl: [bad])
     else:
-        corrupt_first_tail(monkeypatch, template, lambda tail, free: cut(tail))
-    with pytest.raises(DomainError) as configurations:
-        search(template)
+        _, bad = corrupt_first_tail(monkeypatch, template, lambda tail, free: cut(tail))
     with pytest.raises(DomainError) as rows:
-        search_hits(template)
-    assert type(rows.value) is type(configurations.value)
-    assert str(rows.value) == str(configurations.value)
+        configurations(search_hits(template))
+    for tail in orbit_of(template, bad):
+        with pytest.raises(DomainError) as want:
+            ClassVector(AmbientLattice(template.n), tail)
+        assert type(rows.value) is type(want.value)
+        assert str(rows.value) == str(want.value)
 
 
 def test_search_hits_refuse_a_flip_column_on_the_body(monkeypatch):
     """A sign flip is taken on trust only where every body row is 0: a flip
     column on the body support raises ConsistencyError before any row is
-    checked, and search, building each hit, rejects the flipped hits."""
+    checked, and the constructor rejects every hit that flip adds."""
     template = family_question_template(8, "3-chain")
+    ((body, _),) = search_hits(template).groups
     (placement,) = _placements(template)
     reps = _enumerate_placement(template, placement)
     free, run, end, t_range = _placement_geometry(template, placement)
@@ -489,9 +498,14 @@ def test_search_hits_refuse_a_flip_column_on_the_body(monkeypatch):
         search_module, "_placement_geometry", lambda t, pl: (free + (end,), run, end, t_range)
     )
     with pytest.raises(ConsistencyError, match=rf"sign-flip columns \[{end}\] meet the body"):
-        search_hits(template)
-    with pytest.raises(ConsistencyError, match="fails the Gram check"):
-        search(template)
+        configurations(search_hits(template))
+    flips = (0,) + free
+    flipped = set(_expand(flips + (end,), reps)) - set(_expand(flips, reps))
+    assert flipped
+    lat = AmbientLattice(template.n)
+    for tail in flipped:
+        with pytest.raises(InvalidConfigurationError):
+            CpConfiguration(template.p, body + (ClassVector(lat, tail),))
 
 
 @pytest.mark.parametrize("a, rows, count", [(7, 163, 3894), (8, 74, 912)])
@@ -511,16 +525,16 @@ def test_search_hits_check_one_row_per_sign_orbit(monkeypatch, a, rows, count):
 
 
 def assert_rows_agree_with_search(template):
+    """Every hit passes the constructor on its own, and the configurations
+    give back the rows: each group's body and tails, sorted."""
     hits = search_hits(template)
-    configurations = search(template)
-    built = [
-        CpConfiguration(hits.p, body + (hits.lattice.vector(tail),))
-        for body, tails in hits.groups
-        for tail in tails
+    built = configurations(hits)
+    assert [cfg.classes[:-1] for cfg in built] == [
+        body for body, tails in hits.groups for _ in tails
     ]
-    assert built == configurations
-    assert hits.tails() == [cfg.classes[-1].coeffs for cfg in configurations]
-    assert hits.count == len(configurations)
+    assert built == sorted(built, key=lambda cfg: tuple(u.coeffs for u in cfg.classes))
+    assert hits.tails() == [cfg.classes[-1].coeffs for cfg in built]
+    assert hits.count == len(built)
     bodies = [body for body, _ in hits.groups]
     assert len(set(bodies)) == len(bodies)
     assert all(len(body) == template.p - 2 and tails for body, tails in hits.groups)
@@ -563,7 +577,7 @@ def test_search_hits_build_no_configuration(monkeypatch):
     assert search_hits(template).count == 912
     assert search_family_questions(8, "3-chain").count == 912
     with pytest.raises(AssertionError):
-        search(template)
+        configurations(search_hits(template))
 
 
 def test_search_hits_check_a_passing_placement_as_one_batch(monkeypatch):
@@ -628,16 +642,16 @@ def test_question_probe_rediscovers_the_family():
     assert report.count == 20
     assert "homological only" in report.label
     model = family_configuration(11, 1)
-    configurations = search(report.template)
-    assert model in configurations
-    for cfg in configurations:
+    built = configurations(report.hits)
+    assert model in built
+    for cfg in built:
         assert verify_cp_configuration(cfg.classes, cfg.p).ok
 
 
 def test_question_probe_empty_past_the_family():
     template = family_question_template(12, "3-chain")
     assert estimate_search_space(template) == 3
-    assert search(template) == []
+    assert configurations(search_hits(template)) == []
 
 
 def test_four_chain_probe():
