@@ -1,4 +1,8 @@
-"""Built-in data for the two documented families of chain configurations.
+"""The formulas of the two documented families of chain configurations.
+
+scripts/gen_fixtures.py writes the bundled fixtures from them, and the
+tests use them as the reference the fixtures and the library must match;
+the package itself reads only the fixture files.
 
 Family 1 lives in n = 3a + 2 exceptional classes and carries a C_p with
 p = 4a - 9; family 2 lives in n = 3a + 4 with p = 4a - 7. In both, the body
@@ -14,16 +18,12 @@ configuration can exist at all.
 """
 from __future__ import annotations
 
-
-from .chains import CpConfiguration
-from .errors import DomainError, TemplateError
-from .lattice import AmbientLattice, ClassVector
-from .report import Record, dumps
+from rbdcalc.chains import CpConfiguration
+from rbdcalc.errors import DomainError, TemplateError
+from rbdcalc.lattice import AmbientLattice, ClassVector
+from rbdcalc.report import dumps
 
 FAMILY_NUMBERS = (1, 2)
-
-# published verification ranges: family 1 covers a = 3..7, family 2 a = 3..6
-FAMILY_A_RANGE = {1: range(3, 8), 2: range(3, 7)}
 
 
 def _check_family(family: int) -> None:
@@ -165,28 +165,6 @@ def family_handle_data(a: int, family: int) -> dict | None:
     if family == 2 and a == 6:
         return {"counts": [1, 1, 7, 0, 1]}
     return None
-
-
-def expected_negative_rank(a: int, family: int) -> int:
-    """b2- of the blowdown: n - (p - 1) = 12 - a for both families."""
-    _check_family(family)
-    return exceptional_count(a, family) - (chain_index(a, family) - 1)
-
-
-class FixtureCase(Record):
-    family: int
-    a: int
-
-    @property
-    def name(self) -> str:
-        """The case's name, and its fixture's path under the fixtures root
-        without the .json suffix."""
-        return f"family{self.family}/a{self.a}"
-
-
-FIXTURE_CASES = tuple(
-    FixtureCase(family=f, a=a) for f in FAMILY_NUMBERS for a in FAMILY_A_RANGE[f]
-)
 
 
 def fixture_payload(a: int, family: int) -> dict:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled fixture files from the family formulas.
+"""Regenerate the bundled fixture files from the family formulas in
+families.py, one per case of rbdcalc.cli.CASES.
 
 Writes src/rbdcalc/fixtures/family{1,2}/a{K}.json. Output is canonical
 (sorted keys), so regeneration on an unchanged tree is byte-identical; run
@@ -13,7 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rbdcalc.families import FIXTURE_CASES, dump_fixture
+from families import dump_fixture
+from rbdcalc.cli import CASES
 
 
 def main() -> int:
@@ -27,9 +29,9 @@ def main() -> int:
 
     root = Path(__file__).resolve().parent.parent / "src" / "rbdcalc" / "fixtures"
     stale = []
-    for case in FIXTURE_CASES:
-        path = root / (case.name + ".json")
-        content = dump_fixture(case.a, case.family)
+    for family, a in CASES:
+        path = root / f"family{family}" / f"a{a}.json"
+        content = dump_fixture(a, family)
         if args.check:
             if not path.exists() or path.read_text(encoding="utf-8") != content:
                 stale.append(path)

@@ -20,8 +20,8 @@ The search trailer, which includes wall time, goes to stderr.
 
 Each command imports the modules it runs when it runs: at load this module
 imports only the standard library, rbdcalc.errors and rbdcalc.report, so a
-cold `rbdcalc search` never compiles blowdown, sw or families; it adds only
-search, chains and lattice, which imports snf where it uses it.
+cold `rbdcalc search` never compiles blowdown or sw; it adds only search,
+chains and lattice, which imports snf where it uses it.
 """
 from __future__ import annotations
 
@@ -39,6 +39,9 @@ USAGE_ERROR = 2
 MATH_ERROR = 1
 BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell shows for a writer whose reader left
 STREAM_CHUNK = 64  # lines per search write, at most
+
+# the abstract's exotic CP^2 # n CPbar^2, 5 <= n <= 9, as (family, a) with n = 12 - a
+CASES = tuple((1, a) for a in range(3, 8)) + tuple((2, a) for a in range(3, 7))
 
 
 class UsageError(Exception):
@@ -254,34 +257,37 @@ def _parse_only(text: str) -> dict:
     return out
 
 
-def _reproduce_case(case, fixtures_root: Path) -> dict:
-    """Run one fixture through load, verify, blowdown, handles and sw.
+def _reproduce_case(case: tuple[int, int], fixtures_root: Path) -> dict:
+    """Run the fixture of one (family, a) case through load, verify,
+    blowdown, handles and sw.
 
     The stages run in order and record their outcomes; the first that fails
     or raises ends the case, and the case passes when its sw stage passes: a
-    nonzero value at d = 0. A stage that raises is recorded as
+    nonzero value at d = 0. The blowdown stage passes when the type is the
+    claimed CP^2 # (12 - a) CPbar^2. A stage that raises is recorded as
     {"status": "fail", "error": "<Type>: <message>"}.
     """
     from .blowdown import full_blowdown_report, handle_counts, homeo_type
     from .chains import CpConfiguration
-    from .families import expected_negative_rank, family_h1_witness
     from .lattice import field
     from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
 
+    family, a = case
+    name = f"family{family}/a{a}"
     stages: dict[str, dict] = {}
     # echoed relative to the fixtures root, so the bytes do not depend on
     # where the package or the fixtures live
-    rel = case.name + ".json"
+    rel = name + ".json"
     path = fixtures_root / rel
     echo = {
         "command": "reproduce-paper",
-        "case": case.name,
-        "family": case.family,
-        "a": case.a,
+        "case": name,
+        "family": family,
+        "a": a,
         "fixture_path": rel,
         "fixture": None,
     }
-    result = _certificate(echo, {"case": case.name, "stages": stages, "pass": False})
+    result = _certificate(echo, {"case": name, "stages": stages, "pass": False})
     stage = "load"
     try:
         data, p, classes = _parse_config(str(path))
@@ -293,8 +299,9 @@ def _reproduce_case(case, fixtures_root: Path) -> dict:
         stages["verify"] = {"status": "pass", "report": cfg.report().to_json()}
 
         stage = "blowdown"
-        report = full_blowdown_report(cfg, delta=family_h1_witness(case.a, case.family))
-        expected = homeo_type(expected_negative_rank(case.a, case.family))
+        lat = cfg.lattice
+        report = full_blowdown_report(cfg, delta=lat.e(12 - a) - lat.e(13 - a))
+        expected = homeo_type(12 - a)
         stages["blowdown"] = {
             "status": "pass" if report.homeo_type == expected else "fail",
             "expected_type": expected,
@@ -336,14 +343,11 @@ def cmd_reproduce_paper(args) -> int:
     """
     from pathlib import Path
 
-    from .families import FIXTURE_CASES
-
     filters = _parse_only(args.only) if args.only else {}
     cases = [
-        c
-        for c in FIXTURE_CASES
-        if ("a" not in filters or c.a == filters["a"])
-        and ("family" not in filters or c.family == filters["family"])
+        (family, a)
+        for family, a in CASES
+        if filters.get("a", a) == a and filters.get("family", family) == family
     ]
     if not cases:
         raise UsageError(f"--only {args.only!r} selects no cases")

@@ -15,17 +15,6 @@ from rbdcalc.chains import (
     verify_cp_configuration,
 )
 from rbdcalc.errors import TemplateError
-from rbdcalc.families import (
-    FixtureCase,
-    chain_index,
-    family_classes,
-    family_configuration,
-    family_h1_witness,
-    family_handle_data,
-    family_lift,
-    family_period_point,
-    fixture_payload,
-)
 from rbdcalc.lattice import AmbientLattice, is_characteristic, pairing
 from rbdcalc.search import (
     SearchTemplate,
@@ -37,6 +26,16 @@ from rbdcalc.search import (
 from rbdcalc.snf import smith_normal_form
 from rbdcalc.sw import CharacteristicData, PeriodPoint, sw_on_blowdown, wall_crossing
 
+from families import (
+    chain_index,
+    family_classes,
+    family_configuration,
+    family_h1_witness,
+    family_handle_data,
+    family_lift,
+    family_period_point,
+    fixture_payload,
+)
 from oracles import configurations, det, evaluate_neg_cf, intersection_matrix, matmul
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
@@ -251,7 +250,6 @@ def test_criterion_8_mutation_honesty(tmp_path):
     start = time.perf_counter()
     mutations = 0
     for family in (1, 2):
-        case = FixtureCase(family=family, a=3)
         payload = fixture_payload(3, family)
         case_dir = tmp_path / f"family{family}"
         case_dir.mkdir()
@@ -262,7 +260,7 @@ def test_criterion_8_mutation_honesty(tmp_path):
                     mutated = json.loads(json.dumps(payload))
                     mutated["classes"][ci][pos] += delta
                     target.write_text(json.dumps(mutated))
-                    result = cli._reproduce_case(case, tmp_path)
+                    result = cli._reproduce_case((family, 3), tmp_path)
                     assert not result["pass"], (family, ci, pos, delta)
                     assert result["stages"]["verify"]["status"] == "fail"
                     mutations += 1

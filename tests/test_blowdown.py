@@ -27,16 +27,16 @@ from rbdcalc.errors import (
     InvalidConfigurationError,
     LatticeMismatchError,
 )
-from rbdcalc.families import (
+from rbdcalc.lattice import AmbientLattice, pairing
+from rbdcalc.search import family_question_template, search_hits
+from rbdcalc.snf import smith_normal_form
+
+from families import (
     family_classes,
     family_configuration,
     family_h1_witness,
     family_period_point,
 )
-from rbdcalc.lattice import AmbientLattice, pairing
-from rbdcalc.search import family_question_template, search_hits
-from rbdcalc.snf import smith_normal_form
-
 from oracles import configurations, cremona, h1_by_smith_normal_form, signed_permutation
 
 

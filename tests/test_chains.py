@@ -32,7 +32,6 @@ from rbdcalc.errors import (
     LatticeMismatchError,
     RbdcalcError,
 )
-from rbdcalc.families import family_classes, family_configuration
 from rbdcalc.lattice import AmbientLattice, ClassVector, pairing
 from rbdcalc.search import (
     SearchTemplate,
@@ -42,6 +41,7 @@ from rbdcalc.search import (
 )
 from rbdcalc.snf import smith_normal_form
 
+from families import family_classes, family_configuration
 from oracles import det as int_det
 from oracles import configurations, evaluate_neg_cf, intersection_matrix
 

@@ -19,7 +19,6 @@ import rbdcalc
 import rbdcalc.snf as snf_module
 from rbdcalc import cli
 from rbdcalc.chains import standard_configuration
-from rbdcalc.families import FIXTURE_CASES, family_configuration, family_h1_witness
 from rbdcalc.search import (
     BODY_SHAPES,
     SearchTemplate,
@@ -27,6 +26,7 @@ from rbdcalc.search import (
     search_hits,
 )
 
+from families import family_configuration, family_h1_witness
 from oracles import configurations, signed_permutation
 
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
@@ -137,10 +137,10 @@ def test_config_schema_errors_exit_2(capsys, tmp_path, payload, message):
     assert stages["load"]["status"] == "fail" and message in stages["load"]["error"]
 
 
-@pytest.mark.parametrize("case", FIXTURE_CASES, ids=lambda case: case.name)
-def test_every_fixture_passes_the_config_commands(capsys, case):
+@pytest.mark.parametrize("family, a", cli.CASES, ids=[f"family{f}/a{a}" for f, a in cli.CASES])
+def test_every_fixture_passes_the_config_commands(capsys, family, a):
     """The recorded fixture keys are read, not refused, by every config command."""
-    path = str(FIXTURES / f"{case.name}.json")
+    path = str(FIXTURES / f"family{family}" / f"a{a}.json")
     data = json.loads(Path(path).read_text())
     k, h = json.dumps(data["K"]), json.dumps(data["H"])
     sw = ["sw", "--config", path, "--K", k, "--H", h]
@@ -698,6 +698,29 @@ def test_reproduce_fails_sw_on_a_lift_of_negative_dimension(capsys, tmp_path):
     assert (outcome["d"], outcome["value"], outcome["exotic_certificate"]) == (-2, 0, False)
 
 
+def test_reproduce_fails_blowdown_on_a_swapped_fixture(capsys, tmp_path):
+    """family1/a3.json holding family1/a4's configuration verifies, but the
+    case still claims CP^2 # 9 CPbar^2 and builds its witness e_9 - e_10 in
+    the configuration's own lattice, where it is the first class: H1 is
+    left open, no type is pinned down and the case ends at blowdown."""
+    a4 = json.loads((FIXTURES / "family1" / "a4.json").read_text())
+
+    def swap(data):
+        data.clear()
+        data.update(a4)
+
+    code, case = reproduce_edited_a3(capsys, tmp_path, swap)
+    assert (code, case["pass"]) == (1, False)
+    stages = case["stages"]
+    assert sorted(stages) == ["blowdown", "load", "verify"]
+    assert (stages["load"]["status"], stages["verify"]["status"]) == ("pass", "pass")
+    assert stages["verify"]["report"]["p"] == 7
+    blowdown = stages["blowdown"]
+    assert (blowdown["status"], blowdown["expected_type"]) == ("fail", "CP^2 # 9 CPbar^2")
+    assert blowdown["report"]["h1"]["verdict"] == "inconclusive"
+    assert blowdown["report"]["homeo_type"] is None
+
+
 # configurations the golden runs read from their working directory, written from the library
 GENERATED_CONFIGS = {
     "family1_a11.json": lambda: family_configuration(11, 1).to_json(),
@@ -709,12 +732,12 @@ GENERATED_CONFIGS = {
 def golden_runs():
     """(name, argv) of the runs whose stdout digests are pinned below."""
     yield "reproduce-paper", ["reproduce-paper", "--fixtures", REL_FIXTURES]
-    for case in FIXTURE_CASES:
-        tag = f"family{case.family}/a{case.a}"
+    for family, a in cli.CASES:
+        tag = f"family{family}/a{a}"
         path = f"{REL_FIXTURES}/{tag}.json"
         data = json.loads((REPO_ROOT / path).read_text())
         k, h = data["K"], json.dumps(data["H"])
-        delta = json.dumps(list(family_h1_witness(case.a, case.family).coeffs))
+        delta = json.dumps(list(family_h1_witness(a, family).coeffs))
         yield f"verify-config {tag}", ["verify-config", path]
         yield f"sw {tag}", ["sw", "--config", path, "--K", json.dumps(k), "--H", h]
         yield f"sw -K {tag}", ["sw", "--config", path, "--K", json.dumps([-c for c in k]), "--H", h]
@@ -844,8 +867,8 @@ def test_blowdown_without_delta_runs_no_smith_normal_form(capsys, monkeypatch, t
     # both reach smith_normal_form through the snf module
     monkeypatch.setattr(snf_module, "smith_normal_form", refuse)
     monkeypatch.chdir(REPO_ROOT)
-    for case in FIXTURE_CASES:
-        tag = f"family{case.family}/a{case.a}"
+    for family, a in cli.CASES:
+        tag = f"family{family}/a{a}"
         code, out, _ = run_cli(capsys, "blowdown", f"{REL_FIXTURES}/{tag}.json")
         assert (code, sha256(out)) == (0, GOLDEN_STDOUT[f"blowdown {tag}"])
     monkeypatch.chdir(tmp_path)

@@ -6,15 +6,16 @@ from pathlib import Path
 import pytest
 
 import rbdcalc
+from rbdcalc import cli
 from rbdcalc.chains import ChainViolation, verify_cp_configuration
 from rbdcalc.errors import DomainError, TemplateError
-from rbdcalc.families import (
-    FAMILY_A_RANGE,
-    FIXTURE_CASES,
+from rbdcalc.lattice import AmbientLattice, is_characteristic, pairing
+from rbdcalc.sw import CharacteristicData, d_invariant, lift_admissible
+
+from families import (
     chain_index,
     dump_fixture,
     exceptional_count,
-    expected_negative_rank,
     family_classes,
     family_configuration,
     family_h1_witness,
@@ -23,8 +24,6 @@ from rbdcalc.families import (
     family_period_point,
     fixture_payload,
 )
-from rbdcalc.lattice import AmbientLattice, is_characteristic, pairing
-from rbdcalc.sw import CharacteristicData, d_invariant, lift_admissible
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 
@@ -172,11 +171,15 @@ def test_h1_witness_formula():
 
 @pytest.mark.parametrize("a, family", NINE_CASES)
 def test_expected_negative_rank(a, family):
-    assert expected_negative_rank(a, family) == 12 - a
+    """The formulas give b2- = n - (p - 1) = 12 - a, the rank cli claims."""
+    assert exceptional_count(a, family) - (chain_index(a, family) - 1) == 12 - a
+
+
+CASE_NAMES = [f"family{family}/a{a}" for family, a in cli.CASES]
 
 
 def test_fixture_case_listing():
-    assert [case.name for case in FIXTURE_CASES] == [
+    assert CASE_NAMES == [
         "family1/a3",
         "family1/a4",
         "family1/a5",
@@ -187,25 +190,24 @@ def test_fixture_case_listing():
         "family2/a5",
         "family2/a6",
     ]
-    assert set(FAMILY_A_RANGE) == {1, 2}
 
 
-@pytest.mark.parametrize("case", FIXTURE_CASES, ids=lambda c: c.name)
-def test_fixture_files_match_generator(case):
+@pytest.mark.parametrize("family, a", cli.CASES, ids=CASE_NAMES)
+def test_fixture_files_match_generator(family, a):
     """The shipped fixture files are exactly what the generator emits."""
     root = Path(rbdcalc.__file__).parent / "fixtures"
-    path = root / f"family{case.family}" / f"a{case.a}.json"
-    assert path.read_text() == dump_fixture(case.a, case.family)
+    path = root / f"family{family}" / f"a{a}.json"
+    assert path.read_text() == dump_fixture(a, family)
 
 
-@pytest.mark.parametrize("case", FIXTURE_CASES, ids=lambda c: c.name)
-def test_fixture_payload_is_consistent(case):
-    payload = fixture_payload(case.a, case.family)
-    assert payload["family"] == case.family
-    assert payload["a"] == case.a
-    assert payload["p"] == chain_index(case.a, case.family)
-    assert payload["n"] == exceptional_count(case.a, case.family)
+@pytest.mark.parametrize("family, a", cli.CASES, ids=CASE_NAMES)
+def test_fixture_payload_is_consistent(family, a):
+    payload = fixture_payload(a, family)
+    assert payload["family"] == family
+    assert payload["a"] == a
+    assert payload["p"] == chain_index(a, family)
+    assert payload["n"] == exceptional_count(a, family)
     assert len(payload["classes"]) == payload["p"] - 1
-    assert payload["K"] == list(family_lift(case.a, case.family).coeffs)
-    assert payload["H"] == list(family_period_point(case.a, case.family).coeffs)
+    assert payload["K"] == list(family_lift(a, family).coeffs)
+    assert payload["H"] == list(family_period_point(a, family).coeffs)
     json.dumps(payload)

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbdcalc.errors import DomainError, InputTypeError, LatticeMismatchError
-from rbdcalc.families import family_configuration
 from rbdcalc.lattice import (
     AmbientLattice,
     dual_coefficients,
@@ -14,6 +13,8 @@ from rbdcalc.lattice import (
     pairing,
 )
 from rbdcalc.snf import smith_normal_form
+
+from families import family_configuration
 
 
 def coeff_lists(rank, bound=9):

@@ -2,6 +2,7 @@
 command loads."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import rbdcalc
-from rbdcalc.families import family_h1_witness
+
+from families import family_h1_witness
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 A3 = REPO_ROOT / "src" / "rbdcalc" / "fixtures" / "family1" / "a3.json"
@@ -95,7 +97,7 @@ def test_import_cli_loads_only_errors_and_report():
     assert fresh(code) == ["rbdcalc", "rbdcalc.cli", "rbdcalc.errors", "rbdcalc.report"]
 
 
-def test_cold_search_loads_no_blowdown_sw_or_families(tmp_path):
+def test_cold_search_loads_no_blowdown_or_sw(tmp_path):
     template = tmp_path / "template.json"
     template.write_text('{"n": 3, "p": 2, "tail_bounds": 2}')
     code, *loaded = fresh(RUN_AND_LIST, "search", "--template", str(template))
@@ -104,21 +106,21 @@ def test_cold_search_loads_no_blowdown_sw_or_families(tmp_path):
     # the Gram check needs no Smith normal form: chains and lattice import
     # snf only inside the functions that use it
     assert not {
-        "rbdcalc.blowdown", "rbdcalc.sw", "rbdcalc.families", "rbdcalc.snf"
+        "rbdcalc.blowdown", "rbdcalc.sw", "rbdcalc.snf"
     } & set(loaded)
 
 
-def test_cold_verify_config_loads_no_blowdown_sw_search_or_families():
+def test_cold_verify_config_loads_no_blowdown_sw_or_search():
     code, *loaded = fresh(RUN_AND_LIST, "verify-config", str(A3))
     assert code == "0"
     assert "rbdcalc.chains" in loaded
     # the determinant and divisors of the C_p matrix are closed forms
     assert not {
-        "rbdcalc.blowdown", "rbdcalc.sw", "rbdcalc.search", "rbdcalc.families", "rbdcalc.snf"
+        "rbdcalc.blowdown", "rbdcalc.sw", "rbdcalc.search", "rbdcalc.snf"
     } & set(loaded)
 
 
-def test_cold_sw_loads_no_blowdown_search_families_or_snf():
+def test_cold_sw_loads_no_blowdown_search_or_snf():
     data = json.loads(A3.read_text())
     argv = ["sw", "--config", str(A3), "--K", json.dumps(data["K"]), "--H", json.dumps(data["H"])]
     code, *loaded = fresh(RUN_AND_LIST, *argv)
@@ -126,12 +128,12 @@ def test_cold_sw_loads_no_blowdown_search_families_or_snf():
     assert "rbdcalc.sw" in loaded
     # the crossing needs only n and p of the configuration
     assert not {
-        "rbdcalc.blowdown", "rbdcalc.search", "rbdcalc.families", "rbdcalc.snf"
+        "rbdcalc.blowdown", "rbdcalc.search", "rbdcalc.snf"
     } & set(loaded)
 
 
 @pytest.mark.parametrize("delta", [False, True], ids=["exact", "delta"])
-def test_cold_blowdown_loads_no_snf_search_sw_or_families(delta):
+def test_cold_blowdown_loads_no_snf_search_or_sw(delta):
     argv = ["blowdown", str(A3)]
     if delta:
         argv += ["--delta", json.dumps(family_h1_witness(3, 1).to_json())]
@@ -141,8 +143,24 @@ def test_cold_blowdown_loads_no_snf_search_sw_or_families(delta):
     # the H1 order is one gcd and the witness a basis vector, and the
     # signature decides parity, so no Smith normal form runs
     assert not {
-        "rbdcalc.snf", "rbdcalc.search", "rbdcalc.sw", "rbdcalc.families"
+        "rbdcalc.snf", "rbdcalc.search", "rbdcalc.sw"
     } & set(loaded)
+
+
+def test_cold_reproduce_paper_loads_exactly_the_modules_it_runs():
+    """Only the modules of its stages: the cases and their claims are stated
+    in cli, and neither a Smith normal form nor a search runs."""
+    code, *loaded = fresh(RUN_AND_LIST, "reproduce-paper")
+    assert code == "0"
+    assert loaded == [
+        "rbdcalc", "rbdcalc.blowdown", "rbdcalc.chains", "rbdcalc.cli",
+        "rbdcalc.errors", "rbdcalc.lattice", "rbdcalc.report", "rbdcalc.sw",
+    ]
+
+
+def test_families_is_not_a_package_module():
+    """The family formulas live beside the fixture generator, outside the package."""
+    assert importlib.util.find_spec("rbdcalc.families") is None
 
 
 # standard-library modules no cold command needs: dataclasses pulls in
@@ -232,9 +250,11 @@ def test_unused_import_finder_flags_only_unread_names():
     assert unused_top_level_imports(source) == ["j (line 3)", "b (line 4)"]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(Path(rbdcalc.__file__).parent.glob("*.py")), ids=lambda path: path.name
-)
+# the package's modules, and the family formulas that moved out of it
+MODULES = sorted(Path(rbdcalc.__file__).parent.glob("*.py")) + [REPO_ROOT / "scripts" / "families.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_top_level_imports(path):
     assert unused_top_level_imports(path.read_text(encoding="utf-8")) == []
 

@@ -64,7 +64,7 @@ def library_reports():
     """One instance of each report class, built by the library."""
     from rbdcalc.blowdown import full_blowdown_report
     from rbdcalc.chains import verify_cp_configuration
-    from rbdcalc.families import family_configuration, family_lift, family_period_point
+    from families import family_configuration, family_lift, family_period_point
     from rbdcalc.sw import CharacteristicData, PeriodPoint, sw_on_blowdown
 
     cfg = family_configuration(3, 1)

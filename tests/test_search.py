@@ -28,7 +28,6 @@ from rbdcalc.errors import (
     SearchCapExceeded,
     TemplateError,
 )
-from rbdcalc.families import family_configuration
 from rbdcalc.lattice import AmbientLattice, ClassVector
 from rbdcalc.search import (
     DEFAULT_CAP,
@@ -47,6 +46,7 @@ from rbdcalc.search import (
     search_hits,
 )
 
+from families import family_configuration
 from oracles import configurations, free_pairs_box_sum_horner, point_walk, theta_count
 
 

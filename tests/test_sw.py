@@ -20,11 +20,6 @@ from rbdcalc.errors import (
     LatticeMismatchError,
     PreconditionError,
 )
-from rbdcalc.families import (
-    family_configuration,
-    family_lift,
-    family_period_point,
-)
 from rbdcalc.lattice import AmbientLattice, pairing
 from rbdcalc.snf import smith_normal_form
 from rbdcalc.sw import (
@@ -37,6 +32,11 @@ from rbdcalc.sw import (
     wall_crossing,
 )
 
+from families import (
+    family_configuration,
+    family_lift,
+    family_period_point,
+)
 from oracles import cremona, det, intersection_matrix
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
