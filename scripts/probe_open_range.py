@@ -61,7 +61,7 @@ def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dic
         "n": report.template.n,
         "p": report.template.p,
         "count": report.count,
-        "tails": report.hits.tails(),
+        "tails": report.hits.tails,
     }
 
 

@@ -177,9 +177,9 @@ def cmd_search(args) -> int:
     """One compact sorted-key JSON line per hit to stdout, then the trailer
     (count, and the seconds spent in search alone) to stderr.
 
-    Hits come as Gram-checked rows grouped by body (search_hits): the line
-    around the long-class row is encoded once per group, a hit formats only
-    its row, and a write joins at most STREAM_CHUNK lines, which bounds the
+    Hits come as Gram-checked rows that share one body (search_hits): the
+    line around the long-class row is encoded once, a hit formats only its
+    row, and a write joins at most STREAM_CHUNK lines, which bounds the
     write count (whatever stdout's buffering) and the string held. The
     bytes equal
     json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")).
@@ -200,17 +200,17 @@ def cmd_search(args) -> int:
     elapsed = time.perf_counter() - started
     write = sys.stdout.write
     row = "[" + ",".join(["%d"] * hits.lattice.rank) + "]"
-    for body, tails in hits.groups:
-        # the frame holds only integers and fixed keys, so a string marks
-        # the long-class row unambiguously; these are cfg.to_json()'s keys
-        classes = [u.to_json() for u in body] + ["tail"]
-        frame = {"p": hits.p, "n": hits.lattice.n, "classes": classes}
-        line = json.dumps(frame, sort_keys=True, separators=(",", ":"))
-        prefix, _, suffix = line.partition('"tail"')
-        glue = suffix + "\n" + prefix
-        for start in range(0, len(tails), STREAM_CHUNK):
-            chunk = map(row.__mod__, tails[start : start + STREAM_CHUNK])
-            write(prefix + glue.join(chunk) + suffix + "\n")
+    # the frame holds only integers and fixed keys, so a string marks the
+    # long-class row unambiguously; these are cfg.to_json()'s keys
+    classes = [u.to_json() for u in hits.body] + ["tail"]
+    frame = {"p": hits.p, "n": hits.lattice.n, "classes": classes}
+    line = json.dumps(frame, sort_keys=True, separators=(",", ":"))
+    prefix, _, suffix = line.partition('"tail"')
+    glue = suffix + "\n" + prefix
+    tails = hits.tails
+    for start in range(0, len(tails), STREAM_CHUNK):
+        chunk = map(row.__mod__, tails[start : start + STREAM_CHUNK])
+        write(prefix + glue.join(chunk) + suffix + "\n")
     trailer = _certificate(
         {
             "command": "search",

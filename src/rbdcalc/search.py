@@ -1,41 +1,42 @@
 """Bounded enumeration of chain configurations inside a coefficient box.
 
-A template fixes the ambient size n, the chain index p, the body shape, and
-per-coordinate absolute bounds for the long class (h first). Bodies are
-difference classes e_x - e_y on distinct indices; orthogonality against the
-body forces most tail coordinates into a single run value t, the top index
-into t + 1, and the h coefficient is solved from the square equation rather
-than enumerated. Only genuinely free coordinates are walked, and only their
-magnitudes: they enter a solution only through their squares, so each takes
-m = 0..b, and a loop stops once the sum of squares passes every sum that
-some (t, h) solves. A full magnitude assignment looks its sum up in a
-per-placement table of solution rows (c0 >= 0 at h and the run values
-set), kept to the sums the walk can reach, and each tabled row with the
-magnitudes filled in is one representative. The flip columns, h and the
-free coordinates, lie off the support of every body row, so a sign flip
-there fixes each body pairing and the square of the long class: the sign
-orbit of a representative, expanded in C with each signed tail exactly
-once, is a set of hits that share one Gram matrix. The walk visits at most
-prod(b + 1) leaves where the box has prod(2b + 1) points.
-search_hits returns the hits as rows, one group per placement: the body
-classes and the sorted tail rows. The sign orbit is the unit of the Gram
-check: per placement, the flip columns are checked once against the body
-support, and each representative, not each hit, goes through the one Gram
-check that the CpConfiguration constructor runs (chains.check_tails), all
-of a placement's representatives as one batch against its body; then each
-representative is expanded into its orbit.
+A template fixes the ambient size n, the chain index p, and per-coordinate
+absolute bounds for the long class (h first). The body is the run of
+difference classes e_x - e_{x+1} anchored at the top index; a body on any
+other indices is the anchored one moved by a permutation of the e_i, an
+isometry fixing h, K_std and every pairing, so hits are found up to that
+symmetry. Orthogonality against the body forces the run's tail
+coordinates into a single run value t, the top index into t + 1, and the
+h coefficient is solved from the square equation rather than enumerated.
+Only genuinely free coordinates are walked, and only their magnitudes: they
+enter a solution only through their squares, so each takes m = 0..b, and a
+loop stops once the sum of squares passes every sum that some (t, h)
+solves. A full magnitude assignment looks its sum up in a table of
+solution rows (c0 >= 0 at h and the run values set), kept to the sums the
+walk can reach, and each tabled row with the magnitudes filled in is one
+representative. The flip columns, h and the free coordinates, lie off the
+support of every body row, so a sign flip there fixes each body pairing
+and the square of the long class: the sign orbit of a representative,
+expanded in C with each signed tail exactly once, is a set of hits that
+share one Gram matrix. The walk visits at most prod(b + 1) leaves where
+the box has prod(2b + 1) points.
+search_hits returns the hits as rows: the body classes and the sorted tail
+rows. The sign orbit is the unit of the Gram check: the flip columns are
+checked once against the body support, and each representative, not each
+hit, goes through the one Gram check that the CpConfiguration constructor
+runs (chains.check_tails), all of them as one batch against the body;
+then each representative is expanded into its orbit.
 
-Everything is deterministic: placements, coordinate order, and value order
-are fixed, and results are sorted by their class coefficient tuples (body
-first, then the long class), so hits that share a body come out next to
-each other.
+Everything is deterministic: coordinate order and value order are fixed,
+and the tails are sorted, so hits come sorted by their class coefficient
+tuples.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, permutations, product
-from math import comb, factorial, isqrt, prod
-from operator import add, itemgetter
+from itertools import product
+from math import isqrt, prod
+from operator import add
 
 from .chains import check_tails
 from .errors import ConsistencyError, DomainError
@@ -50,7 +51,14 @@ DEFAULT_CAP = 10_000_000
 # at least C(free, 4) leaves: more than 10^8 past this many
 MAX_FREE_COORDINATES = 256
 
-BODY_SHAPES = ("consecutive-differences", "free-pairs")
+# keys a template may hold that select no option: each is read only at the
+# value that names the anchored placement (as a message shows it), so that
+# templates written when other placements could be listed, such as the
+# benchmark's, still load
+ANCHORED_KEYS = {
+    "body_shape": ("consecutive-differences", '"consecutive-differences"'),
+    "symmetry_reduction": (True, "true"),
+}
 
 
 class SearchTemplate(Report):
@@ -59,16 +67,12 @@ class SearchTemplate(Report):
     n: int
     p: int
     tail_bounds: tuple[int, ...]
-    body_shape: str = "consecutive-differences"
-    symmetry_reduction: bool = True
 
     def __post_init__(self):
         if self.p < 2:
             raise DomainError(f"need p >= 2, got p = {self.p}")
         if self.n < 1:
             raise DomainError(f"need n >= 1, got n = {self.n}")
-        if self.body_shape not in BODY_SHAPES:
-            raise DomainError(f"unknown body shape {self.body_shape!r}")
         if len(self.tail_bounds) != self.n + 1:
             raise DomainError(
                 f"need {self.n + 1} bounds (h first), got {len(self.tail_bounds)}"
@@ -82,68 +86,42 @@ class SearchTemplate(Report):
             )
 
     @classmethod
-    def uniform(
-        cls,
-        n: int,
-        p: int,
-        bound: int,
-        body_shape: str = "consecutive-differences",
-        symmetry_reduction: bool = True,
-    ) -> "SearchTemplate":
-        return cls(
-            n=n,
-            p=p,
-            tail_bounds=(bound,) * (n + 1),
-            body_shape=body_shape,
-            symmetry_reduction=symmetry_reduction,
-        )
+    def uniform(cls, n: int, p: int, bound: int) -> "SearchTemplate":
+        return cls(n=n, p=p, tail_bounds=(bound,) * (n + 1))
 
     @classmethod
     def from_json(cls, data) -> "SearchTemplate":
         """The template of an object with n, p and tail_bounds (one bound
         for every coordinate, or a list, h first), and optionally
-        body_shape and symmetry_reduction. Another root, a missing or
-        unknown key, or a value of another kind raises InputTypeError."""
+        body_shape and symmetry_reduction at their ANCHORED_KEYS values,
+        which the template does not keep. Another root, a missing or
+        unknown key, or a value of another kind raises InputTypeError;
+        another value of body_shape or symmetry_reduction raises
+        DomainError naming the key."""
         strict_object(
             data,
             {"n": int, "p": int, "tail_bounds": (int, list)},
             {"body_shape": str, "symmetry_reduction": bool},
         )
+        for key, (value, shown) in ANCHORED_KEYS.items():
+            if data.get(key, value) != value:
+                raise DomainError(
+                    f"{key} must be {shown}: the search takes only the anchored placement"
+                )
         bounds = data["tail_bounds"]
         if type(bounds) is list:
             bounds = tuple(strict_int(b, "tail_bounds entry") for b in bounds)
         else:
             bounds = (bounds,) * (data["n"] + 1)
-        return cls(**{**data, "tail_bounds": bounds})
+        return cls(n=data["n"], p=data["p"], tail_bounds=bounds)
 
 
-def _placements(template: SearchTemplate) -> list[tuple[int, ...]]:
-    """Body index sequences x_1..x_{p-1}; body_i = e_{x_i} - e_{x_{i+1}}.
-
-    With symmetry reduction, one canonical ascending run anchored at the top
-    index. Without it: all ascending runs for the consecutive shape, and for
-    free-pairs the injective sequences whose t range is not empty (use the
-    estimate before walking these). A t range is empty exactly when the end
-    index and some run index both have bound 0, so the end is picked first
-    and a zero-bound end draws its run from the positive-bound indices only;
-    every listed placement then counts at least 1 in the estimate, and the
-    cap bounds the list. p = 2 has an empty body and a single empty placement.
-    """
+def _placement(template: SearchTemplate) -> tuple[int, ...]:
+    """The body's index sequence x_1..x_{p-1}, body_i = e_{x_i} - e_{x_{i+1}}:
+    the ascending run anchored at the top index, or () for p = 2, whose
+    body is empty."""
     n, p = template.n, template.p
-    if p == 2:
-        return [()]
-    anchored = tuple(range(n - p + 2, n + 1))
-    if template.symmetry_reduction:
-        return [anchored]
-    if template.body_shape == "consecutive-differences":
-        return [tuple(range(s, s + p - 1)) for s in range(1, n - p + 3)]
-    bounds, indices = template.tail_bounds, range(1, n + 1)
-    positive = [i for i in indices if bounds[i]]
-    placements = []
-    for end in indices:
-        pool = [i for i in indices if i != end] if bounds[end] else positive
-        placements.extend(run + (end,) for run in permutations(pool, p - 2))
-    return placements
+    return tuple(range(n - p + 2, n + 1)) if p > 2 else ()
 
 
 def _placement_geometry(template: SearchTemplate, placement: tuple[int, ...]):
@@ -169,7 +147,7 @@ def _placement_geometry(template: SearchTemplate, placement: tuple[int, ...]):
 def _solution_table(
     template: SearchTemplate, free, run, end, t_range
 ) -> dict[int, list[tuple[int, ...]]]:
-    """Free sum s -> the rows of its solutions with c0 >= 0, once per placement.
+    """Free sum s -> the rows of its solutions with c0 >= 0.
 
     A row holds c0 at h, the run value t on the run and t + 1 at the end,
     and zeros elsewhere: a representative is its row with the free
@@ -283,97 +261,20 @@ def _expand(flips: tuple[int, ...], reps) -> tuple[tuple[int, ...], ...]:
     return tuple(tails)
 
 
-def _times(a: list[int], b: list[int], size: int) -> list[int]:
-    """The coefficients of a(x) b(x) below degree size."""
-    out = [0] * min(len(a) + len(b) - 1, size)
-    for i, x in enumerate(a[:size]):
-        for j, y in enumerate(b[: size - i]):
-            out[i + j] += x * y
-    return out
-
-
-def _free_pairs_box_sum(template: SearchTemplate) -> int:
-    """Sum of free box x t range width over every unreduced free-pairs placement.
-
-    With w = 2b + 1 per index, a placement's free box is the product of w
-    over the indices off it, and its t range width is min(w_m, w_e) - [m = b_e]
-    for the run's smallest bound m and the end's bound b_e. Group placements
-    by their set T of p - 1 = k + 1 indices: the run orders give k!, and the
-    k + 1 choices of end give widths summing to (k + 1) w - (r - 1) - [r >= 2],
-    where w is that of T's smallest bound b and r counts T's indices at b.
-    Such a set leaves every index below b free, and takes the rest of T
-    from the bounds above b, counted with their free products by the
-    x^(k+1-r) coefficient of the product of (w + x)^c over those bounds, c
-    indices each.
-
-    The distinct bounds, in descending order, are combined as a balanced
-    tree of segments, so the big integers multiplied stay balanced and the
-    cost is quasi-linear in their number. A segment carries S, the product
-    of its (w + x)^c below degree k + 2, whose constant term is the product
-    W of its w^c, and v, whose x^r coefficient counts its sets T that take
-    k + 1 - r indices from above the segment, each with its widths and the
-    free product below T. A segment above another combines with it to
-    S_high S_low and v_high W_low + S_high v_low (see _combine), and the
-    sum is k! times the x^(k+1) coefficient of the whole v. Each distinct
-    bound costs one power.
-    """
-    k = template.p - 2
-    segments = []
-    for b, c in sorted(Counter(template.tail_bounds[1:]).items(), reverse=True):
-        w = 2 * b + 1
-        top = min(c, k + 1)
-        S, v, power = [0] * (top + 1), [0] * (top + 1), pow(w, c - top)
-        for r in range(top, 0, -1):
-            S[r] = comb(c, r) * power  # power = w^(c - r)
-            v[r] = S[r] * ((k + 1) * w - (r - 1) - (r >= 2))
-            power *= w
-        S[0] = power
-        segments.append((S, v))
-    while len(segments) > 1:
-        unpaired = segments[-1:] if len(segments) % 2 else []
-        pairs = zip(segments[::2], segments[1::2])
-        segments = [_combine(high, low, k + 2) for high, low in pairs] + unpaired
-    v = segments[0][1]
-    return factorial(k) * v[k + 1] if len(v) > k + 1 else 0
-
-
-def _combine(high, low, size: int):
-    """The (S, v) of two adjacent segments of bounds, high above low.
-
-    Every index of low is free below a set T of high, so high's counts
-    gain low's free product W_low = S_low[0]; a set of low takes its
-    indices above low from high, so low's counts are multiplied by S_high.
-    """
-    (S_high, v_high), (S_low, v_low) = high, low
-    v = _times(S_high, v_low, size)
-    for r, x in enumerate(v_high):
-        v[r] += x * S_low[0]
-    return _times(S_high, S_low, size), v
-
-
 def estimate_search_space(template: SearchTemplate) -> int:
     """Box points of the search: signed free assignments times run values.
 
-    h is solved, not counted. Exact: the sum over placements of the free
-    box, prod(2b + 1) signed points, times the width of the t range. The
-    walk visits fewer: at most prod(b + 1) magnitude leaves per placement,
-    one lookup covering every t. The cap and its refusal message count box
-    points all the same. Unreduced free-pairs templates have too many
-    placements to list, so their sum is taken in closed form (see
-    _free_pairs_box_sum).
+    h is solved, not counted. Exact: the free box, prod(2b + 1) signed
+    points, times the width of the t range. The walk visits fewer: at most
+    prod(b + 1) magnitude leaves, one lookup covering every t. The cap and
+    its refusal message count box points all the same.
     """
-    if template.body_shape == "free-pairs" and not template.symmetry_reduction and template.p > 2:
-        return _free_pairs_box_sum(template)
+    free, _run, _end, t_range = _placement_geometry(template, _placement(template))
+    # one power per distinct bound: a product of one factor per free
+    # coordinate costs time quadratic in their number
     bounds = template.tail_bounds
-
-    def box(placement: tuple[int, ...]) -> int:
-        free, _run, _end, t_range = _placement_geometry(template, placement)
-        # one power per distinct bound: a product of one factor per free
-        # coordinate costs time quadratic in their number
-        free_box = prod(pow(2 * b + 1, k) for b, k in Counter(bounds[i] for i in free).items())
-        return free_box * len(t_range)
-
-    return sum(map(box, _placements(template)))
+    free_box = prod(pow(2 * b + 1, k) for b, k in Counter(bounds[i] for i in free).items())
+    return free_box * len(t_range)
 
 
 def _difference_row(rank: int, x: int, y: int) -> tuple[int, ...]:
@@ -384,42 +285,39 @@ def _difference_row(rank: int, x: int, y: int) -> tuple[int, ...]:
 
 
 class SearchHits(Record):
-    """Every hit of one search as rows: one (body, tails) group per placement.
+    """Every hit of one search as rows: the body and the sorted tails.
 
-    A group's body is its p - 2 classes, shared by its hits, and its tails
-    are the sorted long-class coefficient rows; groups come sorted by body,
-    so the hits read sorted by their class coefficients. Every tail is a sign
-    orbit member of a representative row that passed the one Gram check
-    (chains.check_tails) against its body, and so has its Gram matrix.
+    The body is the p - 2 classes every hit shares, and the tails are the
+    hits' long-class coefficient rows, sorted, so the hits read sorted by
+    their class coefficients. Every tail is a sign orbit member of a
+    representative row that passed the one Gram check (chains.check_tails)
+    against the body, and so has its Gram matrix.
     """
 
     p: int
     lattice: AmbientLattice
-    groups: tuple[tuple[tuple[ClassVector, ...], tuple[tuple[int, ...], ...]], ...]
+    body: tuple[ClassVector, ...]
+    tails: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
-        return sum(len(tails) for _, tails in self.groups)
-
-    def tails(self) -> list[tuple[int, ...]]:
-        """Every hit's long-class row, in hit order."""
-        return list(chain.from_iterable(map(itemgetter(1), self.groups)))
+        return len(self.tails)
 
 
 def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
-    """All chain configurations matching the template, as checked rows.
+    """All chain configurations on the anchored body matching the template,
+    as checked rows.
 
     Raises SearchCapExceeded before enumerating anything when the estimate
-    exceeds the cap. The Gram check runs once per sign orbit: per
-    placement, the flip columns are checked once to miss the body support,
-    the representatives go through chains.check_tails, the Gram check the
-    CpConfiguration constructor runs, as one batch on their raw
-    coefficients, and then each is expanded into its orbit (_expand). A
-    flip off the body support fixes every body pairing and the square, so
-    each hit is certified exactly. The check shares nothing with the
-    enumerator's algebra, so a flip column on the body or a row it rejects
-    is an enumerator bug and raises ConsistencyError. No CpConfiguration
-    is built.
+    exceeds the cap. The Gram check runs once per sign orbit: the flip
+    columns are checked once to miss the body support, the representatives
+    go through chains.check_tails, the Gram check the CpConfiguration
+    constructor runs, as one batch on their raw coefficients, and then each
+    is expanded into its orbit (_expand). A flip off the body support fixes
+    every body pairing and the square, so each hit is certified exactly.
+    The check shares nothing with the enumerator's algebra, so a flip
+    column on the body or a row it rejects is an enumerator bug and raises
+    ConsistencyError. No CpConfiguration is built.
     """
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
@@ -428,29 +326,19 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
         raise SearchCapExceeded(estimate, cap)
 
     p, lat = template.p, AmbientLattice(template.n)
-    groups = []
-    for pl in _placements(template):
-        reps = _enumerate_placement(template, pl)
-        if not reps:
-            continue
-        # body_i = e_{x_i} - e_{x_{i+1}} along the placement, as one row
-        body = tuple(
-            ClassVector(lat, _difference_row(lat.rank, x, y)) for x, y in zip(pl, pl[1:])
-        )
-        flips = (0,) + _placement_geometry(template, pl)[0]
-        met = sorted({i for u in body for i in flips if u.coeffs[i]})
-        if met:
-            raise ConsistencyError(f"sign-flip columns {met} meet the body support")
-        try:
-            check_tails(p, lat, body, reps)
-        except InvalidConfigurationError as exc:
-            raise ConsistencyError(f"enumerated solution fails the Gram check: {exc}") from exc
-        groups.append((body, _expand(flips, reps)))
-    # distinct placements have distinct bodies, all of length p - 2, so
-    # sorting by body and then by tail orders hits exactly as the flat
-    # tuple of all class coefficients does
-    groups.sort(key=lambda group: tuple(u.coeffs for u in group[0]))
-    return SearchHits(p=p, lattice=lat, groups=tuple(groups))
+    pl = _placement(template)
+    # body_i = e_{x_i} - e_{x_{i+1}} along the placement, as one row
+    body = tuple(ClassVector(lat, _difference_row(lat.rank, x, y)) for x, y in zip(pl, pl[1:]))
+    reps = _enumerate_placement(template, pl)
+    flips = (0,) + _placement_geometry(template, pl)[0]
+    met = sorted({i for u in body for i in flips if u.coeffs[i]})
+    if met:
+        raise ConsistencyError(f"sign-flip columns {met} meet the body support")
+    try:
+        check_tails(p, lat, body, reps)
+    except InvalidConfigurationError as exc:
+        raise ConsistencyError(f"enumerated solution fails the Gram check: {exc}") from exc
+    return SearchHits(p=p, lattice=lat, body=body, tails=_expand(flips, reps))
 
 
 class FamilySearchReport(Record):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, prod
+from math import gcd, isqrt, prod
 from typing import Sequence
 
 from rbdcalc.blowdown import H1Certificate
@@ -198,16 +198,15 @@ def configurations(hits) -> list[CpConfiguration]:
     hit, where search_hits checks one representative per sign orbit, so no
     orbit is taken on trust."""
     return [
-        CpConfiguration(hits.p, body + (ClassVector(hits.lattice, tail),))
-        for body, tails in hits.groups
-        for tail in tails
+        CpConfiguration(hits.p, hits.body + (ClassVector(hits.lattice, tail),))
+        for tail in hits.tails
     ]
 
 
 def theta_count(n: int, p: int, bounds: Sequence[int]) -> int:
-    """Hits of a symmetry-reduced box (either body shape), counted without
-    enumerating one: the one placement puts the body e_x - e_{x+1} on the
-    top p - 1 indices, so a hit's long class is t on the run n-p+2..n-1, t + 1 at n,
+    """Hits of a search box, counted without enumerating one: the anchored
+    placement puts the body e_x - e_{x+1} on the top p - 1 indices, so a
+    hit's long class is t on the run n-p+2..n-1, t + 1 at n,
     and c0 at h, with c0^2 - (free sum of squares) - (p - 2) t^2 - (t + 1)^2
     = -(p + 2). A per-coordinate DP over sums of squares counts the signed
     points of the free box at each sum (a truncated theta series), and the
@@ -234,38 +233,3 @@ def theta_count(n: int, p: int, bounds: Sequence[int]) -> int:
         c0_cap = min(bounds[0], isqrt(max(need + max(sums), 0)))
         total += sum(sums.get(c0 * c0 - need, 0) for c0 in range(-c0_cap, c0_cap + 1))
     return total
-
-
-def _times_binomial_power(series: list[int], w: int, c: int) -> list[int]:
-    """series(x) * (w + x)^c, truncated to the degree of series."""
-    top = min(c, len(series) - 1)
-    factor, power = [0] * (top + 1), pow(w, c - top)
-    for j in range(top, -1, -1):
-        factor[j] = comb(c, j) * power
-        power *= w
-    return [
-        sum(factor[j] * series[d - j] for j in range(min(d, top) + 1)) for d in range(len(series))
-    ]
-
-
-def free_pairs_box_sum_horner(template) -> int:
-    """The unreduced free-pairs box sum of search._free_pairs_box_sum by the
-    same closed form, with the bounds taken from the top one at a time: the
-    free product below each bound is accumulated Horner style, one power
-    per distinct bound, so each step multiplies the growing total by a
-    small factor (quadratic in the number of distinct bounds)."""
-    k = template.p - 2
-    series = [1] + [0] * (k + 1)  # the product over the bounds above b
-    total = 0
-    for b, c in sorted(Counter(template.tail_bounds[1:]).items(), reverse=True):
-        w = 2 * b + 1
-        top = min(c, k + 1)
-        power, at_b = pow(w, c - top), 0
-        for r in range(top, 0, -1):
-            widths = (k + 1) * w - (r - 1) - (r >= 2)
-            at_b += comb(c, r) * power * series[k + 1 - r] * widths
-            power *= w
-        # Horner from the top: every bound above b gains b's w^c as free
-        total = at_b + power * total
-        series = _times_binomial_power(series, w, c)
-    return factorial(k) * total

@@ -32,7 +32,6 @@ from rbdcalc.search import family_question_template, search_hits
 from rbdcalc.snf import smith_normal_form
 
 from families import (
-    family_classes,
     family_configuration,
     family_h1_witness,
     family_period_point,

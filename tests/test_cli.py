@@ -19,15 +19,10 @@ import rbdcalc
 import rbdcalc.snf as snf_module
 from rbdcalc import cli
 from rbdcalc.chains import standard_configuration
-from rbdcalc.search import (
-    BODY_SHAPES,
-    SearchTemplate,
-    family_question_dimensions,
-    search_hits,
-)
+from rbdcalc.search import SearchTemplate, family_question_dimensions, search_hits
 
 from families import family_configuration, family_h1_witness
-from oracles import configurations, signed_permutation
+from oracles import configurations, signed_permutation, theta_count
 
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
 A3 = FIXTURES / "family1" / "a3.json"
@@ -171,6 +166,7 @@ def test_benchmark_input_shapes_are_accepted(capsys, tmp_path):
     code, out, err = run_cli(capsys, "search", "--template", str(path))
     assert code == 0
     assert len(out.splitlines()) == json.loads(err)["count"] == 3894
+    assert sha256(out) == A7_STREAM_DIGEST
 
 
 def test_blowdown_with_explicit_witness(capsys):
@@ -320,14 +316,6 @@ def question_template(a):
 
 STREAM_TEMPLATES = {
     "3-chain a=7": question_template(7),
-    "unreduced consecutive": {"n": 6, "p": 3, "tail_bounds": 2, "symmetry_reduction": False},
-    "unreduced free-pairs": {
-        "n": 5,
-        "p": 3,
-        "tail_bounds": 2,
-        "body_shape": "free-pairs",
-        "symmetry_reduction": False,
-    },
     "p=2": {"n": 5, "p": 2, "tail_bounds": 2},
 }
 
@@ -344,8 +332,6 @@ def test_search_stream_is_byte_identical_to_per_hit_json(capsys, tmp_path, name)
     assert len(lines) == json.loads(err)["count"] == len(hits)
     for line, cfg in zip(lines, hits):
         assert line == json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":"))
-    if name.startswith("unreduced"):
-        assert len({cfg.classes[:-1] for cfg in hits}) > 1
 
 
 A7_STREAM_DIGEST = "a8cd743e4bef138e5eb2537dabde8d1bcd519a8981bd7b89e31f4bed61eced29"
@@ -372,33 +358,26 @@ class RecordingStdout(io.StringIO):
         return super().write(text)
 
 
-# template -> its groups' sizes where they sit at the chunk boundary
+# template -> its hit count where it sits at the chunk boundary
 BOUNDED_WRITE_TEMPLATES = {
     "3-chain a=7": (STREAM_TEMPLATES["3-chain a=7"], None),
     "p=2": (STREAM_TEMPLATES["p=2"], None),
-    "unreduced consecutive": (STREAM_TEMPLATES["unreduced consecutive"], None),
-    "groups of 65": (
-        {"n": 5, "p": 4, "tail_bounds": [2, 2, 2, 2, 2, 3], "symmetry_reduction": False},
-        [61, 65, 65],
-    ),
-    "a group of 64": (
-        {"n": 6, "p": 4, "tail_bounds": [2, 0, 0, 1, 1, 2, 2], "symmetry_reduction": False},
-        [5, 11, 8, 64],
-    ),
-    "no hits": ({"n": 3, "p": 2, "tail_bounds": 0}, []),
+    "64 hits": ({"n": 6, "p": 4, "tail_bounds": [2, 1, 2, 2, 0, 0, 1]}, 64),
+    "65 hits": ({"n": 5, "p": 4, "tail_bounds": [2, 2, 3, 2, 2, 2]}, 65),
+    "129 hits": ({"n": 6, "p": 4, "tail_bounds": [2, 1, 2, 2, 1, 1, 2]}, 129),
+    "no hits": ({"n": 3, "p": 2, "tail_bounds": 0}, 0),
 }
 
 
 @pytest.mark.parametrize("name", BOUNDED_WRITE_TEMPLATES)
 def test_search_writes_whole_lines_in_bounded_chunks(monkeypatch, tmp_path, name):
-    """Every write holds whole lines, at most 64 of them; there are at most
-    one write per group plus one per 64 hits; and the writes join to the
-    per-hit json.dumps lines."""
-    payload, sizes = BOUNDED_WRITE_TEMPLATES[name]
+    """Every write holds whole lines, at most 64 of them; there is one write
+    per 64 hits, rounded up; and the writes join to the per-hit json.dumps
+    lines."""
+    payload, count = BOUNDED_WRITE_TEMPLATES[name]
     template = SearchTemplate.from_json(payload)
-    groups = search_hits(template).groups
-    if sizes is not None:
-        assert [len(tails) for _, tails in groups] == sizes
+    if count is not None:
+        assert theta_count(template.n, template.p, template.tail_bounds) == count
     stdout = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert cli.main(["search", "--template", write_config(tmp_path, payload)]) == 0
@@ -408,9 +387,7 @@ def test_search_writes_whole_lines_in_bounded_chunks(monkeypatch, tmp_path, name
     assert cli.STREAM_CHUNK == 64
     for text in stdout.writes:
         assert text.endswith("\n") and text.count("\n") <= 64
-    assert len(stdout.writes) <= len(groups) + -(-len(hits) // 64)
-    if not hits:
-        assert stdout.writes == []
+    assert len(stdout.writes) == -(-len(hits) // 64)
 
 
 def test_search_cap_exit(capsys, tmp_path):
@@ -423,12 +400,11 @@ def test_search_cap_exit(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search", "--template", huge)
     assert code == 1
     assert err.startswith("rbdcalc: estimated search space at least 2^15849 exceeds cap")
-    # the smallest-bound placement of this box has an empty t range
-    payload = {"n": 4, "p": 3, "tail_bounds": [5, 0, 0, 5, 5], "body_shape": "free-pairs"}
-    unreduced = write_config(tmp_path, {**payload, "symmetry_reduction": False}, "unreduced.json")
-    code, out, err = run_cli(capsys, "search", "--template", unreduced, "--cap", "1")
+    # p = 3: no free coordinate, 10 run values
+    chain = write_config(tmp_path, {"n": 4, "p": 3, "tail_bounds": [5, 0, 0, 5, 5]}, "chain.json")
+    code, out, err = run_cli(capsys, "search", "--template", chain, "--cap", "1")
     assert (code, out) == (1, "")
-    assert err.startswith("rbdcalc: estimated search space 108 exceeds cap 1")
+    assert err.startswith("rbdcalc: estimated search space 10 exceeds cap 1")
 
 
 def test_search_refuses_a_wide_box(capsys, tmp_path):
@@ -476,12 +452,26 @@ def test_search_refuses_non_integer_template_fields(capsys, tmp_path, template):
     "template, argv, message",
     [
         ({"n": 5, "p": 1, "tail_bounds": 2}, [], "need p >= 2"),
-        ({"n": 5, "p": 2, "tail_bounds": 2, "body_shape": "zig"}, [], "unknown body shape"),
+        (
+            {"n": 5, "p": 2, "tail_bounds": 2, "body_shape": "zig"},
+            [],
+            'body_shape must be "consecutive-differences"',
+        ),
         ({"n": 5, "p": 2, "tail_bounds": 2, "body_shape": 3}, [], "body_shape must be a string"),
         ({"n": 5, "p": 2, "tail_bounds": -1}, [], "bounds must be nonnegative"),
         ({"n": 5, "p": 2, "tail_bounds": 2, "symmetry_reduction": "false"}, [], "true or false"),
         ({"n": 5, "p": 2, "tail_bounds": 2, "symmetry_reduction": 0}, [], "true or false"),
         ({"n": 5, "p": 2, "tail_bounds": 2}, ["--cap", "0"], "cap must be positive"),
+        (
+            {"n": 5, "p": 2, "tail_bounds": 2, "body_shape": "free-pairs"},
+            [],
+            'body_shape must be "consecutive-differences"',
+        ),
+        (
+            {"n": 5, "p": 2, "tail_bounds": 2, "symmetry_reduction": False},
+            [],
+            "symmetry_reduction must be true",
+        ),
     ],
 )
 def test_search_template_and_option_errors_exit_2(capsys, tmp_path, template, argv, message):
@@ -1141,9 +1131,9 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, command, fault):
     assert stderr.startswith("rbdcalc: ")
 
 
-# well-formed JSON that is no template: a misspelt key, which would otherwise
-# leave the symmetry reduction on unseen, a root that is not an object, a
-# template without n, values of another kind, and a chain that does not fit
+# well-formed JSON that is no template: a misspelt key, a root that is not an
+# object, a template without n, values of another kind, a value of a removed
+# placement mode, and a chain that does not fit
 BAD_TEMPLATES = {
     "unknown key": (
         {"n": 4, "p": 3, "tail_bounds": 2, "symetry_reduction": False},
@@ -1158,6 +1148,20 @@ BAD_TEMPLATES = {
     "symmetry_reduction as an integer": (
         {"n": 4, "p": 3, "tail_bounds": 2, "symmetry_reduction": 1},
         "symmetry_reduction must be true or false, got 1",
+    ),
+    "symmetry_reduction off": (
+        {"n": 4, "p": 3, "tail_bounds": 2, "symmetry_reduction": False},
+        "symmetry_reduction must be true: the search takes only the anchored placement",
+    ),
+    "free-pairs body_shape": (
+        {"n": 4, "p": 3, "tail_bounds": 2, "body_shape": "free-pairs"},
+        'body_shape must be "consecutive-differences": the search takes only the anchored '
+        "placement",
+    ),
+    "unknown body_shape": (
+        {"n": 4, "p": 3, "tail_bounds": 2, "body_shape": "zig"},
+        'body_shape must be "consecutive-differences": the search takes only the anchored '
+        "placement",
     ),
     "n as a boolean": ({"n": True, "p": 3, "tail_bounds": 2}, "n must be an integer, got True"),
     "tail_bounds as a string": (
@@ -1282,7 +1286,9 @@ def near(valid):
 
 @st.composite
 def templates(draw):
-    """Mostly well-formed boxes, one field sometimes replaced or dropped."""
+    """Mostly well-formed boxes, one field sometimes replaced or dropped;
+    body_shape and symmetry_reduction mostly at their one accepted value,
+    else at a removed value or of another kind."""
     if draw(st.integers(0, 4)) == 0:
         return draw(JSON_VALUES)
     n = draw(st.integers(1, 8))
@@ -1291,8 +1297,8 @@ def templates(draw):
         "n": n,
         "p": draw(st.integers(2, 7)),
         "tail_bounds": draw(bounds),
-        "body_shape": draw(st.sampled_from(BODY_SHAPES)),
-        "symmetry_reduction": draw(st.booleans()),
+        "body_shape": draw(st.sampled_from(["consecutive-differences"] * 3 + ["free-pairs", 3])),
+        "symmetry_reduction": draw(st.sampled_from([True] * 3 + [False, "true"])),
     }
     key = draw(st.sampled_from([None] * 5 + sorted(template)))
     if key is not None:

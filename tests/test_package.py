@@ -250,8 +250,12 @@ def test_unused_import_finder_flags_only_unread_names():
     assert unused_top_level_imports(source) == ["j (line 3)", "b (line 4)"]
 
 
-# the package's modules, and the family formulas that moved out of it
-MODULES = sorted(Path(rbdcalc.__file__).parent.glob("*.py")) + [REPO_ROOT / "scripts" / "families.py"]
+# the package's modules, the scripts and the tests
+MODULES = [
+    *sorted(Path(rbdcalc.__file__).parent.glob("*.py")),
+    *sorted((REPO_ROOT / "scripts").glob("*.py")),
+    *sorted((REPO_ROOT / "tests").glob("*.py")),
+]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -115,9 +115,6 @@ def test_record_fields_come_from_the_annotations_in_order():
 def test_record_defaults_and_keyword_arguments():
     assert vars(Pair(1)) == {"left": 1, "right": ()}
     assert Pair(right=(3,), left=2) == Pair(2, (3,))
-    template = SearchTemplate(n=3, p=2, tail_bounds=(1,) * 4)
-    assert (template.body_shape, template.symmetry_reduction) == ("consecutive-differences", True)
-    assert template == SearchTemplate(3, 2, (1,) * 4, "consecutive-differences", True)
 
 
 @pytest.mark.parametrize(

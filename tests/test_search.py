@@ -3,9 +3,8 @@
 import gc
 import hashlib
 import json
-import time
 from importlib.util import module_from_spec, spec_from_file_location
-from itertools import permutations, product
+from itertools import product
 from math import prod
 from pathlib import Path
 
@@ -35,9 +34,8 @@ from rbdcalc.search import (
     SearchTemplate,
     _enumerate_placement,
     _expand,
-    _free_pairs_box_sum,
+    _placement,
     _placement_geometry,
-    _placements,
     _solution_table,
     estimate_search_space,
     family_question_dimensions,
@@ -47,7 +45,7 @@ from rbdcalc.search import (
 )
 
 from families import family_configuration
-from oracles import configurations, free_pairs_box_sum_horner, point_walk, theta_count
+from oracles import configurations, point_walk, theta_count
 
 
 def brute_force_single_class(n, bound):
@@ -68,8 +66,6 @@ def test_template_validation():
         SearchTemplate(n=5, p=2, tail_bounds=(2,) * 5)
     with pytest.raises(DomainError):
         SearchTemplate(n=5, p=2, tail_bounds=(2,) * 5 + (-1,))
-    with pytest.raises(DomainError):
-        SearchTemplate(n=5, p=2, tail_bounds=(2,) * 6, body_shape="spiral")
     with pytest.raises(TemplateError):
         SearchTemplate(n=3, p=5, tail_bounds=(2,) * 4)
 
@@ -89,10 +85,16 @@ def test_from_json_broadcasts_integer_bounds():
 
 
 def test_from_json_requires_a_boolean_and_a_string():
-    """bool("false") is True, so a string flag would turn the reduction on."""
+    """The two keys of the removed placement modes are read only at the
+    values that select the anchored placement, and not kept; another value
+    is refused naming its key, and bool("false") is True, so a string flag
+    is refused as a value of another kind."""
     base = {"n": 5, "p": 2, "tail_bounds": 2}
-    off = SearchTemplate.from_json({**base, "symmetry_reduction": False})
-    assert off.symmetry_reduction is False
+    legacy = {"body_shape": "consecutive-differences", "symmetry_reduction": True}
+    assert SearchTemplate.from_json({**base, **legacy}) == SearchTemplate.uniform(5, 2, 2)
+    for key, value in [("symmetry_reduction", False), ("body_shape", "free-pairs")]:
+        with pytest.raises(DomainError, match=f"^{key} must be"):
+            SearchTemplate.from_json({**base, key: value})
     for bad in ("false", 0, None):
         with pytest.raises(InputTypeError):
             SearchTemplate.from_json({**base, "symmetry_reduction": bad})
@@ -115,108 +117,29 @@ def test_estimate_groups_free_coordinates_by_bound():
     assert estimate_search_space(mixed) == 5 * 3 * 5 * 7 * 3 * 5
 
 
-def placement_box_sum(template):
-    """Free-coordinate box times t range width, summed over every placement walked."""
-    total = 0
-    for placement in _placements(template):
-        free, _run, _end, t_range = _placement_geometry(template, placement)
-        total += prod(2 * template.tail_bounds[i] + 1 for i in free) * len(t_range)
-    return total
-
-
-def unreduced_free_pairs(bounds, p=3):
-    return SearchTemplate(
-        n=len(bounds) - 1,
-        p=p,
-        tail_bounds=tuple(bounds),
-        body_shape="free-pairs",
-        symmetry_reduction=False,
-    )
-
-
-@pytest.mark.parametrize(
-    "bounds, p, true_sum",
-    [
-        ((5, 0, 0, 5, 5), 3, 108),
-        ((3, 0, 0, 2, 2, 2, 2, 2, 2), 3, 150_000),
-        ((2, 1, 0, 3, 0, 2), 4, None),
-        ((1, 0, 4, 0, 1, 2), 3, None),
-    ],
-)
-def test_unreduced_free_pairs_estimate_bounds_every_placement(bounds, p, true_sum):
-    """The smallest-bound placement can have an empty t range; the estimate
-    is still the sum of the boxes actually walked."""
-    template = unreduced_free_pairs(bounds, p)
-    walked = placement_box_sum(template)
-    assert true_sum is None or walked == true_sum
-    assert estimate_search_space(template) == walked > 0
+def placement_box(template):
+    """Free-coordinate box times t range width of the placement walked."""
+    free, _run, _end, t_range = _placement_geometry(template, _placement(template))
+    return prod(2 * template.tail_bounds[i] + 1 for i in free) * len(t_range)
 
 
 @st.composite
-def small_free_pairs_boxes(draw):
+def small_boxes(draw):
     n = draw(st.integers(2, 5))
     p = draw(st.integers(3, n + 1))
     return n, p, draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
 
 
 @settings(max_examples=40)
-@given(small_free_pairs_boxes())
+@given(small_boxes())
 def test_estimate_is_an_upper_bound_on_small_templates(case):
-    """The closed form equals the sum over every placement walked, on mixed
-    and on uniform bounds."""
+    """The estimate is the box the walk covers, on mixed bounds (zero
+    bounds and empty t ranges included) and on uniform bounds."""
     n, p, bounds = case
-    template = unreduced_free_pairs(bounds, p)
-    assert estimate_search_space(template) == placement_box_sum(template)
-    uniform = SearchTemplate.uniform(n, p, bounds[0], "free-pairs", symmetry_reduction=False)
-    assert estimate_search_space(uniform) == placement_box_sum(uniform)
-
-
-@st.composite
-def wide_free_pairs_boxes(draw):
-    """Up to 80 bounds, drawn from a few values (long runs of one bound) or
-    from many (mostly distinct bounds), and any p that fits."""
-    n = draw(st.integers(2, 80))
-    p = draw(st.integers(3, n + 1))
-    values = st.integers(0, draw(st.sampled_from((2, 40, 10**6))))
-    return n, p, draw(st.lists(values, min_size=n + 1, max_size=n + 1))
-
-
-@settings(max_examples=200)
-@given(st.one_of(small_free_pairs_boxes(), wide_free_pairs_boxes()))
-def test_free_pairs_box_sum_matches_the_horner_reference(case):
-    """The segment tree gives the integer the one-bound-at-a-time
-    accumulation gives, and on small boxes the sum over every placement."""
-    n, p, bounds = case
-    template = unreduced_free_pairs(bounds, p)
-    total = _free_pairs_box_sum(template)
-    assert total == free_pairs_box_sum_horner(template)
-    if n <= 5:
-        assert total == placement_box_sum(template)
-
-
-@settings(max_examples=40)
-@given(small_free_pairs_boxes())
-def test_unreduced_free_pairs_lists_exactly_the_walkable_placements(case):
-    """Every injective sequence with a nonempty t range, and no other, so
-    each listed placement counts at least 1 in the estimate."""
-    n, p, bounds = case
-    template = unreduced_free_pairs(bounds, p)
-    walkable = {
-        pl for pl in permutations(range(1, n + 1), p - 1) if _placement_geometry(template, pl)[3]
-    }
-    listed = _placements(template)
-    assert len(listed) == len(set(listed)) and set(listed) == walkable
-
-
-def test_unreduced_free_pairs_zero_estimate_lists_nothing():
-    """With every e bound 0 each t range is empty, the estimate is 0, and
-    the n(n - 1) empty placements are not built one by one."""
-    n = 400
-    template = unreduced_free_pairs((1,) + (0,) * n)
-    assert estimate_search_space(template) == 0
-    started = time.perf_counter()
-    assert configurations(search_hits(template, cap=1)) == []
-    assert time.perf_counter() - started < 0.5
+    template = SearchTemplate(n=n, p=p, tail_bounds=tuple(bounds))
+    assert estimate_search_space(template) == placement_box(template)
+    uniform = SearchTemplate.uniform(n, p, bounds[0])
+    assert estimate_search_space(uniform) == placement_box(uniform)
 
 
 def test_cap_refused_before_enumeration():
@@ -229,7 +152,7 @@ def test_cap_refused_before_enumeration():
         configurations(search_hits(template, cap=0))
     assert DEFAULT_CAP >= 3125
     with pytest.raises(SearchCapExceeded):
-        configurations(search_hits(unreduced_free_pairs((5, 0, 0, 5, 5)), cap=1))
+        configurations(search_hits(SearchTemplate(n=4, p=3, tail_bounds=(5, 0, 0, 5, 5)), cap=1))
 
 
 @pytest.mark.parametrize("h_bound", [10**5, 10**9])
@@ -240,8 +163,7 @@ def test_huge_h_bound_costs_only_reachable_sums(n, p, bounds, h_bound):
     reach, at most twice the placement's box, and the hits are those of a
     small h bound."""
     template = SearchTemplate(n=n, p=p, tail_bounds=(h_bound,) + bounds)
-    (placement,) = _placements(template)
-    geometry = _placement_geometry(template, placement)
+    geometry = _placement_geometry(template, _placement(template))
     free, _run, _end, t_range = geometry
     entries = sum(map(len, _solution_table(template, *geometry).values()))
     assert entries <= 2 * prod(2 * template.tail_bounds[i] + 1 for i in free) * len(t_range)
@@ -252,20 +174,14 @@ def test_huge_h_bound_costs_only_reachable_sums(n, p, bounds, h_bound):
 
 @st.composite
 def walkable_templates(draw):
-    """p = 2..5, e bounds 0..2 (zero bounds included), an h bound below or
-    far above the reach of the free box, and either body shape with or
-    without the symmetry reduction; boxes small enough for the point walk."""
+    """p = 2..5, e bounds 0..2 (zero bounds included), and an h bound below
+    or far above the reach of the free box; boxes small enough for the
+    point walk."""
     p = draw(st.integers(2, 5))
     n = draw(st.integers(max(p - 1, 1), p + 2))
     bounds = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     h_bound = draw(st.one_of(st.integers(0, 3), st.just(10**6)))
-    template = SearchTemplate(
-        n=n,
-        p=p,
-        tail_bounds=(h_bound, *bounds),
-        body_shape=draw(st.sampled_from(("consecutive-differences", "free-pairs"))),
-        symmetry_reduction=draw(st.booleans()),
-    )
+    template = SearchTemplate(n=n, p=p, tail_bounds=(h_bound, *bounds))
     assume(estimate_search_space(template) <= 20_000)
     return template
 
@@ -277,14 +193,14 @@ def test_magnitude_walk_matches_the_point_walk(template):
     and the free magnitudes nonnegative, and expanding the signs at h and
     the free columns gives the tails of the walk over every signed point,
     each exactly once."""
-    for placement in _placements(template):
-        reps = _enumerate_placement(template, placement)
-        flips = (0,) + _placement_geometry(template, placement)[0]
-        assert len(set(reps)) == len(reps)
-        assert all(rep[i] >= 0 for rep in reps for i in flips)
-        tails = _expand(flips, reps)
-        assert len(set(tails)) == len(tails)
-        assert sorted(tails) == sorted(point_walk(template, placement))
+    placement = _placement(template)
+    reps = _enumerate_placement(template, placement)
+    flips = (0,) + _placement_geometry(template, placement)[0]
+    assert len(set(reps)) == len(reps)
+    assert all(rep[i] >= 0 for rep in reps for i in flips)
+    tails = _expand(flips, reps)
+    assert len(set(tails)) == len(tails)
+    assert sorted(tails) == sorted(point_walk(template, placement))
 
 
 @pytest.mark.parametrize(
@@ -312,8 +228,7 @@ def test_theta_count_gives_the_probe_counts(kind, a, count, monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(walkable_templates())
 def test_theta_count_matches_search_on_reduced_boxes(template):
-    """One anchored placement per reduced template, whatever its body shape."""
-    assume(template.symmetry_reduction)
+    """The count of the one anchored placement, without a walk."""
     count = theta_count(template.n, template.p, template.tail_bounds)
     assert count == len(configurations(search_hits(template)))
 
@@ -343,8 +258,8 @@ def test_search_is_deterministic():
     "template",
     [
         family_question_template(7, "3-chain"),
-        SearchTemplate.uniform(6, 3, 2, symmetry_reduction=False),
-        SearchTemplate.uniform(5, 3, 2, body_shape="free-pairs", symmetry_reduction=False),
+        SearchTemplate.uniform(6, 3, 2),
+        SearchTemplate.uniform(5, 4, 2),
         SearchTemplate.uniform(5, 2, 2),
     ],
 )
@@ -397,11 +312,10 @@ def test_enumerate_placement_leaves_no_reference_cycle():
     cleared after the walk, so a call leaves nothing for the cyclic
     collector and its representatives, table and point go on return."""
     template = family_question_template(8, "3-chain")
-    (placement,) = _placements(template)
     gc.disable()
     try:
         gc.collect()
-        assert len(_enumerate_placement(template, placement)) == 74
+        assert len(_enumerate_placement(template, _placement(template))) == 74
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -410,9 +324,9 @@ def test_enumerate_placement_leaves_no_reference_cycle():
 def corrupt_first_tail(monkeypatch, template, corrupt):
     """Make the enumerator return its first representative changed by
     `corrupt`; the (body, bad representative) pair the searches will meet."""
-    (body, _), *_ = search_hits(template).groups
+    body = search_hits(template).body
     enumerate_placement = search_module._enumerate_placement
-    (placement,) = _placements(template)
+    placement = _placement(template)
     reps = enumerate_placement(template, placement)
     bad = corrupt(reps[0], _placement_geometry(template, placement)[0])
 
@@ -434,8 +348,7 @@ def bump_free(tail, free):
 
 def orbit_of(template, row):
     """The sign orbit of one row of the template's one placement."""
-    (placement,) = _placements(template)
-    return _expand((0,) + _placement_geometry(template, placement)[0], [row])
+    return _expand((0,) + _placement_geometry(template, _placement(template))[0], [row])
 
 
 @pytest.mark.parametrize("corrupt", [bump_c0, bump_free])
@@ -489,8 +402,8 @@ def test_search_hits_refuse_a_flip_column_on_the_body(monkeypatch):
     column on the body support raises ConsistencyError before any row is
     checked, and the constructor rejects every hit that flip adds."""
     template = family_question_template(8, "3-chain")
-    ((body, _),) = search_hits(template).groups
-    (placement,) = _placements(template)
+    body = search_hits(template).body
+    placement = _placement(template)
     reps = _enumerate_placement(template, placement)
     free, run, end, t_range = _placement_geometry(template, placement)
     monkeypatch.setattr(search_module, "_enumerate_placement", lambda t, pl: reps)
@@ -526,44 +439,38 @@ def test_search_hits_check_one_row_per_sign_orbit(monkeypatch, a, rows, count):
 
 def assert_rows_agree_with_search(template):
     """Every hit passes the constructor on its own, and the configurations
-    give back the rows: each group's body and tails, sorted."""
+    give back the rows: the body, shared by every hit, and the tails,
+    sorted."""
     hits = search_hits(template)
     built = configurations(hits)
-    assert [cfg.classes[:-1] for cfg in built] == [
-        body for body, tails in hits.groups for _ in tails
-    ]
+    assert all(cfg.classes[:-1] == hits.body for cfg in built)
+    assert len(hits.body) == template.p - 2
     assert built == sorted(built, key=lambda cfg: tuple(u.coeffs for u in cfg.classes))
-    assert hits.tails() == [cfg.classes[-1].coeffs for cfg in built]
+    assert hits.tails == tuple(cfg.classes[-1].coeffs for cfg in built)
     assert hits.count == len(built)
-    bodies = [body for body, _ in hits.groups]
-    assert len(set(bodies)) == len(bodies)
-    assert all(len(body) == template.p - 2 and tails for body, tails in hits.groups)
     return hits
 
 
 @settings(max_examples=60, deadline=None)
 @given(walkable_templates())
 def test_search_hits_agree_with_search_on_small_templates(template):
-    """Hit for hit and in order, on p = 2..5, either body shape, with and
-    without the symmetry reduction."""
+    """Hit for hit and in order, on p = 2..5."""
     assert_rows_agree_with_search(template)
 
 
 @pytest.mark.parametrize(
-    "template, groups",
+    "template, count",
     [
-        (SearchTemplate.uniform(5, 2, 2), 1),
-        (SearchTemplate.uniform(6, 3, 2, symmetry_reduction=False), 5),
-        (SearchTemplate.uniform(5, 4, 2, symmetry_reduction=False), 3),
-        (SearchTemplate.uniform(5, 3, 2, body_shape="free-pairs", symmetry_reduction=False), 20),
-        (family_question_template(7, "3-chain"), 1),
+        (SearchTemplate.uniform(5, 2, 2), 714),
+        (SearchTemplate.uniform(6, 3, 2), 466),
+        (SearchTemplate.uniform(5, 4, 2), 61),
+        (SearchTemplate.uniform(5, 3, 2), 206),
+        (family_question_template(7, "3-chain"), 3894),
     ],
 )
-def test_search_hits_agree_with_search_hit_for_hit(template, groups):
-    """p = 2 has one group with an empty body; unreduced templates have one
-    group per placement."""
-    hits = assert_rows_agree_with_search(template)
-    assert len(hits.groups) == groups
+def test_search_hits_agree_with_search_hit_for_hit(template, count):
+    """p = 2 has an empty body, the others the anchored run."""
+    assert assert_rows_agree_with_search(template).count == count
 
 
 def test_search_hits_build_no_configuration(monkeypatch):
@@ -617,7 +524,7 @@ def test_search_hits_check_a_passing_placement_as_one_batch(monkeypatch):
 )
 def test_search_hits_give_the_probe_counts(kind, a, count):
     report = search_family_questions(a, kind)
-    assert report.count == len(report.hits.tails()) == count
+    assert report.count == len(report.hits.tails) == count
 
 
 def test_question_dimensions():

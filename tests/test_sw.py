@@ -15,11 +15,7 @@ from rbdcalc.chains import (
     cp_scaled_inverse,
     standard_configuration,
 )
-from rbdcalc.errors import (
-    ConsistencyError,
-    LatticeMismatchError,
-    PreconditionError,
-)
+from rbdcalc.errors import LatticeMismatchError, PreconditionError
 from rbdcalc.lattice import AmbientLattice, pairing
 from rbdcalc.snf import smith_normal_form
 from rbdcalc.sw import (
