@@ -75,12 +75,13 @@ def _gather(support: tuple[int, ...]):
     return itemgetter(*support)
 
 
-# A block pairs every body row with every other, O(m^2 n): the six bodies of
-# the probe script's 3-chain a=8..11 and 4-chain a=5, 6 questions take about
-# 8.5 ms to build and 0.07 ms to look up, where a pass of those questions
-# takes 3-5 ms once they are built (CPython 3.11, 2 cores). The cache hits
-# only on bodies met before in one process: repeated probe passes, the
-# fixtures of one replay, the tests.
+# A block pairs every body row with every other through the sparse
+# functionals, O(m (m + nnz)) after one O(m n) pass for the support: the six
+# bodies of the probe script's 3-chain a=8..11 and 4-chain a=5, 6 questions
+# take about 2.2 ms to build and 0.03 ms to look up, where a pass of those
+# questions takes 3-5 ms once they are built (CPython 3.11, 2 cores). The
+# cache hits only on bodies met before in one process: repeated probe
+# passes, the fixtures of one replay, the tests.
 @lru_cache(maxsize=32)
 def _body_block(body: tuple[tuple[int, ...], ...]):
     """(Gram block, its diagonal, block ok, want, gather, pairings) of u_1..u_{p-2}.
@@ -96,7 +97,6 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
     m = len(body)
     if len(set(map(len, body))) > 1:
         raise LatticeMismatchError("candidate classes live in different lattices")
-    gram = tuple(tuple(row_pairing(x, y) for y in body) for x in body)
     chain = tuple(tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(m)) for i in range(m))
     support = tuple(sorted({k for row in body for k, c in enumerate(row) if c}))
     position = {k: j for j, k in enumerate(support)}
@@ -111,10 +111,12 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
             out[i] += c * values[j]
         return tuple(out)
 
+    gather = _gather(support)
+    gram = tuple(pairings(gather(x)) for x in body)
     # u_{p-2}.u_{p-1} = 1 and every other body pairing with the long class 0
     want = (0,) * (m - 1) + (1,) * (m > 0)
     squares = tuple(gram[i][i] for i in range(m))
-    return gram, squares, gram == chain, want, _gather(support), pairings
+    return gram, squares, gram == chain, want, gather, pairings
 
 
 _coeffs = attrgetter("coeffs")
@@ -342,25 +344,3 @@ def lens_space_cf(p: int) -> list[int]:
         raise DomainError(f"need p >= 2, got p = {p}")
     return [p + 2] + [2] * (p - 2)
 
-
-def standard_configuration(p: int, n: int | None = None) -> CpConfiguration:
-    """The minimal model C_p inside the diagonal lattice.
-
-    Body u_i = e_i - e_{i+1} (i = 1..p-2) and long class
-    e_1 + ... + e_{p-2} + 2 e_{p-1}, which fit in any ambient with n >= p-1.
-    Useful as a synthetic test bed at every p.
-    """
-    if p < 2:
-        raise DomainError(f"need p >= 2, got p = {p}")
-    if n is None:
-        n = p - 1
-    if n < p - 1:
-        raise DomainError(f"need n >= p-1 = {p - 1} to fit the chain, got n = {n}")
-    lat = AmbientLattice(n)
-    classes = [lat.e(i) - lat.e(i + 1) for i in range(1, p - 1)]
-    tail = lat.zero()
-    for j in range(1, p - 1):
-        tail = tail + lat.e(j)
-    tail = tail + 2 * lat.e(p - 1)
-    classes.append(tail)
-    return CpConfiguration(p=p, classes=tuple(classes))

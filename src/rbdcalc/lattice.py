@@ -96,9 +96,6 @@ class AmbientLattice(Record):
             )
         return ClassVector(self, c)
 
-    def zero(self) -> "ClassVector":
-        return ClassVector(self, (0,) * self.rank)
-
     def h(self) -> "ClassVector":
         return self.basis_vector(0)
 

@@ -51,6 +51,12 @@ DEFAULT_CAP = 10_000_000
 # at least C(free, 4) leaves: more than 10^8 past this many
 MAX_FREE_COORDINATES = 256
 
+# the largest ambient size a template takes: its n + 1 bounds are one tuple,
+# so one integer bound for a larger n could ask for more memory than there
+# is before any check; at this n the cap refuses a box of bound 1 in about
+# 0.4 s and 60 MB (CPython 3.11)
+MAX_N = 1_000_000
+
 # keys a template may hold that select no option: each is read only at the
 # value that names the anchored placement (as a message shows it), so that
 # templates written when other placements could be listed, such as the
@@ -73,6 +79,8 @@ class SearchTemplate(Report):
             raise DomainError(f"need p >= 2, got p = {self.p}")
         if self.n < 1:
             raise DomainError(f"need n >= 1, got n = {self.n}")
+        if self.n > MAX_N:
+            raise DomainError(f"need n <= {MAX_N}, got n = {self.n}")
         if len(self.tail_bounds) != self.n + 1:
             raise DomainError(
                 f"need {self.n + 1} bounds (h first), got {len(self.tail_bounds)}"
@@ -87,7 +95,8 @@ class SearchTemplate(Report):
 
     @classmethod
     def uniform(cls, n: int, p: int, bound: int) -> "SearchTemplate":
-        return cls(n=n, p=p, tail_bounds=(bound,) * (n + 1))
+        # an n past MAX_N is refused before its bounds are built
+        return cls(n=n, p=p, tail_bounds=(bound,) * (n + 1) if n <= MAX_N else ())
 
     @classmethod
     def from_json(cls, data) -> "SearchTemplate":
@@ -109,10 +118,9 @@ class SearchTemplate(Report):
                     f"{key} must be {shown}: the search takes only the anchored placement"
                 )
         bounds = data["tail_bounds"]
-        if type(bounds) is list:
-            bounds = tuple(strict_int(b, "tail_bounds entry") for b in bounds)
-        else:
-            bounds = (bounds,) * (data["n"] + 1)
+        if type(bounds) is int:
+            return cls.uniform(data["n"], data["p"], bounds)
+        bounds = tuple(strict_int(b, "tail_bounds entry") for b in bounds)
         return cls(n=data["n"], p=data["p"], tail_bounds=bounds)
 
 

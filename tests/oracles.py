@@ -1,7 +1,9 @@
-"""Reference computations the tests check the package against.
+"""Reference computations the tests check the package against, and the
+synthetic test bed they run on.
 
-Nothing in the package calls these; they restate a result by an
-independent or deliberately slower route, so a test can compare the two.
+Nothing in the package calls these. Most restate a result by an
+independent or deliberately slower route, so a test can compare the two;
+standard_configuration builds the minimal C_p model at every p.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Sequence
 from rbdcalc.blowdown import H1Certificate
 from rbdcalc.chains import CpConfiguration
 from rbdcalc.errors import ConsistencyError, DomainError
-from rbdcalc.lattice import ClassVector, dual_coefficients, pairing
+from rbdcalc.lattice import AmbientLattice, ClassVector, dual_coefficients, pairing
 from rbdcalc.search import _placement_geometry
 from rbdcalc.snf import smith_normal_form
 
@@ -233,3 +235,21 @@ def theta_count(n: int, p: int, bounds: Sequence[int]) -> int:
         c0_cap = min(bounds[0], isqrt(max(need + max(sums), 0)))
         total += sum(sums.get(c0 * c0 - need, 0) for c0 in range(-c0_cap, c0_cap + 1))
     return total
+
+
+def standard_configuration(p: int, n: int | None = None) -> CpConfiguration:
+    """The minimal model C_p inside the diagonal lattice.
+
+    Body u_i = e_i - e_{i+1} (i = 1..p-2) and long class
+    e_1 + ... + e_{p-2} + 2 e_{p-1}, which fit in any ambient with n >= p-1.
+    """
+    if p < 2:
+        raise DomainError(f"need p >= 2, got p = {p}")
+    if n is None:
+        n = p - 1
+    if n < p - 1:
+        raise DomainError(f"need n >= p-1 = {p - 1} to fit the chain, got n = {n}")
+    lat = AmbientLattice(n)
+    body = [lat.e(i) - lat.e(i + 1) for i in range(1, p - 1)]
+    tail = lat.vector([0] + [1] * (p - 2) + [2] + [0] * (n - p + 1))
+    return CpConfiguration(p=p, classes=(*body, tail))

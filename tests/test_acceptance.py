@@ -11,7 +11,6 @@ from rbdcalc.blowdown import full_blowdown_report, handle_counts
 from rbdcalc.chains import (
     ChainViolation,
     lens_space_cf,
-    standard_configuration,
     verify_cp_configuration,
 )
 from rbdcalc.errors import TemplateError
@@ -36,7 +35,14 @@ from families import (
     family_period_point,
     fixture_payload,
 )
-from oracles import configurations, det, evaluate_neg_cf, intersection_matrix, matmul
+from oracles import (
+    configurations,
+    det,
+    evaluate_neg_cf,
+    intersection_matrix,
+    matmul,
+    standard_configuration,
+)
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 

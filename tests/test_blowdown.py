@@ -19,7 +19,7 @@ from rbdcalc.blowdown import (
     handle_counts_after_blowdown,
     parity_and_homeo_type,
 )
-from rbdcalc.chains import CpConfiguration, standard_configuration
+from rbdcalc.chains import CpConfiguration
 from rbdcalc.errors import (
     ConsistencyError,
     DomainError,
@@ -36,7 +36,13 @@ from families import (
     family_h1_witness,
     family_period_point,
 )
-from oracles import configurations, cremona, h1_by_smith_normal_form, signed_permutation
+from oracles import (
+    configurations,
+    cremona,
+    h1_by_smith_normal_form,
+    signed_permutation,
+    standard_configuration,
+)
 
 
 def bounded_witness_scan(cfg, bound=3, max_support=4):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rbdcalc.chains as chains_module
 from rbdcalc.chains import (
     ChainReport,
     ChainViolation,
@@ -21,7 +22,6 @@ from rbdcalc.chains import (
     expected_square,
     lens_space_cf,
     parse_configuration,
-    standard_configuration,
     verify_cp_configuration,
 )
 from rbdcalc.errors import (
@@ -32,13 +32,13 @@ from rbdcalc.errors import (
     LatticeMismatchError,
     RbdcalcError,
 )
-from rbdcalc.lattice import AmbientLattice, ClassVector, pairing
+from rbdcalc.lattice import AmbientLattice, ClassVector, pairing, row_pairing
 from rbdcalc.search import SearchTemplate, family_question_template, search_hits
 from rbdcalc.snf import smith_normal_form
 
 from families import family_classes, family_configuration
 from oracles import det as int_det
-from oracles import configurations, evaluate_neg_cf, intersection_matrix
+from oracles import configurations, evaluate_neg_cf, intersection_matrix, standard_configuration
 
 
 def test_expected_squares():
@@ -247,6 +247,22 @@ def test_equal_distinct_body_is_built_once_and_then_held(body_cache, monkeypatch
     compared = spy_on_class_vector_eq(monkeypatch)
     CpConfiguration(p=3, classes=(twin, tail))
     assert compared == [] and builds_and_reuses() == (1, 2)
+
+
+def test_search_builds_the_body_block_without_dense_pairings(body_cache, monkeypatch):
+    """The block pairs body rows through its sparse functionals, so building
+    it for a 17-class body calls row_pairing on no pair of rows, where the
+    dense double loop made (p - 2)^2 calls."""
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return row_pairing(x, y)
+
+    monkeypatch.setattr(chains_module, "row_pairing", counted)
+    hits = search_hits(family_question_template(7, "3-chain"))
+    assert hits.p == 19 and hits.count == 3894
+    assert builds_and_reuses() == (1, 0) and calls == []
 
 
 def test_search_compares_classes_at_most_once_per_placement(body_cache, monkeypatch):

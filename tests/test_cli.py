@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 import rbdcalc
 import rbdcalc.snf as snf_module
 from rbdcalc import cli
-from rbdcalc.chains import standard_configuration
-from rbdcalc.search import SearchTemplate, family_question_dimensions, search_hits
+from rbdcalc.search import MAX_N, SearchTemplate, family_question_dimensions, search_hits
 
 from families import family_configuration, family_h1_witness
-from oracles import configurations, signed_permutation, theta_count
+from oracles import configurations, signed_permutation, standard_configuration, theta_count
 
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
 A3 = FIXTURES / "family1" / "a3.json"
@@ -1176,6 +1175,16 @@ BAD_TEMPLATES = {
         {"n": 2, "p": 5, "tail_bounds": 1},
         "chain does not fit: rank p - 1 = 4 exceeds the negative rank n = 2",
     ),
+    # one bound for 10^22 + 1 coordinates is more than a tuple can hold,
+    # and for 10^15 + 1 more memory than the address space
+    "n of 10^22 with one bound": (
+        {"n": 10**22, "p": 3, "tail_bounds": 1},
+        f"need n <= {MAX_N}, got n = {10**22}",
+    ),
+    "n of 10^15 with one bound": (
+        {"n": 10**15, "p": 3, "tail_bounds": 1},
+        f"need n <= {MAX_N}, got n = {10**15}",
+    ),
 }
 
 
@@ -1288,11 +1297,16 @@ def near(valid):
 def templates(draw):
     """Mostly well-formed boxes, one field sometimes replaced or dropped;
     body_shape and symmetry_reduction mostly at their one accepted value,
-    else at a removed value or of another kind."""
+    else at a removed value or of another kind; now and then an n past
+    MAX_N, with one bound for every coordinate."""
     if draw(st.integers(0, 4)) == 0:
         return draw(JSON_VALUES)
-    n = draw(st.integers(1, 8))
-    bounds = st.integers(0, 3) | st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1)
+    if draw(st.integers(0, 9)) == 0:
+        n = draw(st.sampled_from([MAX_N + 1, 10**15, 10**22]))
+        bounds = st.integers(0, 3)
+    else:
+        n = draw(st.integers(1, 8))
+        bounds = st.integers(0, 3) | st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1)
     template = {
         "n": n,
         "p": draw(st.integers(2, 7)),
@@ -1327,17 +1341,17 @@ def configs(draw):
     return draw(JSON_VALUES | small)
 
 
-def run_in_process(argv):
-    """stdout of cli.main, after checking its exit code (argparse's SystemExit too)."""
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+def run_in_process(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cli.main, argparse's SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             assert exc.code == 2
             code = 2
     assert code in (0, 1, 2)
-    return out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -1345,15 +1359,41 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def well_formed(template) -> bool:
+    """Whether the search takes a template, stated apart from its loader: an
+    object with the keys n, p and tail_bounds, and body_shape and
+    symmetry_reduction only at "consecutive-differences" and true; integers
+    2 <= p <= n + 1 <= MAX_N + 1; one nonnegative integer bound, or n + 1."""
+    keys = {"n", "p", "tail_bounds"}
+    optional = {"body_shape", "symmetry_reduction"}
+    if type(template) is not dict or not keys <= set(template) <= keys | optional:
+        return False
+    n, p, bounds = template["n"], template["p"], template["tail_bounds"]
+    if type(n) is not int or type(p) is not int or not 2 <= p <= n + 1 <= MAX_N + 1:
+        return False
+    if type(bounds) is list and len(bounds) == n + 1:
+        ok = all(type(b) is int and b >= 0 for b in bounds)
+    else:
+        ok = type(bounds) is int and bounds >= 0
+    shape = template.get("body_shape", "consecutive-differences")
+    reduced = template.get("symmetry_reduction", True)
+    return ok and shape == "consecutive-differences" and reduced is True
+
+
 @settings(max_examples=120)
 @given(templates())
 def test_fuzz_search_templates(fuzz_dir, template):
+    """A well-formed template exits 0 or 1 and any other exits 2; at 0,
+    stdout holds one compact sorted-key line per hit the trailer counts."""
     path = fuzz_dir / "template.json"
     path.write_text(json.dumps(template))
-    out = run_in_process(["search", "--template", str(path), "--cap", "10000"])
-    for line in out.split("\n"):
-        compact = line and json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
-        assert compact == line
+    code, out, err = run_in_process(["search", "--template", str(path), "--cap", "10000"])
+    assert (code in (0, 1)) == well_formed(template)
+    lines = out.splitlines()
+    for line in lines:
+        assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
+    if code == 0:
+        assert len(lines) == json.loads(err)["count"]
 
 
 @settings(max_examples=120)
@@ -1382,6 +1422,6 @@ def test_fuzz_config_commands(fuzz_dir, config, command, first, second):
         argv = ["sw", "--config", path, "--K", k, "--H", h]
     else:
         argv = [command, path]
-    out = run_in_process(argv)
+    _, out, _ = run_in_process(argv)
     # one indented sorted-key document, or nothing
     assert out == "" or json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out

@@ -19,7 +19,6 @@ from rbdcalc.chains import (
     ChainReport,
     ChainViolation,
     CpConfiguration,
-    standard_configuration,
     verify_cp_configuration,
 )
 from rbdcalc.errors import DomainError, InvalidConfigurationError
@@ -27,6 +26,8 @@ from rbdcalc.lattice import AmbientLattice, ClassVector
 from rbdcalc.report import Record, Report, dumps
 from rbdcalc.search import SearchTemplate
 from rbdcalc.sw import AdmissibilityReport, RestrictionReport, SwOutcome
+
+from oracles import standard_configuration
 
 REPORTS = (
     ChainViolation, ChainReport, BlowdownInvariants, H1Certificate, ParityReport,

@@ -254,21 +254,6 @@ def test_search_is_deterministic():
     assert configurations(search_hits(template)) == single
 
 
-@pytest.mark.parametrize(
-    "template",
-    [
-        family_question_template(7, "3-chain"),
-        SearchTemplate.uniform(6, 3, 2),
-        SearchTemplate.uniform(5, 4, 2),
-        SearchTemplate.uniform(5, 2, 2),
-    ],
-)
-def test_hits_sorted_by_all_class_coefficients(template):
-    """(body, tail) keys order hits as the flat tuple of every class does."""
-    hits = configurations(search_hits(template))
-    assert hits == sorted(hits, key=lambda cfg: tuple(u.coeffs for u in cfg.classes))
-
-
 def test_placement_rows_through_the_verifier():
     """Body rows e_x - e_y of a placement plus a raw tail, as search builds them."""
     lat = AmbientLattice(11)

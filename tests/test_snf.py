@@ -7,14 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rbdcalc.chains import standard_configuration
 from rbdcalc.errors import InputTypeError
 from rbdcalc.snf import (
     kernel_basis,
     smith_normal_form,
 )
 
-from oracles import det, intersection_matrix, matmul
+from oracles import det, intersection_matrix, matmul, standard_configuration
 
 entries = st.integers(min_value=-30, max_value=30)
 

