@@ -23,28 +23,57 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rbdcalc.errors import SearchCapExceeded
-from rbdcalc.search import (
-    DEFAULT_CAP,
-    FamilySearchReport,
-    SearchTemplate,
-    family_question_dimensions,
-    search_family_questions,
-    search_hits,
-)
+from rbdcalc.errors import DomainError, SearchCapExceeded
+from rbdcalc.search import DEFAULT_CAP, SearchTemplate, search_hits
 
 TAILS_CHUNK = 4096  # tails per write of a probe line
 
+# documented probe ranges for the two question families
+FAMILY_QUESTION_RANGE = {"3-chain": range(3, 12), "4-chain": range(3, 7)}
+
+
+def family_question_dimensions(a: int, kind: str) -> tuple[int, int]:
+    """(n, p) of the question template at parameter a."""
+    if kind not in FAMILY_QUESTION_RANGE:
+        raise DomainError(f"kind must be one of {tuple(FAMILY_QUESTION_RANGE)}, got {kind!r}")
+    if kind == "3-chain":
+        return 3 * a + 2, 4 * a - 9
+    return 4 * a + 2, 6 * a - 11
+
+
+def family_question_template(a: int, kind: str) -> SearchTemplate:
+    """Default shaped box for the question at parameter a.
+
+    Bounds follow the published tail shapes: h up to a + 3, the first
+    exceptional coordinate up to a - 1, middle coordinates up to 2, the top
+    coordinate up to 1. Raises TemplateError when the chain cannot fit the
+    ambient rank at all (a >= 13 for the 3-chain).
+    """
+    if a < 3:
+        raise DomainError(f"question templates need a >= 3, got a = {a}")
+    n, p = family_question_dimensions(a, kind)
+    bounds = [a + 3, a - 1] + [2] * (n - 2) + [1]
+    return SearchTemplate(n=n, p=p, tail_bounds=tuple(bounds))
+
 
 def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dict:
+    """One open-range question's row: its hits in the shaped box, posed
+    only for a in FAMILY_QUESTION_RANGE, or in a uniform box of bound
+    `uniform` at any a. Each hit is a coefficient solution, labeled as
+    homological evidence only."""
     # the fifth slot is unused; perfbench/run.py still calls probe(a, kind, None, cap, 1)
+    n, p = family_question_dimensions(a, kind)
+    if uniform is None:
+        posed = FAMILY_QUESTION_RANGE[kind]
+        if a not in posed:
+            raise DomainError(
+                f"{kind} questions are posed for a in {posed.start}..{posed.stop - 1}, got a = {a}"
+            )
+        template = family_question_template(a, kind)
+    else:
+        template = SearchTemplate.uniform(n, p, uniform)
     try:
-        if uniform is None:
-            report = search_family_questions(a, kind, cap=cap)
-        else:
-            n, p = family_question_dimensions(a, kind)
-            template = SearchTemplate.uniform(n, p, uniform)
-            report = FamilySearchReport(kind, a, template, search_hits(template, cap=cap))
+        hits = search_hits(template, cap=cap)
     except SearchCapExceeded as exc:
         return {
             "kind": kind,
@@ -57,11 +86,12 @@ def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dic
         "kind": kind,
         "a": a,
         "status": "ok",
-        "label": report.label,
-        "n": report.template.n,
-        "p": report.template.p,
-        "count": report.count,
-        "tails": report.hits.tails,
+        "label": "homological only, inside the searched box; "
+        "existence of an embedded configuration is not certified",
+        "n": n,
+        "p": p,
+        "count": hits.count,
+        "tails": hits.tails,
     }
 
 

@@ -2,10 +2,13 @@
 
 A template fixes the ambient size n, the chain index p, and per-coordinate
 absolute bounds for the long class (h first). The body is the run of
-difference classes e_x - e_{x+1} anchored at the top index; a body on any
-other indices is the anchored one moved by a permutation of the e_i, an
-isometry fixing h, K_std and every pairing, so hits are found up to that
-symmetry. Orthogonality against the body forces the run's tail
+difference classes e_x - e_{x+1} anchored at the top index, p - 2 rows of
+n + 1 coefficients; a template whose body would hold more than MAX_N + 1
+of them, one row at the largest n, is refused before any row is built:
+the cap counts box points, not the body, and a box of bound 0 has one. A
+body on any other indices is the anchored one moved by a permutation of
+the e_i, an isometry fixing h, K_std and every pairing, so hits are found
+up to that symmetry. Orthogonality against the body forces the run's tail
 coordinates into a single run value t, the top index into t + 1, and the
 h coefficient is solved from the square equation rather than enumerated.
 Only genuinely free coordinates are walked, and only their magnitudes: they
@@ -47,14 +50,15 @@ from .report import Record, Report
 DEFAULT_CAP = 10_000_000
 
 # the walk recurses once per free coordinate; with 4 or more of them, a
-# placement with any solution tables a sum of at least 4, so its walk visits
+# search with any solution tables a sum of at least 4, so its walk visits
 # at least C(free, 4) leaves: more than 10^8 past this many
 MAX_FREE_COORDINATES = 256
 
 # the largest ambient size a template takes: its n + 1 bounds are one tuple,
 # so one integer bound for a larger n could ask for more memory than there
 # is before any check; at this n the cap refuses a box of bound 1 in about
-# 0.4 s and 60 MB (CPython 3.11)
+# 0.4 s and 60 MB (CPython 3.11). The cap counts box points, not the body,
+# so the body's p - 2 rows of n + 1 coefficients are held to one row at this n
 MAX_N = 1_000_000
 
 # keys a template may hold that select no option: each is read only at the
@@ -92,6 +96,11 @@ class SearchTemplate(Report):
                 f"chain does not fit: rank p - 1 = {self.p - 1} exceeds the "
                 f"negative rank n = {self.n}"
             )
+        if (self.p - 2) * (self.n + 1) > MAX_N + 1:
+            raise DomainError(
+                f"need (p - 2)(n + 1) <= {MAX_N + 1} body coefficients, "
+                f"got p = {self.p}, n = {self.n}"
+            )
 
     @classmethod
     def uniform(cls, n: int, p: int, bound: int) -> "SearchTemplate":
@@ -106,7 +115,9 @@ class SearchTemplate(Report):
         which the template does not keep. Another root, a missing or
         unknown key, or a value of another kind raises InputTypeError;
         another value of body_shape or symmetry_reduction raises
-        DomainError naming the key."""
+        DomainError naming the key. The constructor's checks follow, the
+        last of them a body of (p - 2)(n + 1) > MAX_N + 1 coefficients,
+        refused (DomainError naming p and n) before any row is built."""
         strict_object(
             data,
             {"n": int, "p": int, "tail_bounds": (int, list)},
@@ -124,41 +135,35 @@ class SearchTemplate(Report):
         return cls(n=data["n"], p=data["p"], tail_bounds=bounds)
 
 
-def _placement(template: SearchTemplate) -> tuple[int, ...]:
-    """The body's index sequence x_1..x_{p-1}, body_i = e_{x_i} - e_{x_{i+1}}:
-    the ascending run anchored at the top index, or () for p = 2, whose
-    body is empty."""
-    n, p = template.n, template.p
-    return tuple(range(n - p + 2, n + 1)) if p > 2 else ()
+def _geometry(template: SearchTemplate) -> tuple[tuple[int, ...], range, tuple]:
+    """(free, run, t_range) of the anchored body.
 
-
-def _placement_geometry(template: SearchTemplate, placement: tuple[int, ...]):
-    """(free_indices, run_indices, end_index, t_range) for one placement.
-
-    A coordinate with bound 0 can only be 0, so it is not free: the walk
-    recurses once per free coordinate and never visits it.
+    The body is e_x - e_{x+1} for x in the run top+1..n-1, so its support
+    is top+1..n and its end index is n; top = n at p = 2, whose body is
+    empty, and n - p + 1 otherwise. The free coordinates are 1..top with a
+    nonzero bound: a coordinate with bound 0 can only be 0, so the walk
+    recurses once per free coordinate and never visits it. t_range holds
+    the run values, or only None at p = 2, which has no run.
     """
-    n, p = template.n, template.p
-    bounds = template.tail_bounds
-    taken = set(placement)
-    free = tuple(i for i in range(1, n + 1) if bounds[i] and i not in taken)
+    n, p, bounds = template.n, template.p, template.tail_bounds
+    top = n if p == 2 else n - p + 1
+    free = tuple(i for i in range(1, top + 1) if bounds[i])
+    run = range(top + 1, n)
     if p == 2:
-        return free, (), None, (None,)
-    run = placement[: p - 2]
-    end = placement[p - 2]
-    run_cap = min(bounds[i] for i in run)
-    lo = max(-run_cap, -bounds[end] - 1)
-    hi = min(run_cap, bounds[end] - 1)
-    return free, run, end, tuple(range(lo, hi + 1))
+        return free, run, (None,)
+    run_cap = min(bounds[top + 1 : n])
+    lo = max(-run_cap, -bounds[n] - 1)
+    hi = min(run_cap, bounds[n] - 1)
+    return free, run, tuple(range(lo, hi + 1))
 
 
 def _solution_table(
-    template: SearchTemplate, free, run, end, t_range
+    template: SearchTemplate, free, run, t_range
 ) -> dict[int, list[tuple[int, ...]]]:
     """Free sum s -> the rows of its solutions with c0 >= 0.
 
-    A row holds c0 at h, the run value t on the run and t + 1 at the end,
-    and zeros elsewhere: a representative is its row with the free
+    A row holds c0 at h, the run value t on the run and t + 1 at n, and
+    zeros elsewhere: a representative is its row with the free
     magnitudes filled in. For each t, c0^2 = s + need with need =
     (p - 2) t^2 + (t + 1)^2 - (p + 2), or -(p + 2) when p = 2, so each
     (t, c0) solves exactly one s. Only the s the walk can reach,
@@ -184,17 +189,15 @@ def _solution_table(
         if t is not None:
             for i in run:
                 row[i] = t
-            row[end] = t + 1
+            row[-1] = t + 1
         for c0 in range(lo, hi + 1):
             row[0] = c0
             table.setdefault(c0 * c0 - need, []).append(tuple(row))
     return table
 
 
-def _enumerate_placement(
-    template: SearchTemplate, placement: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """One representative row per solving leaf and table row of one placement.
+def _enumerate_placement(template: SearchTemplate) -> list[tuple[int, ...]]:
+    """One representative row per solving leaf and table row.
 
     The walk visits magnitudes: each free coordinate takes m = 0..b in
     ascending order, and the loop stops once the sum passes the largest
@@ -204,12 +207,12 @@ def _enumerate_placement(
     is the set of hits it stands for (see _expand), and each hit lies in
     exactly one orbit. So the walk visits at most prod(b + 1) leaves,
     against the prod(2b + 1) box points the estimate counts per run value.
-    A placement with solutions and more than MAX_FREE_COORDINATES free
+    A search with solutions and more than MAX_FREE_COORDINATES free
     coordinates is refused (TemplateError) before its walk.
     """
     bounds = template.tail_bounds
-    free, run, end, t_range = _placement_geometry(template, placement)
-    table = _solution_table(template, free, run, end, t_range)
+    free, run, t_range = _geometry(template)
+    table = _solution_table(template, free, run, t_range)
     if not table:
         return []
     s_max = max(table)
@@ -277,19 +280,12 @@ def estimate_search_space(template: SearchTemplate) -> int:
     prod(b + 1) magnitude leaves, one lookup covering every t. The cap and
     its refusal message count box points all the same.
     """
-    free, _run, _end, t_range = _placement_geometry(template, _placement(template))
+    free, _run, t_range = _geometry(template)
     # one power per distinct bound: a product of one factor per free
     # coordinate costs time quadratic in their number
     bounds = template.tail_bounds
     free_box = prod(pow(2 * b + 1, k) for b, k in Counter(bounds[i] for i in free).items())
     return free_box * len(t_range)
-
-
-def _difference_row(rank: int, x: int, y: int) -> tuple[int, ...]:
-    """The coefficient row of e_x - e_y, for distinct x and y."""
-    row = [0] * rank
-    row[x], row[y] = 1, -1
-    return tuple(row)
 
 
 class SearchHits(Record):
@@ -334,11 +330,11 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
         raise SearchCapExceeded(estimate, cap)
 
     p, lat = template.p, AmbientLattice(template.n)
-    pl = _placement(template)
-    # body_i = e_{x_i} - e_{x_{i+1}} along the placement, as one row
-    body = tuple(ClassVector(lat, _difference_row(lat.rank, x, y)) for x, y in zip(pl, pl[1:]))
-    reps = _enumerate_placement(template, pl)
-    flips = (0,) + _placement_geometry(template, pl)[0]
+    free, run, _t_range = _geometry(template)
+    # e_x - e_{x+1} for x in the run
+    body = tuple(ClassVector(lat, (0,) * x + (1, -1) + (0,) * (lat.n - x - 1)) for x in run)
+    reps = _enumerate_placement(template)
+    flips = (0,) + free
     met = sorted({i for u in body for i in flips if u.coeffs[i]})
     if met:
         raise ConsistencyError(f"sign-flip columns {met} meet the body support")
@@ -347,72 +343,3 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
     except InvalidConfigurationError as exc:
         raise ConsistencyError(f"enumerated solution fails the Gram check: {exc}") from exc
     return SearchHits(p=p, lattice=lat, body=body, tails=_expand(flips, reps))
-
-
-class FamilySearchReport(Record):
-    """Outcome of one open-range probe, labeled as homology-only evidence."""
-
-    kind: str
-    a: int
-    template: SearchTemplate
-    hits: SearchHits
-    label: str = (
-        "homological only, inside the searched box; "
-        "existence of an embedded configuration is not certified"
-    )
-
-    @property
-    def count(self) -> int:
-        return self.hits.count
-
-
-FAMILY_QUESTION_KINDS = ("3-chain", "4-chain")
-
-# documented probe ranges for the two question families
-FAMILY_QUESTION_RANGE = {"3-chain": range(3, 12), "4-chain": range(3, 7)}
-
-
-def family_question_dimensions(a: int, kind: str) -> tuple[int, int]:
-    """(n, p) of the question template at parameter a."""
-    if kind not in FAMILY_QUESTION_KINDS:
-        raise DomainError(f"kind must be one of {FAMILY_QUESTION_KINDS}, got {kind!r}")
-    if kind == "3-chain":
-        return 3 * a + 2, 4 * a - 9
-    return 4 * a + 2, 6 * a - 11
-
-
-def family_question_template(a: int, kind: str) -> SearchTemplate:
-    """Default shaped box for the question at parameter a.
-
-    Bounds follow the published tail shapes: h up to a + 3, the first
-    exceptional coordinate up to a - 1, middle coordinates up to 2, the top
-    coordinate up to 1. Raises TemplateError when the chain cannot fit the
-    ambient rank at all (a >= 13 for the 3-chain).
-    """
-    if a < 3:
-        raise DomainError(f"question templates need a >= 3, got a = {a}")
-    n, p = family_question_dimensions(a, kind)
-    bounds = [a + 3, a - 1] + [2] * (n - 2) + [1]
-    return SearchTemplate(n=n, p=p, tail_bounds=tuple(bounds))
-
-
-def search_family_questions(a: int, kind: str, cap: int = DEFAULT_CAP) -> FamilySearchReport:
-    """Probe one open-range question with the default shaped box.
-
-    The hits come from search_hits, so each one's sign-orbit representative
-    has passed the Gram check as a row; nothing is re-checked here.
-    """
-    if kind not in FAMILY_QUESTION_KINDS:
-        raise DomainError(f"kind must be one of {FAMILY_QUESTION_KINDS}, got {kind!r}")
-    if a not in FAMILY_QUESTION_RANGE[kind]:
-        r = FAMILY_QUESTION_RANGE[kind]
-        raise DomainError(
-            f"{kind} questions are posed for a in {r.start}..{r.stop - 1}, got a = {a}"
-        )
-    template = family_question_template(a, kind)
-    return FamilySearchReport(
-        kind=kind,
-        a=a,
-        template=template,
-        hits=search_hits(template, cap=cap),
-    )

@@ -16,7 +16,6 @@ from rbdcalc.blowdown import H1Certificate
 from rbdcalc.chains import CpConfiguration
 from rbdcalc.errors import ConsistencyError, DomainError
 from rbdcalc.lattice import AmbientLattice, ClassVector, dual_coefficients, pairing
-from rbdcalc.search import _placement_geometry
 from rbdcalc.snf import smith_normal_form
 
 
@@ -151,24 +150,32 @@ def h1_by_smith_normal_form(cfg) -> H1Certificate:
     )
 
 
-def point_walk(template, placement) -> list[tuple[int, ...]]:
-    """The tails of one placement, by visiting every signed point of the free
+def point_walk(template) -> list[tuple[int, ...]]:
+    """The tails of a search, by visiting every signed point of the free
     box and every run value t, and solving c0 from the long class's square:
     c0^2 = (sum of the e coefficients squared) - (p + 2), taken by isqrt
-    with both signs, within h's bound. It shares only the placement
-    geometry with search: no solution table, no magnitudes, no orbits."""
-    bounds, p = template.tail_bounds, template.p
-    free, run, end, t_range = _placement_geometry(template, placement)
+    with both signs, within h's bound. The anchored body e_x - e_{x+1}
+    covers the top p - 1 indices, so a tail is t on n-p+2..n-1 and t + 1
+    at n, with t bounded by those coordinates' bounds, and the free
+    coordinates are the others; at p = 2 there is no body and no t. It
+    shares nothing with search: no geometry, solution table, magnitudes
+    or orbits."""
+    n, p, bounds = template.n, template.p, template.tail_bounds
+    body = range(n - p + 2, n + 1) if p > 2 else range(0)
+    free = [i for i in range(1, n + 1) if i not in body]
+    t_range = [None]
+    if p > 2:
+        ts = range(-bounds[n] - 1, bounds[n])  # |t + 1| <= bounds[n]
+        t_range = [t for t in ts if all(abs(t) <= bounds[i] for i in body[:-1])]
     out = []
-    coeffs = [0] * (template.n + 1)
+    coeffs = [0] * (n + 1)
 
     def leaf() -> None:
         for t in t_range:
             row = coeffs[:]
             if t is not None:
-                for i in run:
-                    row[i] = t
-                row[end] = t + 1
+                row[n - p + 2 : n] = [t] * (p - 2)
+                row[n] = t + 1
             square = sum(x * x for x in row[1:]) - (p + 2)
             if square < 0:
                 continue

@@ -15,13 +15,7 @@ from rbdcalc.chains import (
 )
 from rbdcalc.errors import TemplateError
 from rbdcalc.lattice import AmbientLattice, is_characteristic, pairing
-from rbdcalc.search import (
-    SearchTemplate,
-    estimate_search_space,
-    family_question_template,
-    search_family_questions,
-    search_hits,
-)
+from rbdcalc.search import DEFAULT_CAP, SearchTemplate, estimate_search_space, search_hits
 from rbdcalc.snf import smith_normal_form
 from rbdcalc.sw import CharacteristicData, PeriodPoint, sw_on_blowdown, wall_crossing
 
@@ -43,6 +37,7 @@ from oracles import (
     matmul,
     standard_configuration,
 )
+from probe_open_range import family_question_template, probe
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 
@@ -165,10 +160,10 @@ def test_criterion_6_open_range_probes():
     expected = {8: 912, 9: 314, 10: 120, 11: 20}
     for a, count in expected.items():
         start = time.perf_counter()
-        report = search_family_questions(a, "3-chain")
-        assert report.count == count, (a, report.count)
-        assert "homological only" in report.label
-        for cfg in configurations(search_hits(report.template)):
+        row = probe(a, "3-chain", None, DEFAULT_CAP)
+        assert row["count"] == count, (a, row["count"])
+        assert "homological only" in row["label"]
+        for cfg in configurations(search_hits(family_question_template(a, "3-chain"))):
             assert verify_cp_configuration(cfg.classes, cfg.p).ok
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, (a, elapsed)

@@ -28,7 +28,7 @@ from rbdcalc.errors import (
     LatticeMismatchError,
 )
 from rbdcalc.lattice import AmbientLattice, pairing
-from rbdcalc.search import family_question_template, search_hits
+from rbdcalc.search import search_hits
 from rbdcalc.snf import smith_normal_form
 
 from families import (
@@ -43,6 +43,7 @@ from oracles import (
     signed_permutation,
     standard_configuration,
 )
+from probe_open_range import family_question_template
 
 
 def bounded_witness_scan(cfg, bound=3, max_support=4):

@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,10 +19,11 @@ from hypothesis import strategies as st
 import rbdcalc
 import rbdcalc.snf as snf_module
 from rbdcalc import cli
-from rbdcalc.search import MAX_N, SearchTemplate, family_question_dimensions, search_hits
+from rbdcalc.search import MAX_N, SearchTemplate, search_hits
 
 from families import family_configuration, family_h1_witness
 from oracles import configurations, signed_permutation, standard_configuration, theta_count
+from probe_open_range import family_question_dimensions
 
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
 A3 = FIXTURES / "family1" / "a3.json"
@@ -1185,6 +1187,11 @@ BAD_TEMPLATES = {
         {"n": 10**15, "p": 3, "tail_bounds": 1},
         f"need n <= {MAX_N}, got n = {10**15}",
     ),
+    # 64 body rows of 200,001 coefficients: about 400 MB once built
+    "a body past one row at MAX_N": (
+        {"n": 200_000, "p": 66, "tail_bounds": 0},
+        f"need (p - 2)(n + 1) <= {MAX_N + 1} body coefficients, got p = 66, n = 200000",
+    ),
 }
 
 
@@ -1195,6 +1202,19 @@ def test_malformed_template_exits_2_with_one_line(tmp_path, fault):
     proc = run_cold(["search", "--template", path])
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr.decode() == f"rbdcalc: {path}: malformed template: {message}\n"
+
+
+def test_a_body_of_10_to_the_12_coefficients_is_refused_at_once(tmp_path):
+    """The body bound is read off n and p before any body row is built, so
+    a 40-byte template asking for about 10^12 coefficients exits 2 in well
+    under a second."""
+    template = {"n": MAX_N, "p": MAX_N, "tail_bounds": 0}
+    path = write_config(tmp_path, template, "template.json")
+    started = time.perf_counter()
+    code, out, err = run_in_process(["search", "--template", path])
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err.endswith(f"got p = {MAX_N}, n = {MAX_N}\n")
 
 
 # edits of the recorded data of family1/a3 (None deletes the key): the stage
@@ -1298,11 +1318,12 @@ def templates(draw):
     """Mostly well-formed boxes, one field sometimes replaced or dropped;
     body_shape and symmetry_reduction mostly at their one accepted value,
     else at a removed value or of another kind; now and then an n past
-    MAX_N, with one bound for every coordinate."""
+    MAX_N, with one bound for every coordinate, or at MAX_N, where a p
+    above 3 gives a body of more than MAX_N + 1 coefficients."""
     if draw(st.integers(0, 4)) == 0:
         return draw(JSON_VALUES)
     if draw(st.integers(0, 9)) == 0:
-        n = draw(st.sampled_from([MAX_N + 1, 10**15, 10**22]))
+        n = draw(st.sampled_from([MAX_N, MAX_N + 1, 10**15, 10**22]))
         bounds = st.integers(0, 3)
     else:
         n = draw(st.integers(1, 8))
@@ -1363,13 +1384,16 @@ def well_formed(template) -> bool:
     """Whether the search takes a template, stated apart from its loader: an
     object with the keys n, p and tail_bounds, and body_shape and
     symmetry_reduction only at "consecutive-differences" and true; integers
-    2 <= p <= n + 1 <= MAX_N + 1; one nonnegative integer bound, or n + 1."""
+    2 <= p <= n + 1 <= MAX_N + 1 with (p - 2)(n + 1) <= MAX_N + 1; one
+    nonnegative integer bound, or n + 1."""
     keys = {"n", "p", "tail_bounds"}
     optional = {"body_shape", "symmetry_reduction"}
     if type(template) is not dict or not keys <= set(template) <= keys | optional:
         return False
     n, p, bounds = template["n"], template["p"], template["tail_bounds"]
     if type(n) is not int or type(p) is not int or not 2 <= p <= n + 1 <= MAX_N + 1:
+        return False
+    if (p - 2) * (n + 1) > MAX_N + 1:
         return False
     if type(bounds) is list and len(bounds) == n + 1:
         ok = all(type(b) is int and b >= 0 for b in bounds)

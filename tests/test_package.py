@@ -2,6 +2,7 @@
 command loads."""
 
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -293,14 +294,26 @@ def test_no_module_imports_typing():
 def test_probe_script_runs_cold():
     """The open-range probe script imports rbdcalc.search directly; its
     eight questions in uniform boxes of bound 1 each print an ok row with
-    no wall time, and stderr holds one timing line per question."""
+    no wall time, and stderr holds one timing line per question. Both its
+    stdouts are pinned by their sha256: in uniform boxes of bound 1 and in
+    the default shaped boxes, whose 4-chain a=3 and a=4 rows (about 18 MB)
+    go out in chunks."""
+    script = [sys.executable, str(REPO_ROOT / "scripts" / "probe_open_range.py")]
+    shaped = subprocess.run(script, capture_output=True, cwd=REPO_ROOT)
+    assert shaped.returncode == 0
+    assert hashlib.sha256(shaped.stdout).hexdigest() == (
+        "b1840e47b41ba35882543a5f0a75e0f56dea84c12d237226d6092045a117ba04"
+    )
     proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "probe_open_range.py"), "--uniform", "1"],
+        script + ["--uniform", "1"],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
     )
     assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "32e35d4589156b1d2e34389c4afa5170c523ba261a8bca7cd76a1546b04a00f3"
+    )
     rows = [json.loads(row) for row in proc.stdout.splitlines()]
     assert [(row["status"], "seconds" in row) for row in rows] == [("ok", False)] * 8
     timings = [json.loads(line) for line in proc.stderr.splitlines()]

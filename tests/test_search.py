@@ -1,12 +1,11 @@
-"""Bounded configuration search and the open-range question probes."""
+"""Bounded configuration search, and the open-range question probes that
+scripts/probe_open_range.py poses to it."""
 
 import gc
 import hashlib
 import json
-from importlib.util import module_from_spec, spec_from_file_location
 from itertools import product
 from math import prod
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,22 +29,20 @@ from rbdcalc.errors import (
 from rbdcalc.lattice import AmbientLattice, ClassVector
 from rbdcalc.search import (
     DEFAULT_CAP,
-    FamilySearchReport,
+    MAX_N,
     SearchTemplate,
     _enumerate_placement,
     _expand,
-    _placement,
-    _placement_geometry,
+    _geometry,
     _solution_table,
     estimate_search_space,
-    family_question_dimensions,
-    family_question_template,
-    search_family_questions,
     search_hits,
 )
 
+import probe_open_range
 from families import family_configuration
 from oracles import configurations, point_walk, theta_count
+from probe_open_range import family_question_dimensions, family_question_template, probe
 
 
 def brute_force_single_class(n, bound):
@@ -68,6 +65,12 @@ def test_template_validation():
         SearchTemplate(n=5, p=2, tail_bounds=(2,) * 5 + (-1,))
     with pytest.raises(TemplateError):
         SearchTemplate(n=3, p=5, tail_bounds=(2,) * 4)
+    # the body's (p - 2)(n + 1) coefficients are held to MAX_N + 1 = 101 * 9901
+    assert 101 * 9901 == MAX_N + 1
+    SearchTemplate.uniform(9900, 103, 0)
+    with pytest.raises(DomainError, match=r"^need \(p - 2\)\(n \+ 1\) <= 1000001 .* n = 9901$"):
+        SearchTemplate.uniform(9901, 103, 0)
+    SearchTemplate.uniform(MAX_N, 3, 0)
 
 
 def test_uniform_builder_and_json_round_trip():
@@ -118,8 +121,8 @@ def test_estimate_groups_free_coordinates_by_bound():
 
 
 def placement_box(template):
-    """Free-coordinate box times t range width of the placement walked."""
-    free, _run, _end, t_range = _placement_geometry(template, _placement(template))
+    """Free-coordinate box times t range width of the body walked."""
+    free, _run, t_range = _geometry(template)
     return prod(2 * template.tail_bounds[i] + 1 for i in free) * len(t_range)
 
 
@@ -163,8 +166,8 @@ def test_huge_h_bound_costs_only_reachable_sums(n, p, bounds, h_bound):
     reach, at most twice the placement's box, and the hits are those of a
     small h bound."""
     template = SearchTemplate(n=n, p=p, tail_bounds=(h_bound,) + bounds)
-    geometry = _placement_geometry(template, _placement(template))
-    free, _run, _end, t_range = geometry
+    geometry = _geometry(template)
+    free, _run, t_range = geometry
     entries = sum(map(len, _solution_table(template, *geometry).values()))
     assert entries <= 2 * prod(2 * template.tail_bounds[i] + 1 for i in free) * len(t_range)
     small = SearchTemplate(n=n, p=p, tail_bounds=(10,) + bounds)
@@ -193,14 +196,13 @@ def test_magnitude_walk_matches_the_point_walk(template):
     and the free magnitudes nonnegative, and expanding the signs at h and
     the free columns gives the tails of the walk over every signed point,
     each exactly once."""
-    placement = _placement(template)
-    reps = _enumerate_placement(template, placement)
-    flips = (0,) + _placement_geometry(template, placement)[0]
+    reps = _enumerate_placement(template)
+    flips = (0,) + _geometry(template)[0]
     assert len(set(reps)) == len(reps)
     assert all(rep[i] >= 0 for rep in reps for i in flips)
     tails = _expand(flips, reps)
     assert len(set(tails)) == len(tails)
-    assert sorted(tails) == sorted(point_walk(template, placement))
+    assert sorted(tails) == sorted(point_walk(template))
 
 
 @pytest.mark.parametrize(
@@ -282,8 +284,8 @@ def test_corrupted_hit_raises_consistency_error(monkeypatch):
     corrupted representative is refused before any hit is built."""
     enumerate_placement = search_module._enumerate_placement
 
-    def corrupted(template, placement):
-        reps = enumerate_placement(template, placement)
+    def corrupted(template):
+        reps = enumerate_placement(template)
         rep = reps[0]
         return [(rep[0] + 1,) + rep[1:]] + reps[1:]
 
@@ -300,7 +302,7 @@ def test_enumerate_placement_leaves_no_reference_cycle():
     gc.disable()
     try:
         gc.collect()
-        assert len(_enumerate_placement(template, _placement(template))) == 74
+        assert len(_enumerate_placement(template)) == 74
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -311,12 +313,11 @@ def corrupt_first_tail(monkeypatch, template, corrupt):
     `corrupt`; the (body, bad representative) pair the searches will meet."""
     body = search_hits(template).body
     enumerate_placement = search_module._enumerate_placement
-    placement = _placement(template)
-    reps = enumerate_placement(template, placement)
-    bad = corrupt(reps[0], _placement_geometry(template, placement)[0])
+    reps = enumerate_placement(template)
+    bad = corrupt(reps[0], _geometry(template)[0])
 
-    def corrupted(template, placement):
-        return [bad] + enumerate_placement(template, placement)[1:]
+    def corrupted(template):
+        return [bad] + enumerate_placement(template)[1:]
 
     monkeypatch.setattr(search_module, "_enumerate_placement", corrupted)
     return body, bad
@@ -332,8 +333,8 @@ def bump_free(tail, free):
 
 
 def orbit_of(template, row):
-    """The sign orbit of one row of the template's one placement."""
-    return _expand((0,) + _placement_geometry(template, _placement(template))[0], [row])
+    """The sign orbit of one row of the template's search."""
+    return _expand((0,) + _geometry(template)[0], [row])
 
 
 @pytest.mark.parametrize("corrupt", [bump_c0, bump_free])
@@ -369,8 +370,8 @@ def test_search_hits_refuse_a_tail_of_the_wrong_length(monkeypatch, template, cu
     empty, and raises what ClassVector raises on each member of that
     representative's orbit: the expansion keeps a row's length."""
     if template.p == 2:
-        bad = cut(search_module._enumerate_placement(template, ())[0])
-        monkeypatch.setattr(search_module, "_enumerate_placement", lambda t, pl: [bad])
+        bad = cut(search_module._enumerate_placement(template)[0])
+        monkeypatch.setattr(search_module, "_enumerate_placement", lambda t: [bad])
     else:
         _, bad = corrupt_first_tail(monkeypatch, template, lambda tail, free: cut(tail))
     with pytest.raises(DomainError) as rows:
@@ -388,13 +389,11 @@ def test_search_hits_refuse_a_flip_column_on_the_body(monkeypatch):
     checked, and the constructor rejects every hit that flip adds."""
     template = family_question_template(8, "3-chain")
     body = search_hits(template).body
-    placement = _placement(template)
-    reps = _enumerate_placement(template, placement)
-    free, run, end, t_range = _placement_geometry(template, placement)
-    monkeypatch.setattr(search_module, "_enumerate_placement", lambda t, pl: reps)
-    monkeypatch.setattr(
-        search_module, "_placement_geometry", lambda t, pl: (free + (end,), run, end, t_range)
-    )
+    reps = _enumerate_placement(template)
+    free, run, t_range = _geometry(template)
+    end = template.n
+    monkeypatch.setattr(search_module, "_enumerate_placement", lambda t: reps)
+    monkeypatch.setattr(search_module, "_geometry", lambda t: (free + (end,), run, t_range))
     with pytest.raises(ConsistencyError, match=rf"sign-flip columns \[{end}\] meet the body"):
         configurations(search_hits(template))
     flips = (0,) + free
@@ -467,7 +466,7 @@ def test_search_hits_build_no_configuration(monkeypatch):
 
     monkeypatch.setattr(CpConfiguration, "__post_init__", refuse)
     assert search_hits(template).count == 912
-    assert search_family_questions(8, "3-chain").count == 912
+    assert probe(8, "3-chain", None, DEFAULT_CAP)["count"] == 912
     with pytest.raises(AssertionError):
         configurations(search_hits(template))
 
@@ -508,8 +507,8 @@ def test_search_hits_check_a_passing_placement_as_one_batch(monkeypatch):
     ],
 )
 def test_search_hits_give_the_probe_counts(kind, a, count):
-    report = search_family_questions(a, kind)
-    assert report.count == len(report.hits.tails) == count
+    hits = search_hits(family_question_template(a, kind))
+    assert hits.count == len(hits.tails) == count
 
 
 def test_question_dimensions():
@@ -530,11 +529,11 @@ def test_question_template_shape():
 
 
 def test_question_probe_rediscovers_the_family():
-    report = search_family_questions(11, "3-chain")
-    assert report.count == 20
-    assert "homological only" in report.label
+    row = probe(11, "3-chain", None, DEFAULT_CAP)
+    assert row["count"] == 20
+    assert "homological only" in row["label"]
     model = family_configuration(11, 1)
-    built = configurations(report.hits)
+    built = configurations(search_hits(family_question_template(11, "3-chain")))
     assert model in built
     for cfg in built:
         assert verify_cp_configuration(cfg.classes, cfg.p).ok
@@ -547,34 +546,26 @@ def test_question_probe_empty_past_the_family():
 
 
 def test_four_chain_probe():
-    report = search_family_questions(6, "4-chain")
-    assert report.count == 56
-    assert report.template.p == 25
-
-
-def load_probe_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "probe_open_range.py"
-    spec = spec_from_file_location("probe_open_range", path)
-    script = module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+    row = probe(6, "4-chain", None, DEFAULT_CAP)
+    assert row["count"] == 56
+    assert row["p"] == 25
 
 
 def test_probe_script_labels_shaped_and_uniform_alike():
-    script = load_probe_script()
-    uniform = script.probe(11, "3-chain", 1, DEFAULT_CAP)
-    shaped = script.probe(11, "3-chain", None, DEFAULT_CAP)
+    uniform = probe(11, "3-chain", 1, DEFAULT_CAP)
+    shaped = probe(11, "3-chain", None, DEFAULT_CAP)
     assert uniform["status"] == shaped["status"] == "ok"
-    assert uniform["label"] == shaped["label"] == FamilySearchReport.label
-    assert "homological only, inside the searched box" in shaped["label"]
+    assert uniform["label"] == shaped["label"] == (
+        "homological only, inside the searched box; "
+        "existence of an embedded configuration is not certified"
+    )
 
 
 def test_probe_script_rows_match_golden_digest():
     """The probe rows of the six questions the bench runs."""
-    script = load_probe_script()
     lines = []
     for kind, a in [("3-chain", a) for a in range(8, 12)] + [("4-chain", 5), ("4-chain", 6)]:
-        row = script.probe(a, kind, None, DEFAULT_CAP)
+        row = probe(a, kind, None, DEFAULT_CAP)
         lines.append(json.dumps(row, sort_keys=True) + "\n")
     digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
     assert digest == "2daeda0a31afe909dec0e24f56de4cdda9da791c1089c976b9381852d2a6775e"
@@ -584,25 +575,30 @@ def test_probe_script_writes_each_row_as_its_json_dumps(capsys, monkeypatch):
     """write_row writes the tails in chunks after the rest of the row; the
     bytes are json.dumps(row, sort_keys=True) and a newline, with a partial
     last chunk, whole chunks only, no tails, and a row without tails."""
-    script = load_probe_script()
-    monkeypatch.setattr(script, "TAILS_CHUNK", 8)
+    monkeypatch.setattr(probe_open_range, "TAILS_CHUNK", 8)
     rows = [
-        script.probe(10, "3-chain", None, DEFAULT_CAP),  # 120 tails: 15 chunks
-        script.probe(11, "3-chain", None, DEFAULT_CAP),  # 20 tails: 2 chunks and 4
+        probe(10, "3-chain", None, DEFAULT_CAP),  # 120 tails: 15 chunks
+        probe(11, "3-chain", None, DEFAULT_CAP),  # 20 tails: 2 chunks and 4
         {"a": 1, "count": 0, "status": "ok", "tails": []},
-        script.probe(10, "3-chain", None, 1),  # cap-exceeded: no tails
+        probe(10, "3-chain", None, 1),  # cap-exceeded: no tails
     ]
     assert [len(row.get("tails", ())) for row in rows] == [120, 20, 0, 0]
     expected = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     for row in rows:
-        script.write_row(row)
+        probe_open_range.write_row(row)
     assert capsys.readouterr().out == expected
 
 
 def test_question_probe_validation():
+    """The shaped box is posed only in each kind's documented range; a
+    uniform box refuses only an unknown kind."""
     with pytest.raises(DomainError):
-        search_family_questions(3, "5-chain")
+        probe(3, "5-chain", None, DEFAULT_CAP)
     with pytest.raises(DomainError):
-        search_family_questions(12, "3-chain")
+        probe(12, "3-chain", None, DEFAULT_CAP)
     with pytest.raises(DomainError):
-        search_family_questions(7, "4-chain")
+        probe(7, "4-chain", None, DEFAULT_CAP)
+    with pytest.raises(DomainError):
+        probe(3, "5-chain", 1, DEFAULT_CAP)
+    assert probe(12, "3-chain", 1, DEFAULT_CAP)["status"] == "ok"
+    assert probe(7, "4-chain", 1, DEFAULT_CAP)["status"] == "ok"
