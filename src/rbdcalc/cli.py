@@ -254,6 +254,8 @@ def _parse_only(text: str) -> dict:
         if not (val.isascii() and val.isdigit()):
             raise UsageError(f"--only {key} must be written in the digits 0-9, got {val!r}")
         out[key] = int(val)
+    if not out:
+        raise UsageError(f"--only expects k=v pairs, got {text!r}")
     return out
 
 
@@ -333,6 +335,19 @@ def _reproduce_case(case: tuple[int, int], fixtures_root: Path) -> dict:
     return result
 
 
+def _rewrite(path: Path, text: str) -> None:
+    """Write text to path as UTF-8 in place: open without O_TRUNC, write,
+    then cut the file at the end of the new bytes.
+
+    Truncating a file that holds a report and writing it again costs far
+    more at close than overwriting it (README, reproduce-paper). Neither
+    way is atomic or fsynced. This is the package's one file writer.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
 def cmd_reproduce_paper(args) -> int:
     """Run the selected cases; print the summary, and with --out write it
     and one file per case.
@@ -343,7 +358,7 @@ def cmd_reproduce_paper(args) -> int:
     """
     from pathlib import Path
 
-    filters = _parse_only(args.only) if args.only else {}
+    filters = {} if args.only is None else _parse_only(args.only)
     cases = [
         (family, a)
         for family, a in CASES
@@ -351,6 +366,9 @@ def cmd_reproduce_paper(args) -> int:
     ]
     if not cases:
         raise UsageError(f"--only {args.only!r} selects no cases")
+    for option, value in (("--fixtures", args.fixtures), ("--out", args.out)):
+        if value == "":  # Path("") is the working directory
+            raise UsageError(f"{option} must name a directory, got ''")
     root = _fixtures_root(args.fixtures)
     results = [_reproduce_case(c, root) for c in cases]
     texts = [dumps(r) for r in results]
@@ -380,8 +398,8 @@ def cmd_reproduce_paper(args) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             for r, case_text in zip(results, texts):
                 name = r["case"].replace("/", "_") + ".json"
-                (out_dir / name).write_text(case_text + "\n", encoding="utf-8")
-            (out_dir / "summary.json").write_text(text + "\n", encoding="utf-8")
+                _rewrite(out_dir / name, case_text + "\n")
+            _rewrite(out_dir / "summary.json", text + "\n")
         except OSError as exc:
             raise UsageError(f"cannot write reports to {args.out}: {exc}") from exc
     print(text)

@@ -573,6 +573,29 @@ def test_reproduce_filter_errors(capsys):
     code, out, err = run_cli(capsys, "reproduce-paper", "--only", "a=3,a=4")
     assert (code, out) == (2, "")
     assert err == "rbdcalc: --only gives a more than once\n"
+    # a text with no pair is not "no filter"; a trailing comma after one is
+    for only in ("", ",", " , "):
+        code, out, err = run_cli(capsys, "reproduce-paper", "--only", only)
+        assert (code, out) == (2, "")
+        assert err == f"rbdcalc: --only expects k=v pairs, got {only!r}\n"
+    code, out, _ = run_cli(capsys, "reproduce-paper", "--only", "a=3,")
+    assert (code, json.loads(out)["selected"]) == (0, 2)
+
+
+@pytest.mark.parametrize("option", ["--out", "--fixtures"])
+def test_reproduce_empty_directory_argument_exits_2(capsys, monkeypatch, tmp_path, option):
+    """An empty directory argument, which Path reads as the working
+    directory, is refused before any case runs, and nothing is written."""
+
+    def refuse(case, root):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli, "_reproduce_case", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "summary.json").write_text("kept")
+    code, out, err = run_cli(capsys, "reproduce-paper", option, "")
+    assert (code, out, err) == (2, "", f"rbdcalc: {option} must name a directory, got ''\n")
+    assert [(f.name, f.read_text()) for f in tmp_path.iterdir()] == [("summary.json", "kept")]
 
 
 def test_reproduce_writes_report_directory(capsys, tmp_path):
@@ -588,6 +611,10 @@ def test_reproduce_writes_report_directory(capsys, tmp_path):
     assert names == expected
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["all_passed"] is True
+    # created with mode 0o666 under the umask, as Path.write_text creates one
+    (tmp_path / "reference").write_text("")
+    modes = {(out_dir / name).stat().st_mode for name in names}
+    assert modes == {(tmp_path / "reference").stat().st_mode}
 
 
 def test_reproduce_summary_is_one_encoding_of_the_whole(capsys, tmp_path):
@@ -613,6 +640,16 @@ def test_reproduce_out_on_a_file_is_a_usage_error(capsys, tmp_path, target):
     assert (code, out) == (2, "")
     assert err.startswith(f"rbdcalc: cannot write reports to {out_dir}: ")
     assert "Traceback" not in err
+
+
+def test_reproduce_out_on_a_directory_named_as_a_report_is_a_usage_error(capsys, tmp_path):
+    """A report name taken by a directory exits 2 with the error the
+    failing open raised, naming that path."""
+    (tmp_path / "family1_a3.json").mkdir()
+    code, out, err = run_cli(capsys, "reproduce-paper", "--only", "a=3,family=1", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    target = tmp_path / "family1_a3.json"
+    assert err == f"rbdcalc: cannot write reports to {tmp_path}: [Errno 21] Is a directory: '{target}'\n"
 
 
 @pytest.mark.parametrize("counts", [[1], [], [7, 0], [1, 0, 9, 2]])
@@ -901,6 +938,19 @@ def test_report_files_match_golden_digests(capsys, monkeypatch, tmp_path):
         text=True,
     )
     assert (check.returncode, check.stdout) == (0, "fixtures are up to date\n")
+
+
+def test_report_files_are_rewritten_over_longer_stale_text(capsys, monkeypatch, tmp_path):
+    """Each report file is overwritten in place and cut to length: 100 KB of
+    stale text in every one leaves no tail behind the golden bytes."""
+    monkeypatch.chdir(REPO_ROOT)
+    for name in [*GOLDEN_REPORT_FILES, "summary.json"]:
+        (tmp_path / name).write_text("x" * 100_000)
+    code, out, _ = run_cli(capsys, "reproduce-paper", "--fixtures", REL_FIXTURES, "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "summary.json").read_text() == out
+    files = {f.name: sha256(f.read_text()) for f in tmp_path.iterdir() if f.name != "summary.json"}
+    assert files == GOLDEN_REPORT_FILES
 
 
 def test_reproduce_detects_corrupted_fixture(capsys, tmp_path):
