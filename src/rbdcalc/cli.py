@@ -26,6 +26,7 @@ chains and lattice, which imports snf where it uses it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -227,6 +228,8 @@ def cmd_search(args) -> int:
 def _fixtures_root(override: str | None) -> Path:
     from pathlib import Path
 
+    if override == "":  # Path("") is the working directory
+        raise UsageError("--fixtures must name a directory, got ''")
     if override is not None:
         root = Path(override)
         if not root.is_dir():
@@ -341,11 +344,23 @@ def _rewrite(path: Path, text: str) -> None:
 
     Truncating a file that holds a report and writing it again costs far
     more at close than overwriting it (README, reproduce-paper). Neither
-    way is atomic or fsynced. This is the package's one file writer.
+    way is atomic or fsynced. A write or cut that raises leaves the file
+    empty, but a crash or a kill part-way leaves the new bytes over the
+    old ones: a mix of both, not a prefix of the new text.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        fh.truncate()
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # a write may take only part of the bytes
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 def cmd_reproduce_paper(args) -> int:
@@ -366,10 +381,9 @@ def cmd_reproduce_paper(args) -> int:
     ]
     if not cases:
         raise UsageError(f"--only {args.only!r} selects no cases")
-    for option, value in (("--fixtures", args.fixtures), ("--out", args.out)):
-        if value == "":  # Path("") is the working directory
-            raise UsageError(f"{option} must name a directory, got ''")
     root = _fixtures_root(args.fixtures)
+    if args.out == "":  # Path("") is the working directory
+        raise UsageError("--out must name a directory, got ''")
     results = [_reproduce_case(c, root) for c in cases]
     texts = [dumps(r) for r in results]
     summary = _certificate(

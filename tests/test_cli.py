@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import errno
 import hashlib
 import io
 import json
@@ -951,6 +952,29 @@ def test_report_files_are_rewritten_over_longer_stale_text(capsys, monkeypatch, 
     assert (tmp_path / "summary.json").read_text() == out
     files = {f.name: sha256(f.read_text()) for f in tmp_path.iterdir() if f.name != "summary.json"}
     assert files == GOLDEN_REPORT_FILES
+
+
+def test_a_failed_report_write_leaves_the_file_empty(capsys, monkeypatch, tmp_path):
+    """A write that fails part-way cuts the file to zero before exit 2, so
+    no mix of the new bytes and a stale report's tail is left behind."""
+    report = tmp_path / "family1_a3.json"
+    report.write_text("x" * 100_000)
+    real_write = os.write
+    calls = []
+
+    def half_then_disk_full(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return real_write(fd, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", half_then_disk_full)
+    code, out, err = run_cli(capsys, "reproduce-paper", "--only", "a=3,family=1", "--out", str(tmp_path))
+    monkeypatch.undo()
+    assert (code, out) == (2, "")
+    assert err == f"rbdcalc: cannot write reports to {tmp_path}: [Errno 28] No space left on device\n"
+    assert len(calls) == 2
+    assert [(f.name, f.stat().st_size) for f in tmp_path.iterdir()] == [("family1_a3.json", 0)]
 
 
 def test_reproduce_detects_corrupted_fixture(capsys, tmp_path):

