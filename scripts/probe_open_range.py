@@ -91,7 +91,7 @@ def probe(a: int, kind: str, uniform: int | None, cap: int, _unused=None) -> dic
         "n": n,
         "p": p,
         "count": hits.count,
-        "tails": hits.tails,
+        "tails": hits.expand(),
     }
 
 

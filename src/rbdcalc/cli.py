@@ -31,6 +31,7 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 
 from . import __version__
 from .errors import DomainError, InputTypeError, RbdcalcError
@@ -178,11 +179,11 @@ def cmd_search(args) -> int:
     """One compact sorted-key JSON line per hit to stdout, then the trailer
     (count, and the seconds spent in search alone) to stderr.
 
-    Hits come as Gram-checked rows that share one body (search_hits): the
-    line around the long-class row is encoded once, a hit formats only its
-    row, and a write joins at most STREAM_CHUNK lines, which bounds the
-    write count (whatever stdout's buffering) and the string held. The
-    bytes equal
+    Hits come as Gram-checked sign orbits that share one body
+    (search_hits): the line around the long-class row is encoded once,
+    SearchHits.rows formats each hit's row, and a write joins at most
+    STREAM_CHUNK lines, which bounds the write count (whatever stdout's
+    buffering) and the string held. The bytes equal
     json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")).
     """
     from .search import DEFAULT_CAP, SearchTemplate, search_hits
@@ -199,8 +200,6 @@ def cmd_search(args) -> int:
     except DomainError as exc:  # --cap below 1; the template is checked
         raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
-    write = sys.stdout.write
-    row = "[" + ",".join(["%d"] * hits.lattice.rank) + "]"
     # the frame holds only integers and fixed keys, so a string marks the
     # long-class row unambiguously; these are cfg.to_json()'s keys
     classes = [u.to_json() for u in hits.body] + ["tail"]
@@ -208,10 +207,11 @@ def cmd_search(args) -> int:
     line = json.dumps(frame, sort_keys=True, separators=(",", ":"))
     prefix, _, suffix = line.partition('"tail"')
     glue = suffix + "\n" + prefix
-    tails = hits.tails
-    for start in range(0, len(tails), STREAM_CHUNK):
-        chunk = map(row.__mod__, tails[start : start + STREAM_CHUNK])
-        write(prefix + glue.join(chunk) + suffix + "\n")
+    rows = hits.rows()
+    while chunk := list(islice(rows, STREAM_CHUNK)):
+        chunk[0] = prefix + chunk[0]
+        chunk[-1] += suffix + "\n"
+        sys.stdout.write(glue.join(chunk))
     trailer = _certificate(
         {
             "command": "search",
@@ -365,7 +365,7 @@ def _rewrite(path: Path, text: str) -> None:
 
 def cmd_reproduce_paper(args) -> int:
     """Run the selected cases; print the summary, and with --out write it
-    and one file per case.
+    and one file per case, and remove the case files of the other CASES.
 
     Each case is encoded once: its text goes to its own file and, indented
     to its nesting depth, into the summary, giving the bytes of one
@@ -413,6 +413,10 @@ def cmd_reproduce_paper(args) -> int:
             for r, case_text in zip(results, texts):
                 name = r["case"].replace("/", "_") + ".json"
                 _rewrite(out_dir / name, case_text + "\n")
+            for family, a in CASES:
+                if (family, a) not in cases:  # an earlier run's report, if any
+                    with contextlib.suppress(FileNotFoundError):
+                        (out_dir / f"family{family}_a{a}.json").unlink()
             _rewrite(out_dir / "summary.json", text + "\n")
         except OSError as exc:
             raise UsageError(f"cannot write reports to {args.out}: {exc}") from exc

@@ -23,16 +23,19 @@ and the square of the long class: the sign orbit of a representative,
 expanded in C with each signed tail exactly once, is a set of hits that
 share one Gram matrix. The walk visits at most prod(b + 1) leaves where
 the box has prod(2b + 1) points.
-search_hits returns the hits as rows: the body classes and the sorted tail
-rows. The sign orbit is the unit of the Gram check: the flip columns are
-checked once against the body support, and each representative, not each
-hit, goes through the one Gram check that the CpConfiguration constructor
-runs (chains.check_tails), all of them as one batch against the body;
-then each representative is expanded into its orbit.
+search_hits returns the hits as sign orbits: the body classes, the flip
+columns and one representative row per orbit. The sign orbit is the unit
+of the Gram check: the flip columns are checked once against the body
+support, and each representative, not each hit, goes through the one Gram
+check that the CpConfiguration constructor runs (chains.check_tails), all
+of them as one batch against the body. An orbit is expanded only when its
+hits are read: SearchHits.expand gives every hit's row, and
+SearchHits.rows every hit's row as JSON text, which expands only the flip
+columns, since every column after the last of them is constant on an
+orbit.
 
 Everything is deterministic: coordinate order and value order are fixed,
-and the tails are sorted, so hits come sorted by their class coefficient
-tuples.
+and the hits are read sorted by their class coefficient tuples.
 """
 from __future__ import annotations
 
@@ -248,26 +251,28 @@ def _enumerate_placement(template: SearchTemplate) -> list[tuple[int, ...]]:
     return out
 
 
-def _expand(flips: tuple[int, ...], reps) -> tuple[tuple[int, ...], ...]:
-    """Every member of each representative's sign orbit, sorted.
+def _pools(flips: tuple[int, ...], row) -> list[tuple[int, ...]]:
+    """One pool per column of row whose product is the row's sign orbit:
+    (-v, v) at a nonzero flip column and (v,) elsewhere, so
+    itertools.product reads off each member exactly once, in C. A row too
+    short to hold the last flip column keeps its own values, for the check
+    that refuses its length."""
+    pools = list(zip(row))
+    if len(pools) > flips[-1]:
+        for i in flips:
+            v = row[i]
+            if v:
+                pools[i] = (-v, v)
+    return pools
 
-    The orbit of a row is every row that differs from it only in the signs
-    of its flip columns (h and the free coordinates, ascending): one pool
-    per column, (-v, v) at a nonzero flip column and (v,) elsewhere, and
-    itertools.product over the pools reads off each member exactly once,
-    in C. A row too short to hold the last flip column is passed on as it
-    is, for the check that refuses its length.
-    """
-    last = flips[-1]
+
+def _expand(flips: tuple[int, ...], reps) -> tuple[tuple[int, ...], ...]:
+    """Every member of each representative's sign orbit, sorted: every row
+    that differs from it only in the signs of its flip columns (h and the
+    free coordinates, ascending)."""
     tails = []
     for rep in reps:
-        pools = list(zip(rep))
-        if len(pools) > last:
-            for i in flips:
-                v = rep[i]
-                if v:
-                    pools[i] = (-v, v)
-        tails.extend(product(*pools))
+        tails.extend(product(*_pools(flips, rep)))
     tails.sort()
     return tuple(tails)
 
@@ -289,36 +294,78 @@ def estimate_search_space(template: SearchTemplate) -> int:
 
 
 class SearchHits(Record):
-    """Every hit of one search as rows: the body and the sorted tails.
+    """Every hit of one search as sign orbits: the body, the flip columns
+    and one representative row per orbit.
 
-    The body is the p - 2 classes every hit shares, and the tails are the
-    hits' long-class coefficient rows, sorted, so the hits read sorted by
-    their class coefficients. Every tail is a sign orbit member of a
-    representative row that passed the one Gram check (chains.check_tails)
-    against the body, and so has its Gram matrix.
+    The body is the p - 2 classes every hit shares. The flip columns are h
+    and the free coordinates, ascending; every column between them is 0.
+    Each representative is a long-class row that passed the one Gram check
+    (chains.check_tails) against the body, with c0 and the free
+    magnitudes nonnegative, and its orbit, every sign of its nonzero flip
+    entries, is a set of hits that share its Gram matrix. The orbits are
+    disjoint, so the hits are counted without expanding one; expand and
+    rows read them sorted by their class coefficients.
     """
 
     p: int
     lattice: AmbientLattice
     body: tuple[ClassVector, ...]
-    tails: tuple[tuple[int, ...], ...]
+    flips: tuple[int, ...]
+    reps: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
-        return len(self.tails)
+        """The sum of the orbit sizes: 2^(nonzero flip entries) each.
+
+        Below the last flip column every other column is 0, so a row's
+        nonzero flip entries are the nonzero entries of that prefix."""
+        stop = self.flips[-1] + 1
+        return sum(1 << (stop - rep[:stop].count(0)) for rep in self.reps)
+
+    def expand(self) -> tuple[tuple[int, ...], ...]:
+        """Every hit's long-class row, sorted."""
+        return _expand(self.flips, self.reps)
+
+    def rows(self):
+        """Each hit's long-class row as compact JSON text, in expand order.
+
+        The flip columns end at stop, and every column from there on is
+        constant on an orbit and fixed by the last one: zeros, then at
+        p > 2 the run value t on the run and t + 1 at n. So an orbit
+        expands only its first stop columns: once as integers, with the
+        last column after them, for a flat sort key, and once as text,
+        each column's values formatted once per orbit, with "[" before
+        the first and the orbit's constant columns after the last.
+        """
+        flips = self.flips
+        stop = flips[-1] + 1
+        keys, texts, ends = [], [], {}
+        for rep in self.reps:
+            rest = rep[stop:]
+            last = rest[-1] if rest else 0
+            if last not in ends:
+                ends[last] = "".join(map(",%d".__mod__, rest)) + "]"
+            pools = _pools(flips, rep[:stop])
+            keys.extend(product(*pools, (last,)))
+            words = [[str(v) for v in pool] for pool in pools]
+            words[0] = ["[" + word for word in words[0]]
+            words[-1] = [word + ends[last] for word in words[-1]]
+            texts.extend(map(",".join, product(*words)))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return map(texts.__getitem__, order)
 
 
 def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
     """All chain configurations on the anchored body matching the template,
-    as checked rows.
+    as checked sign orbits.
 
     Raises SearchCapExceeded before enumerating anything when the estimate
     exceeds the cap. The Gram check runs once per sign orbit: the flip
     columns are checked once to miss the body support, the representatives
     go through chains.check_tails, the Gram check the CpConfiguration
-    constructor runs, as one batch on their raw coefficients, and then each
-    is expanded into its orbit (_expand). A flip off the body support fixes
-    every body pairing and the square, so each hit is certified exactly.
+    constructor runs, as one batch on their raw coefficients; no orbit is
+    expanded. A flip off the body support fixes every body pairing and the
+    square, so each hit is certified exactly.
     The check shares nothing with the enumerator's algebra, so a flip
     column on the body or a row it rejects is an enumerator bug and raises
     ConsistencyError. No CpConfiguration is built.
@@ -342,4 +389,4 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
         check_tails(p, lat, body, reps)
     except InvalidConfigurationError as exc:
         raise ConsistencyError(f"enumerated solution fails the Gram check: {exc}") from exc
-    return SearchHits(p=p, lattice=lat, body=body, tails=_expand(flips, reps))
+    return SearchHits(p=p, lattice=lat, body=body, flips=flips, reps=tuple(reps))

@@ -203,12 +203,12 @@ def point_walk(template) -> list[tuple[int, ...]]:
 
 def configurations(hits) -> list[CpConfiguration]:
     """Every hit of a search_hits result built by the CpConfiguration
-    constructor, in hit order. The constructor runs the Gram check on each
-    hit, where search_hits checks one representative per sign orbit, so no
-    orbit is taken on trust."""
+    constructor, in hit order (its expand). The constructor runs the Gram
+    check on each hit, where search_hits checks one representative per
+    sign orbit, so no orbit is taken on trust."""
     return [
         CpConfiguration(hits.p, hits.body + (ClassVector(hits.lattice, tail),))
-        for tail in hits.tails
+        for tail in hits.expand()
     ]
 
 

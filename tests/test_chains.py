@@ -516,7 +516,7 @@ def passing_batch(kind):
         "contiguous": SearchTemplate.uniform(6, 5, 2),
     }[kind]
     hits = search_hits(template)
-    return template.p, hits.lattice, hits.body, hits.tails
+    return template.p, hits.lattice, hits.body, hits.expand()
 
 
 def flip_a_support_sign(row, body):

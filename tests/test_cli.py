@@ -319,6 +319,12 @@ def question_template(a):
 STREAM_TEMPLATES = {
     "3-chain a=7": question_template(7),
     "p=2": {"n": 5, "p": 2, "tail_bounds": 2},
+    # t = -1 and t = 0 share need = -4, so two orbits share their flip
+    # columns and only the run value orders their hits
+    "p=3, t=-1 and t=0": {"n": 4, "p": 3, "tail_bounds": [2, 2, 2, 1, 1]},
+    # the last free coordinate below the run has bound 0: flips end before it
+    "last free bound 0": {"n": 5, "p": 3, "tail_bounds": [3, 2, 2, 0, 1, 2]},
+    "p=2, end bound 0": {"n": 4, "p": 2, "tail_bounds": [2, 2, 2, 2, 0]},
 }
 
 
@@ -364,6 +370,9 @@ class RecordingStdout(io.StringIO):
 BOUNDED_WRITE_TEMPLATES = {
     "3-chain a=7": (STREAM_TEMPLATES["3-chain a=7"], None),
     "p=2": (STREAM_TEMPLATES["p=2"], None),
+    "p=3, t=-1 and t=0": (STREAM_TEMPLATES["p=3, t=-1 and t=0"], None),
+    "last free bound 0": (STREAM_TEMPLATES["last free bound 0"], None),
+    "p=2, end bound 0": (STREAM_TEMPLATES["p=2, end bound 0"], None),
     "64 hits": ({"n": 6, "p": 4, "tail_bounds": [2, 1, 2, 2, 0, 0, 1]}, 64),
     "65 hits": ({"n": 5, "p": 4, "tail_bounds": [2, 2, 3, 2, 2, 2]}, 65),
     "129 hits": ({"n": 6, "p": 4, "tail_bounds": [2, 1, 2, 2, 1, 1, 2]}, 129),
@@ -618,6 +627,52 @@ def test_reproduce_writes_report_directory(capsys, tmp_path):
     assert modes == {(tmp_path / "reference").stat().st_mode}
 
 
+def test_reproduce_removes_the_reports_of_unselected_cases(capsys, tmp_path):
+    """A run owns summary.json and the case file of each of the nine
+    CASES: it removes those of the cases it did not select, and leaves
+    every other file alone, a report-like name outside CASES included."""
+    assert run_cli(capsys, "reproduce-paper", "--out", str(tmp_path))[0] == 0
+    others = {"notes.txt": "kept", "family1_a8.json": "{}", "family3_a3.json": "{}"}
+    for name, text in others.items():
+        (tmp_path / name).write_text(text)
+    code, out, _ = run_cli(capsys, "reproduce-paper", "--only", "a=3,family=1", "--out", str(tmp_path))
+    assert code == 0 and json.loads(out)["selected"] == 1
+    names = sorted(f.name for f in tmp_path.iterdir())
+    assert names == sorted(["family1_a3.json", "summary.json", *others])
+    assert all((tmp_path / name).read_text() == text for name, text in others.items())
+    assert (tmp_path / "summary.json").read_text() == out
+    # the removed reports are written again by a run that selects them
+    assert run_cli(capsys, "reproduce-paper", "--only", "family=2", "--out", str(tmp_path))[0] == 0
+    names = sorted(f.name for f in tmp_path.iterdir())
+    reports = [f"family2_a{a}.json" for a in range(3, 7)]
+    assert names == sorted(["summary.json", *reports, *others])
+
+
+def test_reproduce_of_every_case_removes_nothing(capsys, monkeypatch, tmp_path):
+    """With all nine cases selected, as the benchmark's replay runs it, the
+    stale-report removal makes no filesystem call: nothing is removed, and
+    the only files opened are the ten reports, once each."""
+    assert run_cli(capsys, "reproduce-paper", "--out", str(tmp_path))[0] == 0
+    opened = []
+    real_open = os.open
+
+    def refuse(*args):
+        raise AssertionError(f"a file was removed: {args}")
+
+    def counted(path, *args):
+        opened.append(Path(path).name)
+        return real_open(path, *args)
+
+    for name in ("unlink", "remove", "rmdir"):
+        monkeypatch.setattr(os, name, refuse)
+    monkeypatch.setattr(os, "open", counted)
+    code, out, _ = run_cli(capsys, "reproduce-paper", "--out", str(tmp_path))
+    monkeypatch.undo()
+    assert code == 0 and json.loads(out)["selected"] == 9
+    assert sorted(opened) == sorted(f.name for f in tmp_path.iterdir())
+    assert len(opened) == 10
+
+
 def test_reproduce_summary_is_one_encoding_of_the_whole(capsys, tmp_path):
     """The cases are spliced into the summary text; an echoed --out that
     spells the splice point must not move them."""
@@ -651,6 +706,17 @@ def test_reproduce_out_on_a_directory_named_as_a_report_is_a_usage_error(capsys,
     assert (code, out) == (2, "")
     target = tmp_path / "family1_a3.json"
     assert err == f"rbdcalc: cannot write reports to {tmp_path}: [Errno 21] Is a directory: '{target}'\n"
+
+
+def test_reproduce_out_on_a_directory_named_as_an_unselected_report_is_a_usage_error(capsys, tmp_path):
+    """A directory under the report name of a case the run did not select
+    is not removed: the failing unlink exits 2 naming that path."""
+    target = tmp_path / "family1_a4.json"
+    target.mkdir()
+    code, out, err = run_cli(capsys, "reproduce-paper", "--only", "a=3,family=1", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"rbdcalc: cannot write reports to {tmp_path}: [Errno 21] Is a directory: '{target}'\n"
+    assert target.is_dir()
 
 
 @pytest.mark.parametrize("counts", [[1], [], [7, 0], [1, 0, 9, 2]])
@@ -1482,16 +1548,20 @@ def well_formed(template) -> bool:
 @given(templates())
 def test_fuzz_search_templates(fuzz_dir, template):
     """A well-formed template exits 0 or 1 and any other exits 2; at 0,
-    stdout holds one compact sorted-key line per hit the trailer counts."""
+    stdout holds the per-hit json.dumps line of every hit, built by the
+    constructor, and the trailer counts them as theta_count does."""
     path = fuzz_dir / "template.json"
     path.write_text(json.dumps(template))
     code, out, err = run_in_process(["search", "--template", str(path), "--cap", "10000"])
     assert (code in (0, 1)) == well_formed(template)
-    lines = out.splitlines()
-    for line in lines:
-        assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
-    if code == 0:
-        assert len(lines) == json.loads(err)["count"]
+    if code != 0:
+        assert out == ""
+        return
+    box = SearchTemplate.from_json(template)
+    hits = configurations(search_hits(box))
+    lines = [json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")) for cfg in hits]
+    assert out.splitlines() == lines
+    assert json.loads(err)["count"] == theta_count(box.n, box.p, box.tail_bounds) == len(lines)
 
 
 @settings(max_examples=120)

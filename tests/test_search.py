@@ -8,7 +8,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rbdcalc.chains as chains_module
@@ -30,6 +30,7 @@ from rbdcalc.lattice import AmbientLattice, ClassVector
 from rbdcalc.search import (
     DEFAULT_CAP,
     MAX_N,
+    SearchHits,
     SearchTemplate,
     _enumerate_placement,
     _expand,
@@ -203,6 +204,60 @@ def test_magnitude_walk_matches_the_point_walk(template):
     tails = _expand(flips, reps)
     assert len(set(tails)) == len(tails)
     assert sorted(tails) == sorted(point_walk(template))
+
+
+def sign_orbit(row, flips):
+    """Every row that differs from row only in the signs of its nonzero
+    entries at the flip columns."""
+    signed = [i for i in flips if row[i]]
+    orbit = set()
+    for signs in product((1, -1), repeat=len(signed)):
+        member = list(row)
+        for i, sign in zip(signed, signs):
+            member[i] *= sign
+        orbit.add(tuple(member))
+    return orbit
+
+
+@settings(max_examples=60, deadline=None)
+@given(walkable_templates())
+# t = -1 and t = 0 both solve: orbits share their flip columns in pairs
+@example(SearchTemplate(n=4, p=3, tail_bounds=(2, 2, 2, 1, 1)))
+def test_search_hits_are_disjoint_sign_orbits(template):
+    """Sign orbits as the unit of a search: the flip columns are h and the
+    free coordinates; each representative's orbit has 2^(nonzero flip
+    entries) members and no two orbits meet; expand() gives the point
+    walk's hits, sorted, rows() each of them as compact JSON, whatever the
+    order of the representatives, and count is theta_count's."""
+    n, p, bounds = template.n, template.p, template.tail_bounds
+    hits = search_hits(template)
+    top = n if p == 2 else n - p + 1
+    assert hits.flips == (0,) + tuple(i for i in range(1, top + 1) if bounds[i])
+    expanded = hits.expand()
+    assert list(expanded) == sorted(point_walk(template))
+    orbits = [sign_orbit(rep, hits.flips) for rep in hits.reps]
+    for rep, orbit in zip(hits.reps, orbits):
+        assert len(orbit) == 2 ** sum(1 for i in hits.flips if rep[i])
+    assert sum(map(len, orbits)) == len(set().union(*orbits)) == len(expanded)
+    assert set().union(*orbits) == set(expanded)
+    assert hits.count == theta_count(n, p, bounds) == len(expanded)
+    rows = [json.dumps(tail, separators=(",", ":")) for tail in expanded]
+    assert list(hits.rows()) == rows
+    reversed_reps = SearchHits(hits.p, hits.lattice, hits.body, hits.flips, hits.reps[::-1])
+    assert list(reversed_reps.rows()) == rows
+
+
+def test_count_comes_without_expanding_an_orbit(monkeypatch):
+    """The 4-chain a=3 question's 315,488 hits are counted from its 3,120
+    representatives: no orbit is expanded."""
+
+    def refuse(*args):
+        raise AssertionError("an orbit was expanded")
+
+    monkeypatch.setattr(search_module, "product", refuse)
+    monkeypatch.setattr(search_module, "_expand", refuse)
+    hits = search_hits(family_question_template(3, "4-chain"))
+    assert (len(hits.reps), hits.count) == (3120, 315_488)
 
 
 @pytest.mark.parametrize(
@@ -430,7 +485,7 @@ def assert_rows_agree_with_search(template):
     assert all(cfg.classes[:-1] == hits.body for cfg in built)
     assert len(hits.body) == template.p - 2
     assert built == sorted(built, key=lambda cfg: tuple(u.coeffs for u in cfg.classes))
-    assert hits.tails == tuple(cfg.classes[-1].coeffs for cfg in built)
+    assert hits.expand() == tuple(cfg.classes[-1].coeffs for cfg in built)
     assert hits.count == len(built)
     return hits
 
@@ -508,7 +563,7 @@ def test_search_hits_check_a_passing_placement_as_one_batch(monkeypatch):
 )
 def test_search_hits_give_the_probe_counts(kind, a, count):
     hits = search_hits(family_question_template(a, kind))
-    assert hits.count == len(hits.tails) == count
+    assert hits.count == len(hits.expand()) == count
 
 
 def test_question_dimensions():
