@@ -10,10 +10,12 @@ controlled by bookkeeping plus two certificates:
   * H1, decided exactly from the cokernel of the restriction map to the
     configuration: its order is one gcd, gcd(p, content(sum_i i u_i)), for
     every body, and when it vanishes a witness class comes from a basis
-    vector or, failing that, one Smith normal form;
+    vector or, failing that, the closed-form section of the restriction
+    map (rbdcalc.snf);
   * parity: either the signature obstruction (an even closed simply
     connected 4-manifold has signature divisible by 16) or an explicit
-    odd-square class orthogonal to the configuration.
+    odd-square class orthogonal to the configuration, the first among the
+    section's generators of the orthogonal complement.
 
 Both are deterministic, so reports are stable byte for byte. Each report
 is a `report.Report`: its JSON is its fields under their own names.
@@ -26,13 +28,7 @@ from operator import mul
 
 from .chains import CpConfiguration
 from .errors import ConsistencyError, DomainError
-from .lattice import (
-    ClassVector,
-    dual_coefficients,
-    orthogonal_complement_basis,
-    strict_int,
-    strict_object,
-)
+from .lattice import ClassVector, strict_int, strict_object
 from .report import Report
 
 
@@ -149,15 +145,15 @@ def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1
     order is exactly gcd(p, content(v)). At order 1 the witness is the first
     +/-e_j meeting a condition (_basis_witness: e_j pairs s_j column_j with
     the classes, s_0 = +1 and s_j = -1 for j >= 1, and a column nonzero on
-    u_2..u_{p-2} is skipped), else the solution of r(x) = (0, ..., 0, 1)
-    from one Smith normal form of r, whose dual rows are built only for
-    that solve. The witness gets the same cfg.pairings test as a given
+    u_2..u_{p-2} is skipped), else s(0, ..., 0, 1) for the section s of r
+    in rbdcalc.snf, a closed form built on the C_p Gram matrix's
+    p^2 Q^-1. The witness gets the same cfg.pairings test as a given
     delta, and failing it raises ConsistencyError. A larger order is
     "nontrivial": the formula needs H1 of the ambient to vanish, and the
     rational surface is simply connected.
     """
     p = cfg.p
-    order = divisors = coeffs = None
+    order = divisors = None
     if delta is None:
         columns = list(zip(*(u.coeffs for u in cfg.classes)))
         order = p
@@ -177,17 +173,17 @@ def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1
             )
         coeffs = _basis_witness(columns, p)
         if coeffs is None:
-            from .snf import smith_normal_form
+            from .snf import Section
 
-            restriction = [dual_coefficients(u) for u in cfg.classes]
-            coeffs = smith_normal_form(restriction).solve([0] * (p - 2) + [1])
-        delta = None if coeffs is None else cfg.lattice.vector(coeffs)
-    pair = None if delta is None else cfg.pairings(delta)
-    cond = None if pair is None else _condition(pair, p)
+            delta = Section(cfg)((0,) * (p - 2) + (1,))
+        else:
+            delta = cfg.lattice.vector(coeffs)
+    pair = cfg.pairings(delta)
+    cond = _condition(pair, p)
     if cond is None and order == 1:
         raise ConsistencyError(
             f"H1 of the blowdown is trivial (restriction divisors {divisors}) "
-            f"but the witness {coeffs} fails the re-check"
+            f"but the witness {delta} fails the re-check"
         )
     return H1Certificate(
         verdict="inconclusive" if cond is None else "trivial",
@@ -206,9 +202,12 @@ def parity_and_homeo_type(
 
     Odd is certified either by signature (mod 16) or by an odd-square class
     orthogonal to the configuration. For the second route it is enough to
-    scan a basis of the orthogonal complement: in a diagonal ambient basis,
-    (sum x_i w_i)^2 = sum x_i w_i^2 (mod 2), so the complement is even
-    exactly when every basis square is even, and the scan is complete.
+    scan generators of the orthogonal complement: in a diagonal ambient
+    basis, (sum x_i w_i)^2 = sum x_i w_i^2 (mod 2), so the complement is
+    even exactly when every generator's square is even, and the scan is
+    complete. The n + 2 generators come from the section of the
+    restriction map (rbdcalc.snf), one at a time, and the scan stops at
+    the first odd square.
 
     The type is pinned down only from: h1 certified trivial (the ambient is
     simply connected), b2+ = 1, odd form. Then the blowdown is homeomorphic
@@ -220,14 +219,12 @@ def parity_and_homeo_type(
     if inv.signature % 16 != 0:
         report = ParityReport("odd", "signature-mod-16", None, None)
     else:
-        report = None
-        for w in orthogonal_complement_basis(list(cfg.classes)):
-            sq = w.square()
-            if sq % 2 != 0:
-                report = ParityReport("odd", "odd-square-orthogonal-vector", w, sq)
-                break
-        if report is None:
+        from .snf import Section
+
+        w = next((w for w in Section(cfg).complement() if w.square() % 2), None)
+        if w is None:
             return ParityReport("even-possible", None, None, None), None
+        report = ParityReport("odd", "odd-square-orthogonal-vector", w, w.square())
     return report, homeo_type(inv.b2_minus)
 
 

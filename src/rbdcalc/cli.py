@@ -21,7 +21,7 @@ The search trailer, which includes wall time, goes to stderr.
 Each command imports the modules it runs when it runs: at load this module
 imports only the standard library, rbdcalc.errors and rbdcalc.report, so a
 cold `rbdcalc search` never compiles blowdown or sw; it adds only search,
-chains and lattice, which imports snf where it uses it.
+chains and lattice. No fixture makes blowdown import snf.
 """
 from __future__ import annotations
 

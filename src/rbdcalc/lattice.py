@@ -13,7 +13,7 @@ odd, and both sides of the defining congruence are additive in v mod 2.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from operator import mul, neg
+from operator import mul
 
 from .errors import DomainError, InputTypeError, LatticeMismatchError
 from .report import Record
@@ -178,32 +178,3 @@ def pairing(x: ClassVector, y: ClassVector) -> int:
 def is_characteristic(k: ClassVector) -> bool:
     """True iff k.x = x.x (mod 2) for all x; here, iff every coefficient is odd."""
     return all(c % 2 != 0 for c in k.coeffs)
-
-
-def dual_coefficients(x: ClassVector) -> tuple[int, ...]:
-    """Coefficients of the dual functional x.(-) in the dual basis.
-
-    The lattice is unimodular and diagonal, so duality only flips the sign of
-    the e-part; as a map on classes it is the identity (each basis vector is
-    +/-1-dual to itself). Used when a functional, not a class, is needed.
-    """
-    return (x.coeffs[0], *map(neg, x.coeffs[1:]))
-
-
-def orthogonal_complement_basis(classes: Sequence[ClassVector]) -> list[ClassVector]:
-    """Basis of the sublattice orthogonal to every given class.
-
-    The complement is the integer kernel of the pairing-functional matrix, so
-    the result is a basis of a direct summand of rank (n+1) - rank(span).
-    Deterministic: inherits the fixed pivot rule of the normal form. The
-    classes name the lattice, so an empty list raises DomainError.
-    """
-    if not classes:
-        raise DomainError("need at least one class to take a complement in")
-    lat = classes[0].lattice
-    for c in classes[1:]:
-        classes[0]._check(c)
-    from .snf import kernel_basis
-
-    rows = [list(dual_coefficients(c)) for c in classes]
-    return [lat.vector(col) for col in kernel_basis(rows)]

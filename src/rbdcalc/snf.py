@@ -1,183 +1,88 @@
-"""Exact integer matrix algebra.
+"""The Smith form of C_p's restriction map, in closed form.
 
-Everything here is pure Python over int, so results are exact at any size.
-The Smith normal form keeps both unimodular transforms and uses a fixed
-pivot rule, which makes every output byte-for-byte reproducible:
+For a configuration u_1, ..., u_{p-1} with Gram matrix Q (the C_p matrix),
+the restriction map r(x) = (x.u_1, ..., x.u_{p-1}) is read through one
+number. The last column of p^2 Q^-1 is -(1, ..., p - 1), so
+phi(b) = sum_i i b_i (mod p^2) identifies Z^{p-1}/Q Z^{p-1} with Z/p^2,
+and phi(r(x)) = x.v for v = sum_i i u_i. Every value x.v is a multiple of
+content(v), so the image of r is {b : g | phi(b)} for
+g = gcd(p^2, content(v)), and H1 of the blowdown is trivial exactly when
+g = 1.
 
-  * pivot = smallest nonzero |entry| in the working submatrix, ties broken
-    row-major (first by row, then by column);
-  * diagonal entries are normalized to be nonnegative;
-  * each diagonal entry divides the next.
+Take a class y whose c = y.v has gcd(c, p^2) = g: the first basis vector
+that does, else basis vectors folded in one at a time (Bezout). For b in
+the image of r, with m = p^2/g,
+
+    s(b) = t y + sum_i a_i u_i,
+    t = (phi(b)/g) (c/g)^-1 (mod m), taken in (-m/2, m/2],
+    a = p^2 Q^-1 (b - t r(y)) / p^2,
+
+is a class with r(s(b)) = b: phi(b - t r(y)) = 0 (mod p^2), so
+b - t r(y) lies in Q Z^{p-1} and the division is exact. p^2 Q^-1 is
+chains.cp_scaled_inverse, O(p), so nothing here eliminates. The kernel of
+r, the complement S^perp of the configuration, is generated by
+f_j - s(r(f_j)) over the basis classes f_j and by
+z0 = m y - sum_i (p^2 Q^-1 r(y))_i / g u_i, which is needed because t is
+reduced mod m, so s is not linear.
 """
 from __future__ import annotations
 
-from .errors import ConsistencyError
-from .lattice import strict_int
-from .report import Record
+from collections.abc import Iterator, Sequence
+from math import gcd
+from operator import mul
 
-Matrix = list[list[int]]
-
-
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+from .chains import CpConfiguration, cp_scaled_inverse
+from .lattice import ClassVector
 
 
-def _swap_rows(m: Matrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
+class Section:
+    """s(b) with r(s(b)) = b for each b in the image of cfg's restriction
+    map r, and generators of its kernel."""
 
+    def __init__(self, cfg: CpConfiguration):
+        p = cfg.p
+        self.cfg = cfg
+        self.columns = list(zip(*(u.coeffs for u in cfg.classes)))
+        # e_j.v: s_j times column j's share of v, s_0 = +1 and s_j = -1
+        dots = [sum(map(mul, column, range(1, p))) for column in self.columns]
+        dots[1:] = [-d for d in dots[1:]]
+        q = p * p
+        self.g = gcd(q, *dots)
+        y = [0] * len(dots)
+        j = next((j for j, d in enumerate(dots) if gcd(d, q) == self.g), None)
+        if j is not None:
+            y[j] = 1
+        else:
+            c = 0
+            for j, d in enumerate(dots):
+                step = gcd(c, d, q)
+                if step < gcd(c, q):
+                    y[j] = next(k for k in range(1, q) if gcd(c + k * d, q) == step)
+                    c += y[j] * d
+        self.y = cfg.lattice.vector(y)
+        self.ry = cfg.pairings(self.y)
+        self.m = q // self.g
+        self.inverse = pow(sum(map(mul, range(1, p), self.ry)) // self.g, -1, self.m)
 
-def _swap_cols(m: Matrix, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+    def __call__(self, b: Sequence[int]) -> ClassVector:
+        p, m = self.cfg.p, self.m
+        t = sum(map(mul, range(1, p), b)) // self.g * self.inverse % m
+        if 2 * t > m:
+            t -= m
+        scaled = cp_scaled_inverse(p, [x - t * r for x, r in zip(b, self.ry)])
+        return self._combine(t, [x // (p * p) for x in scaled])
 
+    def _combine(self, t: int, a: Sequence[int]) -> ClassVector:
+        """The class t y + sum_i a_i u_i."""
+        coeffs = (t * k + sum(map(mul, a, column)) for k, column in zip(self.y.coeffs, self.columns))
+        return ClassVector(self.cfg.lattice, tuple(coeffs))
 
-def _add_row(m: Matrix, dst: int, src: int, k: int) -> None:
-    m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
-
-
-def _add_col(m: Matrix, dst: int, src: int, k: int) -> None:
-    for row in m:
-        row[dst] += k * row[src]
-
-
-class SNFResult(Record):
-    """D = U * M * V with U, V unimodular and D the invariant diagonal.
-
-    `diagonal` lists min(rows, cols) entries (trailing zeros kept), each
-    nonnegative and dividing the next nonzero entry.
-    """
-
-    diagonal: tuple[int, ...]
-    u: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
-    rows: int
-    cols: int
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-    def solve(self, rhs) -> list[int] | None:
-        """One integer solution x of M x = rhs, or None if none exists.
-
-        Every entry of rhs must be an int, as every entry of M is."""
-        rhs = [strict_int(b, "right-hand side entry") for b in rhs]
-        if len(rhs) != self.rows:
-            raise ConsistencyError("rhs length does not match row count")
-        y = [sum(a * b for a, b in zip(row, rhs)) for row in self.u]
-        x_prime = [0] * self.cols
-        for i in range(self.rows):
-            d = self.diagonal[i] if i < len(self.diagonal) else 0
-            if (y[i] % d if d else y[i]) != 0:
-                return None
-            if d:
-                x_prime[i] = y[i] // d
-        return [sum(a * b for a, b in zip(row, x_prime)) for row in self.v]
-
-
-def smith_normal_form(mat: list[list[int]] | tuple) -> SNFResult:
-    """Smith normal form with transforms, deterministic under the fixed pivot rule.
-
-    Every entry must be an int: a bool, float, str or anything else raises
-    InputTypeError rather than being read through int()."""
-    a = [[strict_int(x, "matrix entry") for x in row] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if any(len(row) != cols for row in a):
-        raise ConsistencyError("ragged matrix")
-    u = _identity(rows)
-    v = _identity(cols)
-
-    t = 0
-    while t < min(rows, cols):
-        # locate pivot: smallest |entry| != 0, row-major tie break
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            _swap_rows(a, t, pi)
-            _swap_rows(u, t, pi)
-        if pj != t:
-            _swap_cols(a, t, pj)
-            _swap_cols(v, t, pj)
-
-        while True:
-            # shrink entries below and right of the pivot
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, i, t, -q)
-                    _add_row(u, i, t, -q)
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    _add_col(a, j, t, -q)
-                    _add_col(v, j, t, -q)
-            residue = None
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    residue = ("row", i)
-                    break
-            if residue is None:
-                for j in range(t + 1, cols):
-                    if a[t][j]:
-                        residue = ("col", j)
-                        break
-            if residue is not None:
-                # leftover is smaller than the pivot; promote it and repeat
-                kind, idx = residue
-                if kind == "row":
-                    _swap_rows(a, t, idx)
-                    _swap_rows(u, t, idx)
-                else:
-                    _swap_cols(a, t, idx)
-                    _swap_cols(v, t, idx)
-                continue
-            # row and column are clean; enforce divisibility on the rest
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = (i, j)
-                        break
-                if bad:
-                    break
-            if bad is None:
-                break
-            _add_row(a, t, bad[0], 1)
-            _add_row(u, t, bad[0], 1)
-
-        if a[t][t] < 0:
-            for j in range(cols):
-                a[t][j] = -a[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-        t += 1
-
-    diag = tuple(a[i][i] for i in range(min(rows, cols)))
-    return SNFResult(
-        diagonal=diag,
-        u=tuple(tuple(row) for row in u),
-        v=tuple(tuple(row) for row in v),
-        rows=rows,
-        cols=cols,
-    )
-
-
-def kernel_basis(mat) -> list[list[int]]:
-    """Basis of the integer kernel {x : M x = 0}, from the SNF column transform.
-
-    The columns of V indexed past the rank span the kernel saturatedly, so the
-    result is a genuine basis of the kernel as a direct summand.
-    """
-    s = smith_normal_form(mat)
-    return [[s.v[i][j] for i in range(s.cols)] for j in range(s.rank, s.cols)]
-
+    def complement(self) -> Iterator[ClassVector]:
+        """Generators of the classes orthogonal to every u_i, built one at a
+        time: f_j - s(r(f_j)) for j = 0..n, then z0."""
+        cfg = self.cfg
+        for j in range(cfg.lattice.rank):
+            f = cfg.lattice.basis_vector(j)
+            yield f - self(cfg.pairings(f))
+        scaled = cp_scaled_inverse(cfg.p, self.ry)
+        yield self._combine(self.m, [-x // self.g for x in scaled])

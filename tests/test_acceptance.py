@@ -16,7 +16,6 @@ from rbdcalc.chains import (
 from rbdcalc.errors import TemplateError
 from rbdcalc.lattice import AmbientLattice, is_characteristic, pairing
 from rbdcalc.search import DEFAULT_CAP, SearchTemplate, estimate_search_space, search_hits
-from rbdcalc.snf import smith_normal_form
 from rbdcalc.sw import CharacteristicData, PeriodPoint, sw_on_blowdown, wall_crossing
 
 from families import (
@@ -35,6 +34,7 @@ from oracles import (
     evaluate_neg_cf,
     intersection_matrix,
     matmul,
+    smith_normal_form,
     standard_configuration,
 )
 from probe_open_range import family_question_template, probe

@@ -1,5 +1,6 @@
 """Blowdown bookkeeping: invariants, h1 certificates, parity, handle counts."""
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, prod
 
@@ -29,7 +30,7 @@ from rbdcalc.errors import (
 )
 from rbdcalc.lattice import AmbientLattice, pairing
 from rbdcalc.search import search_hits
-from rbdcalc.snf import smith_normal_form
+from rbdcalc.snf import Section
 
 from families import (
     family_configuration,
@@ -39,7 +40,11 @@ from families import (
 from oracles import (
     configurations,
     cremona,
+    dual_coefficients,
+    dual_matrix_witness,
     h1_by_smith_normal_form,
+    orthogonal_complement_basis,
+    same_lattice,
     signed_permutation,
     standard_configuration,
 )
@@ -173,13 +178,32 @@ CONDITION_ONE_CHAINS = [
     for rows in (([0, 1, -1, 0, 0], [0, 0, 1, 2, 0]), ([1, -1, -1, -1, 0], [0, 0, 0, 1, 2]))
 ]
 
+# a C_6 in Z^{1,7} at H1 order 1 with v = sum_i i u_i = (-9, 4, 9, 10, -4,
+# -4, -4, -4): no coordinate of v is prime to 6, so the section's y is a
+# fold of basis vectors, h + e_1 with y.v = -13
+BEZOUT_CHAIN = CpConfiguration(
+    6,
+    tuple(
+        map(
+            AmbientLattice(7).vector,
+            (
+                [1, -1, -1, 0, -1, 0, 0, 0],
+                [0, 0, 0, 0, 1, -1, 0, 0],
+                [0, 0, 0, 0, 0, 1, -1, 0],
+                [0, 0, 0, 0, 0, 0, 1, -1],
+                [-2, 1, 2, 2, -1, -1, -1, 0],
+            ),
+        )
+    ),
+)
+
 
 @st.composite
 def isometry_images(draw):
     """standard_configuration(p, n) (p = 2..9), a valid family
-    configuration or one of CONDITION_ONE_CHAINS under one to three
-    isometries of Z^{1,n}: signed permutations of e_1..e_n and, when n >= 3,
-    Cremona reflections in h - e_i - e_j - e_k, which put h on body
+    configuration, one of CONDITION_ONE_CHAINS or BEZOUT_CHAIN under one to
+    three isometries of Z^{1,n}: signed permutations of e_1..e_n and, when
+    n >= 3, Cremona reflections in h - e_i - e_j - e_k, which put h on body
     classes."""
     source = draw(st.integers(0, 2))
     if source == 0:
@@ -188,7 +212,7 @@ def isometry_images(draw):
     elif source == 1:
         base = draw(st.sampled_from(VALID_FAMILY_CASES))[2]
     else:
-        base = draw(st.sampled_from(CONDITION_ONE_CHAINS))
+        base = draw(st.sampled_from(CONDITION_ONE_CHAINS + [BEZOUT_CHAIN]))
     n = base.lattice.n
     rows = [u.coeffs for u in base.classes]
     for _ in range(draw(st.integers(1, 3))):
@@ -202,16 +226,32 @@ def isometry_images(draw):
     return CpConfiguration(base.p, tuple(map(base.lattice.vector, rows)))
 
 
+def assert_matches_the_smith_route(cfg):
+    """h1_certificate(cfg) against the SNF route: verdict, condition,
+    pairings, order and divisors byte for byte, and the witness too
+    wherever a +/-e_j decides it. Where none does, both witnesses solve
+    r(x) = (0, ..., 0, 1), each by its own route, so only their pairings
+    agree. Returns the certificate."""
+    cert = h1_certificate(cfg)
+    ours, smith = cert.to_json(), h1_by_smith_normal_form(cfg).to_json()
+    restriction = [dual_coefficients(u) for u in cfg.classes]
+    if cert.order == 1 and dual_matrix_witness(restriction, cfg.p) is None:
+        assert cfg.pairings(cert.witness) == (0,) * (cfg.p - 2) + (1,)
+        del ours["witness"], smith["witness"]
+    assert ours == smith
+    return cert
+
+
 @settings(max_examples=150)
 @given(isometry_images())
 def test_closed_form_matches_the_smith_route_on_isometry_images(cfg):
-    """gcd(p, content(sum_i i u_i)) gives the SNF route's certificate byte
-    for byte, bodies through h included."""
-    assert h1_certificate(cfg).to_json() == h1_by_smith_normal_form(cfg).to_json()
+    """gcd(p, content(sum_i i u_i)) gives the SNF route's certificate,
+    bodies through h included."""
+    assert_matches_the_smith_route(cfg)
 
 
 @pytest.mark.parametrize(
-    "tail, expected, snf_calls",
+    "tail, expected, section_calls",
     [
         pytest.param(
             [-2, -2, -2, 1, 0],
@@ -222,42 +262,89 @@ def test_closed_form_matches_the_smith_route_on_isometry_images(cfg):
         ),
         pytest.param(
             [3, -2, 1, 3, 0],
-            {"verdict": "trivial", "condition": 2, "witness": [-1, 1, -2, 0, 0],
+            {"verdict": "trivial", "condition": 2, "witness": [-5, 1, -2, -4, 0],
              "pairings": [0, 1], "order": 1, "restriction_divisors": [1, 1]},
             1,
             id="solve-witness",
         ),
     ],
 )
-def test_body_through_h_runs_the_smith_normal_form_only_for_the_solve_witness(
-    monkeypatch, tail, expected, snf_calls
+def test_body_through_h_runs_the_section_only_for_the_fallback_witness(
+    monkeypatch, tail, expected, section_calls
 ):
     """The body class h + e_1 + e_2 + e_3 has an h coefficient. Its order
-    is the closed form's, with no SNF; the one SNF solves for a witness
-    when order 1 has no +/-e_j meeting a condition. Either way the bytes
-    are the SNF-only route's."""
+    is the closed form's, with no section; the one section solves for a
+    witness when order 1 has no +/-e_j meeting a condition, from y = h.
+    Either way all but that witness is the SNF route's."""
     lat = AmbientLattice(4)
     cfg = CpConfiguration(3, (lat.vector([1, 1, 1, 1, 0]), lat.vector(tail)))
-    calls = []
-    monkeypatch.setattr(
-        snf_module, "smith_normal_form", lambda rows: calls.append(1) or smith_normal_form(rows)
-    )
-    cert = h1_certificate(cfg)
-    assert len(calls) == snf_calls
-    assert cert.to_json() == expected == h1_by_smith_normal_form(cfg).to_json()
+    sections = []
+    monkeypatch.setattr(snf_module, "Section", lambda cfg: sections.append(Section(cfg)) or sections[-1])
+    cert = assert_matches_the_smith_route(cfg)
+    assert cert.to_json() == expected
+    assert [s.y for s in sections] == [lat.h()] * section_calls
+
+
+def test_bezout_section_witness():
+    """BEZOUT_CHAIN has no +/-e_j witness, and no single basis vector y has
+    y.v prime to 6: the section folds h and e_1 into y, and its witness
+    s(e_5) meets condition 2 and pairs like the SNF solve's."""
+    cfg = BEZOUT_CHAIN
+    lat = cfg.lattice
+    v = [sum(i * c for i, c in enumerate(column, 1)) for column in zip(*(u.coeffs for u in cfg.classes))]
+    assert v == [-9, 4, 9, 10, -4, -4, -4, -4]
+    assert all(gcd(c, 6) > 1 for c in v)
+    section = Section(cfg)
+    assert section.y == lat.h() + lat.e(1)
+    assert sum(i * r for i, r in enumerate(section.ry, 1)) == -13
+    cert = assert_matches_the_smith_route(cfg)
+    assert (cert.verdict, cert.condition, cert.order) == ("trivial", 2, 1)
+    assert cert.pairings == (0, 0, 0, 0, 1)
+    assert cert.witness == section((0, 0, 0, 0, 1))
+    assert h1_by_smith_normal_form(cfg).witness.coeffs == (-1, 1, 0, 0, 0, 0, 0, 0)
+
+
+PROBE_QUESTIONS = (("3-chain", 9), ("3-chain", 10), ("3-chain", 11), ("4-chain", 6))
+
+
+@lru_cache(maxsize=None)
+def probe_hits() -> list[tuple[int, CpConfiguration]]:
+    """(a, configuration) for every hit of PROBE_QUESTIONS, built once."""
+    return [
+        (a, cfg)
+        for kind, a in PROBE_QUESTIONS
+        for cfg in configurations(search_hits(family_question_template(a, kind)))
+    ]
 
 
 def test_closed_form_matches_the_smith_route_on_probe_hits():
     """Every hit of 3-chain a=9..11 and 4-chain a=6 gets the SNF route's
-    certificate byte for byte, the four H1 = Z/3 hits at a=9 included."""
-    orders = []
-    for kind, a in (("3-chain", 9), ("3-chain", 10), ("3-chain", 11), ("4-chain", 6)):
-        for cfg in configurations(search_hits(family_question_template(a, kind))):
-            cert = h1_certificate(cfg)
-            assert cert.to_json() == h1_by_smith_normal_form(cfg).to_json()
-            orders.append((a, cert.order))
+    certificate, the four H1 = Z/3 hits at a=9 included."""
+    orders = [(a, assert_matches_the_smith_route(cfg).order) for a, cfg in probe_hits()]
     assert len(orders) == 510
     assert [o for o in orders if o[1] != 1] == [(9, 3)] * 4
+
+
+@settings(max_examples=150)
+@given(st.one_of(isometry_images(), st.integers(0, 509).map(lambda i: probe_hits()[i][1])))
+def test_section_decides_witness_and_parity_like_the_oracle(cfg):
+    """At order 1 the witness meets its condition; every generator of the
+    complement pairs 0 with every class and they span the oracle's basis
+    lattice, so a generator has odd square exactly when an oracle basis
+    class has; and the parity scan reports the first odd generator."""
+    cert = h1_certificate(cfg)
+    if cert.order == 1:
+        assert _condition(cfg.pairings(cert.witness), cfg.p) == cert.condition
+    generators = list(Section(cfg).complement())
+    for w in generators:
+        assert cfg.pairings(w) == (0,) * (cfg.p - 1)
+    basis = orthogonal_complement_basis(list(cfg.classes))
+    assert same_lattice(generators, basis)
+    first_odd = next((w for w in generators if w.square() % 2), None)
+    assert (first_odd is not None) == any(w.square() % 2 for w in basis)
+    if cert.order == 1 and blowdown_invariants(cfg).signature % 16 == 0:
+        parity, _ = parity_and_homeo_type(cfg, cert)
+        assert parity.witness == first_odd
 
 
 def test_invariants_for_smallest_family_case():
@@ -354,8 +441,8 @@ def test_h1_search_finds_small_witness():
 
 def test_h1_boundary_case_witness_from_the_solve():
     """At a=11 the closed-form witness fails and no +/-e_j meets a condition
-    (two-term classes such as -(h + e_1) do), so the witness is the integer
-    solution of r(x) = (0, ..., 0, 1)."""
+    (two-term classes such as -(h + e_1) do), so the witness is the
+    section's solution of r(x) = (0, ..., 0, 1), built on y = e_2."""
     cfg = family_configuration(11, 1)
     formula = h1_certificate(cfg, delta=family_h1_witness(11, 1))
     assert formula.verdict == "inconclusive"
@@ -371,7 +458,8 @@ def test_h1_boundary_case_witness_from_the_solve():
     assert exact.condition == 2
     assert exact.order == 1
     assert exact.restriction_divisors == (1,) * 34
-    assert exact.witness.coeffs == (1, -8) + (1,) * 34
+    assert exact.witness.coeffs == (-420, 300) + (43,) * 34
+    assert Section(cfg).y == cfg.lattice.e(2)
     assert exact.pairings == (0,) * 33 + (1,)
 
 
@@ -402,13 +490,15 @@ def test_parity_by_signature_and_homeo_type(a, family):
 
 
 def test_parity_by_orthogonal_vector_at_boundary_case():
-    """a=11 has signature 0 mod 16, so oddness needs an explicit class."""
+    """a=11 has signature 0 mod 16, so oddness needs an explicit class: the
+    first generator of the complement, h - s(r(h))."""
     cfg = family_configuration(11, 1)
     parity, homeo = parity_and_homeo_type(cfg, h1_certificate(cfg))
     assert parity.verdict == "odd"
     assert parity.route == "odd-square-orthogonal-vector"
-    assert parity.witness_square == -481
-    assert parity.witness.square() == -481
+    assert parity.witness_square == 8625
+    assert parity.witness.square() == 8625
+    assert parity.witness.coeffs == (253, -180) + (-26,) * 34
     for u in cfg.classes:
         assert pairing(parity.witness, u) == 0
     assert homeo == "CP^2 # 1 CPbar^2"

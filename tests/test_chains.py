@@ -34,11 +34,16 @@ from rbdcalc.errors import (
 )
 from rbdcalc.lattice import AmbientLattice, ClassVector, pairing, row_pairing
 from rbdcalc.search import SearchTemplate, search_hits
-from rbdcalc.snf import smith_normal_form
 
 from families import family_classes, family_configuration
 from oracles import det as int_det
-from oracles import configurations, evaluate_neg_cf, intersection_matrix, standard_configuration
+from oracles import (
+    configurations,
+    evaluate_neg_cf,
+    intersection_matrix,
+    smith_normal_form,
+    standard_configuration,
+)
 from probe_open_range import family_question_template
 
 

@@ -23,7 +23,13 @@ from rbdcalc import cli
 from rbdcalc.search import MAX_N, SearchTemplate, search_hits
 
 from families import family_configuration, family_h1_witness
-from oracles import configurations, signed_permutation, standard_configuration, theta_count
+from oracles import (
+    configurations,
+    signed_permutation,
+    smith_normal_form,
+    standard_configuration,
+    theta_count,
+)
 from probe_open_range import family_question_dimensions
 
 FIXTURES = Path(rbdcalc.__file__).parent / "fixtures"
@@ -910,7 +916,7 @@ GOLDEN_STDOUT = {
     "blowdown family2/a6": "63ae3419a0ef9ac3a879117d0800c381bfacde960cdd7c6a7eed954967130fbf",
     "blowdown --delta h family1/a3": "bf1fd9dfdf50deef0dea33a762d8a3994a8f604b733875d8a69254e04752cf37",
     "sw negative-dimension family1/a3": "b23a5a4d01d1beba0de47b804307b2f4aa803dce04e603f2f84d4228204c848d",
-    "blowdown family1_a11.json": "be52bc47b082cc4241ee128cc55673611cc2a3ff845c148b0e8de7873f4fdb38",
+    "blowdown family1_a11.json": "1c49e4d41e7dcb8d4ac91e34a63b377abe7c6b42e53f8c79330e9d103d4221e2",
     "blowdown standard_p5_n6.json": "8b7361675e705637ce1b70b757365bb31aaa0b62dbb6186938f61f33493600c8",
     "verify-config violation.json": "e42f9450afaff0e4aa8bc0abc6de149e2e73f024c81039aaa54a13370777b295",
 }
@@ -940,27 +946,28 @@ def test_stdout_matches_golden_digest(capsys, monkeypatch, tmp_path, name, argv)
     assert sha256(out) == GOLDEN_STDOUT[name]
 
 
-def test_blowdown_without_delta_runs_no_smith_normal_form(capsys, monkeypatch, tmp_path):
-    """H1 takes the closed form, and the fixtures' witnesses are basis
-    vectors: with smith_normal_form raising, the nine fixtures and
-    standard_p5_n6.json keep their golden bytes, and signed permutations of
-    standard_configuration(5, 6) and (7, 6) get the SNF's divisors."""
+def test_blowdown_without_delta_runs_no_section(capsys, monkeypatch, tmp_path):
+    """H1 takes the closed form, the fixtures' witnesses are basis vectors
+    and their parity is the signature's: with the section raising, the nine
+    fixtures and standard_p5_n6.json keep their golden bytes, and signed
+    permutations of standard_configuration(5, 6) and (7, 6) get the oracle
+    SNF's divisors."""
     rng = random.Random(11)
     chains = {}
     for p in (5, 7):
         target = rng.sample(range(1, 7), 6)
         signs = [rng.choice((1, -1)) for _ in range(6)]
         rows = signed_permutation([u.coeffs for u in standard_configuration(p, 6).classes], target, signs)
-        divisors = snf_module.smith_normal_form([[r[0]] + [-c for c in r[1:]] for r in rows]).diagonal
+        divisors = smith_normal_form([[r[0]] + [-c for c in r[1:]] for r in rows]).diagonal
         chains[p] = (write_config(tmp_path, {"p": p, "n": 6, "classes": rows}, f"p{p}.json"), divisors)
     (tmp_path / "standard_p5_n6.json").write_text(json.dumps(GENERATED_CONFIGS["standard_p5_n6.json"]()))
 
-    def refuse(rows):
-        raise AssertionError("smith_normal_form called")
+    def refuse(cfg):
+        raise AssertionError("section built")
 
-    # blowdown and the parity route's complement basis (snf.kernel_basis)
-    # both reach smith_normal_form through the snf module
-    monkeypatch.setattr(snf_module, "smith_normal_form", refuse)
+    # the fallback witness and the parity route's complement generators
+    # both come from snf.Section
+    monkeypatch.setattr(snf_module, "Section", refuse)
     monkeypatch.chdir(REPO_ROOT)
     for family, a in cli.CASES:
         tag = f"family{family}/a{a}"

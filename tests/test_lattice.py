@@ -5,16 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbdcalc.errors import DomainError, InputTypeError, LatticeMismatchError
-from rbdcalc.lattice import (
-    AmbientLattice,
-    dual_coefficients,
-    is_characteristic,
-    orthogonal_complement_basis,
-    pairing,
-)
-from rbdcalc.snf import smith_normal_form
+from rbdcalc.chains import CpConfiguration
+from rbdcalc.lattice import AmbientLattice, is_characteristic, pairing
+from rbdcalc.snf import Section
 
 from families import family_configuration
+from oracles import (
+    dual_coefficients,
+    orthogonal_complement_basis,
+    same_lattice,
+    smith_normal_form,
+)
 
 
 def coeff_lists(rank, bound=9):
@@ -161,18 +162,21 @@ def test_dual_coefficients_agree_with_pairings(data):
 
 
 def test_complement_of_one_exceptional_class():
+    """The oracle's complement of e_1 is spanned by h and e_2, and so are
+    the section's generators of the complement of the C_2 class 2 e_1."""
     lat = AmbientLattice(2)
     basis = orthogonal_complement_basis([lat.e(1)])
     assert len(basis) == 2
     for v in basis:
         assert pairing(v, lat.e(1)) == 0
         assert v.coeffs[1] == 0
-    cols = [[v.coeffs[i] for v in basis] for i in range(lat.rank)]
-    assert smith_normal_form(cols).solve(list(lat.h().coeffs)) is not None
-    assert smith_normal_form(cols).solve(list(lat.e(2).coeffs)) is not None
+    assert same_lattice(basis, [lat.h(), lat.e(2)])
+    assert same_lattice(Section(CpConfiguration(2, (2 * lat.e(1),))).complement(), basis)
 
 
 def test_complement_of_family_configuration():
+    """The section's n + 2 generators and the oracle's basis of rank 10
+    span one lattice, which holds the period point."""
     cfg = family_configuration(3, 1)
     basis = orthogonal_complement_basis(list(cfg.classes))
     assert len(basis) == 10
@@ -182,6 +186,9 @@ def test_complement_of_family_configuration():
     target = cfg.lattice.vector([23, -12] + [-6] * 10)
     cols = [[v.coeffs[i] for v in basis] for i in range(cfg.lattice.rank)]
     assert smith_normal_form(cols).solve(list(target.coeffs)) is not None
+    generators = list(Section(cfg).complement())
+    assert len(generators) == cfg.lattice.rank + 1
+    assert same_lattice(generators, basis)
 
 
 @given(vector_pairs(count=2))

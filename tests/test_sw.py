@@ -15,7 +15,6 @@ from rbdcalc.chains import (
 )
 from rbdcalc.errors import LatticeMismatchError, PreconditionError
 from rbdcalc.lattice import AmbientLattice, pairing
-from rbdcalc.snf import smith_normal_form
 from rbdcalc.sw import (
     CharacteristicData,
     PeriodPoint,
@@ -31,7 +30,7 @@ from families import (
     family_lift,
     family_period_point,
 )
-from oracles import cremona, det, intersection_matrix, standard_configuration
+from oracles import cremona, det, intersection_matrix, smith_normal_form, standard_configuration
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 
