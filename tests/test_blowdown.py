@@ -265,7 +265,7 @@ def test_closed_form_matches_the_smith_route_on_isometry_images(cfg):
             {"verdict": "trivial", "condition": 2, "witness": [-5, 1, -2, -4, 0],
              "pairings": [0, 1], "order": 1, "restriction_divisors": [1, 1]},
             1,
-            id="solve-witness",
+            id="solve",
         ),
     ],
 )
