@@ -56,8 +56,8 @@ class H1Certificate(Report):
     condition: int | None
     witness: ClassVector | None
     pairings: tuple[int, ...] | None
-    order: int | None = None
-    restriction_divisors: tuple[int, ...] | None = None
+    order: int | None
+    restriction_divisors: tuple[int, ...] | None
 
     def to_json(self) -> dict:
         out = super().to_json()
@@ -270,7 +270,7 @@ class BlowdownReport(Report):
     parity: ParityReport
     homeo_type: str | None
     # kept in the JSON as null: recorded counts are read by handle_counts
-    handle_counts: tuple[int, int, int, int, int] | None = None
+    handle_counts: tuple[int, int, int, int, int] | None
 
 
 def full_blowdown_report(cfg: CpConfiguration, delta: ClassVector | None = None) -> BlowdownReport:
@@ -278,4 +278,6 @@ def full_blowdown_report(cfg: CpConfiguration, delta: ClassVector | None = None)
     inv = blowdown_invariants(cfg)
     h1 = h1_certificate(cfg, delta=delta)
     parity, homeo = parity_and_homeo_type(cfg, h1)
-    return BlowdownReport(invariants=inv, h1=h1, parity=parity, homeo_type=homeo)
+    return BlowdownReport(
+        invariants=inv, h1=h1, parity=parity, homeo_type=homeo, handle_counts=None
+    )

@@ -12,8 +12,9 @@ reversal of the class order used here.
 
 One Gram check on coefficient rows, _check, runs behind the CpConfiguration
 constructor and verify_cp_configuration, each with one long-class row, and
-behind check_tails, the batch entry that search uses on the raw long-class
-rows of its sign-orbit representatives. The body u_1, ..., u_{p-2} is
+behind check_tails, the batch entry that search uses on its body rows and
+the long-class rows of its sign-orbit representatives; _check_shape makes
+the argument checks of both entries. The body u_1, ..., u_{p-2} is
 verified once per distinct body, in a small per-process cache keyed on its
 coefficient rows, so a check pairs only the long class. Its body pairings
 depend only on its values at the body's support (the columns where some
@@ -91,12 +92,9 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
     row is nonzero; pairings maps those values to the row's pairings with
     the body, from sparse functionals (row i, support position j, signed
     coefficient: the h column keeps its sign, the e columns flip it) at
-    O(nnz). Rows of different lengths come from different lattices and
-    raise LatticeMismatchError.
+    O(nnz). The rows have one length: _check_shape checked it.
     """
     m = len(body)
-    if len(set(map(len, body))) > 1:
-        raise LatticeMismatchError("candidate classes live in different lattices")
     chain = tuple(tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(m)) for i in range(m))
     support = tuple(sorted({k for row in body for k, c in enumerate(row) if c}))
     position = {k: j for j, k in enumerate(support)}
@@ -183,18 +181,22 @@ def _check(p: int, body: tuple[tuple[int, ...], ...], tails, rank: int) -> Chain
         return ChainReport(p=p, ok=violation is None, violation=violation, squares=squares)
 
 
-def _check_classes(classes: Sequence[ClassVector], p: int) -> ChainReport | None:
-    """_check on p - 1 classes, the last one the tail, in the first one's lattice."""
+def _check_shape(p: int, count: int, rows, rank: int) -> None:
+    """The argument checks before a Gram check of count classes: p >= 2,
+    count == p - 1, and every given row of length rank, one lattice's."""
     if p < 2:
         raise DomainError(f"need p >= 2, got p = {p}")
-    if len(classes) != p - 1:
-        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(classes)}")
-    rows = tuple(map(_coeffs, classes))
-    # a lattice is fixed by n and every row has length n + 1; the body
-    # block checks the body rows against each other
-    rank = len(rows[0])
-    if len(rows[-1]) != rank:
+    if count != p - 1:
+        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {count}")
+    if any(len(row) != rank for row in rows):
         raise LatticeMismatchError("candidate classes live in different lattices")
+
+
+def _check_classes(classes: Sequence[ClassVector], p: int) -> ChainReport | None:
+    """_check on p - 1 classes, the last one the tail, in the last one's lattice."""
+    rows = tuple(map(_coeffs, classes))
+    rank = len(rows[-1]) if rows else 0
+    _check_shape(p, len(rows), rows, rank)
     return _check(p, rows[:-1], rows[-1:], rank)
 
 
@@ -204,22 +206,19 @@ def _passing_report(p: int) -> ChainReport:
     return ChainReport(p=p, ok=True, violation=None, squares=squares)
 
 
-def check_tails(p: int, lattice: AmbientLattice, body: tuple[ClassVector, ...], tails) -> None:
-    """The Gram check of one body against a batch of raw tail rows, as search runs it.
+def check_tails(p: int, rank: int, body: tuple[tuple[int, ...], ...], tails) -> None:
+    """The Gram check of body rows u_1..u_{p-2} against a batch of tail
+    rows, as search runs it.
 
     Passes when every tail completes the body to a C_p; otherwise the first
-    tail that fails raises InvalidConfigurationError with the report
-    CpConfiguration(p, body + (ClassVector(lattice, tail),)) would raise,
-    and a tail of the wrong length raises DomainError, as that ClassVector
-    would.
+    tail that fails raises InvalidConfigurationError with the report the
+    CpConfiguration constructor would raise on the classes of those rows
+    in the lattice of the given rank, and a tail of the wrong length raises
+    DomainError, as a ClassVector of it would. A body row of another
+    length raises LatticeMismatchError.
     """
-    if p < 2:
-        raise DomainError(f"need p >= 2, got p = {p}")
-    if len(body) != p - 2:
-        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(body) + 1}")
-    if any(u.lattice != lattice for u in body):
-        raise LatticeMismatchError("candidate classes live in different lattices")
-    report = _check(p, tuple(map(_coeffs, body)), tails, lattice.rank)
+    _check_shape(p, len(body) + 1, body, rank)
+    report = _check(p, body, tails, rank)
     if report is not None:
         raise InvalidConfigurationError(report)
 

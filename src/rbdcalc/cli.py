@@ -179,11 +179,11 @@ def cmd_search(args) -> int:
     """One compact sorted-key JSON line per hit to stdout, then the trailer
     (count, and the seconds spent in search alone) to stderr.
 
-    Hits come as Gram-checked sign orbits that share one body
+    Hits come as Gram-checked sign orbits of rows that share one body
     (search_hits): the line around the long-class row is encoded once,
-    SearchHits.rows formats each hit's row, and a write joins at most
-    STREAM_CHUNK lines, which bounds the write count (whatever stdout's
-    buffering) and the string held. The bytes equal
+    from the body rows and n, SearchHits.rows formats each hit's row, and
+    a write joins at most STREAM_CHUNK lines, which bounds the write count
+    (whatever stdout's buffering) and the string held. The bytes equal
     json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":")).
     """
     from .search import DEFAULT_CAP, SearchTemplate, search_hits
@@ -202,8 +202,8 @@ def cmd_search(args) -> int:
     elapsed = time.perf_counter() - started
     # the frame holds only integers and fixed keys, so a string marks the
     # long-class row unambiguously; these are cfg.to_json()'s keys
-    classes = [u.to_json() for u in hits.body] + ["tail"]
-    frame = {"p": hits.p, "n": hits.lattice.n, "classes": classes}
+    classes = [list(u) for u in hits.body] + ["tail"]
+    frame = {"p": hits.p, "n": hits.n, "classes": classes}
     line = json.dumps(frame, sort_keys=True, separators=(",", ":"))
     prefix, _, suffix = line.partition('"tail"')
     glue = suffix + "\n" + prefix

@@ -33,9 +33,8 @@ class Record:
     """Base of the frozen value classes: fields from the annotations.
 
     A subclass's fields are the names it annotates, after those of a
-    Record base, and a class attribute of a field's name is its default.
-    Each subclass gets a compiled __init__ taking the fields positionally
-    or by keyword, storing them in that order and then calling
+    Record base. Each subclass gets a compiled __init__ taking every field,
+    positionally or by keyword, storing them in that order and then calling
     __post_init__ when the class has one. Assignment and deletion raise
     AttributeError. Equality holds between instances of one exact class
     with equal fields; the hash is that of the tuple of field values, and
@@ -48,12 +47,6 @@ class Record:
         super().__init_subclass__()
         names = list(cls._fields)
         names += [name for name in cls.__dict__.get("__annotations__", ()) if name not in names]
-        defaults = ()
-        for name in names:
-            if hasattr(cls, name):
-                defaults += (getattr(cls, name),)
-            elif defaults:
-                raise TypeError(f"non-default argument {name!r} follows default argument")
         # compiled per class, as dataclasses does: a generic __init__ would
         # bind every argument by name at run time, on every record built
         body = [f" _set(self, {name!r}, {name})" for name in names]
@@ -62,7 +55,6 @@ class Record:
         namespace = {"_set": object.__setattr__}
         exec(f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body or [" pass"]), namespace)
         init = namespace["__init__"]
-        init.__defaults__ = defaults or None
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls._fields = tuple(names)
         cls.__init__ = init

@@ -23,16 +23,16 @@ and the square of the long class: the sign orbit of a representative,
 expanded in C with each signed tail exactly once, is a set of hits that
 share one Gram matrix. The walk visits at most prod(b + 1) leaves where
 the box has prod(2b + 1) points.
-search_hits returns the hits as sign orbits: the body classes, the flip
-columns and one representative row per orbit. The sign orbit is the unit
-of the Gram check: the flip columns are checked once against the body
-support, and each representative, not each hit, goes through the one Gram
-check that the CpConfiguration constructor runs (chains.check_tails), all
-of them as one batch against the body. An orbit is expanded only when its
-hits are read: SearchHits.expand gives every hit's row, and
-SearchHits.rows every hit's row as JSON text, which expands only the flip
-columns, since every column after the last of them is constant on an
-orbit.
+search_hits returns the hits as sign orbits in integer rows, with no
+lattice object: the body rows, the flip columns and one representative
+row per orbit. The sign orbit is the unit of the Gram check: the flip
+columns are checked once against the body support, and each
+representative, not each hit, goes through the one Gram check that the
+CpConfiguration constructor runs (chains.check_tails), all of them as one
+batch against the body rows. An orbit is expanded only when its hits are
+read: SearchHits.expand gives every hit's row, and SearchHits.rows every
+hit's row as JSON text, which expands only the flip columns, since every
+column after the last of them is constant on an orbit.
 
 Everything is deterministic: coordinate order and value order are fixed,
 and the hits are read sorted by their class coefficient tuples.
@@ -47,7 +47,7 @@ from operator import add
 from .chains import check_tails
 from .errors import ConsistencyError, DomainError
 from .errors import InvalidConfigurationError, SearchCapExceeded, TemplateError
-from .lattice import AmbientLattice, ClassVector, strict_int, strict_object
+from .lattice import strict_int, strict_object
 from .report import Record, Report
 
 DEFAULT_CAP = 10_000_000
@@ -254,15 +254,12 @@ def _enumerate_placement(template: SearchTemplate) -> list[tuple[int, ...]]:
 def _pools(flips: tuple[int, ...], row) -> list[tuple[int, ...]]:
     """One pool per column of row whose product is the row's sign orbit:
     (-v, v) at a nonzero flip column and (v,) elsewhere, so
-    itertools.product reads off each member exactly once, in C. A row too
-    short to hold the last flip column keeps its own values, for the check
-    that refuses its length."""
+    itertools.product reads off each member exactly once, in C."""
     pools = list(zip(row))
-    if len(pools) > flips[-1]:
-        for i in flips:
-            v = row[i]
-            if v:
-                pools[i] = (-v, v)
+    for i in flips:
+        v = row[i]
+        if v:
+            pools[i] = (-v, v)
     return pools
 
 
@@ -294,10 +291,10 @@ def estimate_search_space(template: SearchTemplate) -> int:
 
 
 class SearchHits(Record):
-    """Every hit of one search as sign orbits: the body, the flip columns
-    and one representative row per orbit.
+    """Every hit of one search as sign orbits of integer rows in Z^{1,n}:
+    the body, the flip columns and one representative row per orbit.
 
-    The body is the p - 2 classes every hit shares. The flip columns are h
+    The body is the p - 2 rows every hit shares. The flip columns are h
     and the free coordinates, ascending; every column between them is 0.
     Each representative is a long-class row that passed the one Gram check
     (chains.check_tails) against the body, with c0 and the free
@@ -308,8 +305,8 @@ class SearchHits(Record):
     """
 
     p: int
-    lattice: AmbientLattice
-    body: tuple[ClassVector, ...]
+    n: int
+    body: tuple[tuple[int, ...], ...]
     flips: tuple[int, ...]
     reps: tuple[tuple[int, ...], ...]
 
@@ -363,12 +360,13 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
     exceeds the cap. The Gram check runs once per sign orbit: the flip
     columns are checked once to miss the body support, the representatives
     go through chains.check_tails, the Gram check the CpConfiguration
-    constructor runs, as one batch on their raw coefficients; no orbit is
-    expanded. A flip off the body support fixes every body pairing and the
-    square, so each hit is certified exactly.
+    constructor runs, as one batch of rows against the body rows; no orbit
+    is expanded. A flip off the body support fixes every body pairing and
+    the square, so each hit is certified exactly.
     The check shares nothing with the enumerator's algebra, so a flip
     column on the body or a row it rejects is an enumerator bug and raises
-    ConsistencyError. No CpConfiguration is built.
+    ConsistencyError. No CpConfiguration, ClassVector or AmbientLattice is
+    built.
     """
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
@@ -376,17 +374,17 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
     if estimate > cap:
         raise SearchCapExceeded(estimate, cap)
 
-    p, lat = template.p, AmbientLattice(template.n)
+    p, n = template.p, template.n
     free, run, _t_range = _geometry(template)
     # e_x - e_{x+1} for x in the run
-    body = tuple(ClassVector(lat, (0,) * x + (1, -1) + (0,) * (lat.n - x - 1)) for x in run)
-    reps = _enumerate_placement(template)
+    body = tuple((0,) * x + (1, -1) + (0,) * (n - x - 1) for x in run)
+    reps = tuple(_enumerate_placement(template))
     flips = (0,) + free
-    met = sorted({i for u in body for i in flips if u.coeffs[i]})
+    met = sorted({i for u in body for i in flips if u[i]})
     if met:
         raise ConsistencyError(f"sign-flip columns {met} meet the body support")
     try:
-        check_tails(p, lat, body, reps)
+        check_tails(p, n + 1, body, reps)
     except InvalidConfigurationError as exc:
         raise ConsistencyError(f"enumerated solution fails the Gram check: {exc}") from exc
-    return SearchHits(p=p, lattice=lat, body=body, flips=flips, reps=tuple(reps))
+    return SearchHits(p, n, body, flips, reps)

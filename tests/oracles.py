@@ -206,10 +206,9 @@ def configurations(hits) -> list[CpConfiguration]:
     constructor, in hit order (its expand). The constructor runs the Gram
     check on each hit, where search_hits checks one representative per
     sign orbit, so no orbit is taken on trust."""
-    return [
-        CpConfiguration(hits.p, hits.body + (ClassVector(hits.lattice, tail),))
-        for tail in hits.expand()
-    ]
+    lat = AmbientLattice(hits.n)
+    body = tuple(ClassVector(lat, row) for row in hits.body)
+    return [CpConfiguration(hits.p, body + (ClassVector(lat, tail),)) for tail in hits.expand()]
 
 
 def theta_count(n: int, p: int, bounds: Sequence[int]) -> int:

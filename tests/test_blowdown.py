@@ -522,7 +522,7 @@ def test_parity_can_stay_open():
     """A complement with only even squares yields no oddness certificate."""
     lat = AmbientLattice(2)
     cfg = CpConfiguration(2, (lat.vector([2, -2, -2]),))
-    parity, homeo = parity_and_homeo_type(cfg, H1Certificate("trivial", 2, None, None))
+    parity, homeo = parity_and_homeo_type(cfg, H1Certificate("trivial", 2, None, None, None, None))
     assert parity.verdict == "even-possible"
     assert parity.route is None
     assert homeo is None
@@ -531,7 +531,7 @@ def test_parity_can_stay_open():
 def test_homeo_type_without_remaining_negative_part():
     lat = AmbientLattice(1)
     cfg = CpConfiguration(2, (lat.vector([0, 2]),))
-    parity, homeo = parity_and_homeo_type(cfg, H1Certificate("trivial", 2, None, None))
+    parity, homeo = parity_and_homeo_type(cfg, H1Certificate("trivial", 2, None, None, None, None))
     assert parity.verdict == "odd"
     assert homeo == "CP^2"
 

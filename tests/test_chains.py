@@ -1,6 +1,7 @@
 """Chain configurations, their verification report, and lens space data."""
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -396,20 +397,21 @@ def test_check_tails_raises_the_constructor_report(case):
     constructor raises for the first tail it rejects."""
     p, n, body, tails = case
     lat = AmbientLattice(n)
-    body = tuple(lat.vector(row) for row in body)
+    body = tuple(map(tuple, body))
+    classes = tuple(map(lat.vector, body))
     rows = [tuple(tail) for tail in tails]
     want = None
     for row in rows:
         try:
-            CpConfiguration(p, body + (lat.vector(row),))
+            CpConfiguration(p, classes + (lat.vector(row),))
         except InvalidConfigurationError as exc:
             want = exc.report
             break
     if want is None:
-        check_tails(p, lat, body, rows)
+        check_tails(p, lat.rank, body, rows)
     else:
         with pytest.raises(InvalidConfigurationError) as exc:
-            check_tails(p, lat, body, rows)
+            check_tails(p, lat.rank, body, rows)
         assert exc.value.report == want
 
 
@@ -419,12 +421,12 @@ def test_check_tails_refuses_a_row_of_the_wrong_length(p):
     empty and a short row can have the right square, with the message a
     ClassVector of that row gives."""
     cfg = standard_configuration(p, p + 1)
-    body, tail = cfg.classes[:-1], cfg.classes[-1].coeffs
+    body, tail = body_rows(cfg), cfg.classes[-1].coeffs
     for row in (tail[:-1], tail + (0,)):
         with pytest.raises(DomainError) as want:
             ClassVector(cfg.lattice, row)
         with pytest.raises(DomainError) as exc:
-            check_tails(p, cfg.lattice, body, [tail, row])
+            check_tails(p, cfg.lattice.rank, body, [tail, row])
         assert str(exc.value) == str(want.value)
 
 
@@ -434,19 +436,28 @@ def test_check_tails_looks_the_body_up_once(body_cache):
     cfg = standard_configuration(5, 6)
     assert builds_and_reuses() == (1, 0)
     for batches in (1, 2):
-        check_tails(5, cfg.lattice, cfg.classes[:-1], [cfg.classes[-1].coeffs] * 10)
+        check_tails(5, cfg.lattice.rank, body_rows(cfg), [cfg.classes[-1].coeffs] * 10)
         assert builds_and_reuses() == (1, batches)
 
 
 def test_check_tails_refuses_a_body_of_another_lattice_or_length():
+    """The argument checks of the constructor, with its exception types and
+    messages: a body row of another rank, a body of another length, p < 2."""
     cfg = standard_configuration(4, 5)
-    body, tail = cfg.classes[:-1], cfg.classes[-1].coeffs
-    with pytest.raises(LatticeMismatchError):
-        check_tails(4, AmbientLattice(6), body, [tail + (0,)])
-    with pytest.raises(ArityError, match="C_5 needs exactly 4 classes, got 3"):
-        check_tails(5, cfg.lattice, body, [tail])
-    with pytest.raises(DomainError):
-        check_tails(1, cfg.lattice, (), [tail])
+    body, tail = body_rows(cfg), cfg.classes[-1].coeffs
+    with pytest.raises(LatticeMismatchError, match="^candidate classes live in different lattices$"):
+        check_tails(4, cfg.lattice.rank + 1, body, [tail + (0,)])
+    with pytest.raises(ArityError, match="^C_5 needs exactly 4 classes, got 3$"):
+        check_tails(5, cfg.lattice.rank, body, [tail])
+    with pytest.raises(DomainError, match="^need p >= 2, got p = 1$"):
+        check_tails(1, cfg.lattice.rank, (), [tail])
+    lat = AmbientLattice(6)
+    classes = tuple(map(lat.vector, (row + (0,) for row in body))) + cfg.classes[-1:]
+    for p, chosen in ((4, classes), (5, classes[1:]), (1, ())):
+        with pytest.raises(RbdcalcError) as want:
+            CpConfiguration(p, chosen)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            check_tails(p, cfg.lattice.rank, tuple(u.coeffs for u in chosen[:-1]), [tail])
 
 
 def outcome(call):
@@ -468,11 +479,11 @@ def test_results_do_not_depend_on_call_history(cases, rng):
     for p, n, rows, tails in cases:
         lat = AmbientLattice(n)
         bumped = rows[:-1] + [rows[-1][:-1] + [rows[-1][-1] + 1]] if rows else rows
-        for body in {tuple(lat.vector(row) for row in body) for body in (rows, bumped)}:
+        for body in {tuple(map(tuple, body)) for body in (rows, bumped)}:
             for tail in tails:
-                classes = body + (lat.vector(tail),)
+                classes = tuple(map(lat.vector, body + (tail,)))
                 calls += [partial(verify_cp_configuration, classes, p), partial(CpConfiguration, p, classes)]
-            calls += [partial(check_tails, p, lat, body, tails + extra) for extra in ([], [tails[0][:-1]])]
+            calls += [partial(check_tails, p, lat.rank, body, tails + extra) for extra in ([], [tails[0][:-1]])]
     rng.shuffle(calls)
     _body_block.cache_clear()
     first = [outcome(call) for call in calls]
@@ -489,17 +500,22 @@ def contiguous(columns: set) -> bool:
 
 
 def body_support(body) -> set:
-    return {k for u in body for k, c in enumerate(u.coeffs) if c}
+    return {k for row in body for k, c in enumerate(row) if c}
+
+
+def body_rows(cfg) -> tuple:
+    """The coefficient rows of a configuration's body u_1..u_{p-2}."""
+    return tuple(u.coeffs for u in cfg.classes[:-1])
 
 
 @lru_cache(maxsize=None)
 def passing_batch(kind):
-    """(p, lattice, body, passing tail rows) for one kind of body support."""
+    """(p, lattice, body rows, passing tail rows) for one kind of body support."""
     if kind == "h-body":
         # u_1 = h - e_1 - e_2 - e_4: the support {0, 1, 2, 4} holds the h
         # column and is not contiguous; tails by brute force over a box
         lat = AmbientLattice(4)
-        body = (lat.vector([1, -1, -1, 0, -1]),)
+        body = ((1, -1, -1, 0, -1),)
         rows = [
             x for x in product(range(-3, 4), repeat=5)
             if x[0] ** 2 - sum(c * c for c in x[1:]) == -5 and x[0] + x[1] + x[2] + x[4] == 1
@@ -510,7 +526,7 @@ def passing_batch(kind):
         # columns {1, 3, 5}; a tail pairs 0 with u_1 (x_1 = x_3) and 1 with
         # u_2 (x_5 = x_3 + 1); tails by brute force over a box
         lat = AmbientLattice(5)
-        body = (lat.e(1) - lat.e(3), lat.e(3) - lat.e(5))
+        body = ((0, 1, 0, -1, 0, 0), (0, 0, 0, 1, 0, -1))
         rows = [
             x for x in product(range(-2, 3), repeat=6)
             if x[0] ** 2 - sum(c * c for c in x[1:]) == -6 and x[1] == x[3] == x[5] - 1
@@ -521,7 +537,7 @@ def passing_batch(kind):
         "contiguous": SearchTemplate.uniform(6, 5, 2),
     }[kind]
     hits = search_hits(template)
-    return template.p, hits.lattice, hits.body, hits.expand()
+    return template.p, AmbientLattice(hits.n), hits.body, hits.expand()
 
 
 def flip_a_support_sign(row, body):
@@ -541,9 +557,10 @@ CORRUPTIONS = {
 
 def constructor_loop(p, lat, body, rows):
     """The exception the constructor raises for the first row it rejects, or None."""
+    classes = tuple(ClassVector(lat, row) for row in body)
     for row in rows:
         try:
-            CpConfiguration(p, body + (ClassVector(lat, tuple(row)),))
+            CpConfiguration(p, classes + (ClassVector(lat, tuple(row)),))
         except (InvalidConfigurationError, DomainError) as exc:
             return exc
     return None
@@ -579,7 +596,7 @@ def test_a_failing_batch_raises_what_the_constructor_raises(case):
     assert want is not None
     for given_rows in (rows, iter(rows)):
         with pytest.raises((InvalidConfigurationError, DomainError)) as got:
-            check_tails(p, lat, body, given_rows)
+            check_tails(p, lat.rank, body, given_rows)
         assert type(got.value) is type(want)
         assert str(got.value) == str(want)
         assert getattr(got.value, "report", None) == getattr(want, "report", None)
@@ -596,7 +613,7 @@ def test_passing_batches_pass_as_tuples_and_as_lists(kind):
     assert contiguous_support == (kind in ("empty", "contiguous"))
     assert (0 in body_support(body)) == (kind == "h-body")
     for given_rows in (rows, [list(row) for row in rows], iter(rows)):
-        check_tails(p, lat, body, given_rows)
+        check_tails(p, lat.rank, body, given_rows)
 
 
 @pytest.mark.parametrize(

@@ -41,12 +41,12 @@ class Sample(Report):
     name: str
     missing: None
     values: tuple[int, ...]
-    nested: tuple["Sample", ...] = ()
+    nested: tuple["Sample", ...]
 
 
 def test_every_field_is_encoded_under_its_own_name():
     lat = AmbientLattice(2)
-    inner = Sample(1, False, "b", None, ())
+    inner = Sample(1, False, "b", None, (), ())
     outer = Sample(7, True, "a", None, (1, -2), (inner,))
     assert outer.to_json() == {
         "count": 7,
@@ -98,12 +98,12 @@ def test_library_reports_cover_every_report_class():
 
 class Pair(Record):
     left: int
-    right: tuple[int, ...] = ()
+    right: tuple[int, ...]
 
 
 class Twin(Record):
     left: int
-    right: tuple[int, ...] = ()
+    right: tuple[int, ...]
 
 
 def test_record_fields_come_from_the_annotations_in_order():
@@ -113,8 +113,8 @@ def test_record_fields_come_from_the_annotations_in_order():
     assert list(vars(Pair(1, (2,)))) == ["left", "right"]
 
 
-def test_record_defaults_and_keyword_arguments():
-    assert vars(Pair(1)) == {"left": 1, "right": ()}
+def test_record_takes_fields_by_keyword():
+    assert vars(Pair(right=(3,), left=2)) == {"left": 2, "right": (3,)}
     assert Pair(right=(3,), left=2) == Pair(2, (3,))
 
 
@@ -128,12 +128,17 @@ def test_record_refuses_wrong_arguments(args, kwargs):
         Pair(*args, **kwargs)
 
 
-def test_record_refuses_a_field_without_default_after_one_with():
-    with pytest.raises(TypeError, match="non-default argument 'late' follows default argument"):
+def test_record_refuses_an_omitted_field():
+    """A class attribute of a field's name is no default: every field is
+    passed, and an omitted one raises TypeError."""
 
-        class Late(Record):
-            early: int = 0
-            late: int
+    class Late(Record):
+        early: int
+        late: int = 0
+
+    with pytest.raises(TypeError, match=r"Late\.__init__\(\) missing 1 required positional argument: 'late'"):
+        Late(1)
+    assert vars(Late(1, 2)) == {"early": 1, "late": 2}
 
 
 def test_record_is_frozen():

@@ -208,8 +208,8 @@ def test_magnitude_walk_matches_the_point_walk(template):
 
 def sign_orbit(row, flips):
     """Every row that differs from row only in the signs of its nonzero
-    entries at the flip columns."""
-    signed = [i for i in flips if row[i]]
+    entries at the flip columns it holds."""
+    signed = [i for i in flips if i < len(row) and row[i]]
     orbit = set()
     for signs in product((1, -1), repeat=len(signed)):
         member = list(row)
@@ -243,7 +243,7 @@ def test_search_hits_are_disjoint_sign_orbits(template):
     assert hits.count == theta_count(n, p, bounds) == len(expanded)
     rows = [json.dumps(tail, separators=(",", ":")) for tail in expanded]
     assert list(hits.rows()) == rows
-    reversed_reps = SearchHits(hits.p, hits.lattice, hits.body, hits.flips, hits.reps[::-1])
+    reversed_reps = SearchHits(hits.p, hits.n, hits.body, hits.flips, hits.reps[::-1])
     assert list(reversed_reps.rows()) == rows
 
 
@@ -365,8 +365,9 @@ def test_enumerate_placement_leaves_no_reference_cycle():
 
 def corrupt_first_tail(monkeypatch, template, corrupt):
     """Make the enumerator return its first representative changed by
-    `corrupt`; the (body, bad representative) pair the searches will meet."""
-    body = search_hits(template).body
+    `corrupt`; the (body classes, bad representative) pair the searches
+    will meet."""
+    body = body_classes(search_hits(template))
     enumerate_placement = search_module._enumerate_placement
     reps = enumerate_placement(template)
     bad = corrupt(reps[0], _geometry(template)[0])
@@ -389,7 +390,13 @@ def bump_free(tail, free):
 
 def orbit_of(template, row):
     """The sign orbit of one row of the template's search."""
-    return _expand((0,) + _geometry(template)[0], [row])
+    return sign_orbit(row, (0,) + _geometry(template)[0])
+
+
+def body_classes(hits):
+    """The body rows of a search_hits result as classes."""
+    lat = AmbientLattice(hits.n)
+    return tuple(ClassVector(lat, row) for row in hits.body)
 
 
 @pytest.mark.parametrize("corrupt", [bump_c0, bump_free])
@@ -421,9 +428,9 @@ def test_search_hits_keep_the_gram_check(monkeypatch, corrupt):
 )
 @pytest.mark.parametrize("cut", [lambda tail: tail[:-1], lambda tail: tail + (0,)])
 def test_search_hits_refuse_a_tail_of_the_wrong_length(monkeypatch, template, cut):
-    """The row check reads the lattice rank, also at p = 2 where the body is
-    empty, and raises what ClassVector raises on each member of that
-    representative's orbit: the expansion keeps a row's length."""
+    """The row check reads the rank, also at p = 2 where the body is empty,
+    and raises what ClassVector raises on each member of that
+    representative's sign orbit: a sign flip keeps a row's length."""
     if template.p == 2:
         bad = cut(search_module._enumerate_placement(template)[0])
         monkeypatch.setattr(search_module, "_enumerate_placement", lambda t: [bad])
@@ -443,7 +450,7 @@ def test_search_hits_refuse_a_flip_column_on_the_body(monkeypatch):
     column on the body support raises ConsistencyError before any row is
     checked, and the constructor rejects every hit that flip adds."""
     template = family_question_template(8, "3-chain")
-    body = search_hits(template).body
+    body = body_classes(search_hits(template))
     reps = _enumerate_placement(template)
     free, run, t_range = _geometry(template)
     end = template.n
@@ -467,9 +474,9 @@ def test_search_hits_check_one_row_per_sign_orbit(monkeypatch, a, rows, count):
     checked = []
     check_tails = search_module.check_tails
 
-    def counted(p, lattice, body, tails):
+    def counted(p, rank, body, tails):
         checked.extend(tails)
-        return check_tails(p, lattice, body, tails)
+        return check_tails(p, rank, body, tails)
 
     monkeypatch.setattr(search_module, "check_tails", counted)
     hits = search_hits(family_question_template(a, "3-chain"))
@@ -482,7 +489,7 @@ def assert_rows_agree_with_search(template):
     sorted."""
     hits = search_hits(template)
     built = configurations(hits)
-    assert all(cfg.classes[:-1] == hits.body for cfg in built)
+    assert all(tuple(u.coeffs for u in cfg.classes[:-1]) == hits.body for cfg in built)
     assert len(hits.body) == template.p - 2
     assert built == sorted(built, key=lambda cfg: tuple(u.coeffs for u in cfg.classes))
     assert hits.expand() == tuple(cfg.classes[-1].coeffs for cfg in built)
@@ -524,6 +531,37 @@ def test_search_hits_build_no_configuration(monkeypatch):
     assert probe(8, "3-chain", None, DEFAULT_CAP)["count"] == 912
     with pytest.raises(AssertionError):
         configurations(search_hits(template))
+
+
+def test_search_hits_build_no_lattice_object(monkeypatch):
+    """The search works on integer rows: the 3-chain a=7 template's hits
+    come without one ClassVector or AmbientLattice, and every field of
+    SearchHits is an int or a tuple of int tuples."""
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(ClassVector, "__post_init__", refuse)
+    monkeypatch.setattr(AmbientLattice, "__post_init__", refuse)
+    hits = search_hits(family_question_template(7, "3-chain"))
+    assert hits.count == 3894
+    assert not {"AmbientLattice", "ClassVector"} & set(vars(search_module))
+    assert SearchHits._fields == ("p", "n", "body", "flips", "reps")
+    assert (type(hits.p), type(hits.n)) == (int, int)
+    assert len(hits.body) == hits.p - 2 and len(hits.reps) == 163
+    for rows in (hits.body, (hits.flips,), hits.reps):
+        assert type(rows) is tuple
+        assert {type(row) for row in rows} == {tuple}
+        assert {type(v) for row in rows for v in row} == {int}
+
+
+def test_probe_takes_the_benchmark_call_shape():
+    """The benchmark calls probe(a, kind, None, DEFAULT_CAP, 1), five
+    arguments, and checks its row's status, count and tails."""
+    row = probe(8, "3-chain", None, DEFAULT_CAP, 1)
+    assert row["status"] == "ok"
+    assert row["count"] == len(row["tails"]) == 912
+    assert json.loads(json.dumps(row, sort_keys=True))["count"] == 912
 
 
 def test_search_hits_check_a_passing_placement_as_one_batch(monkeypatch):
