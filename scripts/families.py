@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from rbdcalc.chains import CpConfiguration
 from rbdcalc.errors import DomainError, TemplateError
-from rbdcalc.lattice import AmbientLattice, ClassVector
 from rbdcalc.report import dumps
 
 FAMILY_NUMBERS = (1, 2)
@@ -56,8 +55,8 @@ def _instantiable(a: int, family: int) -> None:
         )
 
 
-def family_classes(a: int, family: int) -> list[ClassVector]:
-    """The candidate chain classes at parameter a, body first, tail last.
+def family_classes(a: int, family: int) -> list[tuple[int, ...]]:
+    """The candidate chain class rows at parameter a, body first, tail last.
 
     Instantiation succeeds for 3 <= a <= 12; validity as a C_p is checked
     separately (it holds on the published ranges and fails from a = 12 up
@@ -66,14 +65,13 @@ def family_classes(a: int, family: int) -> list[ClassVector]:
     _instantiable(a, family)
     n = exceptional_count(a, family)
     p = chain_index(a, family)
-    lat = AmbientLattice(n)
     body_len = p - 2
     classes = []
     for i in range(1, body_len + 1):
         c = [0] * (n + 1)
         c[12 - a + i] = 1
         c[13 - a + i] = -1
-        classes.append(lat.vector(c))
+        classes.append(tuple(c))
     tail = [0] * (n + 1)
     tail[0] = a + 3
     if family == 1:
@@ -87,7 +85,7 @@ def family_classes(a: int, family: int) -> list[ClassVector]:
         for j in range(4, n + 1):
             tail[j] = -2
     tail[n] = -1
-    classes.append(lat.vector(tail))
+    classes.append(tuple(tail))
     return classes
 
 
@@ -99,21 +97,19 @@ def family_configuration(a: int, family: int) -> CpConfiguration:
     )
 
 
-def family_lift(a: int, family: int) -> ClassVector:
+def family_lift(a: int, family: int) -> tuple[int, ...]:
     """The characteristic lift used by the invariant pipeline."""
     _instantiable(a, family)
     n = exceptional_count(a, family)
-    lat = AmbientLattice(n)
     if family == 1:
-        return lat.vector([3] + [-1] * n)
-    return lat.vector([3, 1, 1] + [-1] * (n - 2))
+        return (3,) + (-1,) * n
+    return (3, 1, 1) + (-1,) * (n - 2)
 
 
-def family_period_point(a: int, family: int) -> ClassVector:
+def family_period_point(a: int, family: int) -> tuple[int, ...]:
     """The configuration-orthogonal period point used by the pipeline."""
     _instantiable(a, family)
     n = exceptional_count(a, family)
-    lat = AmbientLattice(n)
     c = [0] * (n + 1)
     if family == 1:
         c[0] = 8 * a - 1
@@ -127,10 +123,10 @@ def family_period_point(a: int, family: int) -> ClassVector:
         c[3] = -2 * (a + 3)
         for j in range(4, n + 1):
             c[j] = -(a + 3)
-    return lat.vector(c)
+    return tuple(c)
 
 
-def family_h1_witness(a: int, family: int) -> ClassVector:
+def family_h1_witness(a: int, family: int) -> tuple[int, ...]:
     """delta = e_{12-a} - e_{13-a}, the witness used on the published ranges.
 
     It pairs 1 with the first class and 0 with every other exactly when index
@@ -142,11 +138,10 @@ def family_h1_witness(a: int, family: int) -> ClassVector:
     if a >= 12:
         raise DomainError(f"the witness formula needs 12 - a >= 1, got a = {a}")
     n = exceptional_count(a, family)
-    lat = AmbientLattice(n)
     c = [0] * (n + 1)
     c[12 - a] = 1
     c[13 - a] = -1
-    return lat.vector(c)
+    return tuple(c)
 
 
 def family_handle_data(a: int, family: int) -> dict | None:
@@ -174,10 +169,10 @@ def fixture_payload(a: int, family: int) -> dict:
         "family": family,
         "a": a,
         "p": cfg.p,
-        "n": cfg.lattice.n,
-        "classes": [u.to_json() for u in cfg.classes],
-        "K": family_lift(a, family).to_json(),
-        "H": family_period_point(a, family).to_json(),
+        "n": cfg.n,
+        "classes": [list(u) for u in cfg.classes],
+        "K": list(family_lift(a, family)),
+        "H": list(family_period_point(a, family)),
         "handles": family_handle_data(a, family),
     }
 

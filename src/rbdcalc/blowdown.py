@@ -28,7 +28,7 @@ from operator import mul
 
 from .chains import CpConfiguration
 from .errors import ConsistencyError, DomainError
-from .lattice import ClassVector, strict_int, strict_object
+from .lattice import row_pairing, strict_int, strict_object
 from .report import Report
 
 
@@ -54,7 +54,7 @@ class H1Certificate(Report):
 
     verdict: str
     condition: int | None
-    witness: ClassVector | None
+    witness: tuple[int, ...] | None
     pairings: tuple[int, ...] | None
     order: int | None
     restriction_divisors: tuple[int, ...] | None
@@ -75,7 +75,7 @@ class ParityReport(Report):
 
     verdict: str
     route: str | None            # "signature-mod-16" | "odd-square-orthogonal-vector"
-    witness: ClassVector | None
+    witness: tuple[int, ...] | None
     witness_square: int | None
 
 
@@ -83,7 +83,7 @@ def blowdown_invariants(cfg: CpConfiguration) -> BlowdownInvariants:
     """Betti/Euler/signature bookkeeping for the blowdown of cfg: b2+ = 1
     stays and b2- = n drops by the rank p - 1. A verified C_p spans a
     negative-definite sublattice of Z^{1,n}, so p - 1 <= n."""
-    b2_minus = cfg.lattice.n - (cfg.p - 1)
+    b2_minus = cfg.n - (cfg.p - 1)
     return BlowdownInvariants(
         b2_plus=1,
         b2_minus=b2_minus,
@@ -101,7 +101,7 @@ def _condition(pair: Sequence[int], p: int) -> int | None:
     return None
 
 
-def _basis_witness(columns: list[tuple[int, ...]], p: int) -> list[int] | None:
+def _basis_witness(columns: list[tuple[int, ...]], p: int) -> tuple[int, ...] | None:
     """Coefficients of the first +/-e_j (j ascending, -1 first) meeting a
     condition. columns[j] holds the j-th coordinates of the classes, so e_j
     pairs s_j columns[j] with them (s_0 = +1 at h, s_j = -1 on e_j). Both
@@ -113,11 +113,11 @@ def _basis_witness(columns: list[tuple[int, ...]], p: int) -> list[int] | None:
         s = 1 if j == 0 else -1
         for sign in (-1, 1):
             if _condition([sign * s * v for v in column], p) is not None:
-                return [sign if k == j else 0 for k in range(len(columns))]
+                return tuple(sign if k == j else 0 for k in range(len(columns)))
     return None
 
 
-def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1Certificate:
+def h1_certificate(cfg: CpConfiguration, delta: Sequence[int] | None = None) -> H1Certificate:
     """Decide the first homology of the blowdown, with a re-checkable certificate.
 
     With an explicit delta, only that class is tested: "trivial" if it meets
@@ -155,7 +155,7 @@ def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1
     p = cfg.p
     order = divisors = None
     if delta is None:
-        columns = list(zip(*(u.coeffs for u in cfg.classes)))
+        columns = list(zip(*cfg.classes))
         order = p
         for column in columns:
             order = gcd(order, sum(map(mul, column, range(1, p))))
@@ -171,24 +171,22 @@ def h1_certificate(cfg: CpConfiguration, delta: ClassVector | None = None) -> H1
                 order=order,
                 restriction_divisors=divisors,
             )
-        coeffs = _basis_witness(columns, p)
-        if coeffs is None:
+        delta = _basis_witness(columns, p)
+        if delta is None:
             from .snf import Section
 
             delta = Section(cfg)((0,) * (p - 2) + (1,))
-        else:
-            delta = cfg.lattice.vector(coeffs)
     pair = cfg.pairings(delta)
     cond = _condition(pair, p)
     if cond is None and order == 1:
         raise ConsistencyError(
             f"H1 of the blowdown is trivial (restriction divisors {divisors}) "
-            f"but the witness {delta} fails the re-check"
+            f"but the witness {list(delta)} fails the re-check"
         )
     return H1Certificate(
         verdict="inconclusive" if cond is None else "trivial",
         condition=cond,
-        witness=delta,
+        witness=tuple(delta),
         pairings=pair,
         order=order,
         restriction_divisors=divisors,
@@ -221,10 +219,10 @@ def parity_and_homeo_type(
     else:
         from .snf import Section
 
-        w = next((w for w in Section(cfg).complement() if w.square() % 2), None)
+        w = next((w for w in Section(cfg).complement() if row_pairing(w, w) % 2), None)
         if w is None:
             return ParityReport("even-possible", None, None, None), None
-        report = ParityReport("odd", "odd-square-orthogonal-vector", w, w.square())
+        report = ParityReport("odd", "odd-square-orthogonal-vector", w, row_pairing(w, w))
     return report, homeo_type(inv.b2_minus)
 
 
@@ -273,7 +271,7 @@ class BlowdownReport(Report):
     handle_counts: tuple[int, int, int, int, int] | None
 
 
-def full_blowdown_report(cfg: CpConfiguration, delta: ClassVector | None = None) -> BlowdownReport:
+def full_blowdown_report(cfg: CpConfiguration, delta: Sequence[int] | None = None) -> BlowdownReport:
     """Run the whole certificate pipeline for one configuration."""
     inv = blowdown_invariants(cfg)
     h1 = h1_certificate(cfg, delta=delta)

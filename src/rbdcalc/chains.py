@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import attrgetter, itemgetter, mul
+from operator import itemgetter, mul
 
 from .errors import (
     ArityError,
@@ -39,7 +39,7 @@ from .errors import (
     InvalidConfigurationError,
     LatticeMismatchError,
 )
-from .lattice import AmbientLattice, ClassVector, row_pairing, strict_object
+from .lattice import class_row, row_pairing, strict_object
 from .report import Record, Report
 
 
@@ -117,7 +117,13 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
     return gram, squares, gram == chain, want, gather, pairings
 
 
-_coeffs = attrgetter("coeffs")
+def _rows(classes) -> tuple[tuple[int, ...], ...]:
+    """classes as a tuple of tuple rows, copied only when they are not one:
+    the Gram check passes over its rows several times, and the body cache
+    and the support gather need tuples to hash."""
+    if type(classes) is tuple and set(map(type, classes)) <= {tuple}:
+        return classes
+    return tuple(map(tuple, classes))
 
 
 def _first_violation(gram: Sequence[Sequence[int]], p: int) -> ChainViolation | None:
@@ -149,16 +155,13 @@ def _check(p: int, body: tuple[tuple[int, ...], ...], tails, rank: int) -> Chain
     -(p + 2)), summed by lazy iterators. Tails given as a tuple of tuples
     are read in place; any other rows are copied into one first. Only a
     failing batch is scanned row by row: a row of the wrong length raises
-    DomainError, as a ClassVector of it would, and the first row that
-    fails gets its report. The report scans the full matrix in a fixed
-    order, so its violation is deterministic: squares in class order, then
-    consecutive pairings, then distant pairs in lexicographic order.
+    DomainError, and the first row that fails gets its report. The report
+    scans the full matrix in a fixed order, so its violation is
+    deterministic: squares in class order, then consecutive pairings, then
+    distant pairs in lexicographic order.
     """
     gram, body_squares, body_ok, want, gather, pairings = _body_block(body)
-    if type(tails) is not tuple or not set(map(type, tails)) <= {tuple}:
-        # the batch passes over the rows several times, and the support
-        # gather slices, whose result is hashable only for a tuple row
-        tails = tuple(map(tuple, tails))
+    tails = _rows(tails)
     square = p + 2  # sum x_i^2 - 2 x_0^2 over a passing row
     if (
         body_ok
@@ -192,9 +195,8 @@ def _check_shape(p: int, count: int, rows, rank: int) -> None:
         raise LatticeMismatchError("candidate classes live in different lattices")
 
 
-def _check_classes(classes: Sequence[ClassVector], p: int) -> ChainReport | None:
-    """_check on p - 1 classes, the last one the tail, in the last one's lattice."""
-    rows = tuple(map(_coeffs, classes))
+def _check_classes(rows: tuple[tuple[int, ...], ...], p: int) -> ChainReport | None:
+    """_check on p - 1 rows, the last one the tail, at the last one's length."""
     rank = len(rows[-1]) if rows else 0
     _check_shape(p, len(rows), rows, rank)
     return _check(p, rows[:-1], rows[-1:], rank)
@@ -212,9 +214,8 @@ def check_tails(p: int, rank: int, body: tuple[tuple[int, ...], ...], tails) -> 
 
     Passes when every tail completes the body to a C_p; otherwise the first
     tail that fails raises InvalidConfigurationError with the report the
-    CpConfiguration constructor would raise on the classes of those rows
-    in the lattice of the given rank, and a tail of the wrong length raises
-    DomainError, as a ClassVector of it would. A body row of another
+    CpConfiguration constructor would raise on those rows, and a tail of a
+    length other than rank raises DomainError. A body row of another
     length raises LatticeMismatchError.
     """
     _check_shape(p, len(body) + 1, body, rank)
@@ -223,13 +224,13 @@ def check_tails(p: int, rank: int, body: tuple[tuple[int, ...], ...], tails) -> 
         raise InvalidConfigurationError(report)
 
 
-def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainReport:
-    """Check candidate classes against the C_p Gram matrix, on coefficient rows.
+def verify_cp_configuration(candidate: Sequence[Sequence[int]], p: int) -> ChainReport:
+    """Check candidate class rows against the C_p Gram matrix.
 
     Runs the check the CpConfiguration constructor runs and reports its
     result, with the first violation in scan order (see _check).
     """
-    return _check_classes(candidate, p) or _passing_report(p)
+    return _check_classes(_rows(candidate), p) or _passing_report(p)
 
 
 # the keys a fixture records beside its configuration; each stage that reads
@@ -237,30 +238,31 @@ def verify_cp_configuration(candidate: Sequence[ClassVector], p: int) -> ChainRe
 _FIXTURE_KEYS = dict.fromkeys(("a", "family", "K", "H", "handles"))
 
 
-def parse_configuration(data) -> tuple[int, tuple[ClassVector, ...]]:
-    """The unverified (p, classes) of a {p, n, classes} payload, which may
-    also hold the fixture keys and nothing else.
+def parse_configuration(data) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The unverified (p, class rows) of a {p, n, classes} payload, which
+    may also hold the fixture keys and nothing else.
 
-    Schema and type errors raise InputTypeError, a p below 2 DomainError and
-    a class count other than p - 1 ArityError. The Gram check is left to the
+    Schema and type errors raise InputTypeError, an n below 0, a row of
+    another length than n + 1 or a p below 2 DomainError, and a class
+    count other than p - 1 ArityError. The Gram check is left to the
     caller, which may report a failing one instead of raising it.
     """
     strict_object(data, {"p": int, "n": int, "classes": list}, _FIXTURE_KEYS)
-    lat = AmbientLattice(data["n"])
+    p, n = data["p"], data["n"]
+    if n < 0:
+        raise DomainError(f"need n >= 0, got n = {n}")
     for row in data["classes"]:
         if type(row) is not list:
             raise InputTypeError(f"classes entry must be an array, got {row!r}")
-    classes = tuple(map(lat.vector, data["classes"]))
-    p = data["p"]
-    if p < 2:
-        raise DomainError(f"need p >= 2, got p = {p}")
-    if len(classes) != p - 1:
-        raise ArityError(f"C_{p} needs exactly {p - 1} classes, got {len(classes)}")
+    classes = tuple(class_row(row, n) for row in data["classes"])
+    _check_shape(p, len(classes), classes, n + 1)
     return p, classes
 
 
 class CpConfiguration(Record):
-    """A verified C_p configuration.
+    """A verified C_p configuration: p and the p - 1 class rows of Z^{1,n},
+    long class last, held as a tuple of int tuples (other sequences are
+    copied into one).
 
     Every construction runs the Gram check that verify_cp_configuration
     runs, and raises InvalidConfigurationError with the same report on
@@ -269,24 +271,28 @@ class CpConfiguration(Record):
     """
 
     p: int
-    classes: tuple[ClassVector, ...]
+    classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        report = _check_classes(self.classes, self.p)
+        rows = _rows(self.classes)
+        object.__setattr__(self, "classes", rows)
+        report = _check_classes(rows, self.p)
         if report is not None:
             raise InvalidConfigurationError(report)
 
     @property
-    def lattice(self) -> AmbientLattice:
-        return self.classes[0].lattice
+    def n(self) -> int:
+        """The ambient's exceptional count: every row holds n + 1 coefficients."""
+        return len(self.classes[0]) - 1
 
-    def pairings(self, x: ClassVector) -> tuple[int, ...]:
-        """The restriction map to the chain: r(x) = (x.u_1, ..., x.u_{p-1})."""
-        if x.lattice != self.lattice:
+    def pairings(self, x: Sequence[int]) -> tuple[int, ...]:
+        """The restriction map to the chain: r(x) = (x.u_1, ..., x.u_{p-1})
+        for a row x of the configuration's length."""
+        if len(x) != len(self.classes[0]):
             raise LatticeMismatchError(
-                f"class lives in n = {x.lattice.n}, configuration in n = {self.lattice.n}"
+                f"class lives in n = {len(x) - 1}, configuration in n = {self.n}"
             )
-        return tuple(map(row_pairing, repeat(x.coeffs), map(_coeffs, self.classes)))
+        return tuple(map(row_pairing, repeat(x), self.classes))
 
     def report(self) -> ChainReport:
         """The verifier's report on these classes: construction passed it."""
@@ -295,8 +301,8 @@ class CpConfiguration(Record):
     def to_json(self) -> dict:
         return {
             "p": self.p,
-            "n": self.lattice.n,
-            "classes": [u.to_json() for u in self.classes],
+            "n": self.n,
+            "classes": [list(u) for u in self.classes],
         }
 
 

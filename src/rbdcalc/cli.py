@@ -74,8 +74,8 @@ def _load_json_file(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _parse_config(path: str) -> tuple[dict, int, tuple[ClassVector, ...]]:
-    """Read a configuration file into (raw payload, p, classes).
+def _parse_config(path: str) -> tuple[dict, int, tuple[tuple[int, ...], ...]]:
+    """Read a configuration file into (raw payload, p, class rows).
 
     Schema and type errors are usage errors. Nothing is verified yet, so a
     caller can report a failing Gram check instead of raising it.
@@ -100,8 +100,8 @@ def _load_config(path: str) -> tuple[dict, CpConfiguration]:
     return data, CpConfiguration(p=p, classes=classes)
 
 
-def _parse_vector(text: str, lattice: AmbientLattice, what: str):
-    """A vector argument: inline JSON array, or @file containing one."""
+def _parse_vector(text: str, n: int, what: str) -> tuple[int, ...]:
+    """A class row argument of Z^{1,n}: inline JSON array, or @file containing one."""
     if text.startswith("@"):
         raw = _load_json_file(text[1:])
     else:
@@ -111,8 +111,10 @@ def _parse_vector(text: str, lattice: AmbientLattice, what: str):
             raise UsageError(f"{what}: not a JSON array: {exc}") from exc
     if not isinstance(raw, list):
         raise UsageError(f"{what}: expected a JSON array of integers")
+    from .lattice import class_row
+
     try:
-        return lattice.vector(raw)
+        return class_row(raw, n)
     except (InputTypeError, DomainError) as exc:
         raise UsageError(f"{what}: {exc}") from exc
 
@@ -145,13 +147,13 @@ def cmd_blowdown(args) -> int:
     data, cfg = _load_config(args.config)
     delta = None
     if args.delta is not None:
-        delta = _parse_vector(args.delta, cfg.lattice, "--delta")
+        delta = _parse_vector(args.delta, cfg.n, "--delta")
     report = full_blowdown_report(cfg, delta=delta)
     echo = {
         "command": "blowdown",
         "config_path": args.config,
         "config": data,
-        "delta": None if delta is None else delta.to_json(),
+        "delta": None if delta is None else list(delta),
     }
     _emit(_certificate(echo, report.to_json()))
     return 0 if report.homeo_type is not None else MATH_ERROR
@@ -161,15 +163,15 @@ def cmd_sw(args) -> int:
     from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
 
     data, cfg = _load_config(args.config)
-    k = CharacteristicData(_parse_vector(args.K, cfg.lattice, "--K"))
-    h = PeriodPoint(_parse_vector(args.H, cfg.lattice, "--H"))
+    k = CharacteristicData(_parse_vector(args.K, cfg.n, "--K"))
+    h = PeriodPoint(_parse_vector(args.H, cfg.n, "--H"))
     outcome = sw_on_blowdown(cfg, k, h)
     echo = {
         "command": "sw",
         "config_path": args.config,
         "config": data,
-        "K": k.k.to_json(),
-        "H": h.vector.to_json(),
+        "K": list(k.k),
+        "H": list(h.vector),
     }
     _emit(_certificate(echo, outcome.to_json()))
     return 0
@@ -262,6 +264,17 @@ def _parse_only(text: str) -> dict:
     return out
 
 
+def _difference_row(n: int, i: int, j: int) -> tuple[int, ...]:
+    """The row of e_i - e_j in Z^{1,n}; an index outside 1..n raises
+    DomainError naming the first such index."""
+    for k in (i, j):
+        if not 1 <= k <= n:
+            raise DomainError(f"e_{k} out of range 1..{n}")
+    row = [0] * (n + 1)
+    row[i], row[j] = 1, -1
+    return tuple(row)
+
+
 def _reproduce_case(case: tuple[int, int], fixtures_root: Path) -> dict:
     """Run the fixture of one (family, a) case through load, verify,
     blowdown, handles and sw.
@@ -274,7 +287,7 @@ def _reproduce_case(case: tuple[int, int], fixtures_root: Path) -> dict:
     """
     from .blowdown import full_blowdown_report, handle_counts, homeo_type
     from .chains import CpConfiguration
-    from .lattice import field
+    from .lattice import class_row, field
     from .sw import CharacteristicData, PeriodPoint, sw_on_blowdown
 
     family, a = case
@@ -304,8 +317,7 @@ def _reproduce_case(case: tuple[int, int], fixtures_root: Path) -> dict:
         stages["verify"] = {"status": "pass", "report": cfg.report().to_json()}
 
         stage = "blowdown"
-        lat = cfg.lattice
-        report = full_blowdown_report(cfg, delta=lat.e(12 - a) - lat.e(13 - a))
+        report = full_blowdown_report(cfg, delta=_difference_row(cfg.n, 12 - a, 13 - a))
         expected = homeo_type(12 - a)
         stages["blowdown"] = {
             "status": "pass" if report.homeo_type == expected else "fail",
@@ -323,8 +335,8 @@ def _reproduce_case(case: tuple[int, int], fixtures_root: Path) -> dict:
             stages["handles"] = {"status": "pass", "counts": list(counts)}
 
         stage = "sw"
-        k = CharacteristicData(cfg.lattice.vector(field(data, "K", list)))
-        h = PeriodPoint(cfg.lattice.vector(field(data, "H", list)))
+        k = CharacteristicData(class_row(field(data, "K", list), cfg.n))
+        h = PeriodPoint(class_row(field(data, "H", list), cfg.n))
         outcome = sw_on_blowdown(cfg, k, h)
         result["pass"] = outcome.exotic_certificate
         stages["sw"] = {

@@ -31,7 +31,8 @@ class InputTypeError(RbdcalcError, TypeError):
 
 
 class ConsistencyError(RbdcalcError, ArithmeticError):
-    """An internal exactness check failed (singular matrix, non-integral value)."""
+    """An internal re-check failed: a computed H1 witness that does not meet
+    its condition, or a search hit the enumerator's own checks reject."""
 
 
 class TemplateError(RbdcalcError, ValueError):

@@ -4,8 +4,8 @@ encoder of its reports, and the one writer of indented reports.
 A Record's fields are its annotated names, in order; each instance stores
 exactly them in its instance dict. A report's JSON is its fields under
 their own names. Values map through `_encode`: None, ints, bools and
-strings pass through, a tuple becomes a list, and anything else (a nested
-report, a ClassVector) encodes through its own to_json.
+strings pass through, a tuple (a class row among them) becomes a list,
+and anything else (a nested report) encodes through its own to_json.
 
 `dumps` writes the text of json.dumps(value, indent=2, sort_keys=True),
 byte for byte, without the pure-Python encoder that json uses whenever an

@@ -23,9 +23,8 @@ and the square of the long class: the sign orbit of a representative,
 expanded in C with each signed tail exactly once, is a set of hits that
 share one Gram matrix. The walk visits at most prod(b + 1) leaves where
 the box has prod(2b + 1) points.
-search_hits returns the hits as sign orbits in integer rows, with no
-lattice object: the body rows, the flip columns and one representative
-row per orbit. The sign orbit is the unit of the Gram check: the flip
+search_hits returns the hits as sign orbits in integer rows: the body
+rows, the flip columns and one representative row per orbit. The sign orbit is the unit of the Gram check: the flip
 columns are checked once against the body support, and each
 representative, not each hit, goes through the one Gram check that the
 CpConfiguration constructor runs (chains.check_tails), all of them as one
@@ -365,8 +364,7 @@ def search_hits(template: SearchTemplate, cap: int = DEFAULT_CAP) -> SearchHits:
     the square, so each hit is certified exactly.
     The check shares nothing with the enumerator's algebra, so a flip
     column on the body or a row it rejects is an enumerator bug and raises
-    ConsistencyError. No CpConfiguration, ClassVector or AmbientLattice is
-    built.
+    ConsistencyError. No CpConfiguration is built.
     """
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")

@@ -29,20 +29,19 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from math import gcd
-from operator import mul
+from operator import mul, sub
 
 from .chains import CpConfiguration, cp_scaled_inverse
-from .lattice import ClassVector
 
 
 class Section:
     """s(b) with r(s(b)) = b for each b in the image of cfg's restriction
-    map r, and generators of its kernel."""
+    map r, and generators of its kernel, all as class rows."""
 
     def __init__(self, cfg: CpConfiguration):
         p = cfg.p
         self.cfg = cfg
-        self.columns = list(zip(*(u.coeffs for u in cfg.classes)))
+        self.columns = list(zip(*cfg.classes))
         # e_j.v: s_j times column j's share of v, s_0 = +1 and s_j = -1
         dots = [sum(map(mul, column, range(1, p))) for column in self.columns]
         dots[1:] = [-d for d in dots[1:]]
@@ -59,12 +58,12 @@ class Section:
                 if step < gcd(c, q):
                     y[j] = next(k for k in range(1, q) if gcd(c + k * d, q) == step)
                     c += y[j] * d
-        self.y = cfg.lattice.vector(y)
+        self.y = tuple(y)
         self.ry = cfg.pairings(self.y)
         self.m = q // self.g
         self.inverse = pow(sum(map(mul, range(1, p), self.ry)) // self.g, -1, self.m)
 
-    def __call__(self, b: Sequence[int]) -> ClassVector:
+    def __call__(self, b: Sequence[int]) -> tuple[int, ...]:
         p, m = self.cfg.p, self.m
         t = sum(map(mul, range(1, p), b)) // self.g * self.inverse % m
         if 2 * t > m:
@@ -72,17 +71,16 @@ class Section:
         scaled = cp_scaled_inverse(p, [x - t * r for x, r in zip(b, self.ry)])
         return self._combine(t, [x // (p * p) for x in scaled])
 
-    def _combine(self, t: int, a: Sequence[int]) -> ClassVector:
+    def _combine(self, t: int, a: Sequence[int]) -> tuple[int, ...]:
         """The class t y + sum_i a_i u_i."""
-        coeffs = (t * k + sum(map(mul, a, column)) for k, column in zip(self.y.coeffs, self.columns))
-        return ClassVector(self.cfg.lattice, tuple(coeffs))
+        return tuple(t * k + sum(map(mul, a, column)) for k, column in zip(self.y, self.columns))
 
-    def complement(self) -> Iterator[ClassVector]:
+    def complement(self) -> Iterator[tuple[int, ...]]:
         """Generators of the classes orthogonal to every u_i, built one at a
         time: f_j - s(r(f_j)) for j = 0..n, then z0."""
         cfg = self.cfg
-        for j in range(cfg.lattice.rank):
-            f = cfg.lattice.basis_vector(j)
-            yield f - self(cfg.pairings(f))
+        for j in range(cfg.n + 1):
+            f = (0,) * j + (1,) + (0,) * (cfg.n - j)
+            yield tuple(map(sub, f, self(cfg.pairings(f))))
         scaled = cp_scaled_inverse(cfg.p, self.ry)
         yield self._combine(self.m, [-x // self.g for x in scaled])

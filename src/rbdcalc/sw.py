@@ -20,45 +20,45 @@ from __future__ import annotations
 
 from .chains import CpConfiguration, cp_divisors
 from .errors import LatticeMismatchError, PreconditionError
-from .lattice import ClassVector, is_characteristic, pairing
+from .lattice import is_characteristic, row_pairing
 from .report import Record, Report
 
 
 class CharacteristicData(Record):
-    """A characteristic class on the ambient CP^2 # n CPbar^2."""
+    """A characteristic class on the ambient CP^2 # n CPbar^2, as its row."""
 
-    k: ClassVector
+    k: tuple[int, ...]
 
     def __post_init__(self):
         if not is_characteristic(self.k):
-            even = [i for i, c in enumerate(self.k.coeffs) if c % 2 == 0]
+            even = [i for i, c in enumerate(self.k) if c % 2 == 0]
             raise PreconditionError(
                 f"class is not characteristic: coefficients at positions {even} are even"
             )
 
 
 class PeriodPoint(Record):
-    """A positive-square class in the forward cone, defining a chamber."""
+    """A positive-square class in the forward cone, defining a chamber, as its row."""
 
-    vector: ClassVector
+    vector: tuple[int, ...]
 
     def __post_init__(self):
-        sq = self.vector.square()
+        sq = row_pairing(self.vector, self.vector)
         if sq <= 0:
             raise PreconditionError(f"period point needs square > 0, got H^2 = {sq}")
-        if self.vector.coeffs[0] <= 0:
+        if self.vector[0] <= 0:
             raise PreconditionError(
-                f"period point must lie in the forward cone: H.h = "
-                f"{self.vector.coeffs[0]} <= 0"
+                f"period point must lie in the forward cone: H.h = {self.vector[0]} <= 0"
             )
 
 
 def d_invariant(k: CharacteristicData) -> int:
     """Expected dimension d = (K^2 - 2e - 3sigma)/4 on CP^2 # n CPbar^2,
-    n read from k's lattice: e = n + 3 and sigma = 1 - n give 2e + 3sigma = 9 - n.
+    n read from k's row length: e = n + 3 and sigma = 1 - n give 2e + 3sigma = 9 - n.
     Every coefficient of K is odd and odd squares are 1 mod 8, so
     K^2 = 1 - n = sigma (mod 8) (van der Blij) and d is an even integer."""
-    return (k.k.square() - (9 - k.k.lattice.n)) // 4
+    n = len(k.k) - 1
+    return (row_pairing(k.k, k.k) - (9 - n)) // 4
 
 
 def _sign(v: int) -> int:
@@ -86,12 +86,12 @@ def wall_crossing(
     base_value: int,
 ) -> int:
     """Value in the end chamber from the value in the start chamber."""
-    if start.vector.lattice != k.k.lattice or end.vector.lattice != k.k.lattice:
+    if len(start.vector) != len(k.k) or len(end.vector) != len(k.k):
         raise LatticeMismatchError("period points and class must share one lattice")
     d = d_invariant(k)
     if d < 0:
         raise PreconditionError(f"crossing formula needs d >= 0, got d = {d}")
-    inc, _ = _crossing(_sign(pairing(k.k, start.vector)), _sign(pairing(k.k, end.vector)), d)
+    inc, _ = _crossing(_sign(row_pairing(k.k, start.vector)), _sign(row_pairing(k.k, end.vector)), d)
     return base_value + inc
 
 
@@ -170,7 +170,7 @@ def sw_on_blowdown(cfg: CpConfiguration, k: CharacteristicData, h: PeriodPoint) 
     vanishing invariants, while for d > 0 the note records that
     nonvanishing alone is not such a certificate.
     """
-    b2_minus_after = cfg.lattice.n - (cfg.p - 1)
+    b2_minus_after = cfg.n - (cfg.p - 1)
     if b2_minus_after > 9:
         raise PreconditionError(
             f"b2- after blowdown is {b2_minus_after} > 9: the downstairs "
@@ -184,8 +184,8 @@ def sw_on_blowdown(cfg: CpConfiguration, k: CharacteristicData, h: PeriodPoint) 
     adm = lift_admissible(k, cfg)
     restr = restriction_conditions(adm)  # refuses a lift that does not descend
     d = d_invariant(k)
-    s_base = _sign(pairing(k.k, cfg.lattice.h()))
-    s_target = _sign(pairing(k.k, h.vector))
+    s_base = _sign(k.k[0])  # K.h, h.h = 1
+    s_target = _sign(row_pairing(k.k, h.vector))
     if d < 0:
         value, branch = 0, "negative-dimension"
         note = "expected dimension is negative; the invariant vanishes in every chamber"

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from rbdcalc.blowdown import H1Certificate
 from rbdcalc.chains import CpConfiguration
-from rbdcalc.errors import ConsistencyError, DomainError
-from rbdcalc.lattice import AmbientLattice, ClassVector, pairing, strict_int
+from rbdcalc.errors import ConsistencyError, DomainError, LatticeMismatchError
+from rbdcalc.lattice import row_pairing, strict_int
 from rbdcalc.report import Record
 
 
@@ -65,8 +65,18 @@ def evaluate_neg_cf(terms: Sequence[int]) -> Fraction:
 
 
 def intersection_matrix(classes) -> list[list[int]]:
-    """Gram matrix of the given classes under the ambient pairing."""
-    return [[pairing(x, y) for y in classes] for x in classes]
+    """Gram matrix of the given class rows under the ambient pairing."""
+    return [[row_pairing(x, y) for y in classes] for x in classes]
+
+
+def basis_row(n: int, i: int) -> tuple[int, ...]:
+    """The row of h (i = 0) or e_i (1 <= i <= n) in Z^{1,n}."""
+    return (0,) * i + (1,) + (0,) * (n - i)
+
+
+def combine(a: int, x: Sequence[int], b: int, y: Sequence[int]) -> tuple[int, ...]:
+    """The row a x + b y."""
+    return tuple(a * s + b * t for s, t in zip(x, y))
 
 
 def signed_permutation(rows, target: Sequence[int], signs: Sequence[int]) -> list[list[int]]:
@@ -137,8 +147,7 @@ def h1_by_smith_normal_form(cfg) -> H1Certificate:
             order=order,
             restriction_divisors=divisors,
         )
-    coeffs = dual_matrix_witness(restriction, p) or snf.solve([0] * (p - 2) + [1])
-    witness = cfg.lattice.vector(coeffs)
+    witness = tuple(dual_matrix_witness(restriction, p) or snf.solve([0] * (p - 2) + [1]))
     pairings = cfg.pairings(witness)
     return H1Certificate(
         verdict="trivial",
@@ -206,9 +215,7 @@ def configurations(hits) -> list[CpConfiguration]:
     constructor, in hit order (its expand). The constructor runs the Gram
     check on each hit, where search_hits checks one representative per
     sign orbit, so no orbit is taken on trust."""
-    lat = AmbientLattice(hits.n)
-    body = tuple(ClassVector(lat, row) for row in hits.body)
-    return [CpConfiguration(hits.p, body + (ClassVector(lat, tail),)) for tail in hits.expand()]
+    return [CpConfiguration(hits.p, hits.body + (tail,)) for tail in hits.expand()]
 
 
 def theta_count(n: int, p: int, bounds: Sequence[int]) -> int:
@@ -255,9 +262,8 @@ def standard_configuration(p: int, n: int | None = None) -> CpConfiguration:
         n = p - 1
     if n < p - 1:
         raise DomainError(f"need n >= p-1 = {p - 1} to fit the chain, got n = {n}")
-    lat = AmbientLattice(n)
-    body = [lat.e(i) - lat.e(i + 1) for i in range(1, p - 1)]
-    tail = lat.vector([0] + [1] * (p - 2) + [2] + [0] * (n - p + 1))
+    body = [(0,) * i + (1, -1) + (0,) * (n - i - 1) for i in range(1, p - 1)]
+    tail = (0,) + (1,) * (p - 2) + (2,) + (0,) * (n - p + 1)
     return CpConfiguration(p=p, classes=(*body, tail))
 
 
@@ -436,31 +442,31 @@ def kernel_basis(mat) -> list[list[int]]:
     return [[s.v[i][j] for i in range(s.cols)] for j in range(s.rank, s.cols)]
 
 
-def dual_coefficients(x: ClassVector) -> tuple[int, ...]:
+def dual_coefficients(x: Sequence[int]) -> tuple[int, ...]:
     """Coefficients of the dual functional x.(-) in the dual basis.
 
     The lattice is unimodular and diagonal, so duality only flips the sign of
     the e-part; as a map on classes it is the identity (each basis vector is
     +/-1-dual to itself). Used when a functional, not a class, is needed.
     """
-    return (x.coeffs[0], *(-c for c in x.coeffs[1:]))
+    return (x[0], *(-c for c in x[1:]))
 
 
-def orthogonal_complement_basis(classes: Sequence[ClassVector]) -> list[ClassVector]:
-    """Basis of the sublattice orthogonal to every given class.
+def orthogonal_complement_basis(classes: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Basis of the sublattice orthogonal to every given class row.
 
     The complement is the integer kernel of the pairing-functional matrix, so
     the result is a basis of a direct summand of rank (n+1) - rank(span).
     Deterministic: inherits the fixed pivot rule of the normal form. The
-    classes name the lattice, so an empty list raises DomainError.
+    rows' length names the lattice, so an empty list raises DomainError and
+    rows of two lengths LatticeMismatchError.
     """
     if not classes:
         raise DomainError("need at least one class to take a complement in")
-    lat = classes[0].lattice
-    for c in classes[1:]:
-        classes[0]._check(c)
+    if len(set(map(len, classes))) > 1:
+        raise LatticeMismatchError("classes live in different lattices")
     rows = [list(dual_coefficients(c)) for c in classes]
-    return [lat.vector(col) for col in kernel_basis(rows)]
+    return [tuple(col) for col in kernel_basis(rows)]
 
 
 def same_lattice(generators, basis) -> bool:
@@ -468,8 +474,8 @@ def same_lattice(generators, basis) -> bool:
     independent classes `basis` are a basis of: each generator is an
     integer combination of the basis, and the Smith diagonal of their
     coordinates is all ones."""
-    solver = smith_normal_form([list(col) for col in zip(*(b.coeffs for b in basis))])
-    coords = [solver.solve(list(g.coeffs)) for g in generators]
+    solver = smith_normal_form([list(col) for col in zip(*basis)])
+    coords = [solver.solve(list(g)) for g in generators]
     if None in coords:
         return False
     return smith_normal_form(coords).diagonal == (1,) * len(basis)

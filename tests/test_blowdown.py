@@ -28,7 +28,7 @@ from rbdcalc.errors import (
     InvalidConfigurationError,
     LatticeMismatchError,
 )
-from rbdcalc.lattice import AmbientLattice, pairing
+from rbdcalc.lattice import row_pairing
 from rbdcalc.search import search_hits
 from rbdcalc.snf import Section
 
@@ -38,6 +38,7 @@ from families import (
     family_period_point,
 )
 from oracles import (
+    basis_row,
     configurations,
     cremona,
     dual_coefficients,
@@ -59,11 +60,8 @@ def bounded_witness_scan(cfg, bound=3, max_support=4):
     (condition, coefficients, pairings) of the first one meeting a
     triviality condition, or None when the box holds none.
     """
-    rank = cfg.lattice.rank
-    basis_rows = [
-        tuple(pairing(cfg.lattice.basis_vector(j), u) for u in cfg.classes)
-        for j in range(rank)
-    ]
+    rank = cfg.n + 1
+    basis_rows = [tuple(row_pairing(basis_row(cfg.n, j), u) for u in cfg.classes) for j in range(rank)]
     p = cfg.p
     for size in range(1, min(max_support, rank) + 1):
         for mag in range(1, bound + 1):
@@ -105,7 +103,7 @@ def assert_exact_route_agrees_with_scan(cfg, bound=3, max_support=4):
         assert cert.verdict == "trivial"
         if sum(1 for c in found[1] if c) == 1:
             # a one-term witness is the first +/-e_j, which the scan meets first
-            assert cert.witness.coeffs == found[1]
+            assert cert.witness == found[1]
     if cert.verdict == "nontrivial":
         assert found is None
         assert cert.order > 1 and cert.witness is None
@@ -129,8 +127,7 @@ def permuted_standard_chains(draw):
     target = draw(st.permutations(range(1, n + 1)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     base = standard_configuration(p, n)
-    rows = signed_permutation([u.coeffs for u in base.classes], target, signs)
-    return CpConfiguration(p, tuple(map(base.lattice.vector, rows)))
+    return CpConfiguration(p, signed_permutation(base.classes, target, signs))
 
 
 @settings(max_examples=60)
@@ -159,22 +156,21 @@ def _scan_cases():
     cases = [pytest.param(2, [[0, 2]], id="p2-even")]
     cases.append(pytest.param(2, [[1, 1, 1, 1, 1, 1]], id="p2-through-h"))
     for family, a, cfg in VALID_FAMILY_CASES:
-        rows = [u.to_json() for u in cfg.classes]
+        rows = [list(u) for u in cfg.classes]
         cases.append(pytest.param(cfg.p, rows, id=f"family{family}-a{a}"))
     return cases
 
 
 @pytest.mark.parametrize("p, rows", _scan_cases())
 def test_exact_h1_agrees_with_scan(p, rows):
-    lat = AmbientLattice(len(rows[0]) - 1)
-    assert_exact_route_agrees_with_scan(CpConfiguration(p, tuple(lat.vector(r) for r in rows)))
+    assert_exact_route_agrees_with_scan(CpConfiguration(p, rows))
 
 
 # two C_3 in Z^{1,4} whose first witness meets condition 1: -e_1 for body
 # e_1 - e_2 and long class e_2 + 2 e_3, h for body h - e_1 - e_2 - e_3 and
 # long class e_3 + 2 e_4
 CONDITION_ONE_CHAINS = [
-    CpConfiguration(3, tuple(map(AmbientLattice(4).vector, rows)))
+    CpConfiguration(3, rows)
     for rows in (([0, 1, -1, 0, 0], [0, 0, 1, 2, 0]), ([1, -1, -1, -1, 0], [0, 0, 0, 1, 2]))
 ]
 
@@ -183,17 +179,12 @@ CONDITION_ONE_CHAINS = [
 # fold of basis vectors, h + e_1 with y.v = -13
 BEZOUT_CHAIN = CpConfiguration(
     6,
-    tuple(
-        map(
-            AmbientLattice(7).vector,
-            (
-                [1, -1, -1, 0, -1, 0, 0, 0],
-                [0, 0, 0, 0, 1, -1, 0, 0],
-                [0, 0, 0, 0, 0, 1, -1, 0],
-                [0, 0, 0, 0, 0, 0, 1, -1],
-                [-2, 1, 2, 2, -1, -1, -1, 0],
-            ),
-        )
+    (
+        (1, -1, -1, 0, -1, 0, 0, 0),
+        (0, 0, 0, 0, 1, -1, 0, 0),
+        (0, 0, 0, 0, 0, 1, -1, 0),
+        (0, 0, 0, 0, 0, 0, 1, -1),
+        (-2, 1, 2, 2, -1, -1, -1, 0),
     ),
 )
 
@@ -213,8 +204,8 @@ def isometry_images(draw):
         base = draw(st.sampled_from(VALID_FAMILY_CASES))[2]
     else:
         base = draw(st.sampled_from(CONDITION_ONE_CHAINS + [BEZOUT_CHAIN]))
-    n = base.lattice.n
-    rows = [u.coeffs for u in base.classes]
+    n = base.n
+    rows = base.classes
     for _ in range(draw(st.integers(1, 3))):
         if n >= 3 and draw(st.booleans()):
             triple = draw(st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True))
@@ -223,7 +214,7 @@ def isometry_images(draw):
             target = draw(st.permutations(range(1, n + 1)))
             signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
             rows = signed_permutation(rows, target, signs)
-    return CpConfiguration(base.p, tuple(map(base.lattice.vector, rows)))
+    return CpConfiguration(base.p, rows)
 
 
 def assert_matches_the_smith_route(cfg):
@@ -276,13 +267,12 @@ def test_body_through_h_runs_the_section_only_for_the_fallback_witness(
     is the closed form's, with no section; the one section solves for a
     witness when order 1 has no +/-e_j meeting a condition, from y = h.
     Either way all but that witness is the SNF route's."""
-    lat = AmbientLattice(4)
-    cfg = CpConfiguration(3, (lat.vector([1, 1, 1, 1, 0]), lat.vector(tail)))
+    cfg = CpConfiguration(3, ((1, 1, 1, 1, 0), tail))
     sections = []
     monkeypatch.setattr(snf_module, "Section", lambda cfg: sections.append(Section(cfg)) or sections[-1])
     cert = assert_matches_the_smith_route(cfg)
     assert cert.to_json() == expected
-    assert [s.y for s in sections] == [lat.h()] * section_calls
+    assert [s.y for s in sections] == [basis_row(4, 0)] * section_calls
 
 
 def test_bezout_section_witness():
@@ -290,18 +280,17 @@ def test_bezout_section_witness():
     y.v prime to 6: the section folds h and e_1 into y, and its witness
     s(e_5) meets condition 2 and pairs like the SNF solve's."""
     cfg = BEZOUT_CHAIN
-    lat = cfg.lattice
-    v = [sum(i * c for i, c in enumerate(column, 1)) for column in zip(*(u.coeffs for u in cfg.classes))]
+    v = [sum(i * c for i, c in enumerate(column, 1)) for column in zip(*cfg.classes)]
     assert v == [-9, 4, 9, 10, -4, -4, -4, -4]
     assert all(gcd(c, 6) > 1 for c in v)
     section = Section(cfg)
-    assert section.y == lat.h() + lat.e(1)
+    assert section.y == (1, 1, 0, 0, 0, 0, 0, 0)
     assert sum(i * r for i, r in enumerate(section.ry, 1)) == -13
     cert = assert_matches_the_smith_route(cfg)
     assert (cert.verdict, cert.condition, cert.order) == ("trivial", 2, 1)
     assert cert.pairings == (0, 0, 0, 0, 1)
     assert cert.witness == section((0, 0, 0, 0, 1))
-    assert h1_by_smith_normal_form(cfg).witness.coeffs == (-1, 1, 0, 0, 0, 0, 0, 0)
+    assert h1_by_smith_normal_form(cfg).witness == (-1, 1, 0, 0, 0, 0, 0, 0)
 
 
 PROBE_QUESTIONS = (("3-chain", 9), ("3-chain", 10), ("3-chain", 11), ("4-chain", 6))
@@ -340,8 +329,8 @@ def test_section_decides_witness_and_parity_like_the_oracle(cfg):
         assert cfg.pairings(w) == (0,) * (cfg.p - 1)
     basis = orthogonal_complement_basis(list(cfg.classes))
     assert same_lattice(generators, basis)
-    first_odd = next((w for w in generators if w.square() % 2), None)
-    assert (first_odd is not None) == any(w.square() % 2 for w in basis)
+    first_odd = next((w for w in generators if row_pairing(w, w) % 2), None)
+    assert (first_odd is not None) == any(row_pairing(w, w) % 2 for w in basis)
     if cert.order == 1 and blowdown_invariants(cfg).signature % 16 == 0:
         parity, _ = parity_and_homeo_type(cfg, cert)
         assert parity.witness == first_odd
@@ -351,7 +340,7 @@ def test_invariants_for_smallest_family_case():
     """The ambient CP^2 # 11 CPbar^2 (b2- = 11, e = 14, sigma = -10) loses
     the rank 2 of C_3."""
     cfg = family_configuration(3, 1)
-    assert (cfg.lattice.n, cfg.p) == (11, 3)
+    assert (cfg.n, cfg.p) == (11, 3)
     inv = blowdown_invariants(cfg)
     assert (inv.b2_plus, inv.b2_minus, inv.euler, inv.signature) == (1, 9, 12, -8)
 
@@ -392,9 +381,8 @@ def test_h1_first_condition_witness():
 
 
 def test_h1_second_condition_witness():
-    lat = AmbientLattice(4)
-    cfg = CpConfiguration(2, (lat.vector([0, 1, 1, 1, 1]),))
-    cert = h1_certificate(cfg, delta=lat.e(1))
+    cfg = CpConfiguration(2, ((0, 1, 1, 1, 1),))
+    cert = h1_certificate(cfg, delta=basis_row(4, 1))
     assert cert.verdict == "trivial"
     assert cert.condition == 2
     assert cert.pairings == (-1,)
@@ -402,10 +390,10 @@ def test_h1_second_condition_witness():
 
 def test_h1_explicit_delta_can_be_inconclusive():
     cfg = standard_configuration(2)
-    cert = h1_certificate(cfg, delta=cfg.lattice.e(1))
+    cert = h1_certificate(cfg, delta=[0, 1])
     assert cert.verdict == "inconclusive"
     assert cert.condition is None
-    assert cert.witness == cfg.lattice.e(1)
+    assert cert.witness == (0, 1)
     assert cert.pairings == (-2,)
     assert cert.order is None
     assert sorted(cert.to_json()) == ["condition", "pairings", "verdict", "witness"]
@@ -433,7 +421,7 @@ def test_h1_search_finds_small_witness():
     cert = h1_certificate(cfg)
     assert cert.verdict == "trivial"
     assert cert.condition == 2
-    assert cert.witness == -cfg.lattice.e(1)
+    assert cert.witness == (0, -1) + (0,) * 10
     assert cert.pairings == (0, -2)
     assert cert.order == 1
     assert cert.restriction_divisors == (1, 1)
@@ -447,19 +435,19 @@ def test_h1_boundary_case_witness_from_the_solve():
     formula = h1_certificate(cfg, delta=family_h1_witness(11, 1))
     assert formula.verdict == "inconclusive"
     assert formula.pairings == (1,) + (0,) * 32 + (8,)
-    two_term = h1_certificate(cfg, delta=-(cfg.lattice.h() + cfg.lattice.e(1)))
+    two_term = h1_certificate(cfg, delta=(-1, -1) + (0,) * (cfg.n - 1))
     assert (two_term.verdict, two_term.pairings[-1]) == ("trivial", -24)
-    for j in range(cfg.lattice.rank):
+    for j in range(cfg.n + 1):
         for sign in (-1, 1):
-            e = sign * cfg.lattice.basis_vector(j)
+            e = [sign * c for c in basis_row(cfg.n, j)]
             assert h1_certificate(cfg, delta=e).verdict == "inconclusive"
     exact = h1_certificate(cfg)
     assert exact.verdict == "trivial"
     assert exact.condition == 2
     assert exact.order == 1
     assert exact.restriction_divisors == (1,) * 34
-    assert exact.witness.coeffs == (-420, 300) + (43,) * 34
-    assert Section(cfg).y == cfg.lattice.e(2)
+    assert exact.witness == (-420, 300) + (43,) * 34
+    assert Section(cfg).y == basis_row(cfg.n, 2)
     assert exact.pairings == (0,) * 33 + (1,)
 
 
@@ -474,7 +462,7 @@ def test_h1_computed_witness_failing_the_recheck_raises(monkeypatch):
 def test_h1_rejects_foreign_delta():
     cfg = family_configuration(3, 1)
     with pytest.raises(LatticeMismatchError):
-        h1_certificate(cfg, delta=AmbientLattice(5).e(1))
+        h1_certificate(cfg, delta=basis_row(5, 1))
 
 
 @pytest.mark.parametrize(
@@ -497,21 +485,21 @@ def test_parity_by_orthogonal_vector_at_boundary_case():
     assert parity.verdict == "odd"
     assert parity.route == "odd-square-orthogonal-vector"
     assert parity.witness_square == 8625
-    assert parity.witness.square() == 8625
-    assert parity.witness.coeffs == (253, -180) + (-26,) * 34
+    assert row_pairing(parity.witness, parity.witness) == 8625
+    assert parity.witness == (253, -180) + (-26,) * 34
     for u in cfg.classes:
-        assert pairing(parity.witness, u) == 0
+        assert row_pairing(parity.witness, u) == 0
     assert homeo == "CP^2 # 1 CPbar^2"
     h = family_period_point(11, 1)
-    assert h.coeffs[:3] == (87, -28, -14)
-    assert h.square() == 121
+    assert h[:3] == (87, -28, -14)
+    assert row_pairing(h, h) == 121
     for u in cfg.classes:
-        assert pairing(h, u) == 0
+        assert row_pairing(h, u) == 0
 
 
 def test_parity_inconclusive_without_h1():
     cfg = family_configuration(3, 1)
-    h1 = h1_certificate(cfg, delta=cfg.lattice.h())
+    h1 = h1_certificate(cfg, delta=basis_row(cfg.n, 0))
     assert h1.verdict == "inconclusive"
     parity, homeo = parity_and_homeo_type(cfg, h1)
     assert parity.verdict == "inconclusive"
@@ -520,8 +508,7 @@ def test_parity_inconclusive_without_h1():
 
 def test_parity_can_stay_open():
     """A complement with only even squares yields no oddness certificate."""
-    lat = AmbientLattice(2)
-    cfg = CpConfiguration(2, (lat.vector([2, -2, -2]),))
+    cfg = CpConfiguration(2, ((2, -2, -2),))
     parity, homeo = parity_and_homeo_type(cfg, H1Certificate("trivial", 2, None, None, None, None))
     assert parity.verdict == "even-possible"
     assert parity.route is None
@@ -529,8 +516,7 @@ def test_parity_can_stay_open():
 
 
 def test_homeo_type_without_remaining_negative_part():
-    lat = AmbientLattice(1)
-    cfg = CpConfiguration(2, (lat.vector([0, 2]),))
+    cfg = CpConfiguration(2, ((0, 2),))
     parity, homeo = parity_and_homeo_type(cfg, H1Certificate("trivial", 2, None, None, None, None))
     assert parity.verdict == "odd"
     assert homeo == "CP^2"

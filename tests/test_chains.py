@@ -33,12 +33,13 @@ from rbdcalc.errors import (
     LatticeMismatchError,
     RbdcalcError,
 )
-from rbdcalc.lattice import AmbientLattice, ClassVector, pairing, row_pairing
+from rbdcalc.lattice import row_pairing
 from rbdcalc.search import SearchTemplate, search_hits
 
 from families import family_classes, family_configuration
 from oracles import det as int_det
 from oracles import (
+    basis_row,
     configurations,
     evaluate_neg_cf,
     intersection_matrix,
@@ -53,52 +54,47 @@ def test_expected_squares():
     assert expected_square(1, 2) == -4
 
 
+def e_diff(n, i, j):
+    """The row of e_i - e_j in Z^{1,n}."""
+    return tuple(a - b for a, b in zip(basis_row(n, i), basis_row(n, j)))
+
+
 def test_minimal_chain_verifies():
-    lat = AmbientLattice(1)
-    report = verify_cp_configuration([lat.vector([0, 2])], 2)
+    report = verify_cp_configuration([(0, 2)], 2)
     assert report.ok
     assert report.violation is None
     assert report.squares == (-4,)
 
 
 def test_family_shape_verifies():
-    lat = AmbientLattice(11)
-    classes = [lat.e(10) - lat.e(11), lat.vector([6] + [-2] * 10 + [-1])]
+    classes = [e_diff(11, 10, 11), (6,) + (-2,) * 10 + (-1,)]
     report = verify_cp_configuration(classes, 3)
     assert report.ok
     assert report.squares == (-2, -5)
 
 
 def test_wrong_square_reported_first():
-    lat = AmbientLattice(2)
-    report = verify_cp_configuration([lat.e(1), lat.vector([0, 1, 2])], 3)
+    report = verify_cp_configuration([basis_row(2, 1), (0, 1, 2)], 3)
     assert not report.ok
     assert report.violation == ChainViolation("square", (1,), -2, -1)
 
 
 def test_wrong_consecutive_pairing_reported():
-    lat = AmbientLattice(3)
-    classes = [lat.e(1) - lat.e(2), lat.vector([0, 2, 1, 0])]
+    classes = [e_diff(3, 1, 2), (0, 2, 1, 0)]
     report = verify_cp_configuration(classes, 3)
     assert not report.ok
     assert report.violation == ChainViolation("consecutive_pairing", (1, 2), 1, -1)
 
 
 def test_distant_pairing_reported_lexicographically():
-    lat = AmbientLattice(5)
-    classes = [
-        lat.e(1) - lat.e(2),
-        lat.e(2) - lat.e(3),
-        lat.vector([0, 1, 0, 1, 2, 0]),
-    ]
+    classes = [e_diff(5, 1, 2), e_diff(5, 2, 3), (0, 1, 0, 1, 2, 0)]
     report = verify_cp_configuration(classes, 4)
     assert not report.ok
     assert report.violation == ChainViolation("distant_pairing", (1, 3), 0, -1)
     # body on the index cycle 1, 2, 3, 1: squares and consecutive pairings
     # hold, u_1 meets both u_3 and the long class, and (1, 3) comes first
-    lat = AmbientLattice(7)
-    classes = [lat.e(1) - lat.e(2), lat.e(2) - lat.e(3), lat.e(3) - lat.e(1)]
-    classes.append(lat.vector([0, 1, 0, 0, 2, 1, 1, 0]))
+    classes = [e_diff(7, 1, 2), e_diff(7, 2, 3), e_diff(7, 3, 1)]
+    classes.append((0, 1, 0, 0, 2, 1, 1, 0))
     report = verify_cp_configuration(classes, 5)
     assert intersection_matrix(classes)[0][3] == -1
     assert report.violation == ChainViolation("distant_pairing", (1, 3), 0, 1)
@@ -112,34 +108,29 @@ def test_reversed_chain_never_verifies(p):
 
 
 def test_wrong_length_rejected():
-    lat = AmbientLattice(1)
     with pytest.raises(ArityError):
-        verify_cp_configuration([lat.vector([0, 2])], 3)
+        verify_cp_configuration([(0, 2)], 3)
 
 
 def test_small_p_rejected():
-    lat = AmbientLattice(1)
     with pytest.raises(DomainError):
-        verify_cp_configuration([lat.vector([0, 2])], 1)
+        verify_cp_configuration([(0, 2)], 1)
 
 
 def test_mixed_lattices_rejected():
-    a = AmbientLattice(2)
-    b = AmbientLattice(3)
     with pytest.raises(LatticeMismatchError):
-        verify_cp_configuration([a.e(1) - a.e(2), b.vector([0, 1, 1, 2])], 3)
+        verify_cp_configuration([e_diff(2, 1, 2), (0, 1, 1, 2)], 3)
 
 
 def test_constructor_rejects_bad_configuration():
-    lat = AmbientLattice(1)
     with pytest.raises(InvalidConfigurationError) as exc:
-        CpConfiguration(p=2, classes=(lat.vector([0, 1]),))
+        CpConfiguration(p=2, classes=((0, 1),))
     assert exc.value.report.violation == ChainViolation("square", (1,), -4, -1)
 
 
 def test_constructor_accepts_good_configuration():
     cfg = CpConfiguration(p=3, classes=tuple(family_classes(3, 1)))
-    assert cfg.lattice == AmbientLattice(11)
+    assert cfg.n == 11
     assert cfg.report() == verify_cp_configuration(cfg.classes, 3)
 
 
@@ -165,7 +156,7 @@ def bodies_with_tails(draw):
     (each optionally corrupted) that all share that one body."""
     p = draw(st.integers(2, 6))
     n = draw(st.integers(p - 1, p + 2))
-    rows = [list(u.coeffs) for u in standard_configuration(p, n).classes]
+    rows = [list(u) for u in standard_configuration(p, n).classes]
     small = st.integers(-2, 2).filter(bool)
     if p > 2 and draw(st.booleans()):
         rows[draw(st.integers(0, p - 3))][draw(st.integers(0, n))] += draw(small)
@@ -184,9 +175,8 @@ def bodies_with_tails(draw):
 @given(bodies_with_tails())
 def test_verifier_matches_reference_scan(case):
     p, n, body, tails = case
-    lat = AmbientLattice(n)
     for tail in tails:
-        classes = [lat.vector(row) for row in body + [tail]]
+        classes = body + [tail]
         assert verify_cp_configuration(classes, p) == reference_report(classes, p)
 
 
@@ -202,58 +192,44 @@ def builds_and_reuses():
 
 
 def test_shared_body_is_verified_once(body_cache):
-    lat = AmbientLattice(11)
-    body = lat.e(10) - lat.e(11)
+    body = e_diff(11, 10, 11)
     tails = ([6] + [-2] * 10 + [-1], [6] + [-2] * 10 + [1], [0] * 12)
-    reports = [verify_cp_configuration([body, lat.vector(t)], 3) for t in tails]
+    reports = [verify_cp_configuration([body, t], 3) for t in tails]
     assert [r.ok for r in reports] == [True, False, False]
     assert builds_and_reuses() == (1, 2)
 
 
 def test_body_memo_matches_by_equality(body_cache):
-    lat = AmbientLattice(11)
-    tail = lat.vector([6] + [-2] * 10 + [-1])
-    body = lat.e(10) - lat.e(11)
-    twin = lat.vector(list(body.coeffs))
-    assert twin.coeffs == body.coeffs and twin.coeffs is not body.coeffs
+    tail = (6,) + (-2,) * 10 + (-1,)
+    body = e_diff(11, 10, 11)
+    twin = tuple(list(body))
+    assert twin == body and twin is not body
     CpConfiguration(p=3, classes=(body, tail))
     CpConfiguration(p=3, classes=(twin, tail))
     assert builds_and_reuses() == (1, 1)
     # a different body is built, and the first one is still cached behind it
-    other = lat.e(9) - lat.e(10)
+    other = e_diff(11, 9, 10)
     assert not verify_cp_configuration([other, tail], 3).ok
     assert builds_and_reuses() == (2, 1)
     CpConfiguration(p=3, classes=(body, tail))
     assert builds_and_reuses() == (2, 2)
 
 
-def spy_on_class_vector_eq(monkeypatch) -> list:
-    """The list that records every ClassVector.__eq__ call from now on."""
-    calls = []
-    original = ClassVector.__eq__
-
-    def spy(self, other):
-        calls.append((self, other))
-        return original(self, other)
-
-    monkeypatch.setattr(ClassVector, "__eq__", spy)
-    return calls
-
-
-def test_equal_distinct_body_is_built_once_and_then_held(body_cache, monkeypatch):
-    """An equal body of distinct objects matches the cached block by its
-    coefficient rows; the check compares no classes."""
-    lat = AmbientLattice(11)
-    tail = lat.vector([6] + [-2] * 10 + [-1])
-    body = lat.e(10) - lat.e(11)
-    twin = lat.vector(list(body.coeffs))
+def test_equal_distinct_body_is_built_once_and_then_held(body_cache):
+    """An equal body of distinct row objects matches the cached block by
+    its rows, and a configuration given tuple rows holds them in place; a
+    list row is held as its tuple."""
+    tail = (6,) + (-2,) * 10 + (-1,)
+    body = e_diff(11, 10, 11)
+    twin = tuple(list(body))
     assert twin == body and twin is not body
     CpConfiguration(p=3, classes=(body, tail))
-    CpConfiguration(p=3, classes=(twin, tail))
+    classes = (twin, tail)
+    cfg = CpConfiguration(p=3, classes=classes)
     assert builds_and_reuses() == (1, 1)
-    compared = spy_on_class_vector_eq(monkeypatch)
-    CpConfiguration(p=3, classes=(twin, tail))
-    assert compared == [] and builds_and_reuses() == (1, 2)
+    assert cfg.classes is classes
+    listed = CpConfiguration(p=3, classes=[list(twin), tail])
+    assert listed.classes == classes and builds_and_reuses() == (1, 2)
 
 
 def test_search_builds_the_body_block_without_dense_pairings(body_cache, monkeypatch):
@@ -272,25 +248,20 @@ def test_search_builds_the_body_block_without_dense_pairings(body_cache, monkeyp
     assert builds_and_reuses() == (1, 0) and calls == []
 
 
-def test_search_compares_classes_at_most_once_per_placement(body_cache, monkeypatch):
-    """Every hit of a search built through the constructor: its check reads
-    coefficient rows and calls no ClassVector.__eq__, the one placement's
-    body is built once and found in the cache for the other hits, and a
-    second search, of an equal but new body, builds none and gives the
-    same hits. The cache is cleared after the rows are checked, so the
-    constructors alone are counted."""
+def test_search_compares_classes_at_most_once_per_placement(body_cache):
+    """Every hit of a search built through the constructor: the one
+    placement's body is built once and found in the cache for the other
+    hits, and a second search, of an equal but new body, builds none and
+    gives the same hits. The cache is cleared after the rows are checked,
+    so the constructors alone are counted."""
     template = family_question_template(7, "3-chain")
-    compared = spy_on_class_vector_eq(monkeypatch)
     rows = search_hits(template)
     _body_block.cache_clear()
     hits = configurations(rows)
     assert len(hits) == 3894
-    assert len(compared) <= 1
     builds, reuses = builds_and_reuses()
     assert builds <= 1 and reuses == len(hits) - builds
-    compared.clear()
     again = configurations(search_hits(template))
-    assert len(compared) <= template.p - 2
     assert builds_and_reuses()[0] == builds
     assert again == hits and again[0].classes[0] is not hits[0].classes[0]
 
@@ -304,7 +275,7 @@ def sparse_bodies_with_tails(draw):
     n = draw(st.integers(p - 1, p + 2))
     coeff = st.integers(-3, 3)
     if draw(st.booleans()):
-        body = [list(u.coeffs) for u in standard_configuration(p, n).classes[:-1]]
+        body = [list(u) for u in standard_configuration(p, n).classes[:-1]]
     else:
         support = draw(st.lists(st.integers(0, n), max_size=n + 1, unique=True))
         body = []
@@ -313,7 +284,7 @@ def sparse_bodies_with_tails(draw):
             for k in support:
                 row[k] = draw(coeff)
             body.append(row)
-    standard_tail = list(standard_configuration(p, n).classes[-1].coeffs)
+    standard_tail = list(standard_configuration(p, n).classes[-1])
     row = st.lists(coeff, min_size=n + 1, max_size=n + 1)
     tails = draw(st.lists(st.one_of(st.just(standard_tail), row), min_size=1, max_size=6))
     return p, n, body, tails
@@ -327,38 +298,30 @@ def dense_check(classes, p):
     return reference_report(classes, p)
 
 
-def rows_of(classes):
-    return tuple(u.coeffs for u in classes)
-
-
 @settings(max_examples=300)
 @given(sparse_bodies_with_tails())
 def test_check_rows_matches_the_dense_gram_matrix(case):
     """Row by row and as one batch, whose report is the first failing row's."""
     p, n, body, tails = case
-    lat = AmbientLattice(n)
-    body = tuple(lat.vector(row) for row in body)
+    body = tuple(map(tuple, body))
     wants = []
     for tail in tails:
-        classes = body + (lat.vector(tail),)
-        wants.append(dense_check(classes, p))
-        assert _check(p, rows_of(body), (tuple(tail),), n + 1) == wants[-1]
+        wants.append(dense_check(body + (tuple(tail),), p))
+        assert _check(p, body, (tuple(tail),), n + 1) == wants[-1]
     first = next((want for want in wants if want is not None), None)
-    assert _check(p, rows_of(body), tails, n + 1) == first
+    assert _check(p, body, tails, n + 1) == first
 
 
 def test_many_support_values_of_an_h_body_stay_exact():
     """A chain body with an h coefficient on a support with a gap, met by
     every row of the right square in a box: hundreds of distinct support
     values, each paired from the functionals, row by row and as one batch."""
-    lat = AmbientLattice(5)
-    body = (lat.vector([1, -1, -1, 0, -1, 0]), lat.vector([0, 0, 0, 0, 1, -1]))
-    rows = rows_of(body)
+    rows = ((1, -1, -1, 0, -1, 0), (0, 0, 0, 0, 1, -1))
     tails = [
         x for x in product(range(-2, 3), repeat=6)
         if x[0] ** 2 - sum(c * c for c in x[1:]) == -6
     ]
-    wants = [dense_check(body + (lat.vector(tail),), 4) for tail in tails]
+    wants = [dense_check(rows + (tail,), 4) for tail in tails]
     assert 0 < wants.count(None) < len(wants)
     assert len({(x[:3] + x[4:]) for x in tails}) > 200
     for tail, want in zip(tails, wants):
@@ -375,18 +338,17 @@ def test_failing_tail_after_a_cached_body(body_cache, p):
     call runs the row check once: one cache lookup per call."""
     cfg = standard_configuration(p, p + 1)
     body, tail = cfg.classes[:-1], cfg.classes[-1]
-    lat = cfg.lattice
-    for k in range(lat.rank):
-        bad = list(tail.coeffs)
+    for k in range(cfg.n + 1):
+        bad = list(tail)
         bad[k] += 1
-        classes = body + (lat.vector(bad),)
+        classes = body + (tuple(bad),)
         want = reference_report(classes, p)
         assert not want.ok
         assert verify_cp_configuration(classes, p) == want
         with pytest.raises(InvalidConfigurationError) as exc:
             CpConfiguration(p=p, classes=classes)
         assert exc.value.report == want
-    assert builds_and_reuses() == (1, 2 * lat.rank)
+    assert builds_and_reuses() == (1, 2 * (cfg.n + 1))
 
 
 @settings(max_examples=200)
@@ -396,38 +358,34 @@ def test_check_tails_raises_the_constructor_report(case):
     constructor accepts every tail, and otherwise raises the report the
     constructor raises for the first tail it rejects."""
     p, n, body, tails = case
-    lat = AmbientLattice(n)
     body = tuple(map(tuple, body))
-    classes = tuple(map(lat.vector, body))
     rows = [tuple(tail) for tail in tails]
     want = None
     for row in rows:
         try:
-            CpConfiguration(p, classes + (lat.vector(row),))
+            CpConfiguration(p, body + (row,))
         except InvalidConfigurationError as exc:
             want = exc.report
             break
     if want is None:
-        check_tails(p, lat.rank, body, rows)
+        check_tails(p, n + 1, body, rows)
     else:
         with pytest.raises(InvalidConfigurationError) as exc:
-            check_tails(p, lat.rank, body, rows)
+            check_tails(p, n + 1, body, rows)
         assert exc.value.report == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_check_tails_refuses_a_row_of_the_wrong_length(p):
     """The rank is checked on every raw row, also at p = 2 where the body is
-    empty and a short row can have the right square, with the message a
-    ClassVector of that row gives."""
+    empty and a short row can have the right square, with a message that
+    names the row's length and the rank."""
     cfg = standard_configuration(p, p + 1)
-    body, tail = body_rows(cfg), cfg.classes[-1].coeffs
+    body, tail = body_rows(cfg), cfg.classes[-1]
     for row in (tail[:-1], tail + (0,)):
-        with pytest.raises(DomainError) as want:
-            ClassVector(cfg.lattice, row)
         with pytest.raises(DomainError) as exc:
-            check_tails(p, cfg.lattice.rank, body, [tail, row])
-        assert str(exc.value) == str(want.value)
+            check_tails(p, cfg.n + 1, body, [tail, row])
+        assert str(exc.value) == f"coefficient count {len(row)} != rank {p + 2}"
 
 
 def test_check_tails_looks_the_body_up_once(body_cache):
@@ -436,7 +394,7 @@ def test_check_tails_looks_the_body_up_once(body_cache):
     cfg = standard_configuration(5, 6)
     assert builds_and_reuses() == (1, 0)
     for batches in (1, 2):
-        check_tails(5, cfg.lattice.rank, body_rows(cfg), [cfg.classes[-1].coeffs] * 10)
+        check_tails(5, cfg.n + 1, body_rows(cfg), [cfg.classes[-1]] * 10)
         assert builds_and_reuses() == (1, batches)
 
 
@@ -444,20 +402,20 @@ def test_check_tails_refuses_a_body_of_another_lattice_or_length():
     """The argument checks of the constructor, with its exception types and
     messages: a body row of another rank, a body of another length, p < 2."""
     cfg = standard_configuration(4, 5)
-    body, tail = body_rows(cfg), cfg.classes[-1].coeffs
+    body, tail = body_rows(cfg), cfg.classes[-1]
+    rank = cfg.n + 1
     with pytest.raises(LatticeMismatchError, match="^candidate classes live in different lattices$"):
-        check_tails(4, cfg.lattice.rank + 1, body, [tail + (0,)])
+        check_tails(4, rank + 1, body, [tail + (0,)])
     with pytest.raises(ArityError, match="^C_5 needs exactly 4 classes, got 3$"):
-        check_tails(5, cfg.lattice.rank, body, [tail])
+        check_tails(5, rank, body, [tail])
     with pytest.raises(DomainError, match="^need p >= 2, got p = 1$"):
-        check_tails(1, cfg.lattice.rank, (), [tail])
-    lat = AmbientLattice(6)
-    classes = tuple(map(lat.vector, (row + (0,) for row in body))) + cfg.classes[-1:]
+        check_tails(1, rank, (), [tail])
+    classes = tuple(row + (0,) for row in body) + cfg.classes[-1:]
     for p, chosen in ((4, classes), (5, classes[1:]), (1, ())):
         with pytest.raises(RbdcalcError) as want:
             CpConfiguration(p, chosen)
         with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-            check_tails(p, cfg.lattice.rank, tuple(u.coeffs for u in chosen[:-1]), [tail])
+            check_tails(p, rank, chosen[:-1], [tail])
 
 
 def outcome(call):
@@ -477,13 +435,12 @@ def test_results_do_not_depend_on_call_history(cases, rng):
     call."""
     calls = []
     for p, n, rows, tails in cases:
-        lat = AmbientLattice(n)
         bumped = rows[:-1] + [rows[-1][:-1] + [rows[-1][-1] + 1]] if rows else rows
         for body in {tuple(map(tuple, body)) for body in (rows, bumped)}:
             for tail in tails:
-                classes = tuple(map(lat.vector, body + (tail,)))
+                classes = body + (tuple(tail),)
                 calls += [partial(verify_cp_configuration, classes, p), partial(CpConfiguration, p, classes)]
-            calls += [partial(check_tails, p, lat.rank, body, tails + extra) for extra in ([], [tails[0][:-1]])]
+            calls += [partial(check_tails, p, n + 1, body, tails + extra) for extra in ([], [tails[0][:-1]])]
     rng.shuffle(calls)
     _body_block.cache_clear()
     first = [outcome(call) for call in calls]
@@ -505,39 +462,37 @@ def body_support(body) -> set:
 
 def body_rows(cfg) -> tuple:
     """The coefficient rows of a configuration's body u_1..u_{p-2}."""
-    return tuple(u.coeffs for u in cfg.classes[:-1])
+    return cfg.classes[:-1]
 
 
 @lru_cache(maxsize=None)
 def passing_batch(kind):
-    """(p, lattice, body rows, passing tail rows) for one kind of body support."""
+    """(p, n, body rows, passing tail rows) for one kind of body support."""
     if kind == "h-body":
         # u_1 = h - e_1 - e_2 - e_4: the support {0, 1, 2, 4} holds the h
         # column and is not contiguous; tails by brute force over a box
-        lat = AmbientLattice(4)
         body = ((1, -1, -1, 0, -1),)
         rows = [
             x for x in product(range(-3, 4), repeat=5)
             if x[0] ** 2 - sum(c * c for c in x[1:]) == -5 and x[0] + x[1] + x[2] + x[4] == 1
         ]
-        return 3, lat, body, tuple(rows)
+        return 3, 4, body, tuple(rows)
     if kind == "free-pairs":
         # u_1 = e_1 - e_3, u_2 = e_3 - e_5: a chain body on the separate
         # columns {1, 3, 5}; a tail pairs 0 with u_1 (x_1 = x_3) and 1 with
         # u_2 (x_5 = x_3 + 1); tails by brute force over a box
-        lat = AmbientLattice(5)
         body = ((0, 1, 0, -1, 0, 0), (0, 0, 0, 1, 0, -1))
         rows = [
             x for x in product(range(-2, 3), repeat=6)
             if x[0] ** 2 - sum(c * c for c in x[1:]) == -6 and x[1] == x[3] == x[5] - 1
         ]
-        return 4, lat, body, tuple(rows)
+        return 4, 5, body, tuple(rows)
     template = {
         "empty": SearchTemplate.uniform(3, 2, 2),
         "contiguous": SearchTemplate.uniform(6, 5, 2),
     }[kind]
     hits = search_hits(template)
-    return template.p, AmbientLattice(hits.n), hits.body, hits.expand()
+    return template.p, hits.n, hits.body, hits.expand()
 
 
 def flip_a_support_sign(row, body):
@@ -555,13 +510,16 @@ CORRUPTIONS = {
 }
 
 
-def constructor_loop(p, lat, body, rows):
-    """The exception the constructor raises for the first row it rejects, or None."""
-    classes = tuple(ClassVector(lat, row) for row in body)
+def constructor_loop(p, n, body, rows):
+    """The exception the constructor raises for the first row it rejects,
+    or None; a row whose length is not the rank n + 1 is rejected before
+    the constructor, with the batch check's DomainError."""
     for row in rows:
+        if len(row) != n + 1:
+            return DomainError(f"coefficient count {len(row)} != rank {n + 1}")
         try:
-            CpConfiguration(p, classes + (ClassVector(lat, tuple(row)),))
-        except (InvalidConfigurationError, DomainError) as exc:
+            CpConfiguration(p, body + (tuple(row),))
+        except InvalidConfigurationError as exc:
             return exc
     return None
 
@@ -571,18 +529,18 @@ def batches_with_one_bad_row(draw):
     """Passing rows of one body, one of them corrupted, at the start, in the
     middle or at the end; rows as tuples or as lists, in a list."""
     kind = draw(st.sampled_from(("empty", "contiguous", "free-pairs", "h-body")))
-    p, lat, body, passing = passing_batch(kind)
+    p, n, body, passing = passing_batch(kind)
     corruption = draw(st.sampled_from(sorted(CORRUPTIONS)))
     if p == 2 and corruption == "pairings":
         corruption = "bump"  # an empty body has no pairings to break
     rows = draw(st.lists(st.sampled_from(passing), min_size=1, max_size=12))
     where = draw(st.sampled_from(("first", "middle", "last")))
     at = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
-    k = draw(st.integers(0, lat.n))
+    k = draw(st.integers(0, n))
     rows[at] = CORRUPTIONS[corruption](rows[at], body, k)
     if draw(st.booleans()):
         rows = [list(row) for row in rows]
-    return p, lat, body, rows
+    return p, n, body, rows
 
 
 @settings(max_examples=300)
@@ -591,12 +549,12 @@ def test_a_failing_batch_raises_what_the_constructor_raises(case):
     """The batch finds the bad row wherever it sits, and raises the
     exception type, message and report of the constructor's check on the
     first row that fails."""
-    p, lat, body, rows = case
-    want = constructor_loop(p, lat, body, rows)
+    p, n, body, rows = case
+    want = constructor_loop(p, n, body, rows)
     assert want is not None
     for given_rows in (rows, iter(rows)):
         with pytest.raises((InvalidConfigurationError, DomainError)) as got:
-            check_tails(p, lat.rank, body, given_rows)
+            check_tails(p, n + 1, body, given_rows)
         assert type(got.value) is type(want)
         assert str(got.value) == str(want)
         assert getattr(got.value, "report", None) == getattr(want, "report", None)
@@ -607,13 +565,13 @@ def test_passing_batches_pass_as_tuples_and_as_lists(kind):
     """Every kind of support: empty (p = 2), one contiguous run, separate
     columns, and the h column. A list row is checked as its tuple is, and
     an iterator of rows as their sequence is."""
-    p, lat, body, rows = passing_batch(kind)
-    assert len(rows) > 1 and constructor_loop(p, lat, body, rows) is None
+    p, n, body, rows = passing_batch(kind)
+    assert len(rows) > 1 and constructor_loop(p, n, body, rows) is None
     contiguous_support = contiguous(body_support(body))
     assert contiguous_support == (kind in ("empty", "contiguous"))
     assert (0 in body_support(body)) == (kind == "h-body")
     for given_rows in (rows, [list(row) for row in rows], iter(rows)):
-        check_tails(p, lat.rank, body, given_rows)
+        check_tails(p, n + 1, body, given_rows)
 
 
 @pytest.mark.parametrize(
@@ -628,14 +586,14 @@ def test_gather_reads_a_contiguous_support_as_one_slice(support, sliced):
 
 
 def assert_pairings_are_the_pairing_loop(cfg, x):
-    assert cfg.pairings(x) == tuple(pairing(x, u) for u in cfg.classes)
+    assert cfg.pairings(x) == tuple(row_pairing(x, u) for u in cfg.classes)
 
 
 @pytest.mark.parametrize("a, family", [(a, f) for a in (3, 4, 5, 6) for f in (1, 2)])
 def test_pairings_on_family_chains(a, family):
     cfg = family_configuration(a, family)
-    for i in range(cfg.lattice.rank):
-        assert_pairings_are_the_pairing_loop(cfg, cfg.lattice.basis_vector(i))
+    for i in range(cfg.n + 1):
+        assert_pairings_are_the_pairing_loop(cfg, basis_row(cfg.n, i))
     for u in cfg.classes:
         assert_pairings_are_the_pairing_loop(cfg, u)
 
@@ -645,7 +603,7 @@ def test_pairings_on_family_chains(a, family):
 def test_pairings_on_standard_chains(p, extra, data):
     n = p - 1 + extra
     cfg = standard_configuration(p, n)
-    x = cfg.lattice.vector(data.draw(st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)))
+    x = data.draw(st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1))
     assert_pairings_are_the_pairing_loop(cfg, x)
     assert cfg.pairings(cfg.classes[-1])[-2:] == ((1, -(p + 2)) if p > 2 else (-4,))
 
@@ -655,10 +613,9 @@ def test_pairings_on_standard_chains(p, extra, data):
 def test_pairings_on_generated_chains(case, data):
     """Generated chains that verify, paired with random classes of their lattice."""
     p, n, body, tails = case
-    lat = AmbientLattice(n)
-    x = lat.vector(data.draw(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1)))
+    x = data.draw(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1))
     for tail in tails:
-        classes = tuple(lat.vector(row) for row in body + [tail])
+        classes = body + [tail]
         if verify_cp_configuration(classes, p).ok:
             assert_pairings_are_the_pairing_loop(CpConfiguration(p=p, classes=classes), x)
 
@@ -666,7 +623,7 @@ def test_pairings_on_generated_chains(case, data):
 def test_pairings_refuse_a_class_of_another_lattice():
     cfg = standard_configuration(4)
     with pytest.raises(LatticeMismatchError, match="class lives in n = 5, configuration in n = 3"):
-        cfg.pairings(AmbientLattice(5).h())
+        cfg.pairings(basis_row(5, 0))
 
 
 def configuration_of(payload) -> CpConfiguration:
@@ -709,8 +666,7 @@ def test_from_json_schema_errors_are_package_errors(payload, message):
 
 
 def test_intersection_matrices():
-    lat = AmbientLattice(11)
-    classes = [lat.e(10) - lat.e(11), lat.vector([6] + [-2] * 10 + [-1])]
+    classes = [e_diff(11, 10, 11), (6,) + (-2,) * 10 + (-1,)]
     assert intersection_matrix(classes) == [[-2, 1], [1, -5]]
     assert intersection_matrix(standard_configuration(2).classes) == [[-4]]
     gram = intersection_matrix(family_classes(4, 1))
@@ -755,7 +711,7 @@ def test_standard_configuration_presents_cyclic_group(p):
 
 def test_standard_configuration_in_larger_lattice():
     cfg = standard_configuration(3, n=6)
-    assert cfg.lattice == AmbientLattice(6)
+    assert cfg.n == 6
     assert verify_cp_configuration(list(cfg.classes), 3).ok
 
 

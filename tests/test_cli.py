@@ -822,6 +822,23 @@ def test_reproduce_fails_blowdown_on_a_swapped_fixture(capsys, tmp_path):
     assert blowdown["report"]["homeo_type"] is None
 
 
+@pytest.mark.parametrize("n, index", [(5, 9), (9, 10)])
+def test_reproduce_fails_blowdown_when_the_witness_does_not_fit(capsys, tmp_path, n, index):
+    """A fixture holding a valid C_3 in an n too small for the case's
+    witness e_9 - e_10 ends at blowdown with the out-of-range index named:
+    no IndexError, and no index read from the row's end."""
+
+    def small(data):
+        data.update(standard_configuration(3, n).to_json())
+
+    code, case = reproduce_edited_a3(capsys, tmp_path, small)
+    assert (code, case["pass"]) == (1, False)
+    stages = case["stages"]
+    assert sorted(stages) == ["blowdown", "load", "verify"]
+    assert (stages["load"]["status"], stages["verify"]["status"]) == ("pass", "pass")
+    assert stages["blowdown"] == {"status": "fail", "error": f"DomainError: e_{index} out of range 1..{n}"}
+
+
 # configurations the golden runs read from their working directory, written from the library
 GENERATED_CONFIGS = {
     "family1_a11.json": lambda: family_configuration(11, 1).to_json(),
@@ -838,7 +855,7 @@ def golden_runs():
         path = f"{REL_FIXTURES}/{tag}.json"
         data = json.loads((REPO_ROOT / path).read_text())
         k, h = data["K"], json.dumps(data["H"])
-        delta = json.dumps(list(family_h1_witness(a, family).coeffs))
+        delta = json.dumps(list(family_h1_witness(a, family)))
         yield f"verify-config {tag}", ["verify-config", path]
         yield f"sw {tag}", ["sw", "--config", path, "--K", json.dumps(k), "--H", h]
         yield f"sw -K {tag}", ["sw", "--config", path, "--K", json.dumps([-c for c in k]), "--H", h]
@@ -957,7 +974,7 @@ def test_blowdown_without_delta_runs_no_section(capsys, monkeypatch, tmp_path):
     for p in (5, 7):
         target = rng.sample(range(1, 7), 6)
         signs = [rng.choice((1, -1)) for _ in range(6)]
-        rows = signed_permutation([u.coeffs for u in standard_configuration(p, 6).classes], target, signs)
+        rows = signed_permutation(standard_configuration(p, 6).classes, target, signs)
         divisors = smith_normal_form([[r[0]] + [-c for c in r[1:]] for r in rows]).diagonal
         chains[p] = (write_config(tmp_path, {"p": p, "n": 6, "classes": rows}, f"p{p}.json"), divisors)
     (tmp_path / "standard_p5_n6.json").write_text(json.dumps(GENERATED_CONFIGS["standard_p5_n6.json"]()))

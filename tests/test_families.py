@@ -9,7 +9,7 @@ import rbdcalc
 from rbdcalc import cli
 from rbdcalc.chains import ChainViolation, verify_cp_configuration
 from rbdcalc.errors import DomainError, TemplateError
-from rbdcalc.lattice import AmbientLattice, is_characteristic, pairing
+from rbdcalc.lattice import is_characteristic, row_pairing
 from rbdcalc.sw import CharacteristicData, d_invariant, lift_admissible
 
 from families import (
@@ -37,20 +37,18 @@ def test_dimension_tables():
 
 def test_first_family_smallest_case_classes():
     classes = family_classes(3, 1)
-    lat = classes[0].lattice
-    assert lat == AmbientLattice(11)
-    assert classes[0] == lat.e(10) - lat.e(11)
-    assert classes[1] == lat.vector([6] + [-2] * 10 + [-1])
+    assert {len(u) for u in classes} == {12}
+    assert classes[0] == (0,) * 10 + (1, -1)
+    assert classes[1] == (6,) + (-2,) * 10 + (-1,)
 
 
 def test_second_family_smallest_case_classes():
     classes = family_classes(3, 2)
-    lat = classes[0].lattice
-    assert lat == AmbientLattice(13)
-    assert classes[0] == lat.e(10) - lat.e(11)
-    assert classes[1] == lat.e(11) - lat.e(12)
-    assert classes[2] == lat.e(12) - lat.e(13)
-    assert classes[3] == lat.vector([6, 1, 1] + [-2] * 10 + [-1])
+    assert {len(u) for u in classes} == {14}
+    assert classes[0] == (0,) * 10 + (1, -1, 0, 0)
+    assert classes[1] == (0,) * 11 + (1, -1, 0)
+    assert classes[2] == (0,) * 12 + (1, -1)
+    assert classes[3] == (6, 1, 1) + (-2,) * 10 + (-1,)
 
 
 @pytest.mark.parametrize("a", range(3, 12))
@@ -124,10 +122,10 @@ def test_lift_is_characteristic_and_admissible(a, family):
 def test_period_point_is_orthogonal_and_spacelike(a, family, square):
     cfg = family_configuration(a, family)
     h = family_period_point(a, family)
-    assert h.square() == square
-    assert h.coeffs[0] > 0
+    assert row_pairing(h, h) == square
+    assert h[0] > 0
     for u in cfg.classes:
-        assert pairing(h, u) == 0
+        assert row_pairing(h, u) == 0
 
 
 @pytest.mark.parametrize(
@@ -145,7 +143,7 @@ def test_period_point_is_orthogonal_and_spacelike(a, family, square):
     ],
 )
 def test_lift_pairs_with_period_point(a, family, product):
-    assert pairing(family_lift(a, family), family_period_point(a, family)) == product
+    assert row_pairing(family_lift(a, family), family_period_point(a, family)) == product
 
 
 @pytest.mark.parametrize("a, family", NINE_CASES)
@@ -163,8 +161,7 @@ def test_handle_data_table():
 
 
 def test_h1_witness_formula():
-    lat = AmbientLattice(11)
-    assert family_h1_witness(3, 1) == lat.e(9) - lat.e(10)
+    assert family_h1_witness(3, 1) == (0,) * 9 + (1, -1, 0)
     with pytest.raises(DomainError):
         family_h1_witness(12, 1)
 
@@ -208,6 +205,6 @@ def test_fixture_payload_is_consistent(family, a):
     assert payload["p"] == chain_index(a, family)
     assert payload["n"] == exceptional_count(a, family)
     assert len(payload["classes"]) == payload["p"] - 1
-    assert payload["K"] == list(family_lift(a, family).coeffs)
-    assert payload["H"] == list(family_period_point(a, family).coeffs)
+    assert payload["K"] == list(family_lift(a, family))
+    assert payload["H"] == list(family_period_point(a, family))
     json.dumps(payload)

@@ -112,7 +112,7 @@ def test_cold_sw_loads_no_blowdown_search_or_snf():
 def test_cold_blowdown_loads_no_snf_search_or_sw(delta):
     argv = ["blowdown", str(A3)]
     if delta:
-        argv += ["--delta", json.dumps(family_h1_witness(3, 1).to_json())]
+        argv += ["--delta", json.dumps(list(family_h1_witness(3, 1)))]
     code, *loaded = fresh(RUN_AND_LIST, *argv)
     assert code == "0"
     assert "rbdcalc.blowdown" in loaded
@@ -302,6 +302,18 @@ def test_every_traced_module_imports():
     assert modules
     for module in modules:
         importlib.import_module(f"rbdcalc.{module}")
+
+
+def test_lattice_defines_no_class():
+    """A class of Z^{1,n} is its integer row, h first, in every module:
+    rbdcalc.lattice defines functions only, so a second class format
+    cannot come back unnoticed."""
+    source = (Path(rbdcalc.__file__).parent / "lattice.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == []
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    readers = {"strict_int", "field", "strict_object"}
+    assert functions == readers | {"class_row", "row_pairing", "is_characteristic"}
 
 
 def test_no_module_imports_dataclasses():

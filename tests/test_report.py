@@ -21,11 +21,10 @@ from rbdcalc.chains import (
     CpConfiguration,
     verify_cp_configuration,
 )
-from rbdcalc.errors import DomainError, InvalidConfigurationError
-from rbdcalc.lattice import AmbientLattice, ClassVector
+from rbdcalc.errors import DomainError, InvalidConfigurationError, PreconditionError
 from rbdcalc.report import Record, Report, dumps
 from rbdcalc.search import SearchTemplate
-from rbdcalc.sw import AdmissibilityReport, RestrictionReport, SwOutcome
+from rbdcalc.sw import AdmissibilityReport, CharacteristicData, RestrictionReport, SwOutcome
 
 from oracles import standard_configuration
 
@@ -45,7 +44,6 @@ class Sample(Report):
 
 
 def test_every_field_is_encoded_under_its_own_name():
-    lat = AmbientLattice(2)
     inner = Sample(1, False, "b", None, (), ())
     outer = Sample(7, True, "a", None, (1, -2), (inner,))
     assert outer.to_json() == {
@@ -56,7 +54,7 @@ def test_every_field_is_encoded_under_its_own_name():
         "values": [1, -2],
         "nested": [inner.to_json()],
     }
-    cert = H1Certificate("trivial", 1, lat.vector([0, 1, -1]), (1, 0), 1, (1, 1))
+    cert = H1Certificate("trivial", 1, (0, 1, -1), (1, 0), 1, (1, 1))
     assert cert.to_json()["witness"] == [0, 1, -1]
     json.dumps(outer.to_json())
 
@@ -172,12 +170,11 @@ def test_record_survives_pickling():
 
 
 def test_post_init_still_validates():
-    with pytest.raises(DomainError, match="coefficient count 2 != rank 3"):
-        ClassVector(AmbientLattice(2), (1, 2))
-    with pytest.raises(DomainError):
-        AmbientLattice(-1)
-    lat = AmbientLattice(1)
-    classes = (lat.vector([0, 1]),)
+    with pytest.raises(PreconditionError, match=r"coefficients at positions \[1\] are even"):
+        CharacteristicData((1, 2, 1))
+    with pytest.raises(DomainError, match="need n >= 1, got n = 0"):
+        SearchTemplate(n=0, p=2, tail_bounds=(0,))
+    classes = ((0, 1),)
     with pytest.raises(InvalidConfigurationError) as exc:
         CpConfiguration(p=2, classes=classes)
     assert exc.value.report == verify_cp_configuration(classes, 2)

@@ -26,7 +26,6 @@ from rbdcalc.errors import (
     SearchCapExceeded,
     TemplateError,
 )
-from rbdcalc.lattice import AmbientLattice, ClassVector
 from rbdcalc.search import (
     DEFAULT_CAP,
     MAX_N,
@@ -293,7 +292,7 @@ def test_theta_count_matches_search_on_reduced_boxes(template):
 def test_search_matches_brute_force():
     hits = configurations(search_hits(SearchTemplate.uniform(5, 2, 2)))
     assert len(hits) == 714
-    assert {cfg.classes[0].coeffs for cfg in hits} == brute_force_single_class(5, 2)
+    assert {cfg.classes[0] for cfg in hits} == brute_force_single_class(5, 2)
     for cfg in hits[:20]:
         assert verify_cp_configuration(cfg.classes, 2).ok
 
@@ -302,7 +301,7 @@ def test_search_matches_brute_force():
 @given(st.integers(1, 4), st.integers(0, 2))
 def test_search_matches_brute_force_on_small_boxes(n, bound):
     hits = configurations(search_hits(SearchTemplate.uniform(n, 2, bound)))
-    assert {cfg.classes[0].coeffs for cfg in hits} == brute_force_single_class(n, bound)
+    assert {cfg.classes[0] for cfg in hits} == brute_force_single_class(n, bound)
 
 
 def test_search_is_deterministic():
@@ -313,11 +312,13 @@ def test_search_is_deterministic():
 
 def test_placement_rows_through_the_verifier():
     """Body rows e_x - e_y of a placement plus a raw tail, as search builds them."""
-    lat = AmbientLattice(11)
 
     def classes(placement, tail):
         x, y = placement
-        return [lat.e(x) - lat.e(y), lat.vector(tail)]
+        body = [0] * 12
+        body[x] += 1
+        body[y] -= 1
+        return [body, tail]
 
     tail = (6,) + (-2,) * 10 + (-1,)
     assert verify_cp_configuration(classes((10, 11), tail), 3).ok
@@ -365,9 +366,9 @@ def test_enumerate_placement_leaves_no_reference_cycle():
 
 def corrupt_first_tail(monkeypatch, template, corrupt):
     """Make the enumerator return its first representative changed by
-    `corrupt`; the (body classes, bad representative) pair the searches
+    `corrupt`; the (body rows, bad representative) pair the searches
     will meet."""
-    body = body_classes(search_hits(template))
+    body = search_hits(template).body
     enumerate_placement = search_module._enumerate_placement
     reps = enumerate_placement(template)
     bad = corrupt(reps[0], _geometry(template)[0])
@@ -393,12 +394,6 @@ def orbit_of(template, row):
     return sign_orbit(row, (0,) + _geometry(template)[0])
 
 
-def body_classes(hits):
-    """The body rows of a search_hits result as classes."""
-    lat = AmbientLattice(hits.n)
-    return tuple(ClassVector(lat, row) for row in hits.body)
-
-
 @pytest.mark.parametrize("corrupt", [bump_c0, bump_free])
 def test_search_hits_keep_the_gram_check(monkeypatch, corrupt):
     """A representative the row check rejects is an enumerator bug:
@@ -408,9 +403,8 @@ def test_search_hits_keep_the_gram_check(monkeypatch, corrupt):
     Gram matrix."""
     template = family_question_template(11, "3-chain")
     body, bad = corrupt_first_tail(monkeypatch, template, corrupt)
-    lat = AmbientLattice(template.n)
     with pytest.raises(InvalidConfigurationError) as want:
-        CpConfiguration(template.p, body + (ClassVector(lat, bad),))
+        CpConfiguration(template.p, body + (bad,))
     with pytest.raises(ConsistencyError, match="fails the Gram check") as rows:
         configurations(search_hits(template))
     assert rows.value.__cause__.report == want.value.report
@@ -419,7 +413,7 @@ def test_search_hits_keep_the_gram_check(monkeypatch, corrupt):
     assert len(orbit) > 1
     for tail in orbit:
         with pytest.raises(InvalidConfigurationError) as member:
-            CpConfiguration(template.p, body + (ClassVector(lat, tail),))
+            CpConfiguration(template.p, body + (tail,))
         assert member.value.report == want.value.report
 
 
@@ -429,8 +423,9 @@ def test_search_hits_keep_the_gram_check(monkeypatch, corrupt):
 @pytest.mark.parametrize("cut", [lambda tail: tail[:-1], lambda tail: tail + (0,)])
 def test_search_hits_refuse_a_tail_of_the_wrong_length(monkeypatch, template, cut):
     """The row check reads the rank, also at p = 2 where the body is empty,
-    and raises what ClassVector raises on each member of that
-    representative's sign orbit: a sign flip keeps a row's length."""
+    and raises one DomainError naming the length of every member of that
+    representative's sign orbit and the rank: a sign flip keeps a row's
+    length."""
     if template.p == 2:
         bad = cut(search_module._enumerate_placement(template)[0])
         monkeypatch.setattr(search_module, "_enumerate_placement", lambda t: [bad])
@@ -439,10 +434,8 @@ def test_search_hits_refuse_a_tail_of_the_wrong_length(monkeypatch, template, cu
     with pytest.raises(DomainError) as rows:
         configurations(search_hits(template))
     for tail in orbit_of(template, bad):
-        with pytest.raises(DomainError) as want:
-            ClassVector(AmbientLattice(template.n), tail)
-        assert type(rows.value) is type(want.value)
-        assert str(rows.value) == str(want.value)
+        assert type(rows.value) is DomainError
+        assert str(rows.value) == f"coefficient count {len(tail)} != rank {template.n + 1}"
 
 
 def test_search_hits_refuse_a_flip_column_on_the_body(monkeypatch):
@@ -450,7 +443,7 @@ def test_search_hits_refuse_a_flip_column_on_the_body(monkeypatch):
     column on the body support raises ConsistencyError before any row is
     checked, and the constructor rejects every hit that flip adds."""
     template = family_question_template(8, "3-chain")
-    body = body_classes(search_hits(template))
+    body = search_hits(template).body
     reps = _enumerate_placement(template)
     free, run, t_range = _geometry(template)
     end = template.n
@@ -461,10 +454,9 @@ def test_search_hits_refuse_a_flip_column_on_the_body(monkeypatch):
     flips = (0,) + free
     flipped = set(_expand(flips + (end,), reps)) - set(_expand(flips, reps))
     assert flipped
-    lat = AmbientLattice(template.n)
     for tail in flipped:
         with pytest.raises(InvalidConfigurationError):
-            CpConfiguration(template.p, body + (ClassVector(lat, tail),))
+            CpConfiguration(template.p, body + (tail,))
 
 
 @pytest.mark.parametrize("a, rows, count", [(7, 163, 3894), (8, 74, 912)])
@@ -489,10 +481,10 @@ def assert_rows_agree_with_search(template):
     sorted."""
     hits = search_hits(template)
     built = configurations(hits)
-    assert all(tuple(u.coeffs for u in cfg.classes[:-1]) == hits.body for cfg in built)
+    assert all(cfg.classes[:-1] == hits.body for cfg in built)
     assert len(hits.body) == template.p - 2
-    assert built == sorted(built, key=lambda cfg: tuple(u.coeffs for u in cfg.classes))
-    assert hits.expand() == tuple(cfg.classes[-1].coeffs for cfg in built)
+    assert built == sorted(built, key=lambda cfg: cfg.classes)
+    assert hits.expand() == tuple(cfg.classes[-1] for cfg in built)
     assert hits.count == len(built)
     return hits
 
@@ -533,19 +525,11 @@ def test_search_hits_build_no_configuration(monkeypatch):
         configurations(search_hits(template))
 
 
-def test_search_hits_build_no_lattice_object(monkeypatch):
-    """The search works on integer rows: the 3-chain a=7 template's hits
-    come without one ClassVector or AmbientLattice, and every field of
-    SearchHits is an int or a tuple of int tuples."""
-
-    def refuse(self):
-        raise AssertionError(f"{type(self).__name__} built")
-
-    monkeypatch.setattr(ClassVector, "__post_init__", refuse)
-    monkeypatch.setattr(AmbientLattice, "__post_init__", refuse)
+def test_search_hits_are_integer_rows():
+    """The 3-chain a=7 template's hits: every field of SearchHits is an int
+    or a tuple of int tuples."""
     hits = search_hits(family_question_template(7, "3-chain"))
     assert hits.count == 3894
-    assert not {"AmbientLattice", "ClassVector"} & set(vars(search_module))
     assert SearchHits._fields == ("p", "n", "body", "flips", "reps")
     assert (type(hits.p), type(hits.n)) == (int, int)
     assert len(hits.body) == hits.p - 2 and len(hits.reps) == 163

@@ -14,7 +14,7 @@ from rbdcalc.chains import (
     cp_scaled_inverse,
 )
 from rbdcalc.errors import LatticeMismatchError, PreconditionError
-from rbdcalc.lattice import AmbientLattice, pairing
+from rbdcalc.lattice import row_pairing
 from rbdcalc.sw import (
     CharacteristicData,
     PeriodPoint,
@@ -30,7 +30,15 @@ from families import (
     family_lift,
     family_period_point,
 )
-from oracles import cremona, det, intersection_matrix, smith_normal_form, standard_configuration
+from oracles import (
+    basis_row,
+    combine,
+    cremona,
+    det,
+    intersection_matrix,
+    smith_normal_form,
+    standard_configuration,
+)
 
 NINE_CASES = [(a, 1) for a in range(3, 8)] + [(a, 2) for a in range(3, 7)]
 
@@ -43,10 +51,8 @@ def family_inputs(a, family):
 
 
 def test_dimension_examples():
-    lat = AmbientLattice(0)
-    assert d_invariant(CharacteristicData(lat.vector([3]))) == 0
-    lat10 = AmbientLattice(10)
-    assert d_invariant(CharacteristicData(lat10.vector([1] + [1] * 10))) == -2
+    assert d_invariant(CharacteristicData((3,))) == 0
+    assert d_invariant(CharacteristicData((1,) + (1,) * 10)) == -2
 
 
 @settings(max_examples=150)
@@ -56,60 +62,55 @@ def test_dimension_examples():
 def test_dimension_is_an_even_integer_for_every_characteristic_class(coeffs):
     """Odd squares are 1 mod 8, so K^2 = 1 - n (mod 8) and d = (K^2 - 9 + n)/4
     is even for every characteristic K (van der Blij: K^2 = sigma mod 8)."""
-    k = CharacteristicData(AmbientLattice(len(coeffs) - 1).vector(coeffs))
+    k = CharacteristicData(tuple(coeffs))
     d = d_invariant(k)
-    assert 4 * d == k.k.square() - 9 + k.k.lattice.n
+    assert 4 * d == row_pairing(k.k, k.k) - 9 + len(coeffs) - 1
     assert d % 2 == 0
 
 
 def test_characteristic_data_rejects_even_coefficients():
-    lat = AmbientLattice(2)
     with pytest.raises(PreconditionError):
-        CharacteristicData(lat.vector([3, -1, 0]))
+        CharacteristicData((3, -1, 0))
 
 
 def test_period_point_preconditions():
-    lat = AmbientLattice(2)
     with pytest.raises(PreconditionError):
-        PeriodPoint(lat.e(1))
+        PeriodPoint(basis_row(2, 1))
     with pytest.raises(PreconditionError):
-        PeriodPoint(lat.vector([-1, 0, 0]))
+        PeriodPoint((-1, 0, 0))
     with pytest.raises(PreconditionError):
-        PeriodPoint(lat.vector([1, 1, 0]))
+        PeriodPoint((1, 1, 0))
 
 
 def test_wall_crossing_on_zero_dimensional_class():
-    lat = AmbientLattice(10)
-    k = CharacteristicData(lat.vector([3] + [-1] * 10))
+    k = CharacteristicData((3,) + (-1,) * 10)
     assert d_invariant(k) == 0
-    pos = PeriodPoint(lat.h())
-    neg = PeriodPoint(lat.vector([10] + [-3] * 9 + [-4]))
-    assert pairing(k.k, pos.vector) == 3
-    assert pairing(k.k, neg.vector) == -1
+    pos = PeriodPoint(basis_row(10, 0))
+    neg = PeriodPoint((10,) + (-3,) * 9 + (-4,))
+    assert row_pairing(k.k, pos.vector) == 3
+    assert row_pairing(k.k, neg.vector) == -1
     assert wall_crossing(k, pos, neg, 0) == 1
     assert wall_crossing(k, neg, pos, 0) == -1
     assert wall_crossing(k, pos, pos, 7) == 7
 
 
 def test_wall_crossing_on_two_dimensional_class():
-    lat = AmbientLattice(18)
-    k = CharacteristicData(lat.vector([5, 3] + [1] * 17))
+    k = CharacteristicData((5, 3) + (1,) * 17)
     assert d_invariant(k) == 2
-    start = PeriodPoint(lat.h())
-    end = PeriodPoint(lat.vector([51, 30] + [10] * 17))
-    assert end.vector.square() == 1
-    assert pairing(k.k, end.vector) == -5
+    start = PeriodPoint(basis_row(18, 0))
+    end = PeriodPoint((51, 30) + (10,) * 17)
+    assert row_pairing(end.vector, end.vector) == 1
+    assert row_pairing(k.k, end.vector) == -5
     assert wall_crossing(k, start, end, 0) == -1
     assert wall_crossing(k, end, start, 0) == 1
 
 
 def test_wall_crossing_rejects_walls():
-    lat = AmbientLattice(10)
-    k = CharacteristicData(lat.vector([3] + [-1] * 10))
-    wall = PeriodPoint(lat.vector([10] + [-3] * 10))
-    assert wall.vector.square() == 10
-    assert pairing(k.k, wall.vector) == 0
-    chamber = PeriodPoint(lat.h())
+    k = CharacteristicData((3,) + (-1,) * 10)
+    wall = PeriodPoint((10,) + (-3,) * 10)
+    assert row_pairing(wall.vector, wall.vector) == 10
+    assert row_pairing(k.k, wall.vector) == 0
+    chamber = PeriodPoint(basis_row(10, 0))
     with pytest.raises(PreconditionError):
         wall_crossing(k, wall, chamber, 0)
     with pytest.raises(PreconditionError):
@@ -117,17 +118,16 @@ def test_wall_crossing_rejects_walls():
 
 
 def test_wall_crossing_rejects_negative_dimension():
-    lat = AmbientLattice(10)
-    k = CharacteristicData(lat.vector([1] + [1] * 10))
+    k = CharacteristicData((1,) + (1,) * 10)
+    h = PeriodPoint(basis_row(10, 0))
     with pytest.raises(PreconditionError):
-        wall_crossing(k, PeriodPoint(lat.h()), PeriodPoint(lat.h()), 0)
+        wall_crossing(k, h, h, 0)
 
 
 def test_wall_crossing_rejects_foreign_period_point():
-    lat = AmbientLattice(10)
-    k = CharacteristicData(lat.vector([3] + [-1] * 10))
+    k = CharacteristicData((3,) + (-1,) * 10)
     with pytest.raises(LatticeMismatchError):
-        wall_crossing(k, PeriodPoint(AmbientLattice(2).h()), PeriodPoint(lat.h()), 0)
+        wall_crossing(k, PeriodPoint(basis_row(2, 0)), PeriodPoint(basis_row(10, 0)), 0)
 
 
 def test_lift_admissibility_pairings():
@@ -143,7 +143,7 @@ def test_lift_admissibility_pairings():
 
 def test_inadmissible_lift_reported():
     cfg = family_configuration(3, 1)
-    k = CharacteristicData(cfg.lattice.vector([1] + [1] * 11))
+    k = CharacteristicData((1,) + (1,) * 11)
     report = lift_admissible(k, cfg)
     assert not report.ok
     assert report.pairings == (0, 27)
@@ -153,7 +153,7 @@ def test_inadmissible_lift_reported():
 def test_restriction_square_for_minimal_lifts(p):
     """K = h - e_1 - ... - e_{p-1} restricts with square exactly 1 - p."""
     cfg = standard_configuration(p)
-    k = CharacteristicData(cfg.lattice.vector([1] + [-1] * (p - 1)))
+    k = CharacteristicData((1,) + (-1,) * (p - 1))
     adm = lift_admissible(k, cfg)
     assert adm.ok
     report = restriction_conditions(adm)
@@ -164,9 +164,8 @@ def test_restriction_square_for_minimal_lifts(p):
 def test_restriction_refuses_a_lift_that_does_not_descend():
     """A lift pairing 0, not +/-2, with the C_2 class (rational square 0)
     has no restriction certificate."""
-    lat = AmbientLattice(4)
-    cfg = CpConfiguration(2, (lat.vector([0, 1, 1, 1, 1]),))
-    k = CharacteristicData(lat.vector([1, 1, 1, -1, -1]))
+    cfg = CpConfiguration(2, ((0, 1, 1, 1, 1),))
+    k = CharacteristicData((1, 1, 1, -1, -1))
     adm = lift_admissible(k, cfg)
     assert (adm.ok, adm.pairings) == (False, (0,))
     with pytest.raises(PreconditionError, match=r"does not descend: pairings \[0\] are not"):
@@ -205,7 +204,7 @@ def oracle_restriction(k, cfg):
     """(square, gram_divisors) from the configuration's own Gram matrix: a
     rational solve of Q x = k and a fresh Smith normal form."""
     q = intersection_matrix(cfg.classes)
-    kv = [pairing(k.k, u) for u in cfg.classes]
+    kv = [row_pairing(k.k, u) for u in cfg.classes]
     square = sum(a * b for a, b in zip(kv, fraction_solve(q, kv)))
     return square, smith_normal_form(q).diagonal
 
@@ -219,8 +218,7 @@ def move(coeffs, target, signs):
 
 
 def signed_permutation(cfg, target, signs):
-    lat = cfg.lattice
-    return CpConfiguration(cfg.p, tuple(lat.vector(move(u.coeffs, target, signs)) for u in cfg.classes))
+    return CpConfiguration(cfg.p, [move(u, target, signs) for u in cfg.classes])
 
 
 @st.composite
@@ -236,7 +234,7 @@ def chains_and_admissible_lifts(draw, p):
     target = draw(st.permutations(range(1, n + 1)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     cfg = signed_permutation(standard_configuration(p, n), target, signs)
-    return cfg, CharacteristicData(cfg.lattice.vector(move(coeffs, target, signs)))
+    return cfg, CharacteristicData(tuple(move(coeffs, target, signs)))
 
 
 @pytest.mark.parametrize("p", range(2, 36))
@@ -293,7 +291,7 @@ def test_pipeline_certifies_all_nine_cases(a, family):
 @pytest.mark.parametrize("a, family", NINE_CASES)
 def test_pipeline_is_antisymmetric_in_the_class(a, family):
     cfg, k, h = family_inputs(a, family)
-    negated = sw_on_blowdown(cfg, CharacteristicData(-k.k), h)
+    negated = sw_on_blowdown(cfg, CharacteristicData(combine(-1, k.k, 0, k.k)), h)
     assert negated.value == -1
     assert negated.branch == "negative-to-positive"
     assert negated.exotic_certificate
@@ -303,7 +301,7 @@ def shifted_lift_inputs():
     """The (cfg, K, H) of test_pipeline_positive_dimension_without_crossing:
     family 1 at a = 3 with K + 2H, d = 22, on the no-crossing branch."""
     cfg, k, h = family_inputs(3, 1)
-    return cfg, CharacteristicData(k.k + 2 * h.vector), h
+    return cfg, CharacteristicData(combine(1, k.k, 2, h.vector)), h
 
 
 @st.composite
@@ -316,8 +314,8 @@ def fixture_images(draw):
         st.sampled_from(NINE_CASES).map(lambda case: family_inputs(*case)),
         st.builds(shifted_lift_inputs),
     ))
-    n = cfg.lattice.n
-    rows = [u.coeffs for u in cfg.classes] + [k.k.coeffs, h.vector.coeffs]
+    n = cfg.n
+    rows = [*cfg.classes, k.k, h.vector]
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
             rows = cremona(rows, *draw(st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True)))
@@ -325,7 +323,7 @@ def fixture_images(draw):
             target = draw(st.permutations(range(1, n + 1)))
             signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
             rows = [move(row, target, signs) for row in rows]
-    *classes, k_row, h_row = map(cfg.lattice.vector, rows)
+    *classes, k_row, h_row = map(tuple, rows)
     return CpConfiguration(cfg.p, tuple(classes)), CharacteristicData(k_row), PeriodPoint(h_row)
 
 
@@ -340,7 +338,7 @@ def test_negating_the_lift_negates_the_value():
     def check(inputs):
         cfg, k, h = inputs
         outcome = sw_on_blowdown(cfg, k, h)
-        negated = sw_on_blowdown(cfg, CharacteristicData(-k.k), h)
+        negated = sw_on_blowdown(cfg, CharacteristicData(combine(-1, k.k, 0, k.k)), h)
         assert negated.value == -outcome.value
         assert negated.d == outcome.d in (0, 22)
         assert negated.admissibility.ok and outcome.admissibility.ok
@@ -353,26 +351,25 @@ def test_negating_the_lift_negates_the_value():
 
 def test_pipeline_value_is_chamber_independent():
     cfg, k, h = family_inputs(3, 1)
-    lat = cfg.lattice
     others = [
-        PeriodPoint(5 * h.vector),
-        PeriodPoint(lat.vector([69, -37, -17] + [-18] * 9)),
+        PeriodPoint(combine(5, h.vector, 0, h.vector)),
+        PeriodPoint((69, -37, -17) + (-18,) * 9),
     ]
     for other in others:
         for u in cfg.classes:
-            assert pairing(other.vector, u) == 0
+            assert row_pairing(other.vector, u) == 0
         assert sw_on_blowdown(cfg, k, other).value == 1
 
 
 def test_pipeline_rejects_nonorthogonal_period_point():
     cfg, k, _ = family_inputs(3, 1)
     with pytest.raises(PreconditionError, match="not orthogonal"):
-        sw_on_blowdown(cfg, k, PeriodPoint(cfg.lattice.h()))
+        sw_on_blowdown(cfg, k, PeriodPoint(basis_row(cfg.n, 0)))
 
 
 def test_pipeline_rejects_inadmissible_lift():
     cfg, _, h = family_inputs(3, 1)
-    bad = CharacteristicData(cfg.lattice.vector([1] + [1] * 11))
+    bad = CharacteristicData((1,) + (1,) * 11)
     with pytest.raises(PreconditionError, match="does not descend"):
         sw_on_blowdown(cfg, bad, h)
 
@@ -381,9 +378,8 @@ def test_pipeline_rejects_a_lift_or_period_point_of_another_lattice():
     """The lift and H are paired with the configuration, which refuses a
     class of another lattice."""
     cfg, k, h = family_inputs(3, 1)
-    other = AmbientLattice(cfg.lattice.n + 1)
-    foreign_k = CharacteristicData(other.vector(k.k.coeffs + (1,)))
-    foreign_h = PeriodPoint(other.vector(h.vector.coeffs + (0,)))
+    foreign_k = CharacteristicData(k.k + (1,))
+    foreign_h = PeriodPoint(h.vector + (0,))
     with pytest.raises(LatticeMismatchError, match="configuration in n = 11"):
         sw_on_blowdown(cfg, foreign_k, h)
     with pytest.raises(LatticeMismatchError, match="configuration in n = 11"):
@@ -392,15 +388,14 @@ def test_pipeline_rejects_a_lift_or_period_point_of_another_lattice():
 
 def test_pipeline_rejects_large_remaining_negative_part():
     cfg = standard_configuration(2, n=11)
-    k = CharacteristicData(cfg.lattice.vector([1] + [1] * 11))
+    k = CharacteristicData((1,) + (1,) * 11)
     with pytest.raises(PreconditionError, match="b2-"):
-        sw_on_blowdown(cfg, k, PeriodPoint(cfg.lattice.h()))
+        sw_on_blowdown(cfg, k, PeriodPoint(basis_row(cfg.n, 0)))
 
 
 def test_pipeline_negative_dimension_branch():
     cfg, _, h = family_inputs(3, 1)
-    lat = cfg.lattice
-    k = CharacteristicData(lat.vector([3, -3, 1] + [-1] * 9))
+    k = CharacteristicData((3, -3, 1) + (-1,) * 9)
     assert lift_admissible(k, cfg).ok
     assert d_invariant(k) == -2
     outcome = sw_on_blowdown(cfg, k, h)
@@ -412,7 +407,7 @@ def test_pipeline_negative_dimension_branch():
 
 def test_pipeline_positive_dimension_without_crossing():
     cfg, k, h = family_inputs(3, 1)
-    shifted = CharacteristicData(k.k + 2 * h.vector)
+    shifted = CharacteristicData(combine(1, k.k, 2, h.vector))
     assert d_invariant(shifted) == 22
     outcome = sw_on_blowdown(cfg, shifted, h)
     assert outcome.value == 0
