@@ -120,11 +120,12 @@ def _basis_witness(columns: list[tuple[int, ...]], p: int) -> tuple[int, ...] | 
 def h1_certificate(cfg: CpConfiguration, delta: Sequence[int] | None = None) -> H1Certificate:
     """Decide the first homology of the blowdown, with a re-checkable certificate.
 
-    With an explicit delta, only that class is tested: "trivial" if it meets
-    a condition, else "inconclusive". Otherwise the answer is exact: the
-    complement of C_p has H1 = coker r for the restriction map
-    r(x) = (x.u_1, ..., x.u_{p-1}), and gluing in the rational ball (H1 = Z/p)
-    leaves H1 = Z/gcd(|coker r|, p) (Fintushel-Stern, JDG 1997).
+    With an explicit delta, only that class is tested: "trivial" if it meets a
+    condition, else "inconclusive"; delta must be a row of exact ints, as the
+    CLI's class_row reads it. Otherwise the answer is exact: the complement of
+    C_p has H1 = coker r for the restriction map r(x) = (x.u_1, ..., x.u_{p-1}),
+    and gluing in the rational ball (H1 = Z/p) leaves H1 = Z/gcd(|coker r|, p)
+    (Fintushel-Stern, JDG 1997).
 
     The cokernel has a closed form. Let S be the span of the classes in the
     unimodular Z^{1,n} and S_sat its saturation. Every functional on the
@@ -271,7 +272,9 @@ class BlowdownReport(Report):
     handle_counts: tuple[int, int, int, int, int] | None
 
 
-def full_blowdown_report(cfg: CpConfiguration, delta: Sequence[int] | None = None) -> BlowdownReport:
+def full_blowdown_report(
+    cfg: CpConfiguration, delta: Sequence[int] | None = None
+) -> BlowdownReport:
     """Run the whole certificate pipeline for one configuration."""
     inv = blowdown_invariants(cfg)
     h1 = h1_certificate(cfg, delta=delta)

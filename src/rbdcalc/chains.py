@@ -5,10 +5,12 @@ Gram matrix is the negative-definite tridiagonal
 
     diag(-2, ..., -2, -(p+2))  with +1 on the off-diagonals,
 
-long class last. Its boundary is the lens space L(p^2, p-1), whose surgery
-weights are the negative continued fraction of p^2/(p-1): [p+2, 2, ..., 2]
-(p-2 twos). The weight list reads from the long class inward, i.e. it is the
-reversal of the class order used here.
+long class last: cp_gram(p), the one statement of the pattern, which the
+Gram check, its violation scan and its reports all compare against. Its
+boundary is the lens space L(p^2, p-1), whose surgery weights are the
+negative continued fraction of p^2/(p-1): [p+2, 2, ..., 2] (p-2 twos). The
+weight list reads from the long class inward, i.e. it is the reversal of
+the class order used here.
 
 One Gram check on coefficient rows, _check, runs behind the CpConfiguration
 constructor and verify_cp_configuration, each with one long-class row, and
@@ -61,9 +63,14 @@ class ChainReport(Report):
     squares: tuple[int, ...]
 
 
-def expected_square(i: int, p: int) -> int:
-    """Required self-intersection of u_i: -2 for the body, -(p+2) for the last."""
-    return -(p + 2) if i == p - 1 else -2
+@lru_cache(maxsize=32)
+def cp_gram(p: int) -> tuple[tuple[int, ...], ...]:
+    """The C_p Gram matrix, every verified configuration's entry for entry:
+    squares -2 on the body and -(p+2) on the long class, 1 on consecutive
+    pairs, 0 on distant ones."""
+    squares = (-2,) * (p - 2) + (-(p + 2),)
+    rows = range(p - 1)
+    return tuple(tuple(squares[i] if i == j else int(abs(i - j) == 1) for j in rows) for i in rows)
 
 
 def _gather(support: tuple[int, ...]):
@@ -85,9 +92,9 @@ def _gather(support: tuple[int, ...]):
 # passes, the fixtures of one replay, the tests.
 @lru_cache(maxsize=32)
 def _body_block(body: tuple[tuple[int, ...], ...]):
-    """(Gram block, its diagonal, block ok, want, gather, pairings) of u_1..u_{p-2}.
+    """(Gram block, block ok, gather, pairings) of u_1..u_{p-2}.
 
-    want is the tuple of body pairings a long class must have. gather reads
+    The block is ok when it is the leading block of cp_gram(p). gather reads
     a row's values at the body's support, the sorted columns where some body
     row is nonzero; pairings maps those values to the row's pairings with
     the body, from sparse functionals (row i, support position j, signed
@@ -95,7 +102,6 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
     O(nnz). The rows have one length: _check_shape checked it.
     """
     m = len(body)
-    chain = tuple(tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(m)) for i in range(m))
     support = tuple(sorted({k for row in body for k, c in enumerate(row) if c}))
     position = {k: j for j, k in enumerate(support)}
     functionals = tuple(
@@ -111,10 +117,7 @@ def _body_block(body: tuple[tuple[int, ...], ...]):
 
     gather = _gather(support)
     gram = tuple(pairings(gather(x)) for x in body)
-    # u_{p-2}.u_{p-1} = 1 and every other body pairing with the long class 0
-    want = (0,) * (m - 1) + (1,) * (m > 0)
-    squares = tuple(gram[i][i] for i in range(m))
-    return gram, squares, gram == chain, want, gather, pairings
+    return gram, gram == tuple(row[:m] for row in cp_gram(m + 2)[:m]), gather, pairings
 
 
 def _rows(classes) -> tuple[tuple[int, ...], ...]:
@@ -127,21 +130,24 @@ def _rows(classes) -> tuple[tuple[int, ...], ...]:
 
 
 def _first_violation(gram: Sequence[Sequence[int]], p: int) -> ChainViolation | None:
-    """First entry of a full Gram matrix off the C_p pattern, in scan order."""
-    for i in range(1, p):
-        want, got = expected_square(i, p), gram[i - 1][i - 1]
-        if got != want:
-            return ChainViolation("square", (i,), want, got)
-    for i in range(1, p - 1):
-        got = gram[i - 1][i]
-        if got != 1:
-            return ChainViolation("consecutive_pairing", (i, i + 1), 1, got)
-    for i in range(1, p):
-        for j in range(i + 2, p):
-            got = gram[i - 1][j - 1]
-            if got != 0:
-                return ChainViolation("distant_pairing", (i, j), 0, got)
+    """First entry of a full Gram matrix off cp_gram(p), in scan order: the
+    squares in class order, then the consecutive pairings, then the distant
+    pairs in lexicographic order. |i - j| names the kind."""
+    want = cp_gram(p)
+    cells = sorted((min(j - i, 2), i, j) for i in range(p - 1) for j in range(i, p - 1))
+    for d, i, j in cells:
+        if gram[i][j] != want[i][j]:
+            kind = ("square", "consecutive_pairing", "distant_pairing")[d]
+            indices = (i + 1,) if d == 0 else (i + 1, j + 1)
+            return ChainViolation(kind, indices, want[i][j], gram[i][j])
     return None
+
+
+def _report(p: int, gram: Sequence[Sequence[int]]) -> ChainReport:
+    """The report on a full Gram matrix: its first violation and its diagonal."""
+    violation = _first_violation(gram, p)
+    squares = tuple(row[i] for i, row in enumerate(gram))
+    return ChainReport(p=p, ok=violation is None, violation=violation, squares=squares)
 
 
 def _check(p: int, body: tuple[tuple[int, ...], ...], tails, rank: int) -> ChainReport | None:
@@ -150,38 +156,32 @@ def _check(p: int, body: tuple[tuple[int, ...], ...], tails, rank: int) -> Chain
 
     The rows are checked as one batch, in passes at C level over them:
     every row's length against the rank, then the body pairings once per
-    distinct support value, then every row's square, sum x_i^2 ==
-    2 x_0^2 + p + 2 over the whole row (that is, row_pairing(x, x) ==
-    -(p + 2)), summed by lazy iterators. Tails given as a tuple of tuples
+    distinct support value, then every row's square, row_pairing(x, x) =
+    2 x_0^2 - sum x_i^2 over the whole row, summed by lazy iterators; both
+    against the last row of cp_gram(p). Tails given as a tuple of tuples
     are read in place; any other rows are copied into one first. Only a
     failing batch is scanned row by row: a row of the wrong length raises
-    DomainError, and the first row that fails gets its report. The report
-    scans the full matrix in a fixed order, so its violation is
-    deterministic: squares in class order, then consecutive pairings, then
-    distant pairs in lexicographic order.
+    DomainError, and the first row that fails gets the report on its full
+    Gram matrix, whose violation is the first in scan order.
     """
-    gram, body_squares, body_ok, want, gather, pairings = _body_block(body)
+    gram, body_ok, gather, pairings = _body_block(body)
     tails = _rows(tails)
-    square = p + 2  # sum x_i^2 - 2 x_0^2 over a passing row
+    last = cp_gram(p)[-1]
+    want, square = last[:-1], last[-1]
     if (
         body_ok
         and set(map(len, tails)) <= {rank}
         and all(pairings(values) == want for values in set(map(gather, tails)))
-        and all(sum(map(mul, x, x)) == 2 * x[0] * x[0] + square for x in tails)
+        and all(2 * x[0] * x[0] - sum(map(mul, x, x)) == square for x in tails)
     ):
         return None
     for tail in tails:
         if len(tail) != rank:
             raise DomainError(f"coefficient count {len(tail)} != rank {rank}")
-        tail_pairings = pairings(gather(tail))
-        tail_square = row_pairing(tail, tail)
-        if body_ok and tail_square == -square and tail_pairings == want:
+        row = (*pairings(gather(tail)), row_pairing(tail, tail))
+        if body_ok and row == last:
             continue
-        full = [list(row) + [b] for row, b in zip(gram, tail_pairings)]
-        full.append([*tail_pairings, tail_square])
-        violation = _first_violation(full, p)
-        squares = body_squares + (tail_square,)
-        return ChainReport(p=p, ok=violation is None, violation=violation, squares=squares)
+        return _report(p, (*(b + (t,) for b, t in zip(gram, row)), row))
 
 
 def _check_shape(p: int, count: int, rows, rank: int) -> None:
@@ -203,8 +203,8 @@ def _check_classes(rows: tuple[tuple[int, ...], ...], p: int) -> ChainReport | N
 
 
 def _passing_report(p: int) -> ChainReport:
-    """The report of classes that passed the check: ok, with the expected squares."""
-    squares = tuple(expected_square(i, p) for i in range(1, p))
+    """The report of classes that passed: ok, cp_gram(p)'s diagonal, no scan."""
+    squares = tuple(row[i] for i, row in enumerate(cp_gram(p)))
     return ChainReport(p=p, ok=True, violation=None, squares=squares)
 
 
@@ -262,7 +262,8 @@ def parse_configuration(data) -> tuple[int, tuple[tuple[int, ...], ...]]:
 class CpConfiguration(Record):
     """A verified C_p configuration: p and the p - 1 class rows of Z^{1,n},
     long class last, held as a tuple of int tuples (other sequences are
-    copied into one).
+    copied into one). The rows must hold exact ints, whose type only the
+    CLI's reader, class_row, checks (see README "Library layout").
 
     Every construction runs the Gram check that verify_cp_configuration
     runs, and raises InvalidConfigurationError with the same report on
@@ -304,15 +305,6 @@ class CpConfiguration(Record):
             "n": self.n,
             "classes": [list(u) for u in self.classes],
         }
-
-
-@lru_cache(maxsize=32)
-def cp_gram(p: int) -> tuple[tuple[int, ...], ...]:
-    """The C_p Gram matrix: every verified configuration's Gram matrix, entry for entry."""
-    return tuple(
-        tuple(expected_square(i + 1, p) if i == j else int(abs(i - j) == 1) for j in range(p - 1))
-        for i in range(p - 1)
-    )
 
 
 def cp_det(p: int) -> int:

@@ -19,7 +19,7 @@ class ArityError(RbdcalcError, ValueError):
 
 
 class LatticeMismatchError(RbdcalcError, ValueError):
-    """Vectors from different ambient lattices were combined."""
+    """Class rows of different lengths, so of different ambients, were combined."""
 
 
 class PreconditionError(RbdcalcError, ValueError):

@@ -24,14 +24,15 @@ expanded in C with each signed tail exactly once, is a set of hits that
 share one Gram matrix. The walk visits at most prod(b + 1) leaves where
 the box has prod(2b + 1) points.
 search_hits returns the hits as sign orbits in integer rows: the body
-rows, the flip columns and one representative row per orbit. The sign orbit is the unit of the Gram check: the flip
-columns are checked once against the body support, and each
-representative, not each hit, goes through the one Gram check that the
-CpConfiguration constructor runs (chains.check_tails), all of them as one
-batch against the body rows. An orbit is expanded only when its hits are
-read: SearchHits.expand gives every hit's row, and SearchHits.rows every
-hit's row as JSON text, which expands only the flip columns, since every
-column after the last of them is constant on an orbit.
+rows, the flip columns and one representative row per orbit. The sign
+orbit is the unit of the Gram check: the flip columns are checked once
+against the body support, and each representative, not each hit, goes
+through the one Gram check that the CpConfiguration constructor runs
+(chains.check_tails), all of them as one batch against the body rows. An
+orbit is expanded only when its hits are read: SearchHits.expand gives
+every hit's row, and SearchHits.rows every hit's row as JSON text, which
+expands only the flip columns, since every column after the last of them
+is constant on an orbit.
 
 Everything is deterministic: coordinate order and value order are fixed,
 and the hits are read sorted by their class coefficient tuples.

@@ -25,7 +25,8 @@ from .report import Record, Report
 
 
 class CharacteristicData(Record):
-    """A characteristic class on the ambient CP^2 # n CPbar^2, as its row."""
+    """A characteristic class on the ambient CP^2 # n CPbar^2, as its row of
+    exact ints, whose type only the CLI's reader, class_row, checks."""
 
     k: tuple[int, ...]
 
@@ -38,7 +39,8 @@ class CharacteristicData(Record):
 
 
 class PeriodPoint(Record):
-    """A positive-square class in the forward cone, defining a chamber, as its row."""
+    """A positive-square class in the forward cone, defining a chamber, as
+    its row of exact ints, whose type only the CLI's reader, class_row, checks."""
 
     vector: tuple[int, ...]
 
@@ -91,7 +93,7 @@ def wall_crossing(
     d = d_invariant(k)
     if d < 0:
         raise PreconditionError(f"crossing formula needs d >= 0, got d = {d}")
-    inc, _ = _crossing(_sign(row_pairing(k.k, start.vector)), _sign(row_pairing(k.k, end.vector)), d)
+    inc, _ = _crossing(*(_sign(row_pairing(k.k, x.vector)) for x in (start, end)), d)
     return base_value + inc
 
 

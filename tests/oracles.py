@@ -69,6 +69,19 @@ def intersection_matrix(classes) -> list[list[int]]:
     return [[row_pairing(x, y) for y in classes] for x in classes]
 
 
+def cp_pattern(p: int) -> tuple[tuple[int, ...], ...]:
+    """The C_p Gram matrix written out cell by cell, with nothing read from
+    rbdcalc.chains: -2 down the diagonal but -(p+2) in its last cell, 1 on
+    the cells beside it, 0 elsewhere."""
+    q = [[0] * (p - 1) for _ in range(p - 1)]
+    for i in range(p - 1):
+        q[i][i] = -2
+        if i + 1 < p - 1:
+            q[i][i + 1] = q[i + 1][i] = 1
+    q[-1][-1] = -(p + 2)
+    return tuple(map(tuple, q))
+
+
 def basis_row(n: int, i: int) -> tuple[int, ...]:
     """The row of h (i = 0) or e_i (1 <= i <= n) in Z^{1,n}."""
     return (0,) * i + (1,) + (0,) * (n - i)

@@ -20,7 +20,6 @@ from rbdcalc.chains import (
     _gather,
     check_tails,
     cp_gram,
-    expected_square,
     lens_space_cf,
     parse_configuration,
     verify_cp_configuration,
@@ -41,6 +40,7 @@ from oracles import det as int_det
 from oracles import (
     basis_row,
     configurations,
+    cp_pattern,
     evaluate_neg_cf,
     intersection_matrix,
     smith_normal_form,
@@ -49,9 +49,13 @@ from oracles import (
 from probe_open_range import family_question_template
 
 
-def test_expected_squares():
-    assert [expected_square(i, 5) for i in range(1, 5)] == [-2, -2, -2, -7]
-    assert expected_square(1, 2) == -4
+def test_cp_gram_is_the_written_out_pattern():
+    """cp_gram, the one statement of the pattern in the package, against
+    the oracle's cell-by-cell one, on every entry."""
+    for p in range(2, 41):
+        assert cp_gram(p) == cp_pattern(p)
+    assert cp_gram(5) == ((-2, 1, 0, 0), (1, -2, 1, 0), (0, 1, -2, 1), (0, 0, 1, -7))
+    assert cp_gram(2) == ((-4,),)
 
 
 def e_diff(n, i, j):
@@ -135,13 +139,17 @@ def test_constructor_accepts_good_configuration():
 
 
 def reference_report(classes, p):
-    """Scan intersection_matrix in the documented order: squares, then
-    consecutive pairings, then distant pairs lexicographically."""
-    gram = intersection_matrix(classes)
-    cells = [("square", (i,), expected_square(i, p), gram[i - 1][i - 1]) for i in range(1, p)]
-    cells += [("consecutive_pairing", (i, i + 1), 1, gram[i - 1][i]) for i in range(1, p - 1)]
+    """Scan intersection_matrix against the oracle's cp_pattern in the
+    documented order: squares, then consecutive pairings, then distant
+    pairs lexicographically."""
+    gram, want = intersection_matrix(classes), cp_pattern(p)
+    cells = [("square", (i,), want[i - 1][i - 1], gram[i - 1][i - 1]) for i in range(1, p)]
     cells += [
-        ("distant_pairing", (i, j), 0, gram[i - 1][j - 1])
+        ("consecutive_pairing", (i, i + 1), want[i - 1][i], gram[i - 1][i])
+        for i in range(1, p - 1)
+    ]
+    cells += [
+        ("distant_pairing", (i, j), want[i - 1][j - 1], gram[i - 1][j - 1])
         for i in range(1, p)
         for j in range(i + 2, p)
     ]
@@ -248,12 +256,12 @@ def test_search_builds_the_body_block_without_dense_pairings(body_cache, monkeyp
     assert builds_and_reuses() == (1, 0) and calls == []
 
 
-def test_search_compares_classes_at_most_once_per_placement(body_cache):
+def test_search_hits_build_their_body_block_at_most_once(body_cache):
     """Every hit of a search built through the constructor: the one
-    placement's body is built once and found in the cache for the other
-    hits, and a second search, of an equal but new body, builds none and
-    gives the same hits. The cache is cleared after the rows are checked,
-    so the constructors alone are counted."""
+    placement's body block is built at most once and found in the cache
+    for the other hits, and a second search, of an equal but new body,
+    builds none and gives the same hits. The cache is cleared after the
+    rows are checked, so the constructors alone are counted."""
     template = family_question_template(7, "3-chain")
     rows = search_hits(template)
     _body_block.cache_clear()
@@ -293,7 +301,7 @@ def sparse_bodies_with_tails(draw):
 def dense_check(classes, p):
     """_check's result read off the whole Gram matrix: None when it is the
     C_p one, else the reference scan's report."""
-    if intersection_matrix(classes) == [list(row) for row in cp_gram(p)]:
+    if tuple(map(tuple, intersection_matrix(classes))) == cp_pattern(p):
         return None
     return reference_report(classes, p)
 

@@ -234,17 +234,29 @@ def test_package_writes_files_only_through_rewrite():
     assert writers == []
 
 
-# the package's modules, the scripts and the tests
-MODULES = [
+# the package's modules and the scripts; with the tests, every module
+SOURCES = [
     *sorted(Path(rbdcalc.__file__).parent.glob("*.py")),
     *sorted((REPO_ROOT / "scripts").glob("*.py")),
-    *sorted((REPO_ROOT / "tests").glob("*.py")),
 ]
+MODULES = [*SOURCES, *sorted((REPO_ROOT / "tests").glob("*.py"))]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_top_level_imports(path):
     assert unused_top_level_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_source_line_over_100_characters():
+    """The package's modules and the scripts keep every line to 100
+    characters."""
+    long = [
+        f"{path.relative_to(REPO_ROOT)}:{number}"
+        for path in SOURCES
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []
 
 
 def names_read(paths) -> set[str]:
